@@ -4,26 +4,24 @@
 // The router's contract (serve/shard_router.hpp) is that sharding changes
 // *where* segments are evaluated, never *what* comes back: merged verdicts
 // are bitwise-identical to the unsharded oracle.  This bench prices the other
-// half of the claim — that per-shard dedicated workers actually buy
-// throughput once trajectories spread over the tile ring.
+// half — what splitting, per-segment fan-out and merging cost or buy once
+// trajectories spread over the tile ring.
 //
 //   bench_shard --history=2400 --area=60 --requests=96 --clients=4 --threads=1
 //
-// One leg per shard count {1, 2, 4}: a ShardRouter with start_workers=true
-// (one dedicated worker per shard) is driven by --clients concurrent client
-// threads replaying the same request pool; the 1-shard leg is the baseline.
-// Run with --threads=1 so the deterministic pool adds no intra-segment
-// parallelism and the scale-out comes purely from the shard workers — the
-// simulated "one machine per shard" deployment.
+// One leg per shard count {1, 2, 4}: a ShardRouter driven by --clients
+// concurrent client threads replaying the same request pool, each fanning its
+// segments out synchronously on its own thread; the 1-shard leg is the
+// baseline.  Run with --threads=1 so the deterministic pool adds no
+// intra-segment parallelism and concurrency comes only from the clients.
 //
 // Per-request latencies feed p50/p99; every leg's payload checksum (XOR of
 // per-request FNV-1a over the canonical verdict strings, order-independent
 // so client interleaving cannot change it) must equal the oracle's.  Exit
 // code 0 iff every leg matched — speedups are reported, not asserted, since
-// wall-clock on a loaded box is noise but identity is the contract.  (On a
-// host with fewer cores than shards the legs can only measure fan-out
-// overhead — dedicated workers need real cores to run on.)  BENCH_shard.json
-// records both (written atomically, like every bench artifact).
+// wall-clock on a loaded box is noise but identity is the contract.
+// BENCH_shard.json records both (written atomically, like every bench
+// artifact).
 //
 // A second table prices the *transport* (serve/net_shard over src/net): the
 // same request pool through a 4-shard router whose segments are answered
@@ -168,7 +166,6 @@ int main(int argc, char** argv) {
     serve::ShardRouterConfig rc;
     rc.shards = shards;
     rc.tile_m = tile_m;
-    rc.start_workers = true;  // one dedicated worker per shard
     serve::ShardRouter router(world.detector(), rc);
 
     std::vector<std::uint64_t> client_checksums(clients, 0);

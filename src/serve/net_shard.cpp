@@ -5,8 +5,8 @@
 
 #include "common/durable/journal.hpp"
 #include "common/fault.hpp"
-#include "common/rng.hpp"
 #include "wifi/crowd_store.hpp"
+#include "wifi/validate.hpp"
 
 namespace trajkit::serve {
 namespace {
@@ -45,27 +45,12 @@ net::CallResult call_with_retry_impl(
     }
     if (!result.retryable() || attempt + 1 == attempts) break;
     retries.fetch_add(1, std::memory_order_relaxed);
-    clock.sleep_us(net_backoff_delay_us(policy.retry, key, attempt));
+    clock.sleep_us(backoff_delay_us(policy.retry, key, attempt));
   }
   return result;
 }
 
 }  // namespace
-
-std::int64_t net_backoff_delay_us(const RetryPolicy& retry, std::uint64_t key,
-                                  std::size_t attempt) {
-  double delay = static_cast<double>(retry.backoff_base_us);
-  for (std::size_t i = 0; i < attempt; ++i) delay *= retry.backoff_multiplier;
-  // Jitter in [0.5, 1.5) as a pure function of (seed, key, attempt) — the
-  // VerifierService retry discipline, reused so shard RPC timing never
-  // depends on thread scheduling.
-  Rng jitter =
-      Rng::substream(retry.jitter_seed ^ 0x626b6f66ull, key * 31 + attempt);
-  delay *= jitter.uniform(0.5, 1.5);
-  const auto cap = static_cast<double>(retry.backoff_cap_us);
-  if (delay > cap) delay = cap;
-  return static_cast<std::int64_t>(delay);
-}
 
 // ---------------------------------------------------------------------------
 // RemoteFollower
@@ -295,7 +280,7 @@ void RemoteSegmentClient::evaluate(const wifi::ScannedUpload& upload,
       hedges_.fetch_add(1, std::memory_order_relaxed);
     } else {
       retries_.fetch_add(1, std::memory_order_relaxed);
-      clock_->sleep_us(net_backoff_delay_us(policy_.retry, key, attempt));
+      clock_->sleep_us(backoff_delay_us(policy_.retry, key, attempt));
     }
   }
   throw FaultError("shard net: segment evaluation failed: " + last_error);
@@ -486,8 +471,13 @@ net::Handler make_segment_handler(const ShardService& shard) {
   return [&shard](const std::string& request) -> std::string {
     auto decoded = net::decode_segment(request);
     if (!decoded) return net::encode_rpc_error(decoded.error());
-    // One RCU snapshot per request: a concurrent hot_swap cannot destroy the
-    // index mid-walk, matching the local evaluate_segment discipline.
+    // The wire is a trust boundary too: a well-formed frame can still carry
+    // a NaN or out-of-envelope coordinate.
+    if (auto valid = wifi::validate_upload(decoded.value().upload); !valid) {
+      return net::encode_rpc_error("segment: " + valid.error());
+    }
+    // One RCU snapshot per request: a concurrent epoch flip cannot destroy
+    // the index mid-walk, matching the local evaluate_segment discipline.
     const auto detector = shard.detector_snapshot();
     if (!detector) return net::encode_rpc_error("segment: no detector armed");
     net::SegmentResponse response;

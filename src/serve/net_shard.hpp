@@ -52,8 +52,9 @@
 namespace trajkit::serve {
 
 /// Deadline/retry/hedge policy for shard RPCs.  `retry` reuses the serving
-/// layer's RetryPolicy verbatim — same bounded count, same deterministic
-/// jitter substream discipline.
+/// layer's RetryPolicy verbatim — same bounded count, and the same
+/// backoff_delay_us keyed by (jitter_seed, RPC key, attempt), so chaos runs
+/// replay.
 struct NetCallPolicy {
   RetryPolicy retry;
   std::int64_t rpc_deadline_us = 50'000;
@@ -64,11 +65,6 @@ struct NetCallPolicy {
   /// Frames per tail RPC during gap repair (bounds response size).
   std::uint64_t tail_chunk = 1024;
 };
-
-/// Deterministic retry backoff: the VerifierService jitter formula keyed by
-/// (jitter_seed, key, attempt) — a pure function, so chaos runs replay.
-std::int64_t net_backoff_delay_us(const RetryPolicy& retry, std::uint64_t key,
-                                  std::size_t attempt);
 
 /// Transport-side counters a remote client accumulates.
 struct NetClientStats {
@@ -206,8 +202,10 @@ class FollowerNode {
 net::Handler make_tail_handler(std::string wal_dir);
 
 /// Serve "seg" requests from a shard's detector (RCU snapshot per request).
-/// Features/scores round-trip through %.17g text — bit-exact, so a remote
-/// segment is indistinguishable from a local one in the merged verdict.
+/// A decoded upload that fails wifi::validate_upload is answered with an RPC
+/// error.  Features/scores round-trip through %.17g text — bit-exact, so a
+/// remote segment is indistinguishable from a local one in the merged
+/// verdict.
 net::Handler make_segment_handler(const ShardService& shard);
 
 /// One endpoint per process: dispatch every verb this node can serve.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
@@ -58,19 +57,21 @@ VerifierService::VerifierService(wifi::RssiDetector& detector,
 
 VerifierService::VerifierService(std::unique_ptr<wifi::RssiDetector> owned,
                                  wifi::RssiDetector* borrowed,
-                                 VerifierServiceConfig config, const Clock* clock)
+                                 VerifierServiceConfig config, const Clock* clock,
+                                 std::uint64_t epoch)
     : config_(config),
       clock_(clock ? clock : &steady_clock()),
       fallback_(baseline::RuleBasedDetector::for_mode(config.fallback.mode)) {
+  EpochBuild initial;
   if (owned) {
-    detector_ = std::move(owned);
+    initial.detector = std::move(owned);
   } else if (borrowed) {
     // Caller-owned detector: share without owning (no-op deleter) so the RCU
     // snapshot machinery treats both ownership shapes identically.
-    detector_ =
+    initial.detector =
         std::shared_ptr<wifi::RssiDetector>(borrowed, [](wifi::RssiDetector*) {});
   }
-  if (!detector_ &&
+  if (!initial.detector &&
       !(config_.fallback.enabled && config_.fallback.allow_degraded_start)) {
     throw std::invalid_argument("VerifierService: null detector");
   }
@@ -78,111 +79,30 @@ VerifierService::VerifierService(std::unique_ptr<wifi::RssiDetector> owned,
     throw std::invalid_argument("VerifierService: max_batch must be positive");
   }
   if (config_.use_shared_cache) {
-    cache_ = std::make_shared<ShardedRpdLruCache>(config_.cache);
-    if (detector_) detector_->set_rpd_cache(cache_);
+    initial.cache = std::make_shared<ShardedRpdLruCache>(config_.cache);
   }
-  if (detector_) published_points_ = detector_->index().size();
+  if (initial.detector) epoched_.install(std::move(initial), epoch);
   if (config_.auto_start) start();
-}
-
-std::shared_ptr<const wifi::RssiDetector> VerifierService::detector_snapshot() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return detector_;
-}
-
-const ShardedRpdLruCache* VerifierService::shared_cache() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return cache_.get();
-}
-
-std::uint64_t VerifierService::epoch() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return epoch_;
-}
-
-std::size_t VerifierService::published_points() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return published_points_;
-}
-
-void VerifierService::install_detector(std::shared_ptr<wifi::RssiDetector> detector,
-                                       std::uint64_t epoch,
-                                       std::size_t published_points,
-                                       std::shared_ptr<ShardedRpdLruCache> cache) {
-  if (!detector) {
-    throw std::invalid_argument("VerifierService::install_detector: null detector");
-  }
-  if (!cache && config_.use_shared_cache) {
-    cache = std::make_shared<ShardedRpdLruCache>(config_.cache);
-  }
-  if (cache) detector->set_rpd_cache(cache);
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  detector_ = std::move(detector);
-  if (cache) cache_ = std::move(cache);
-  epoch_ = epoch;
-  published_points_ = published_points;
 }
 
 Expected<std::uint64_t, std::string> VerifierService::publish_epoch(
     wifi::CrowdStore& store, durable::ArtifactStore* artifacts,
     bool exclude_quarantined) {
   using Result = Expected<std::uint64_t, std::string>;
-  std::shared_ptr<wifi::RssiDetector> cur;
-  std::shared_ptr<ShardedRpdLruCache> cur_cache;
-  std::uint64_t cur_epoch = 0;
-  std::size_t covered = 0;
-  bool was_filtered = false;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    cur = detector_;
-    cur_cache = cache_;
-    cur_epoch = epoch_;
-    covered = published_points_;
-    was_filtered = filtered_epoch_;
-  }
-  if (!cur) return Result::failure("publish_epoch: no serving detector");
-  // The carry-forward machinery below keys the LRU on reference-point
-  // indices of an append-only slice.  A quarantine-filtered set breaks that
-  // (points drop out of the middle), and so does publishing on top of a
-  // filtered epoch (covered no longer names a store prefix) — both take the
-  // cold path: full rebuild, fresh cache.
-  const bool cold = exclude_quarantined || was_filtered;
-  std::vector<wifi::ReferencePoint> points =
-      exclude_quarantined
-          ? store.trusted_points()
-          : std::vector<wifi::ReferencePoint>(store.points().begin(),
-                                              store.points().end());
-  const std::size_t folded = points.size();
-  std::unordered_set<std::size_t> affected;
-  if (!cold) {
-    if (points.size() < covered) {
-      return Result::failure("publish_epoch: store shrank below the serving epoch");
-    }
-    // Affected reference points: every serving-index point whose counting
-    // circle C_H(R) gains one of the appended scans.  Every other point's RPD
-    // statistics are integer histograms over an unchanged neighbour set, so
-    // their cached values stay bitwise valid in the next epoch — that is what
-    // lets the cache carry forward instead of going cold.
-    const double radius = cur->confidence().rpd().params().counting_radius_m;
-    for (std::size_t i = covered; i < points.size(); ++i) {
-      for (const std::size_t h : cur->index().within(points[i].pos, radius)) {
-        affected.insert(h);
-      }
-    }
-  }
-  // The replacement index keeps the serving epoch's grid bounds: within()
-  // iteration order (and hence every float accumulation order downstream) is
-  // pinned across epochs, so unaffected verdicts stay bit-identical.
-  auto fresh = wifi::RssiDetector::assemble(std::move(points), cur->config(),
-                                            cur->classifier(),
-                                            cur->trained_points(),
-                                            cur->index().bounds());
+  const std::uint64_t cur_epoch = epoched_.epoch();
+  auto next = epoched_.build_next(
+      exclude_quarantined ? store.trusted_points()
+                          : std::vector<wifi::ReferencePoint>(store.points().begin(),
+                                                              store.points().end()),
+      exclude_quarantined);
+  if (!next) return Result::failure("publish_epoch: " + next.error());
   std::uint64_t next_epoch = cur_epoch + 1;
   if (artifacts != nullptr) {
     // Commit the artifact before anything becomes visible: a crash (or
     // injected fault) before the CURRENT flip leaves this epoch an orphan and
     // a restart serves the old one.
-    auto published = artifacts->publish<wifi::RssiDetector>("detector", *fresh);
+    auto published =
+        artifacts->publish<wifi::RssiDetector>("detector", *next.value().detector);
     if (!published) return Result::failure("publish_epoch: " + published.error());
     next_epoch = published.value();
   }
@@ -190,100 +110,68 @@ Expected<std::uint64_t, std::string> VerifierService::publish_epoch(
   // observe a marker the primary did not durably record.
   auto marker = store.append_epoch_marker(next_epoch);
   if (!marker) return Result::failure("publish_epoch: " + marker.error());
-  std::shared_ptr<ShardedRpdLruCache> next_cache;
-  if (!cold && cur_cache) next_cache = cur_cache->carry_forward(affected);
-  install_detector(std::move(fresh), next_epoch, folded, std::move(next_cache));
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    filtered_epoch_ = exclude_quarantined;
-  }
+  epoched_.install(std::move(next).value(), next_epoch);
   return Result(next_epoch);
+}
+
+VerifierService::ServiceOrError VerifierService::create_or_degrade(
+    Expected<std::unique_ptr<wifi::RssiDetector>, std::string> detector,
+    const VerifierServiceConfig& config, std::uint64_t epoch) {
+  if (!detector) {
+    if (!(config.fallback.enabled && config.fallback.allow_degraded_start)) {
+      return ServiceOrError::failure(detector.error());
+    }
+    // Degraded-start serving: the model is unavailable, but the service
+    // still answers every request through the rule-based fallback.
+    return ServiceOrError(std::unique_ptr<VerifierService>(
+        new VerifierService(nullptr, nullptr, config, nullptr)));
+  }
+  return ServiceOrError(std::unique_ptr<VerifierService>(new VerifierService(
+      std::move(detector).value(), nullptr, config, nullptr, epoch)));
 }
 
 Expected<std::unique_ptr<VerifierService>, std::string>
 VerifierService::try_create_from_file(const std::string& model_path,
                                       VerifierServiceConfig config) {
-  using ServiceOrError = Expected<std::unique_ptr<VerifierService>, std::string>;
-  auto detector = wifi::RssiDetector::try_load_file(model_path);
-  if (!detector) {
-    if (config.fallback.enabled && config.fallback.allow_degraded_start) {
-      // Degraded-start serving: the model is unavailable, but the service
-      // still answers every request through the rule-based fallback.
-      return ServiceOrError(std::unique_ptr<VerifierService>(
-          new VerifierService(nullptr, nullptr, config, nullptr)));
-    }
-    return ServiceOrError::failure(detector.error());
-  }
-  return ServiceOrError(std::make_unique<VerifierService>(
-      std::move(detector).value(), config));
+  return create_or_degrade(wifi::RssiDetector::try_load_file(model_path), config);
 }
 
 Expected<std::unique_ptr<VerifierService>, std::string>
 VerifierService::try_create_from_store(const std::string& store_dir,
                                        const std::string& model_path,
                                        VerifierServiceConfig config) {
-  using ServiceOrError = Expected<std::unique_ptr<VerifierService>, std::string>;
-  const bool degraded_ok =
-      config.fallback.enabled && config.fallback.allow_degraded_start;
-  auto degraded = [&] {
-    return ServiceOrError(std::unique_ptr<VerifierService>(
-        new VerifierService(nullptr, nullptr, config, nullptr)));
-  };
+  using DetectorOrError = Expected<std::unique_ptr<wifi::RssiDetector>, std::string>;
   auto store = wifi::CrowdStore::open(store_dir);
-  if (!store) {
-    if (degraded_ok) return degraded();
-    return ServiceOrError::failure(store.error());
-  }
+  if (!store) return create_or_degrade(DetectorOrError::failure(store.error()), config);
   auto model = wifi::RssiDetector::try_load_file(model_path);
-  if (!model) {
-    if (degraded_ok) return degraded();
-    return ServiceOrError::failure(model.error());
-  }
+  if (!model) return create_or_degrade(std::move(model), config);
   // The model file carries the classifier + config; the crowd store supplies
-  // the (recovered) reference set the index is rebuilt over.
-  auto detector = wifi::RssiDetector::assemble(
-      store.value()->points(), model.value()->config(),
-      model.value()->classifier(), model.value()->trained_points());
-  auto service =
-      std::make_unique<VerifierService>(std::move(detector), config);
-  // Adopt the store's recovered epoch: publishes resume after the highest
-  // "#epoch N" marker the journal replayed, not from scratch.
-  service->epoch_ = store.value()->observed_epoch();
-  service->published_points_ = store.value()->points().size();
-  return ServiceOrError(std::move(service));
+  // the (recovered) reference set the index is rebuilt over.  Publishes
+  // resume after the highest "#epoch N" marker the journal replayed.
+  return create_or_degrade(
+      DetectorOrError(wifi::RssiDetector::assemble(
+          store.value()->points(), model.value()->config(),
+          model.value()->classifier(), model.value()->trained_points())),
+      config, store.value()->observed_epoch());
 }
 
 Expected<std::unique_ptr<VerifierService>, std::string>
 VerifierService::try_create_from_artifacts(const std::string& artifact_dir,
                                            VerifierServiceConfig config,
                                            const std::string& kind) {
-  using ServiceOrError = Expected<std::unique_ptr<VerifierService>, std::string>;
-  const bool degraded_ok =
-      config.fallback.enabled && config.fallback.allow_degraded_start;
-  auto degraded = [&] {
-    return ServiceOrError(std::unique_ptr<VerifierService>(
-        new VerifierService(nullptr, nullptr, config, nullptr)));
-  };
+  using DetectorOrError = Expected<std::unique_ptr<wifi::RssiDetector>, std::string>;
   auto artifacts = durable::ArtifactStore::open_dir(artifact_dir);
   if (!artifacts) {
-    if (degraded_ok) return degraded();
-    return ServiceOrError::failure(artifacts.error());
+    return create_or_degrade(DetectorOrError::failure(artifacts.error()), config);
   }
   const std::uint64_t live = artifacts.value()->current_epoch(kind);
   if (live == 0) {
-    if (degraded_ok) return degraded();
-    return ServiceOrError::failure("artifact store has no published '" + kind +
-                                   "'");
+    return create_or_degrade(
+        DetectorOrError::failure("artifact store has no published '" + kind + "'"),
+        config);
   }
-  auto detector = artifacts.value()->open<wifi::RssiDetector>(kind);
-  if (!detector) {
-    if (degraded_ok) return degraded();
-    return ServiceOrError::failure(detector.error());
-  }
-  auto service = std::make_unique<VerifierService>(std::move(detector).value(),
-                                                   config);
-  service->epoch_ = live;
-  return ServiceOrError(std::move(service));
+  return create_or_degrade(artifacts.value()->open<wifi::RssiDetector>(kind),
+                           config, live);
 }
 
 VerifierService::~VerifierService() {
@@ -379,16 +267,15 @@ wifi::VerdictReport VerifierService::fallback_report(
   return report;
 }
 
-std::int64_t VerifierService::backoff_delay_us(std::uint64_t request_id,
-                                               std::size_t attempt) const {
-  double delay = static_cast<double>(config_.retry.backoff_base_us);
-  for (std::size_t i = 0; i < attempt; ++i) delay *= config_.retry.backoff_multiplier;
-  // Deterministic jitter in [0.5, 1.5): a pure function of (seed, request,
+std::int64_t backoff_delay_us(const RetryPolicy& retry, std::uint64_t key,
+                              std::size_t attempt) {
+  double delay = static_cast<double>(retry.backoff_base_us);
+  for (std::size_t i = 0; i < attempt; ++i) delay *= retry.backoff_multiplier;
+  // Deterministic jitter in [0.5, 1.5): a pure function of (seed, key,
   // attempt), so retry timing never depends on scheduling.
-  Rng jitter = Rng::substream(config_.retry.jitter_seed ^ 0x626b6f66ull,
-                              request_id * 31 + attempt);
+  Rng jitter = Rng::substream(retry.jitter_seed ^ 0x626b6f66ull, key * 31 + attempt);
   delay *= jitter.uniform(0.5, 1.5);
-  const auto cap = static_cast<double>(config_.retry.backoff_cap_us);
+  const auto cap = static_cast<double>(retry.backoff_cap_us);
   if (delay > cap) delay = cap;
   return static_cast<std::int64_t>(delay);
 }
@@ -474,7 +361,7 @@ VerdictResponse VerifierService::evaluate(const VerificationRequest& request,
         // backoff up to the policy bound, then degrade.
         if (attempt < config_.retry.max_retries) {
           retries_.fetch_add(1, std::memory_order_relaxed);
-          clock_->sleep_us(backoff_delay_us(request.id, attempt));
+          clock_->sleep_us(backoff_delay_us(config_.retry, request.id, attempt));
           continue;
         }
         breaker_record_failure();
@@ -604,21 +491,10 @@ ServiceCounters VerifierService::counters() const {
   c.retries = retries_.load(std::memory_order_relaxed);
   c.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
   // Always read through the detector: correct whether the shared LRU or the
-  // detector's own dense cache is in place.  A degraded-start service has no
-  // detector; fall back to the (idle) shared cache when present.  Snapshot
-  // both under the swap lock so a concurrent hot-swap cannot free either
-  // mid-read.
-  std::shared_ptr<const wifi::RssiDetector> detector;
-  std::shared_ptr<ShardedRpdLruCache> cache;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    detector = detector_;
-    cache = cache_;
-  }
-  if (detector) {
+  // detector's own dense cache is in place.  The snapshot pins both across a
+  // concurrent hot-swap; a degraded-start service has no cache traffic.
+  if (const auto detector = detector_snapshot()) {
     c.cache = detector->confidence().rpd().cache().stats();
-  } else if (cache) {
-    c.cache = cache->stats();
   }
   c.p50_us = latency_.p50_us();
   c.p95_us = latency_.p95_us();

@@ -54,6 +54,7 @@
 #include "common/expected.hpp"
 #include "nn/classifier.hpp"
 #include "nn/quant_classifier.hpp"
+#include "serve/epoched_detector.hpp"
 #include "serve/rpd_lru_cache.hpp"
 #include "traj/features.hpp"
 #include "wifi/detector.hpp"
@@ -118,6 +119,15 @@ struct RetryPolicy {
   std::int64_t backoff_cap_us = 5000; ///< upper bound on any single delay
   std::uint64_t jitter_seed = 0;      ///< sub-stream key for the jitter draw
 };
+
+/// Delay before retry `attempt + 1` of the operation keyed `key` (a request
+/// id, a frame seq, a hash of the RPC bytes): base * multiplier^attempt,
+/// times a jitter in [0.5, 1.5) drawn from the (jitter_seed, key, attempt)
+/// sub-stream, capped.  A pure function, so retry timing — and any fault
+/// decision keyed on attempt ordinals — never depends on scheduling.  The
+/// service's dispatch retries and every shard RPC retry share it.
+std::int64_t backoff_delay_us(const RetryPolicy& retry, std::uint64_t key,
+                              std::size_t attempt);
 
 /// Circuit breaker over consecutive exhausted-retry failures.  While open,
 /// requests skip the detector and degrade immediately ("breaker_open"), so a
@@ -296,55 +306,42 @@ class VerifierService {
   /// Shared-ownership handle on the live detector (RCU snapshot): holders
   /// keep their epoch alive across a concurrent hot-swap.  Null on a
   /// degraded-start service.
-  std::shared_ptr<const wifi::RssiDetector> detector_snapshot() const;
+  std::shared_ptr<const wifi::RssiDetector> detector_snapshot() const {
+    return epoched_.detector();
+  }
   /// The live detector; requires has_detector().  Prefer detector_snapshot()
   /// when a hot-swap may run concurrently — this reference does not pin the
   /// epoch it came from.
   const wifi::RssiDetector& detector() const { return *detector_snapshot(); }
-  /// The shared LRU, or nullptr when use_shared_cache was false.  Like
+  /// The shared LRU, or nullptr when use_shared_cache was false or the
+  /// service started degraded.  Like
   /// detector(), does not pin the epoch.
-  const ShardedRpdLruCache* shared_cache() const;
+  const ShardedRpdLruCache* shared_cache() const { return epoched_.cache(); }
 
   /// Model epoch currently serving (0 until the first publish/adopt).
-  std::uint64_t epoch() const;
+  std::uint64_t epoch() const { return epoched_.epoch(); }
   /// Store points folded into the serving epoch's reference index.
-  std::size_t published_points() const;
-
-  /// Install a replacement detector as a new epoch (RCU flip: in-flight
-  /// requests finish on the detector they snapshotted; new requests see the
-  /// replacement).  A fresh shared RPD cache is injected unless `cache` is
-  /// provided (the carry-forward path).  `published_points` records how many
-  /// store points the replacement's index covers.
-  void install_detector(std::shared_ptr<wifi::RssiDetector> detector,
-                        std::uint64_t epoch, std::size_t published_points,
-                        std::shared_ptr<ShardedRpdLruCache> cache = nullptr);
+  std::size_t published_points() const { return epoched_.published_points(); }
 
   /// Publish the store's current reference set as the next model epoch,
   /// without dropping a single in-flight request:
   ///
-  ///   1. the points appended since the serving epoch determine the affected
-  ///      reference points (old-index radius query at the RPD counting
-  ///      radius R) — everything else's counting statistics are provably
-  ///      unchanged;
-  ///   2. a replacement detector is assembled over the full point set under
-  ///      the serving index's pinned grid bounds (bitwise-stable iteration
-  ///      order), reusing the serving classifier/config/threshold;
-  ///   3. the shared RPD cache is carried forward minus the affected keys —
-  ///      O(resident) pointer work instead of a cold cache;
-  ///   4. when `artifacts` is given, the detector is committed there first
+  ///   1. the epoch holder builds the replacement (EpochedDetector::
+  ///      build_next: affected-key query, assembly under the pinned grid
+  ///      bounds, cache carry-forward);
+  ///   2. when `artifacts` is given, the detector is committed there first
   ///      (crash before the CURRENT flip ⇒ restart serves the old epoch);
-  ///   5. the RCU flip installs the new epoch and an "#epoch N" control
-  ///      frame is journaled through `store` so WAL-shipping followers adopt
-  ///      it.
+  ///   3. an "#epoch N" control frame is journaled through `store` so
+  ///      WAL-shipping followers adopt it;
+  ///   4. the RCU flip installs the new epoch.
   ///
   /// `exclude_quarantined` publishes the store's trusted_points() instead —
   /// the quarantine stage that holds suspected-poisoned uploaders out of the
   /// served model while review is pending.  A filtered set is not an
-  /// append-only extension of the serving slice, so the cache carry-forward
-  /// contract (steps 1 and 3 key the LRU on reference-point indices) does
-  /// not hold: a filtered publish cold-rebuilds with a fresh cache, and so
-  /// does the next publish after it (the serving slice is no longer a prefix
-  /// of the store).  Unfiltered steady-state publishes are unaffected.
+  /// append-only extension of the serving one, so a filtered publish
+  /// cold-rebuilds with a fresh cache, and so does the next publish after it.
+  /// Unfiltered steady-state publishes are unaffected.  A store holding fewer
+  /// points than the serving epoch is refused.
   ///
   /// Returns the new epoch number.
   Expected<std::uint64_t, std::string> publish_epoch(
@@ -365,9 +362,18 @@ class VerifierService {
     std::int64_t enqueue_us = 0;
   };
 
+  using ServiceOrError = Expected<std::unique_ptr<VerifierService>, std::string>;
+
   VerifierService(std::unique_ptr<wifi::RssiDetector> owned,
                   wifi::RssiDetector* borrowed, VerifierServiceConfig config,
-                  const Clock* clock);
+                  const Clock* clock, std::uint64_t epoch = 0);
+
+  /// Shared tail of the try_create_* factories: serve `detector` at `epoch`,
+  /// or — when it failed to load and degraded start is allowed — a
+  /// detector-less service that answers through the fallback.
+  static ServiceOrError create_or_degrade(
+      Expected<std::unique_ptr<wifi::RssiDetector>, std::string> detector,
+      const VerifierServiceConfig& config, std::uint64_t epoch = 0);
 
   VerdictResponse evaluate(const VerificationRequest& request,
                            std::int64_t queue_us);
@@ -380,27 +386,15 @@ class VerifierService {
   /// config_.motion is armed).  uploads[i] must belong to responses[i].
   void annotate_motion(const std::vector<const wifi::ScannedUpload*>& uploads,
                        std::vector<VerdictResponse>& responses) const;
-  std::int64_t backoff_delay_us(std::uint64_t request_id,
-                                std::size_t attempt) const;
   void breaker_record_success();
   void breaker_record_failure();
   void process_batch(std::vector<Pending>& batch);
   void dispatcher_loop();
   void reject_pending();
 
-  // RCU state: detector_, cache_, epoch_ and published_points_ swap together
-  // under swap_mu_.  Readers take a shared_ptr snapshot once per request and
-  // never block a swap; a borrowed (caller-owned) detector is held through a
-  // no-op deleter.
-  mutable std::mutex swap_mu_;
-  std::shared_ptr<wifi::RssiDetector> detector_;
-  std::shared_ptr<ShardedRpdLruCache> cache_;
-  std::uint64_t epoch_ = 0;
-  std::size_t published_points_ = 0;
-  // True when the serving epoch was published from a filtered (quarantine-
-  // excluding) point set: published_points_ then does not name a prefix of
-  // the store, so the next publish must cold-rebuild.
-  bool filtered_epoch_ = false;
+  // Detector, shared cache and epoch; a borrowed (caller-owned) detector is
+  // held through a no-op deleter.
+  EpochedDetector epoched_;
   VerifierServiceConfig config_;
   const Clock* clock_;
   baseline::RuleBasedDetector fallback_;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "wifi/validate.hpp"
+
 namespace trajkit::serve {
 namespace {
 
@@ -101,13 +103,6 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
         s, std::move(slices[s]), oracle.config(), oracle.classifier(),
         oracle.trained_points(), index.bounds(), shard_cfg));
   }
-  if (config_.start_workers) {
-    for (auto& shard : shards_) shard->start();
-  }
-}
-
-ShardRouter::~ShardRouter() {
-  for (auto& shard : shards_) shard->stop();
 }
 
 std::vector<TrajectorySegment> ShardRouter::split(
@@ -137,6 +132,11 @@ VerdictResponse ShardRouter::verify(const wifi::ScannedUpload& upload,
   requests_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t start_us = steady_clock().now_us();
   try {
+    // Uploads cross the trust boundary here: a NaN/Inf or out-of-envelope
+    // coordinate must never reach tile_of's float-to-integer conversion.
+    if (auto valid = wifi::validate_upload(upload); !valid) {
+      throw std::invalid_argument(valid.error());
+    }
     const auto segments = split(upload);
     segments_.fetch_add(segments.size(), std::memory_order_relaxed);
     if (!segments.empty()) {
@@ -146,61 +146,33 @@ VerdictResponse ShardRouter::verify(const wifi::ScannedUpload& upload,
     const std::size_t n = upload.positions.size();
     std::vector<double> features(2 * top_k_ * n, 0.0);
     std::vector<double> scores(n, 0.0);
-    // Segments owned by a shard with a remote evaluator go over the wire;
-    // everything else follows the local worker/sync paths.  A remote failure
-    // (post retry/hedge) degrades to the resident slice — same bits, so the
-    // verdict stays oracle-equal, and the degradation is counted.
+    // Segments owned by a shard with a remote evaluator go over the wire; a
+    // remote failure (post retry/hedge) degrades to the resident slice — same
+    // bits, so the verdict stays oracle-equal, and the degradation is counted.
+    // Slots are disjoint per segment.
     bool degraded = false;
-    bool workers = config_.start_workers;
-    const auto eval_remote = [&](const TrajectorySegment& seg) {
-      remote_segments_.fetch_add(1, std::memory_order_relaxed);
-      try {
-        remote_[seg.shard]->evaluate(upload, seg.begin, seg.end,
-                                     features.data() + 2 * top_k_ * seg.begin,
-                                     scores.data() + seg.begin);
-        return true;
-      } catch (const std::exception&) {
-        degraded = true;  // resident slice answers instead
-        return false;
+    for (const auto& seg : segments) {
+      double* seg_features = features.data() + 2 * top_k_ * seg.begin;
+      double* seg_scores = scores.data() + seg.begin;
+      if (remote_[seg.shard]) {
+        remote_segments_.fetch_add(1, std::memory_order_relaxed);
+        try {
+          remote_[seg.shard]->evaluate(upload, seg.begin, seg.end, seg_features,
+                                       seg_scores);
+          continue;
+        } catch (const std::exception&) {
+          degraded = true;  // resident slice answers instead
+        }
       }
-    };
-    if (workers) {
-      // Remote segments evaluate synchronously on the calling thread (their
-      // concurrency lives in the remote shard); local ones queue on their
-      // owner's worker, then verify() blocks until the last lands.  Slots
-      // are disjoint, so no synchronisation beyond the barrier is needed;
-      // verify() owns the storage until wait() returns.
-      std::vector<const TrajectorySegment*> local;
-      local.reserve(segments.size());
-      for (const auto& seg : segments) {
-        if (remote_[seg.shard] && eval_remote(seg)) continue;
-        local.push_back(&seg);
-      }
-      SegmentBarrier barrier(local.size());
-      for (const TrajectorySegment* seg : local) {
-        shards_[seg->shard]->submit_segment(
-            {&upload, seg->begin, seg->end,
-             features.data() + 2 * top_k_ * seg->begin,
-             scores.data() + seg->begin, &barrier});
-      }
-      barrier.wait();
-      if (!barrier.first_error().empty()) {
-        throw std::runtime_error(barrier.first_error());
-      }
-    } else {
-      for (const auto& seg : segments) {
-        if (remote_[seg.shard] && eval_remote(seg)) continue;
-        shards_[seg.shard]->evaluate_segment(
-            upload, seg.begin, seg.end, features.data() + 2 * top_k_ * seg.begin,
-            scores.data() + seg.begin);
-      }
+      shards_[seg.shard]->evaluate_segment(upload, seg.begin, seg.end,
+                                           seg_features, seg_scores);
     }
     if (degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
 
     // The classifier tail runs once over the merged vector — every shard
     // carries an identical classifier copy, so shard 0 speaks for all.  The
     // snapshot keeps shard 0's epoch alive through the classify call even if
-    // it hot-swaps mid-request.
+    // it flips to a new epoch mid-request.
     const auto head = shards_[0]->detector_snapshot();
     response.report =
         head->classify_features(std::move(features), std::move(scores));
@@ -212,16 +184,6 @@ VerdictResponse ShardRouter::verify(const wifi::ScannedUpload& upload,
   }
   latency_.add_us(steady_clock().now_us() - start_us);
   return response;
-}
-
-std::vector<VerdictResponse> ShardRouter::verify_batch(
-    const std::vector<VerificationRequest>& requests) {
-  std::vector<VerdictResponse> responses;
-  responses.reserve(requests.size());
-  for (const auto& request : requests) {
-    responses.push_back(verify(request.upload, request.id));
-  }
-  return responses;
 }
 
 ShardRouterCounters ShardRouter::counters() const {

@@ -7,9 +7,10 @@
 // every tile hashes onto a vnode ring (ConsistentHashRing), each shard owns
 // the reference points of its tiles *plus a halo*, and an incoming
 // trajectory is split at shard boundaries into contiguous segments that fan
-// out to the owning ShardServices — synchronously through the deterministic
-// thread pool, or through dedicated per-shard workers when start_workers is
-// set (the scale-out shape bench/bench_shard.cpp measures).
+// out to the owning ShardServices on the calling thread (concurrency comes
+// from caller threads and the deterministic pool underneath), or over the
+// wire to a remote shard (set_remote_evaluator).  Uploads are validated
+// (wifi::validate_upload) before any tile arithmetic sees a coordinate.
 //
 // The equivalence contract — the whole point of the design — is that the
 // merged verdict is *bitwise identical* to the unsharded oracle's:
@@ -103,11 +104,6 @@ struct ShardRouterConfig {
   std::uint64_t ring_seed = 0x7a11d5u;
   /// Per-shard RPD LRU slice configuration.
   ShardedRpdLruCache::Config cache;
-  /// Spawn one dedicated worker thread per shard and route segments through
-  /// their queues (the scale-out serving shape).  Off by default: fan-out
-  /// happens synchronously on the calling thread, and construction spawns
-  /// nothing — fork-based harnesses stay safe.
-  bool start_workers = false;
 };
 
 /// One contiguous run of trajectory points owned by a single shard.
@@ -142,10 +138,10 @@ class ShardRouter {
  public:
   /// Partition the oracle's reference world into shard slices (global grid
   /// geometry, halo included) and copy its classifier/config into every
-  /// shard.  The oracle itself is not retained.
+  /// shard.  The oracle itself is not retained, and no thread is spawned —
+  /// fork-based harnesses stay safe.
   explicit ShardRouter(const wifi::RssiDetector& oracle,
                        ShardRouterConfig config = {});
-  ~ShardRouter();
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
@@ -154,16 +150,12 @@ class ShardRouter {
   std::vector<TrajectorySegment> split(const wifi::ScannedUpload& upload) const;
 
   /// Verify one upload through the sharded plane.  Payloads match the
-  /// single-shard oracle bit for bit on the kOk path; evaluation failures
-  /// come back kError (the router has no degraded mode — chaos machinery
-  /// lives in VerifierService).
+  /// single-shard oracle bit for bit on the kOk path; a malformed upload
+  /// (wifi::validate_upload) and evaluation failures come back kError (the
+  /// router has no degraded mode — chaos machinery lives in VerifierService).
+  /// Safe to call from concurrent threads.
   VerdictResponse verify(const wifi::ScannedUpload& upload,
                          std::uint64_t request_id = 0);
-
-  /// Verify a batch in request order (sequential; concurrency comes from the
-  /// per-shard workers and the pool underneath, or from caller threads).
-  std::vector<VerdictResponse> verify_batch(
-      const std::vector<VerificationRequest>& requests);
 
   /// Route shard `i`'s segments through a remote evaluator (net_shard's
   /// RemoteSegmentClient).  The resident slice stays as the bitwise fallback:

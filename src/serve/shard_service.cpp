@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "common/durable/durable_file.hpp"
@@ -14,23 +13,6 @@
 #include "common/fault.hpp"
 
 namespace trajkit::serve {
-
-// ---------------------------------------------------------------------------
-// SegmentBarrier
-
-SegmentBarrier::SegmentBarrier(std::size_t count) : remaining_(count) {}
-
-void SegmentBarrier::finish(std::string error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (error_.empty() && !error.empty()) error_ = std::move(error);
-  if (remaining_ > 0) --remaining_;
-  if (remaining_ == 0) cv_.notify_all();
-}
-
-void SegmentBarrier::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return remaining_ == 0; });
-}
 
 // ---------------------------------------------------------------------------
 // ShardReplica
@@ -159,18 +141,12 @@ ShardService::ShardService(std::size_t shard_id,
                            const wifi::RssiDetectorConfig& config,
                            gbt::GbtClassifier classifier, std::size_t trained_points,
                            const BoundingBox& index_bounds, ShardServiceConfig cfg)
-    : shard_id_(shard_id),
-      cache_(std::make_shared<ShardedRpdLruCache>(cfg.cache)),
-      det_config_(config),
-      classifier_(classifier),
-      trained_points_(trained_points),
-      index_bounds_(index_bounds),
-      cache_cfg_(cfg.cache),
-      required_follower_acks_(cfg.required_follower_acks) {
-  detector_ = wifi::RssiDetector::assemble(std::move(slice), config,
-                                           std::move(classifier), trained_points,
-                                           index_bounds);
-  detector_->set_rpd_cache(cache_);
+    : shard_id_(shard_id), required_follower_acks_(cfg.required_follower_acks) {
+  epoched_.install({wifi::RssiDetector::assemble(std::move(slice), config,
+                                                 std::move(classifier),
+                                                 trained_points, index_bounds),
+                    std::make_shared<ShardedRpdLruCache>(cfg.cache)},
+                   0);
 }
 
 ShardService::ShardService(std::size_t shard_id,
@@ -189,8 +165,6 @@ Expected<std::unique_ptr<ShardService>, std::string> ShardService::open_leader(
   return Result(std::unique_ptr<ShardService>(
       new ShardService(shard_id, std::move(store).value(), cfg)));
 }
-
-ShardService::~ShardService() { stop(); }
 
 void ShardService::attach_follower(FollowerLink* follower) {
   followers_.push_back(follower);
@@ -296,59 +270,6 @@ Expected<std::uint64_t, std::string> ShardService::ship_control(
   return ship_to_followers(seq.value(), payload, wifi::kAnonymousUploader);
 }
 
-std::shared_ptr<const wifi::RssiDetector> ShardService::detector_snapshot() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return detector_;
-}
-
-const ShardedRpdLruCache* ShardService::cache() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return cache_.get();
-}
-
-std::uint64_t ShardService::epoch() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return epoch_;
-}
-
-Expected<std::uint64_t, std::string> ShardService::hot_swap(
-    std::vector<wifi::ReferencePoint> slice, std::uint64_t epoch) {
-  using Result = Expected<std::uint64_t, std::string>;
-  std::shared_ptr<wifi::RssiDetector> cur;
-  std::shared_ptr<ShardedRpdLruCache> cur_cache;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    cur = detector_;
-    cur_cache = cache_;
-  }
-  if (!cur) return Result::failure("shard: hot_swap needs an armed detector");
-  if (slice.size() < cur->index().size()) {
-    return Result::failure("shard: hot_swap slice shrank (epochs are append-only)");
-  }
-  // The appended tail determines the affected reference points (serving-index
-  // radius query at the RPD counting radius); everything else's counting
-  // statistics are unchanged, so the LRU carries those entries forward.
-  const double radius = cur->confidence().rpd().params().counting_radius_m;
-  std::unordered_set<std::size_t> affected;
-  for (std::size_t i = cur->index().size(); i < slice.size(); ++i) {
-    for (const std::size_t h : cur->index().within(slice[i].pos, radius)) {
-      affected.insert(h);
-    }
-  }
-  auto fresh =
-      wifi::RssiDetector::assemble(std::move(slice), det_config_, classifier_,
-                                   trained_points_, index_bounds_);
-  std::shared_ptr<ShardedRpdLruCache> next_cache =
-      cur_cache ? cur_cache->carry_forward(affected)
-                : std::make_shared<ShardedRpdLruCache>(cache_cfg_);
-  fresh->set_rpd_cache(next_cache);
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  detector_ = std::move(fresh);
-  cache_ = std::move(next_cache);
-  epoch_ = epoch;
-  return Result(epoch);
-}
-
 Expected<bool, std::string> ShardService::arm_verification(
     const wifi::RssiDetectorConfig& config, gbt::GbtClassifier classifier,
     std::size_t trained_points, const BoundingBox& index_bounds,
@@ -358,20 +279,11 @@ Expected<bool, std::string> ShardService::arm_verification(
   if (detector_snapshot()) {
     return Result::failure("shard: verification already armed");
   }
-  det_config_ = config;
-  classifier_ = classifier;
-  trained_points_ = trained_points;
-  index_bounds_ = index_bounds;
-  cache_cfg_ = cache_cfg;
-  auto fresh = wifi::RssiDetector::assemble(store_->points(), config,
-                                            std::move(classifier), trained_points,
-                                            index_bounds);
-  auto cache = std::make_shared<ShardedRpdLruCache>(cache_cfg);
-  fresh->set_rpd_cache(cache);
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  detector_ = std::move(fresh);
-  cache_ = std::move(cache);
-  epoch_ = store_->observed_epoch();
+  epoched_.install({wifi::RssiDetector::assemble(store_->points(), config,
+                                                 std::move(classifier),
+                                                 trained_points, index_bounds),
+                    std::make_shared<ShardedRpdLruCache>(cache_cfg)},
+                   store_->observed_epoch());
   return Result(true);
 }
 
@@ -379,14 +291,17 @@ Expected<std::uint64_t, std::string> ShardService::refresh_from_store(
     std::uint64_t epoch) {
   using Result = Expected<std::uint64_t, std::string>;
   if (!store_) return Result::failure("shard: refresh_from_store needs a store");
-  return hot_swap(store_->points(),
-                  epoch != 0 ? epoch : store_->observed_epoch());
+  auto next = epoched_.build_next(store_->points());
+  if (!next) return Result::failure("shard: " + next.error());
+  if (epoch == 0) epoch = store_->observed_epoch();
+  epoched_.install(std::move(next).value(), epoch);
+  return Result(epoch);
 }
 
 void ShardService::evaluate_segment(const wifi::ScannedUpload& upload,
                                     std::size_t begin, std::size_t end,
                                     double* features, double* scores) const {
-  // One RCU snapshot per segment: a concurrent hot_swap cannot destroy the
+  // One RCU snapshot per segment: a concurrent refresh cannot destroy the
   // index this segment is walking — the segment finishes on its epoch.
   const std::shared_ptr<const wifi::RssiDetector> detector = detector_snapshot();
   if (!detector) throw std::logic_error("shard: no detector attached");
@@ -407,63 +322,6 @@ void ShardService::evaluate_segment(const wifi::ScannedUpload& upload,
   std::copy(seg_features.begin(), seg_features.end(), features);
   std::copy(seg_scores.begin(), seg_scores.end(), scores);
   segments_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardService::submit_segment(const SegmentTask& task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) {
-      throw std::logic_error("shard: worker not running (call start())");
-    }
-    queue_.push_back(task);
-  }
-  work_cv_.notify_one();
-}
-
-void ShardService::start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_) return;
-  stopping_ = false;
-  running_ = true;
-  worker_ = std::thread([this] { worker_loop(); });
-}
-
-void ShardService::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) return;
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  worker_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  running_ = false;
-}
-
-bool ShardService::running() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return running_;
-}
-
-void ShardService::worker_loop() {
-  for (;;) {
-    SegmentTask task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      task = queue_.front();
-      queue_.pop_front();
-    }
-    std::string error;
-    try {
-      evaluate_segment(*task.upload, task.begin, task.end, task.features,
-                       task.scores);
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-    if (task.barrier != nullptr) task.barrier->finish(std::move(error));
-  }
 }
 
 }  // namespace trajkit::serve

@@ -22,26 +22,25 @@
 // reproduces bit-identical verdicts, which tests/shard_test.cpp proves by
 // crashing the leader at every shipping fault point.
 //
-// Threading: segment evaluation is synchronous by default (the router's
-// calling thread fans out through the deterministic pool).  start() arms an
-// optional dedicated worker thread per shard — the scale-out serving shape
-// the bench measures — fed through submit_segment().  Construction never
-// spawns threads, so fork-based crash harnesses can build shards in a child.
+// Serving: the slice detector, its RPD LRU and the epoch live in one
+// EpochedDetector — the same holder VerifierService serves from — so a
+// follower's epoch adoption (refresh_from_store) is the service's publish
+// minus the artifact commit.  Segment evaluation runs on the caller's thread
+// (the router fans out synchronously); a shard never spawns threads, so
+// fork-based crash harnesses can build shards in a child.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/expected.hpp"
 #include "gbt/booster.hpp"
+#include "serve/epoched_detector.hpp"
 #include "serve/rpd_lru_cache.hpp"
 #include "wifi/crowd_store.hpp"
 #include "wifi/detector.hpp"
@@ -61,28 +60,6 @@ inline constexpr const char* kFaultShipApplied = "shard.ship_applied";
 /// Every shipping fault point, for harnesses that walk the failover matrix.
 inline constexpr const char* kShipFaultPoints[] = {kFaultShipFrame,
                                                    kFaultShipApplied};
-
-/// Completion latch for the segment tasks of one routed request: the router
-/// arms it with the segment count, each shard worker reports in, and the
-/// router blocks until the last segment lands (collecting the first error).
-class SegmentBarrier {
- public:
-  explicit SegmentBarrier(std::size_t count);
-
-  /// Report one segment done; empty `error` means success.
-  void finish(std::string error);
-  /// Block until every segment reported.
-  void wait();
-  /// First error reported, empty when all segments succeeded (valid after
-  /// wait()).
-  const std::string& first_error() const { return error_; }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t remaining_;
-  std::string error_;
-};
 
 /// How a leader reaches one follower.  ShardReplica implements it in-process
 /// (the PR 6 shape); serve/net_shard's RemoteFollower implements it over a
@@ -207,19 +184,6 @@ struct ShardServiceConfig {
 
 class ShardService {
  public:
-  /// A segment of a routed trajectory to evaluate: points [begin, end) of
-  /// `upload`, with the Eq. 8 feature slots and per-point scores written to
-  /// caller-provided storage (`features` holds 2 * top_k * (end - begin)
-  /// doubles, `scores` holds end - begin).
-  struct SegmentTask {
-    const wifi::ScannedUpload* upload = nullptr;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    double* features = nullptr;
-    double* scores = nullptr;
-    SegmentBarrier* barrier = nullptr;
-  };
-
   /// Verification shard over a pre-sliced reference set.  `index_bounds`
   /// must be the global set's grid extent (oracle index().bounds()) for the
   /// bitwise-equivalence contract to hold.  Never spawns threads.
@@ -234,25 +198,26 @@ class ShardService {
       std::size_t shard_id, const std::string& dir, bool sync_each_append = true,
       ShardServiceConfig cfg = {});
 
-  ~ShardService();
   ShardService(const ShardService&) = delete;
   ShardService& operator=(const ShardService&) = delete;
 
   std::size_t shard_id() const { return shard_id_; }
   bool has_detector() const { return detector_snapshot() != nullptr; }
   /// Shared-ownership handle on the shard's live detector (RCU snapshot):
-  /// holders keep their epoch alive across a concurrent hot_swap.
-  std::shared_ptr<const wifi::RssiDetector> detector_snapshot() const;
+  /// holders keep their epoch alive across a concurrent refresh.
+  std::shared_ptr<const wifi::RssiDetector> detector_snapshot() const {
+    return epoched_.detector();
+  }
   /// The live detector; requires has_detector().  Does not pin the epoch —
   /// prefer detector_snapshot() when a hot-swap may run concurrently.
   const wifi::RssiDetector& detector() const { return *detector_snapshot(); }
   /// The shard's bounded RPD LRU (null for an ingestion-only shard).  Does
   /// not pin the epoch.
-  const ShardedRpdLruCache* cache() const;
+  const ShardedRpdLruCache* cache() const { return epoched_.cache(); }
   /// The shard's durable store (null for a pure verification slice).
   const wifi::CrowdStore* store() const { return store_.get(); }
-  /// Model epoch this shard currently serves (0 until a swap/adopt).
-  std::uint64_t epoch() const;
+  /// Model epoch this shard currently serves (0 until a refresh/adopt).
+  std::uint64_t epoch() const { return epoched_.epoch(); }
 
   // -- Ingestion + replication (requires a store) ---------------------------
 
@@ -321,16 +286,6 @@ class ShardService {
 
   // -- Epoch hot-swap -------------------------------------------------------
 
-  /// Replace the verification slice as a new epoch without dropping in-flight
-  /// segments (RCU flip; requires an existing detector).  `slice` must be the
-  /// previous slice plus appended points (append-only growth, same order) —
-  /// the appended tail determines the affected reference points, and the
-  /// shard's RPD LRU carries forward minus exactly those keys.  The index
-  /// keeps the pinned global grid bounds, so unaffected segment features stay
-  /// bit-identical to the previous epoch.
-  Expected<std::uint64_t, std::string> hot_swap(
-      std::vector<wifi::ReferencePoint> slice, std::uint64_t epoch);
-
   /// Arm verification on a store-backed shard (the promoted-follower shape):
   /// assemble a detector over the store's recovered points under the given
   /// classifier/config and `index_bounds`, and adopt the store's observed
@@ -341,36 +296,29 @@ class ShardService {
       ShardedRpdLruCache::Config cache_cfg = {});
 
   /// Follower epoch adoption: after WAL frames (points + an "#epoch N"
-  /// marker) landed in the store, rebuild the detector over the store's
-  /// current points via the hot-swap path and serve the marker's epoch.
-  /// `epoch` = 0 adopts store()->observed_epoch().  Requires a store and an
-  /// armed detector.
+  /// marker) landed in the store, build the next epoch over the store's
+  /// current points (EpochedDetector::build_next: the store must extend the
+  /// serving slice; the LRU carries forward minus the affected keys; the
+  /// index keeps its pinned grid bounds) and flip to the marker's epoch
+  /// without dropping in-flight segments.  `epoch` = 0 adopts
+  /// store()->observed_epoch().  Requires a store and an armed detector.
   Expected<std::uint64_t, std::string> refresh_from_store(std::uint64_t epoch = 0);
 
   // -- Segment evaluation (requires a detector) -----------------------------
 
-  /// Evaluate one segment on the calling thread (the router's synchronous
-  /// fan-out path; also the worker's inner call).
+  /// Evaluate points [begin, end) of `upload` on the calling thread, writing
+  /// the Eq. 8 feature slots (2 * top_k * (end - begin) doubles) and the
+  /// per-point scores (end - begin) to caller-provided storage.
   void evaluate_segment(const wifi::ScannedUpload& upload, std::size_t begin,
                         std::size_t end, double* features, double* scores) const;
 
-  /// Queue a segment for the dedicated worker (requires start()).  The task's
-  /// barrier is signalled when the segment finishes or fails.
-  void submit_segment(const SegmentTask& task);
-
-  /// Start / join the dedicated worker thread (idempotent).
-  void start();
-  void stop();
-  bool running() const;
-
-  /// Segments this shard evaluated (either path).
+  /// Segments this shard evaluated.
   std::uint64_t segments_evaluated() const { return segments_.load(); }
 
  private:
   ShardService(std::size_t shard_id, std::unique_ptr<wifi::CrowdStore> store,
                ShardServiceConfig cfg);
 
-  void worker_loop();
   /// Shared shipping discipline for point and control frames: fault points,
   /// per-follower failure accounting, quorum check, acked_ bump.
   Expected<std::uint64_t, std::string> ship_to_followers(
@@ -378,19 +326,8 @@ class ShardService {
   std::size_t required_acks() const;
 
   std::size_t shard_id_ = 0;
-  // RCU state: detector_, cache_ and epoch_ swap together under swap_mu_;
-  // segment evaluation snapshots once per segment and never blocks a swap.
-  mutable std::mutex swap_mu_;
-  std::shared_ptr<wifi::RssiDetector> detector_;
-  std::shared_ptr<ShardedRpdLruCache> cache_;
-  std::uint64_t epoch_ = 0;
-  // Assembly recipe of the serving detector, kept so hot_swap/refresh can
-  // rebuild the slice under the same classifier and pinned grid bounds.
-  wifi::RssiDetectorConfig det_config_;
-  gbt::GbtClassifier classifier_;
-  std::size_t trained_points_ = 0;
-  BoundingBox index_bounds_;
-  ShardedRpdLruCache::Config cache_cfg_;
+  // Segment evaluation snapshots once per segment and never blocks a flip.
+  EpochedDetector epoched_;
   std::unique_ptr<wifi::CrowdStore> store_;
   std::vector<FollowerLink*> followers_;
   std::vector<std::uint64_t> follower_failures_;
@@ -400,13 +337,6 @@ class ShardService {
   std::uint64_t acked_ = 0;
 
   mutable std::atomic<std::uint64_t> segments_{0};
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<SegmentTask> queue_;
-  bool stopping_ = false;
-  bool running_ = false;
-  std::thread worker_;
 };
 
 }  // namespace trajkit::serve

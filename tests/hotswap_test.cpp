@@ -1,8 +1,9 @@
 // Online-model hot-swap: incremental RPD maintenance, the versioned artifact
 // store, and zero-downtime epoch publication.
 //
-// The contract under test (serve/service.hpp publish_epoch, serve/
-// shard_service.hpp hot_swap, common/durable/artifact_store.hpp):
+// The contract under test (serve/epoched_detector.hpp, which both serve/
+// service.hpp publish_epoch and serve/shard_service.hpp refresh_from_store
+// build and flip through; common/durable/artifact_store.hpp):
 //
 //   * appending crowd points and republishing through the incremental path
 //     (affected-key invalidation + LRU carry-forward + pinned index bounds)
@@ -14,15 +15,19 @@
 //     recovers to the old epoch, and the next publish lands strictly above
 //     every orphan (fork harness, tests/support/crash.hpp);
 //   * followers learn epochs from the same WAL shipping that carries the
-//     points, and a store-backed shard adopts them via refresh_from_store.
+//     points, and a store-backed shard adopts them via refresh_from_store;
+//   * the epoch holder refuses a shrinking point set on every publish path,
+//     and a snapshot pins its epoch's detector and cache across flips.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,6 +39,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "gbt/booster.hpp"
+#include "serve/epoched_detector.hpp"
 #include "serve/service.hpp"
 #include "serve/shard_service.hpp"
 #include "support/crash.hpp"
@@ -726,6 +732,177 @@ TEST(Hotswap, FollowerAdoptsEpochFromWalShippingAndRefreshes) {
 
   remove_store(leader_dir);
   remove_store(follower_dir);
+}
+
+// ---------------------------------------------------------------------------
+// The epoch holder both publish paths share
+
+TEST(EpochedDetector, BothPublishPathsRefuseAShrinkingPointSet) {
+  const std::string store_dir = "hotswap_test_shrink_store";
+  remove_store(store_dir);
+  ts::LinearFieldWorld w;
+  const auto initial = index_points(w.detector());
+  constexpr const char* kShrank = "point set shrank below the serving epoch";
+
+  // Service path: a store holding fewer points than the serving epoch (a
+  // restored-from-backup store, say) must not become the next epoch — and
+  // nothing may leak out first: no artifact, no "#epoch" marker, no flip.
+  {
+    auto store = wifi::CrowdStore::open(store_dir, /*sync_each_append=*/false);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    for (std::size_t i = 0; i < initial.size() / 2; ++i) {
+      ASSERT_TRUE(store.value()->append(initial[i]).has_value());
+    }
+    serve::VerifierServiceConfig config;
+    config.auto_start = false;
+    serve::VerifierService service(w.detector(), config);
+    const auto before = service.detector_snapshot();
+    auto published = service.publish_epoch(*store.value());
+    ASSERT_FALSE(published.has_value());
+    EXPECT_EQ(published.error(), std::string("publish_epoch: ") + kShrank +
+                                     " (epochs are append-only)");
+    EXPECT_EQ(service.epoch(), 0u);
+    EXPECT_EQ(service.detector_snapshot(), before);
+    EXPECT_EQ(service.published_points(), initial.size());
+    EXPECT_EQ(store.value()->observed_epoch(), 0u);
+  }
+  remove_store(store_dir);
+
+  // Shard path: ShardService::refresh_from_store is this same build_next
+  // over the store's points (a shard store only grows, so drive the holder
+  // directly), refused by the same single check.
+  serve::EpochedDetector holder;
+  holder.install({wifi::RssiDetector::assemble(initial, w.detector().config(),
+                                               w.detector().classifier(),
+                                               w.detector().trained_points()),
+                  std::make_shared<serve::ShardedRpdLruCache>(
+                      serve::ShardedRpdLruCache::Config{64, 4})},
+                 7);
+  auto shorter = holder.build_next(
+      std::vector<wifi::ReferencePoint>(initial.begin(), initial.end() - 1));
+  ASSERT_FALSE(shorter.has_value());
+  EXPECT_EQ(shorter.error().rfind(kShrank, 0), 0u) << shorter.error();
+  EXPECT_EQ(holder.epoch(), 7u);
+  EXPECT_EQ(holder.published_points(), initial.size());
+
+  // An equal-size set is a legal (no-op) epoch; a filtered build may shrink.
+  ASSERT_TRUE(holder.build_next(initial).has_value());
+  ASSERT_TRUE(holder
+                  .build_next(std::vector<wifi::ReferencePoint>(
+                                  initial.begin(), initial.end() - 1),
+                              /*filtered=*/true)
+                  .has_value());
+}
+
+TEST(EpochedDetector, SnapshotBeforeFlipKeepsItsEpochDetectorAndCacheAlive) {
+  ts::LinearFieldWorld w;
+  const auto initial = index_points(w.detector());
+  serve::EpochedDetector holder;
+  holder.install({wifi::RssiDetector::assemble(initial, w.detector().config(),
+                                               w.detector().classifier(),
+                                               w.detector().trained_points()),
+                  std::make_shared<serve::ShardedRpdLruCache>(
+                      serve::ShardedRpdLruCache::Config{256, 4})},
+                 0);
+  const auto probes = w.probe_mix(4);
+
+  auto snapshot = holder.detector();
+  std::vector<std::string> before;
+  for (const auto& p : probes) before.push_back(snapshot->analyze(p).canonical_string());
+  const std::weak_ptr<const wifi::RssiDetector> old_detector = snapshot;
+  const std::weak_ptr<serve::ShardedRpdLruCache> old_cache = holder.state().cache;
+  ASSERT_GT(old_cache.lock()->size(), 0u);
+
+  Rng rng(17);
+  auto grown = initial;
+  for (const auto& p : tail_points(w.config(), 20, rng, 900)) grown.push_back(p);
+  auto next = holder.build_next(grown);
+  ASSERT_TRUE(next.has_value()) << next.error();
+  holder.install(std::move(next).value(), 1);
+
+  // New readers see epoch 1; the pre-flip snapshot still owns epoch 0 —
+  // its index, and (through the detector) the cache injected into it.
+  EXPECT_EQ(holder.epoch(), 1u);
+  EXPECT_EQ(holder.published_points(), grown.size());
+  EXPECT_NE(holder.detector(), snapshot);
+  EXPECT_NE(holder.cache(), old_cache.lock().get());
+  ASSERT_FALSE(old_cache.expired());
+  EXPECT_EQ(&snapshot->confidence().rpd().cache(),
+            static_cast<const wifi::RpdStatsCache*>(old_cache.lock().get()));
+  EXPECT_EQ(snapshot->index().size(), initial.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(snapshot->analyze(probes[i]).canonical_string(), before[i]) << i;
+  }
+
+  // Letting go of the last snapshot retires the epoch: detector and cache.
+  snapshot.reset();
+  EXPECT_TRUE(old_detector.expired());
+  EXPECT_TRUE(old_cache.expired());
+}
+
+TEST(EpochedDetector, ConcurrentReadersSeeWholeEpochsAcrossFlips) {
+  // Readers snapshot once per verdict while the main thread builds and flips
+  // three epochs: every verdict must equal the stop-the-world oracle of the
+  // epoch its snapshot names — never a torn mix of two epochs.
+  ts::LinearFieldWorld w;
+  auto points = index_points(w.detector());
+  serve::EpochedDetector holder;
+  holder.install({wifi::RssiDetector::assemble(points, w.detector().config(),
+                                               w.detector().classifier(),
+                                               w.detector().trained_points()),
+                  std::make_shared<serve::ShardedRpdLruCache>(
+                      serve::ShardedRpdLruCache::Config{128, 4})},
+                 0);
+  const BoundingBox bounds = holder.detector()->index().bounds();
+  const auto probe = w.upload(true);
+
+  Rng rng(29);
+  std::map<std::size_t, std::string> expect;  // index size -> oracle verdict
+  std::vector<std::vector<wifi::ReferencePoint>> epochs;
+  expect[points.size()] = holder.detector()->analyze(probe).canonical_string();
+  for (std::uint32_t e = 1; e <= 3; ++e) {
+    for (const auto& p : tail_points(w.config(), 15, rng, 2000 * e)) points.push_back(p);
+    epochs.push_back(points);
+    expect[points.size()] =
+        wifi::RssiDetector::assemble(points, w.detector().config(),
+                                     w.detector().classifier(),
+                                     w.detector().trained_points(), bounds)
+            ->analyze(probe)
+            .canonical_string();
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> verdicts{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        const auto snap = holder.detector();
+        const auto it = expect.find(snap->index().size());
+        if (it == expect.end() ||
+            snap->analyze(probe).canonical_string() != it->second) {
+          mismatches.fetch_add(1);
+        }
+        verdicts.fetch_add(1);
+      }
+    });
+  }
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    auto next = holder.build_next(epochs[e]);
+    if (!next) {
+      ADD_FAILURE() << next.error();
+      break;
+    }
+    holder.install(std::move(next).value(), e + 1);
+  }
+  while (verdicts.load() < 8) std::this_thread::yield();
+  done.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(holder.epoch(), 3u);
+  EXPECT_EQ(holder.detector()->analyze(probe).canonical_string(),
+            expect[points.size()]);
 }
 
 }  // namespace

@@ -29,8 +29,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,8 +226,8 @@ TEST(NetBackoff, DeterministicJitteredAndCapped) {
   serve::RetryPolicy retry;  // base 50us, x2, cap 5000us
   for (std::uint64_t key : {0ull, 1ull, 77ull}) {
     for (std::size_t attempt = 0; attempt < 4; ++attempt) {
-      const auto a = serve::net_backoff_delay_us(retry, key, attempt);
-      const auto b = serve::net_backoff_delay_us(retry, key, attempt);
+      const auto a = serve::backoff_delay_us(retry, key, attempt);
+      const auto b = serve::backoff_delay_us(retry, key, attempt);
       EXPECT_EQ(a, b) << "key=" << key << " attempt=" << attempt;
       const double nominal = 50.0 * std::pow(2.0, double(attempt));
       EXPECT_GE(a, std::int64_t(nominal * 0.5) - 1);
@@ -235,8 +237,8 @@ TEST(NetBackoff, DeterministicJitteredAndCapped) {
   // Different keys draw different jitter (not a constant schedule).
   bool differs = false;
   for (std::uint64_t key = 0; key < 16 && !differs; ++key) {
-    differs = serve::net_backoff_delay_us(retry, key, 1) !=
-              serve::net_backoff_delay_us(retry, key + 100, 1);
+    differs = serve::backoff_delay_us(retry, key, 1) !=
+              serve::backoff_delay_us(retry, key + 100, 1);
   }
   EXPECT_TRUE(differs);
 }
@@ -811,6 +813,43 @@ TEST(NetHedge, StragglingPrimaryHedgesToReplicaBitwise) {
   EXPECT_EQ(client.stats().hedges, 1u);
   EXPECT_EQ(client.stats().rpcs, 2u);
   EXPECT_EQ(client.stats().retries, 0u);
+}
+
+TEST(NetHedge, SegmentHandlerRefusesNonFiniteCoordinates) {
+  ts::LinearFieldWorld world;
+  serve::ShardRouterConfig rc;
+  rc.shards = 1;
+  serve::ShardRouter router(world.detector(), rc);
+  const std::size_t top_k = world.detector().config().confidence.top_k;
+  const net::Handler handler = serve::make_segment_handler(router.shard(0));
+
+  net::SegmentRequest request;
+  request.top_k = top_k;
+  request.upload = world.upload(true);
+  request.upload.positions[1].north = std::numeric_limits<double>::quiet_NaN();
+  // The frame itself is well-formed: the codec carries the NaN to the
+  // handler, so it is the handler's validation that must refuse it.
+  const std::string encoded = net::encode_segment(request);
+  auto decoded = net::decode_segment(encoded);
+  ASSERT_TRUE(decoded.has_value()) << decoded.error();
+  ASSERT_TRUE(std::isnan(decoded.value().upload.positions[1].north));
+
+  auto response = net::decode_segment_response(handler(encoded));
+  ASSERT_FALSE(response.has_value());
+  EXPECT_NE(response.error().find("upload: bad position at point 1"),
+            std::string::npos)
+      << response.error();
+
+  // Through the client, the refusal is an application error (no retry, no
+  // hedge) that the router would answer from its resident slice.
+  net::SimNet sim(0x5eed);
+  sim.bind("seg", handler);
+  serve::RemoteSegmentClient client(sim, {"seg"}, top_k);
+  const std::size_t n = request.upload.positions.size();
+  std::vector<double> features(2 * top_k * n), scores(n);
+  EXPECT_THROW(client.evaluate(request.upload, 0, n, features.data(), scores.data()),
+               std::runtime_error);
+  EXPECT_EQ(client.stats().rpcs, 1u);
 }
 
 TEST(NetRouterRemote, RemoteSegmentsMatchOracleAndDegradeLocally) {

@@ -11,8 +11,8 @@
 //
 // Fork discipline (tests/support/crash.hpp): failover children are I/O-only
 // — worlds and models are built in the parent, children open stores and
-// ingest, and no child creates a thread (ShardService construction spawns
-// nothing; workers are opt-in via start()).
+// ingest, and no child creates a thread (neither ShardService nor ShardRouter
+// ever spawns one).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -324,6 +325,47 @@ TEST(ShardRouterSplit, SplitNeverProducesEmptyOrOverlappingSegments) {
 
   wifi::ScannedUpload empty;
   EXPECT_TRUE(router.split(empty).empty());
+}
+
+TEST(ShardRouterValidation, MalformedUploadsAnswerErrorBeforeSplit) {
+  // A NaN, Inf or out-of-envelope coordinate must be refused before split()
+  // hands it to tile_of's float-to-integer conversion (undefined behaviour
+  // the UBSan leg would flag), and a positions/scans length mismatch before
+  // any segment indexes past the scans.
+  ts::LinearFieldWorld w;
+  serve::ShardRouterConfig rc;
+  rc.shards = 4;
+  serve::ShardRouter router(w.detector(), rc);
+  const auto good = w.upload(true);
+  ASSERT_EQ(router.verify(good, 1).outcome, serve::Outcome::kOk);
+
+  std::vector<wifi::ScannedUpload> bad;
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(), 1e300}) {
+    auto u = good;
+    u.positions[1].east = v;
+    bad.push_back(u);
+    u = good;
+    u.positions.back().north = v;
+    bad.push_back(u);
+  }
+  auto mismatch = good;
+  mismatch.scans.pop_back();
+  bad.push_back(mismatch);
+
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const auto response = router.verify(bad[i], 100 + i);
+    EXPECT_EQ(response.outcome, serve::Outcome::kError) << "case " << i;
+    EXPECT_EQ(response.error.rfind("upload: ", 0), 0u)
+        << "case " << i << ": " << response.error;
+  }
+  const auto counters = router.counters();
+  EXPECT_EQ(counters.errors, bad.size());
+  EXPECT_EQ(counters.segments, router.split(good).size())
+      << "a refused upload must not reach the shards";
+  // The router keeps serving well-formed uploads afterwards.
+  EXPECT_EQ(router.verify(good, 2).outcome, serve::Outcome::kOk);
 }
 
 // ---------------------------------------------------------------------------
@@ -666,8 +708,8 @@ TEST(ShardFailover, LeaderKillAtEveryShippingFaultPointLosesNoAckedUpload) {
 
 // ---------------------------------------------------------------------------
 // Concurrent router fan-out (the TSan target): many client threads hammer
-// one router, whose per-shard workers and pool fan-out share each shard's
-// shard-locked RPD LRU.  serve_test's cache tests only ever counted hits
+// one router, whose synchronous per-client fan-out and pool share each
+// shard's shard-locked RPD LRU.  serve_test's cache tests only ever counted hits
 // from one thread; this is the missing cross-thread exercise.
 
 void hammer_router(serve::ShardRouter& router,
@@ -703,10 +745,9 @@ TEST(ShardRouterTsan, ConcurrentFanOutKeepsShardCachesCoherent) {
   }
 
   set_global_threads(4);
-  for (const bool workers : {false, true}) {
+  {
     serve::ShardRouterConfig rc;
     rc.shards = 4;
-    rc.start_workers = workers;
     // A deliberately tiny cache: concurrent lookups contend on the shard
     // locks *and* race rebuild-vs-evict, the exact interleavings TSan needs
     // to see to certify the locking.

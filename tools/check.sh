@@ -39,13 +39,14 @@ run_leg() {
 # Expected error and never UB, and the fork-based crash matrix stays safe
 # because the children are single-threaded and I/O-only.  Hotswap/Artifact
 # joins too: the RCU epoch flip races real submitter threads against
-# publish_epoch, exactly the sharing TSan is for.  Net* joins for the same
+# publish_epoch, exactly the sharing TSan is for, and EpochedDetector races
+# snapshot readers against the holder's flips directly.  Net* joins for the same
 # reason — SimNet serves concurrent callers under one mutex, UdsServer runs
 # an accept loop plus per-connection threads, and the chaos suite drives
 # both from client thread pools (the forked cross-process test self-skips
 # under TSan: threads after fork are unsupported).  bench_net_smoke rides
 # along so the transport legs (including real sockets) get sanitized too.
-TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|RpdLruCache|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|Artifact|Poison|Quant|Net|bench_net_smoke'
+TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|RpdLruCache|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net|bench_net_smoke'
 
 case "${LEG}" in
   tsan) run_leg tsan thread "${TSAN_FILTER}" ;;
