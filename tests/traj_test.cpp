@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -179,6 +180,11 @@ struct EncoderCase {
   bool dist_angle;
   std::uint64_t seed;
 };
+
+// Print a case as its label.  gtest's default printer dumps the struct's raw
+// bytes, pointer and padding included, and ctest names parameterised tests by
+// that printout, so without this the test names would change from run to run.
+void PrintTo(const EncoderCase& c, std::ostream* os) { *os << c.name; }
 
 class EncoderGradient : public ::testing::TestWithParam<EncoderCase> {};
 
