@@ -120,9 +120,9 @@ Expected<std::unique_ptr<ArtifactStore>, std::string> ArtifactStore::open_dir(
 
   const std::string cur = current_path(dir);
   if (!path_exists(cur)) return Result(std::move(store));  // fresh store
-  auto contents = read_durable_file(cur, kCurrentTag);
-  if (!contents) return Result::failure("artifact store: " + contents.error());
-  for (const auto& record : contents.value().records) {
+  auto records = read_durable_file(cur, kCurrentTag, kCurrentVersion);
+  if (!records) return Result::failure("artifact store: " + records.error());
+  for (const auto& record : records.value()) {
     std::istringstream is(record);
     std::string kind;
     std::uint64_t epoch = 0;
@@ -200,9 +200,10 @@ Expected<std::string, std::string> ArtifactStore::read_payload(
       return Result::failure("artifact store: no published epoch for '" + kind + "'");
     }
   }
-  auto contents = read_durable_file(artifact_path(kind, epoch), kArtifactTag);
+  auto contents =
+      read_durable_file(artifact_path(kind, epoch), kArtifactTag, kArtifactVersion);
   if (!contents) return Result::failure("artifact store: " + contents.error());
-  const auto& records = contents.value().records;
+  const auto& records = contents.value();
   if (records.size() != 2) {
     return Result::failure("artifact store: unexpected record count in " +
                            artifact_path(kind, epoch));

@@ -217,9 +217,9 @@ Expected<bool, std::string> DurableWriter::commit(const std::string& path) const
   return write_file_atomic(path, bytes());
 }
 
-Expected<DurableContents, std::string> parse_durable(std::string_view bytes,
-                                                     std::string_view tag) {
-  using Result = Expected<DurableContents, std::string>;
+Expected<std::vector<std::string>, std::string> parse_durable(
+    std::string_view bytes, std::string_view tag, std::uint32_t version) {
+  using Result = Expected<std::vector<std::string>, std::string>;
   Cursor cur{bytes};
   char magic[sizeof kMagic];
   if (!cur.read_bytes(magic, sizeof magic) ||
@@ -239,10 +239,15 @@ Expected<DurableContents, std::string> parse_durable(std::string_view bytes,
                            std::string(file_tag) + "', expected '" +
                            std::string(tag) + "')");
   }
-  DurableContents contents;
+  std::uint32_t file_version = 0;
   std::uint32_t record_count = 0;
-  if (!cur.read_u32(contents.version) || !cur.read_u32(record_count)) {
+  if (!cur.read_u32(file_version) || !cur.read_u32(record_count)) {
     return Result::failure("durable: truncated header");
+  }
+  if (file_version != version) {
+    return Result::failure("durable: unsupported version " +
+                           std::to_string(file_version) + " (expected " +
+                           std::to_string(version) + ")");
   }
   // Two plausibility bounds before reserving anything: the global cap the
   // writer enforces, and what the remaining bytes could physically hold.
@@ -250,7 +255,8 @@ Expected<DurableContents, std::string> parse_durable(std::string_view bytes,
       record_count > cur.remaining() / kMinRecordBytes) {
     return Result::failure("durable: implausible record count");
   }
-  contents.records.reserve(record_count);
+  std::vector<std::string> records;
+  records.reserve(record_count);
   for (std::uint32_t i = 0; i < record_count; ++i) {
     std::uint64_t len = 0;
     std::uint32_t crc = 0;
@@ -265,7 +271,7 @@ Expected<DurableContents, std::string> parse_durable(std::string_view bytes,
     if (crc32(payload) != crc) {
       return Result::failure("durable: CRC mismatch in record " + std::to_string(i));
     }
-    contents.records.emplace_back(payload);
+    records.emplace_back(payload);
   }
   const std::size_t body_end = cur.pos;
   char footer[sizeof kFooterMagic];
@@ -280,24 +286,15 @@ Expected<DurableContents, std::string> parse_durable(std::string_view bytes,
   if (crc32(bytes.substr(0, body_end)) != file_crc) {
     return Result::failure("durable: file CRC mismatch");
   }
-  return Result(std::move(contents));
+  return Result(std::move(records));
 }
 
-Expected<DurableContents, std::string> read_durable_file(const std::string& path,
-                                                         std::string_view tag) {
-  using Result = Expected<DurableContents, std::string>;
+Expected<std::vector<std::string>, std::string> read_durable_file(
+    const std::string& path, std::string_view tag, std::uint32_t version) {
+  using Result = Expected<std::vector<std::string>, std::string>;
   auto raw = read_file(path);
   if (!raw) return Result::failure("durable: " + raw.error());
-  return parse_durable(raw.value(), tag);
-}
-
-bool file_has_durable_magic(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  char magic[sizeof kMagic];
-  is.read(magic, sizeof magic);
-  return is.gcount() == sizeof magic &&
-         std::memcmp(magic, kMagic, sizeof kMagic) == 0;
+  return parse_durable(raw.value(), tag, version);
 }
 
 }  // namespace trajkit::durable

@@ -16,6 +16,11 @@
 //     mismatch — a corrupt artifact is a diagnosable load failure, never
 //     silently consumed.
 //
+// Each format has exactly one version.  The version check lives in
+// parse_durable: callers pass the version they write, and a file stamped
+// with any other one is refused ("unsupported version N (expected M)"), so
+// no loader carries a branch for a layout nothing writes any more.
+//
 // Frame layout (all integers native little-endian, this repo targets one
 // architecture):
 //
@@ -82,12 +87,6 @@ void remove_stale_tmp(const std::string& path);
 /// Slurp a whole file; error on open/read failure (never on content).
 Expected<std::string, std::string> read_file(const std::string& path);
 
-/// The parsed body of a framed durable file.
-struct DurableContents {
-  std::uint32_t version = 0;
-  std::vector<std::string> records;
-};
-
 /// Accumulates records, then commits them as one framed file, atomically.
 class DurableWriter {
  public:
@@ -107,18 +106,14 @@ class DurableWriter {
   std::vector<std::string> records_;
 };
 
-/// Parse and fully validate a framed image; `tag` must match the writer's.
-Expected<DurableContents, std::string> parse_durable(std::string_view bytes,
-                                                     std::string_view tag);
+/// Parse and fully validate a framed image into its records; `tag` and
+/// `version` must match the writer's.
+Expected<std::vector<std::string>, std::string> parse_durable(
+    std::string_view bytes, std::string_view tag, std::uint32_t version);
 
 /// read_file + parse_durable.
-Expected<DurableContents, std::string> read_durable_file(const std::string& path,
-                                                         std::string_view tag);
-
-/// True when `path` exists and starts with the durable magic — the
-/// back-compat dispatch used by loaders that still accept pre-durable
-/// (bare text) artifacts.
-bool file_has_durable_magic(const std::string& path);
+Expected<std::vector<std::string>, std::string> read_durable_file(
+    const std::string& path, std::string_view tag, std::uint32_t version);
 
 /// FNV-1a of a path, the key under which the write path's fault points are
 /// consulted (matches the hashing detector_io already uses).

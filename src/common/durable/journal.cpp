@@ -14,9 +14,10 @@
 namespace trajkit::durable {
 namespace {
 
-constexpr char kMagic[8] = {'T', 'K', 'J', 'R', 'N', 'L', '1', '\n'};
-constexpr char kRecordMagic[4] = {'T', 'K', 'J', 'R'};
-constexpr char kRecordMagicV2[4] = {'T', 'K', 'J', '2'};
+/// Header magic; byte kVersionAt is the format version digit.
+constexpr char kMagic[8] = {'T', 'K', 'J', 'R', 'N', 'L', '2', '\n'};
+constexpr std::size_t kVersionAt = 6;
+constexpr char kRecordMagic[4] = {'T', 'K', 'J', '2'};
 constexpr std::size_t kMaxTagLen = 256;
 constexpr std::size_t kMaxPayload = 1u << 26;  ///< 64 MiB per record
 
@@ -54,6 +55,15 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
+/// A frame's CRC chains the provenance stamp in front of the payload, so a
+/// flipped uploader byte invalidates the whole frame — identity stamps are as
+/// tamper-evident as the data they stamp.
+std::uint32_t frame_crc(std::uint64_t uploader, std::string_view payload) {
+  char stamp[sizeof uploader];
+  std::memcpy(stamp, &uploader, sizeof stamp);
+  return crc32(payload.data(), payload.size(), crc32(stamp, sizeof stamp));
+}
+
 struct Cursor {
   std::string_view data;
   std::size_t pos = 0;
@@ -89,8 +99,14 @@ Expected<ParsedJournal, std::string> parse_journal(const std::string& bytes,
   Cursor cur{bytes};
   char magic[sizeof kMagic];
   if (!cur.read_bytes(magic, sizeof magic) ||
-      std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+      std::memcmp(magic, kMagic, kVersionAt) != 0 ||
+      magic[kVersionAt + 1] != kMagic[kVersionAt + 1]) {
     return Result::failure("journal: bad magic in " + path);
+  }
+  if (magic[kVersionAt] != kMagic[kVersionAt]) {
+    return Result::failure("journal: unsupported version " +
+                           std::string(1, magic[kVersionAt]) + " (expected " +
+                           std::string(1, kMagic[kVersionAt]) + ") in " + path);
   }
   std::uint32_t tag_len = 0;
   if (!cur.read_u32(tag_len) || tag_len > kMaxTagLen) {
@@ -107,8 +123,7 @@ Expected<ParsedJournal, std::string> parse_journal(const std::string& bytes,
 
   // Replay intact records; stop at the first frame that is short, has a bad
   // magic/CRC or an out-of-order seq.  Everything from there on is a torn
-  // tail (or trailing corruption).  v1 ("TKJR") and v2 ("TKJ2", with a
-  // provenance field) frames mix freely; a v1 frame replays as uploader 0.
+  // tail (or trailing corruption).
   std::uint64_t next_seq = parsed.base_seq;
   parsed.good_end = cur.pos;
   while (cur.remaining() > 0) {
@@ -117,13 +132,10 @@ Expected<ParsedJournal, std::string> parse_journal(const std::string& bytes,
     std::uint64_t uploader = 0;
     std::uint32_t len = 0;
     std::uint32_t crc = 0;
-    if (!cur.read_bytes(rec_magic, sizeof rec_magic)) break;
-    const bool v2 = std::memcmp(rec_magic, kRecordMagicV2, sizeof kRecordMagicV2) == 0;
-    if (!v2 && std::memcmp(rec_magic, kRecordMagic, sizeof kRecordMagic) != 0) {
-      break;
-    }
-    if (!cur.read_u64(seq) || (v2 && !cur.read_u64(uploader)) ||
-        !cur.read_u32(len) || !cur.read_u32(crc)) {
+    if (!cur.read_bytes(rec_magic, sizeof rec_magic) ||
+        std::memcmp(rec_magic, kRecordMagic, sizeof kRecordMagic) != 0 ||
+        !cur.read_u64(seq) || !cur.read_u64(uploader) || !cur.read_u32(len) ||
+        !cur.read_u32(crc)) {
       break;
     }
     if (seq != next_seq || len > kMaxPayload || len > cur.remaining()) {
@@ -131,18 +143,7 @@ Expected<ParsedJournal, std::string> parse_journal(const std::string& bytes,
     }
     std::string_view payload;
     cur.read_view(payload, len);
-    // The v2 CRC chains the provenance field in front of the payload, so a
-    // flipped uploader byte invalidates the whole frame — identity stamps
-    // are as tamper-evident as the data they stamp.
-    std::uint32_t expect = 0;
-    if (v2) {
-      char stamp[sizeof uploader];
-      std::memcpy(stamp, &uploader, sizeof stamp);
-      expect = crc32(payload.data(), payload.size(), crc32(stamp, sizeof stamp));
-    } else {
-      expect = crc32(payload);
-    }
-    if (expect != crc) break;
+    if (frame_crc(uploader, payload) != crc) break;
     parsed.recovery.records.push_back({seq, std::string(payload), uploader});
     next_seq = seq + 1;
     parsed.good_end = cur.pos;
@@ -254,27 +255,13 @@ Expected<std::uint64_t, std::string> Journal::append(std::string_view payload,
   auto& faults = global_faults();
   const std::uint64_t key = path_fault_key(path_);
 
-  // Anonymous appends keep the v1 frame so a provenance-free journal stays
-  // byte-identical to the pre-v2 format; a named uploader rides a v2 frame.
   std::string frame;
   frame.reserve(payload.size() + 28);
-  std::uint32_t crc = 0;
-  if (uploader == 0) {
-    frame.append(kRecordMagic, sizeof kRecordMagic);
-    append_u64(frame, next_seq_);
-    crc = crc32(payload);
-  } else {
-    frame.append(kRecordMagicV2, sizeof kRecordMagicV2);
-    append_u64(frame, next_seq_);
-    append_u64(frame, uploader);
-    // Chain the provenance bytes into the CRC (see parse_journal): the
-    // identity stamp must be as tamper-evident as the payload it stamps.
-    char stamp[sizeof uploader];
-    std::memcpy(stamp, &uploader, sizeof stamp);
-    crc = crc32(payload.data(), payload.size(), crc32(stamp, sizeof stamp));
-  }
+  frame.append(kRecordMagic, sizeof kRecordMagic);
+  append_u64(frame, next_seq_);
+  append_u64(frame, uploader);
   append_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  append_u32(frame, crc);
+  append_u32(frame, frame_crc(uploader, payload));
   frame += payload;
 
   const off_t start = ::lseek(fd_, 0, SEEK_CUR);

@@ -16,20 +16,18 @@
 //
 // File layout (integers native little-endian, like durable_file):
 //
-//   "TKJRNL1\n"        8-byte magic
+//   "TKJRNL2\n"        8-byte magic; the digit is the format version
 //   u32 tag_len, tag
 //   u64 base_seq       seq of the first record this file may hold
-//   per record, one of two frame kinds (freely mixed in one file):
-//     v1 ("TKJR"):     u64 seq, u32 payload_len, u32 crc32(payload), payload
-//     v2 ("TKJ2"):     u64 seq, u64 uploader, u32 payload_len,
-//                      u32 crc32(uploader_bytes || payload), payload
+//   per record ("TKJ2"): u64 seq, u64 uploader, u32 payload_len,
+//                        u32 crc32(uploader_bytes || payload), payload
 //
-// The v2 frame carries per-record *provenance*: a stable uploader id stamped
-// by the ingestion layer, so a crowdsourced record keeps its origin through
-// replay, compaction and follower WAL shipping.  Appends with an anonymous
-// uploader (id 0) emit v1 frames — a journal that never sees provenance is
-// byte-identical to the pre-v2 format — and v1 frames replay as uploader 0,
-// so pre-provenance journals recover unchanged.
+// Every frame carries per-record *provenance*: a stable uploader id stamped
+// by the ingestion layer (0 when anonymous), so a crowdsourced record keeps
+// its origin through replay, compaction and follower WAL shipping, and the
+// stamp sits under the frame's CRC.  A header with any other version digit
+// (the provenance-free "TKJRNL1" format included) is refused as an
+// unsupported version, never replayed or truncated.
 //
 // The append path carries fault/crash points (kFaultAppendPartial lands
 // mid-frame, kFaultAppendSync after the frame but before fsync).  A kCrash
@@ -62,7 +60,7 @@ class Journal {
   struct Record {
     std::uint64_t seq = 0;
     std::string payload;
-    /// Provenance of a v2 frame; 0 (anonymous) for v1 frames.
+    /// Provenance stamp; 0 is the anonymous uploader.
     std::uint64_t uploader = 0;
   };
 
@@ -77,8 +75,9 @@ class Journal {
   /// creation leaves either no journal or a valid empty one.  An existing
   /// journal is recovered: intact records are replayed into recovery(),
   /// and a torn tail is physically truncated off the file.  A file whose
-  /// *header* does not parse is an error — that is corruption of committed
-  /// state, not a torn append, and must not be silently discarded.
+  /// *header* does not parse, or names another format version, is an error
+  /// and leaves the file untouched — that is committed state, not a torn
+  /// append, and must not be silently discarded.
   static Expected<std::unique_ptr<Journal>, std::string> open(
       const std::string& path, std::string_view tag,
       std::uint64_t base_seq_if_new = 0, bool sync_each_append = true);
@@ -103,10 +102,8 @@ class Journal {
   std::uint64_t next_seq() const { return next_seq_; }
   const std::string& path() const { return path_; }
 
-  /// Append one record; returns the seq it was assigned.  A non-zero
-  /// `uploader` stamps the record with its provenance (a v2 frame); 0 keeps
-  /// the anonymous v1 frame, byte-identical to the pre-provenance format.
-  /// With sync_each_append the record is fsynced before returning (the WAL
+  /// Append one record stamped with `uploader` (0 = anonymous); returns the
+  /// seq it was assigned.  With sync_each_append the record is fsynced before returning (the WAL
   /// contract); otherwise durability is deferred to sync()/the OS.  On
   /// failure the file is rolled back to its pre-append size (the record was
   /// never acknowledged, so it must not linger as a torn frame under later

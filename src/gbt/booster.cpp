@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -172,12 +171,6 @@ Expected<GbtClassifier, std::string> GbtClassifier::try_load(std::istream& is) {
   }
 }
 
-GbtClassifier GbtClassifier::load(std::istream& is) {
-  auto result = try_load(is);
-  if (!result) throw std::runtime_error(result.error());
-  return std::move(result).value();
-}
-
 void GbtClassifier::save_file(const std::string& path) const {
   std::ostringstream payload;
   save(payload);
@@ -192,25 +185,13 @@ void GbtClassifier::save_file(const std::string& path) const {
 Expected<GbtClassifier, std::string> GbtClassifier::try_load_file(
     const std::string& path) {
   using Result = Expected<GbtClassifier, std::string>;
-  if (durable::file_has_durable_magic(path)) {
-    auto contents = durable::read_durable_file(path, kDurableTag);
-    if (!contents) return Result::failure("gbt load: " + contents.error());
-    if (contents.value().records.size() != 1) {
-      return Result::failure("gbt load: unexpected record count");
-    }
-    std::istringstream is(contents.value().records[0]);
-    return try_load(is);
+  auto records = durable::read_durable_file(path, kDurableTag, kDurableVersion);
+  if (!records) return Result::failure("gbt load: " + records.error());
+  if (records.value().size() != 1) {
+    return Result::failure("gbt load: unexpected record count");
   }
-  // Back-compat: pre-durable bare-text model files.
-  std::ifstream is(path);
-  if (!is) return Result::failure("gbt load: cannot open " + path);
+  std::istringstream is(records.value()[0]);
   return try_load(is);
-}
-
-GbtClassifier GbtClassifier::load_file(const std::string& path) {
-  auto result = try_load_file(path);
-  if (!result) throw std::runtime_error(result.error());
-  return std::move(result).value();
 }
 
 }  // namespace trajkit::gbt

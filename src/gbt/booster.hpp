@@ -65,18 +65,14 @@ class GbtClassifier {
 
   std::size_t tree_count() const { return trees_.size(); }
 
-  /// Text stream (de)serialisation.  save_file commits a CRC-framed durable
-  /// container atomically (common/durable); load_file/try_load_file accept
-  /// both that format and the original bare-text files (back-compat).
+  /// Text stream and durable-file persistence.  save_file commits a
+  /// CRC-framed durable container atomically (common/durable), the only file
+  /// format try_load_file reads.  Malformed input (bad magic, truncation, CRC
+  /// mismatch, version skew, implausible config, invalid tree topology) comes
+  /// back as a diagnostic string instead of an exception.
   void save(std::ostream& os) const;
-  static GbtClassifier load(std::istream& is);
-  void save_file(const std::string& path) const;
-  static GbtClassifier load_file(const std::string& path);
-
-  /// Non-throwing loaders: malformed input (bad magic, truncation, CRC
-  /// mismatch, implausible config, invalid tree topology) comes back as a
-  /// diagnostic string instead of an exception.
   static Expected<GbtClassifier, std::string> try_load(std::istream& is);
+  void save_file(const std::string& path) const;
   static Expected<GbtClassifier, std::string> try_load_file(const std::string& path);
 
  private:

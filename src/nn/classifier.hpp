@@ -101,20 +101,14 @@ class LstmClassifier {
   double loss_and_input_gradient(const FeatureSequence& x, int target_label,
                                  FeatureSequence* dx) const;
 
-  /// Serialise to / from a text stream (architecture + weights).
+  /// Text stream (architecture + weights) and durable-file persistence.
+  /// save_file commits a CRC-framed durable container atomically
+  /// (common/durable), the only file format try_load_file reads.  Every
+  /// malformed input — bad magic, truncation, CRC mismatch, version skew,
+  /// implausible architecture — comes back as a diagnostic string.
   void save(std::ostream& os) const;
-  static LstmClassifier load(std::istream& is);
-
-  /// File persistence.  save_file commits a CRC-framed durable container
-  /// atomically (common/durable); load_file/try_load_file read both that
-  /// format and the original bare-text files (back-compat).
-  void save_file(const std::string& path) const;
-  static LstmClassifier load_file(const std::string& path);
-
-  /// Non-throwing loaders: every malformed input — bad magic, truncation,
-  /// CRC mismatch, implausible architecture — comes back as a diagnostic
-  /// string instead of an exception.
   static Expected<LstmClassifier, std::string> try_load(std::istream& is);
+  void save_file(const std::string& path) const;
   static Expected<LstmClassifier, std::string> try_load_file(const std::string& path);
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -386,15 +385,12 @@ void QuantizedLstm::save_file(const std::string& path) const {
 Expected<QuantizedLstm, std::string> QuantizedLstm::try_load_file(
     const std::string& path) {
   using Result = Expected<QuantizedLstm, std::string>;
-  if (!durable::file_has_durable_magic(path)) {
-    return Result::failure("quant model load: not a durable container: " + path);
-  }
-  auto contents = durable::read_durable_file(path, kDurableTag);
-  if (!contents) return Result::failure("quant model load: " + contents.error());
-  if (contents.value().records.size() != 1) {
+  auto records = durable::read_durable_file(path, kDurableTag, kDurableVersion);
+  if (!records) return Result::failure("quant model load: " + records.error());
+  if (records.value().size() != 1) {
     return Result::failure("quant model load: unexpected record count");
   }
-  std::istringstream is(contents.value().records[0]);
+  std::istringstream is(records.value()[0]);
   return try_load(is);
 }
 

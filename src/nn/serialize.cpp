@@ -4,11 +4,8 @@
 //
 // On disk the text payload is wrapped in a CRC-framed durable container and
 // committed atomically (common/durable), so a crash mid-save can never leave
-// a torn model and a flipped byte is a clean load error.  Bare-text files
-// from before the container existed still load (back-compat dispatch on the
-// file magic).
+// a torn model and a flipped byte is a clean load error.
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -111,12 +108,6 @@ Expected<LstmClassifier, std::string> LstmClassifier::try_load(std::istream& is)
   }
 }
 
-LstmClassifier LstmClassifier::load(std::istream& is) {
-  auto result = try_load(is);
-  if (!result) throw std::runtime_error(result.error());
-  return std::move(result).value();
-}
-
 void LstmClassifier::save_file(const std::string& path) const {
   std::ostringstream payload;
   save(payload);
@@ -131,25 +122,13 @@ void LstmClassifier::save_file(const std::string& path) const {
 Expected<LstmClassifier, std::string> LstmClassifier::try_load_file(
     const std::string& path) {
   using Result = Expected<LstmClassifier, std::string>;
-  if (durable::file_has_durable_magic(path)) {
-    auto contents = durable::read_durable_file(path, kDurableTag);
-    if (!contents) return Result::failure("model load: " + contents.error());
-    if (contents.value().records.size() != 1) {
-      return Result::failure("model load: unexpected record count");
-    }
-    std::istringstream is(contents.value().records[0]);
-    return try_load(is);
+  auto records = durable::read_durable_file(path, kDurableTag, kDurableVersion);
+  if (!records) return Result::failure("model load: " + records.error());
+  if (records.value().size() != 1) {
+    return Result::failure("model load: unexpected record count");
   }
-  // Back-compat: pre-durable bare-text model files.
-  std::ifstream is(path);
-  if (!is) return Result::failure("model load: cannot open " + path);
+  std::istringstream is(records.value()[0]);
   return try_load(is);
-}
-
-LstmClassifier LstmClassifier::load_file(const std::string& path) {
-  auto result = try_load_file(path);
-  if (!result) throw std::runtime_error(result.error());
-  return std::move(result).value();
 }
 
 }  // namespace trajkit::nn

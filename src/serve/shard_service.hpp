@@ -117,7 +117,7 @@ class ShardReplica : public FollowerLink {
   /// verbatim through the follower store's append_control, so followers
   /// learn about published epochs and review actions from the same WAL
   /// shipping that carries the points.  `uploader` is the frame's provenance
-  /// (v2 journal frames); the follower re-journals it unchanged, so a
+  /// stamp; the follower re-journals it unchanged, so a
   /// promoted follower scores and quarantines exactly like its leader.
   /// `term` below the highest term seen is refused ("fenced").  Safe to call
   /// from concurrent transport threads (one frame applies at a time).

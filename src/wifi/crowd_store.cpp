@@ -14,13 +14,12 @@ namespace trajkit::wifi {
 namespace {
 
 constexpr const char* kSnapshotTag = "crowd_snapshot";
-// v2 appends the incremental cell statistics as a trailing record and the
-// observed model epoch to the meta record; v3 prefixes every point record
-// with its uploader id and appends the provenance grid and the reputation
-// book as two more trailing records; v4 appends the observed motion-model
-// epoch to the meta record.  v1-v3 snapshots still open (their points
-// recover under the anonymous uploader, motion epoch recovers as 0).
+// Layout: meta "next_seq point_count observed_epoch observed_motion_epoch",
+// then one "<uploader> <point>" record per point, then three trailing
+// records — cell statistics, provenance grid, reputation book.  Snapshots
+// stamped with any other version are refused (durable::parse_durable).
 constexpr std::uint32_t kSnapshotVersion = 4;
+constexpr std::size_t kSnapshotOverhead = 4;  ///< meta + three trailing records
 constexpr const char* kJournalTag = "crowd_journal";
 constexpr std::size_t kMaxSnapshotPoints = 5'000'000;
 constexpr const char* kEpochMarkerPrefix = "#epoch ";
@@ -182,48 +181,29 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
   durable::remove_stale_tmp(snap);
   struct stat st {};
   if (::stat(snap.c_str(), &st) == 0) {
-    auto contents = durable::read_durable_file(snap, kSnapshotTag);
+    auto contents = durable::read_durable_file(snap, kSnapshotTag, kSnapshotVersion);
     if (!contents) return Result::failure("crowd store: " + contents.error());
-    const std::uint32_t version = contents.value().version;
-    if (version < 1 || version > kSnapshotVersion) {
-      return Result::failure("crowd store: unsupported snapshot version " +
-                             std::to_string(version));
+    const auto& records = contents.value();
+    if (records.size() < kSnapshotOverhead) {
+      return Result::failure("crowd store: snapshot missing records");
     }
-    const auto& records = contents.value().records;
-    if (records.empty()) {
-      return Result::failure("crowd store: snapshot missing meta record");
-    }
-    // v1 layout: meta "next_seq point_count", then the points.
-    // v2 layout: meta "next_seq point_count observed_epoch", then the points,
-    // then one trailing cell-statistics record.
-    // v3 layout: the v2 meta, then "<uploader> <point>" records, then three
-    // trailing records — cell statistics, provenance grid, reputation book.
-    // v4 layout: v3 with "observed_motion_epoch" appended to the meta record.
-    const std::size_t overhead = version >= 3 ? 4 : version >= 2 ? 2 : 1;
     std::istringstream meta(records[0]);
     std::size_t point_count = 0;
-    if (!(meta >> snapshot_next_seq >> point_count) ||
-        point_count != records.size() - overhead ||
+    if (!(meta >> snapshot_next_seq >> point_count >> store->observed_epoch_ >>
+          store->observed_motion_epoch_) ||
+        point_count != records.size() - kSnapshotOverhead ||
         point_count > kMaxSnapshotPoints) {
       return Result::failure("crowd store: bad snapshot meta record");
-    }
-    if (version >= 2 && !(meta >> store->observed_epoch_)) {
-      return Result::failure("crowd store: v2 snapshot meta missing epoch");
-    }
-    if (version >= 4 && !(meta >> store->observed_motion_epoch_)) {
-      return Result::failure("crowd store: v4 snapshot meta missing motion epoch");
     }
     store->points_.reserve(point_count);
     store->uploaders_.reserve(point_count);
     for (std::size_t i = 1; i <= point_count; ++i) {
       UploaderId uploader = kAnonymousUploader;
-      std::string body = records[i];
-      if (version >= 3) {
-        std::istringstream rec(records[i]);
-        if (!(rec >> uploader) || !std::getline(rec, body)) {
-          return Result::failure("crowd store: snapshot record " +
-                                 std::to_string(i - 1) + ": bad uploader prefix");
-        }
+      std::string body;
+      std::istringstream rec(records[i]);
+      if (!(rec >> uploader) || !std::getline(rec, body)) {
+        return Result::failure("crowd store: snapshot record " +
+                               std::to_string(i - 1) + ": bad uploader prefix");
       }
       auto point = decode_point(body);
       if (!point) {
@@ -233,36 +213,21 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
       store->points_.push_back(std::move(point).value());
       store->uploaders_.push_back(uploader);
     }
-    if (version >= 2) {
-      auto grid = CellStatsGrid::deserialize(records[point_count + 1]);
-      if (!grid) return Result::failure("crowd store: " + grid.error());
-      if (grid.value().point_count() != point_count) {
-        return Result::failure(
-            "crowd store: snapshot cell stats disagree with point count");
-      }
-      store->cell_stats_ = std::move(grid).value();
-    } else {
-      // Pre-cell-stats snapshot: derive the grid once on upgrade.
-      for (const auto& point : store->points_) store->cell_stats_.add(point);
+    auto grid = CellStatsGrid::deserialize(records[point_count + 1]);
+    if (!grid) return Result::failure("crowd store: " + grid.error());
+    if (grid.value().point_count() != point_count) {
+      return Result::failure("crowd store: snapshot cell stats disagree with point count");
     }
-    if (version >= 3) {
-      auto prov = ProvenanceGrid::deserialize(records[point_count + 2]);
-      if (!prov) return Result::failure("crowd store: " + prov.error());
-      if (prov.value().point_count() != point_count) {
-        return Result::failure(
-            "crowd store: snapshot provenance disagrees with point count");
-      }
-      store->provenance_ = std::move(prov).value();
-      auto book = ReputationBook::deserialize(records[point_count + 3]);
-      if (!book) return Result::failure("crowd store: " + book.error());
-      store->reputation_ = std::move(book).value();
-    } else {
-      // Pre-provenance snapshot: every folded point is anonymous, and no
-      // reputation history survives (there were no identities to score).
-      for (const auto& point : store->points_) {
-        store->provenance_.add(point, kAnonymousUploader);
-      }
+    store->cell_stats_ = std::move(grid).value();
+    auto prov = ProvenanceGrid::deserialize(records[point_count + 2]);
+    if (!prov) return Result::failure("crowd store: " + prov.error());
+    if (prov.value().point_count() != point_count) {
+      return Result::failure("crowd store: snapshot provenance disagrees with point count");
     }
+    store->provenance_ = std::move(prov).value();
+    auto book = ReputationBook::deserialize(records[point_count + 3]);
+    if (!book) return Result::failure("crowd store: " + book.error());
+    store->reputation_ = std::move(book).value();
   }
   store->snapshot_count_ = store->points_.size();
   store->open_stats_.snapshot_points = store->points_.size();

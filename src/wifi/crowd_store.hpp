@@ -18,7 +18,7 @@
 //     therefore a fully consistent state, not a hazard.
 //
 // Poisoning resistance (the adversarial-crowdsourcing layer): every append
-// carries the uploader's stable identity in a v2 journal frame
+// carries the uploader's stable identity in its journal frame
 // (durable/journal), and the store maintains, next to the pooled
 // CellStatsGrid, a per-uploader ProvenanceGrid and a ReputationBook.  Each
 // provenance-stamped append is scored against the robust consensus the
@@ -101,11 +101,11 @@ class CrowdStore {
   CrowdStore& operator=(const CrowdStore&) = delete;
 
   /// Validate and durably append one crowdsourced reference point under
-  /// `uploader`'s identity; it is journaled (and fsynced, in a v2 provenance
+  /// `uploader`'s identity; it is journaled (and fsynced, in a provenance
   /// frame) before points() shows it, then scored against the robust
-  /// consensus of its cells.  kAnonymousUploader keeps the legacy v1 frame
-  /// and skips reputation/rate accounting.  Returns the journal seq it was
-  /// accepted under.
+  /// consensus of its cells.  kAnonymousUploader is stamped as 0 and skips
+  /// reputation/rate accounting.  Returns the journal seq it was accepted
+  /// under.
   Expected<std::uint64_t, std::string> append(const ReferencePoint& point,
                                               UploaderId uploader);
   Expected<std::uint64_t, std::string> append(const ReferencePoint& point) {

@@ -71,7 +71,7 @@ class RssiDetector {
 
   /// The reference index pins internal pointers; moving or copying a live
   /// detector would leave its estimators dangling, so both are disabled.
-  /// Heap-allocate (as load()/try_load() do) when ownership must move.
+  /// Heap-allocate (as try_load() does) when ownership must move.
   RssiDetector(const RssiDetector&) = delete;
   RssiDetector& operator=(const RssiDetector&) = delete;
 
@@ -117,17 +117,13 @@ class RssiDetector {
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
 
-  /// Non-throwing loaders, the primary deserialisation path: a serving
-  /// process gets either a detector or a diagnostic string.  Understands the
-  /// current v2 format and the threshold-less v1 format (threshold -> 0.5).
+  /// The loaders: a serving process gets either a detector or a diagnostic
+  /// string.  try_load reads the v2 stream format save writes; try_load_file
+  /// reads only the durable container save_file commits.
   static Expected<std::unique_ptr<RssiDetector>, std::string> try_load(
       std::istream& is);
   static Expected<std::unique_ptr<RssiDetector>, std::string> try_load_file(
       const std::string& path);
-
-  /// Throwing convenience wrappers over try_load / try_load_file.
-  static std::unique_ptr<RssiDetector> load(std::istream& is);
-  static std::unique_ptr<RssiDetector> load_file(const std::string& path);
 
   /// Build a detector from separately-persisted parts: a reference store
   /// (e.g. recovered from the crowd store's snapshot + journal) plus a
@@ -172,9 +168,9 @@ std::vector<ReferencePoint> flatten_history(
 namespace trajkit::durable {
 
 /// Detector artifacts for ArtifactStore::open<RssiDetector>/publish: the
-/// payload is the detector's own stream format (save/try_load), so epoch
-/// files and legacy single-file models stay byte-compatible.  Value is a
-/// unique_ptr because a live detector pins internal pointers and cannot move.
+/// payload is the detector's own stream format (save/try_load), the same
+/// bytes save_file frames.  Value is a unique_ptr because a live detector
+/// pins internal pointers and cannot move.
 template <>
 struct ArtifactCodec<wifi::RssiDetector> {
   using Value = std::unique_ptr<wifi::RssiDetector>;

@@ -2,18 +2,13 @@
 // by the serialised GBT classifier.  The store dominates the file size; RSSIs
 // are written as compact integer pairs.
 //
-// Format history:
-//   v1  config line = radius top_k theta1 theta2 R tolerance base
-//   v2  v1 + the operating threshold appended to the config line
-// try_load reads both; save always writes v2.
+// The config line is radius top_k theta1 theta2 R tolerance base threshold.
 //
 // On disk the text payload is wrapped in a CRC-framed durable container and
-// committed atomically (common/durable); bare-text files from before the
-// container existed still load.  Loaded reference points pass the same
-// validation as live crowdsourced scans (wifi/validate) — a corrupt or
+// committed atomically (common/durable).  Loaded reference points pass the
+// same validation as live crowdsourced scans (wifi/validate) — a corrupt or
 // hostile store is a clean error, never a poisoned index.
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -26,8 +21,7 @@
 namespace trajkit::wifi {
 namespace {
 
-constexpr const char* kMagicV1 = "trajkit_rssi_detector_v1";
-constexpr const char* kMagicV2 = "trajkit_rssi_detector_v2";
+constexpr const char* kMagic = "trajkit_rssi_detector_v2";
 constexpr const char* kDurableTag = "rssi_detector";
 constexpr std::uint32_t kDurableVersion = 1;
 
@@ -39,7 +33,7 @@ using DetectorOrError = Expected<std::unique_ptr<RssiDetector>, std::string>;
 }  // namespace
 
 void RssiDetector::save(std::ostream& os) const {
-  os << kMagicV2 << '\n';
+  os << kMagic << '\n';
   const auto& conf = config_.confidence;
   os << std::setprecision(17);
   os << conf.reference_radius_m << ' ' << conf.top_k << ' ' << conf.use_theta1 << ' '
@@ -65,18 +59,15 @@ DetectorOrError RssiDetector::try_load(std::istream& is) {
     return DetectorOrError::failure("RssiDetector: injected load fault");
   }
   std::string magic;
-  if (!(is >> magic) || (magic != kMagicV1 && magic != kMagicV2)) {
+  if (!(is >> magic) || magic != kMagic) {
     return DetectorOrError::failure("RssiDetector: bad magic (not a detector model)");
   }
   RssiDetectorConfig cfg;
   if (!(is >> cfg.confidence.reference_radius_m >> cfg.confidence.top_k >>
         cfg.confidence.use_theta1 >> cfg.confidence.use_theta2 >>
         cfg.confidence.rpd.counting_radius_m >> cfg.confidence.rpd.rssi_tolerance_db >>
-        cfg.confidence.rpd.theta2_base)) {
+        cfg.confidence.rpd.theta2_base >> cfg.threshold)) {
     return DetectorOrError::failure("RssiDetector: bad config header");
-  }
-  if (magic == kMagicV2 && !(is >> cfg.threshold)) {
-    return DetectorOrError::failure("RssiDetector: bad threshold field");
   }
   if (!std::isfinite(cfg.confidence.reference_radius_m) ||
       cfg.confidence.reference_radius_m <= 0.0 || cfg.confidence.top_k == 0 ||
@@ -142,31 +133,13 @@ DetectorOrError RssiDetector::try_load_file(const std::string& path) {
                                       durable::path_fault_key(path))) {
     return DetectorOrError::failure("RssiDetector: injected load fault for " + path);
   }
-  if (durable::file_has_durable_magic(path)) {
-    auto contents = durable::read_durable_file(path, kDurableTag);
-    if (!contents) return DetectorOrError::failure("RssiDetector: " + contents.error());
-    if (contents.value().records.size() != 1) {
-      return DetectorOrError::failure("RssiDetector: unexpected record count");
-    }
-    std::istringstream is(contents.value().records[0]);
-    return try_load(is);
+  auto records = durable::read_durable_file(path, kDurableTag, kDurableVersion);
+  if (!records) return DetectorOrError::failure("RssiDetector: " + records.error());
+  if (records.value().size() != 1) {
+    return DetectorOrError::failure("RssiDetector: unexpected record count");
   }
-  // Back-compat: pre-durable bare-text detector files.
-  std::ifstream is(path);
-  if (!is) return DetectorOrError::failure("RssiDetector: cannot open " + path);
+  std::istringstream is(records.value()[0]);
   return try_load(is);
-}
-
-std::unique_ptr<RssiDetector> RssiDetector::load(std::istream& is) {
-  auto result = try_load(is);
-  if (!result) throw std::runtime_error("RssiDetector::load: " + result.error());
-  return std::move(result).value();
-}
-
-std::unique_ptr<RssiDetector> RssiDetector::load_file(const std::string& path) {
-  auto result = try_load_file(path);
-  if (!result) throw std::runtime_error("RssiDetector::load_file: " + result.error());
-  return std::move(result).value();
 }
 
 void RssiDetector::save_file(const std::string& path) const {

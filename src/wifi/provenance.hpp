@@ -38,8 +38,8 @@
 namespace trajkit::wifi {
 
 /// Stable identity of an uploading device/account, stamped by the ingestion
-/// edge (v2 journal frames).  0 is the anonymous uploader: pre-provenance
-/// records replay under it, and it is exempt from reputation tracking.
+/// edge into every journal frame.  0 is the anonymous uploader, exempt from
+/// reputation tracking.
 using UploaderId = std::uint64_t;
 inline constexpr UploaderId kAnonymousUploader = 0;
 

@@ -10,6 +10,7 @@
 // byte.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/durable/artifact_store.hpp"
 #include "common/durable/crc32.hpp"
 #include "common/durable/durable_file.hpp"
 #include "common/durable/journal.hpp"
@@ -124,19 +126,28 @@ TEST(DurableContainer, RoundTripsRecords) {
   writer.add_record(std::string(1000, 'z'));
   const std::string bytes = writer.bytes();
 
-  const auto parsed = durable::parse_durable(bytes, "unit_tag");
+  const auto parsed = durable::parse_durable(bytes, "unit_tag", 7);
   ASSERT_TRUE(parsed.has_value()) << parsed.error();
-  EXPECT_EQ(parsed.value().version, 7u);
-  ASSERT_EQ(parsed.value().records.size(), 3u);
-  EXPECT_EQ(parsed.value().records[0], "alpha");
-  EXPECT_EQ(parsed.value().records[1], "");
-  EXPECT_EQ(parsed.value().records[2], std::string(1000, 'z'));
+  ASSERT_EQ(parsed.value().size(), 3u);
+  EXPECT_EQ(parsed.value()[0], "alpha");
+  EXPECT_EQ(parsed.value()[1], "");
+  EXPECT_EQ(parsed.value()[2], std::string(1000, 'z'));
+
+  // Any other version is refused, older or newer.
+  for (const std::uint32_t version : {6u, 8u}) {
+    const auto skewed = durable::parse_durable(bytes, "unit_tag", version);
+    ASSERT_FALSE(skewed.has_value()) << version;
+    EXPECT_NE(skewed.error().find("unsupported version 7 (expected " +
+                                  std::to_string(version) + ")"),
+              std::string::npos)
+        << skewed.error();
+  }
 }
 
 TEST(DurableContainer, RejectsTagMismatch) {
   DurableWriter writer("right_tag", 1);
   writer.add_record("payload");
-  const auto parsed = durable::parse_durable(writer.bytes(), "wrong_tag");
+  const auto parsed = durable::parse_durable(writer.bytes(), "wrong_tag", 1);
   ASSERT_FALSE(parsed.has_value());
   EXPECT_NE(parsed.error().find("tag"), std::string::npos) << parsed.error();
 }
@@ -148,10 +159,10 @@ TEST(DurableContainer, EveryTruncationIsRejected) {
   const std::string bytes = writer.bytes();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     const auto parsed =
-        durable::parse_durable(std::string_view(bytes).substr(0, len), "trunc_tag");
+        durable::parse_durable(std::string_view(bytes).substr(0, len), "trunc_tag", 1);
     EXPECT_FALSE(parsed.has_value()) << "prefix of " << len << " bytes accepted";
   }
-  EXPECT_TRUE(durable::parse_durable(bytes, "trunc_tag").has_value());
+  EXPECT_TRUE(durable::parse_durable(bytes, "trunc_tag", 1).has_value());
 }
 
 TEST(DurableContainer, EverySingleByteFlipIsRejected) {
@@ -163,7 +174,7 @@ TEST(DurableContainer, EverySingleByteFlipIsRejected) {
     for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
       std::string mutated = bytes;
       mutated[i] = static_cast<char>(static_cast<unsigned char>(mutated[i]) ^ mask);
-      const auto parsed = durable::parse_durable(mutated, "flip_tag");
+      const auto parsed = durable::parse_durable(mutated, "flip_tag", 2);
       EXPECT_FALSE(parsed.has_value())
           << "flip mask 0x" << std::hex << int(mask) << " at byte " << std::dec << i
           << " accepted";
@@ -174,7 +185,7 @@ TEST(DurableContainer, EverySingleByteFlipIsRejected) {
 TEST(DurableContainer, TrailingGarbageIsRejected) {
   DurableWriter writer("tail_tag", 1);
   writer.add_record("payload");
-  const auto parsed = durable::parse_durable(writer.bytes() + "extra", "tail_tag");
+  const auto parsed = durable::parse_durable(writer.bytes() + "extra", "tail_tag", 1);
   EXPECT_FALSE(parsed.has_value());
 }
 
@@ -187,11 +198,11 @@ TEST(DurableContainer, RoundTripsBeyond16BitRecordCount) {
   for (std::size_t i = 0; i < kCount; ++i) {
     writer.add_record(std::to_string(i));
   }
-  const auto parsed = durable::parse_durable(writer.bytes(), "big_tag");
+  const auto parsed = durable::parse_durable(writer.bytes(), "big_tag", 1);
   ASSERT_TRUE(parsed.has_value()) << parsed.error();
-  ASSERT_EQ(parsed.value().records.size(), kCount);
-  EXPECT_EQ(parsed.value().records[0], "0");
-  EXPECT_EQ(parsed.value().records[kCount - 1], std::to_string(kCount - 1));
+  ASSERT_EQ(parsed.value().size(), kCount);
+  EXPECT_EQ(parsed.value()[0], "0");
+  EXPECT_EQ(parsed.value()[kCount - 1], std::to_string(kCount - 1));
 }
 
 TEST(DurableContainer, RejectsImplausibleClaimedRecordCount) {
@@ -204,14 +215,14 @@ TEST(DurableContainer, RejectsImplausibleClaimedRecordCount) {
   // More records than the remaining bytes could physically hold.
   std::uint32_t claimed = 1000;
   std::memcpy(&bytes[count_offset], &claimed, sizeof claimed);
-  auto parsed = durable::parse_durable(bytes, "count_tag");
+  auto parsed = durable::parse_durable(bytes, "count_tag", 1);
   ASSERT_FALSE(parsed.has_value());
   EXPECT_NE(parsed.error().find("implausible"), std::string::npos) << parsed.error();
 
   // Past the global cap the writer enforces.
   claimed = static_cast<std::uint32_t>(durable::kMaxDurableRecords + 1);
   std::memcpy(&bytes[count_offset], &claimed, sizeof claimed);
-  parsed = durable::parse_durable(bytes, "count_tag");
+  parsed = durable::parse_durable(bytes, "count_tag", 1);
   ASSERT_FALSE(parsed.has_value());
   EXPECT_NE(parsed.error().find("implausible"), std::string::npos) << parsed.error();
 }
@@ -390,9 +401,9 @@ TEST(Journal, TagMismatchIsAnError) {
 }
 
 TEST(Journal, PoisonProvenanceFramesRoundTripAndMixWithAnonymous) {
-  // v2 frames carry the uploader id; anonymous appends keep the v1 frame.
-  // Both kinds interleave freely in one journal and recover with their
-  // provenance intact.
+  // Every frame carries its uploader id, 0 for anonymous appends; stamped
+  // and anonymous records interleave freely in one journal and recover with
+  // their provenance intact.
   const std::string path = "durable_test_journal_prov.tmp";
   std::remove(path.c_str());
   const std::vector<std::pair<std::string, std::uint64_t>> frames = {
@@ -422,34 +433,9 @@ TEST(Journal, PoisonProvenanceFramesRoundTripAndMixWithAnonymous) {
   std::remove(path.c_str());
 }
 
-TEST(Journal, PoisonAnonymousJournalStaysByteCompatibleWithV1) {
-  // A journal that never saw a provenance-stamped append must contain no v2
-  // frame magic at all — pre-provenance readers (and the format contract)
-  // see exactly the bytes the old writer produced.
-  const std::string path = "durable_test_journal_v1compat.tmp";
-  std::remove(path.c_str());
-  {
-    auto journal = durable::Journal::open(path, "compat_journal");
-    ASSERT_TRUE(journal.has_value());
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(journal.value()->append("plain " + std::to_string(i)).has_value());
-    }
-  }
-  const std::string bytes = slurp(path);
-  EXPECT_EQ(bytes.find("TKJ2"), std::string::npos);
-  EXPECT_NE(bytes.find("TKJR"), std::string::npos);
-  // Recovery reports every record as anonymous.
-  auto journal = durable::Journal::open(path, "compat_journal");
-  ASSERT_TRUE(journal.has_value());
-  for (const auto& record : journal.value()->recovery().records) {
-    EXPECT_EQ(record.uploader, 0u);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(Journal, PoisonTornTailAfterProvenanceFrameTruncatesToExactPrefix) {
   // The torn-tail walk of TornTailIsTruncatedToExactRecordPrefix, with the
-  // victim frame a v2 provenance frame: every truncation inside it recovers
+  // victim frame stamped with an uploader: every truncation inside it recovers
   // the committed prefix — payloads *and* uploader ids — and cuts the file.
   const std::string path = "durable_test_journal_prov_torn.tmp";
   std::remove(path.c_str());
@@ -488,7 +474,7 @@ TEST(Journal, PoisonTornTailAfterProvenanceFrameTruncatesToExactPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// Model formats: durable round trip + legacy back-compat + validation
+// Model formats: durable round trip + validation
 
 TEST(DurableModels, LstmSaveFileIsDurableAndRoundTrips) {
   nn::LstmClassifierConfig cfg;
@@ -497,27 +483,7 @@ TEST(DurableModels, LstmSaveFileIsDurableAndRoundTrips) {
   const nn::LstmClassifier model(cfg, 11);
   const std::string path = "durable_test_lstm.tmp";
   model.save_file(path);
-  EXPECT_TRUE(durable::file_has_durable_magic(path));
 
-  auto loaded = nn::LstmClassifier::try_load_file(path);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  std::ostringstream a, b;
-  model.save(a);
-  loaded.value().save(b);
-  EXPECT_EQ(a.str(), b.str());
-  std::remove(path.c_str());
-}
-
-TEST(DurableModels, LstmLegacyBareTextStillLoads) {
-  nn::LstmClassifierConfig cfg;
-  cfg.hidden_dim = 5;
-  const nn::LstmClassifier model(cfg, 3);
-  const std::string path = "durable_test_lstm_legacy.tmp";
-  {
-    std::ofstream os(path);
-    model.save(os);  // the pre-durable on-disk format
-  }
-  EXPECT_FALSE(durable::file_has_durable_magic(path));
   auto loaded = nn::LstmClassifier::try_load_file(path);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   std::ostringstream a, b;
@@ -572,11 +538,28 @@ gbt::GbtClassifier small_trained_gbt() {
   return model;
 }
 
+nn::QuantizedLstm small_quant_lstm() {
+  nn::LstmClassifierConfig cfg;
+  cfg.hidden_dim = 5;
+  const nn::LstmClassifier model(cfg, 2);
+  Rng rng(91);
+  std::vector<FeatureSequence> calibration;
+  for (int i = 0; i < 4; ++i) {
+    FeatureSequence x;
+    x.dim = 2;
+    x.steps = 6;
+    for (std::size_t k = 0; k < x.steps * x.dim; ++k) {
+      x.values.push_back(rng.uniform(-1.0, 1.0));
+    }
+    calibration.push_back(std::move(x));
+  }
+  return nn::QuantizedLstm::quantize(model, calibration, nn::QuantMode::kInt8);
+}
+
 TEST(DurableModels, GbtSaveFileIsDurableAndRoundTrips) {
   const auto model = small_trained_gbt();
   const std::string path = "durable_test_gbt.tmp";
   model.save_file(path);
-  EXPECT_TRUE(durable::file_has_durable_magic(path));
   auto loaded = gbt::GbtClassifier::try_load_file(path);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   std::ostringstream a, b;
@@ -584,19 +567,6 @@ TEST(DurableModels, GbtSaveFileIsDurableAndRoundTrips) {
   loaded.value().save(b);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_EQ(model.predict_proba({0.4, -0.2}), loaded.value().predict_proba({0.4, -0.2}));
-  std::remove(path.c_str());
-}
-
-TEST(DurableModels, GbtLegacyBareTextStillLoads) {
-  const auto model = small_trained_gbt();
-  const std::string path = "durable_test_gbt_legacy.tmp";
-  {
-    std::ofstream os(path);
-    model.save(os);
-  }
-  auto loaded = gbt::GbtClassifier::try_load_file(path);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(model.predict_proba({0.1, 0.9}), loaded.value().predict_proba({0.1, 0.9}));
   std::remove(path.c_str());
 }
 
@@ -633,29 +603,12 @@ TEST(DurableModels, DetectorSaveFileIsDurableAndServesIdentically) {
   const auto probes = w.probe_mix(4);
   const std::string path = "durable_test_detector.tmp";
   w.detector().save_file(path);
-  EXPECT_TRUE(durable::file_has_durable_magic(path));
   auto loaded = wifi::RssiDetector::try_load_file(path);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   for (const auto& probe : probes) {
     EXPECT_EQ(w.detector().analyze(probe).canonical_string(),
               loaded.value()->analyze(probe).canonical_string());
   }
-  std::remove(path.c_str());
-}
-
-TEST(DurableModels, DetectorLegacyBareTextStillLoads) {
-  ts::LinearFieldWorld w;
-  const std::string path = "durable_test_detector_legacy.tmp";
-  {
-    std::ofstream os(path);
-    w.detector().save(os);  // the pre-durable on-disk format
-  }
-  EXPECT_FALSE(durable::file_has_durable_magic(path));
-  auto loaded = wifi::RssiDetector::try_load_file(path);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  const auto probe = w.upload(true);
-  EXPECT_EQ(w.detector().analyze(probe).canonical_string(),
-            loaded.value()->analyze(probe).canonical_string());
   std::remove(path.c_str());
 }
 
@@ -681,6 +634,177 @@ TEST(DurableModels, DetectorRejectsOversizedScanHeader) {
   std::istringstream is(text);
   auto loaded = wifi::RssiDetector::try_load(is);
   ASSERT_FALSE(loaded.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Version skew: each container loads exactly the version it writes
+
+/// Re-frame the durable container at `path` — same tag, same records, read
+/// back under the version stamped in its header — as `version` (0: one past
+/// the stamped version); `*skewed` receives the version written.
+void reframe_durable(const std::string& path, std::uint32_t version,
+                     std::uint32_t* skewed) {
+  const std::string bytes = slurp(path);
+  // magic(8) + u32 tag_len + tag + u32 version.
+  std::uint32_t tag_len = 0;
+  ASSERT_GE(bytes.size(), 12u) << path;
+  std::memcpy(&tag_len, bytes.data() + 8, sizeof tag_len);
+  ASSERT_GE(bytes.size(), 16u + tag_len) << path;
+  const std::string tag = bytes.substr(12, tag_len);
+  std::uint32_t written = 0;
+  std::memcpy(&written, bytes.data() + 12 + tag_len, sizeof written);
+  if (version == 0) version = written + 1;
+  ASSERT_NE(written, version) << path;
+  *skewed = version;
+  const auto records = durable::parse_durable(bytes, tag, written);
+  ASSERT_TRUE(records.has_value()) << path << ": " << records.error();
+  DurableWriter writer(tag, version);
+  for (const auto& record : records.value()) writer.add_record(record);
+  write_raw(path, writer.bytes());
+}
+
+template <typename T>
+std::string load_error(const Expected<T, std::string>& loaded) {
+  return loaded.has_value() ? std::string() : loaded.error();
+}
+
+TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
+  const std::string store_dir = "durable_test_skew_store";
+  const std::string artifact_dir = "durable_test_skew_artifacts";
+  remove_tree(store_dir);
+  {
+    auto store = wifi::CrowdStore::open(store_dir);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(store.value()
+                      ->append({{double(i), 1.0}, {{5, -50 - i}}, 1u}, 7 + i)
+                      .has_value());
+    }
+    ASSERT_TRUE(store.value()->compact().has_value());
+  }
+  std::uint64_t artifact_epoch = 0;
+  {
+    auto artifacts = durable::ArtifactStore::open_dir(artifact_dir);
+    ASSERT_TRUE(artifacts.has_value()) << artifacts.error();
+    auto published = artifacts.value()->publish_payload("motion", "payload bytes");
+    ASSERT_TRUE(published.has_value()) << published.error();
+    artifact_epoch = published.value();
+  }
+  nn::LstmClassifierConfig lstm_cfg;
+  lstm_cfg.hidden_dim = 4;
+  const nn::LstmClassifier lstm(lstm_cfg, 5);
+  const auto quant = small_quant_lstm();
+  const auto gbt_model = small_trained_gbt();
+  ts::LinearFieldWorld w;
+  const std::string lstm_path = "durable_test_skew_lstm.tmp";
+  const std::string quant_path = "durable_test_skew_quant.tmp";
+  const std::string gbt_path = "durable_test_skew_gbt.tmp";
+  const std::string detector_path = "durable_test_skew_detector.tmp";
+  lstm.save_file(lstm_path);
+  quant.save_file(quant_path);
+  gbt_model.save_file(gbt_path);
+  w.detector().save_file(detector_path);
+
+  struct SkewCase {
+    const char* label;
+    std::string path;               ///< the committed container
+    std::uint32_t skewed_version;   ///< 0: one past the written version
+    std::function<std::string()> load;  ///< "" on success, else the error
+    /// Model files only: the bare stream payload, which must not load
+    /// from a path either.
+    std::function<void(std::ostream&)> save_bare;
+  };
+  const auto open_artifacts = [&] {
+    return durable::ArtifactStore::open_dir(artifact_dir);
+  };
+  const std::vector<SkewCase> cases = {
+      {"lstm", lstm_path, 0,
+       [&] { return load_error(nn::LstmClassifier::try_load_file(lstm_path)); },
+       [&](std::ostream& os) { lstm.save(os); }},
+      {"quant lstm", quant_path, 0,
+       [&] { return load_error(nn::QuantizedLstm::try_load_file(quant_path)); },
+       [&](std::ostream& os) { quant.save(os); }},
+      {"gbt", gbt_path, 0,
+       [&] { return load_error(gbt::GbtClassifier::try_load_file(gbt_path)); },
+       [&](std::ostream& os) { gbt_model.save(os); }},
+      {"detector", detector_path, 0,
+       [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },
+       [&](std::ostream& os) { w.detector().save(os); }},
+      // v3 is the newest retired snapshot layout: the nearest miss.
+      {"crowd snapshot", wifi::CrowdStore::snapshot_path(store_dir), 3,
+       [&] { return load_error(wifi::CrowdStore::open(store_dir)); },
+       nullptr},
+      {"artifact", artifact_dir + "/motion." + std::to_string(artifact_epoch), 0,
+       [&] {
+         auto store = open_artifacts();
+         if (!store) return store.error();
+         return load_error(store.value()->read_payload("motion", artifact_epoch));
+       },
+       nullptr},
+      {"artifact CURRENT", durable::ArtifactStore::current_path(artifact_dir), 0,
+       [&] { return load_error(open_artifacts()); }, nullptr},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    const std::string intact = slurp(c.path);
+    ASSERT_EQ(c.load(), "");
+    std::uint32_t skewed = 0;
+    reframe_durable(c.path, c.skewed_version, &skewed);
+    std::string error = c.load();
+    EXPECT_NE(error.find("unsupported version " + std::to_string(skewed)),
+              std::string::npos)
+        << error;
+    if (c.save_bare) {
+      {
+        std::ofstream os(c.path);
+        c.save_bare(os);
+      }
+      error = c.load();
+      EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+    }
+    write_raw(c.path, intact);
+    EXPECT_EQ(c.load(), "");
+  }
+
+  for (const auto& c : cases) std::remove(c.path.c_str());
+  remove_tree(store_dir);
+  ::rmdir(artifact_dir.c_str());
+}
+
+TEST(DurableVersionSkew, OldJournalIsRefusedNeverTruncated) {
+  // A provenance-free journal as the previous format wrote it: a "TKJRNL1"
+  // header and one "TKJR" frame (u64 seq, u32 len, u32 crc32(payload)).
+  const std::string dir = "durable_test_skew_journal";
+  remove_tree(dir);
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  const auto put = [](std::string& out, auto v) {
+    char buf[sizeof v];
+    std::memcpy(buf, &v, sizeof v);
+    out.append(buf, sizeof v);
+  };
+  const std::string tag = wifi::CrowdStore::journal_tag();
+  const std::string payload = wifi::CrowdStore::encode_point({{1.0, 2.0}, {{5, -60}}, 1u});
+  std::string bytes = "TKJRNL1\n";
+  put(bytes, static_cast<std::uint32_t>(tag.size()));
+  bytes += tag;
+  put(bytes, std::uint64_t{0});
+  bytes += "TKJR";
+  put(bytes, std::uint64_t{0});
+  put(bytes, static_cast<std::uint32_t>(payload.size()));
+  put(bytes, durable::crc32(payload));
+  bytes += payload;
+  const std::string path = wifi::CrowdStore::journal_path(dir);
+  write_raw(path, bytes);
+
+  const auto expect_refused = [](const std::string& error) {
+    EXPECT_NE(error.find("unsupported version 1 (expected 2)"), std::string::npos)
+        << error;
+  };
+  expect_refused(load_error(durable::Journal::open(path, tag)));
+  expect_refused(load_error(durable::Journal::read_records(path, tag)));
+  expect_refused(load_error(wifi::CrowdStore::open(dir)));
+  EXPECT_EQ(slurp(path), bytes);
+  remove_tree(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -731,22 +855,7 @@ TEST(CorruptionFuzz, QuantLstmFileRejectsEveryMutation) {
   // weights, per-gate scales, activation scales.  Any flipped or missing
   // byte must fail the load — a silently-perturbed quant model would serve
   // wrong verdicts while claiming to have passed its gate.
-  nn::LstmClassifierConfig cfg;
-  cfg.hidden_dim = 5;
-  const nn::LstmClassifier model(cfg, 2);
-  Rng rng(91);
-  std::vector<FeatureSequence> calibration;
-  for (int i = 0; i < 4; ++i) {
-    FeatureSequence x;
-    x.dim = 2;
-    x.steps = 6;
-    for (std::size_t k = 0; k < x.steps * x.dim; ++k) {
-      x.values.push_back(rng.uniform(-1.0, 1.0));
-    }
-    calibration.push_back(std::move(x));
-  }
-  const auto quant =
-      nn::QuantizedLstm::quantize(model, calibration, nn::QuantMode::kInt8);
+  const auto quant = small_quant_lstm();
   const std::string path = "durable_test_fuzz_quant.tmp";
   quant.save_file(path);
   const std::string intact = slurp(path);
@@ -848,9 +957,9 @@ TEST(CorruptionFuzz, JournalMutationsRecoverAPrefixOrFailCleanly) {
 }
 
 TEST(CorruptionFuzz, PoisonProvenanceJournalRecoversAPairPrefixOrFailsCleanly) {
-  // The journal fuzz contract extended to v2 frames: any single-byte flip in
-  // a provenance-framed journal either fails the open cleanly (header
-  // damage) or recovers an exact prefix of the committed (payload, uploader)
+  // The journal fuzz contract extended to uploader stamps: any single-byte
+  // flip in a provenance-stamped journal either fails the open cleanly
+  // (header damage) or recovers an exact prefix of the committed (payload, uploader)
   // pairs — a flipped uploader field must take its whole frame (and the
   // tail) with it, never survive as a different identity.
   const std::string path = "durable_test_fuzz_journal_prov.tmp";
@@ -894,7 +1003,7 @@ TEST(CorruptionFuzz, PoisonProvenanceJournalRecoversAPairPrefixOrFailsCleanly) {
 }
 
 TEST(CorruptionFuzz, PoisonedCrowdSnapshotRejectsEveryMutation) {
-  // The v3 snapshot carries three extra trailing records (cell stats,
+  // The snapshot carries three trailing records after its points (cell stats,
   // provenance grid, reputation book).  Re-run the snapshot corruption fuzz
   // over a store whose snapshot actually exercises them: provenance-stamped
   // points and a quarantined uploader.

@@ -225,11 +225,12 @@ TEST(Booster, SaveLoadRoundTrip) {
 
   std::stringstream ss;
   model.save(ss);
-  const auto loaded = GbtClassifier::load(ss);
-  EXPECT_EQ(loaded.tree_count(), model.tree_count());
+  const auto loaded = GbtClassifier::try_load(ss);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  EXPECT_EQ(loaded.value().tree_count(), model.tree_count());
   for (int i = 0; i < 20; ++i) {
     const std::vector<double> row = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    EXPECT_NEAR(model.predict_proba(row), loaded.predict_proba(row), 1e-12);
+    EXPECT_NEAR(model.predict_proba(row), loaded.value().predict_proba(row), 1e-12);
   }
 }
 
@@ -308,7 +309,7 @@ TEST(Tree, LoadRejectsGarbage) {
 
 TEST(Booster, LoadRejectsGarbage) {
   std::stringstream ss("junk");
-  EXPECT_THROW(GbtClassifier::load(ss), std::runtime_error);
+  EXPECT_FALSE(GbtClassifier::try_load(ss).has_value());
 }
 
 TEST(Booster, ValidatesConfigAndData) {

@@ -475,17 +475,18 @@ TEST(LstmClassifier, SaveLoadRoundTrip) {
 
   std::stringstream ss;
   model.save(ss);
-  const auto loaded = LstmClassifier::load(ss);
+  const auto loaded = LstmClassifier::try_load(ss);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
 
   for (int k = 0; k < 10; ++k) {
     const auto x = make_seq(random_sequence(rng, 7, 2), 2);
-    EXPECT_NEAR(model.predict_proba(x), loaded.predict_proba(x), 1e-12);
+    EXPECT_NEAR(model.predict_proba(x), loaded.value().predict_proba(x), 1e-12);
   }
 }
 
 TEST(LstmClassifier, LoadRejectsGarbage) {
   std::stringstream ss("not_a_model 1 2 3");
-  EXPECT_THROW(LstmClassifier::load(ss), std::runtime_error);
+  EXPECT_FALSE(LstmClassifier::try_load(ss).has_value());
 }
 
 TEST(LstmClassifier, ValidatesConfigAndInputs) {

@@ -256,18 +256,19 @@ TEST(Detector, SaveLoadRoundTrip) {
 
   std::stringstream ss;
   w.detector().save(ss);
-  const auto loaded = RssiDetector::load(ss);
-  ASSERT_EQ(loaded->index().size(), w.detector().index().size());
+  const auto loaded = RssiDetector::try_load(ss);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  ASSERT_EQ(loaded.value()->index().size(), w.detector().index().size());
   for (int i = 0; i < 20; ++i) {
     const auto upload = w.upload(i % 2 == 0);
-    EXPECT_NEAR(w.detector().analyze(upload).p_real, loaded->analyze(upload).p_real,
-                1e-12);
+    EXPECT_NEAR(w.detector().analyze(upload).p_real,
+                loaded.value()->analyze(upload).p_real, 1e-12);
   }
 }
 
 TEST(Detector, LoadRejectsGarbage) {
   std::stringstream ss("definitely_not_a_detector");
-  EXPECT_THROW(RssiDetector::load(ss), std::runtime_error);
+  EXPECT_FALSE(RssiDetector::try_load(ss).has_value());
 }
 
 TEST(Detector, TryLoadReportsGarbageAsError) {
@@ -283,8 +284,9 @@ TEST(Detector, ThresholdPersistsThroughSaveLoad) {
   RssiDetector detector({ref(0, 0, {{1, -50}})}, cfg);
   std::stringstream ss;
   detector.save(ss);
-  const auto loaded = RssiDetector::load(ss);
-  EXPECT_DOUBLE_EQ(loaded->config().threshold, 0.65);
+  const auto loaded = RssiDetector::try_load(ss);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  EXPECT_DOUBLE_EQ(loaded.value()->config().threshold, 0.65);
 }
 
 TEST(Detector, RejectsOutOfRangeThreshold) {
@@ -293,29 +295,7 @@ TEST(Detector, RejectsOutOfRangeThreshold) {
   EXPECT_THROW(RssiDetector({ref(0, 0, {})}, cfg), std::invalid_argument);
 }
 
-TEST(Detector, TryLoadAcceptsThresholdlessV1Format) {
-  RssiDetectorConfig cfg;
-  cfg.threshold = 0.8;
-  RssiDetector detector({ref(0, 0, {{1, -50}})}, cfg);
-  std::stringstream v2;
-  detector.save(v2);
-
-  // Rewrite the v2 header as v1: old magic, no threshold on the config line.
-  std::string text = v2.str();
-  const auto magic_end = text.find('\n');
-  const auto config_end = text.find('\n', magic_end + 1);
-  std::string config_line = text.substr(magic_end + 1, config_end - magic_end - 1);
-  config_line.erase(config_line.rfind(' '));  // drop the trailing threshold
-  std::stringstream v1("trajkit_rssi_detector_v1\n" + config_line +
-                       text.substr(config_end));
-
-  const auto loaded = RssiDetector::try_load(v1);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  // v1 models predate the persisted threshold; they get the default.
-  EXPECT_DOUBLE_EQ(loaded.value()->config().threshold, 0.5);
-}
-
-// Deprecated wrapper/analyze agreement lives in tests/equivalence_test.cpp
+// Split-pipeline/analyze agreement lives in tests/equivalence_test.cpp
 // (property sweep over random uploads and thresholds).
 
 TEST(Detector, PointScoresLocaliseMismatchedStretch) {

@@ -36,6 +36,12 @@ core::Scenario make_scenario(const CliFlags& flags) {
   return core::Scenario(cfg);
 }
 
+nn::LstmClassifier load_model(const CliFlags& flags) {
+  auto model = nn::LstmClassifier::try_load_file(flags.get("model", "motion.model"));
+  if (!model) throw std::runtime_error(model.error());
+  return std::move(model).value();
+}
+
 int cmd_simulate(const CliFlags& flags) {
   core::Scenario scenario = make_scenario(flags);
   const auto count = static_cast<std::size_t>(flags.get_int("count", 50));
@@ -98,7 +104,7 @@ int cmd_train_motion(const CliFlags& flags) {
 }
 
 int cmd_classify(const CliFlags& flags) {
-  const auto model = nn::LstmClassifier::load_file(flags.get("model", "motion.model"));
+  const auto model = load_model(flags);
   const auto trajs = read_csv_file(flags.get("in", "trajectories.csv"));
   const DistAngleEncoder encoder;
   std::size_t real_count = 0;
@@ -113,7 +119,7 @@ int cmd_classify(const CliFlags& flags) {
 }
 
 int cmd_forge(const CliFlags& flags) {
-  const auto model = nn::LstmClassifier::load_file(flags.get("model", "motion.model"));
+  const auto model = load_model(flags);
   const auto trajs = read_csv_file(flags.get("in", "real.csv"));
   if (trajs.empty()) throw std::runtime_error("forge: empty input");
   const DistAngleEncoder encoder;
