@@ -1,33 +1,28 @@
 // Online-model hot-swap benchmark: staleness vs throughput under continuous
 // crowd ingestion, and the price of an epoch flip.
 //
-//   bench_hotswap --history=2400 --area=60 --epochs=4 --append=120
+//   bench_hotswap --history=6000 --area=60 --epochs=4 --append=120
 //                 --requests=64 --threads=1
+//
+// (the defaults; this is the command that writes BENCH_hotswap.json).
 //
 // The serving loop the paper's deployment shape implies: crowdsourced scans
 // stream into a durable CrowdStore while a VerifierService answers uploads,
 // and every so often the accumulated points are published as a new model
-// epoch (serve/service.hpp publish_epoch) — affected-key invalidation, LRU
-// carry-forward, RCU flip, artifact commit.  Per epoch this bench measures:
+// epoch (serve/service.hpp publish_epoch) — assembly under the pinned grid
+// bounds, artifact commit, RCU flip.  Per epoch this bench measures:
 //
 //   * staleness: wall time of publish_epoch — the window between "the data is
-//     durable" and "the model serves it" (a stop-the-world rebuild would
-//     stretch that window by the full RPD warm-up below);
+//     durable" and "the model serves it";
 //   * zero drops: a client thread hammers verify_now throughout the flip;
 //     every response must come back kOk, served by whichever epoch it
 //     snapshotted;
 //   * correctness: the post-flip verdict checksum (FNV-1a over canonical
 //     payloads) must equal a stop-the-world oracle — a detector rebuilt from
-//     scratch over the full store under the same pinned grid bounds;
-//   * refresh cost: bringing the full RPD table back online.  The service
-//     keeps every reference point's counting statistics resident; after the
-//     flip, the carried-forward cache only rebuilds the cells the appended
-//     batch invalidated, while the oracle's cold cache rebuilds all N.  Both
-//     are measured as one point_stats sweep over the whole index — the
-//     incremental-RPD speedup is their ratio.
+//     scratch over the full store under the same pinned grid bounds.
 //
 // Exit code 0 iff every epoch's checksum matched and no in-flight request was
-// dropped; speedups are reported, not asserted (wall-clock on a loaded box is
+// dropped; timings are reported, not asserted (wall-clock on a loaded box is
 // noise, identity is the contract).  BENCH_hotswap.json records everything,
 // written atomically like every bench artifact.
 #include <algorithm>
@@ -89,24 +84,10 @@ struct EpochResult {
   double publish_ms = 0.0;     ///< staleness window: append-durable -> serving
   std::size_t inflight_ok = 0; ///< verify_now responses during the flip
   std::size_t inflight_total = 0;
-  double rpd_inc_s = 0.0;      ///< RPD table sweep on the carried cache
-  double rpd_full_s = 0.0;     ///< same sweep on the oracle's cold cache
-  double serve_s = 0.0;        ///< steady-state probe pass after the refresh
+  double serve_s = 0.0;        ///< probe pass after the flip
   std::uint64_t checksum = 0;
   bool identical = false;
 };
-
-/// One pass over every reference point's counting statistics: cells already
-/// cached are a lookup, everything else is built.  Returns an accumulator so
-/// the sweep cannot be optimised away.
-double sweep_rpd_table(const wifi::RssiDetector& detector) {
-  const auto& rpd = detector.confidence().rpd();
-  double sink = 0.0;
-  for (std::size_t h = 0; h < detector.index().size(); ++h) {
-    sink += rpd.theta2_from(*rpd.point_stats(h));
-  }
-  return sink;
-}
 
 }  // namespace
 
@@ -172,12 +153,6 @@ int main(int argc, char** argv) {
       requests.push_back({i + 1, probes[i], 0});
     }
   }
-  // Steady state: the serving process keeps the whole RPD table resident
-  // (probe warm-up plus one full sweep), so each epoch's refresh cost is
-  // exactly the invalidated cells.
-  service.verify_batch(requests);
-  sweep_rpd_table(service.detector());
-
   const double lo = world_cfg.margin_m;
   const double hi = world_cfg.area_m - world_cfg.margin_m;
   Rng& rng = world.rng();
@@ -190,9 +165,7 @@ int main(int argc, char** argv) {
     // Continuous ingestion: the next batch of crowdsourced scans lands in the
     // WAL before the epoch that folds them in is published.  Each epoch's
     // batch is localised to one small patch — the realistic shape (a venue
-    // getting fresh scans), and the one where targeted invalidation matters:
-    // uniform appends would blanket every counting circle and force a
-    // near-total cache rebuild no matter how the invalidation is scoped.
+    // getting fresh scans).
     const Enu patch{rng.uniform(lo, hi - patch_m), rng.uniform(lo, hi - patch_m)};
     for (std::size_t i = 0; i < append_per_epoch; ++i) {
       const Enu p{patch.east + rng.uniform(0.0, patch_m),
@@ -240,29 +213,14 @@ int main(int argc, char** argv) {
     r.inflight_total = inflight_total.load();
     zero_drops = zero_drops && r.inflight_ok == r.inflight_total;
 
-    // Incremental refresh: the carried-forward cache already holds every
-    // cell the appended batch could not have touched, so the sweep rebuilds
-    // only the invalidated ones.
-    double t1 = now_s();
-    sweep_rpd_table(service.detector());
-    r.rpd_inc_s = now_s() - t1;
-
     // Stop-the-world oracle: rebuild from scratch under the same pinned
-    // bounds with a cold cache — both the correctness reference and the cost
-    // of not having the incremental path (its sweep rebuilds all N cells).
+    // bounds — the correctness reference for the published epoch.
     auto oracle = wifi::RssiDetector::assemble(
         store.value()->points(), oracle_like.config(), oracle_like.classifier(),
         oracle_like.trained_points(), bounds);
-    oracle->set_rpd_cache(
-        std::make_shared<serve::ShardedRpdLruCache>(config.cache));
-    t1 = now_s();
-    sweep_rpd_table(*oracle);
-    r.rpd_full_s = now_s() - t1;
 
-    // Steady-state serving after the refresh, and the checksum comparison —
-    // both caches are fully resident now, so any difference is a correctness
-    // bug, not a warm-up artefact.
-    t1 = now_s();
+    // Serving after the flip, and the checksum comparison.
+    const double t1 = now_s();
     const auto responses = service.verify_batch(requests);
     r.serve_s = now_s() - t1;
     std::uint64_t oracle_checksum = 0;
@@ -284,32 +242,18 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  TextTable table({"epoch", "appended", "publish ms", "inflight ok",
-                   "rpd inc s", "rpd full s", "refresh speedup", "verdicts/s",
+  TextTable table({"epoch", "appended", "publish ms", "inflight ok", "verdicts/s",
                    "identical"});
   for (const auto& r : results) {
     table.add_row({std::to_string(r.epoch), std::to_string(r.appended),
                    TextTable::num(r.publish_ms, 2),
                    std::to_string(r.inflight_ok) + "/" +
                        std::to_string(r.inflight_total),
-                   TextTable::num(r.rpd_inc_s, 4),
-                   TextTable::num(r.rpd_full_s, 4),
-                   TextTable::num(r.rpd_full_s / r.rpd_inc_s, 2) + "x",
                    TextTable::num(static_cast<double>(request_count) / r.serve_s, 1),
                    r.identical ? "yes" : "NO"});
   }
   table.print(std::cout);
-  double inc_total = 0.0;
-  double full_total = 0.0;
-  for (const auto& r : results) {
-    inc_total += r.rpd_inc_s;
-    full_total += r.rpd_full_s;
-  }
-  const double mean_speedup = inc_total > 0.0 ? full_total / inc_total : 0.0;
-  std::printf("\nmean refresh speedup: %.2fx (incremental %.4fs vs full %.4fs "
-              "across %zu epochs)\n",
-              mean_speedup, inc_total, full_total, results.size());
-  std::printf("verdicts: %s\n",
+  std::printf("\nverdicts: %s\n",
               all_identical
                   ? "OK (every epoch checksum-equal to the oracle rebuild)"
                   : "FAILED (a hot-swap changed a verdict!)");
@@ -326,22 +270,14 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf,
                   "%s\n    {\"epoch\": %llu, \"appended\": %zu, "
                   "\"publish_ms\": %.3f, \"inflight_ok\": %zu, "
-                  "\"inflight_total\": %zu, \"rpd_inc_s\": %.6f, "
-                  "\"rpd_full_s\": %.6f, \"refresh_speedup\": %.3f, "
-                  "\"serve_s\": %.6f, \"identical\": %s}",
+                  "\"inflight_total\": %zu, \"serve_s\": %.6f, "
+                  "\"identical\": %s}",
                   i == 0 ? "" : ",", static_cast<unsigned long long>(r.epoch),
                   r.appended, r.publish_ms, r.inflight_ok, r.inflight_total,
-                  r.rpd_inc_s, r.rpd_full_s, r.rpd_full_s / r.rpd_inc_s,
                   r.serve_s, r.identical ? "true" : "false");
     json += buf;
   }
-  json += "\n  ],\n  \"mean_refresh_speedup\": ";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", mean_speedup);
-    json += buf;
-  }
-  json += ",\n  \"identical\": ";
+  json += "\n  ],\n  \"identical\": ";
   json += all_identical ? "true" : "false";
   json += ",\n  \"zero_drops\": ";
   json += zero_drops ? "true" : "false";

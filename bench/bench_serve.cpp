@@ -2,21 +2,19 @@
 // one-request-at-a-time handler.
 //
 // The baseline models the pre-serving deployment shape: each request is
-// analysed with cold per-request RPD state, so every point pays the radius
-// query + histogram derivation from scratch.  The service leg runs the same
-// requests through submit()/micro-batching with the shared bounded RPD LRU,
-// so spatially overlapping requests reuse each other's per-cell statistics.
+// analysed one at a time on the caller's thread.  The service leg runs the
+// same requests through submit()/micro-batching on the deterministic pool.
 //
 //   bench_serve --total=200 --points=30 --requests=120 --batch=16 --ingest=1000
 //
 // A payload checksum (FNV-1a over the canonical response strings) is compared
-// across the two legs: the speedup must come purely from scheduling and
-// caching, never from changing a verdict.  Exit code 0 iff the checksums
+// across the two legs: the speedup must come purely from scheduling, never
+// from changing a verdict.  Exit code 0 iff the checksums
 // match.
 //
 // A third, faulty-mode leg replays the same requests under an armed chaos
 // schedule (--fault_rate on the dispatch path, a sprinkle of poisoned RPD
-// shards; --fault_seed reproduces a run exactly).  It measures what the
+// reference points; --fault_seed reproduces a run exactly).  It measures what the
 // retry + degradation machinery costs and proves that under injected faults
 // the service still answers every request (ok or degraded, never dropped).
 //
@@ -81,8 +79,6 @@ int main(int argc, char** argv) {
   const auto points = static_cast<std::size_t>(flags.get_int("points", 30));
   const auto request_count = static_cast<std::size_t>(flags.get_int("requests", 120));
   const auto max_batch = static_cast<std::size_t>(flags.get_int("batch", 16));
-  const auto cache_capacity = static_cast<std::size_t>(
-      flags.get_int("cache", 1 << 16));
   const double fault_rate = flags.get_double("fault_rate", 0.3);
   const auto fault_seed = static_cast<std::uint64_t>(flags.get_int("fault_seed", 42));
   const auto ingest_count =
@@ -99,8 +95,8 @@ int main(int argc, char** argv) {
 
   std::printf("== Serving: stateless per-request baseline vs batched service ==\n");
   std::printf("%zu historical trajectories x %zu points, %zu requests, "
-              "max_batch %zu, cache %zu\n\n",
-              total, points, request_count, max_batch, cache_capacity);
+              "max_batch %zu\n\n",
+              total, points, request_count, max_batch);
 
   core::Scenario scenario(core::ScenarioConfig::for_mode(Mode::kWalking));
   Rng& rng = scenario.rng();
@@ -132,7 +128,7 @@ int main(int argc, char** argv) {
 
   // Request mix: fresh reals plus forged replays of random history, cycled to
   // the requested volume — the "many clients moving through the same city"
-  // shape a real service sees, which is what makes the shared cache pay.
+  // shape a real service sees.
   std::vector<wifi::ScannedUpload> pool;
   for (std::size_t i = hist_count; i < collected.size(); ++i) {
     pool.push_back(core::to_upload(collected[i]));
@@ -187,7 +183,6 @@ int main(int argc, char** argv) {
     serve::VerifierServiceConfig mcfg;
     mcfg.max_batch = max_batch;
     mcfg.max_queue = request_count + 1;
-    mcfg.cache.capacity = cache_capacity;
     mcfg.motion = policy;
     serve::VerifierService service(detector, mcfg);
     double best = -1.0;
@@ -267,22 +262,19 @@ int main(int argc, char** argv) {
     return motion_identical && motion_complete ? 0 : 1;
   }
 
-  // -- Baseline: stateless, one at a time, cold RPD state per request -------
+  // -- Baseline: stateless, one at a time ----------------------------------
   const double t0 = now_s();
   std::uint64_t baseline_checksum = 1469598103934665603ull;
   for (const auto& request : requests) {
-    detector.set_rpd_cache(
-        std::make_shared<wifi::DenseRpdStatsCache>(detector.index().size()));
     baseline_checksum =
         fnv1a(baseline_checksum, detector.analyze(request.upload).canonical_string());
   }
   const double baseline_s = now_s() - t0;
 
-  // -- Service: micro-batched, shared bounded LRU across requests -----------
+  // -- Service: micro-batched on the deterministic pool --------------------
   serve::VerifierServiceConfig scfg;
   scfg.max_batch = max_batch;
   scfg.max_queue = request_count + 1;
-  scfg.cache.capacity = cache_capacity;
   serve::VerifierService service(detector, scfg);
   const double t1 = now_s();
   std::vector<std::future<serve::VerdictResponse>> futures;
@@ -304,7 +296,8 @@ int main(int argc, char** argv) {
 
   // -- Faulty mode: same requests under an armed chaos schedule --------------
   // Dispatch faults at --fault_rate (retried with backoff, then degraded) and
-  // a 1% sprinkle of poisoned RPD shards.  Deterministic in --fault_seed.
+  // a 1% sprinkle of poisoned RPD reference points.  Deterministic in
+  // --fault_seed.
   std::size_t faulty_ok = 0;
   std::size_t faulty_degraded = 0;
   std::size_t faulty_dropped = 0;
@@ -313,7 +306,7 @@ int main(int argc, char** argv) {
   {
     FaultScope faults(fault_seed);
     faults.arm(serve::kFaultDispatch, {.probability = fault_rate});
-    faults.arm(serve::kFaultRpdShard, {.probability = 0.01});
+    faults.arm(wifi::kFaultRpdCount, {.probability = 0.01});
     serve::VerifierServiceConfig fcfg = scfg;
     fcfg.retry.max_retries = 2;
     serve::VerifierService faulty(detector, fcfg);
@@ -403,7 +396,6 @@ int main(int argc, char** argv) {
   const double journal_fsync_s = store_leg(/*sync_each_append=*/true);
   remove_store();
 
-  const auto counters = service.counters();
   TextTable table({"leg", "seconds", "requests/s", "speedup", "degraded"});
   table.add_row({"stateless baseline", TextTable::num(baseline_s, 3),
                  TextTable::num(static_cast<double>(request_count) / baseline_s, 1),
@@ -448,11 +440,6 @@ int main(int argc, char** argv) {
                         : "FAILED (recovered store diverged from appends!)");
 
   std::printf("\nservice counters:\n%s", service.counters_table().c_str());
-  std::printf("\nrpd cache hit rate: %.1f%% (%llu hits / %llu lookups)\n",
-              100.0 * counters.cache.hit_rate(),
-              static_cast<unsigned long long>(counters.cache.hits),
-              static_cast<unsigned long long>(counters.cache.hits +
-                                              counters.cache.misses));
 
   print_motion();
 

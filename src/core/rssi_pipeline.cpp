@@ -150,10 +150,10 @@ RssiExperimentResult run_rssi_experiment_on(
 
   // 5. Train, then evaluate through the serving layer.  The service is the
   // production face of the detector, so the experiment scores its test set the
-  // same way a deployment would: one micro-batched verify_batch call, every
-  // request sharing the service's bounded RPD LRU.  verify_batch fans out per
-  // upload on the deterministic pool and returns responses in request order,
-  // so the serial running-stat fold below is identical for every thread count.
+  // same way a deployment would: one micro-batched verify_batch call.
+  // verify_batch fans out per upload on the deterministic pool and returns
+  // responses in request order, so the serial running-stat fold below is
+  // identical for every thread count.
   detector.train(train, train_labels);
 
   serve::VerifierServiceConfig serve_cfg;

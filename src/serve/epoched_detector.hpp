@@ -1,29 +1,23 @@
 // The serving core's epoch holder: one RCU cell for the detector a process
-// (VerifierService) or a geo-shard (ShardService) serves, the bounded RPD LRU
-// injected into it, and the model epoch they belong to.
+// (VerifierService) or a geo-shard (ShardService) serves, and the model epoch
+// it belongs to.
 //
 // Readers snapshot the detector once per request or segment: a shared_ptr
 // copy under a mutex that a flip holds only for the pointer swap, so a
-// publish never blocks serving.  The detector owns its RPD cache, so a
-// snapshot taken before a flip keeps that epoch's detector *and* cache alive
-// until the reader lets go — in-flight work finishes on the epoch it started
-// on.
+// publish never blocks serving.  A snapshot taken before a flip keeps that
+// epoch's detector (and its reference index) alive until the reader lets go —
+// in-flight work finishes on the epoch it started on.
 //
 // A new epoch is build-then-flip:
 //
-//   build_next  1. affected keys: every serving-index point whose counting
-//                  circle C_H(R) gains an appended point (radius query at the
-//                  RPD counting radius R).  Every other point's RPD statistics
-//                  are integer histograms over an unchanged neighbour set, so
-//                  their cached values stay bitwise valid;
-//               2. assemble the replacement over the new point set, reusing
-//                  the serving classifier/config/threshold, under the serving
-//                  index's pinned grid bounds — within() iteration order (and
-//                  every float accumulation downstream) is unchanged, so
-//                  unaffected verdicts stay bit-identical;
-//               3. carry the LRU forward minus the affected keys — O(resident)
-//                  pointer work instead of a cold cache.
-//   install     inject the build's cache and swap it in as the serving epoch.
+//   build_next  assemble the replacement over the new point set, reusing the
+//               serving classifier/config/threshold, under the serving
+//               index's pinned grid bounds — within() iteration order (and
+//               every float accumulation downstream) is unchanged, so
+//               verdicts the appended points do not reach stay bit-identical.
+//               No derived RPD state is carried between epochs: Eq. 4 is
+//               counted per request from the index itself.
+//   install     swap it in as the serving epoch.
 //
 // Callers put their own durability steps (artifact commit, "#epoch N" WAL
 // marker) between the two, so nothing becomes visible before it is durable.
@@ -36,7 +30,6 @@
 #include <vector>
 
 #include "common/expected.hpp"
-#include "serve/rpd_lru_cache.hpp"
 #include "wifi/detector.hpp"
 
 namespace trajkit::serve {
@@ -45,10 +38,9 @@ namespace trajkit::serve {
 /// EpochedDetector::install.
 struct EpochBuild {
   std::shared_ptr<wifi::RssiDetector> detector;
-  /// Injected into `detector` on install; null keeps the detector's own cache.
-  std::shared_ptr<ShardedRpdLruCache> cache;
   /// Built from a filtered (quarantine-excluding) point set: its points are
-  /// not a prefix of the store, so the next build cannot carry forward.
+  /// not a prefix of the store, so the next build may not check it for
+  /// append-only growth.
   bool filtered = false;
 };
 
@@ -57,7 +49,6 @@ class EpochedDetector {
   /// The whole serving state, captured under one lock.
   struct State {
     std::shared_ptr<const wifi::RssiDetector> detector;
-    std::shared_ptr<ShardedRpdLruCache> cache;
     std::uint64_t epoch = 0;
     bool filtered = false;
   };
@@ -73,18 +64,16 @@ class EpochedDetector {
     return state_;
   }
 
-  /// The serving LRU, or null.  Does not pin the epoch.
-  const ShardedRpdLruCache* cache() const;
   /// Model epoch currently serving.
   std::uint64_t epoch() const;
   /// Reference points the serving detector's index covers (0 when empty).
   std::size_t published_points() const;
 
   /// Build the next epoch over `points` from the serving one (see the file
-  /// comment).  An unfiltered build must extend the serving point set — a
-  /// shorter set is refused, epochs are append-only.  A `filtered` build, or
-  /// any build on top of a filtered epoch, is cold: no affected-key query,
-  /// and a fresh cache with the serving cache's configuration.
+  /// comment).  An unfiltered build on top of an unfiltered epoch must extend
+  /// the serving point set — a shorter set is refused, epochs are
+  /// append-only.  A `filtered` build, or any build on top of a filtered
+  /// epoch, skips that check.
   Expected<EpochBuild, std::string> build_next(
       std::vector<wifi::ReferencePoint> points, bool filtered = false) const;
 

@@ -1,98 +1,27 @@
-// Bounded, shard-locked LRU cache of per-reference-point RPD statistics,
-// shared across every request a VerifierService handles.
-//
-// The experiment-side DenseRpdStatsCache grows with every reference point a
-// request touches — unbounded for a long-lived server over a city-sized
-// index.  This cache bounds residency: keys hash to one of `shards`
-// independently-locked LRU lists, so concurrent batch workers contend only
-// per shard, and each shard evicts least-recently-used entries beyond its
-// share of `capacity`.
-//
-// Determinism: cached values are pure functions of the immutable reference
-// index, so hit/miss/eviction patterns can never change a verdict — only how
-// often stats are rebuilt.  On a miss the builder runs *outside* the shard
-// lock; two threads racing on the same key may both build, and the loser's
-// (identical) value is discarded.
+// Inert seam: servebench still compiles against the serve-layer RPD cache's
+// name and config, but the library holds no RPD cache — Eq. 4 is counted
+// directly per uploaded point (wifi/confidence.hpp).  Nothing here is ever
+// consulted by the library.
 #pragma once
 
-#include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
+#include <cstddef>
 
 #include "wifi/rpd.hpp"
 
 namespace trajkit::serve {
 
-/// Fault point (common/fault) on every shard lookup, keyed by the
-/// reference-point index `h` — a "poisoned shard entry" fails the same
-/// reference points on every attempt, for every request, on every thread
-/// count, so chaos schedules replay bit-identically.
-inline constexpr const char* kFaultRpdShard = "serve.rpd_shard";
-
+/// Inert seam kept for servebench: stores nothing and reports zero traffic.
 class ShardedRpdLruCache final : public wifi::RpdStatsCache {
  public:
   struct Config {
-    std::size_t capacity = 1 << 16;  ///< total cached reference points
-    std::size_t shards = 16;         ///< independent lock domains
+    std::size_t capacity = 1 << 16;
+    std::size_t shards = 16;
   };
 
-  // Out-of-line default ctor rather than `Config config = {}`: a nested
-  // aggregate's member initialisers are not usable inside the enclosing
-  // class's own member-specification.
-  ShardedRpdLruCache();
-  explicit ShardedRpdLruCache(Config config);
+  ShardedRpdLruCache() = default;
+  explicit ShardedRpdLruCache(Config config) { (void)config; }
 
-  std::shared_ptr<const wifi::RpdPointStats> get_or_build(
-      std::size_t h,
-      const std::function<wifi::RpdPointStats()>& build) override;
-
-  /// Targeted invalidation for online ingestion: drop exactly these
-  /// reference-point entries, locking only the shards the keys hash to —
-  /// every other shard keeps serving untouched.  Safe against concurrent
-  /// get_or_build; readers holding a shared_ptr keep their value.
-  void invalidate(const std::vector<std::size_t>& keys) override;
-
-  /// Epoch hot-swap support: a fresh cache with the same config holding every
-  /// entry of this one *except* the invalidated keys, recency order
-  /// preserved.  Carried entries are shared_ptr copies — no stats are
-  /// rebuilt — so publishing a new reference epoch costs O(resident entries)
-  /// pointer work plus lazy rebuilds of only the affected points, instead of
-  /// a cold cache.  Sound because appends never change the counting
-  /// statistics of an unaffected point (integer histograms over the same
-  /// neighbour set), and safe against in-flight old-epoch readers because
-  /// they keep racing on the *source* cache, never the clone.  Locks one
-  /// source shard at a time.
-  std::shared_ptr<ShardedRpdLruCache> carry_forward(
-      const std::unordered_set<std::size_t>& invalidated) const;
-
-  CacheStats stats() const override;
-
-  /// Entries currently resident (sums shard sizes; racy but monotonic-ish,
-  /// for reporting only).
-  std::size_t size() const;
-
-  const Config& config() const { return config_; }
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used.  The map points into the list.
-    std::list<std::pair<std::size_t, std::shared_ptr<const wifi::RpdPointStats>>> lru;
-    std::unordered_map<std::size_t, decltype(lru)::iterator> index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-
-  std::size_t shard_of(std::size_t h) const;
-
-  Config config_;
-  std::size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t size() const { return 0; }
 };
 
 }  // namespace trajkit::serve

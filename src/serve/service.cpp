@@ -78,9 +78,6 @@ VerifierService::VerifierService(std::unique_ptr<wifi::RssiDetector> owned,
   if (config_.max_batch == 0) {
     throw std::invalid_argument("VerifierService: max_batch must be positive");
   }
-  if (config_.use_shared_cache) {
-    initial.cache = std::make_shared<ShardedRpdLruCache>(config_.cache);
-  }
   if (initial.detector) epoched_.install(std::move(initial), epoch);
   if (config_.auto_start) start();
 }
@@ -490,12 +487,6 @@ ServiceCounters VerifierService::counters() const {
   c.motion_quant_batches = motion_quant_batches_.load(std::memory_order_relaxed);
   c.retries = retries_.load(std::memory_order_relaxed);
   c.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
-  // Always read through the detector: correct whether the shared LRU or the
-  // detector's own dense cache is in place.  The snapshot pins both across a
-  // concurrent hot-swap; a degraded-start service has no cache traffic.
-  if (const auto detector = detector_snapshot()) {
-    c.cache = detector->confidence().rpd().cache().stats();
-  }
   c.p50_us = latency_.p50_us();
   c.p95_us = latency_.p95_us();
   c.p99_us = latency_.p99_us();
@@ -515,10 +506,6 @@ std::string VerifierService::counters_table() const {
   table.add_row({"motion quant batches", std::to_string(c.motion_quant_batches)});
   table.add_row({"retries", std::to_string(c.retries)});
   table.add_row({"breaker opens", std::to_string(c.breaker_opens)});
-  table.add_row({"rpd cache hits", std::to_string(c.cache.hits)});
-  table.add_row({"rpd cache misses", std::to_string(c.cache.misses)});
-  table.add_row({"rpd cache evictions", std::to_string(c.cache.evictions)});
-  table.add_row({"rpd cache hit rate", TextTable::num(c.cache.hit_rate(), 4)});
   table.add_row({"latency p50 (us)", TextTable::num(c.p50_us, 1)});
   table.add_row({"latency p95 (us)", TextTable::num(c.p95_us, 1)});
   table.add_row({"latency p99 (us)", TextTable::num(c.p99_us, 1)});

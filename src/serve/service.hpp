@@ -4,10 +4,11 @@
 // A VerifierService owns (or wraps) a trained RssiDetector and turns the
 // one-upload-at-a-time library call into a service: callers submit
 // VerificationRequests, the dispatcher micro-batches them through the
-// deterministic thread pool (common/parallel), per-cell RPD statistics are
-// shared across all requests through a bounded shard-locked LRU
-// (serve/rpd_lru_cache), and every request comes back as a structured
-// VerdictResponse with an explicit outcome.
+// deterministic thread pool (common/parallel), and every request comes back
+// as a structured VerdictResponse with an explicit outcome.  No RPD state is
+// shared between requests: each uploaded point counts Eq. 4 over its own
+// reference neighbourhood (wifi/confidence.hpp), so a request's cost does not
+// depend on what earlier requests touched.
 //
 // Admission control: a full queue rejects at submit time (kRejected, the
 // caller should back off), and a request whose queueing time exceeded its
@@ -29,9 +30,9 @@
 // Determinism contract (PR 1): a response's payload — verdict, probability,
 // features, point scores — is a pure function of (model, upload) and, under
 // an armed fault schedule, of (model, upload, fault seed).  Batch
-// composition, arrival order, thread count and cache eviction cannot change
-// it; only the timing fields, deadline-bound outcomes and breaker-induced
-// degradations depend on the wall clock.  tests/determinism_test.cpp and
+// composition, arrival order and thread count cannot change it; only the
+// timing fields, deadline-bound outcomes and breaker-induced degradations
+// depend on the wall clock.  tests/determinism_test.cpp and
 // tests/chaos_test.cpp assert byte-identical canonical payloads across
 // thread counts and submission orders, faults included.
 #pragma once
@@ -208,8 +209,7 @@ struct VerifierServiceConfig {
   std::size_t max_batch = 16;   ///< requests dispatched per micro-batch
   std::size_t max_queue = 1024; ///< admission limit; beyond -> kRejected
   bool auto_start = true;       ///< false: queue only until start() is called
-  /// Shared RPD cache injected into the detector.  use_shared_cache = false
-  /// keeps whatever cache the detector already has (tests, ablations).
+  /// Inert seams kept for servebench; the service holds no RPD cache.
   bool use_shared_cache = true;
   ShardedRpdLruCache::Config cache;
   RetryPolicy retry;
@@ -230,7 +230,7 @@ struct ServiceCounters {
   std::uint64_t motion_quant_batches = 0;  ///< micro-batches served by the int8/int16 lane
   std::uint64_t retries = 0;        ///< re-evaluations after transient faults
   std::uint64_t breaker_opens = 0;  ///< times the circuit breaker tripped
-  wifi::RpdStatsCache::CacheStats cache;
+  wifi::RpdStatsCache::CacheStats cache;  ///< inert seam kept for servebench: always zero
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
@@ -245,8 +245,7 @@ class VerifierService {
                            const Clock* clock = nullptr);
 
   /// Wrap a caller-owned detector (embedding shape, e.g. the experiment
-  /// pipeline).  The detector must outlive the service; the service still
-  /// injects its shared cache into it unless use_shared_cache is false.
+  /// pipeline).  The detector must outlive the service.
   explicit VerifierService(wifi::RssiDetector& detector,
                            VerifierServiceConfig config = {},
                            const Clock* clock = nullptr);
@@ -313,10 +312,11 @@ class VerifierService {
   /// when a hot-swap may run concurrently — this reference does not pin the
   /// epoch it came from.
   const wifi::RssiDetector& detector() const { return *detector_snapshot(); }
-  /// The shared LRU, or nullptr when use_shared_cache was false or the
-  /// service started degraded.  Like
-  /// detector(), does not pin the epoch.
-  const ShardedRpdLruCache* shared_cache() const { return epoched_.cache(); }
+  /// Inert seam kept for servebench: an always-empty cache, never null.
+  const ShardedRpdLruCache* shared_cache() const {
+    static const ShardedRpdLruCache kInert;
+    return &kInert;
+  }
 
   /// Model epoch currently serving (0 until the first publish/adopt).
   std::uint64_t epoch() const { return epoched_.epoch(); }
@@ -327,8 +327,7 @@ class VerifierService {
   /// without dropping a single in-flight request:
   ///
   ///   1. the epoch holder builds the replacement (EpochedDetector::
-  ///      build_next: affected-key query, assembly under the pinned grid
-  ///      bounds, cache carry-forward);
+  ///      build_next: assembly under the pinned grid bounds);
   ///   2. when `artifacts` is given, the detector is committed there first
   ///      (crash before the CURRENT flip ⇒ restart serves the old epoch);
   ///   3. an "#epoch N" control frame is journaled through `store` so
@@ -338,9 +337,9 @@ class VerifierService {
   /// `exclude_quarantined` publishes the store's trusted_points() instead —
   /// the quarantine stage that holds suspected-poisoned uploaders out of the
   /// served model while review is pending.  A filtered set is not an
-  /// append-only extension of the serving one, so a filtered publish
-  /// cold-rebuilds with a fresh cache, and so does the next publish after it.
-  /// Unfiltered steady-state publishes are unaffected.  A store holding fewer
+  /// append-only extension of the serving one, so neither a filtered publish
+  /// nor the next publish after it is checked for append-only growth.  An
+  /// unfiltered publish over an unfiltered epoch from a store holding fewer
   /// points than the serving epoch is refused.
   ///
   /// Returns the new epoch number.
@@ -392,8 +391,8 @@ class VerifierService {
   void dispatcher_loop();
   void reject_pending();
 
-  // Detector, shared cache and epoch; a borrowed (caller-owned) detector is
-  // held through a no-op deleter.
+  // Detector and epoch; a borrowed (caller-owned) detector is held through a
+  // no-op deleter.
   EpochedDetector epoched_;
   VerifierServiceConfig config_;
   const Clock* clock_;

@@ -96,12 +96,10 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
 
   shards_.reserve(config_.shards);
   remote_.resize(config_.shards);
-  ShardServiceConfig shard_cfg;
-  shard_cfg.cache = config_.cache;
   for (std::size_t s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<ShardService>(
         s, std::move(slices[s]), oracle.config(), oracle.classifier(),
-        oracle.trained_points(), index.bounds(), shard_cfg));
+        oracle.trained_points(), index.bounds()));
   }
 }
 

@@ -102,8 +102,7 @@ struct ShardRouterConfig {
   double tile_m = 8.0;
   std::size_t vnodes = 64;
   std::uint64_t ring_seed = 0x7a11d5u;
-  /// Per-shard RPD LRU slice configuration.
-  ShardedRpdLruCache::Config cache;
+  ShardedRpdLruCache::Config cache;  ///< inert seam kept for servebench
 };
 
 /// One contiguous run of trajectory points owned by a single shard.

@@ -144,8 +144,7 @@ ShardService::ShardService(std::size_t shard_id,
     : shard_id_(shard_id), required_follower_acks_(cfg.required_follower_acks) {
   epoched_.install({wifi::RssiDetector::assemble(std::move(slice), config,
                                                  std::move(classifier),
-                                                 trained_points, index_bounds),
-                    std::make_shared<ShardedRpdLruCache>(cfg.cache)},
+                                                 trained_points, index_bounds)},
                    0);
 }
 
@@ -272,8 +271,7 @@ Expected<std::uint64_t, std::string> ShardService::ship_control(
 
 Expected<bool, std::string> ShardService::arm_verification(
     const wifi::RssiDetectorConfig& config, gbt::GbtClassifier classifier,
-    std::size_t trained_points, const BoundingBox& index_bounds,
-    ShardedRpdLruCache::Config cache_cfg) {
+    std::size_t trained_points, const BoundingBox& index_bounds) {
   using Result = Expected<bool, std::string>;
   if (!store_) return Result::failure("shard: arm_verification needs a store");
   if (detector_snapshot()) {
@@ -281,8 +279,7 @@ Expected<bool, std::string> ShardService::arm_verification(
   }
   epoched_.install({wifi::RssiDetector::assemble(store_->points(), config,
                                                  std::move(classifier),
-                                                 trained_points, index_bounds),
-                    std::make_shared<ShardedRpdLruCache>(cache_cfg)},
+                                                 trained_points, index_bounds)},
                    store_->observed_epoch());
   return Result(true);
 }

@@ -2,12 +2,12 @@
 //
 // The ShardRouter (serve/shard_router) partitions the crowdsourced reference
 // world by map tile; each ShardService owns the slice of reference points
-// whose tiles (plus a halo) hash to it, an RPD LRU bounded to that slice, and
-// optionally a durable CrowdStore for the shard's ingestion stream.  The
-// slice detector is built under the *global* reference grid geometry
-// (ReferenceIndex::natural_bounds of the unsharded set), which is what makes
-// per-segment Eq. 8 features bitwise-equal to the single-shard oracle — see
-// shard_router.hpp for the full equivalence argument.
+// whose tiles (plus a halo) hash to it, and optionally a durable CrowdStore
+// for the shard's ingestion stream.  The slice detector is built under the
+// *global* reference grid geometry (ReferenceIndex::natural_bounds of the
+// unsharded set), which is what makes per-segment Eq. 8 features
+// bitwise-equal to the single-shard oracle — see shard_router.hpp for the
+// full equivalence argument.
 //
 // Replication: a leader shard ships every accepted write-ahead frame
 // (seq + CrowdStore point encoding) to its attached ShardReplica followers
@@ -22,7 +22,7 @@
 // reproduces bit-identical verdicts, which tests/shard_test.cpp proves by
 // crashing the leader at every shipping fault point.
 //
-// Serving: the slice detector, its RPD LRU and the epoch live in one
+// Serving: the slice detector and the epoch live in one
 // EpochedDetector — the same holder VerifierService serves from — so a
 // follower's epoch adoption (refresh_from_store) is the service's publish
 // minus the artifact commit.  Segment evaluation runs on the caller's thread
@@ -171,9 +171,6 @@ class ShardReplica : public FollowerLink {
 inline constexpr std::size_t kAllFollowers = static_cast<std::size_t>(-1);
 
 struct ShardServiceConfig {
-  /// Per-shard RPD LRU slice (capacity bounds residency per shard, so a
-  /// router over N shards holds at most N * capacity cached stats).
-  ShardedRpdLruCache::Config cache;
   /// Followers that must durably hold a frame before ingest acknowledges it.
   /// kAllFollowers (default) preserves the PR 6 contract.  A smaller quorum
   /// keeps ingestion available while a follower is partitioned — the lagging
@@ -211,9 +208,11 @@ class ShardService {
   /// The live detector; requires has_detector().  Does not pin the epoch —
   /// prefer detector_snapshot() when a hot-swap may run concurrently.
   const wifi::RssiDetector& detector() const { return *detector_snapshot(); }
-  /// The shard's bounded RPD LRU (null for an ingestion-only shard).  Does
-  /// not pin the epoch.
-  const ShardedRpdLruCache* cache() const { return epoched_.cache(); }
+  /// Inert seam kept for servebench: an always-empty cache, never null.
+  const ShardedRpdLruCache* cache() const {
+    static const ShardedRpdLruCache kInert;
+    return &kInert;
+  }
   /// The shard's durable store (null for a pure verification slice).
   const wifi::CrowdStore* store() const { return store_.get(); }
   /// Model epoch this shard currently serves (0 until a refresh/adopt).
@@ -292,15 +291,13 @@ class ShardService {
   /// epoch.  Requires a store and no existing detector.
   Expected<bool, std::string> arm_verification(
       const wifi::RssiDetectorConfig& config, gbt::GbtClassifier classifier,
-      std::size_t trained_points, const BoundingBox& index_bounds,
-      ShardedRpdLruCache::Config cache_cfg = {});
+      std::size_t trained_points, const BoundingBox& index_bounds);
 
   /// Follower epoch adoption: after WAL frames (points + an "#epoch N"
   /// marker) landed in the store, build the next epoch over the store's
   /// current points (EpochedDetector::build_next: the store must extend the
-  /// serving slice; the LRU carries forward minus the affected keys; the
-  /// index keeps its pinned grid bounds) and flip to the marker's epoch
-  /// without dropping in-flight segments.  `epoch` = 0 adopts
+  /// serving slice; the index keeps its pinned grid bounds) and flip to the
+  /// marker's epoch without dropping in-flight segments.  `epoch` = 0 adopts
   /// store()->observed_epoch().  Requires a store and an armed detector.
   Expected<std::uint64_t, std::string> refresh_from_store(std::uint64_t epoch = 0);
 

@@ -6,6 +6,15 @@
 //   theta_2(H)    — RPD-reliability from the counting density   (Eq. 6)
 // and contribution RPD_H^mac(O.rssi).  The combined confidence is
 //   Phi_O(O.rssi_i) = sum_H theta_1 * theta_2 * RPD_H^mac_i(O.rssi_i).  (Eq. 7)
+//
+// Eq. 7 reads RPD only at O's top-k (mac, rssi) pairs, so point_confidence
+// counts exactly those pairs over each C_H(R) instead of histogramming every
+// AP there.  Counting circles of nearby references overlap, so each distinct
+// neighbour's k match counts are computed once per uploaded point and reused.
+// The counts are integers summed over within()'s neighbour set, so phi is
+// bit-identical to RpdEstimator's definition, and the cost of a point depends
+// only on the reference data around it, never on what earlier requests
+// touched.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +23,12 @@
 #include "wifi/rpd.hpp"
 
 namespace trajkit::wifi {
+
+/// Fault point (common/fault) checked once per reference point per uploaded
+/// point, keyed by the reference-point index `h` with attempt 0: a poisoned
+/// reference point fails on every attempt, for every request, on every
+/// thread count, so chaos schedules replay bit-identically.
+inline constexpr const char* kFaultRpdCount = "wifi.rpd_count";
 
 struct ConfidenceParams {
   double reference_radius_m = 2.5;  ///< the paper's r (peak accuracy at 2.5 m)
@@ -46,12 +61,6 @@ class ConfidenceEstimator {
 
   /// Number of reference points within r of `pos` (Fig. 5's density driver).
   std::size_t reference_count(const Enu& pos) const;
-
-  /// Swap the RPD stats cache backing this estimator (serve-layer shared
-  /// LRU).  Not thread-safe against in-flight lookups: call before serving.
-  void set_rpd_cache(std::shared_ptr<RpdStatsCache> cache) {
-    rpd_.set_cache(std::move(cache));
-  }
 
   const ConfidenceParams& params() const { return params_; }
   const RpdEstimator& rpd() const { return rpd_; }

@@ -136,10 +136,6 @@ VerdictReport RssiDetector::classify_features(std::vector<double> features,
   return report;
 }
 
-void RssiDetector::set_rpd_cache(std::shared_ptr<RpdStatsCache> cache) {
-  estimator_.set_rpd_cache(std::move(cache));
-}
-
 std::vector<ReferencePoint> flatten_history(
     const std::vector<ScannedUpload>& historical) {
   std::vector<ReferencePoint> out;

@@ -107,10 +107,8 @@ class RssiDetector {
   const gbt::GbtClassifier& classifier() const { return classifier_; }
   const RssiDetectorConfig& config() const { return config_; }
 
-  /// Swap the RPD stats cache (serve-layer shared bounded LRU).  The cache
-  /// only memoises pure functions of the reference index, so this can never
-  /// change a verdict.  Not thread-safe against in-flight analyze() calls.
-  void set_rpd_cache(std::shared_ptr<RpdStatsCache> cache);
+  /// Inert seam kept for servebench: ignores its argument.
+  void set_rpd_cache(std::shared_ptr<RpdStatsCache> cache) { (void)cache; }
 
   /// Persist the full detector — configuration, crowdsourced reference store
   /// and the trained classifier — so a provider can train once and deploy.

@@ -57,27 +57,6 @@ std::size_t ReferenceIndex::cell_of(const Enu& p) const {
   return iy * grid_w_ + ix;
 }
 
-template <typename Visitor>
-void ReferenceIndex::visit(const Enu& center, double radius, Visitor&& visitor) const {
-  if (points_.empty()) return;
-  const auto reach = static_cast<long>(std::ceil(radius / cell_size_m_));
-  const long ix = static_cast<long>((center.east - bounds_.min_east) / cell_size_m_);
-  const long iy = static_cast<long>((center.north - bounds_.min_north) / cell_size_m_);
-  const double radius_sq = radius * radius;
-  for (long dy = -reach; dy <= reach; ++dy) {
-    const long y = iy + dy;
-    if (y < 0 || y >= static_cast<long>(grid_h_)) continue;
-    for (long dx = -reach; dx <= reach; ++dx) {
-      const long x = ix + dx;
-      if (x < 0 || x >= static_cast<long>(grid_w_)) continue;
-      for (std::uint32_t idx :
-           grid_[static_cast<std::size_t>(y) * grid_w_ + static_cast<std::size_t>(x)]) {
-        if (distance_sq(points_[idx].pos, center) <= radius_sq) visitor(idx);
-      }
-    }
-  }
-}
-
 std::vector<std::size_t> ReferenceIndex::within(const Enu& center, double radius,
                                                 std::uint32_t exclude_traj) const {
   std::vector<std::size_t> out;

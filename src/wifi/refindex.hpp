@@ -8,6 +8,7 @@
 // hash grid sized to the typical query radius.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -66,10 +67,13 @@ class ReferenceIndex {
   /// Number of points within `radius` of `center` — cheaper than within().
   std::size_t count_within(const Enu& center, double radius) const;
 
- private:
-  std::size_t cell_of(const Enu& p) const;
+  /// Call `visitor(i)` for every point index within `radius` of `center`,
+  /// in exactly within()'s order, without building a vector.
   template <typename Visitor>
   void visit(const Enu& center, double radius, Visitor&& visitor) const;
+
+ private:
+  std::size_t cell_of(const Enu& p) const;
 
   std::vector<ReferencePoint> points_;
   double cell_size_m_;
@@ -78,5 +82,26 @@ class ReferenceIndex {
   std::size_t grid_h_ = 1;
   std::vector<std::vector<std::uint32_t>> grid_;
 };
+
+template <typename Visitor>
+void ReferenceIndex::visit(const Enu& center, double radius, Visitor&& visitor) const {
+  if (points_.empty()) return;
+  const auto reach = static_cast<long>(std::ceil(radius / cell_size_m_));
+  const long ix = static_cast<long>((center.east - bounds_.min_east) / cell_size_m_);
+  const long iy = static_cast<long>((center.north - bounds_.min_north) / cell_size_m_);
+  const double radius_sq = radius * radius;
+  for (long dy = -reach; dy <= reach; ++dy) {
+    const long y = iy + dy;
+    if (y < 0 || y >= static_cast<long>(grid_h_)) continue;
+    for (long dx = -reach; dx <= reach; ++dx) {
+      const long x = ix + dx;
+      if (x < 0 || x >= static_cast<long>(grid_w_)) continue;
+      for (std::uint32_t idx :
+           grid_[static_cast<std::size_t>(y) * grid_w_ + static_cast<std::size_t>(x)]) {
+        if (distance_sq(points_[idx].pos, center) <= radius_sq) visitor(idx);
+      }
+    }
+  }
+}
 
 }  // namespace trajkit::wifi

@@ -1,57 +1,13 @@
 #include "wifi/rpd.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace trajkit::wifi {
 
-DenseRpdStatsCache::DenseRpdStatsCache(std::size_t slots) : slots_(slots) {}
-
-std::shared_ptr<const RpdPointStats> DenseRpdStatsCache::get_or_build(
-    std::size_t h, const std::function<RpdPointStats()>& build) {
-  if (h >= slots_.size()) {
-    throw std::out_of_range("DenseRpdStatsCache: reference point out of range");
-  }
-  Slot& slot = slots_[h];
-  // Fast path: slot already published (acquire pairs with the release below).
-  if (slot.ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot.value;
-  }
-  std::lock_guard<std::mutex> lock(stripes_[h % stripes_.size()]);
-  if (slot.ready.load(std::memory_order_relaxed)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot.value;
-  }
-  slot.value = std::make_shared<const RpdPointStats>(build());
-  slot.ready.store(true, std::memory_order_release);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return slot.value;
-}
-
-void DenseRpdStatsCache::invalidate(const std::vector<std::size_t>& keys) {
-  for (const std::size_t h : keys) {
-    if (h >= slots_.size()) continue;  // appended past the slot table: never cached
-    Slot& slot = slots_[h];
-    std::lock_guard<std::mutex> lock(stripes_[h % stripes_.size()]);
-    if (!slot.ready.load(std::memory_order_relaxed)) continue;
-    // Unpublish before dropping the value so a racing fast-path reader either
-    // sees the old (complete) entry or takes the build path.
-    slot.ready.store(false, std::memory_order_release);
-    slot.value.reset();
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-RpdStatsCache::CacheStats DenseRpdStatsCache::stats() const {
-  return {hits_.load(std::memory_order_relaxed),
-          misses_.load(std::memory_order_relaxed),
-          invalidations_.load(std::memory_order_relaxed)};
-}
-
-RpdEstimator::RpdEstimator(const ReferenceIndex& index, RpdParams params,
-                           std::shared_ptr<RpdStatsCache> cache)
-    : index_(&index), params_(params), cache_(std::move(cache)) {
+RpdEstimator::RpdEstimator(const ReferenceIndex& index, RpdParams params)
+    : index_(&index), params_(params) {
   if (params_.counting_radius_m <= 0.0) {
     throw std::invalid_argument("RpdEstimator: counting radius must be positive");
   }
@@ -61,67 +17,41 @@ RpdEstimator::RpdEstimator(const ReferenceIndex& index, RpdParams params,
   if (params_.rssi_tolerance_db < 0) {
     throw std::invalid_argument("RpdEstimator: tolerance must be non-negative");
   }
-  if (!cache_) cache_ = std::make_shared<DenseRpdStatsCache>(index.size());
-}
-
-RpdPointStats RpdEstimator::build_stats(std::size_t h) const {
-  RpdPointStats stats;
-  const auto nbrs = index_->within((*index_)[h].pos, params_.counting_radius_m);
-  stats.neighbour_count = nbrs.size();
-  for (std::size_t q : nbrs) {
-    for (const auto& obs : (*index_)[q].scan) {
-      ++stats.histograms[obs.mac][obs.rssi_dbm];
-    }
-  }
-  return stats;
-}
-
-std::shared_ptr<const RpdPointStats> RpdEstimator::point_stats(std::size_t h) const {
-  return cache_->get_or_build(h, [this, h] { return build_stats(h); });
-}
-
-double RpdEstimator::rpd_from(const RpdPointStats& stats, std::uint64_t mac,
-                              int rssi) const {
-  if (stats.neighbour_count == 0) return 0.0;
-  const auto hist_it = stats.histograms.find(mac);
-  if (hist_it == stats.histograms.end()) return 0.0;
-  std::uint64_t matches = 0;
-  for (int v = rssi - params_.rssi_tolerance_db; v <= rssi + params_.rssi_tolerance_db;
-       ++v) {
-    const auto it = hist_it->second.find(v);
-    if (it != hist_it->second.end()) matches += it->second;
-  }
-  return static_cast<double>(matches) / static_cast<double>(stats.neighbour_count);
-}
-
-double RpdEstimator::density_of(const RpdPointStats& stats) const {
-  const double area = M_PI * params_.counting_radius_m * params_.counting_radius_m;
-  return static_cast<double>(stats.neighbour_count) / area;
-}
-
-double RpdEstimator::theta2_from(const RpdPointStats& stats) const {
-  return 1.0 - std::pow(params_.theta2_base, density_of(stats));
 }
 
 double RpdEstimator::rpd(std::size_t h, std::uint64_t mac, int rssi) const {
-  return rpd_from(*point_stats(h), mac, rssi);
+  const auto nbrs = index_->within((*index_)[h].pos, params_.counting_radius_m);
+  if (nbrs.empty()) return 0.0;
+  std::uint64_t matches = 0;
+  for (const std::size_t q : nbrs) {
+    for (const auto& obs : (*index_)[q].scan) {
+      if (obs.mac == mac && std::abs(obs.rssi_dbm - rssi) <= params_.rssi_tolerance_db) {
+        ++matches;
+      }
+    }
+  }
+  return static_cast<double>(matches) / static_cast<double>(nbrs.size());
 }
 
 std::size_t RpdEstimator::counting_size(std::size_t h) const {
-  return point_stats(h)->neighbour_count;
+  return index_->count_within((*index_)[h].pos, params_.counting_radius_m);
+}
+
+double RpdEstimator::density_for(std::size_t neighbours) const {
+  const double area = M_PI * params_.counting_radius_m * params_.counting_radius_m;
+  return static_cast<double>(neighbours) / area;
 }
 
 double RpdEstimator::density(std::size_t h) const {
-  return density_of(*point_stats(h));
+  return density_for(counting_size(h));
+}
+
+double RpdEstimator::theta2_for(std::size_t neighbours) const {
+  return 1.0 - std::pow(params_.theta2_base, density_for(neighbours));
 }
 
 double RpdEstimator::theta2(std::size_t h) const {
-  return theta2_from(*point_stats(h));
-}
-
-void RpdEstimator::set_cache(std::shared_ptr<RpdStatsCache> cache) {
-  if (!cache) throw std::invalid_argument("RpdEstimator::set_cache: null cache");
-  cache_ = std::move(cache);
+  return theta2_for(counting_size(h));
 }
 
 }  // namespace trajkit::wifi

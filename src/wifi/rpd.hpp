@@ -3,26 +3,20 @@
 //
 // For a historical point H, the RSSIs of an AP observed inside the counting
 // circle C_H(R) are treated as a discrete random variable;
-// RPD_H^mac(x) = |{Q in C_H(R) : Q.rssi(mac) == x}| / |C_H(R)|.
+// RPD_H^mac(x) = |{observations (mac, x) in scans of C_H(R)}| / |C_H(R)|.
+// Observations are counted, not points: a scan that repeats a MAC at a
+// matching RSSI contributes once per repeat.
 //
-// Deriving a point's counting neighbourhood is the expensive part (a radius
-// query plus a histogram over every scan in it), and the detector probes the
-// same reference points for every AP of every verified trajectory point — so
-// the derived statistics are cached.  The cache is *pluggable*: the default
-// DenseRpdStatsCache keeps one lazily-built slot per reference point (right
-// for one-shot experiments), while the serving layer substitutes a bounded,
-// shard-locked LRU shared across requests (serve/rpd_lru_cache.hpp).  Cached
-// stats are a pure function of the immutable reference index, so the cache
-// policy can never change a verdict — only how often stats are rebuilt.
+// RpdEstimator is the plain definition: every call walks
+// C_H(R) = within(H.pos, R).  Eq. 7 only ever needs RPD at the uploaded
+// point's top-k (mac, rssi) pairs, so ConfidenceEstimator::point_confidence
+// counts those pairs over the same neighbour set itself (confidence.hpp);
+// tests hold the two equal bit for bit.  Nothing is cached.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "wifi/refindex.hpp"
@@ -35,19 +29,10 @@ struct RpdParams {
   double theta2_base = 0.9;        ///< the paper's 1/t = 0.9 in Eq. 6
 };
 
-/// Derived statistics of one reference point's counting circle C_H(R): the
-/// membership count (Eq. 4 denominator) and, per AP heard inside the circle,
-/// its RSSI histogram (Eq. 4 numerators).  Immutable once built.
-struct RpdPointStats {
-  std::size_t neighbour_count = 0;
-  std::unordered_map<std::uint64_t, std::unordered_map<int, std::uint32_t>> histograms;
-};
+/// Inert seam kept for servebench's timing decorator; the library never builds one.
+struct RpdPointStats {};
 
-/// Cache of RpdPointStats keyed by reference-point index.  Implementations
-/// must be safe for concurrent get_or_build calls; returned pointers remain
-/// valid after eviction (shared ownership).  Because the stats are pure
-/// functions of the reference index, racing builders may duplicate work but
-/// always produce identical values.
+/// Inert seam kept for servebench; the library never consults a cache.
 class RpdStatsCache {
  public:
   struct CacheStats {
@@ -61,91 +46,44 @@ class RpdStatsCache {
   };
 
   virtual ~RpdStatsCache() = default;
-
-  /// Stats for reference point `h`, building them via `build` on a miss.
   virtual std::shared_ptr<const RpdPointStats> get_or_build(
-      std::size_t h, const std::function<RpdPointStats()>& build) = 0;
-
-  /// Drop the cached stats of exactly these reference points (the online
-  /// ingestion path: a newly appended crowd scan only perturbs the counting
-  /// circles that contain it, so only those entries go stale).  Readers that
-  /// already fetched a shared_ptr keep their (old-epoch) value; the next
-  /// get_or_build rebuilds.  Default: nothing cached is ever stale (caches
-  /// over an immutable index need no invalidation path).
+      std::size_t h, const std::function<RpdPointStats()>& build) {
+    (void)h;
+    return std::make_shared<const RpdPointStats>(build());
+  }
   virtual void invalidate(const std::vector<std::size_t>& keys) { (void)keys; }
-
-  virtual CacheStats stats() const = 0;
+  virtual CacheStats stats() const { return {}; }
 };
 
-/// Default cache: one slot per reference point, built lazily under a striped
-/// mutex and published with an acquire/release flag, never evicted.  Memory
-/// grows with the number of *touched* reference points — fine for
-/// experiments, unbounded for a long-lived server.  invalidate() resets the
-/// named slots; unlike the serve-layer LRU it is NOT safe against concurrent
-/// get_or_build (the lock-free fast path may copy a slot being reset), so
-/// callers invalidate between evaluation rounds — the experiment-side
-/// incremental-refresh shape.  Serving hot-swaps use carry-forward on the
-/// sharded LRU instead (serve/rpd_lru_cache.hpp).
+/// Inert seam kept for servebench: holds nothing, counts nothing.
 class DenseRpdStatsCache final : public RpdStatsCache {
  public:
-  explicit DenseRpdStatsCache(std::size_t slots);
-
-  std::shared_ptr<const RpdPointStats> get_or_build(
-      std::size_t h, const std::function<RpdPointStats()>& build) override;
-  void invalidate(const std::vector<std::size_t>& keys) override;
-  CacheStats stats() const override;
-
- private:
-  struct Slot {
-    std::atomic<bool> ready{false};
-    std::shared_ptr<const RpdPointStats> value;
-  };
-
-  std::vector<Slot> slots_;
-  std::array<std::mutex, 64> stripes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> invalidations_{0};
+  explicit DenseRpdStatsCache(std::size_t slots) { (void)slots; }
 };
 
 class RpdEstimator {
  public:
-  /// `index` must outlive the estimator.  `cache` defaults to a fresh
-  /// DenseRpdStatsCache sized to the index.
-  RpdEstimator(const ReferenceIndex& index, RpdParams params = {},
-               std::shared_ptr<RpdStatsCache> cache = nullptr);
+  /// `index` must outlive the estimator.
+  explicit RpdEstimator(const ReferenceIndex& index, RpdParams params = {});
 
-  /// The shared lookup path: fetch (building if needed) the cached counting
-  /// statistics of reference point `h`.  Callers that probe several RPD
-  /// values of the same point should fetch once and use the *_from helpers.
-  std::shared_ptr<const RpdPointStats> point_stats(std::size_t h) const;
-
-  /// RPD_H^mac(x) evaluated on already-fetched stats.
-  double rpd_from(const RpdPointStats& stats, std::uint64_t mac, int rssi) const;
-  /// theta_2(H) evaluated on already-fetched stats.
-  double theta2_from(const RpdPointStats& stats) const;
-
-  /// Convenience per-index entry points (one cache probe each).
+  /// RPD_H^mac(x) of reference point `h` (Eq. 4), counting observations
+  /// within rssi_tolerance_db of `rssi`.
   double rpd(std::size_t h, std::uint64_t mac, int rssi) const;
+  /// |C_H(R)|, the Eq. 4 denominator.
   std::size_t counting_size(std::size_t h) const;
   double density(std::size_t h) const;
   double theta2(std::size_t h) const;
-
-  /// Swap the backing stats cache (e.g. for a serve-layer shared LRU).  Not
-  /// thread-safe with respect to concurrent lookups: call before serving.
-  void set_cache(std::shared_ptr<RpdStatsCache> cache);
-  const RpdStatsCache& cache() const { return *cache_; }
+  /// theta_2 of a counting circle holding `neighbours` points (Eq. 6).
+  double theta2_for(std::size_t neighbours) const;
 
   const RpdParams& params() const { return params_; }
   const ReferenceIndex& index() const { return *index_; }
 
  private:
-  RpdPointStats build_stats(std::size_t h) const;
-  double density_of(const RpdPointStats& stats) const;
+  double density_for(std::size_t neighbours) const;
 
   const ReferenceIndex* index_;
   RpdParams params_;
-  std::shared_ptr<RpdStatsCache> cache_;
 };
 
 }  // namespace trajkit::wifi

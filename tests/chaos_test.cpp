@@ -62,14 +62,12 @@ std::string run_schedule(ts::ScenarioServiceWorld& world, std::uint64_t seed,
   set_global_threads(threads);
   FaultScope faults(seed);
   faults.arm(kFaultDispatch, {.probability = 0.4});
-  faults.arm(kFaultRpdShard, {.probability = 0.02});
+  faults.arm(wifi::kFaultRpdCount, {.probability = 0.02});
 
   ManualClock clock;  // backoff advances virtual time; the test never sleeps
   VerifierServiceConfig cfg;
   cfg.max_batch = 2;  // several micro-batches per run
   cfg.retry.max_retries = 1;
-  cfg.cache.capacity = 32;
-  cfg.cache.shards = 2;
   VerifierService service(*world.detector, cfg, &clock);
 
   std::vector<std::future<VerdictResponse>> futures(order.size());
@@ -125,7 +123,7 @@ TEST_F(Chaos, NoDroppedResponsesAcrossRandomSchedules) {
     set_global_threads(4);
     FaultScope faults(seed);
     faults.arm(kFaultDispatch, {.probability = 0.5});
-    faults.arm(kFaultRpdShard, {.probability = 0.05});
+    faults.arm(wifi::kFaultRpdCount, {.probability = 0.05});
 
     ManualClock clock;
     VerifierServiceConfig cfg;

@@ -138,8 +138,8 @@ TEST(Determinism, ClassifierLossTraceIsThreadCountInvariant) {
 TEST(Determinism, ServiceResponsesAreThreadAndOrderInvariant) {
   // The serving layer's contract: a VerdictResponse payload is a pure
   // function of (model, upload).  Micro-batch composition, submission order,
-  // dispatcher timing, thread count and LRU eviction must all be invisible
-  // in the canonical payload strings.
+  // dispatcher timing and thread count must all be invisible in the
+  // canonical payload strings.
   set_global_threads(1);
   // Shared scenario-backed serving world (tests/support): trained detector
   // plus a 3-real / 3-forged probe mix.
@@ -150,9 +150,7 @@ TEST(Determinism, ServiceResponsesAreThreadAndOrderInvariant) {
   auto canonical = [&](const std::vector<std::size_t>& order, std::size_t threads) {
     set_global_threads(threads);
     serve::VerifierServiceConfig scfg;
-    scfg.max_batch = 2;        // several micro-batches per run
-    scfg.cache.capacity = 32;  // small enough that eviction stays active
-    scfg.cache.shards = 2;
+    scfg.max_batch = 2;  // several micro-batches per run
     serve::VerifierService service(detector, scfg);
     std::vector<std::future<serve::VerdictResponse>> futures(order.size());
     for (const std::size_t idx : order) {

@@ -1,14 +1,14 @@
-// Online-model hot-swap: incremental RPD maintenance, the versioned artifact
+// Online-model hot-swap: incremental crowd statistics, the versioned artifact
 // store, and zero-downtime epoch publication.
 //
 // The contract under test (serve/epoched_detector.hpp, which both serve/
 // service.hpp publish_epoch and serve/shard_service.hpp refresh_from_store
 // build and flip through; common/durable/artifact_store.hpp):
 //
-//   * appending crowd points and republishing through the incremental path
-//     (affected-key invalidation + LRU carry-forward + pinned index bounds)
-//     yields verdicts bitwise-identical to a stop-the-world rebuild — for
-//     random append orders and thread counts;
+//   * appending crowd points and republishing through the epoch holder
+//     (assembly under the serving index's pinned bounds) yields verdicts
+//     bitwise-identical to a stop-the-world rebuild — for random append
+//     orders and thread counts;
 //   * an epoch publish drops no in-flight request: holders of the old
 //     detector snapshot finish on their epoch while the flip happens;
 //   * a crash anywhere between the artifact commit and the CURRENT flip
@@ -17,7 +17,7 @@
 //   * followers learn epochs from the same WAL shipping that carries the
 //     points, and a store-backed shard adopts them via refresh_from_store;
 //   * the epoch holder refuses a shrinking point set on every publish path,
-//     and a snapshot pins its epoch's detector and cache across flips.
+//     and a snapshot pins its epoch's detector across flips.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -106,7 +106,7 @@ std::vector<serve::VerificationRequest> as_requests(
 }
 
 /// The stop-the-world oracle: rebuild from scratch over the store's full
-/// point set under the same pinned grid bounds, with a cold default cache.
+/// point set under the same pinned grid bounds.
 std::unique_ptr<wifi::RssiDetector> oracle_rebuild(
     const wifi::CrowdStore& store, const wifi::RssiDetector& like,
     const BoundingBox& bounds) {
@@ -392,8 +392,8 @@ TEST(Hotswap, PublishEpochMatchesOracleRebuildBitForBit) {
 
   const auto probes = w.probe_mix(10);
   const auto requests = as_requests(probes);
-  // Warm the shared LRU so the carry-forward path has resident entries whose
-  // correctness the oracle comparison below actually exercises.
+  // Serve on epoch 0 first, so each comparison below follows a flip under a
+  // service that has already answered traffic.
   service->verify_batch(requests);
 
   Rng rng(91);
@@ -409,9 +409,8 @@ TEST(Hotswap, PublishEpochMatchesOracleRebuildBitForBit) {
     EXPECT_EQ(artifacts.value()->current_epoch("detector"), round);
     EXPECT_EQ(store.value()->observed_epoch(), round);
 
-    // Checksum equality at the epoch boundary: carried-forward cache entries
-    // plus targeted invalidation must be indistinguishable from a cold
-    // rebuild over the full store.
+    // Checksum equality at the epoch boundary: the published epoch must be
+    // indistinguishable from a rebuild over the full store.
     const auto oracle = oracle_rebuild(*store.value(), service->detector(), bounds);
     const auto responses = service->verify_batch(requests);
     ASSERT_EQ(responses.size(), probes.size());
@@ -479,7 +478,7 @@ TEST(Hotswap, IncrementalRefreshMatchesRebuildAcrossOrdersAndThreads) {
                                        w.detector().trained_points()),
           config);
       const BoundingBox bounds = service.detector().index().bounds();
-      service.verify_batch(requests);  // resident entries to carry forward
+      service.verify_batch(requests);  // answer on epoch 0 before the flip
 
       for (const auto& p : shuffled) {
         ASSERT_TRUE(store.value()->append(p).has_value());
@@ -774,9 +773,7 @@ TEST(EpochedDetector, BothPublishPathsRefuseAShrinkingPointSet) {
   serve::EpochedDetector holder;
   holder.install({wifi::RssiDetector::assemble(initial, w.detector().config(),
                                                w.detector().classifier(),
-                                               w.detector().trained_points()),
-                  std::make_shared<serve::ShardedRpdLruCache>(
-                      serve::ShardedRpdLruCache::Config{64, 4})},
+                                               w.detector().trained_points())},
                  7);
   auto shorter = holder.build_next(
       std::vector<wifi::ReferencePoint>(initial.begin(), initial.end() - 1));
@@ -794,15 +791,13 @@ TEST(EpochedDetector, BothPublishPathsRefuseAShrinkingPointSet) {
                   .has_value());
 }
 
-TEST(EpochedDetector, SnapshotBeforeFlipKeepsItsEpochDetectorAndCacheAlive) {
+TEST(EpochedDetector, SnapshotBeforeFlipKeepsItsEpochDetectorAlive) {
   ts::LinearFieldWorld w;
   const auto initial = index_points(w.detector());
   serve::EpochedDetector holder;
   holder.install({wifi::RssiDetector::assemble(initial, w.detector().config(),
                                                w.detector().classifier(),
-                                               w.detector().trained_points()),
-                  std::make_shared<serve::ShardedRpdLruCache>(
-                      serve::ShardedRpdLruCache::Config{256, 4})},
+                                               w.detector().trained_points())},
                  0);
   const auto probes = w.probe_mix(4);
 
@@ -810,8 +805,6 @@ TEST(EpochedDetector, SnapshotBeforeFlipKeepsItsEpochDetectorAndCacheAlive) {
   std::vector<std::string> before;
   for (const auto& p : probes) before.push_back(snapshot->analyze(p).canonical_string());
   const std::weak_ptr<const wifi::RssiDetector> old_detector = snapshot;
-  const std::weak_ptr<serve::ShardedRpdLruCache> old_cache = holder.state().cache;
-  ASSERT_GT(old_cache.lock()->size(), 0u);
 
   Rng rng(17);
   auto grown = initial;
@@ -820,24 +813,19 @@ TEST(EpochedDetector, SnapshotBeforeFlipKeepsItsEpochDetectorAndCacheAlive) {
   ASSERT_TRUE(next.has_value()) << next.error();
   holder.install(std::move(next).value(), 1);
 
-  // New readers see epoch 1; the pre-flip snapshot still owns epoch 0 —
-  // its index, and (through the detector) the cache injected into it.
+  // New readers see epoch 1; the pre-flip snapshot still owns epoch 0 and
+  // its index.
   EXPECT_EQ(holder.epoch(), 1u);
   EXPECT_EQ(holder.published_points(), grown.size());
   EXPECT_NE(holder.detector(), snapshot);
-  EXPECT_NE(holder.cache(), old_cache.lock().get());
-  ASSERT_FALSE(old_cache.expired());
-  EXPECT_EQ(&snapshot->confidence().rpd().cache(),
-            static_cast<const wifi::RpdStatsCache*>(old_cache.lock().get()));
   EXPECT_EQ(snapshot->index().size(), initial.size());
   for (std::size_t i = 0; i < probes.size(); ++i) {
     EXPECT_EQ(snapshot->analyze(probes[i]).canonical_string(), before[i]) << i;
   }
 
-  // Letting go of the last snapshot retires the epoch: detector and cache.
+  // Letting go of the last snapshot retires the epoch.
   snapshot.reset();
   EXPECT_TRUE(old_detector.expired());
-  EXPECT_TRUE(old_cache.expired());
 }
 
 TEST(EpochedDetector, ConcurrentReadersSeeWholeEpochsAcrossFlips) {
@@ -849,9 +837,7 @@ TEST(EpochedDetector, ConcurrentReadersSeeWholeEpochsAcrossFlips) {
   serve::EpochedDetector holder;
   holder.install({wifi::RssiDetector::assemble(points, w.detector().config(),
                                                w.detector().classifier(),
-                                               w.detector().trained_points()),
-                  std::make_shared<serve::ShardedRpdLruCache>(
-                      serve::ShardedRpdLruCache::Config{128, 4})},
+                                               w.detector().trained_points())},
                  0);
   const BoundingBox bounds = holder.detector()->index().bounds();
   const auto probe = w.upload(true);

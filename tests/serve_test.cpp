@@ -1,7 +1,7 @@
 // Serving layer: VerifierService micro-batching, admission control,
-// deadlines, the shared bounded RPD LRU, model round-trips through the
-// non-throwing loaders, and the partial-failure machinery — retry with
-// deterministic backoff, the circuit breaker, and rule-based degradation.
+// deadlines, model round-trips through the non-throwing loaders, and the
+// partial-failure machinery — retry with deterministic backoff, the circuit
+// breaker, and rule-based degradation.
 //
 // The detector fixture is the shared linear-field world from tests/support
 // (field value = -40 - east dBm over a 30x30 m area; fakes shifted 15 m
@@ -21,7 +21,6 @@
 #include "common/clock.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
-#include "serve/rpd_lru_cache.hpp"
 #include "serve/service.hpp"
 #include "support/fixtures.hpp"
 #include "wifi/detector.hpp"
@@ -34,8 +33,7 @@ namespace ts = test_support;
 TEST(VerifierService, SyncBatchMatchesDetectorAnalyze) {
   ts::LinearFieldWorld w;
   const auto probes = w.probe_mix(8);
-  // Reference verdicts straight off the detector, before the service swaps
-  // in its shared cache (cache policy must not be able to change them).
+  // Reference verdicts straight off the detector, outside the service.
   std::vector<std::string> want;
   for (const auto& u : probes) want.push_back(w.detector().analyze(u).canonical_string());
 
@@ -246,7 +244,7 @@ TEST(VerifierService, CountersTableListsCacheAndLatency) {
   const std::string table = service.counters_table();
   for (const char* row : {"requests received", "completed", "micro-batches",
                           "degraded (fallback)", "retries", "breaker opens",
-                          "rpd cache hit rate", "latency p50 (us)"}) {
+                          "latency p50 (us)"}) {
     EXPECT_NE(table.find(row), std::string::npos) << "missing row: " << row;
   }
 }
@@ -464,7 +462,7 @@ TEST(DetectorIo, SaveFaultSurfacesAsFaultError) {
   EXPECT_THROW(w.detector().save_file("serve_test_unwritten.tmp"), FaultError);
 }
 
-TEST(VerifierService, PoisonedRpdShardDegradesInsteadOfCrashing) {
+TEST(VerifierService, PoisonedRpdCountDegradesInsteadOfCrashing) {
   ts::LinearFieldWorld w;
   ManualClock clock;
   VerifierServiceConfig cfg;
@@ -472,81 +470,11 @@ TEST(VerifierService, PoisonedRpdShardDegradesInsteadOfCrashing) {
   cfg.retry.max_retries = 1;
   VerifierService service(w.detector(), cfg, &clock);
   FaultScope faults(1);
-  faults.arm(kFaultRpdShard, {.probability = 1.0});  // every shard poisoned
+  faults.arm(wifi::kFaultRpdCount, {.probability = 1.0});  // every reference poisoned
   const auto response = service.verify_now(w.upload(true));
   ASSERT_EQ(response.outcome, Outcome::kDegraded);
-  EXPECT_NE(response.degraded_reason.find(kFaultRpdShard), std::string::npos)
+  EXPECT_NE(response.degraded_reason.find(wifi::kFaultRpdCount), std::string::npos)
       << response.degraded_reason;
-}
-
-// ---------------------------------------------------------------------------
-// Shared RPD LRU
-
-TEST(RpdLruCache, TinyCapacityEvictsWithoutChangingVerdicts) {
-  ts::LinearFieldWorld w;
-  const auto probes = w.probe_mix(10);
-  std::vector<std::string> want;
-  for (const auto& u : probes) want.push_back(w.detector().analyze(u).canonical_string());
-
-  VerifierServiceConfig cfg;
-  cfg.auto_start = false;
-  cfg.cache.capacity = 8;  // absurdly small: constant churn
-  cfg.cache.shards = 1;
-  VerifierService service(w.detector(), cfg);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const auto response = service.verify_now(probes[i]);
-    ASSERT_EQ(response.outcome, Outcome::kOk) << response.error;
-    EXPECT_EQ(response.report.canonical_string(), want[i])
-        << "eviction changed the verdict payload of upload " << i;
-  }
-  ASSERT_NE(service.shared_cache(), nullptr);
-  const auto stats = service.shared_cache()->stats();
-  EXPECT_GT(stats.evictions, 0u) << "capacity 8 should have churned";
-  EXPECT_LE(service.shared_cache()->size(), 8u);
-}
-
-TEST(RpdLruCache, CountsHitsAndMisses) {
-  ShardedRpdLruCache cache({/*capacity=*/4, /*shards=*/2});
-  std::size_t builds = 0;
-  auto build = [&] {
-    ++builds;
-    return wifi::RpdPointStats{};
-  };
-  (void)cache.get_or_build(1, build);
-  (void)cache.get_or_build(1, build);
-  (void)cache.get_or_build(2, build);
-  EXPECT_EQ(builds, 2u);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NEAR(stats.hit_rate(), 1.0 / 3.0, 1e-12);
-}
-
-TEST(RpdLruCache, EvictsLeastRecentlyUsedFirst) {
-  ShardedRpdLruCache cache({/*capacity=*/2, /*shards=*/1});
-  std::size_t builds = 0;
-  auto build = [&] {
-    ++builds;
-    return wifi::RpdPointStats{};
-  };
-  (void)cache.get_or_build(1, build);
-  (void)cache.get_or_build(2, build);
-  (void)cache.get_or_build(1, build);  // touch 1: now 2 is the LRU entry
-  (void)cache.get_or_build(3, build);  // evicts 2
-  (void)cache.get_or_build(1, build);  // still resident
-  EXPECT_EQ(builds, 3u);
-  (void)cache.get_or_build(2, build);  // gone: rebuilt
-  EXPECT_EQ(builds, 4u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
-TEST(RpdLruCache, ValidatesConfig) {
-  EXPECT_THROW(ShardedRpdLruCache({0, 4}), std::invalid_argument);
-  EXPECT_THROW(ShardedRpdLruCache({16, 0}), std::invalid_argument);
-  // More shards than capacity clamps rather than throwing.
-  const ShardedRpdLruCache cache({2, 64});
-  EXPECT_EQ(cache.config().shards, 2u);
 }
 
 TEST(VerifierService, RejectsNullAndMisconfigured) {

@@ -709,8 +709,7 @@ TEST(ShardFailover, LeaderKillAtEveryShippingFaultPointLosesNoAckedUpload) {
 // ---------------------------------------------------------------------------
 // Concurrent router fan-out (the TSan target): many client threads hammer
 // one router, whose synchronous per-client fan-out and pool share each
-// shard's shard-locked RPD LRU.  serve_test's cache tests only ever counted hits
-// from one thread; this is the missing cross-thread exercise.
+// shard's epoch holder and detector snapshot.
 
 void hammer_router(serve::ShardRouter& router,
                    const std::vector<wifi::ScannedUpload>& pool,
@@ -736,7 +735,7 @@ void hammer_router(serve::ShardRouter& router,
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ShardRouterTsan, ConcurrentFanOutKeepsShardCachesCoherent) {
+TEST(ShardRouterTsan, ConcurrentFanOutMatchesOracle) {
   ts::LinearFieldWorld w;
   std::vector<wifi::ScannedUpload> pool = w.probe_mix(8);
   std::vector<std::string> oracle;
@@ -748,21 +747,9 @@ TEST(ShardRouterTsan, ConcurrentFanOutKeepsShardCachesCoherent) {
   {
     serve::ShardRouterConfig rc;
     rc.shards = 4;
-    // A deliberately tiny cache: concurrent lookups contend on the shard
-    // locks *and* race rebuild-vs-evict, the exact interleavings TSan needs
-    // to see to certify the locking.
-    rc.cache.capacity = 64;
-    rc.cache.shards = 2;
     serve::ShardRouter router(w.detector(), rc);
     hammer_router(router, pool, oracle);
 
-    std::uint64_t cache_traffic = 0;
-    for (std::size_t s = 0; s < router.shards(); ++s) {
-      const auto stats = router.shard(s).cache()->stats();
-      cache_traffic += stats.hits + stats.misses;
-    }
-    EXPECT_GT(cache_traffic, 0u)
-        << "fan-out must actually exercise the shard-locked caches";
     const auto counters = router.counters();
     EXPECT_EQ(counters.requests, 40u);
     EXPECT_EQ(counters.errors, 0u);

@@ -2,6 +2,7 @@
 // (Eqs. 5-6), confidence (Eq. 7), feature vector (Eq. 8), detector J.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -101,6 +102,17 @@ TEST(Rpd, ToleranceSmoothsMatches) {
   EXPECT_DOUBLE_EQ(smooth.rpd(0, 1, -50), 1.0);
 }
 
+TEST(Rpd, CountsRepeatedObservationsOfOneMac) {
+  // validate_scan accepts a scan that repeats a MAC; Eq. 4 counts each
+  // matching observation, so point 0's two -50 readings both count.
+  const ReferenceIndex index({ref(0, 0, {{1, -50}, {1, -50}}), ref(1, 0, {{1, -51}})});
+  const RpdEstimator exact(index, {.counting_radius_m = 3.0});
+  const RpdEstimator smooth(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 1});
+  EXPECT_DOUBLE_EQ(exact.rpd(0, 1, -50), 1.0);
+  EXPECT_DOUBLE_EQ(smooth.rpd(0, 1, -50), 1.5);
+  EXPECT_DOUBLE_EQ(smooth.rpd(0, 1, -51), 1.5);
+}
+
 TEST(Rpd, DensityAndTheta2Monotone) {
   // Two clusters of different density.
   std::vector<ReferencePoint> dense;
@@ -178,6 +190,83 @@ TEST(Confidence, TopKTruncatesScan) {
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].mac, 1u);
   EXPECT_EQ(out[1].mac, 2u);
+}
+
+TEST(Confidence, DirectCountMatchesRpdDefinition) {
+  // Small seeded worlds in which neighbour scans repeat a MAC, at the same
+  // RSSI or 1 dB apart: point_confidence must equal, bit for bit, Eq. 7 summed
+  // over C_O(r) in within() order from the plain Eq. 4 definition.
+  constexpr double kRadius = 2.5;
+  std::size_t repeated_scans = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    std::vector<ReferencePoint> pts;
+    for (int i = 0; i < 80; ++i) {
+      WifiScan scan;
+      const auto m = rng.uniform_int(1, 4);
+      for (std::int64_t j = 0; j < m; ++j) {
+        scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 5)),
+                        static_cast<int>(rng.uniform_int(-52, -50))});
+        if (rng.chance(0.3)) {
+          scan.push_back({scan.back().mac,
+                          scan.back().rssi_dbm + static_cast<int>(rng.uniform_int(0, 1))});
+        }
+      }
+      const auto repeats = [&scan](const ApObservation& obs) {
+        return std::count_if(scan.begin(), scan.end(), [&](const ApObservation& o) {
+                 return o.mac == obs.mac;
+               }) > 1;
+      };
+      if (std::any_of(scan.begin(), scan.end(), repeats)) ++repeated_scans;
+      pts.push_back(ref(rng.uniform(0, 8), rng.uniform(0, 8), std::move(scan),
+                        static_cast<std::uint32_t>(i % 6)));
+    }
+    const ReferenceIndex index(pts);
+
+    for (const int tol : {0, 1}) {
+      for (const std::uint32_t exclude : {kNoTrajectory, 2u}) {
+        ConfidenceParams params;
+        params.reference_radius_m = kRadius;
+        params.top_k = 4;
+        params.rpd.rssi_tolerance_db = tol;
+        const ConfidenceEstimator estimator(index, params);
+        const RpdEstimator& rpd = estimator.rpd();
+        for (int probe = 0; probe < 12; ++probe) {
+          const Enu pos{rng.uniform(0, 8), rng.uniform(0, 8)};
+          WifiScan scan;
+          for (int j = 0; j < 6; ++j) {
+            scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 5)),
+                            static_cast<int>(rng.uniform_int(-52, -50))});
+          }
+          const auto got = estimator.point_confidence(pos, scan, exclude);
+          ASSERT_EQ(got.size(), params.top_k);
+
+          const auto refs = index.within(pos, kRadius, exclude);
+          std::vector<double> inv(refs.size());
+          double inv_sum = 0.0;
+          for (std::size_t i = 0; i < refs.size(); ++i) {
+            inv[i] = 1.0 / std::max(distance(index[refs[i]].pos, pos), 0.05);
+            inv_sum += inv[i];
+          }
+          for (std::size_t a = 0; a < got.size(); ++a) {
+            double phi = 0.0;
+            std::size_t num_refs = 0;
+            for (std::size_t i = 0; i < refs.size(); ++i) {
+              const std::size_t h = refs[i];
+              const double theta1 = inv[i] / inv_sum;
+              phi += theta1 * rpd.theta2(h) * rpd.rpd(h, scan[a].mac, scan[a].rssi_dbm);
+              int observed = 0;
+              if (scan_lookup(index[h].scan, scan[a].mac, observed)) ++num_refs;
+            }
+            EXPECT_EQ(got[a].phi, phi)
+                << "seed " << seed << " tol " << tol << " probe " << probe << " ap " << a;
+            EXPECT_EQ(got[a].num_refs, num_refs);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(repeated_scans, 10u) << "the worlds must put repeated MACs in counting circles";
 }
 
 TEST(Confidence, AblationSwitchesChangeWeights) {

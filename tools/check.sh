@@ -7,8 +7,8 @@
 #   tools/check.sh ubsan    # UBSan leg only
 #
 # TSan exercises the parallel/determinism/serving/chaos tests (the code paths
-# with real cross-thread sharing, including the service's shard-locked RPD
-# cache and the fault-injection registry); ASan and UBSan run the entire
+# with real cross-thread sharing, including the epoch holder's RCU flips and
+# the fault-injection registry); ASan and UBSan run the entire
 # suite.  Build trees live in build-tsan/, build-asan/ and build-ubsan/ so
 # they never pollute the primary build/.
 set -euo pipefail
@@ -46,7 +46,7 @@ run_leg() {
 # both from client thread pools (the forked cross-process test self-skips
 # under TSan: threads after fork are unsupported).  bench_net_smoke rides
 # along so the transport legs (including real sockets) get sanitized too.
-TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|RpdLruCache|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net|bench_net_smoke'
+TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net|bench_net_smoke'
 
 case "${LEG}" in
   tsan) run_leg tsan thread "${TSAN_FILTER}" ;;
