@@ -380,7 +380,7 @@ VerdictResponse VerifierService::evaluate(const VerificationRequest& request,
 }
 
 void VerifierService::annotate_motion(
-    const std::vector<const wifi::ScannedUpload*>& uploads,
+    const std::vector<const VerificationRequest*>& requests,
     std::vector<VerdictResponse>& responses) const {
   const MotionPolicy& policy = config_.motion;
   if (!policy.armed()) return;
@@ -388,9 +388,10 @@ void VerifierService::annotate_motion(
   std::vector<FeatureSequence> feats;
   for (std::size_t i = 0; i < responses.size(); ++i) {
     if (responses[i].outcome != Outcome::kOk) continue;
-    if (uploads[i]->positions.size() < 2) continue;  // encoder needs one step
+    const auto& positions = requests[i]->upload.positions;
+    if (positions.size() < 2) continue;  // encoder needs one step
     ok_idx.push_back(i);
-    feats.push_back(policy.encoder->encode(uploads[i]->positions));
+    feats.push_back(policy.encoder->encode(positions));
   }
   if (ok_idx.empty()) return;
   // One batched-kernel pass over the whole micro-batch; per-sequence bits do
@@ -410,25 +411,19 @@ void VerifierService::annotate_motion(
   }
 }
 
-void VerifierService::process_batch(std::vector<Pending>& batch) {
-  const std::int64_t dispatch_us = clock_->now_us();
-  std::vector<VerdictResponse> responses(batch.size());
+std::vector<VerdictResponse> VerifierService::run_batch(
+    const std::vector<const VerificationRequest*>& requests,
+    const std::vector<std::int64_t>& queue_us) {
+  std::vector<VerdictResponse> responses(requests.size());
+  if (requests.empty()) return responses;
   // Per-request fan-out through the deterministic pool; the per-point
   // parallelism inside analyze() serialises automatically (nested region).
-  parallel_for(0, batch.size(), 1, [&](std::size_t i) {
-    responses[i] = evaluate(batch[i].request, dispatch_us - batch[i].enqueue_us);
+  parallel_for(0, requests.size(), 1, [&](std::size_t i) {
+    responses[i] = evaluate(*requests[i], queue_us.empty() ? 0 : queue_us[i]);
   });
-  {
-    std::vector<const wifi::ScannedUpload*> uploads(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      uploads[i] = &batch[i].request.upload;
-    }
-    annotate_motion(uploads, responses);
-  }
+  annotate_motion(requests, responses);
   batches_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(std::move(responses[i]));
-  }
+  return responses;
 }
 
 void VerifierService::dispatcher_loop() {
@@ -445,34 +440,32 @@ void VerifierService::dispatcher_loop() {
         queue_.pop_front();
       }
     }
-    process_batch(batch);
+    const std::int64_t dispatch_us = clock_->now_us();
+    std::vector<const VerificationRequest*> requests(batch.size());
+    std::vector<std::int64_t> queue_us(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      requests[i] = &batch[i].request;
+      queue_us[i] = dispatch_us - batch[i].enqueue_us;
+    }
+    auto responses = run_batch(requests, queue_us);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].promise.set_value(std::move(responses[i]));
+    }
   }
 }
 
 std::vector<VerdictResponse> VerifierService::verify_batch(
     const std::vector<VerificationRequest>& requests) {
   received_.fetch_add(requests.size(), std::memory_order_relaxed);
-  std::vector<VerdictResponse> responses(requests.size());
-  parallel_for(0, requests.size(), 1, [&](std::size_t i) {
-    responses[i] = evaluate(requests[i], 0);
-  });
-  {
-    std::vector<const wifi::ScannedUpload*> uploads(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      uploads[i] = &requests[i].upload;
-    }
-    annotate_motion(uploads, responses);
-  }
-  if (!requests.empty()) batches_.fetch_add(1, std::memory_order_relaxed);
-  return responses;
+  std::vector<const VerificationRequest*> pointers(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) pointers[i] = &requests[i];
+  return run_batch(pointers);
 }
 
 VerdictResponse VerifierService::verify_now(const wifi::ScannedUpload& upload) {
   received_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<VerdictResponse> responses(1);
-  responses[0] = evaluate(VerificationRequest{0, upload, 0}, 0);
-  annotate_motion({&upload}, responses);
-  return std::move(responses[0]);
+  const VerificationRequest request{0, upload, 0};
+  return std::move(run_batch({&request})[0]);
 }
 
 ServiceCounters VerifierService::counters() const {

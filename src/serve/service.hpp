@@ -292,7 +292,8 @@ class VerifierService {
   std::vector<VerdictResponse> verify_batch(
       const std::vector<VerificationRequest>& requests);
 
-  /// Sync single-upload convenience.
+  /// Sync single-upload convenience: a one-request verify_batch, so it
+  /// counts one micro-batch.
   VerdictResponse verify_now(const wifi::ScannedUpload& upload);
 
   void start();
@@ -382,12 +383,16 @@ class VerifierService {
                std::string reason);
   wifi::VerdictReport fallback_report(const wifi::ScannedUpload& upload) const;
   /// Attach motion_p_real to the kOk responses of one batch (no-op unless
-  /// config_.motion is armed).  uploads[i] must belong to responses[i].
-  void annotate_motion(const std::vector<const wifi::ScannedUpload*>& uploads,
+  /// config_.motion is armed).  requests[i] must belong to responses[i].
+  void annotate_motion(const std::vector<const VerificationRequest*>& requests,
                        std::vector<VerdictResponse>& responses) const;
+  /// The one batch path behind submit(), verify_batch and verify_now.
+  /// queue_us[i] is request i's queue wait; empty means none waited.
+  std::vector<VerdictResponse> run_batch(
+      const std::vector<const VerificationRequest*>& requests,
+      const std::vector<std::int64_t>& queue_us = {});
   void breaker_record_success();
   void breaker_record_failure();
-  void process_batch(std::vector<Pending>& batch);
   void dispatcher_loop();
   void reject_pending();
 

@@ -1168,24 +1168,30 @@ wifi::ReferencePoint sample_point(int i) {
 
 TEST(CrowdStore, AppendsPersistAcrossReopen) {
   const std::string dir = "durable_test_store_reopen";
-  remove_tree(dir);
-  {
+  // Per-append fsync or not, a clean reopen replays every append byte for
+  // byte.
+  for (const bool sync_each_append : {true, false}) {
+    SCOPED_TRACE(sync_each_append ? "sync_each_append" : "batched sync");
+    remove_tree(dir);
+    {
+      auto store = wifi::CrowdStore::open(dir, sync_each_append);
+      ASSERT_TRUE(store.has_value()) << store.error();
+      for (int i = 0; i < 5; ++i) {
+        auto seq = store.value()->append(sample_point(i));
+        ASSERT_TRUE(seq.has_value()) << seq.error();
+        EXPECT_EQ(seq.value(), std::uint64_t(i));
+      }
+    }
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
+    ASSERT_EQ(store.value()->points().size(), 5u);
+    EXPECT_EQ(store.value()->open_stats().replayed_records, 5u);
+    EXPECT_EQ(store.value()->open_stats().snapshot_points, 0u);
     for (int i = 0; i < 5; ++i) {
-      auto seq = store.value()->append(sample_point(i));
-      ASSERT_TRUE(seq.has_value()) << seq.error();
-      EXPECT_EQ(seq.value(), std::uint64_t(i));
+      EXPECT_EQ(wifi::CrowdStore::encode_point(store.value()->points()[i]),
+                wifi::CrowdStore::encode_point(sample_point(i)))
+          << "point " << i;
     }
-  }
-  auto store = wifi::CrowdStore::open(dir);
-  ASSERT_TRUE(store.has_value()) << store.error();
-  ASSERT_EQ(store.value()->points().size(), 5u);
-  EXPECT_EQ(store.value()->open_stats().replayed_records, 5u);
-  EXPECT_EQ(store.value()->open_stats().snapshot_points, 0u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(store.value()->points()[i].pos.east, double(i));
-    EXPECT_EQ(store.value()->points()[i].scan, sample_point(i).scan);
   }
   remove_tree(dir);
 }

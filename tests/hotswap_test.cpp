@@ -507,7 +507,9 @@ TEST(Hotswap, IncrementalRefreshMatchesRebuildAcrossOrdersAndThreads) {
 
 TEST(Hotswap, ConcurrentPublishDropsNoInFlightRequests) {
   const std::string store_dir = "hotswap_test_concurrent_store";
+  const std::string artifact_dir = "hotswap_test_concurrent_artifacts";
   remove_store(store_dir);
+  remove_artifacts(artifact_dir, "detector");
 
   ts::LinearWorldConfig small;
   small.history_points = 240;
@@ -526,14 +528,18 @@ TEST(Hotswap, ConcurrentPublishDropsNoInFlightRequests) {
                                    w.detector().classifier(),
                                    w.detector().trained_points()),
       config);
+  auto artifacts = durable::ArtifactStore::open_dir(artifact_dir);
+  ASSERT_TRUE(artifacts.has_value()) << artifacts.error();
 
   const auto probes = w.probe_mix(8);
   constexpr std::size_t kRequests = 120;
   std::vector<std::future<serve::VerdictResponse>> futures;
   futures.reserve(kRequests);
 
-  // Publish three epochs while the submission stream is in flight; every
+  // Publish three epochs, each committed to the artifact store first, while
+  // the submission stream and a verify_now client are in flight; every
   // request must come back kOk — served by whichever epoch it snapshotted.
+  std::atomic<bool> publishing{true};
   std::thread publisher([&] {
     Rng rng(311);
     for (int round = 0; round < 3; ++round) {
@@ -541,14 +547,27 @@ TEST(Hotswap, ConcurrentPublishDropsNoInFlightRequests) {
         auto seq = store.value()->append(p);
         if (!seq) { ADD_FAILURE() << seq.error(); return; }
       }
-      auto epoch = service.publish_epoch(*store.value());
+      auto epoch = service.publish_epoch(*store.value(), artifacts.value().get());
       if (!epoch) { ADD_FAILURE() << epoch.error(); return; }
     }
+  });
+  std::size_t now_requests = 0;
+  std::thread now_client([&] {
+    do {
+      const auto response =
+          service.verify_now(probes[now_requests % probes.size()]);
+      EXPECT_EQ(response.outcome, serve::Outcome::kOk)
+          << "verify_now " << now_requests << ": "
+          << serve::outcome_name(response.outcome) << " " << response.error;
+      ++now_requests;
+    } while (publishing.load());
   });
   for (std::size_t i = 0; i < kRequests; ++i) {
     futures.push_back(service.submit({i + 1, probes[i % probes.size()], 0}));
   }
   publisher.join();
+  publishing.store(false);
+  now_client.join();
 
   std::size_t ok = 0;
   for (auto& f : futures) {
@@ -561,11 +580,12 @@ TEST(Hotswap, ConcurrentPublishDropsNoInFlightRequests) {
   EXPECT_EQ(service.epoch(), 3u);
   service.stop();
   const auto counters = service.counters();
-  EXPECT_EQ(counters.received, kRequests);
-  EXPECT_EQ(counters.completed, kRequests);
+  EXPECT_EQ(counters.received, kRequests + now_requests);
+  EXPECT_EQ(counters.completed, kRequests + now_requests);
   EXPECT_EQ(counters.rejected, 0u);
   EXPECT_EQ(counters.errors, 0u);
   remove_store(store_dir);
+  remove_artifacts(artifact_dir, "detector");
 }
 
 // ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -994,6 +996,134 @@ TEST(NetUds, SegmentEvaluationOverRealSocketsIsBitwise) {
                         s_local.size() * sizeof(double)),
             0);
   server.stop();
+}
+
+TEST(NetRouterRemote, ConcurrentClientsMatchOracleOverChaosAndUds) {
+  // A 4-shard router driven by two client threads, first over a SimNet chaos
+  // schedule, then over four real Unix-socket servers.  Faults may move where
+  // a segment is evaluated, never the bits that come back.
+  ts::LinearWorldConfig cfg;
+  cfg.upload_points = 10;
+  ts::LinearFieldWorld world(cfg);
+  const std::size_t top_k = world.detector().config().confidence.top_k;
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kClients = 2;
+
+  // Local random walks cross a tile boundary every few points, so most
+  // requests fan out to more than one shard.
+  const double lo = cfg.margin_m;
+  const double hi = cfg.area_m - cfg.margin_m;
+  Rng& rng = world.rng();
+  std::vector<wifi::ScannedUpload> pool;
+  std::vector<std::string> oracle;
+  for (int r = 0; r < 16; ++r) {
+    wifi::ScannedUpload upload;
+    const Enu start{rng.uniform(lo, hi), rng.uniform(lo, hi)};
+    for (Enu p : ts::random_walk_enu(rng, cfg.upload_points, 2.0, start)) {
+      p.east = std::clamp(p.east, lo, hi);
+      p.north = std::clamp(p.north, lo, hi);
+      upload.positions.push_back(p);
+      upload.scans.push_back({{1, ts::LinearFieldWorld::field_rssi(p)}});
+    }
+    oracle.push_back(world.detector().analyze(upload).canonical_string());
+    pool.push_back(std::move(upload));
+  }
+
+  // Client c takes every kClients-th request; every answer must be kOk and
+  // equal the unsharded oracle.
+  const auto drive = [&](serve::ShardRouter& router) {
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (std::size_t r = c; r < pool.size(); r += kClients) {
+          const auto response = router.verify(pool[r], r);
+          EXPECT_EQ(response.outcome, serve::Outcome::kOk) << response.error;
+          EXPECT_EQ(response.report.canonical_string(), oracle[r])
+              << "request " << r;
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(router.counters().latency_count, pool.size());
+  };
+
+  serve::ShardRouterConfig rc;
+  rc.shards = kShards;
+  {
+    // (a) SimNet chaos: drops on both legs of each primary, primaries
+    // straggling past the 10ms hedge deadline to a clean second replica, and
+    // both replicas of shard 0 partitioned, so its segments degrade to the
+    // resident slice.
+    serve::ShardRouter router(world.detector(), rc);
+    net::SimNet sim(0xc4a05);
+    net::SimFaultSpec primary;
+    primary.drop = 0.15;
+    primary.delay = 0.3;
+    primary.delay_min_us = 15'000;
+    primary.delay_max_us = 60'000;
+    net::SimFaultSpec response_leg;
+    response_leg.drop = 0.1;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const std::string a = "seg-" + std::to_string(s) + "a";
+      const std::string b = "seg-" + std::to_string(s) + "b";
+      sim.bind(a, serve::make_segment_handler(router.shard(s)));
+      sim.bind(b, serve::make_segment_handler(router.shard(s)));
+      sim.set_faults(a, primary, response_leg);
+      router.set_remote_evaluator(
+          s, std::make_shared<serve::RemoteSegmentClient>(
+                 sim, std::vector<std::string>{a, b}, top_k));
+    }
+    sim.partition("seg-0a", net::SimNet::Partition::kFull);
+    sim.partition("seg-0b", net::SimNet::Partition::kFull);
+    drive(router);
+
+    std::uint64_t touch_shard0 = 0;
+    for (const auto& upload : pool) {
+      const auto segments = router.split(upload);
+      touch_shard0 += std::any_of(segments.begin(), segments.end(),
+                                  [](const auto& seg) { return seg.shard == 0; });
+    }
+    const auto counters = router.counters();
+    std::uint64_t hedges = 0;
+    std::uint64_t timeouts = 0;
+    for (const auto& stats : counters.per_shard_net) {
+      hedges += stats.hedges;
+      timeouts += stats.timeouts;
+    }
+    EXPECT_GT(hedges, 0u);
+    EXPECT_GT(timeouts, 0u);
+    EXPECT_GT(counters.degraded_shard_verdicts, 0u);
+    // Every verdict that touches the partitioned shard degraded.
+    ASSERT_GT(touch_shard0, 0u);
+    EXPECT_GE(counters.degraded_shard_verdicts, touch_shard0);
+  }
+  {
+    // (b) Real Unix-domain sockets: one server per shard.
+    serve::ShardRouter router(world.detector(), rc);
+    net::UdsTransport transport;
+    serve::NetCallPolicy policy;
+    policy.rpc_deadline_us = 2'000'000;  // real I/O under load: generous
+    std::vector<std::unique_ptr<net::UdsServer>> servers;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const std::string path = "net_test_uds_router_" + std::to_string(s) + ".sock";
+      ::unlink(path.c_str());
+      servers.push_back(std::make_unique<net::UdsServer>(
+          path, serve::make_segment_handler(router.shard(s))));
+      auto started = servers.back()->start();
+      ASSERT_TRUE(started.has_value()) << started.error();
+      router.set_remote_evaluator(
+          s, std::make_shared<serve::RemoteSegmentClient>(
+                 transport, std::vector<std::string>{path}, top_k, policy));
+    }
+    drive(router);
+    const auto counters = router.counters();
+    EXPECT_EQ(counters.degraded_shard_verdicts, 0u);
+    EXPECT_EQ(counters.remote_segments, counters.segments);
+    for (auto& server : servers) {
+      server->stop();
+      ::unlink(server->path().c_str());
+    }
+  }
 }
 
 TEST(NetUds, CrossProcessReplicationConvergesBitwise) {

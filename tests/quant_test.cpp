@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -555,6 +556,25 @@ TEST(ServeQuant, QuantLaneServesMotionVerdictsInService) {
   }
   EXPECT_EQ(quant_service.counters().motion_quant_batches, 1u);
   EXPECT_EQ(fp_service.counters().motion_quant_batches, 0u);
+
+  // The dispatcher path: a started copy of the quant service answers the same
+  // requests through submit() with the same discrete verdicts.
+  serve::VerifierServiceConfig started_cfg = cfg;
+  started_cfg.auto_start = true;
+  serve::VerifierService started(w.detector(), started_cfg);
+  std::vector<std::future<serve::VerdictResponse>> futures;
+  for (const auto& request : requests) futures.push_back(started.submit(request));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const auto response = futures[i].get();
+    ASSERT_EQ(response.outcome, serve::Outcome::kOk) << response.error;
+    EXPECT_EQ(response.report.canonical_string(), fr[i].report.canonical_string())
+        << "request " << i;
+    ASSERT_TRUE(response.has_motion_p_real);
+    EXPECT_EQ(response.motion_p_real >= 0.5, fr[i].motion_p_real >= 0.5)
+        << "request " << i;
+  }
+  started.stop();
+  EXPECT_GT(started.counters().motion_quant_batches, 0u);
 }
 
 }  // namespace

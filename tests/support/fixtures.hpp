@@ -88,7 +88,7 @@ struct ScenarioWorldConfig {
 };
 
 /// Simulator world + trained detector + probe mix, built once and shared by
-/// the serving determinism and chaos tests (and mirroring bench_serve).
+/// the serving determinism and chaos tests.
 struct ScenarioServiceWorld {
   ScenarioServiceWorld() : ScenarioServiceWorld(ScenarioWorldConfig{}) {}
   explicit ScenarioServiceWorld(const ScenarioWorldConfig& config);

@@ -44,9 +44,9 @@ run_leg() {
 # reason — SimNet serves concurrent callers under one mutex, UdsServer runs
 # an accept loop plus per-connection threads, and the chaos suite drives
 # both from client thread pools (the forked cross-process test self-skips
-# under TSan: threads after fork are unsupported).  bench_net_smoke rides
-# along so the transport legs (including real sockets) get sanitized too.
-TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net|bench_net_smoke'
+# under TSan: threads after fork are unsupported).  Net also covers the
+# 4-shard router's concurrent clients over SimNet chaos and real sockets.
+TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net'
 
 case "${LEG}" in
   tsan) run_leg tsan thread "${TSAN_FILTER}" ;;
