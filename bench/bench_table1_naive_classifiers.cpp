@@ -5,7 +5,7 @@
 // recall and F1 on a held-out test set.  Paper numbers (at 20k/10k train,
 // 400-point trajectories): all four models ~0.95-0.99 on every metric.
 //
-// Scaled-down defaults for a single-core box; rescale with
+// Scaled-down defaults keep one run short on a 4-core box; rescale with
 //   --train_real=20000 --train_fake=10000 --points=400 --epochs=100 --hidden=256
 #include <cstdio>
 #include <iostream>

@@ -9,8 +9,9 @@
 //   bench_threads --threads=4 --total=300 --points=30
 //
 // Defaults to hardware_concurrency for the parallel leg when --threads is
-// not given.  On a single-core machine the speedup will hover around 1x;
-// the checksum equality still proves the determinism contract.
+// not given.  The speedup tracks the CPUs the run actually gets (about 1x
+// with one); the checksum equality proves the determinism contract on any
+// machine.
 #include <chrono>
 #include <cstdio>
 #include <iostream>

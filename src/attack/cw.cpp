@@ -13,11 +13,11 @@ namespace {
 constexpr double kEpsM = 1e-9;
 
 /// Normalised DTW value and its subgradient w.r.t. `x` in one DP pass.
-/// The pruned variant is bit-identical to dtw() (distance and path), so the
-/// fast_dtw switch cannot change any attack trajectory or loss.
+/// dtw_pruned is bit-identical to dtw() (distance and path), so pruning
+/// cannot change any attack trajectory or loss.
 double dtw_norm_and_grad(const std::vector<Enu>& ref, const std::vector<Enu>& x,
-                         std::vector<Enu>& dx, bool fast, std::size_t band) {
-  const auto r = fast ? dtw_pruned(ref, x, band) : dtw(ref, x);
+                         std::vector<Enu>& dx, std::size_t band) {
+  const auto r = dtw_pruned(ref, x, band);
   const double inv_len = 1.0 / static_cast<double>(r.path.size());
   for (const auto& pair : r.path) {
     const Enu& p = ref[pair.i];
@@ -115,8 +115,7 @@ CwResult CwAttacker::run(const std::vector<Enu>& reference, LossKind kind,
     encoder_->backprop(x, dfeat, dpts_ce);
 
     std::fill(grad.begin(), grad.end(), Enu{});
-    const double dtw_norm = dtw_norm_and_grad(reference, x, grad,
-                                              config_.fast_dtw, config_.dtw_band);
+    const double dtw_norm = dtw_norm_and_grad(reference, x, grad, config_.dtw_band);
 
     double dist_loss = dtw_norm;
     double dtw_sign = 1.0;

@@ -42,14 +42,12 @@ struct CwConfig {
   double lambda_max = 1e5;
   double adversarial_margin = 0.9;  ///< "comfortably real" probability
   std::size_t history_stride = 25;  ///< record telemetry every N iterations
-  /// Use the pruned-exact DTW (banded upper bound + pruned full DP) in the
-  /// inner loop.  Bit-identical distance, path and therefore losses — this is
-  /// purely a speed knob; `false` selects the plain O(n*m) reference DP.
-  bool fast_dtw = true;
-  /// Sakoe-Chiba band of the upper-bound pass.  Any value is exact (the bound
-  /// only controls pruning strength); small bands suit the attack loop, where
-  /// the candidate stays a near-diagonal perturbation of the reference route,
-  /// so the slope-corridor bound (band 0) is already tight.
+  /// Sakoe-Chiba band of the upper-bound pass of the inner loop's
+  /// pruned-exact DTW (dtw_pruned, bit-identical to the full DP).  Any value
+  /// is exact (the bound only controls pruning strength); small bands suit
+  /// the attack loop, where the candidate stays a near-diagonal perturbation
+  /// of the reference route, so the slope-corridor bound (band 0) is already
+  /// tight.
   std::size_t dtw_band = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -29,8 +28,8 @@ kernels::Workspace& local_workspace() {
   return ws;
 }
 
-/// Chunk-private gradient accumulators for the batched training path — the
-/// moral equivalent of the reference path's model clone, without copying the
+/// Chunk-private gradient accumulators for one training chunk — the moral
+/// equivalent of the per-sample oracle's model clone, without copying the
 /// weights.
 struct GradSet {
   std::vector<Matrix> dw, db;  // per LSTM layer
@@ -98,53 +97,6 @@ kernels::LstmPacks LstmClassifier::packs_of(std::size_t l) const {
                       w.rows()}};
 }
 
-double LstmClassifier::forward_logit(const FeatureSequence& x,
-                                     std::vector<LstmTrace>* traces) const {
-  if (x.dim != config_.input_dim) {
-    throw std::invalid_argument("LstmClassifier: feature dim mismatch");
-  }
-  if (x.steps == 0) throw std::invalid_argument("LstmClassifier: empty sequence");
-
-  const std::vector<double>* input = &x.values;
-  std::vector<LstmTrace> local;
-  std::vector<LstmTrace>& tr = traces ? *traces : local;
-  tr.clear();
-  tr.reserve(layers_.size());
-  for (const auto& layer : layers_) {
-    tr.push_back(layer.forward(*input, x.steps));
-    input = &tr.back().hiddens;
-  }
-  const std::size_t H = config_.hidden_dim;
-  const std::vector<double>& hiddens = tr.back().hiddens;
-  std::vector<double> h_last(hiddens.end() - static_cast<std::ptrdiff_t>(H),
-                             hiddens.end());
-  return head_.forward(h_last)[0];
-}
-
-void LstmClassifier::backward_from_logit(const std::vector<LstmTrace>& traces,
-                                         double dlogit,
-                                         std::vector<double>* dx_flat) const {
-  const std::size_t H = config_.hidden_dim;
-  const std::vector<double>& top_hiddens = traces.back().hiddens;
-  std::vector<double> h_last(top_hiddens.end() - static_cast<std::ptrdiff_t>(H),
-                             top_hiddens.end());
-  std::vector<double> dh_last = head_.backward(h_last, {dlogit});
-
-  // Walk the stack top-down; each layer's input gradient is the per-step
-  // hidden-state injection for the layer below.
-  std::vector<double> inject;  // per-step dh injection for the current layer
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    std::vector<double> dx_local;
-    std::vector<double>* out = (l == 0) ? dx_flat : &dx_local;
-    if (l + 1 == layers_.size()) {
-      layers_[l].backward(traces[l], dh_last, out);
-    } else {
-      layers_[l].backward_seq(traces[l], inject, out);
-    }
-    if (l > 0) inject = std::move(dx_local);
-  }
-}
-
 void LstmClassifier::forward_batched(const FeatureSequence* const* xs,
                                      std::size_t batch, kernels::Workspace& ws,
                                      std::vector<kernels::LstmBatchTrace>& traces,
@@ -192,7 +144,7 @@ void LstmClassifier::forward_batched(const FeatureSequence* const* xs,
   }
 
   // Final hidden state per sample, then the dense head — the same
-  // single-accumulator add-once chain as DenseLayer::forward.
+  // single-accumulator add-once chain as the oracle's dense_forward.
   const double* top = traces.back().hiddens;
   const double* hw = head_.weights().row(0);
   const double head_b = head_.bias()(0, 0);
@@ -218,7 +170,8 @@ void LstmClassifier::backward_batched(
   const std::size_t B = spec.batch;
 
   // Head backward, one sample at a time in batch order — bit-identical to
-  // DenseLayer::backward (rank-1 into dw, then db, then dx zero-seeded).
+  // the oracle's dense_backward (rank-1 into dw, then db, then dx
+  // zero-seeded).
   double* dh_last = ws.take(B * H);
   const double* hw = head_.weights().row(0);
   for (std::size_t b = 0; b < B; ++b) {
@@ -288,24 +241,19 @@ TrainReport LstmClassifier::train(
   std::vector<std::size_t> order(xs.size());
   std::iota(order.begin(), order.end(), 0);
 
-  // Chunk-private gradient buffers for the batched path, allocated once per
-  // train() and re-zeroed per batch (the reference path instead clones the
-  // whole model per chunk).
-  const bool batched = config_.backend == NnBackend::kBatched;
-  std::vector<GradSet> pool;
-  if (batched) {
-    const std::size_t max_chunks =
-        (std::min(config_.batch_size, xs.size()) + kGradGrain - 1) / kGradGrain;
-    pool.resize(std::max<std::size_t>(max_chunks, 1));
-    for (auto& gs : pool) {
-      for (const auto& layer : layers_) {
-        gs.dw.emplace_back(4 * config_.hidden_dim,
-                           layer.input_dim() + config_.hidden_dim);
-        gs.db.emplace_back(4 * config_.hidden_dim, 1);
-      }
-      gs.head_dw = Matrix(1, config_.hidden_dim);
-      gs.head_db = Matrix(1, 1);
+  // Chunk-private gradient buffers, allocated once per train() and re-zeroed
+  // per batch.
+  const std::size_t max_chunks =
+      (std::min(config_.batch_size, xs.size()) + kGradGrain - 1) / kGradGrain;
+  std::vector<GradSet> pool(std::max<std::size_t>(max_chunks, 1));
+  for (auto& gs : pool) {
+    for (const auto& layer : layers_) {
+      gs.dw.emplace_back(4 * config_.hidden_dim,
+                         layer.input_dim() + config_.hidden_dim);
+      gs.db.emplace_back(4 * config_.hidden_dim, 1);
     }
+    gs.head_dw = Matrix(1, config_.hidden_dim);
+    gs.head_db = Matrix(1, 1);
   }
 
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
@@ -324,83 +272,47 @@ TrainReport LstmClassifier::train(
       // main buffers strictly in chunk index order, so the summation order is
       // thread-count-invariant.
       const std::size_t nchunks = (end - start + kGradGrain - 1) / kGradGrain;
-      if (batched) {
-        // One chunk == one batched kernel group: a single packed GEMM per
-        // gate matrix per timestep covers the whole chunk.
-        parallel_chunks(start, end, kGradGrain, [&](std::size_t lo, std::size_t hi) {
-          GradSet& gs = pool[(lo - start) / kGradGrain];
-          gs.zero();
-          kernels::Workspace& ws = local_workspace();
-          ws.reset();
-          const std::size_t bsz = hi - lo;
-          const FeatureSequence* ptrs[kernels::kLanes];
-          std::size_t steps_buf[kernels::kLanes];
-          for (std::size_t k = 0; k < bsz; ++k) ptrs[k] = &xs[order[lo + k]];
-          std::vector<kernels::LstmBatchTrace> traces;
-          kernels::BatchSpec spec;
-          double* h_last = ws.take(bsz * config_.hidden_dim);
-          double* logits = ws.take(bsz);
-          double* dlogits = ws.take(bsz);
-          forward_batched(ptrs, bsz, ws, traces, spec, steps_buf, h_last, logits);
-          for (std::size_t k = 0; k < bsz; ++k) {
-            const int y = ys[order[lo + k]];
-            double dlogit = 0.0;
-            gs.loss += sigmoid_bce_loss(logits[k], y, &dlogit);
-            if ((logits[k] >= 0.0) == (y == 1)) ++gs.correct;
-            dlogits[k] = dlogit * inv_batch;
-          }
-          std::vector<kernels::LstmGrads> lg(layers_.size());
-          for (std::size_t l = 0; l < layers_.size(); ++l) {
-            lg[l] = kernels::LstmGrads{&gs.dw[l], &gs.db[l]};
-          }
-          backward_batched(traces, spec, h_last, dlogits, &gs.head_dw,
-                           &gs.head_db, lg, nullptr, ws);
-        });
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          const GradSet& gs = pool[c];
-          total_loss += gs.loss;
-          correct += gs.correct;
-          for (std::size_t l = 0; l < layers_.size(); ++l) {
-            layers_[l].weight_grad().axpy(1.0, gs.dw[l]);
-            layers_[l].bias_grad().axpy(1.0, gs.db[l]);
-          }
-          head_.weight_grad().axpy(1.0, gs.head_dw);
-          head_.bias_grad().axpy(1.0, gs.head_db);
+      // One chunk == one batched kernel group: a single packed GEMM per gate
+      // matrix per timestep covers the whole chunk.
+      parallel_chunks(start, end, kGradGrain, [&](std::size_t lo, std::size_t hi) {
+        GradSet& gs = pool[(lo - start) / kGradGrain];
+        gs.zero();
+        kernels::Workspace& ws = local_workspace();
+        ws.reset();
+        const std::size_t bsz = hi - lo;
+        const FeatureSequence* ptrs[kernels::kLanes];
+        std::size_t steps_buf[kernels::kLanes];
+        for (std::size_t k = 0; k < bsz; ++k) ptrs[k] = &xs[order[lo + k]];
+        std::vector<kernels::LstmBatchTrace> traces;
+        kernels::BatchSpec spec;
+        double* h_last = ws.take(bsz * config_.hidden_dim);
+        double* logits = ws.take(bsz);
+        double* dlogits = ws.take(bsz);
+        forward_batched(ptrs, bsz, ws, traces, spec, steps_buf, h_last, logits);
+        for (std::size_t k = 0; k < bsz; ++k) {
+          const int y = ys[order[lo + k]];
+          double dlogit = 0.0;
+          gs.loss += sigmoid_bce_loss(logits[k], y, &dlogit);
+          if ((logits[k] >= 0.0) == (y == 1)) ++gs.correct;
+          dlogits[k] = dlogit * inv_batch;
         }
-      } else {
-        // Reference path: each chunk clones the model (weights are read-only
-        // within a batch; the clone's freshly-zeroed gradient buffers are the
-        // chunk-private accumulators).
-        struct ChunkPartial {
-          LstmClassifier model;
-          double loss = 0.0;
-          std::size_t correct = 0;
-        };
-        std::vector<std::optional<ChunkPartial>> partials(nchunks);
-        parallel_chunks(start, end, kGradGrain, [&](std::size_t lo, std::size_t hi) {
-          ChunkPartial part{*this, 0.0, 0};
-          for (std::size_t k = lo; k < hi; ++k) {
-            const auto& x = xs[order[k]];
-            const int y = ys[order[k]];
-            std::vector<LstmTrace> traces;
-            const double logit = part.model.forward_logit(x, &traces);
-            double dlogit = 0.0;
-            part.loss += sigmoid_bce_loss(logit, y, &dlogit);
-            if ((logit >= 0.0) == (y == 1)) ++part.correct;
-            part.model.backward_from_logit(traces, dlogit * inv_batch, nullptr);
-          }
-          partials[(lo - start) / kGradGrain].emplace(std::move(part));
-        });
-        for (auto& p : partials) {
-          total_loss += p->loss;
-          correct += p->correct;
-          for (std::size_t l = 0; l < layers_.size(); ++l) {
-            layers_[l].weight_grad().axpy(1.0, p->model.layers_[l].weight_grad());
-            layers_[l].bias_grad().axpy(1.0, p->model.layers_[l].bias_grad());
-          }
-          head_.weight_grad().axpy(1.0, p->model.head_.weight_grad());
-          head_.bias_grad().axpy(1.0, p->model.head_.bias_grad());
+        std::vector<kernels::LstmGrads> lg(layers_.size());
+        for (std::size_t l = 0; l < layers_.size(); ++l) {
+          lg[l] = kernels::LstmGrads{&gs.dw[l], &gs.db[l]};
         }
+        backward_batched(traces, spec, h_last, dlogits, &gs.head_dw, &gs.head_db,
+                         lg, nullptr, ws);
+      });
+      for (std::size_t c = 0; c < nchunks; ++c) {
+        const GradSet& gs = pool[c];
+        total_loss += gs.loss;
+        correct += gs.correct;
+        for (std::size_t l = 0; l < layers_.size(); ++l) {
+          layers_[l].weight_grad().axpy(1.0, gs.dw[l]);
+          layers_[l].bias_grad().axpy(1.0, gs.db[l]);
+        }
+        head_.weight_grad().axpy(1.0, gs.head_dw);
+        head_.bias_grad().axpy(1.0, gs.head_db);
       }
       clip_gradients();
       optimizer.step();
@@ -417,9 +329,6 @@ TrainReport LstmClassifier::train(
 }
 
 double LstmClassifier::predict_logit(const FeatureSequence& x) const {
-  if (config_.backend == NnBackend::kReference) {
-    return forward_logit(x, nullptr);
-  }
   kernels::Workspace& ws = local_workspace();
   ws.reset();
   const FeatureSequence* px = &x;
@@ -435,12 +344,6 @@ double LstmClassifier::predict_logit(const FeatureSequence& x) const {
 std::vector<double> LstmClassifier::predict_logit_batch(
     const std::vector<FeatureSequence>& xs) const {
   std::vector<double> out(xs.size(), 0.0);
-  if (config_.backend == NnBackend::kReference) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      out[i] = forward_logit(xs[i], nullptr);
-    }
-    return out;
-  }
   kernels::Workspace& ws = local_workspace();
   for (std::size_t i = 0; i < xs.size();) {
     const std::size_t bsz = std::min(kernels::kLanes, xs.size() - i);
@@ -477,44 +380,24 @@ int LstmClassifier::predict(const FeatureSequence& x, double threshold) const {
 double LstmClassifier::loss_and_input_gradient(const FeatureSequence& x,
                                                int target_label,
                                                FeatureSequence* dx) const {
-  if (config_.backend == NnBackend::kBatched) {
-    kernels::Workspace& ws = local_workspace();
-    ws.reset();
-    const FeatureSequence* px = &x;
-    std::vector<kernels::LstmBatchTrace> traces;
-    kernels::BatchSpec spec;
-    std::size_t steps_buf[kernels::kLanes];
-    double* h_last = ws.take(config_.hidden_dim);
-    double logit = 0.0;
-    forward_batched(&px, 1, ws, traces, spec, steps_buf, h_last, &logit);
-    double dlogit = 0.0;
-    const double loss = sigmoid_bce_loss(logit, target_label, &dlogit);
-    if (dx) {
-      // lanes == 1, so the block layout *is* the flat steps x dim layout.
-      double* dxb = ws.take(x.steps * config_.input_dim);
-      backward_batched(traces, spec, h_last, &dlogit, nullptr, nullptr, {}, dxb,
-                       ws);
-      dx->steps = x.steps;
-      dx->dim = x.dim;
-      dx->values.assign(dxb, dxb + x.steps * config_.input_dim);
-    }
-    return loss;
-  }
-
-  std::vector<LstmTrace> traces;
-  const double logit = forward_logit(x, &traces);
+  kernels::Workspace& ws = local_workspace();
+  ws.reset();
+  const FeatureSequence* px = &x;
+  std::vector<kernels::LstmBatchTrace> traces;
+  kernels::BatchSpec spec;
+  std::size_t steps_buf[kernels::kLanes];
+  double* h_last = ws.take(config_.hidden_dim);
+  double logit = 0.0;
+  forward_batched(&px, 1, ws, traces, spec, steps_buf, h_last, &logit);
   double dlogit = 0.0;
   const double loss = sigmoid_bce_loss(logit, target_label, &dlogit);
   if (dx) {
-    // Parameter-gradient buffers serve as scratch here; training zeroes them
-    // before every batch, so clobbering them is safe.
-    for (auto& layer : layers_) layer.zero_grad();
-    head_.zero_grad();
-    std::vector<double> dx_flat;
-    backward_from_logit(traces, dlogit, &dx_flat);
+    // lanes == 1, so the block layout *is* the flat steps x dim layout.
+    double* dxb = ws.take(x.steps * config_.input_dim);
+    backward_batched(traces, spec, h_last, &dlogit, nullptr, nullptr, {}, dxb, ws);
     dx->steps = x.steps;
     dx->dim = x.dim;
-    dx->values = std::move(dx_flat);
+    dx->values.assign(dxb, dxb + x.steps * config_.input_dim);
   }
   return loss;
 }

@@ -9,12 +9,10 @@
 // together with its gradient w.r.t. the input feature sequence, which is the
 // model-side half of the C&W adversarial attack (Sec. II-B).
 //
-// Two execution backends produce bit-identical results: the per-sample
-// reference layers (LstmLayer) and the packed-GEMM batched kernel path
-// (nn/kernels), which packs up to kernels::kLanes sequences per timestep into
-// one GEMM and reuses workspace arenas instead of allocating per call.  The
-// batched path is the default; the reference path is kept as the oracle that
-// tests and benches compare against.
+// Every pass runs on the packed-GEMM batched kernels (nn/kernels), which pack
+// up to kernels::kLanes sequences per timestep into one GEMM and reuse
+// workspace arenas instead of allocating per call.  The per-sample oracle
+// they reproduce bit for bit lives beside the tests (tests/reference).
 #pragma once
 
 #include <cstddef>
@@ -34,12 +32,9 @@
 
 namespace trajkit::nn {
 
-/// Runtime execution backend.  Never serialized — a saved model loads with
-/// the default and produces the same bits either way.
-enum class NnBackend {
-  kReference,  ///< per-sample naive matvec layers (original implementation)
-  kBatched,    ///< packed-GEMM batched kernels (bit-identical, faster)
-};
+namespace reference {
+struct ClassifierAccess;
+}  // namespace reference
 
 struct LstmClassifierConfig {
   std::size_t input_dim = 2;
@@ -48,7 +43,6 @@ struct LstmClassifierConfig {
   double learning_rate = 1e-3;
   double grad_clip = 5.0;      ///< global gradient-norm clip
   std::size_t batch_size = 16;
-  NnBackend backend = NnBackend::kBatched;
 };
 
 /// Per-epoch training telemetry.
@@ -62,7 +56,6 @@ class LstmClassifier {
   LstmClassifier(LstmClassifierConfig config, std::uint64_t seed);
 
   const LstmClassifierConfig& config() const { return config_; }
-  void set_backend(NnBackend backend) { config_.backend = backend; }
 
   /// Mini-batch Adam training.  `xs[i]` must have dim == config.input_dim.
   /// `progress` (optional) is called after each epoch with (epoch, loss, acc).
@@ -74,8 +67,7 @@ class LstmClassifier {
   double predict_proba(const FeatureSequence& x) const;
 
   /// Probabilities for a whole set of sequences, grouped kernels::kLanes at a
-  /// time through the batched path (bit-identical to predict_proba per
-  /// sequence; honours the backend switch for oracle comparisons).
+  /// time (bit-identical to predict_proba per sequence).
   std::vector<double> predict_proba_batch(const std::vector<FeatureSequence>& xs) const;
 
   /// Pre-sigmoid head output (predict_proba == sigmoid of this).  Exposed so
@@ -84,9 +76,9 @@ class LstmClassifier {
   double predict_logit(const FeatureSequence& x) const;
   std::vector<double> predict_logit_batch(const std::vector<FeatureSequence>& xs) const;
 
-  /// Read-only parameter access for derived inference artifacts (the int8 /
-  /// int16 quantizer reads weights and runs its calibration pass through the
-  /// reference layers).
+  /// Read-only parameter access for derived inference artifacts (the int8
+  /// quantizer reads weights and runs its calibration pass through
+  /// LstmLayer::forward).
   std::size_t layer_count() const { return layers_.size(); }
   const LstmLayer& layer(std::size_t l) const { return layers_[l]; }
   const DenseLayer& head_layer() const { return head_; }
@@ -96,8 +88,7 @@ class LstmClassifier {
 
   /// Cross-entropy of the model output toward `target_label`, plus its
   /// gradient w.r.t. the input features (overwritten into `dx` if non-null).
-  /// Parameter gradients are left untouched by the batched backend; the
-  /// reference backend clobbers them as scratch (training re-zeroes them).
+  /// Parameter gradients are left untouched.
   double loss_and_input_gradient(const FeatureSequence& x, int target_label,
                                  FeatureSequence* dx) const;
 
@@ -112,11 +103,9 @@ class LstmClassifier {
   static Expected<LstmClassifier, std::string> try_load_file(const std::string& path);
 
  private:
-  double forward_logit(const FeatureSequence& x, std::vector<LstmTrace>* traces) const;
-  /// Full backward from a logit gradient; accumulates parameter gradients and
-  /// optionally the input gradient.  The forward traces carry the inputs.
-  void backward_from_logit(const std::vector<LstmTrace>& traces, double dlogit,
-                           std::vector<double>* dx_flat) const;
+  // The per-sample oracle's train() (tests/reference) drives the same
+  // parameters, clip and pack cache through these private members.
+  friend struct reference::ClassifierAccess;
 
   /// Batched-kernel forward over a group of batch <= kernels::kLanes
   /// sequences.  Fills the per-layer traces, the batch spec (backed by
@@ -146,15 +135,11 @@ class LstmClassifier {
   kernels::LstmPacks packs_of(std::size_t l) const;
 
   LstmClassifierConfig config_;
-  // mutable: backward passes scratch through the layers' gradient buffers
-  // even when only the input gradient is wanted (predict paths never touch
-  // them).  Logical constness is "the parameters do not change".
-  //
   // The Adam optimizer is created inside train() (it holds raw pointers into
   // the layers, which must not outlive a move of this object); calling
   // train() twice restarts the moment estimates.
-  mutable std::vector<LstmLayer> layers_;
-  mutable DenseLayer head_;
+  std::vector<LstmLayer> layers_;
+  DenseLayer head_;
 
   // Cached packed weights for the batched kernels, rebuilt by rebuild_packs().
   // Offsets (not pointers) into pack_store_, so the default copy of a model

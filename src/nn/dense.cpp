@@ -18,28 +18,6 @@ DenseLayer::DenseLayer(std::size_t input_dim, std::size_t output_dim, Rng& rng)
   w_.init_glorot(rng);
 }
 
-std::vector<double> DenseLayer::forward(const std::vector<double>& x) const {
-  if (x.size() != input_dim_) {
-    throw std::invalid_argument("DenseLayer::forward: input size mismatch");
-  }
-  std::vector<double> y(output_dim_);
-  for (std::size_t r = 0; r < output_dim_; ++r) y[r] = b_(r, 0);
-  gemv_acc(w_, x.data(), y.data());
-  return y;
-}
-
-std::vector<double> DenseLayer::backward(const std::vector<double>& x,
-                                         const std::vector<double>& dy) {
-  if (x.size() != input_dim_ || dy.size() != output_dim_) {
-    throw std::invalid_argument("DenseLayer::backward: size mismatch");
-  }
-  rank1_acc(dw_, 1.0, dy.data(), x.data());
-  for (std::size_t r = 0; r < output_dim_; ++r) db_(r, 0) += dy[r];
-  std::vector<double> dx(input_dim_, 0.0);
-  gemv_t_acc(w_, dy.data(), dx.data());
-  return dx;
-}
-
 void DenseLayer::zero_grad() {
   dw_.zero();
   db_.zero();

@@ -1,5 +1,7 @@
 // Fully-connected layer used as the classification head on top of the final
-// LSTM hidden state.
+// LSTM hidden state: parameters and gradient buffers.  The classifier runs
+// the head inside its batched passes (nn/classifier.cpp); the per-sample
+// forward/backward it reproduces lives beside the tests (tests/reference).
 #pragma once
 
 #include <cstddef>
@@ -16,13 +18,6 @@ class DenseLayer {
 
   std::size_t input_dim() const { return input_dim_; }
   std::size_t output_dim() const { return output_dim_; }
-
-  /// y = W x + b.
-  std::vector<double> forward(const std::vector<double>& x) const;
-
-  /// Accumulate parameter gradients for the pair (x, dy) and return dx.
-  std::vector<double> backward(const std::vector<double>& x,
-                               const std::vector<double>& dy);
 
   void zero_grad();
   double grad_norm_sq() const;

@@ -1,8 +1,10 @@
 // Packed, register-tiled GEMM kernels for the batched nn stack.
 //
 // Every kernel here reproduces one of the three accumulation conventions of
-// the naive matvec layer (nn/matrix.cpp) *bit for bit*.  The repo builds
-// without -ffast-math, so the compiler preserves floating-point association;
+// the naive matvecs *bit for bit*: gemv_acc (nn/matrix.cpp) and the
+// per-sample oracle's gemv_t_acc / rank1_acc (tests/reference).  The repo
+// builds without -ffast-math, so the compiler preserves floating-point
+// association;
 // as long as each output element is produced by a single accumulator walking
 // the reduction dimension in the reference order, register tiling across
 // *independent* output elements (rows x batch lanes) changes nothing.  The

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
-// The hot GEMMs are written twice: an AVX512-VNNI path (vpdpbusd/vpdpwssd —
-// one weight load + one activation broadcast per 64/32 MACs, the reason the
-// int8 lane beats the fp64 panels at every hidden size) and a portable
-// scalar walk of the same pack.  Integer sums are exact in any order, so the
-// two paths are bit-identical and the tests' scalar references cover both.
+// The hot GEMM is written twice: an AVX512-VNNI path (vpdpbusd — one weight
+// load + one activation broadcast per 64 MACs, the reason the int8 lane beats
+// the fp64 panels at every hidden size) and a portable scalar walk of the
+// same pack.  Integer sums are exact in any order, so the two paths are
+// bit-identical and the tests' scalar reference covers both.
 #if defined(__AVX512VNNI__) && defined(__AVX512F__)
 #include <immintrin.h>
 #define TRAJKIT_QUANT_VNNI 1
@@ -18,39 +18,13 @@ namespace trajkit::nn::kernels {
 namespace {
 
 // Pack-layout index of coefficient (r, k): row group, dword run, row in
-// group, coefficient in dword.  PerDword = 4 (int8) or 2 (int16).
-template <std::size_t PerDword>
+// group, coefficient in dword.
 inline std::size_t pack_index(std::size_t r, std::size_t k,
                               std::size_t depth_pad) {
   const std::size_t g = r / kQuantGroup, j = r % kQuantGroup;
-  const std::size_t d = k / PerDword, c = k % PerDword;
-  const std::size_t runs = depth_pad / PerDword;
-  return ((g * runs + d) * kQuantGroup + j) * PerDword + c;
-}
-
-// Shared quantize-and-pack loop.
-template <typename T, std::size_t PerDword>
-void pack_quant_impl(const Matrix& m, std::size_t c0, std::size_t c1,
-                     const double* row_inv_scale, std::int32_t qmax, T* out) {
-  require_aligned64(m.data(), "quant pack: Matrix storage");
-  require_aligned64(out, "quant pack: output buffer");
-  if (c1 > m.cols() || c0 > c1) {
-    throw std::invalid_argument("quant pack: column slice out of range");
-  }
-  const std::size_t rows = m.rows();
-  const std::size_t depth = c1 - c0;
-  const std::size_t depth_pad = quant_depth_pad(depth);
-  const std::size_t rows_pad =
-      ((rows + kQuantGroup - 1) / kQuantGroup) * kQuantGroup;
-  for (std::size_t r = 0; r < rows_pad; ++r) {
-    for (std::size_t k = 0; k < depth_pad; ++k) {
-      const bool live = r < rows && k < depth;
-      out[pack_index<PerDword>(r, k, depth_pad)] =
-          live ? static_cast<T>(
-                     quantize_value(m(r, c0 + k), row_inv_scale[r], qmax))
-               : T{0};
-    }
-  }
+  const std::size_t d = k / 4, c = k % 4;
+  const std::size_t runs = depth_pad / 4;
+  return ((g * runs + d) * kQuantGroup + j) * 4 + c;
 }
 
 // One lane-row of the activation quantizer: 8 doubles -> 8 int8, the exact
@@ -82,12 +56,25 @@ double max_abs_block(const Matrix& m, std::size_t r0, std::size_t r1,
 
 void pack_quant_rows_i8(const Matrix& m, std::size_t c0, std::size_t c1,
                         const double* row_inv_scale, qi8* out) {
-  pack_quant_impl<qi8, 4>(m, c0, c1, row_inv_scale, 127, out);
-}
-
-void pack_quant_rows_i16(const Matrix& m, std::size_t c0, std::size_t c1,
-                         const double* row_inv_scale, qi16* out) {
-  pack_quant_impl<qi16, 2>(m, c0, c1, row_inv_scale, 32767, out);
+  require_aligned64(m.data(), "quant pack: Matrix storage");
+  require_aligned64(out, "quant pack: output buffer");
+  if (c1 > m.cols() || c0 > c1) {
+    throw std::invalid_argument("quant pack: column slice out of range");
+  }
+  const std::size_t rows = m.rows();
+  const std::size_t depth = c1 - c0;
+  const std::size_t depth_pad = quant_depth_pad(depth);
+  const std::size_t rows_pad =
+      ((rows + kQuantGroup - 1) / kQuantGroup) * kQuantGroup;
+  for (std::size_t r = 0; r < rows_pad; ++r) {
+    for (std::size_t k = 0; k < depth_pad; ++k) {
+      const bool live = r < rows && k < depth;
+      out[pack_index(r, k, depth_pad)] =
+          live ? static_cast<qi8>(
+                     quantize_value(m(r, c0 + k), row_inv_scale[r], kQmax))
+               : qi8{0};
+    }
+  }
 }
 
 void quant_row_sums_i8(const qi8* pack, std::size_t rows, std::size_t depth,
@@ -96,7 +83,7 @@ void quant_row_sums_i8(const qi8* pack, std::size_t rows, std::size_t depth,
   for (std::size_t r = 0; r < rows; ++r) {
     std::int64_t s = 0;
     for (std::size_t k = 0; k < depth_pad; ++k) {
-      s += pack[pack_index<4>(r, k, depth_pad)];
+      s += pack[pack_index(r, k, depth_pad)];
     }
     out[r] = s;
   }
@@ -110,7 +97,7 @@ void quantize_i8(const double* x, std::size_t n, double inv_scale, qi8* out) {
     std::memcpy(out + i, &b, sizeof(b));
   }
   for (; i < n; ++i) {
-    out[i] = static_cast<qi8>(quantize_value(x[i], inv_scale, kActQmax));
+    out[i] = static_cast<qi8>(quantize_value(x[i], inv_scale, kQmax));
   }
 }
 
@@ -137,29 +124,6 @@ void quantize_act_u8(const double* block, std::size_t depth,
   for (std::size_t l = 0; l < kLanes; ++l) {
     for (std::size_t k = depth; k < depth_pad; ++k) {
       out[l * depth_pad + k] = 128;  // q == 0 in offset-binary
-    }
-  }
-}
-
-void quantize_act_i16(const double* block, std::size_t depth,
-                      std::size_t depth_pad, double inv_scale, qi16* out) {
-  const v8df inv = vsplat(inv_scale);
-  for (std::size_t k0 = 0; k0 < depth; k0 += 8) {
-    const std::size_t kn = std::min<std::size_t>(8, depth - k0);
-    qi8 tile[8][kLanes];
-    for (std::size_t kk = 0; kk < kn; ++kk) {
-      const v8qi b = quantize8(block + (k0 + kk) * kLanes, inv);
-      std::memcpy(tile[kk], &b, sizeof(b));
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      for (std::size_t kk = 0; kk < kn; ++kk) {
-        out[l * depth_pad + k0 + kk] = static_cast<qi16>(tile[kk][l]);
-      }
-    }
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    for (std::size_t k = depth; k < depth_pad; ++k) {
-      out[l * depth_pad + k] = 0;
     }
   }
 }
@@ -227,83 +191,9 @@ void gemm_q8x8(const qi8* w, const qi64* row_sums, std::size_t rows,
       std::int64_t s = 0;
       for (std::size_t k = 0; k < depth_pad; ++k) {
         s += static_cast<std::int64_t>(xl[k]) *
-             w[pack_index<4>(r, k, depth_pad)];
+             w[pack_index(r, k, depth_pad)];
       }
       acc[r * kLanes + l] = s - corr;
-    }
-  }
-#endif
-}
-
-void gemm_q16x8(const qi16* w, std::size_t rows, std::size_t depth_pad,
-                const qi16* x, qi64* acc) {
-  const std::size_t ngroups = (rows + kQuantGroup - 1) / kQuantGroup;
-  const std::size_t runs = depth_pad / 2;
-  // 127 * 32767 * 512 < 2^31: int32 partials spill to int64 every 512 depth
-  // (256 dword runs), so no chunk can wrap at any depth.
-  constexpr std::size_t kChunkRuns = 256;
-#ifdef TRAJKIT_QUANT_VNNI
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    const qi16* wg = w + g * depth_pad * kQuantGroup;
-    std::int64_t tot[kLanes][kQuantGroup] = {};
-    for (std::size_t d0 = 0; d0 < runs; d0 += kChunkRuns) {
-      const std::size_t dend = std::min(runs, d0 + kChunkRuns);
-      __m512i a0 = _mm512_setzero_si512(), a1 = a0, a2 = a0, a3 = a0;
-      __m512i a4 = a0, a5 = a0, a6 = a0, a7 = a0;
-      for (std::size_t d = d0; d < dend; ++d) {
-        const __m512i wv = _mm512_loadu_si512(wg + d * 32);
-        std::int32_t xd[kLanes];
-        std::memcpy(&xd[0], x + 0 * depth_pad + 2 * d, 4);
-        std::memcpy(&xd[1], x + 1 * depth_pad + 2 * d, 4);
-        std::memcpy(&xd[2], x + 2 * depth_pad + 2 * d, 4);
-        std::memcpy(&xd[3], x + 3 * depth_pad + 2 * d, 4);
-        std::memcpy(&xd[4], x + 4 * depth_pad + 2 * d, 4);
-        std::memcpy(&xd[5], x + 5 * depth_pad + 2 * d, 4);
-        std::memcpy(&xd[6], x + 6 * depth_pad + 2 * d, 4);
-        std::memcpy(&xd[7], x + 7 * depth_pad + 2 * d, 4);
-        a0 = _mm512_dpwssd_epi32(a0, _mm512_set1_epi32(xd[0]), wv);
-        a1 = _mm512_dpwssd_epi32(a1, _mm512_set1_epi32(xd[1]), wv);
-        a2 = _mm512_dpwssd_epi32(a2, _mm512_set1_epi32(xd[2]), wv);
-        a3 = _mm512_dpwssd_epi32(a3, _mm512_set1_epi32(xd[3]), wv);
-        a4 = _mm512_dpwssd_epi32(a4, _mm512_set1_epi32(xd[4]), wv);
-        a5 = _mm512_dpwssd_epi32(a5, _mm512_set1_epi32(xd[5]), wv);
-        a6 = _mm512_dpwssd_epi32(a6, _mm512_set1_epi32(xd[6]), wv);
-        a7 = _mm512_dpwssd_epi32(a7, _mm512_set1_epi32(xd[7]), wv);
-      }
-      alignas(64) std::int32_t lanes[kLanes][kQuantGroup];
-      _mm512_store_si512(lanes[0], a0);
-      _mm512_store_si512(lanes[1], a1);
-      _mm512_store_si512(lanes[2], a2);
-      _mm512_store_si512(lanes[3], a3);
-      _mm512_store_si512(lanes[4], a4);
-      _mm512_store_si512(lanes[5], a5);
-      _mm512_store_si512(lanes[6], a6);
-      _mm512_store_si512(lanes[7], a7);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        for (std::size_t j = 0; j < kQuantGroup; ++j) tot[l][j] += lanes[l][j];
-      }
-    }
-    const std::size_t valid = std::min(rows - g * kQuantGroup, kQuantGroup);
-    for (std::size_t j = 0; j < valid; ++j) {
-      const std::size_t r = g * kQuantGroup + j;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        acc[r * kLanes + l] = tot[l][j];
-      }
-    }
-  }
-#else
-  (void)runs;
-  (void)ngroups;
-  (void)kChunkRuns;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const qi16* xl = x + l * depth_pad;
-      std::int64_t s = 0;
-      for (std::size_t k = 0; k < depth_pad; ++k) {
-        s += static_cast<std::int64_t>(xl[k]) *
-             w[pack_index<2>(r, k, depth_pad)];
-      }
-      acc[r * kLanes + l] = s;
     }
   }
 #endif

@@ -5,29 +5,26 @@
 // (nn/quant_classifier.hpp).  Three pieces:
 //
 //  - Symmetric weight quantization + dot-product packing.  Weights quantize
-//    to int8 or int16 with one scale per row (callers pass per-gate scales
-//    broadcast over each gate's row range): q = clamp(round(w / s)).  The
-//    packed layout is NOT the fp64 panel scheme: rows group in blocks of
+//    to int8 with one scale per row (callers pass per-gate scales broadcast
+//    over each gate's row range): q = clamp(round(w / s)).  The packed
+//    layout is NOT the fp64 panel scheme: rows group in blocks of
 //    kQuantGroup = 16 and the depth axis interleaves in dword-sized runs
-//    (4 int8 or 2 int16 coefficients), so each 64-byte slice of the pack
-//    holds one dword of 16 consecutive rows.  That is exactly the operand
-//    shape of the AVX512-VNNI dot-product instructions (vpdpbusd /
-//    vpdpwssd): one weight load + one activation broadcast per 64/32 MACs,
-//    versus one broadcast per 8 MACs in the fp64 panel loop.  On VNNI
-//    hardware the int8 GEMM runs several times *faster* than the fp64
-//    GEMM while touching 8x less weight memory; a portable scalar walk of
-//    the same layout (bit-identical results — integer sums are exact in any
-//    order) serves as the fallback elsewhere.
+//    (4 int8 coefficients), so each 64-byte slice of the pack holds one
+//    dword of 16 consecutive rows.  That is exactly the operand shape of the
+//    AVX512-VNNI dot-product instruction vpdpbusd: one weight load + one
+//    activation broadcast per 64 MACs, versus one broadcast per 8 MACs in
+//    the fp64 panel loop.  On VNNI hardware the int8 GEMM runs several times
+//    *faster* than the fp64 GEMM while touching 8x less weight memory; a
+//    portable scalar walk of the same layout (bit-identical results —
+//    integer sums are exact in any order) serves as the fallback elsewhere.
 //
 //  - Int GEMM, kLanes = 8 batch columns, int8 activations.  vpdpbusd is
-//    unsigned x signed, so int8-mode activations carry a +128 offset
-//    (offset-binary uint8) and the kernel subtracts 128 * rowsum(weights)
-//    from each accumulator — the row sums are derived from the pack at
-//    build/load time, never serialized.  int16 mode keeps signed int16
-//    activations (vpdpwssd is signed x signed) and needs no correction.
-//    Accumulation overflow is impossible by construction: int8 partials are
-//    bounded by 255 * 127 * depth (depth <= 65536 fits int32), int16
-//    partials spill to int64 every 512 depth.
+//    unsigned x signed, so activations carry a +128 offset (offset-binary
+//    uint8) and the kernel subtracts 128 * rowsum(weights) from each
+//    accumulator — the row sums are derived from the pack at build/load
+//    time, never serialized.  Accumulation overflow is impossible by
+//    construction: partials are bounded by 255 * 127 * depth (depth <= 65536
+//    fits int32).
 //
 //  - Fast vectorized activations.  The quant forward dequantizes gate
 //    pre-activations into doubles and applies polynomial exp-based
@@ -53,10 +50,10 @@
 
 namespace trajkit::nn::kernels {
 
-/// Quantized weight width.  Activations are int8 in both modes.
+/// Inert seam kept for servebench, which spells the mode when it arms the
+/// quant lane: weights and activations are always int8 (|q| <= 127).
 enum class QuantMode : std::uint8_t {
-  kInt8 = 0,   ///< weights int8  (|q| <= 127)
-  kInt16 = 1,  ///< weights int16 (|q| <= 32767)
+  kInt8 = 0,
 };
 
 /// May-alias scalar views: quantized scratch lives in the double Workspace
@@ -65,7 +62,6 @@ enum class QuantMode : std::uint8_t {
 /// the unsigned-by-signed VNNI dot product consumes.
 typedef std::int8_t qi8 __attribute__((may_alias));
 typedef std::uint8_t qu8 __attribute__((may_alias));
-typedef std::int16_t qi16 __attribute__((may_alias));
 typedef std::int32_t qi32 __attribute__((may_alias));
 typedef std::int64_t qi64 __attribute__((may_alias));
 
@@ -93,36 +89,22 @@ inline v8df vcvt_i64(const qi64* p) {
   return __builtin_convertvector(v, v8df);
 }
 
-/// Quantization maximum for a mode's weights.
-inline std::int32_t quant_qmax(QuantMode mode) {
-  return mode == QuantMode::kInt8 ? 127 : 32767;
-}
-
-/// Activation quantization maximum (activations are always 8-bit grid).
-inline constexpr std::int32_t kActQmax = 127;
+/// Quantization maximum of weights and activations (the int8 grid).
+inline constexpr std::int32_t kQmax = 127;
 
 /// Rows per weight group in the quant pack: one zmm of int32 accumulators.
 inline constexpr std::size_t kQuantGroup = 16;
 
-/// The depth axis pads to a whole number of int8 dwords in both modes (int16
-/// packs two coefficients per dword but shares the 4-element quantum so the
-/// element count is mode-free).
+/// The depth axis pads to a whole number of int8 dwords.
 inline std::size_t quant_depth_pad(std::size_t depth) {
   return (depth + 3) & ~std::size_t(3);
 }
 
-/// Elements (int8 or int16 each) needed to pack a rows x depth quant
-/// operand: rows pad to kQuantGroup, depth to the dword quantum.
+/// Bytes (one int8 each) needed to pack a rows x depth quant operand: rows
+/// pad to kQuantGroup, depth to the dword quantum.
 inline std::size_t quant_packed_elems(std::size_t rows, std::size_t depth) {
   return ((rows + kQuantGroup - 1) / kQuantGroup) * kQuantGroup *
          quant_depth_pad(depth);
-}
-
-/// Bytes of that pack for a mode (for sizing aligned byte buffers).
-inline std::size_t quant_packed_bytes(std::size_t rows, std::size_t depth,
-                                      QuantMode mode) {
-  return quant_packed_elems(rows, depth) *
-         (mode == QuantMode::kInt8 ? sizeof(qi8) : sizeof(qi16));
 }
 
 /// Scalar reference for the quantization rounding contract: round half away
@@ -144,15 +126,12 @@ double max_abs_block(const Matrix& m, std::size_t r0, std::size_t r1,
 /// Quantize + VNNI-pack the column slice [c0, c1) of `m` (all rows) with a
 /// per-row scale: pack element (r, k) = quantize(m(r, c0 + k) / row_scale[r]).
 /// Layout: row group g, dword run d, row-in-group j, coefficient-in-dword c
-/// at offset ((g * runs + d) * kQuantGroup + j) * per_dword + c, where
-/// per_dword is 4 for int8 and 2 for int16.  Tail rows and padded depth are
-/// zero.  `out` must hold quant_packed_elems(m.rows(), c1 - c0) elements and
-/// both m's storage and `out` must be 64-byte aligned — misalignment throws
-/// (require_aligned64) instead of silently degrading.
+/// at offset ((g * runs + d) * kQuantGroup + j) * 4 + c.  Tail rows and
+/// padded depth are zero.  `out` must hold quant_packed_elems(m.rows(),
+/// c1 - c0) elements and both m's storage and `out` must be 64-byte aligned
+/// — misalignment throws (require_aligned64) instead of silently degrading.
 void pack_quant_rows_i8(const Matrix& m, std::size_t c0, std::size_t c1,
                         const double* row_inv_scale, qi8* out);
-void pack_quant_rows_i16(const Matrix& m, std::size_t c0, std::size_t c1,
-                         const double* row_inv_scale, qi16* out);
 
 /// Per-row coefficient sums of an int8 pack (rows int64s, tail rows of the
 /// last group excluded).  Derived data for the offset-binary activation
@@ -166,28 +145,23 @@ void quantize_i8(const double* x, std::size_t n, double inv_scale, qi8* out);
 
 /// Quantize one lane-minor activation block (depth x kLanes doubles, the
 /// fp64 runner layout) into the lane-major image the quant GEMM reads:
-/// out[l * depth_pad + k] for lane l.  The u8 variant stores q + 128
-/// (offset-binary, pad byte 128 == q 0); the i16 variant stores q signed
-/// (pad 0).  Rounding matches quantize_value per the contract.
+/// out[l * depth_pad + k] for lane l, stored as q + 128 (offset-binary, pad
+/// byte 128 == q 0).  Rounding matches quantize_value per the contract.
 void quantize_act_u8(const double* block, std::size_t depth,
                      std::size_t depth_pad, double inv_scale, qu8* out);
-void quantize_act_i16(const double* block, std::size_t depth,
-                      std::size_t depth_pad, double inv_scale, qi16* out);
 
 /// Int GEMM, convention "wx", kLanes = 8 batch columns:
 ///   acc[r*8 + l] = sum_k w[r, k] * x_q[l, k]   (int64, overwritten)
-/// `w` is a quant pack (pack_quant_rows_*), `depth_pad` its padded depth
+/// `w` is a quant pack (pack_quant_rows_i8), `depth_pad` its padded depth
 /// (quant_depth_pad of the logical depth; the zero-padded tail contributes
-/// nothing).  int8 activations arrive offset-binary (quantize_act_u8) with
-/// the pack's row sums for the -128 correction; int16 activations arrive
-/// signed (quantize_act_i16).  `acc` holds rows * 8 int64 — group tail rows
-/// are not written.  Bias and dequantization are the caller's (fused into
-/// the gate loop in rnn_quant.cpp).  int8 requires depth_pad <= 65536 so a
-/// whole row fits one int32 accumulator chunk (throws otherwise).
+/// nothing).  Activations arrive offset-binary (quantize_act_u8) with the
+/// pack's row sums for the -128 correction.  `acc` holds rows * 8 int64 —
+/// group tail rows are not written.  Bias and dequantization are the
+/// caller's (fused into the gate loop in rnn_quant.cpp).  Requires
+/// depth_pad <= 65536 so a whole row fits one int32 accumulator (throws
+/// otherwise).
 void gemm_q8x8(const qi8* w, const qi64* row_sums, std::size_t rows,
                std::size_t depth_pad, const qu8* x, qi64* acc);
-void gemm_q16x8(const qi16* w, std::size_t rows, std::size_t depth_pad,
-                const qi16* x, qi64* acc);
 
 /// Workspace carve-outs for quantized scratch: the arena hands out doubles,
 /// these reinterpret whole 64-byte-aligned blocks.
@@ -196,9 +170,6 @@ inline qi8* take_i8(Workspace& ws, std::size_t n) {
 }
 inline qu8* take_u8(Workspace& ws, std::size_t n) {
   return reinterpret_cast<qu8*>(ws.take((n + 7) / 8));
-}
-inline qi16* take_i16(Workspace& ws, std::size_t n) {
-  return reinterpret_cast<qi16*>(ws.take((n + 3) / 4));
 }
 inline qi64* take_i64(Workspace& ws, std::size_t n) {
   return reinterpret_cast<qi64*>(ws.take(n));

@@ -25,14 +25,14 @@ void check_spec(const BatchSpec& spec) {
   }
 }
 
-/// Upstream-gradient injection shared by both cells.  At a sample's last step
+/// Upstream-gradient injection for the backward pass.  At a sample's last step
 /// the reference *assigns* dh (it copies the final dh_seq block), so lanes are
 /// assigned there — this also scrubs any dead-lane garbage before live math.
 /// Earlier live steps add the (possibly zero) per-step injection, exactly
 /// like the reference's `dh[k] += inject[k]`.
 void inject_dh(const BatchSpec& spec, std::size_t hidden, std::size_t t,
                const double* dh_last, const double* dh_blocks, double* dh,
-               double* dc /* may be null (GRU) */) {
+               double* dc) {
   const std::size_t L = spec.lanes;
   for (std::size_t b = 0; b < spec.batch; ++b) {
     const std::size_t last = spec.steps[b] - 1;
@@ -40,7 +40,7 @@ void inject_dh(const BatchSpec& spec, std::size_t hidden, std::size_t t,
       for (std::size_t k = 0; k < hidden; ++k) {
         dh[k * L + b] = dh_last ? dh_last[b * hidden + k]
                                 : dh_blocks[t * hidden * L + k * L + b];
-        if (dc) dc[k * L + b] = 0.0;
+        dc[k * L + b] = 0.0;
       }
     } else if (last > t && dh_blocks) {
       for (std::size_t k = 0; k < hidden; ++k) {
@@ -200,174 +200,6 @@ void lstm_backward_batched(const LstmLayer& layer, const LstmBatchTrace& trace,
       gather_t_cols(trace.xin, I + H, L, (I + H) * L, ts, b, zin);
       gemm_acc_tdesc(az, 4 * H, ts, zin, I + H, 0, *grads.dw);
       rowsum_acc_tdesc(az, 4 * H, ts, *grads.db);
-    }
-  }
-}
-
-GruBatchTrace gru_forward_batched(const GruLayer& layer, const double* xblocks,
-                                  const BatchSpec& spec, Workspace& ws) {
-  check_spec(spec);
-  const std::size_t I = layer.input_dim();
-  const std::size_t H = layer.hidden_dim();
-  const std::size_t L = spec.lanes;
-  const std::size_t T = spec.max_steps;
-  const std::size_t HL = H * L;
-
-  const Packed pg = pack_rows(layer.gate_weights(), ws);
-  const Packed pnh = pack_rows(layer.cand_h_weights(), ws);
-  const Packed pnx = pack_rows(layer.cand_x_weights(), ws);
-  const double* bg = layer.gate_bias().data();
-  const double* bnh = layer.cand_h_bias().data();
-  const double* bnx = layer.cand_x_bias().data();
-
-  GruBatchTrace tr;
-  tr.input = I;
-  tr.hidden = H;
-  tr.xin = ws.take(T * (I + H) * L);
-  tr.r_gate = ws.take(T * HL);
-  tr.z_gate = ws.take(T * HL);
-  tr.n_cand = ws.take(T * HL);
-  tr.nh_pre = ws.take(T * HL);
-  tr.hiddens = ws.take(T * HL);
-  double* gates = ws.take(2 * HL);
-  double* n_pre = ws.take(HL);
-
-  for (std::size_t t = 0; t < T; ++t) {
-    const double* h_prev = t > 0 ? tr.hiddens + (t - 1) * HL : nullptr;
-    double* xin = tr.xin + t * (I + H) * L;
-    std::memcpy(xin, xblocks + t * I * L, I * L * sizeof(double));
-    if (h_prev) {
-      std::memcpy(xin + I * L, h_prev, HL * sizeof(double));
-    } else {
-      std::memset(xin + I * L, 0, HL * sizeof(double));
-    }
-
-    gemm_wx_l(pg, bg, xin, gates, L);
-
-    double* nh = tr.nh_pre + t * HL;
-    if (h_prev) {
-      gemm_wx_l(pnh, bnh, h_prev, nh, L);
-    } else {
-      // Reference assigns nh = b_nh at t = 0 (no matvec, no add).
-      for (std::size_t k = 0; k < H; ++k) {
-        for (std::size_t l = 0; l < L; ++l) nh[k * L + l] = bnh[k];
-      }
-    }
-    gemm_wx_l(pnx, bnx, xblocks + t * I * L, n_pre, L);
-
-    double* r = tr.r_gate + t * HL;
-    double* z = tr.z_gate + t * HL;
-    double* n = tr.n_cand + t * HL;
-    double* h = tr.hiddens + t * HL;
-    for (std::size_t e = 0; e < HL; ++e) {
-      r[e] = sigmoid(gates[e]);
-      z[e] = sigmoid(gates[HL + e]);
-      n[e] = std::tanh(n_pre[e] + r[e] * nh[e]);
-      const double hp = h_prev ? h_prev[e] : 0.0;
-      h[e] = (1.0 - z[e]) * n[e] + z[e] * hp;
-    }
-  }
-  return tr;
-}
-
-void gru_backward_batched(const GruLayer& layer, const GruBatchTrace& trace,
-                          const BatchSpec& spec, const double* dh_last,
-                          const double* dh_blocks, double* dx_blocks,
-                          const GruGrads& grads, Workspace& ws) {
-  check_spec(spec);
-  if ((dh_last == nullptr) == (dh_blocks == nullptr)) {
-    throw std::invalid_argument(
-        "gru_backward_batched: exactly one of dh_last / dh_blocks");
-  }
-  const std::size_t I = trace.input;
-  const std::size_t H = trace.hidden;
-  const std::size_t L = spec.lanes;
-  const std::size_t T = spec.max_steps;
-  const std::size_t HL = H * L;
-  const bool want_grads = grads.dw_gates != nullptr;
-
-  const Packed pgT = pack_transpose(layer.gate_weights(), ws);
-  const Packed pnhT = pack_transpose(layer.cand_h_weights(), ws);
-  const Packed pnxT = pack_transpose(layer.cand_x_weights(), ws);
-
-  double* dh = ws.take_zero(HL);
-  double* dh_prev = ws.take(HL);
-  double* dzin = ws.take((I + H) * L);
-  double* dgates_buf = ws.take(want_grads ? T * 2 * HL : 2 * HL);
-  double* dnpre_buf = ws.take(want_grads ? T * HL : HL);
-  double* dnh_buf = ws.take(want_grads ? T * HL : HL);
-
-  for (std::size_t t = T; t-- > 0;) {
-    inject_dh(spec, H, t, dh_last, dh_blocks, dh, nullptr);
-
-    const double* r = trace.r_gate + t * HL;
-    const double* z = trace.z_gate + t * HL;
-    const double* n = trace.n_cand + t * HL;
-    const double* nh = trace.nh_pre + t * HL;
-    const double* h_prev = t > 0 ? trace.hiddens + (t - 1) * HL : nullptr;
-    double* dgates = want_grads ? dgates_buf + t * 2 * HL : dgates_buf;
-    double* dnpre = want_grads ? dnpre_buf + t * HL : dnpre_buf;
-    double* dnh = want_grads ? dnh_buf + t * HL : dnh_buf;
-
-    for (std::size_t e = 0; e < HL; ++e) {
-      const double hp = h_prev ? h_prev[e] : 0.0;
-      const double dzv = dh[e] * (hp - n[e]) * z[e] * (1.0 - z[e]);
-      const double dn = dh[e] * (1.0 - z[e]);
-      dnpre[e] = dn * (1.0 - n[e] * n[e]);
-      const double dr = dnpre[e] * nh[e] * r[e] * (1.0 - r[e]);
-      dgates[e] = dr;
-      dgates[HL + e] = dzv;
-      dnh[e] = dnpre[e] * r[e];
-      // Reference zero-fills dh_prev then adds the carry-through term.
-      dh_prev[e] = 0.0 + dh[e] * z[e];
-    }
-
-    if (dx_blocks) {
-      double* dxb = dx_blocks + t * I * L;
-      for (std::size_t e = 0; e < I * L; ++e) dxb[e] = 0.0;
-      gemm_accseq_l(pnxT, dnpre, dxb, L);  // dx += W_nx^T dn_pre
-    }
-    gemm_accseq_l(pnhT, dnh, dh_prev, L);  // dh_prev += W_nh^T dnh
-
-    const std::size_t ZL = (I + H) * L;
-    for (std::size_t e = 0; e < ZL; ++e) dzin[e] = 0.0;
-    gemm_accseq_l(pgT, dgates, dzin, L);
-    if (dx_blocks) {
-      double* dxb = dx_blocks + t * I * L;
-      for (std::size_t e = 0; e < I * L; ++e) dxb[e] += dzin[e];
-    }
-    for (std::size_t e = 0; e < HL; ++e) dh_prev[e] += dzin[I * L + e];
-
-    std::memcpy(dh, dh_prev, HL * sizeof(double));
-  }
-
-  if (want_grads) {
-    double* ah = ws.take(H * T);
-    double* a2h = ws.take(2 * H * T);
-    double* zin = ws.take(T * (I + H));
-    double* xs = ws.take(T * I);
-    double* hprevs = ws.take(T * H);
-    for (std::size_t b = 0; b < spec.batch; ++b) {
-      const std::size_t ts = spec.steps[b];
-      // Candidate-x path.
-      gather_rows_t(dnpre_buf, H, L, HL, ts, b, ah);
-      gather_t_cols(trace.xin, I, L, (I + H) * L, ts, b, xs);
-      gemm_acc_tdesc(ah, H, ts, xs, I, 0, *grads.dw_nx);
-      rowsum_acc_tdesc(ah, H, ts, *grads.db_nx);
-      // Candidate-h path: dw_nh only for t >= 1 (no h_prev at t = 0); db_nh
-      // accumulates at every step like the reference.
-      gather_rows_t(dnh_buf, H, L, HL, ts, b, ah);
-      for (std::size_t t = 1; t < ts; ++t) {
-        const double* blk = trace.hiddens + (t - 1) * HL;
-        for (std::size_t c = 0; c < H; ++c) hprevs[t * H + c] = blk[c * L + b];
-      }
-      gemm_acc_tdesc(ah, H, ts, hprevs, H, 1, *grads.dw_nh);
-      rowsum_acc_tdesc(ah, H, ts, *grads.db_nh);
-      // Gate path.
-      gather_rows_t(dgates_buf, 2 * H, L, 2 * HL, ts, b, a2h);
-      gather_t_cols(trace.xin, I + H, L, (I + H) * L, ts, b, zin);
-      gemm_acc_tdesc(a2h, 2 * H, ts, zin, I + H, 0, *grads.dw_gates);
-      rowsum_acc_tdesc(a2h, 2 * H, ts, *grads.db_gates);
     }
   }
 }

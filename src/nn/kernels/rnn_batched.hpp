@@ -1,11 +1,12 @@
-// Batched LSTM/GRU sequence runners over the packed GEMM kernels.
+// Batched LSTM sequence runners over the packed GEMM kernels.
 //
 // The runners pack up to kLanes trajectories per timestep into one GEMM per
 // gate matrix, with fused gate activations, and run the backward pass the
-// same way.  Live lanes are **bit-identical** to the per-sample reference
-// layers (LstmLayer / GruLayer): every output element keeps the reference's
-// single-accumulator reduction order (see kernels/gemm.hpp), the elementwise
-// gate math is the exact same scalar expression per lane, and parameter
+// same way.  Live lanes are **bit-identical** to the per-sample oracle
+// (LstmLayer::forward and the BPTT in tests/reference): every output element
+// keeps the reference's single-accumulator reduction order (see
+// kernels/gemm.hpp), the elementwise gate math is the exact same scalar
+// expression per lane, and parameter
 // gradients are folded per sample in batch order with t descending — the same
 // global per-element add order the reference produces when looping samples.
 //
@@ -22,7 +23,6 @@
 
 #include <cstddef>
 
-#include "nn/gru.hpp"
 #include "nn/kernels/align.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "nn/lstm.hpp"
@@ -79,9 +79,9 @@ struct LstmGrads {
 
 /// Batched BPTT.  Exactly one of dh_last / dh_blocks must be non-null:
 ///  - dh_last (batch x hidden, row-major): final-state objective, injected at
-///    each sample's own last step — the reference LstmLayer::backward.
+///    each sample's own last step — the oracle's lstm_backward.
 ///  - dh_blocks (max_steps blocks of hidden x lanes): per-step injection from
-///    a stacked layer above — the reference backward_seq.
+///    a stacked layer above — the oracle's lstm_backward_seq.
 /// dx_blocks (optional out, max_steps blocks of input x lanes) receives the
 /// input gradient.  grads (optional) accumulate like the reference called
 /// per-sample in batch order.
@@ -90,35 +90,5 @@ void lstm_backward_batched(const LstmLayer& layer, const LstmBatchTrace& trace,
                            const double* dh_blocks, double* dx_blocks,
                            const LstmGrads& grads, Workspace& ws,
                            const LstmPacks* packs = nullptr);
-
-/// GRU analogue of LstmBatchTrace.
-struct GruBatchTrace {
-  std::size_t input = 0;
-  std::size_t hidden = 0;
-  double* xin = nullptr;      ///< T blocks of (input+hidden) x lanes
-  double* r_gate = nullptr;   ///< T blocks of hidden x lanes
-  double* z_gate = nullptr;   ///< T blocks of hidden x lanes
-  double* n_cand = nullptr;   ///< T blocks of hidden x lanes (post-tanh)
-  double* nh_pre = nullptr;   ///< T blocks of hidden x lanes (W_nh h + b_nh)
-  double* hiddens = nullptr;  ///< T blocks of hidden x lanes
-};
-
-GruBatchTrace gru_forward_batched(const GruLayer& layer, const double* xblocks,
-                                  const BatchSpec& spec, Workspace& ws);
-
-/// Destination matrices for GRU parameter gradients (all null to skip).
-struct GruGrads {
-  Matrix* dw_gates = nullptr;
-  Matrix* db_gates = nullptr;
-  Matrix* dw_nx = nullptr;
-  Matrix* dw_nh = nullptr;
-  Matrix* db_nx = nullptr;
-  Matrix* db_nh = nullptr;
-};
-
-void gru_backward_batched(const GruLayer& layer, const GruBatchTrace& trace,
-                          const BatchSpec& spec, const double* dh_last,
-                          const double* dh_blocks, double* dx_blocks,
-                          const GruGrads& grads, Workspace& ws);
 
 }  // namespace trajkit::nn::kernels

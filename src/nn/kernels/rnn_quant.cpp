@@ -23,12 +23,9 @@ void check_quant_spec(const QuantLstmLayerView& layer, const BatchSpec& spec) {
     }
   }
   if (layer.wx == nullptr || layer.wh == nullptr || layer.bias == nullptr ||
+      layer.wx_row_sums == nullptr || layer.wh_row_sums == nullptr ||
       layer.input == 0 || layer.hidden == 0) {
     throw std::invalid_argument("rnn_quant: incomplete layer view");
-  }
-  if (layer.mode == QuantMode::kInt8 &&
-      (layer.wx_row_sums == nullptr || layer.wh_row_sums == nullptr)) {
-    throw std::invalid_argument("rnn_quant: int8 view missing row sums");
   }
 }
 
@@ -54,29 +51,14 @@ double* lstm_forward_quant(const QuantLstmLayerView& layer,
   const double inv_sh = layer.sh != 0.0 ? 1.0 / layer.sh : 0.0;
   const std::size_t IPad = quant_depth_pad(I);
   const std::size_t HPad = quant_depth_pad(H);
-  const bool i8 = layer.mode == QuantMode::kInt8;
 
   // The whole input history is known up front, so its quantized lane-major
   // image is built once; only the recurrent state re-quantizes per step.
-  // int8 mode stores offset-binary uint8 activations, int16 mode signed
-  // int16 (the VNNI dot products are u8 x s8 and s16 x s16 respectively).
-  qu8* qx8 = nullptr;
-  qu8* qh8 = nullptr;
-  qi16* qx16 = nullptr;
-  qi16* qh16 = nullptr;
-  if (i8) {
-    qx8 = take_u8(ws, T * L * IPad);
-    qh8 = take_u8(ws, L * HPad);
-    for (std::size_t t = 0; t < T; ++t) {
-      quantize_act_u8(xblocks + t * I * L, I, IPad, inv_sx, qx8 + t * L * IPad);
-    }
-  } else {
-    qx16 = take_i16(ws, T * L * IPad);
-    qh16 = take_i16(ws, L * HPad);
-    for (std::size_t t = 0; t < T; ++t) {
-      quantize_act_i16(xblocks + t * I * L, I, IPad, inv_sx,
-                       qx16 + t * L * IPad);
-    }
+  // Activations are offset-binary uint8 (the VNNI dot product is u8 x s8).
+  qu8* qx = take_u8(ws, T * L * IPad);
+  qu8* qh = take_u8(ws, L * HPad);
+  for (std::size_t t = 0; t < T; ++t) {
+    quantize_act_u8(xblocks + t * I * L, I, IPad, inv_sx, qx + t * L * IPad);
   }
   qi64* accx = take_i64(ws, 4 * HL);
   qi64* acch = take_i64(ws, 4 * HL);
@@ -84,23 +66,11 @@ double* lstm_forward_quant(const QuantLstmLayerView& layer,
   double* hiddens = ws.take(T * HL);
 
   for (std::size_t t = 0; t < T; ++t) {
-    if (i8) {
-      gemm_q8x8(static_cast<const qi8*>(layer.wx), layer.wx_row_sums, 4 * H,
-                IPad, qx8 + t * L * IPad, accx);
-    } else {
-      gemm_q16x8(static_cast<const qi16*>(layer.wx), 4 * H, IPad,
-                 qx16 + t * L * IPad, accx);
-    }
+    gemm_q8x8(layer.wx, layer.wx_row_sums, 4 * H, IPad, qx + t * L * IPad,
+              accx);
     if (t > 0) {
-      if (i8) {
-        quantize_act_u8(hiddens + (t - 1) * HL, H, HPad, inv_sh, qh8);
-        gemm_q8x8(static_cast<const qi8*>(layer.wh), layer.wh_row_sums, 4 * H,
-                  HPad, qh8, acch);
-      } else {
-        quantize_act_i16(hiddens + (t - 1) * HL, H, HPad, inv_sh, qh16);
-        gemm_q16x8(static_cast<const qi16*>(layer.wh), 4 * H, HPad, qh16,
-                   acch);
-      }
+      quantize_act_u8(hiddens + (t - 1) * HL, H, HPad, inv_sh, qh);
+      gemm_q8x8(layer.wh, layer.wh_row_sums, 4 * H, HPad, qh, acch);
     } else {
       std::memset(acch, 0, 4 * HL * sizeof(qi64));
     }

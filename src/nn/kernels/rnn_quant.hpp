@@ -29,16 +29,15 @@ namespace trajkit::nn::kernels {
 
 /// Non-owning view of one quantized LSTM layer (storage lives in the model,
 /// see nn/quant_classifier.hpp).  wx packs the 4H x I input half, wh the
-/// 4H x H recurrent half, both in the VNNI dot-product layout for `mode`'s
-/// weight width.  Scales are per gate in [i, f, g, o] order.  int8 mode
-/// additionally carries each pack's per-row coefficient sums (derived at
-/// build/load time) for the offset-binary activation correction.
+/// 4H x H recurrent half, both int8 in the VNNI dot-product layout.  Scales
+/// are per gate in [i, f, g, o] order.  Each pack carries its per-row
+/// coefficient sums (derived at build/load time) for the offset-binary
+/// activation correction.
 struct QuantLstmLayerView {
-  QuantMode mode = QuantMode::kInt16;
-  const void* wx = nullptr;
-  const void* wh = nullptr;
-  const qi64* wx_row_sums = nullptr;  ///< int8 mode only, 4*hidden entries
-  const qi64* wh_row_sums = nullptr;  ///< int8 mode only, 4*hidden entries
+  const qi8* wx = nullptr;
+  const qi8* wh = nullptr;
+  const qi64* wx_row_sums = nullptr;  ///< 4*hidden entries
+  const qi64* wh_row_sums = nullptr;  ///< 4*hidden entries
   const double* bias = nullptr;       ///< 4*hidden doubles
   double sw_x[4] = {1, 1, 1, 1};
   double sw_h[4] = {1, 1, 1, 1};

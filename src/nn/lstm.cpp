@@ -1,6 +1,5 @@
 #include "nn/lstm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -69,82 +68,6 @@ LstmTrace LstmLayer::forward(const std::vector<double>& xs, std::size_t steps) c
     }
   }
   return tr;
-}
-
-void LstmLayer::backward(const LstmTrace& trace, const std::vector<double>& dh_last,
-                         std::vector<double>* dx) {
-  if (dh_last.size() != hidden_dim_) {
-    throw std::invalid_argument("LstmLayer::backward: dh_last size mismatch");
-  }
-  std::vector<double> dh_seq(trace.steps * hidden_dim_, 0.0);
-  std::copy(dh_last.begin(), dh_last.end(),
-            dh_seq.end() - static_cast<std::ptrdiff_t>(hidden_dim_));
-  backward_seq(trace, dh_seq, dx);
-}
-
-void LstmLayer::backward_seq(const LstmTrace& trace, const std::vector<double>& dh_seq,
-                             std::vector<double>* dx) {
-  const std::size_t H = hidden_dim_;
-  const std::size_t I = input_dim_;
-  const std::size_t steps = trace.steps;
-  if (dh_seq.size() != steps * H) {
-    throw std::invalid_argument("LstmLayer::backward_seq: dh_seq size mismatch");
-  }
-  if (dx) dx->assign(steps * I, 0.0);
-
-  // d(loss)/d(h_t): the recurrent flow plus the per-step injection.
-  std::vector<double> dh(dh_seq.end() - static_cast<std::ptrdiff_t>(H), dh_seq.end());
-  std::vector<double> dc(H, 0.0);        // d(loss)/d(c_t)
-  std::vector<double> dz(4 * H, 0.0);    // d(loss)/d(z_t) (pre-activation)
-  std::vector<double> dzin(I + H, 0.0);  // d(loss)/d([x_t ; h_{t-1}])
-  std::vector<double> zin(I + H, 0.0);
-
-  for (std::size_t t = steps; t-- > 0;) {
-    const double* gate = trace.gates.data() + t * 4 * H;
-    const double* c = trace.cells.data() + t * H;
-    const double* c_prev = t > 0 ? trace.cells.data() + (t - 1) * H : nullptr;
-
-    for (std::size_t k = 0; k < H; ++k) {
-      const double i_g = gate[k];
-      const double f_g = gate[H + k];
-      const double g_g = gate[2 * H + k];
-      const double o_g = gate[3 * H + k];
-      const double tanh_c = std::tanh(c[k]);
-      // h = o * tanh(c)
-      const double dct = dc[k] + dh[k] * o_g * (1.0 - tanh_c * tanh_c);
-      const double cp = c_prev ? c_prev[k] : 0.0;
-      dz[k] = dct * g_g * i_g * (1.0 - i_g);              // input gate
-      dz[H + k] = dct * cp * f_g * (1.0 - f_g);           // forget gate
-      dz[2 * H + k] = dct * i_g * (1.0 - g_g * g_g);      // candidate
-      dz[3 * H + k] = dh[k] * tanh_c * o_g * (1.0 - o_g); // output gate
-      dc[k] = dct * f_g;                                  // flows to c_{t-1}
-    }
-
-    // Parameter gradients: dw += dz * zin^T, db += dz.
-    std::memcpy(zin.data(), trace.inputs.data() + t * I, I * sizeof(double));
-    if (t > 0) {
-      std::memcpy(zin.data() + I, trace.hiddens.data() + (t - 1) * H,
-                  H * sizeof(double));
-    } else {
-      std::memset(zin.data() + I, 0, H * sizeof(double));
-    }
-    rank1_acc(dw_, 1.0, dz.data(), zin.data());
-    for (std::size_t k = 0; k < 4 * H; ++k) db_(k, 0) += dz[k];
-
-    // Input-side gradients: dzin = W^T dz.
-    std::fill(dzin.begin(), dzin.end(), 0.0);
-    gemv_t_acc(w_, dz.data(), dzin.data());
-    if (dx) {
-      std::memcpy(dx->data() + t * I, dzin.data(), I * sizeof(double));
-    }
-    // dh for the previous step: recurrent flow through zin plus that step's
-    // own injection from the layer above.
-    std::memcpy(dh.data(), dzin.data() + I, H * sizeof(double));
-    if (t > 0) {
-      const double* inject = dh_seq.data() + (t - 1) * H;
-      for (std::size_t k = 0; k < H; ++k) dh[k] += inject[k];
-    }
-  }
 }
 
 void LstmLayer::zero_grad() {

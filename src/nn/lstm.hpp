@@ -7,9 +7,11 @@
 //   c_t = f * c_{t-1} + i * g
 //   h_t = o * tanh(c_t)
 //
-// forward() caches all activations; backward() returns parameter gradients
-// *and* input-sequence gradients — the latter is what lets the C&W attack
-// differentiate the classifier loss w.r.t. trajectory coordinates.
+// forward() caches all activations in a trace.  The layer runs forward only
+// on its own (the quantizer's calibration pass); training and the C&W input
+// gradient run through the batched kernels (nn/kernels/rnn_batched.hpp), and
+// the per-sample BPTT they reproduce lives beside the tests (tests/reference).
+// The layer still owns its gradient buffers, which the optimizer reads.
 #pragma once
 
 #include <cstddef>
@@ -36,22 +38,9 @@ class LstmLayer {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
 
-  /// Run the layer over a sequence (row-major steps x input_dim), producing a
-  /// trace for backward().  Initial h and c are zero.
+  /// Run the layer over a sequence (row-major steps x input_dim), producing
+  /// its activation trace.  Initial h and c are zero.
   LstmTrace forward(const std::vector<double>& xs, std::size_t steps) const;
-
-  /// BPTT with loss gradient injected only at the final hidden state.
-  /// `dh_last` is d(loss)/d(h_T) (hidden_dim entries); gradients accumulate
-  /// into dw_/db_ (call zero_grad() between batches).  If `dx` is non-null it
-  /// receives d(loss)/d(inputs) (steps x input_dim, overwritten).
-  void backward(const LstmTrace& trace, const std::vector<double>& dh_last,
-                std::vector<double>* dx);
-
-  /// BPTT with loss gradient injected at every step's hidden output — needed
-  /// when another LSTM layer is stacked on top.  `dh_seq` has
-  /// steps x hidden_dim entries.
-  void backward_seq(const LstmTrace& trace, const std::vector<double>& dh_seq,
-                    std::vector<double>* dx);
 
   void zero_grad();
   /// Squared L2 norm of all gradients (for global-norm clipping).

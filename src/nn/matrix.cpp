@@ -40,24 +40,4 @@ void gemv_acc(const Matrix& m, const double* x, double* y) {
   }
 }
 
-void gemv_t_acc(const Matrix& m, const double* x, double* y) {
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* mr = m.row(r);
-    const double xr = x[r];
-    for (std::size_t c = 0; c < cols; ++c) y[c] += mr[c] * xr;
-  }
-}
-
-void rank1_acc(Matrix& m, double alpha, const double* x, const double* y) {
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* mr = m.row(r);
-    const double ax = alpha * x[r];
-    for (std::size_t c = 0; c < cols; ++c) mr[c] += ax * y[c];
-  }
-}
-
 }  // namespace trajkit::nn

@@ -1,8 +1,8 @@
 // Dense row-major matrix for the from-scratch neural-network library.
 //
-// Deliberately minimal: the LSTM and dense layers only need matrix-vector
-// products, rank-1 accumulation and elementwise ops, all of which the
-// compiler vectorizes well at -O3.  No expression templates, no views — the
+// Deliberately minimal: the layers only need a matrix-vector product and
+// elementwise ops, all of which the compiler vectorizes well at -O3 (the
+// packed GEMMs of nn/kernels carry the hot paths).  No expression templates, no views — the
 // shapes in this project are small (hidden sizes <= a few hundred).
 #pragma once
 
@@ -56,12 +56,6 @@ class Matrix {
 
 /// y += M * x  (y has M.rows() entries, x has M.cols()).
 void gemv_acc(const Matrix& m, const double* x, double* y);
-
-/// y += M^T * x (y has M.cols() entries, x has M.rows()).
-void gemv_t_acc(const Matrix& m, const double* x, double* y);
-
-/// M += alpha * x * y^T (rank-1 update; x has M.rows(), y has M.cols()).
-void rank1_acc(Matrix& m, double alpha, const double* x, const double* y);
 
 /// Numerically safe sigmoid.  Inline so the RNN elementwise loops (thousands
 /// of calls per forward pass) do not pay a cross-TU call per element; the

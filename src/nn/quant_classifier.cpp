@@ -58,19 +58,16 @@ std::uint64_t fnv1a_byte(std::uint64_t h, std::uint8_t b) {
 }  // namespace
 
 QuantizedLstm QuantizedLstm::quantize(
-    const LstmClassifier& model, const std::vector<FeatureSequence>& calibration,
-    QuantMode mode) {
+    const LstmClassifier& model, const std::vector<FeatureSequence>& calibration) {
   if (calibration.empty()) {
     throw std::invalid_argument("quantize: empty calibration set");
   }
   QuantizedLstm q;
-  q.mode_ = mode;
   q.input_dim_ = model.config().input_dim;
   q.hidden_dim_ = model.config().hidden_dim;
   const std::size_t nl = model.layer_count();
-  const std::int32_t qmax = kernels::quant_qmax(mode);
 
-  // Calibration pass through the fp64 reference layers, per sample in set
+  // Calibration pass through the fp64 per-sample layers, per sample in set
   // order: per-layer max-abs of the input stream and of the layer's own
   // hidden outputs.  Max-abs is an order-free reduction, so this is
   // bit-identical on every thread count by construction.
@@ -100,10 +97,11 @@ QuantizedLstm QuantizedLstm::quantize(
     // Per-gate symmetric weight scales, input/recurrent halves separately.
     std::vector<double> inv_x(4 * H), inv_h(4 * H);
     for (std::size_t g = 0; g < 4; ++g) {
-      out.sw_x[g] =
-          scale_for(kernels::max_abs_block(w, g * H, (g + 1) * H, 0, I), qmax);
+      out.sw_x[g] = scale_for(
+          kernels::max_abs_block(w, g * H, (g + 1) * H, 0, I), kernels::kQmax);
       out.sw_h[g] = scale_for(
-          kernels::max_abs_block(w, g * H, (g + 1) * H, I, I + H), qmax);
+          kernels::max_abs_block(w, g * H, (g + 1) * H, I, I + H),
+          kernels::kQmax);
       for (std::size_t r = g * H; r < (g + 1) * H; ++r) {
         inv_x[r] = 1.0 / out.sw_x[g];
         inv_h[r] = 1.0 / out.sw_h[g];
@@ -112,25 +110,15 @@ QuantizedLstm QuantizedLstm::quantize(
     // Static activation scales from the calibration maxima.  The first
     // layer's input half sees raw features; stacked layers and every
     // recurrent half see tanh-bounded hidden state.
-    out.sx = scale_for(max_in[l], kernels::kActQmax);
-    out.sh = scale_for(max_h[l], kernels::kActQmax);
+    out.sx = scale_for(max_in[l], kernels::kQmax);
+    out.sh = scale_for(max_h[l], kernels::kQmax);
 
     out.bias.assign(ref.bias().data(), ref.bias().data() + 4 * H);
-    out.wx.resize(kernels::quant_packed_bytes(4 * H, I, mode));
-    out.wh.resize(kernels::quant_packed_bytes(4 * H, H, mode));
-    if (mode == QuantMode::kInt8) {
-      kernels::pack_quant_rows_i8(w, 0, I, inv_x.data(),
-                                  reinterpret_cast<kernels::qi8*>(out.wx.data()));
-      kernels::pack_quant_rows_i8(w, I, I + H, inv_h.data(),
-                                  reinterpret_cast<kernels::qi8*>(out.wh.data()));
-    } else {
-      kernels::pack_quant_rows_i16(
-          w, 0, I, inv_x.data(), reinterpret_cast<kernels::qi16*>(out.wx.data()));
-      kernels::pack_quant_rows_i16(
-          w, I, I + H, inv_h.data(),
-          reinterpret_cast<kernels::qi16*>(out.wh.data()));
-    }
-    derive_row_sums(out, mode);
+    out.wx.resize(kernels::quant_packed_elems(4 * H, I));
+    out.wh.resize(kernels::quant_packed_elems(4 * H, H));
+    kernels::pack_quant_rows_i8(w, 0, I, inv_x.data(), out.wx.data());
+    kernels::pack_quant_rows_i8(w, I, I + H, inv_h.data(), out.wh.data());
+    derive_row_sums(out);
   }
 
   const Matrix& hw = model.head_layer().weights();
@@ -139,25 +127,21 @@ QuantizedLstm QuantizedLstm::quantize(
   return q;
 }
 
-void QuantizedLstm::derive_row_sums(Layer& l, QuantMode mode) {
-  if (mode != QuantMode::kInt8) return;
+void QuantizedLstm::derive_row_sums(Layer& l) {
   l.wx_row_sums.resize(4 * l.hidden);
   l.wh_row_sums.resize(4 * l.hidden);
-  kernels::quant_row_sums_i8(reinterpret_cast<const kernels::qi8*>(l.wx.data()),
-                             4 * l.hidden, l.input, l.wx_row_sums.data());
-  kernels::quant_row_sums_i8(reinterpret_cast<const kernels::qi8*>(l.wh.data()),
-                             4 * l.hidden, l.hidden, l.wh_row_sums.data());
+  kernels::quant_row_sums_i8(l.wx.data(), 4 * l.hidden, l.input,
+                             l.wx_row_sums.data());
+  kernels::quant_row_sums_i8(l.wh.data(), 4 * l.hidden, l.hidden,
+                             l.wh_row_sums.data());
 }
 
 kernels::QuantLstmLayerView QuantizedLstm::view_of(const Layer& l) const {
   kernels::QuantLstmLayerView v;
-  v.mode = mode_;
   v.wx = l.wx.data();
   v.wh = l.wh.data();
-  if (mode_ == QuantMode::kInt8) {
-    v.wx_row_sums = l.wx_row_sums.data();
-    v.wh_row_sums = l.wh_row_sums.data();
-  }
+  v.wx_row_sums = l.wx_row_sums.data();
+  v.wh_row_sums = l.wh_row_sums.data();
   v.bias = l.bias.data();
   for (std::size_t g = 0; g < 4; ++g) {
     v.sw_x[g] = l.sw_x[g];
@@ -254,8 +238,9 @@ std::vector<double> QuantizedLstm::predict_proba_batch(
 
 void QuantizedLstm::save(std::ostream& os) const {
   os << kMagic << '\n';
-  os << (mode_ == QuantMode::kInt8 ? 8 : 16) << ' ' << input_dim_ << ' '
-     << hidden_dim_ << ' ' << layers_.size() << '\n';
+  // Weight width in bits: 8 is the only value try_load accepts.
+  os << 8 << ' ' << input_dim_ << ' ' << hidden_dim_ << ' ' << layers_.size()
+     << '\n';
   for (const Layer& l : layers_) {
     os << l.input << ' ' << l.hidden << '\n';
     const double scales[10] = {l.sw_x[0], l.sw_x[1], l.sw_x[2], l.sw_x[3],
@@ -271,13 +256,8 @@ void QuantizedLstm::save(std::ostream& os) const {
     for (const auto& [buf, n] : {std::pair{&l.wx, nx}, std::pair{&l.wh, nh}}) {
       os << n << '\n';
       for (std::size_t i = 0; i < n; ++i) {
-        const std::int32_t v =
-            mode_ == QuantMode::kInt8
-                ? static_cast<std::int32_t>(
-                      reinterpret_cast<const kernels::qi8*>(buf->data())[i])
-                : static_cast<std::int32_t>(
-                      reinterpret_cast<const kernels::qi16*>(buf->data())[i]);
-        os << v << (((i + 1) % 16 == 0) ? '\n' : ' ');
+        os << static_cast<std::int32_t>((*buf)[i])
+           << (((i + 1) % 16 == 0) ? '\n' : ' ');
       }
       os << '\n';
     }
@@ -297,15 +277,17 @@ Expected<QuantizedLstm, std::string> QuantizedLstm::try_load(std::istream& is) {
   if (!(is >> mode_bits >> input >> hidden >> nl)) {
     return Result::failure("quant model load: bad header");
   }
-  if ((mode_bits != 8 && mode_bits != 16) || input == 0 || input > kMaxDim ||
-      hidden == 0 || hidden > kMaxDim || nl == 0 || nl > kMaxLayers) {
+  if (mode_bits != 8) {
+    return Result::failure("quant model load: unsupported mode " +
+                           std::to_string(mode_bits));
+  }
+  if (input == 0 || input > kMaxDim || hidden == 0 || hidden > kMaxDim ||
+      nl == 0 || nl > kMaxLayers) {
     return Result::failure("quant model load: implausible architecture");
   }
   QuantizedLstm q;
-  q.mode_ = mode_bits == 8 ? QuantMode::kInt8 : QuantMode::kInt16;
   q.input_dim_ = input;
   q.hidden_dim_ = hidden;
-  const std::int32_t qmax = kernels::quant_qmax(q.mode_);
   q.layers_.resize(nl);
   for (std::size_t li = 0; li < nl; ++li) {
     Layer& l = q.layers_[li];
@@ -336,8 +318,8 @@ Expected<QuantizedLstm, std::string> QuantizedLstm::try_load(std::istream& is) {
     }
     const std::size_t nx = kernels::quant_packed_elems(4 * l.hidden, l.input);
     const std::size_t nh = kernels::quant_packed_elems(4 * l.hidden, l.hidden);
-    l.wx.resize(kernels::quant_packed_bytes(4 * l.hidden, l.input, q.mode_));
-    l.wh.resize(kernels::quant_packed_bytes(4 * l.hidden, l.hidden, q.mode_));
+    l.wx.resize(nx);
+    l.wh.resize(nh);
     for (const auto& [buf, n] : {std::pair{&l.wx, nx}, std::pair{&l.wh, nh}}) {
       std::size_t count = 0;
       if (!(is >> count) || count != n) {
@@ -345,19 +327,13 @@ Expected<QuantizedLstm, std::string> QuantizedLstm::try_load(std::istream& is) {
       }
       for (std::size_t i = 0; i < n; ++i) {
         std::int32_t v = 0;
-        if (!(is >> v) || v < -qmax || v > qmax) {
+        if (!(is >> v) || v < -kernels::kQmax || v > kernels::kQmax) {
           return Result::failure("quant model load: weight out of range");
         }
-        if (q.mode_ == QuantMode::kInt8) {
-          reinterpret_cast<kernels::qi8*>(buf->data())[i] =
-              static_cast<kernels::qi8>(v);
-        } else {
-          reinterpret_cast<kernels::qi16*>(buf->data())[i] =
-              static_cast<kernels::qi16>(v);
-        }
+        (*buf)[i] = static_cast<std::int8_t>(v);
       }
     }
-    derive_row_sums(l, q.mode_);
+    derive_row_sums(l);
   }
   q.head_w_.resize(hidden);
   for (double& w : q.head_w_) {

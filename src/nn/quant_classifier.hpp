@@ -4,13 +4,14 @@
 // QuantizedLstm is inference-only: it is built *from* a trained fp64
 // classifier (never trained itself) by `quantize()`, which
 //
-//  1. quantizes each layer's weight matrix per gate, symmetric, int8 or
-//     int16, with the input and recurrent column halves scaled separately
+//  1. quantizes each layer's weight matrix per gate, symmetric, int8, with
+//     the input and recurrent column halves scaled separately
 //     (kernels/rnn_quant.hpp explains why), and
 //  2. runs a calibration pass over held-out trajectories through the fp64
-//     reference layers to fix the static int8 activation scales: sx for each
-//     layer's input stream, sh for its recurrent state.  Max-abs reduction is
-//     order-free, so calibration is bit-identical for any thread count.
+//     per-sample layers (LstmLayer::forward) to fix the static int8
+//     activation scales: sx for each layer's input stream, sh for its
+//     recurrent state.  Max-abs reduction is order-free, so calibration is
+//     bit-identical for any thread count.
 //
 // The dense head stays in fp64 (one dot product per sequence — nothing to
 // win) and runs over the quant lane's final hidden state.
@@ -53,10 +54,8 @@ class QuantizedLstm {
   /// data-backed).  Deterministic: same model + same calibration set give a
   /// byte-identical artifact on any thread count.
   static QuantizedLstm quantize(const LstmClassifier& model,
-                                const std::vector<FeatureSequence>& calibration,
-                                QuantMode mode);
+                                const std::vector<FeatureSequence>& calibration);
 
-  QuantMode mode() const { return mode_; }
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
   std::size_t num_layers() const { return layers_.size(); }
@@ -87,9 +86,9 @@ class QuantizedLstm {
     std::size_t hidden = 0;
     AlignedBytes wx;  ///< packed quant image of W[:, :input]
     AlignedBytes wh;  ///< packed quant image of W[:, input:]
-    /// Per-row coefficient sums of each pack (int8 mode only): derived from
-    /// the packed image after quantize/load — never serialized — for the
-    /// GEMM's offset-binary activation correction.
+    /// Per-row coefficient sums of each pack: derived from the packed image
+    /// after quantize/load — never serialized — for the GEMM's offset-binary
+    /// activation correction.
     std::vector<std::int64_t> wx_row_sums;
     std::vector<std::int64_t> wh_row_sums;
     std::vector<double> bias;
@@ -100,11 +99,10 @@ class QuantizedLstm {
   };
 
   kernels::QuantLstmLayerView view_of(const Layer& l) const;
-  static void derive_row_sums(Layer& l, QuantMode mode);
+  static void derive_row_sums(Layer& l);
   void predict_logit_group(const FeatureSequence* const* xs, std::size_t batch,
                            double* logits) const;
 
-  QuantMode mode_ = QuantMode::kInt16;
   std::size_t input_dim_ = 0;
   std::size_t hidden_dim_ = 0;
   std::vector<Layer> layers_;

@@ -186,8 +186,10 @@ struct MotionPolicy {
   /// disagreements and max |logit delta| <= bound).  On gate failure the
   /// policy is left untouched — serving falls back to fp64 — and the failing
   /// report is returned so callers can log why.
+  /// The unnamed QuantMode is an inert seam kept for servebench, which spells
+  /// it: kInt8 is its only value and the lane is int8 only.
   nn::QuantGateReport arm_quantized(const std::vector<FeatureSequence>& calibration,
-                                    nn::QuantMode mode = nn::QuantMode::kInt8,
+                                    nn::QuantMode /*mode*/ = nn::QuantMode::kInt8,
                                     double logit_delta_bound = 0.05,
                                     double threshold = 0.5) {
     nn::QuantGateReport report;
@@ -195,7 +197,7 @@ struct MotionPolicy {
     // (default) failing gate instead of letting quantize() throw.
     if (!model || calibration.empty()) return report;
     auto q = std::make_shared<nn::QuantizedLstm>(
-        nn::QuantizedLstm::quantize(*model, calibration, mode));
+        nn::QuantizedLstm::quantize(*model, calibration));
     report = nn::quant_gate_check(*model, *q, calibration, logit_delta_bound, threshold);
     if (report.pass) {
       quant = std::move(q);
@@ -227,7 +229,7 @@ struct ServiceCounters {
   std::uint64_t timed_out = 0;
   std::uint64_t errors = 0;
   std::uint64_t batches = 0;
-  std::uint64_t motion_quant_batches = 0;  ///< micro-batches served by the int8/int16 lane
+  std::uint64_t motion_quant_batches = 0;  ///< micro-batches served by the int8 lane
   std::uint64_t retries = 0;        ///< re-evaluations after transient faults
   std::uint64_t breaker_opens = 0;  ///< times the circuit breaker tripped
   wifi::RpdStatsCache::CacheStats cache;  ///< inert seam kept for servebench: always zero

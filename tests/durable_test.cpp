@@ -553,7 +553,7 @@ nn::QuantizedLstm small_quant_lstm() {
     }
     calibration.push_back(std::move(x));
   }
-  return nn::QuantizedLstm::quantize(model, calibration, nn::QuantMode::kInt8);
+  return nn::QuantizedLstm::quantize(model, calibration);
 }
 
 TEST(DurableModels, GbtSaveFileIsDurableAndRoundTrips) {

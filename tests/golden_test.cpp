@@ -22,6 +22,7 @@
 #include "attack/cw.hpp"
 #include "common/rng.hpp"
 #include "nn/classifier.hpp"
+#include "reference/nn_reference.hpp"
 #include "support/fixtures.hpp"
 #include "support/golden.hpp"
 #include "traj/features.hpp"
@@ -111,8 +112,8 @@ nn::LstmClassifier golden_classifier(const DistAngleEncoder& encoder) {
 
 TEST(Golden, ClassifierLogitsArePinned) {
   // Pins the whole nn stack — init, Adam training and inference through the
-  // batched kernels — and asserts the reference backend produces the same
-  // bits before pinning, so a kernel regression fails twice over.
+  // batched kernels — and asserts the per-sample oracle produces the same
+  // logit bits before pinning, so a kernel regression fails twice over.
   const DistAngleEncoder encoder;
   auto model = golden_classifier(encoder);
 
@@ -122,12 +123,9 @@ TEST(Golden, ClassifierLogitsArePinned) {
     const auto pts = golden_walk(rng, 16 + 3 * static_cast<std::size_t>(k),
                                  k % 2 == 0 ? 4.0 : 1.0);
     const auto x = encoder.encode(pts);
-    model.set_backend(nn::NnBackend::kBatched);
-    const double batched = model.predict_proba(x);
-    model.set_backend(nn::NnBackend::kReference);
-    const double reference = model.predict_proba(x);
-    ASSERT_EQ(batched, reference) << "sample " << k;  // bitwise backend parity
-    out += ts::canonical_double(batched);
+    ASSERT_EQ(model.predict_logit(x), nn::reference::logit(model, x))
+        << "sample " << k;  // bitwise oracle parity
+    out += ts::canonical_double(model.predict_proba(x));
     out += '\n';
   }
   EXPECT_TRUE(ts::matches_golden("nn_logits.txt", out));
@@ -135,9 +133,9 @@ TEST(Golden, ClassifierLogitsArePinned) {
 
 TEST(Golden, CwAttackOutputIsPinned) {
   // One full navigation attack, pinned end to end: iterate points, p_real and
-  // normalised DTW.  Runs twice — pruned-exact DTW and the reference DP — and
-  // asserts bitwise equality first: the fast path must not be able to move
-  // the attack by even one ulp.
+  // normalised DTW.  The attack's DTW is always the pruned-exact variant;
+  // DtwPruned.BitIdenticalToFullOnRandomPairs holds it to the full DP, and
+  // this golden file pins the whole attack to the bits the full DP gave.
   const DistAngleEncoder encoder;
   const auto model = golden_classifier(encoder);
 
@@ -147,23 +145,12 @@ TEST(Golden, CwAttackOutputIsPinned) {
   attack::CwConfig ac;
   ac.iterations = 60;
   ac.history_stride = 20;
-  ac.fast_dtw = true;
-  const auto fast = attack::CwAttacker(model, encoder, ac).forge_navigation(route);
-  ac.fast_dtw = false;
-  const auto slow = attack::CwAttacker(model, encoder, ac).forge_navigation(route);
+  const auto forged = attack::CwAttacker(model, encoder, ac).forge_navigation(route);
 
-  ASSERT_EQ(fast.points.size(), slow.points.size());
-  for (std::size_t i = 0; i < fast.points.size(); ++i) {
-    ASSERT_EQ(fast.points[i].east, slow.points[i].east) << "point " << i;
-    ASSERT_EQ(fast.points[i].north, slow.points[i].north) << "point " << i;
-  }
-  ASSERT_EQ(fast.p_real, slow.p_real);
-  ASSERT_EQ(fast.dtw_norm, slow.dtw_norm);
-
-  std::string out = "p_real=" + ts::canonical_double(fast.p_real) + '\n';
-  out += "dtw_norm=" + ts::canonical_double(fast.dtw_norm) + '\n';
-  out += "adversarial=" + std::to_string(fast.adversarial ? 1 : 0) + '\n';
-  for (const auto& p : fast.points) {
+  std::string out = "p_real=" + ts::canonical_double(forged.p_real) + '\n';
+  out += "dtw_norm=" + ts::canonical_double(forged.dtw_norm) + '\n';
+  out += "adversarial=" + std::to_string(forged.adversarial ? 1 : 0) + '\n';
+  for (const auto& p : forged.points) {
     out += ts::canonical_double(p.east);
     out += ' ';
     out += ts::canonical_double(p.north);

