@@ -62,7 +62,6 @@ enum class QuantMode : std::uint8_t {
 /// the unsigned-by-signed VNNI dot product consumes.
 typedef std::int8_t qi8 __attribute__((may_alias));
 typedef std::uint8_t qu8 __attribute__((may_alias));
-typedef std::int32_t qi32 __attribute__((may_alias));
 typedef std::int64_t qi64 __attribute__((may_alias));
 
 // Vector lanes, same spelling as the fp64 kernels (gemm.cpp keeps its typedef
@@ -165,9 +164,6 @@ void gemm_q8x8(const qi8* w, const qi64* row_sums, std::size_t rows,
 
 /// Workspace carve-outs for quantized scratch: the arena hands out doubles,
 /// these reinterpret whole 64-byte-aligned blocks.
-inline qi8* take_i8(Workspace& ws, std::size_t n) {
-  return reinterpret_cast<qi8*>(ws.take((n + 7) / 8));
-}
 inline qu8* take_u8(Workspace& ws, std::size_t n) {
   return reinterpret_cast<qu8*>(ws.take((n + 7) / 8));
 }
