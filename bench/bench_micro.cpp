@@ -2,10 +2,13 @@
 //   * DTW (full and banded) at trajectory sizes used by the attack
 //   * LSTM forward and forward+backward per sequence
 //   * spatial-grid radius queries of the reference index
-//   * RPD probe and full point-confidence computation
+//   * point-confidence computation (Eqs. 4-7) on a uniform and a
+//     trajectory-clustered reference set
 //   * booster training on Eq. 8-sized feature vectors
 //   * A* vs Dijkstra on the synthetic city
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "core/trajkit.hpp"
 
@@ -133,15 +136,89 @@ void BM_GridRadiusQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GridRadiusQuery)->Arg(1)->Arg(3)->Arg(10);
 
+/// Serving density: the walking scenario's simulated trajectories, 300 of
+/// 30 points as the reference set (servebench's metro-miss history, 9k
+/// points clustered along the city's roads), probed at the points and scans
+/// of 25 fresh trajectories.
+class TrajectoryFixtureData {
+ public:
+  static const TrajectoryFixtureData& get() {
+    static TrajectoryFixtureData data;
+    return data;
+  }
+  std::unique_ptr<wifi::ReferenceIndex> index;
+  std::unique_ptr<wifi::ConfidenceEstimator> estimator;
+  std::vector<Enu> probes;
+  std::vector<wifi::WifiScan> scans;
+
+ private:
+  TrajectoryFixtureData() {
+    core::Scenario scenario(core::ScenarioConfig::for_mode(Mode::kWalking));
+    std::vector<wifi::ScannedUpload> history;
+    for (const auto& t : scenario.scanned_real(300, 30, 2.0)) {
+      history.push_back(core::to_upload(t));
+    }
+    index = std::make_unique<wifi::ReferenceIndex>(wifi::flatten_history(history));
+    estimator = std::make_unique<wifi::ConfidenceEstimator>(*index);
+    for (const auto& t : scenario.scanned_real(25, 30, 2.0)) {
+      const auto upload = core::to_upload(t);
+      probes.insert(probes.end(), upload.positions.begin(), upload.positions.end());
+      scans.insert(scans.end(), upload.scans.begin(), upload.scans.end());
+    }
+  }
+};
+
+/// Per-point means over `probes`: references in C_O(r), neighbours per
+/// C_H(R), and distinct points across a point's C_H(R)s.
+void set_density_counters(benchmark::State& state, const wifi::ConfidenceEstimator& est,
+                          const wifi::ReferenceIndex& index, const std::vector<Enu>& probes) {
+  const auto& params = est.params();
+  double refs = 0.0;
+  double neighbours = 0.0;
+  double distinct = 0.0;
+  for (const Enu& p : probes) {
+    const auto found = index.within(p, params.reference_radius_m);
+    std::vector<std::size_t> all;
+    for (const std::size_t h : found) {
+      const auto circle = index.within(index[h].pos, params.rpd.counting_radius_m);
+      neighbours += static_cast<double>(circle.size());
+      all.insert(all.end(), circle.begin(), circle.end());
+    }
+    std::sort(all.begin(), all.end());
+    refs += static_cast<double>(found.size());
+    distinct += static_cast<double>(std::unique(all.begin(), all.end()) - all.begin());
+  }
+  const auto n = static_cast<double>(probes.size());
+  state.counters["refs"] = refs / n;
+  state.counters["neighbours"] = refs > 0.0 ? neighbours / refs : 0.0;
+  state.counters["distinct"] = distinct / n;
+}
+
+/// Arg 0: 30k points scattered uniformly (~9 references per point).
+/// Arg 1: the trajectory fixture at serving density.
 void BM_PointConfidence(benchmark::State& state) {
-  const auto& data = WifiFixtureData::get();
-  Rng rng(8);
-  for (auto _ : state) {
-    const Enu p{rng.uniform(0, 250), rng.uniform(0, 250)};
-    benchmark::DoNotOptimize(data.estimator->point_confidence(p, data.scan));
+  if (state.range(0) == 0) {
+    const auto& data = WifiFixtureData::get();
+    Rng rng(8);
+    for (auto _ : state) {
+      const Enu p{rng.uniform(0, 250), rng.uniform(0, 250)};
+      benchmark::DoNotOptimize(data.estimator->point_confidence(p, data.scan));
+    }
+    std::vector<Enu> probes;
+    Rng again(8);  // the loop's first 1,000 probes
+    for (int i = 0; i < 1000; ++i) probes.push_back({again.uniform(0, 250), again.uniform(0, 250)});
+    set_density_counters(state, *data.estimator, *data.index, probes);
+  } else {
+    const auto& data = TrajectoryFixtureData::get();
+    std::size_t i = 0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(data.estimator->point_confidence(data.probes[i], data.scans[i]));
+      i = (i + 1) % data.probes.size();
+    }
+    set_density_counters(state, *data.estimator, *data.index, data.probes);
   }
 }
-BENCHMARK(BM_PointConfidence);
+BENCHMARK(BM_PointConfidence)->Arg(0)->Arg(1);
 
 void BM_BoosterTrain(benchmark::State& state) {
   Rng rng(9);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/fault.hpp"
 
@@ -18,7 +17,7 @@ constexpr double kMinDistanceM = 0.05;
 
 ConfidenceEstimator::ConfidenceEstimator(const ReferenceIndex& index,
                                          ConfidenceParams params)
-    : index_(&index), params_(params), rpd_(index, params.rpd) {
+    : index_(&index), params_(params), rpd_(params.rpd) {
   if (params_.reference_radius_m <= 0.0) {
     throw std::invalid_argument("ConfidenceEstimator: radius must be positive");
   }
@@ -55,44 +54,35 @@ std::vector<ApConfidence> ConfidenceEstimator::point_confidence(
     hi[a] = scan[a].rssi_dbm + tol;
   }
 
-  // Per-call memo: neighbour index -> offset of its k match counts in
-  // `memo_counts`.  Each count is the number of the neighbour's observations
-  // (a scan may repeat a MAC) that match AP a's MAC inside its window.
-  std::unordered_map<std::uint32_t, std::uint32_t> memo;
-  memo.reserve(4 * refs.size());
-  std::vector<std::uint32_t> memo_counts;
-  const auto match_counts = [&](std::uint32_t q) {
-    const auto [it, fresh] =
-        memo.try_emplace(q, static_cast<std::uint32_t>(memo_counts.size()));
-    if (fresh) {
-      memo_counts.resize(memo_counts.size() + k, 0);
-      std::uint32_t* c = memo_counts.data() + it->second;
-      for (const auto& obs : (*index_)[q].scan) {
-        for (std::size_t a = 0; a < k; ++a) {
-          c[a] += static_cast<std::uint32_t>((obs.mac == mac[a]) &
-                                             (obs.rssi_dbm >= lo[a]) &
-                                             (obs.rssi_dbm <= hi[a]));
-        }
+  // One gather per uploaded point: every point that can lie in some C_H(R)
+  // gets a slot, and its k match counts a row of this dense per-call array.
+  // Each count is the number of the point's observations (a scan may repeat
+  // a MAC) that match AP a's MAC inside its window.
+  std::vector<std::uint32_t> point_counts;
+  const auto on_point = [&](std::size_t slot, std::uint32_t q) {
+    point_counts.resize((slot + 1) * k, 0);
+    std::uint32_t* c = point_counts.data() + slot * k;
+    for (const auto& obs : (*index_)[q].scan) {
+      for (std::size_t a = 0; a < k; ++a) {
+        c[a] += static_cast<std::uint32_t>((obs.mac == mac[a]) & (obs.rssi_dbm >= lo[a]) &
+                                           (obs.rssi_dbm <= hi[a]));
       }
     }
-    return memo_counts.data() + it->second;
   };
 
   // Reference-major accumulation.  For a fixed AP the per-reference additions
   // happen in C_O(r) order with the same operands as the Eq. 4 definition
-  // (integer match count over |C_H(R)|), so phi is bit-identical to
-  // sum_H theta_1 * theta_2 * RpdEstimator::rpd.
+  // (integer match count over |C_H(R)|, an order-free sum over the circle's
+  // slots), so phi is bit-identical to sum_H theta_1 * theta_2 * RPD_H.
   std::vector<std::uint32_t> counts(k);
-  for (std::size_t i = 0; i < refs.size(); ++i) {
+  const auto on_circle = [&](std::size_t i, const std::uint32_t* slots, std::size_t n) {
     const std::size_t h = refs[i];
     global_faults().check(kFaultRpdCount, static_cast<std::uint64_t>(h));
     std::fill(counts.begin(), counts.end(), 0);
-    std::size_t n = 0;
-    index_->visit((*index_)[h].pos, params_.rpd.counting_radius_m, [&](std::uint32_t q) {
-      ++n;
-      const std::uint32_t* c = match_counts(q);
+    for (std::size_t m = 0; m < n; ++m) {
+      const std::uint32_t* c = point_counts.data() + slots[m] * k;
       for (std::size_t a = 0; a < k; ++a) counts[a] += c[a];
-    });
+    }
     const double theta1 = params_.use_theta1
                               ? inv_dist[i] / inv_sum
                               : 1.0 / static_cast<double>(refs.size());
@@ -106,7 +96,8 @@ std::vector<ApConfidence> ConfidenceEstimator::point_confidence(
           n == 0 ? 0.0 : static_cast<double>(counts[a]) / static_cast<double>(n);
       ac.phi += theta1 * theta2 * rpd;
     }
-  }
+  };
+  index_->gather_circles(pos, refs, params_.rpd.counting_radius_m, on_point, on_circle);
   return out;
 }
 

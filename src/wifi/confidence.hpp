@@ -9,17 +9,20 @@
 //
 // Eq. 7 reads RPD only at O's top-k (mac, rssi) pairs, so point_confidence
 // counts exactly those pairs over each C_H(R) instead of histogramming every
-// AP there.  Counting circles of nearby references overlap, so each distinct
-// neighbour's k match counts are computed once per uploaded point and reused.
-// The counts are integers summed over within()'s neighbour set, so phi is
-// bit-identical to RpdEstimator's definition, and the cost of a point depends
-// only on the reference data around it, never on what earlier requests
-// touched.
+// AP there.  Per uploaded point it makes one within() query for C_O(r) and
+// one ReferenceIndex::gather_circles() pass: the points within r + R of O
+// are gathered once, each gets its k match counts in a dense per-call
+// array, and every C_H(R) is then partitioned from that compact list with
+// within()'s own tests.  The counts are integers summed over exactly
+// within()'s neighbour set, so phi is bit-identical to the plain Eq. 4
+// definition, and the cost of a point depends only on the reference data
+// around it, never on what earlier requests touched.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "wifi/refindex.hpp"
 #include "wifi/rpd.hpp"
 
 namespace trajkit::wifi {

@@ -16,6 +16,21 @@ bool scan_lookup(const WifiScan& scan, std::uint64_t mac, int& out) {
   return false;
 }
 
+template <typename Visitor>
+void ReferenceIndex::visit(const Enu& center, double radius, Visitor&& visitor) const {
+  if (points_.empty()) return;
+  const Window win = window(center, radius);
+  const double radius_sq = radius * radius;
+  for (long y = win.y0; y <= win.y1; ++y) {
+    for (long x = win.x0; x <= win.x1; ++x) {
+      for (std::uint32_t idx :
+           grid_[static_cast<std::size_t>(y) * grid_w_ + static_cast<std::size_t>(x)]) {
+        if (distance_sq(points_[idx].pos, center) <= radius_sq) visitor(idx);
+      }
+    }
+  }
+}
+
 BoundingBox ReferenceIndex::natural_bounds(const std::vector<ReferencePoint>& points) {
   std::vector<Enu> positions;
   positions.reserve(points.size());

@@ -7,19 +7,20 @@
 // Observations are counted, not points: a scan that repeats a MAC at a
 // matching RSSI contributes once per repeat.
 //
-// RpdEstimator is the plain definition: every call walks
-// C_H(R) = within(H.pos, R).  Eq. 7 only ever needs RPD at the uploaded
-// point's top-k (mac, rssi) pairs, so ConfidenceEstimator::point_confidence
-// counts those pairs over the same neighbour set itself (confidence.hpp);
-// tests hold the two equal bit for bit.  Nothing is cached.
+// Eq. 7 only ever needs RPD at the uploaded point's top-k (mac, rssi) pairs,
+// so no RPD is materialised: ConfidenceEstimator::point_confidence gathers
+// the points within r + R of the upload once and counts those pairs over
+// each C_H(R) it partitions from them (confidence.hpp).  RpdEstimator holds
+// the parameters and theta_2; the plain per-point definition is a test
+// oracle (tests/reference/wifi_reference.hpp) that the tests hold equal bit
+// for bit.  Nothing is cached.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
-
-#include "wifi/refindex.hpp"
 
 namespace trajkit::wifi {
 
@@ -63,26 +64,14 @@ class DenseRpdStatsCache final : public RpdStatsCache {
 
 class RpdEstimator {
  public:
-  /// `index` must outlive the estimator.
-  explicit RpdEstimator(const ReferenceIndex& index, RpdParams params = {});
+  explicit RpdEstimator(RpdParams params = {});
 
-  /// RPD_H^mac(x) of reference point `h` (Eq. 4), counting observations
-  /// within rssi_tolerance_db of `rssi`.
-  double rpd(std::size_t h, std::uint64_t mac, int rssi) const;
-  /// |C_H(R)|, the Eq. 4 denominator.
-  std::size_t counting_size(std::size_t h) const;
-  double density(std::size_t h) const;
-  double theta2(std::size_t h) const;
   /// theta_2 of a counting circle holding `neighbours` points (Eq. 6).
   double theta2_for(std::size_t neighbours) const;
 
   const RpdParams& params() const { return params_; }
-  const ReferenceIndex& index() const { return *index_; }
 
  private:
-  double density_for(std::size_t neighbours) const;
-
-  const ReferenceIndex* index_;
   RpdParams params_;
 };
 

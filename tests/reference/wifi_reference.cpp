@@ -1,0 +1,38 @@
+#include "reference/wifi_reference.hpp"
+
+#include <cmath>
+#include <cstdlib>
+
+namespace trajkit::wifi::reference {
+
+RpdOracle::RpdOracle(const ReferenceIndex& index, RpdParams params)
+    : index_(&index), params_(params) {}
+
+double RpdOracle::rpd(std::size_t h, std::uint64_t mac, int rssi) const {
+  const auto nbrs = index_->within((*index_)[h].pos, params_.counting_radius_m);
+  if (nbrs.empty()) return 0.0;
+  std::uint64_t matches = 0;
+  for (const std::size_t q : nbrs) {
+    for (const auto& obs : (*index_)[q].scan) {
+      if (obs.mac == mac && std::abs(obs.rssi_dbm - rssi) <= params_.rssi_tolerance_db) {
+        ++matches;
+      }
+    }
+  }
+  return static_cast<double>(matches) / static_cast<double>(nbrs.size());
+}
+
+std::size_t RpdOracle::counting_size(std::size_t h) const {
+  return index_->count_within((*index_)[h].pos, params_.counting_radius_m);
+}
+
+double RpdOracle::density(std::size_t h) const {
+  const double area = M_PI * params_.counting_radius_m * params_.counting_radius_m;
+  return static_cast<double>(counting_size(h)) / area;
+}
+
+double RpdOracle::theta2(std::size_t h) const {
+  return 1.0 - std::pow(params_.theta2_base, density(h));
+}
+
+}  // namespace trajkit::wifi::reference

@@ -1,0 +1,39 @@
+// The plain Eq. 4 / Eq. 6 definitions, kept beside the tests.
+//
+// Every call walks C_H(R) = within(H.pos, R) and histograms nothing: it is
+// the definition the library's direct counting
+// (ConfidenceEstimator::point_confidence, one gather per uploaded point)
+// must reproduce bit for bit, so wifi_test compares against this code.  It
+// is not part of traj_core: no serving or training path can reach it.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "wifi/refindex.hpp"
+#include "wifi/rpd.hpp"
+
+namespace trajkit::wifi::reference {
+
+class RpdOracle {
+ public:
+  /// `index` must outlive the oracle.  `params` are taken as given (the
+  /// library's RpdEstimator validates them).
+  RpdOracle(const ReferenceIndex& index, RpdParams params);
+
+  /// RPD_H^mac(x) of reference point `h` (Eq. 4), counting observations
+  /// within rssi_tolerance_db of `rssi`.
+  double rpd(std::size_t h, std::uint64_t mac, int rssi) const;
+  /// |C_H(R)|, the Eq. 4 denominator.
+  std::size_t counting_size(std::size_t h) const;
+  /// Points per square metre of C_H(R).
+  double density(std::size_t h) const;
+  /// theta_2 of `h` (Eq. 6).
+  double theta2(std::size_t h) const;
+
+ private:
+  const ReferenceIndex* index_;
+  RpdParams params_;
+};
+
+}  // namespace trajkit::wifi::reference

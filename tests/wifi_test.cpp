@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
+#include "reference/wifi_reference.hpp"
 #include "support/fixtures.hpp"
 #include "wifi/confidence.hpp"
 #include "wifi/detector.hpp"
@@ -82,7 +84,7 @@ TEST(Rpd, ExactMatchRatio) {
       ref(1, 1, {{2, -70}}),
   };
   const ReferenceIndex index(pts);
-  const RpdEstimator rpd(index, {.counting_radius_m = 3.0});
+  const reference::RpdOracle rpd(index, {.counting_radius_m = 3.0});
   EXPECT_DOUBLE_EQ(rpd.rpd(0, 1, -50), 0.5);
   EXPECT_DOUBLE_EQ(rpd.rpd(0, 1, -52), 0.25);
   EXPECT_DOUBLE_EQ(rpd.rpd(0, 1, -60), 0.0);
@@ -96,8 +98,8 @@ TEST(Rpd, ToleranceSmoothsMatches) {
       ref(1, 0, {{1, -51}}),
   };
   const ReferenceIndex index(pts);
-  const RpdEstimator exact(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 0});
-  const RpdEstimator smooth(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 1});
+  const reference::RpdOracle exact(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 0});
+  const reference::RpdOracle smooth(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 1});
   EXPECT_DOUBLE_EQ(exact.rpd(0, 1, -50), 0.5);
   EXPECT_DOUBLE_EQ(smooth.rpd(0, 1, -50), 1.0);
 }
@@ -106,8 +108,8 @@ TEST(Rpd, CountsRepeatedObservationsOfOneMac) {
   // validate_scan accepts a scan that repeats a MAC; Eq. 4 counts each
   // matching observation, so point 0's two -50 readings both count.
   const ReferenceIndex index({ref(0, 0, {{1, -50}, {1, -50}}), ref(1, 0, {{1, -51}})});
-  const RpdEstimator exact(index, {.counting_radius_m = 3.0});
-  const RpdEstimator smooth(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 1});
+  const reference::RpdOracle exact(index, {.counting_radius_m = 3.0});
+  const reference::RpdOracle smooth(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 1});
   EXPECT_DOUBLE_EQ(exact.rpd(0, 1, -50), 1.0);
   EXPECT_DOUBLE_EQ(smooth.rpd(0, 1, -50), 1.5);
   EXPECT_DOUBLE_EQ(smooth.rpd(0, 1, -51), 1.5);
@@ -121,7 +123,7 @@ TEST(Rpd, DensityAndTheta2Monotone) {
   }
   dense.push_back(ref(100, 100, {}));  // isolated point
   const ReferenceIndex index(dense);
-  const RpdEstimator rpd(index, {.counting_radius_m = 3.0});
+  const reference::RpdOracle rpd(index, {.counting_radius_m = 3.0});
   EXPECT_GT(rpd.density(0), rpd.density(20));
   EXPECT_GT(rpd.theta2(0), rpd.theta2(20));
   EXPECT_GT(rpd.theta2(0), 0.0);
@@ -129,12 +131,11 @@ TEST(Rpd, DensityAndTheta2Monotone) {
 }
 
 TEST(Rpd, ValidatesParams) {
-  const ReferenceIndex index({ref(0, 0, {})});
-  EXPECT_THROW(RpdEstimator(index, {.counting_radius_m = 0.0}), std::invalid_argument);
-  EXPECT_THROW(RpdEstimator(index, {.counting_radius_m = 1.0, .theta2_base = 1.5}),
+  EXPECT_THROW(RpdEstimator({.counting_radius_m = 0.0}), std::invalid_argument);
+  EXPECT_THROW(RpdEstimator({.counting_radius_m = 1.0, .theta2_base = 1.5}),
                std::invalid_argument);
   EXPECT_THROW(
-      RpdEstimator(index, {.counting_radius_m = 1.0, .rssi_tolerance_db = -1}),
+      RpdEstimator({.counting_radius_m = 1.0, .rssi_tolerance_db = -1}),
       std::invalid_argument);
 }
 
@@ -230,7 +231,7 @@ TEST(Confidence, DirectCountMatchesRpdDefinition) {
         params.top_k = 4;
         params.rpd.rssi_tolerance_db = tol;
         const ConfidenceEstimator estimator(index, params);
-        const RpdEstimator& rpd = estimator.rpd();
+        const reference::RpdOracle rpd(index, params.rpd);
         for (int probe = 0; probe < 12; ++probe) {
           const Enu pos{rng.uniform(0, 8), rng.uniform(0, 8)};
           WifiScan scan;
@@ -267,6 +268,174 @@ TEST(Confidence, DirectCountMatchesRpdDefinition) {
     }
   }
   EXPECT_GT(repeated_scans, 10u) << "the worlds must put repeated MACs in counting circles";
+}
+
+/// Eq. 7 at `pos` straight from the definitions: theta_1 over C_O(r) in
+/// within() order, theta_2 and RPD from the plain Eq. 4 oracle.
+std::vector<ApConfidence> confidence_by_definition(const ReferenceIndex& index,
+                                                   const ConfidenceParams& params,
+                                                   const Enu& pos, const WifiScan& scan,
+                                                   std::uint32_t exclude) {
+  const reference::RpdOracle rpd(index, params.rpd);
+  const auto refs = index.within(pos, params.reference_radius_m, exclude);
+  std::vector<double> inv(refs.size());
+  double inv_sum = 0.0;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    inv[i] = 1.0 / std::max(distance(index[refs[i]].pos, pos), 0.05);
+    inv_sum += inv[i];
+  }
+  std::vector<ApConfidence> out(std::min(params.top_k, scan.size()));
+  for (std::size_t a = 0; a < out.size(); ++a) {
+    out[a].mac = scan[a].mac;
+    out[a].rssi_dbm = scan[a].rssi_dbm;
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      const std::size_t h = refs[i];
+      out[a].phi +=
+          inv[i] / inv_sum * rpd.theta2(h) * rpd.rpd(h, scan[a].mac, scan[a].rssi_dbm);
+      int observed = 0;
+      if (scan_lookup(index[h].scan, scan[a].mac, observed)) ++out[a].num_refs;
+    }
+  }
+  return out;
+}
+
+/// A scan of 1..`max_aps` observations over MACs 1..6 at -53..-50 dBm, so
+/// counting circles hold matches, sometimes repeating a MAC.
+WifiScan random_scan(Rng& rng, int max_aps) {
+  WifiScan scan;
+  const auto m = rng.uniform_int(1, max_aps);
+  for (std::int64_t j = 0; j < m; ++j) {
+    scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 6)),
+                    static_cast<int>(rng.uniform_int(-53, -50))});
+    if (rng.chance(0.2)) scan.push_back(scan.back());
+  }
+  return scan;
+}
+
+TEST(Confidence, SingleGatherMatchesVisitNeighbourSets) {
+  // point_confidence partitions every C_H(R) out of one gather around O.
+  // Worlds spanning many cells make references' windows cover different
+  // parts of the gather; phi and num_refs must still equal the definition
+  // bit for bit.
+  const auto check = [](const ReferenceIndex& index, const ConfidenceParams& params,
+                        const Enu& pos, const WifiScan& scan, std::uint32_t exclude,
+                        const std::string& label) {
+    const ConfidenceEstimator estimator(index, params);
+    const auto got = estimator.point_confidence(pos, scan, exclude);
+    const auto want = confidence_by_definition(index, params, pos, scan, exclude);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t a = 0; a < got.size(); ++a) {
+      EXPECT_EQ(got[a].mac, want[a].mac) << label << " ap " << a;
+      EXPECT_EQ(got[a].phi, want[a].phi) << label << " ap " << a;
+      EXPECT_EQ(got[a].num_refs, want[a].num_refs) << label << " ap " << a;
+    }
+  };
+  const auto probe_scan = [](Rng& rng) {
+    WifiScan scan;
+    for (int j = 0; j < 6; ++j) {
+      scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 6)),
+                      static_cast<int>(rng.uniform_int(-53, -50))});
+    }
+    return scan;
+  };
+
+  // (a) and (b): a 48 x 48 m world, ~12 x 12 cells of 4 m, with R = 3 m
+  // (windows reach one cell) and R = 5 m (two cells).
+  for (const std::uint64_t seed : {11u, 12u}) {
+    Rng rng(seed);
+    std::vector<ReferencePoint> pts;
+    for (int i = 0; i < 1500; ++i) {
+      pts.push_back(ref(rng.uniform(0, 48), rng.uniform(0, 48), random_scan(rng, 4),
+                        static_cast<std::uint32_t>(i % 9)));
+    }
+    const ReferenceIndex index(pts);
+    for (const double counting_radius : {3.0, 5.0}) {
+      for (const int tol : {0, 1}) {
+        ConfidenceParams params;
+        params.top_k = 4;
+        params.rpd.counting_radius_m = counting_radius;
+        params.rpd.rssi_tolerance_db = tol;
+        for (int probe = 0; probe < 40; ++probe) {
+          const Enu pos{rng.uniform(0, 48), rng.uniform(0, 48)};
+          const std::uint32_t exclude = probe % 2 ? kNoTrajectory : 4u;
+          check(index, params, pos, probe_scan(rng), exclude,
+                "seed " + std::to_string(seed) + " R " + std::to_string(counting_radius) +
+                    " tol " + std::to_string(tol) + " probe " + std::to_string(probe));
+        }
+      }
+    }
+  }
+
+  // (c): an explicit 40 x 40 m grid with points up to 12 m outside it on
+  // every side.  Outside points are stored clamped into edge cells, while a
+  // query cell is truncated toward zero (below the minimum too) and not
+  // clamped, so a reference more than a window's reach outside the grid
+  // walks no cell at all: its C_H(R) is empty although clamped points lie
+  // within R of it.
+  {
+    Rng rng(13);
+    std::vector<ReferencePoint> pts;
+    for (int i = 0; i < 2000; ++i) {
+      pts.push_back(ref(rng.uniform(-12, 52), rng.uniform(-12, 52), random_scan(rng, 4)));
+    }
+    const ReferenceIndex index(pts, 4.0, BoundingBox{0.0, 0.0, 40.0, 40.0});
+    std::size_t clipped = 0;  // references whose C_H(R) misses points within R
+    const reference::RpdOracle oracle(index, RpdParams{});
+    for (std::size_t h = 0; h < index.size(); ++h) {
+      std::size_t true_count = 0;
+      for (std::size_t q = 0; q < index.size(); ++q) {
+        true_count += distance(index[q].pos, index[h].pos) <= 3.0;
+      }
+      clipped += oracle.counting_size(h) < true_count;
+    }
+    EXPECT_GT(clipped, 100u) << "the world must put references where windows clip";
+
+    for (const double counting_radius : {3.0, 5.0}) {
+      ConfidenceParams params;
+      params.top_k = 4;
+      params.rpd.counting_radius_m = counting_radius;
+      for (int probe = 0; probe < 120; ++probe) {
+        // Half the probes sit in the 12 m frame outside the grid.
+        Enu pos{rng.uniform(-12, 52), rng.uniform(-12, 52)};
+        if (probe % 2 == 0) {
+          const double edge = rng.uniform(0, 12);
+          const double along = rng.uniform(-12, 52);
+          switch (probe / 2 % 4) {
+            case 0: pos = {-edge, along}; break;
+            case 1: pos = {40.0 + edge, along}; break;
+            case 2: pos = {along, -edge}; break;
+            default: pos = {along, 40.0 + edge}; break;
+          }
+        }
+        check(index, params, pos, probe_scan(rng), kNoTrajectory,
+              "bounds R " + std::to_string(counting_radius) + " probe " +
+                  std::to_string(probe));
+      }
+    }
+  }
+
+  // (d): a scan shorter than top_k, an empty scan, and a probe with no
+  // references in C_O(r).
+  {
+    Rng rng(14);
+    std::vector<ReferencePoint> pts;
+    for (int i = 0; i < 400; ++i) {
+      pts.push_back(ref(rng.uniform(0, 20), rng.uniform(0, 20), random_scan(rng, 4)));
+    }
+    const ReferenceIndex index(pts);
+    ConfidenceParams params;
+    params.top_k = 8;
+    for (int probe = 0; probe < 10; ++probe) {
+      const Enu pos{rng.uniform(0, 20), rng.uniform(0, 20)};
+      WifiScan short_scan = probe_scan(rng);
+      short_scan.resize(3);
+      check(index, params, pos, short_scan, kNoTrajectory, "short " + std::to_string(probe));
+      check(index, params, pos, {}, kNoTrajectory, "empty " + std::to_string(probe));
+    }
+    const Enu far{100.0, 100.0};
+    ASSERT_TRUE(index.within(far, params.reference_radius_m).empty());
+    check(index, params, far, probe_scan(rng), kNoTrajectory, "no references");
+  }
 }
 
 TEST(Confidence, AblationSwitchesChangeWeights) {
