@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -32,6 +33,7 @@
 #include "serve/service.hpp"
 #include "serve/shard_service.hpp"
 #include "support/fixtures.hpp"
+#include "support/golden.hpp"
 #include "traj/features.hpp"
 #include "wifi/crowd_store.hpp"
 
@@ -299,18 +301,60 @@ TEST(QuantizedLstm, GateNeverPassesOnEmptyCalibration) {
   EXPECT_EQ(report.checked, 0u);
 }
 
-TEST(QuantizedLstm, BatchMatchesSingleBitwise) {
-  // Grouping into kLanes panels must not change any sequence's logit: the
-  // serving dispatcher mixes trajectories from different requests into one
-  // panel, and batch composition must stay out of the payload.
-  const auto model = trained_trend_model();
-  const auto q = nn::QuantizedLstm::quantize(model, calibration_set(77, 8));
-  const auto xs = calibration_set(555, 13);  // deliberately not a lane multiple
-  const auto batch = q.predict_proba_batch(xs);
-  ASSERT_EQ(batch.size(), xs.size());
+/// Calibration-style sequences cut to ragged lengths (3..12 steps), so a
+/// group mixes lanes that end at different timesteps.
+std::vector<FeatureSequence> ragged_set(std::uint64_t seed, std::size_t n) {
+  std::vector<FeatureSequence> xs = calibration_set(seed, n);
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(batch[i], q.predict_proba(xs[i])) << "sequence " << i;
+    xs[i].steps = 3 + (i * 7) % 10;
+    xs[i].values.resize(xs[i].steps * xs[i].dim);
   }
+  return xs;
+}
+
+TEST(QuantizedLstm, BatchMatchesSingleBitwise) {
+  // Group width must not change any sequence's logit: the serving dispatcher
+  // mixes trajectories from different requests into one group, and batch
+  // composition must stay out of the payload.  Every width 1..8 (one group)
+  // and 13 (a full group plus a ragged tail) runs over every window of a
+  // ragged set, against predict_proba and the pinned logits.  Two models:
+  // the trained single-layer trend classifier (hidden 8) and a seeded,
+  // untrained two-layer one at hidden 21, whose 4H = 84 gate rows leave a
+  // partial weight group and whose hidden rows leave a partial vector.
+  nn::LstmClassifierConfig stacked_cfg;
+  stacked_cfg.hidden_dim = 21;
+  stacked_cfg.num_layers = 2;
+  const std::pair<const char*, nn::LstmClassifier> models[] = {
+      {"trend hidden=8 layers=1", trained_trend_model()},
+      {"seeded hidden=21 layers=2", nn::LstmClassifier(stacked_cfg, 3)}};
+  const auto xs = ragged_set(555, 13);
+  std::string golden;
+  for (const auto& [name, model] : models) {
+    const auto q = nn::QuantizedLstm::quantize(model, calibration_set(77, 8));
+    golden += std::string(name) + '\n';
+    std::vector<double> single(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      single[i] = q.predict_logit(xs[i]);
+      golden += ts::canonical_double(single[i]) + '\n';
+    }
+    for (std::size_t width : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u}) {
+      for (std::size_t start = 0; start + width <= xs.size(); ++start) {
+        const std::vector<FeatureSequence> group(xs.begin() + start,
+                                                 xs.begin() + start + width);
+        const auto logits = q.predict_logit_batch(group);
+        const auto probs = q.predict_proba_batch(group);
+        ASSERT_EQ(logits.size(), width);
+        ASSERT_EQ(probs.size(), width);
+        for (std::size_t k = 0; k < width; ++k) {
+          EXPECT_EQ(logits[k], single[start + k])
+              << name << " width " << width << " start " << start;
+          EXPECT_EQ(probs[k], q.predict_proba(xs[start + k]))
+              << name << " width " << width << " start " << start;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(ts::matches_golden("quant_logits.txt", golden));
 }
 
 // ---------------------------------------------------------------------------
