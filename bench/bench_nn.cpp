@@ -14,7 +14,10 @@
 //   * DTW — full DP vs banded-bound pruned DP on attack-shaped pairs
 //     (calls/sec; distance and path must match bitwise);
 //   * LSTM inference — fp64 batched vs the int8 quant lane (sequences/sec),
-//     held to the QuantGate decision contract instead of bit-identity;
+//     held to the QuantGate decision contract instead of bit-identity; plus
+//     the int8 lane alone at the served shape (hidden 384, 29 steps), in µs
+//     per sequence for a lone sequence (width 1) and a full group (width 8),
+//     whose logits must be bit-identical at both widths;
 //   * GBT scoring — pointer-walk oracle vs fused flat scorer (rows/sec,
 //     bitwise).
 //
@@ -271,6 +274,23 @@ double infer_rate(const Dataset& ds, const Predict& predict) {
   return rate;
 }
 
+/// The served motion model's shape: hidden 384 over 30-point uploads.
+constexpr std::size_t kServedHidden = 384;
+constexpr std::size_t kServedPoints = 30;
+
+/// µs per sequence of the int8 lane on one group of sequences (one
+/// predict_proba_batch call per group, several calls per timing).
+double quant_us_per_seq(const nn::QuantizedLstm& quant,
+                        const std::vector<FeatureSequence>& group) {
+  constexpr std::size_t kCalls = 16;
+  const double t0 = now_s();
+  double sink = 0.0;
+  for (std::size_t c = 0; c < kCalls; ++c) sink += quant.predict_proba_batch(group)[0];
+  const double us = (now_s() - t0) * 1e6 / static_cast<double>(kCalls * group.size());
+  if (sink == std::numeric_limits<double>::infinity()) std::printf(" ");
+  return us;
+}
+
 /// Rows/sec of one GBT scoring path; first pass digested for the
 /// bit-identity check.
 template <typename Score>
@@ -362,6 +382,32 @@ int main(int argc, char** argv) {
     });
   });
 
+  // -- The int8 lane at the served shape: a lone upload (width 1) against a
+  // full group (width 8).  The group's logits must equal each sequence's
+  // lone logit bit for bit. --
+  nn::LstmClassifierConfig served_cfg;
+  served_cfg.hidden_dim = kServedHidden;
+  const nn::LstmClassifier served_model(served_cfg, 11);
+  std::vector<FeatureSequence> served_xs;
+  {
+    Rng rng(2024);
+    for (std::size_t i = 0; i < nn::kernels::kLanes; ++i) {
+      served_xs.push_back(encoder.encode(make_walk(rng, kServedPoints, 4.0)));
+    }
+  }
+  const auto served_q8 = nn::QuantizedLstm::quantize(served_model, served_xs);
+  const std::size_t served_steps = served_xs[0].steps;
+  bool served_ok = true;
+  const std::vector<double> served_group = served_q8.predict_logit_batch(served_xs);
+  for (std::size_t i = 0; i < served_xs.size(); ++i) {
+    served_ok = served_ok && served_group[i] == served_q8.predict_logit(served_xs[i]);
+  }
+  const std::vector<FeatureSequence> served_lone(served_xs.begin(), served_xs.begin() + 1);
+  const Spread served_w1_us =
+      repeat(reps, kTime, [&] { return quant_us_per_seq(served_q8, served_lone); });
+  const Spread served_w8_us =
+      repeat(reps, kTime, [&] { return quant_us_per_seq(served_q8, served_xs); });
+
   // -- GBT scoring: scalar pointer-chasing walk vs the fused flat scorer
   // (bit-identical by construction; asserted through the digests). --
   gbt::GbtConfig gc;
@@ -445,6 +491,11 @@ int main(int argc, char** argv) {
               dtw_full_digest.hex().c_str(), dtw_pruned_digest.hex().c_str());
   std::printf("gbt checksum ref/fused     = %s / %s\n",
               gbt_ref_digest.hex().c_str(), gbt_fused_digest.hex().c_str());
+  std::printf("int8 served shape          = hidden %zu, %zu steps: width 1 %s us/seq, "
+              "width %zu %s us/seq (%s)\n",
+              kServedHidden, served_steps, spread_cell(served_w1_us).c_str(),
+              served_xs.size(), spread_cell(served_w8_us).c_str(),
+              served_ok ? "bit-identical across widths" : "DIVERGED");
   std::printf("quant gate int8            = max logit delta %.2e, "
               "disagreements %zu, verdict checksum %016llx\n",
               gate8.max_abs_logit_delta, gate8.disagreements,
@@ -459,12 +510,12 @@ int main(int argc, char** argv) {
                 "\"avx512_vnni\": %s, \"build_type\": \"%s\", \"commit\": \"%s\"},\n"
                 "  \"config\": {\"train\": %zu, \"points\": %zu, \"epochs\": %zu, "
                 "\"attack_iters\": %zu, \"dtw_calls\": %zu, \"reps\": %zu, "
-                "\"threads\": %zu},\n",
+                "\"threads\": %zu, \"served_hidden\": %zu, \"served_steps\": %zu},\n",
                 ::sysconf(_SC_NPROCESSORS_ONLN),
                 cpu_has_flag("avx512f") ? "true" : "false",
                 cpu_has_flag("avx512_vnni") ? "true" : "false", TRAJKIT_BUILD_TYPE,
                 source_commit().c_str(), train, points, epochs, attack_iters,
-                dtw_calls, reps, parallel_threads);
+                dtw_calls, reps, parallel_threads, kServedHidden, served_steps);
   std::string json = head;
   json += "  \"legs\": {\n";
   const std::pair<const char*, const Spread*> legs[] = {
@@ -475,6 +526,8 @@ int main(int argc, char** argv) {
       {"dtw_calls_per_sec_pruned", &dtw_pruned_cps},
       {"lstm_infer_seqs_per_sec_fp64", &infer_fp64_sps},
       {"lstm_infer_seqs_per_sec_int8", &infer_q8_sps},
+      {"quant_served_us_per_seq_width1", &served_w1_us},
+      {"quant_served_us_per_seq_width8", &served_w8_us},
       {"gbt_rows_per_sec_reference", &gbt_ref_rps},
       {"gbt_rows_per_sec_fused", &gbt_fused_rps},
   };
@@ -492,6 +545,7 @@ int main(int argc, char** argv) {
                 "  \"quant_int8_max_logit_delta\": %.6e,\n"
                 "  \"quant_verdict_checksum\": \"%016llx\",\n"
                 "  \"quant_gate_pass\": %s,\n"
+                "  \"quant_served_width_invariant\": %s,\n"
                 "  \"gbt_bit_identical\": %s,\n"
                 "  \"train_checksum\": \"%s\",\n"
                 "  \"attack_checksum\": \"%s\",\n"
@@ -502,7 +556,8 @@ int main(int argc, char** argv) {
                 epoch_speedup, dtw_speedup, quant8_speedup, gbt_speedup,
                 gate8.max_abs_logit_delta,
                 static_cast<unsigned long long>(gate8.verdict_checksum),
-                gate8.pass ? "true" : "false", gbt_ok ? "true" : "false",
+                gate8.pass ? "true" : "false", served_ok ? "true" : "false",
+                gbt_ok ? "true" : "false",
                 train_bat_digest.hex().c_str(), attack_digest.hex().c_str(),
                 dtw_pruned_digest.hex().c_str(),
                 train_ok && dtw_ok && gbt_ok ? "true" : "false",
@@ -512,7 +567,7 @@ int main(int argc, char** argv) {
     std::printf("\nwrote BENCH_nn.json\n");
   }
 
-  if (!(train_ok && dtw_ok && threads_ok && gbt_ok)) {
+  if (!(train_ok && dtw_ok && threads_ok && gbt_ok && served_ok)) {
     std::printf("FAILED: fast paths are not bit-identical\n");
     return 1;
   }

@@ -101,99 +101,123 @@ void quantize_i8(const double* x, std::size_t n, double inv_scale, qi8* out) {
   }
 }
 
-// The activation blocks arrive lane-minor (depth rows of kLanes doubles), so
-// every k is one full vector quantize; the 8x8 tile then transposes to the
-// lane-major image the dot-product GEMM broadcasts from.
-void quantize_act_u8(const double* block, std::size_t depth,
+// Each lane's row reuses the vector quantizer, then flips the sign bit:
+// for |q| <= 127, (q ^ 0x80) read as uint8 is exactly q + 128.
+void quantize_act_u8(const double* x, std::size_t lanes, std::size_t depth,
                      std::size_t depth_pad, double inv_scale, qu8* out) {
-  const v8df inv = vsplat(inv_scale);
-  for (std::size_t k0 = 0; k0 < depth; k0 += 8) {
-    const std::size_t kn = std::min<std::size_t>(8, depth - k0);
-    qi8 tile[8][kLanes];
-    for (std::size_t kk = 0; kk < kn; ++kk) {
-      const v8qi b = quantize8(block + (k0 + kk) * kLanes, inv);
-      std::memcpy(tile[kk], &b, sizeof(b));
+  for (std::size_t l = 0; l < lanes; ++l) {
+    qu8* row = out + l * depth_pad;
+    quantize_i8(x + l * depth, depth, inv_scale, reinterpret_cast<qi8*>(row));
+    for (std::size_t k = 0; k < depth; ++k) {
+      row[k] = static_cast<qu8>(row[k] ^ 0x80u);
     }
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      for (std::size_t kk = 0; kk < kn; ++kk) {
-        out[l * depth_pad + k0 + kk] =
-            static_cast<qu8>(static_cast<std::int32_t>(tile[kk][l]) + 128);
-      }
-    }
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) {
     for (std::size_t k = depth; k < depth_pad; ++k) {
-      out[l * depth_pad + k] = 128;  // q == 0 in offset-binary
+      row[k] = 128;  // q == 0 in offset-binary
     }
   }
 }
 
-void gemm_q8x8(const qi8* w, const qi64* row_sums, std::size_t rows,
+namespace {
+
+#ifdef TRAJKIT_QUANT_VNNI
+// N live lanes, C accumulator chains per lane, S = N * C named accumulators
+// ("slots").  Slot k dots lane k % N against dword run d + k / N, so each
+// pass over C runs issues one broadcast + vpdpbusd per live lane per run,
+// and a narrow group still keeps S dot products in flight to cover the
+// instruction's latency.  Named accumulators, not an array: GCC keeps an
+// array of __m512i in registers only by copying it every iteration.  Chains
+// fold by integer addition (exact; an int32 wrap in a partial sum cancels,
+// because the final row sum fits, see gemm_q8x8).
+template <std::size_t N, std::size_t C>
+void gemm_vnni(const qi8* w, const qi64* row_sums, std::size_t rows,
                std::size_t depth_pad, const qu8* x, qi64* acc) {
+  constexpr std::size_t S = N * C;
+  static_assert(S >= 1 && S <= 8);
+  const std::size_t ngroups = (rows + kQuantGroup - 1) / kQuantGroup;
+  const std::size_t runs = depth_pad / 4;
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    const qi8* wg = w + g * depth_pad * kQuantGroup;
+    const auto dot = [&](__m512i& a, std::size_t k, std::size_t d) {
+      const std::size_t run = d + k / N;
+      std::int32_t xd;
+      std::memcpy(&xd, x + (k % N) * depth_pad + 4 * run, 4);
+      a = _mm512_dpbusd_epi32(a, _mm512_set1_epi32(xd),
+                              _mm512_loadu_si512(wg + run * 64));
+    };
+    __m512i a0 = _mm512_setzero_si512(), a1 = a0, a2 = a0, a3 = a0;
+    __m512i a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+    std::size_t d = 0;
+    for (; d + C <= runs; d += C) {
+      dot(a0, 0, d);
+      if constexpr (S > 1) dot(a1, 1, d);
+      if constexpr (S > 2) dot(a2, 2, d);
+      if constexpr (S > 3) dot(a3, 3, d);
+      if constexpr (S > 4) dot(a4, 4, d);
+      if constexpr (S > 5) dot(a5, 5, d);
+      if constexpr (S > 6) dot(a6, 6, d);
+      if constexpr (S > 7) dot(a7, 7, d);
+    }
+    if constexpr (C > 1) {  // leftover runs, chain 0 (C > 1 only for N <= 4)
+      static_assert(N <= 4);
+      for (; d < runs; ++d) {
+        dot(a0, 0, d);
+        if constexpr (N > 1) dot(a1, 1, d);
+        if constexpr (N > 2) dot(a2, 2, d);
+        if constexpr (N > 3) dot(a3, 3, d);
+      }
+    }
+    const __m512i slots[8] = {a0, a1, a2, a3, a4, a5, a6, a7};
+    const std::size_t valid = std::min(rows - g * kQuantGroup, kQuantGroup);
+    for (std::size_t l = 0; l < N; ++l) {
+      __m512i sum = slots[l];
+      for (std::size_t c = 1; c < C; ++c) sum = _mm512_add_epi32(sum, slots[c * N + l]);
+      alignas(64) std::int32_t part[kQuantGroup];
+      _mm512_store_si512(part, sum);
+      qi64* out = acc + l * rows + g * kQuantGroup;
+      const qi64* rs = row_sums + g * kQuantGroup;
+      for (std::size_t j = 0; j < valid; ++j) {
+        out[j] = static_cast<std::int64_t>(part[j]) - 128 * rs[j];
+      }
+    }
+  }
+}
+#endif
+
+}  // namespace
+
+void gemm_q8x8(const qi8* w, const qi64* row_sums, std::size_t rows,
+               std::size_t depth_pad, const qu8* x, std::size_t lanes,
+               qi64* acc) {
   // 255 * 127 * 65536 < 2^31: one int32 accumulator covers the whole row for
   // every depth the model loaders admit (kMaxDim).  Anything larger is a
   // caller bug, not a silent wrap.
   if (depth_pad > 65536) {
     throw std::invalid_argument("gemm_q8x8: depth exceeds int32 budget");
   }
-  const std::size_t ngroups = (rows + kQuantGroup - 1) / kQuantGroup;
-  const std::size_t runs = depth_pad / 4;
+  if (lanes == 0 || lanes > kLanes) {
+    throw std::invalid_argument("gemm_q8x8: lanes must be in [1, kLanes]");
+  }
 #ifdef TRAJKIT_QUANT_VNNI
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    const qi8* wg = w + g * depth_pad * kQuantGroup;
-    __m512i a0 = _mm512_setzero_si512(), a1 = a0, a2 = a0, a3 = a0;
-    __m512i a4 = a0, a5 = a0, a6 = a0, a7 = a0;
-    for (std::size_t d = 0; d < runs; ++d) {
-      const __m512i wv = _mm512_loadu_si512(wg + d * 64);
-      std::int32_t xd[kLanes];
-      std::memcpy(&xd[0], x + 0 * depth_pad + 4 * d, 4);
-      std::memcpy(&xd[1], x + 1 * depth_pad + 4 * d, 4);
-      std::memcpy(&xd[2], x + 2 * depth_pad + 4 * d, 4);
-      std::memcpy(&xd[3], x + 3 * depth_pad + 4 * d, 4);
-      std::memcpy(&xd[4], x + 4 * depth_pad + 4 * d, 4);
-      std::memcpy(&xd[5], x + 5 * depth_pad + 4 * d, 4);
-      std::memcpy(&xd[6], x + 6 * depth_pad + 4 * d, 4);
-      std::memcpy(&xd[7], x + 7 * depth_pad + 4 * d, 4);
-      a0 = _mm512_dpbusd_epi32(a0, _mm512_set1_epi32(xd[0]), wv);
-      a1 = _mm512_dpbusd_epi32(a1, _mm512_set1_epi32(xd[1]), wv);
-      a2 = _mm512_dpbusd_epi32(a2, _mm512_set1_epi32(xd[2]), wv);
-      a3 = _mm512_dpbusd_epi32(a3, _mm512_set1_epi32(xd[3]), wv);
-      a4 = _mm512_dpbusd_epi32(a4, _mm512_set1_epi32(xd[4]), wv);
-      a5 = _mm512_dpbusd_epi32(a5, _mm512_set1_epi32(xd[5]), wv);
-      a6 = _mm512_dpbusd_epi32(a6, _mm512_set1_epi32(xd[6]), wv);
-      a7 = _mm512_dpbusd_epi32(a7, _mm512_set1_epi32(xd[7]), wv);
-    }
-    alignas(64) std::int32_t lanes[kLanes][kQuantGroup];
-    _mm512_store_si512(lanes[0], a0);
-    _mm512_store_si512(lanes[1], a1);
-    _mm512_store_si512(lanes[2], a2);
-    _mm512_store_si512(lanes[3], a3);
-    _mm512_store_si512(lanes[4], a4);
-    _mm512_store_si512(lanes[5], a5);
-    _mm512_store_si512(lanes[6], a6);
-    _mm512_store_si512(lanes[7], a7);
-    const std::size_t valid = std::min(rows - g * kQuantGroup, kQuantGroup);
-    for (std::size_t j = 0; j < valid; ++j) {
-      const std::size_t r = g * kQuantGroup + j;
-      const std::int64_t corr = 128 * row_sums[r];
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        acc[r * kLanes + l] = static_cast<std::int64_t>(lanes[l][j]) - corr;
-      }
-    }
+  // Chains per lane: six to eight dot products in flight at every width.
+  switch (lanes) {
+    case 1: return gemm_vnni<1, 8>(w, row_sums, rows, depth_pad, x, acc);
+    case 2: return gemm_vnni<2, 4>(w, row_sums, rows, depth_pad, x, acc);
+    case 3: return gemm_vnni<3, 2>(w, row_sums, rows, depth_pad, x, acc);
+    case 4: return gemm_vnni<4, 2>(w, row_sums, rows, depth_pad, x, acc);
+    case 5: return gemm_vnni<5, 1>(w, row_sums, rows, depth_pad, x, acc);
+    case 6: return gemm_vnni<6, 1>(w, row_sums, rows, depth_pad, x, acc);
+    case 7: return gemm_vnni<7, 1>(w, row_sums, rows, depth_pad, x, acc);
+    default: return gemm_vnni<8, 1>(w, row_sums, rows, depth_pad, x, acc);
   }
 #else
-  (void)runs;
-  (void)ngroups;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int64_t corr = 128 * row_sums[r];
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const qu8* xl = x + l * depth_pad;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const qu8* xl = x + l * depth_pad;
+    for (std::size_t r = 0; r < rows; ++r) {
       std::int64_t s = 0;
       for (std::size_t k = 0; k < depth_pad; ++k) {
-        s += static_cast<std::int64_t>(xl[k]) *
-             w[pack_index(r, k, depth_pad)];
+        s += static_cast<std::int64_t>(xl[k]) * w[pack_index(r, k, depth_pad)];
       }
-      acc[r * kLanes + l] = s - corr;
+      acc[l * rows + r] = s - 128 * row_sums[r];
     }
   }
 #endif

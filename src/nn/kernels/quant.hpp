@@ -18,17 +18,20 @@
 //    portable scalar walk of the same layout (bit-identical results —
 //    integer sums are exact in any order) serves as the fallback elsewhere.
 //
-//  - Int GEMM, kLanes = 8 batch columns, int8 activations.  vpdpbusd is
-//    unsigned x signed, so activations carry a +128 offset (offset-binary
-//    uint8) and the kernel subtracts 128 * rowsum(weights) from each
-//    accumulator — the row sums are derived from the pack at build/load
-//    time, never serialized.  Accumulation overflow is impossible by
+//  - Int GEMM over 1..kLanes live batch columns, int8 activations.  Its
+//    cost follows the live width: one weight load feeds one broadcast +
+//    vpdpbusd per live lane, so a lone sequence pays for one lane, not
+//    eight.  vpdpbusd is unsigned x signed, so activations carry a +128
+//    offset (offset-binary uint8) and the kernel subtracts
+//    128 * rowsum(weights) from each accumulator — the row sums are derived
+//    from the pack at build/load time, never serialized.  Accumulation overflow is impossible by
 //    construction: partials are bounded by 255 * 127 * depth (depth <= 65536
 //    fits int32).
 //
 //  - Fast vectorized activations.  The quant forward dequantizes gate
 //    pre-activations into doubles and applies polynomial exp-based
-//    sigmoid/tanh (~5e-9 relative error) on 8 lanes at once.  At small
+//    sigmoid/tanh (~5e-9 relative error) to 8 doubles at once, elementwise,
+//    so a value's result does not depend on its neighbours.  At small
 //    hidden sizes the scalar libm calls dominate the fp64 forward and this
 //    fusion carries the speedup; at large hidden sizes the VNNI GEMM does.
 //    The approximation error is orders of magnitude below the int8 weight
@@ -142,25 +145,29 @@ void quant_row_sums_i8(const qi8* pack, std::size_t rows, std::size_t depth,
 /// matches the vector lanes bit for bit per the rounding contract).
 void quantize_i8(const double* x, std::size_t n, double inv_scale, qi8* out);
 
-/// Quantize one lane-minor activation block (depth x kLanes doubles, the
-/// fp64 runner layout) into the lane-major image the quant GEMM reads:
-/// out[l * depth_pad + k] for lane l, stored as q + 128 (offset-binary, pad
-/// byte 128 == q 0).  Rounding matches quantize_value per the contract.
-void quantize_act_u8(const double* block, std::size_t depth,
+/// Quantize `lanes` lane-major activation rows (row l is depth doubles at
+/// x + l * depth) into the image the quant GEMM reads: out[l * depth_pad + k]
+/// holds q + 128 (offset-binary, pad byte 128 == q 0).  Rounding matches
+/// quantize_value per the contract.  Writes lanes * depth_pad bytes.
+void quantize_act_u8(const double* x, std::size_t lanes, std::size_t depth,
                      std::size_t depth_pad, double inv_scale, qu8* out);
 
-/// Int GEMM, convention "wx", kLanes = 8 batch columns:
-///   acc[r*8 + l] = sum_k w[r, k] * x_q[l, k]   (int64, overwritten)
+/// Int GEMM, convention "wx", over `lanes` live batch columns (1..kLanes):
+///   acc[l * rows + r] = sum_k w[r, k] * x_q[l, k]   (int64, overwritten)
 /// `w` is a quant pack (pack_quant_rows_i8), `depth_pad` its padded depth
 /// (quant_depth_pad of the logical depth; the zero-padded tail contributes
-/// nothing).  Activations arrive offset-binary (quantize_act_u8) with the
-/// pack's row sums for the -128 correction.  `acc` holds rows * 8 int64 —
-/// group tail rows are not written.  Bias and dequantization are the
-/// caller's (fused into the gate loop in rnn_quant.cpp).  Requires
-/// depth_pad <= 65536 so a whole row fits one int32 accumulator (throws
-/// otherwise).
+/// nothing).  Activations arrive lane-major and offset-binary
+/// (quantize_act_u8) with the pack's row sums for the -128 correction.
+/// Only live lanes are touched: the kernel reads exactly lanes * depth_pad
+/// bytes of `x` and writes exactly lanes * rows int64 of `acc`, so the
+/// buffers may be sized for the live width and anything past them is left
+/// as it was.  The work is proportional to `lanes`.  Bias and
+/// dequantization are the caller's (fused into the gate loop in
+/// rnn_quant.cpp).  Throws unless 1 <= lanes <= kLanes and depth_pad <=
+/// 65536 (a whole row must fit one int32 accumulator).
 void gemm_q8x8(const qi8* w, const qi64* row_sums, std::size_t rows,
-               std::size_t depth_pad, const qu8* x, qi64* acc);
+               std::size_t depth_pad, const qu8* x, std::size_t lanes,
+               qi64* acc);
 
 /// Workspace carve-outs for quantized scratch: the arena hands out doubles,
 /// these reinterpret whole 64-byte-aligned blocks.

@@ -1,7 +1,10 @@
 #include "nn/kernels/rnn_quant.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 namespace trajkit::nn::kernels {
 
@@ -11,11 +14,8 @@ void check_quant_spec(const QuantLstmLayerView& layer, const BatchSpec& spec) {
   if (spec.batch == 0 || spec.max_steps == 0 || spec.steps == nullptr) {
     throw std::invalid_argument("rnn_quant: empty batch");
   }
-  if (spec.lanes != kLanes) {
-    throw std::invalid_argument("rnn_quant: lanes must be kLanes");
-  }
-  if (spec.batch > spec.lanes) {
-    throw std::invalid_argument("rnn_quant: batch exceeds lanes");
+  if (spec.batch > kLanes || spec.lanes != spec.batch) {
+    throw std::invalid_argument("rnn_quant: lanes must equal batch <= kLanes");
   }
   for (std::size_t b = 0; b < spec.batch; ++b) {
     if (spec.steps[b] == 0 || spec.steps[b] > spec.max_steps) {
@@ -29,6 +29,31 @@ void check_quant_spec(const QuantLstmLayerView& layer, const BatchSpec& spec) {
   }
 }
 
+// Up to 8 consecutive rows of one lane: whole vectors in the body, a
+// zero-filled copy for the last partial one.  The spare elements compute on
+// zeros and are never stored.
+inline v8df load_rows(const double* p, std::size_t m) {
+  if (m == 8) return vload(p);
+  alignas(64) double tmp[8] = {};
+  std::memcpy(tmp, p, m * sizeof(double));
+  return vload(tmp);
+}
+
+inline v8df load_acc(const qi64* p, std::size_t m) {
+  if (m == 8) return vcvt_i64(p);
+  alignas(64) std::int64_t tmp[8] = {};
+  std::memcpy(tmp, p, m * sizeof(std::int64_t));
+  return vcvt_i64(tmp);
+}
+
+inline void store_rows(double* p, v8df v, std::size_t m) {
+  if (m == 8) {
+    vstore(p, v);
+  } else {
+    std::memcpy(p, &v, m * sizeof(double));
+  }
+}
+
 }  // namespace
 
 double* lstm_forward_quant(const QuantLstmLayerView& layer,
@@ -37,9 +62,10 @@ double* lstm_forward_quant(const QuantLstmLayerView& layer,
   check_quant_spec(layer, spec);
   const std::size_t I = layer.input;
   const std::size_t H = layer.hidden;
-  const std::size_t L = kLanes;
+  const std::size_t G = 4 * H;  // gate rows per lane
+  const std::size_t n = spec.batch;
   const std::size_t T = spec.max_steps;
-  const std::size_t HL = H * L;
+  const std::size_t nH = n * H;
 
   // Dequantization factors, one per gate per weight half.
   double dqx[4], dqh[4];
@@ -52,55 +78,55 @@ double* lstm_forward_quant(const QuantLstmLayerView& layer,
   const std::size_t IPad = quant_depth_pad(I);
   const std::size_t HPad = quant_depth_pad(H);
 
-  // The whole input history is known up front, so its quantized lane-major
-  // image is built once; only the recurrent state re-quantizes per step.
-  // Activations are offset-binary uint8 (the VNNI dot product is u8 x s8).
-  qu8* qx = take_u8(ws, T * L * IPad);
-  qu8* qh = take_u8(ws, L * HPad);
-  for (std::size_t t = 0; t < T; ++t) {
-    quantize_act_u8(xblocks + t * I * L, I, IPad, inv_sx, qx + t * L * IPad);
-  }
-  qi64* accx = take_i64(ws, 4 * HL);
-  qi64* acch = take_i64(ws, 4 * HL);
-  double* cells = ws.take(2 * HL);  // ping-pong c_{t-1} / c_t
-  double* hiddens = ws.take(T * HL);
+  // The whole input history is known up front, so its quantized image is
+  // built once (T * n lane rows); only the recurrent state re-quantizes per
+  // step.  Activations are offset-binary uint8 (the VNNI dot product is
+  // u8 x s8).
+  qu8* qx = take_u8(ws, T * n * IPad);
+  qu8* qh = take_u8(ws, n * HPad);
+  quantize_act_u8(xblocks, T * n, I, IPad, inv_sx, qx);
+  qi64* accx = take_i64(ws, n * G);
+  qi64* acch = take_i64(ws, n * G);
+  double* cells = ws.take(2 * nH);  // ping-pong c_{t-1} / c_t
+  double* hiddens = ws.take(T * nH);
 
   for (std::size_t t = 0; t < T; ++t) {
-    gemm_q8x8(layer.wx, layer.wx_row_sums, 4 * H, IPad, qx + t * L * IPad,
-              accx);
+    gemm_q8x8(layer.wx, layer.wx_row_sums, G, IPad, qx + t * n * IPad, n, accx);
     if (t > 0) {
-      quantize_act_u8(hiddens + (t - 1) * HL, H, HPad, inv_sh, qh);
-      gemm_q8x8(layer.wh, layer.wh_row_sums, 4 * H, HPad, qh, acch);
+      quantize_act_u8(hiddens + (t - 1) * nH, n, H, HPad, inv_sh, qh);
+      gemm_q8x8(layer.wh, layer.wh_row_sums, G, HPad, qh, n, acch);
     } else {
-      std::memset(acch, 0, 4 * HL * sizeof(qi64));
+      std::memset(acch, 0, n * G * sizeof(qi64));
     }
 
-    const double* c_prev = cells + (t % 2) * HL;
-    double* c = cells + ((t + 1) % 2) * HL;
-    double* h = hiddens + t * HL;
-    // Fused dequant + gate loop: one v8df per hidden row per gate (L == 8),
+    // Fused dequant + gate loop, per live lane over 8 hidden rows at a time:
     // fast polynomial activations, state in double.
-    for (std::size_t r = 0; r < H; ++r) {
-      const std::size_t e = r * L;
-      const v8df zi = vsplat(layer.bias[r]) + vcvt_i64(accx + e) * vsplat(dqx[0]) +
-                      vcvt_i64(acch + e) * vsplat(dqh[0]);
-      const v8df zf = vsplat(layer.bias[H + r]) +
-                      vcvt_i64(accx + HL + e) * vsplat(dqx[1]) +
-                      vcvt_i64(acch + HL + e) * vsplat(dqh[1]);
-      const v8df zg = vsplat(layer.bias[2 * H + r]) +
-                      vcvt_i64(accx + 2 * HL + e) * vsplat(dqx[2]) +
-                      vcvt_i64(acch + 2 * HL + e) * vsplat(dqh[2]);
-      const v8df zo = vsplat(layer.bias[3 * H + r]) +
-                      vcvt_i64(accx + 3 * HL + e) * vsplat(dqx[3]) +
-                      vcvt_i64(acch + 3 * HL + e) * vsplat(dqh[3]);
-      const v8df ig = fast_sigmoid8(zi);
-      const v8df fg = fast_sigmoid8(zf);
-      const v8df gg = fast_tanh8(zg);
-      const v8df og = fast_sigmoid8(zo);
-      const v8df cp = t > 0 ? vload(c_prev + e) : vsplat(0.0);
-      const v8df cc = fg * cp + ig * gg;
-      vstore(c + e, cc);
-      vstore(h + e, og * fast_tanh8(cc));
+    for (std::size_t l = 0; l < n; ++l) {
+      const qi64* ax = accx + l * G;
+      const qi64* ah = acch + l * G;
+      const double* c_prev = cells + (t % 2) * nH + l * H;
+      double* c = cells + ((t + 1) % 2) * nH + l * H;
+      double* h = hiddens + t * nH + l * H;
+      // Rows [r, r + m): m is a compile-time 8 in the body loop.
+      const auto rows = [&](std::size_t r, auto m) {
+        v8df z[4];
+        for (std::size_t g = 0; g < 4; ++g) {
+          z[g] = load_rows(layer.bias + g * H + r, m) +
+                 load_acc(ax + g * H + r, m) * vsplat(dqx[g]) +
+                 load_acc(ah + g * H + r, m) * vsplat(dqh[g]);
+        }
+        const v8df ig = fast_sigmoid8(z[0]);
+        const v8df fg = fast_sigmoid8(z[1]);
+        const v8df gg = fast_tanh8(z[2]);
+        const v8df og = fast_sigmoid8(z[3]);
+        const v8df cp = t > 0 ? load_rows(c_prev + r, m) : vsplat(0.0);
+        const v8df cc = fg * cp + ig * gg;
+        store_rows(c + r, cc, m);
+        store_rows(h + r, og * fast_tanh8(cc), m);
+      };
+      std::size_t r = 0;
+      for (; r + 8 <= H; r += 8) rows(r, std::integral_constant<std::size_t, 8>{});
+      if (r < H) rows(r, H - r);
     }
   }
   return hiddens;

@@ -1,9 +1,15 @@
 // Quantized batched LSTM forward — the inference-only serving lane.
 //
-// Mirrors lstm_forward_batched (rnn_batched.hpp) structurally: lane-minor
-// blocks of kLanes = 8 trajectories, ragged lengths zero-padded, one GEMM
-// per timestep per weight half.  Differences, all covered by the QuantGate
-// accuracy check at the model level (nn/quant_classifier.hpp):
+// Mirrors lstm_forward_batched (rnn_batched.hpp) in its arithmetic: ragged
+// lengths zero-padded, one GEMM per timestep per weight half.  The layout
+// differs: a group holds 1..kLanes live trajectories, stored lane-major (each
+// lane's rows contiguous), and every stage — input and recurrent
+// quantization, both GEMMs, the gate loop, cell and hidden state — runs over
+// the live lanes only, so a lone sequence costs one lane, not kLanes.  The
+// gate loop vectorizes over 8 hidden rows of one lane; the polynomial
+// activations are elementwise, so a sequence's bits do not depend on the
+// group it rides in.  Differences from the fp64 lane, all covered by the
+// QuantGate accuracy check at the model level (nn/quant_classifier.hpp):
 //
 //  - The weight matrix is split at the x/h column boundary and each half is
 //    quantized with its own per-gate scales (input features and recurrent
@@ -47,13 +53,15 @@ struct QuantLstmLayerView {
   std::size_t hidden = 0;
 };
 
-/// Forward over a ragged batch.  `xblocks` holds max_steps blocks of
-/// input x kLanes doubles, dead lanes zero-padded (same layout the fp64
-/// runner takes).  Requires spec.lanes == kLanes — the quant lane exists to
-/// batch, the single-lane fast path stays fp64.  Returns the workspace-owned
-/// hidden history: max_steps blocks of hidden x kLanes doubles (a stacked
-/// layer feeds it back in as its xblocks; the caller reads each sample's
-/// last-step lane for the head).
+/// Forward over a ragged group of spec.batch live lanes (1..kLanes; each
+/// block is exactly that wide, so spec.lanes must equal spec.batch).
+/// `xblocks` holds max_steps blocks of batch x input doubles, lane-major
+/// (lane l's input at step t is input doubles at
+/// xblocks + (t * batch + l) * input), steps past a lane's length
+/// zero-padded.  Returns the workspace-owned hidden history in the same
+/// layout with hidden in place of input: a stacked layer feeds it back in as
+/// its xblocks, and the caller reads each sample's last-step row for the
+/// head.
 double* lstm_forward_quant(const QuantLstmLayerView& layer,
                            const double* xblocks, const BatchSpec& spec,
                            Workspace& ws);

@@ -158,7 +158,6 @@ void QuantizedLstm::predict_logit_group(const FeatureSequence* const* xs,
                                         std::size_t batch, double* logits) const {
   const std::size_t I = input_dim_;
   const std::size_t H = hidden_dim_;
-  const std::size_t L = kernels::kLanes;
   std::size_t steps_buf[kernels::kLanes];
   std::size_t max_steps = 0;
   for (std::size_t b = 0; b < batch; ++b) {
@@ -173,18 +172,19 @@ void QuantizedLstm::predict_logit_group(const FeatureSequence* const* xs,
   }
   kernels::BatchSpec spec;
   spec.batch = batch;
-  spec.lanes = L;  // the quant lane always runs full-width blocks
+  spec.lanes = batch;  // the quant lane runs only the live sequences
   spec.max_steps = max_steps;
   spec.steps = steps_buf;
 
+  // Lane-major input blocks: step t of sequence b is I contiguous doubles at
+  // (t * batch + b) * I; steps past a sequence's end stay zero.
   kernels::Workspace& ws = local_workspace();
   ws.reset();
-  double* xblocks = ws.take_zero(max_steps * I * L);
+  double* xblocks = ws.take_zero(max_steps * batch * I);
   for (std::size_t b = 0; b < batch; ++b) {
     const double* v = xs[b]->values.data();
     for (std::size_t t = 0; t < steps_buf[b]; ++t) {
-      double* blk = xblocks + t * I * L;
-      for (std::size_t c = 0; c < I; ++c) blk[c * L + b] = v[t * I + c];
+      std::copy(v + t * I, v + (t + 1) * I, xblocks + (t * batch + b) * I);
     }
   }
 
@@ -194,9 +194,9 @@ void QuantizedLstm::predict_logit_group(const FeatureSequence* const* xs,
   }
 
   for (std::size_t b = 0; b < batch; ++b) {
-    const double* blk = input + (steps_buf[b] - 1) * H * L;
+    const double* h = input + ((steps_buf[b] - 1) * batch + b) * H;
     double acc = 0.0;
-    for (std::size_t c = 0; c < H; ++c) acc += head_w_[c] * blk[c * L + b];
+    for (std::size_t c = 0; c < H; ++c) acc += head_w_[c] * h[c];
     logits[b] = head_b_ + acc;
   }
 }

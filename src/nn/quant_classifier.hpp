@@ -64,7 +64,9 @@ class QuantizedLstm {
   double predict_proba(const FeatureSequence& x) const;
   int predict(const FeatureSequence& x, double threshold = 0.5) const;
 
-  /// Batch predictions, kernels::kLanes sequences per GEMM panel — the
+  /// Batch predictions in groups of up to kernels::kLanes sequences; a
+  /// group costs in proportion to its live width, and each sequence's logit
+  /// is bit-identical at every width (predict_logit is a group of one).  The
   /// serving dispatcher feeds one micro-batch (trajectories from *different*
   /// requests) straight through here.
   std::vector<double> predict_logit_batch(const std::vector<FeatureSequence>& xs) const;

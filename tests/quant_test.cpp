@@ -125,87 +125,117 @@ TEST(QuantKernels, RoundingContractScalarVsVector) {
   }
 }
 
-TEST(QuantKernels, ActivationImageMatchesScalarTranspose) {
+TEST(QuantKernels, ActivationImageMatchesScalarQuantize) {
   // The GEMM reads lane-major offset-binary uint8 activation images; check
-  // them against quantize_value applied through the transpose, including a
-  // non-multiple-of-8 depth and the padded tail.
+  // them against quantize_value lane by lane, including non-multiple-of-8
+  // depths, the padded tail and every live-lane count.
   Rng rng(59);
   for (std::size_t depth : {3u, 8u, 11u, 24u}) {
-    const std::size_t depth_pad = qk::quant_depth_pad(depth);
-    std::vector<double, qk::AlignedAllocator<double>> block(depth * 8);
-    for (auto& v : block) v = rng.uniform(-40.0, 40.0);
-    const double inv_scale = 1.0 / 0.3;
+    for (std::size_t lanes = 1; lanes <= qk::kLanes; ++lanes) {
+      const std::size_t depth_pad = qk::quant_depth_pad(depth);
+      std::vector<double> rows(lanes * depth);
+      for (auto& v : rows) v = rng.uniform(-40.0, 40.0);
+      const double inv_scale = 1.0 / 0.3;
 
-    std::vector<std::uint8_t, qk::AlignedAllocator<std::uint8_t>> u8(
-        8 * depth_pad);
-    qk::quantize_act_u8(block.data(), depth, depth_pad, inv_scale,
-                        reinterpret_cast<qk::qu8*>(u8.data()));
-    for (std::size_t l = 0; l < 8; ++l) {
-      for (std::size_t k = 0; k < depth_pad; ++k) {
-        const std::int32_t q =
-            k < depth
-                ? qk::quantize_value(block[k * 8 + l], inv_scale, qk::kQmax)
-                : 0;
-        ASSERT_EQ(static_cast<std::int32_t>(u8[l * depth_pad + k]), q + 128)
-            << "depth " << depth << " lane " << l << " k " << k;
+      std::vector<std::uint8_t> u8(lanes * depth_pad);
+      qk::quantize_act_u8(rows.data(), lanes, depth, depth_pad, inv_scale,
+                          reinterpret_cast<qk::qu8*>(u8.data()));
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t k = 0; k < depth_pad; ++k) {
+          const std::int32_t q =
+              k < depth ? qk::quantize_value(rows[l * depth + k], inv_scale,
+                                             qk::kQmax)
+                        : 0;
+          ASSERT_EQ(static_cast<std::int32_t>(u8[l * depth_pad + k]), q + 128)
+              << "depth " << depth << " lanes " << lanes << " lane " << l
+              << " k " << k;
+        }
       }
     }
   }
 }
 
 // Shapes exercise both padding axes of the VNNI pack: rows pad to
-// kQuantGroup = 16 and depth to whole dwords.  The scalar triple loop over
-// raw int8 lane values is the ground truth the packed GEMM (VNNI or the
-// portable fallback — integer sums are exact either way) must reproduce.
+// kQuantGroup = 16 and depth to whole dwords; the live-lane count runs
+// 1..kLanes over each.  The scalar triple loop over raw int8 lane values is
+// the ground truth the packed GEMM (VNNI or the portable fallback — integer
+// sums are exact either way) must reproduce on live lanes.  The activation
+// image is sized for the live lanes only (an over-read shows under ASan), and
+// the accumulator block for all kLanes, so a write past the live lanes shows
+// as a changed sentinel.
 TEST(QuantKernels, GemmInt8MatchesScalarReference) {
   Rng rng(41);
   const std::size_t shapes[][2] = {{1, 3}, {7, 5}, {8, 8}, {13, 9},
                                    {16, 16}, {32, 20}, {33, 21}};
+  constexpr std::int64_t kSentinel = 0x5a5a5a5a5a5a5a5a;
   for (const auto& shape : shapes) {
-    const std::size_t rows = shape[0], depth = shape[1];
-    const std::size_t depth_pad = qk::quant_depth_pad(depth);
-    nn::Matrix w(rows, depth);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      w.data()[i] = rng.uniform(-2.0, 2.0);
-    }
-    std::vector<double> inv_scale(rows);
-    for (auto& s : inv_scale) s = 1.0 / rng.uniform(0.01, 0.2);
-
-    std::vector<std::int8_t, qk::AlignedAllocator<std::int8_t>> pack(
-        qk::quant_packed_elems(rows, depth));
-    std::vector<std::int64_t> row_sums(rows, 0);
-    qk::pack_quant_rows_i8(w, 0, depth, inv_scale.data(), pack.data());
-    qk::quant_row_sums_i8(pack.data(), rows, depth, row_sums.data());
-
-    // Raw int8 activation lanes, then the GEMM's offset-binary uint8 image.
-    // Pad entries are q == 0 (the padded weight coefficients are zero anyway).
-    std::vector<std::int8_t> x(depth * 8);
-    for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    std::vector<std::uint8_t, qk::AlignedAllocator<std::uint8_t>> xu(
-        8 * depth_pad, 128);
-    for (std::size_t k = 0; k < depth; ++k) {
-      for (std::size_t l = 0; l < 8; ++l) {
-        xu[l * depth_pad + k] =
-            static_cast<std::uint8_t>(static_cast<int>(x[k * 8 + l]) + 128);
+    for (std::size_t lanes = 1; lanes <= qk::kLanes; ++lanes) {
+      const std::size_t rows = shape[0], depth = shape[1];
+      const std::size_t depth_pad = qk::quant_depth_pad(depth);
+      nn::Matrix w(rows, depth);
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        w.data()[i] = rng.uniform(-2.0, 2.0);
       }
-    }
+      std::vector<double> inv_scale(rows);
+      for (auto& s : inv_scale) s = 1.0 / rng.uniform(0.01, 0.2);
 
-    std::vector<std::int64_t, qk::AlignedAllocator<std::int64_t>> acc(rows * 8);
-    qk::gemm_q8x8(pack.data(), row_sums.data(), rows, depth_pad,
-                  reinterpret_cast<const qk::qu8*>(xu.data()), acc.data());
+      std::vector<std::int8_t, qk::AlignedAllocator<std::int8_t>> pack(
+          qk::quant_packed_elems(rows, depth));
+      std::vector<std::int64_t> row_sums(rows, 0);
+      qk::pack_quant_rows_i8(w, 0, depth, inv_scale.data(), pack.data());
+      qk::quant_row_sums_i8(pack.data(), rows, depth, row_sums.data());
 
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t l = 0; l < 8; ++l) {
-        std::int64_t want = 0;
+      // Raw int8 activation lanes, then the GEMM's lane-major offset-binary
+      // uint8 image.  Pad entries are q == 0 (the padded weight
+      // coefficients are zero anyway).
+      std::vector<std::int8_t> x(lanes * depth);
+      for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+      std::vector<std::uint8_t> xu(lanes * depth_pad, 128);
+      for (std::size_t l = 0; l < lanes; ++l) {
         for (std::size_t k = 0; k < depth; ++k) {
-          const std::int64_t qw =
-              qk::quantize_value(w(r, k), inv_scale[r], qk::kQmax);
-          want += qw * static_cast<std::int64_t>(x[k * 8 + l]);
+          xu[l * depth_pad + k] =
+              static_cast<std::uint8_t>(static_cast<int>(x[l * depth + k]) + 128);
         }
-        ASSERT_EQ(acc[r * 8 + l], want)
-            << rows << "x" << depth << " row " << r << " lane " << l;
+      }
+
+      std::vector<std::int64_t> acc(qk::kLanes * rows, kSentinel);
+      qk::gemm_q8x8(pack.data(), row_sums.data(), rows, depth_pad,
+                    reinterpret_cast<const qk::qu8*>(xu.data()), lanes,
+                    acc.data());
+
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          std::int64_t want = 0;
+          for (std::size_t k = 0; k < depth; ++k) {
+            const std::int64_t qw =
+                qk::quantize_value(w(r, k), inv_scale[r], qk::kQmax);
+            want += qw * static_cast<std::int64_t>(x[l * depth + k]);
+          }
+          ASSERT_EQ(acc[l * rows + r], want) << rows << "x" << depth << " lanes "
+                                             << lanes << " row " << r
+                                             << " lane " << l;
+        }
+      }
+      for (std::size_t i = lanes * rows; i < acc.size(); ++i) {
+        ASSERT_EQ(acc[i], kSentinel) << rows << "x" << depth << " lanes "
+                                     << lanes << ": dead entry " << i
+                                     << " written";
       }
     }
+  }
+}
+
+TEST(QuantKernels, GemmInt8RejectsBadLaneCounts) {
+  alignas(64) std::int8_t pack[64] = {};
+  const std::int64_t row_sums[1] = {0};
+  std::uint8_t x[4 * (qk::kLanes + 1)] = {};
+  std::int64_t acc[qk::kLanes + 1] = {};
+  for (const std::size_t lanes : {std::size_t{0}, qk::kLanes + 1}) {
+    EXPECT_THROW(qk::gemm_q8x8(reinterpret_cast<const qk::qi8*>(pack),
+                               row_sums, 1, 4,
+                               reinterpret_cast<const qk::qu8*>(x), lanes, acc),
+                 std::invalid_argument)
+        << "lanes " << lanes;
   }
 }
 

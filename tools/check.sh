@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
-# Sanitizer gate for the deterministic execution layer.
+# Sanitizer and portability gate for the deterministic execution layer.
 #
-#   tools/check.sh          # TSan threading tests, ASan full suite, UBSan full suite
-#   tools/check.sh tsan     # TSan leg only
-#   tools/check.sh asan     # ASan leg only
-#   tools/check.sh ubsan    # UBSan leg only
+#   tools/check.sh           # all four legs below, back to back
+#   tools/check.sh tsan      # TSan leg: threading tests
+#   tools/check.sh asan      # ASan leg: full suite
+#   tools/check.sh ubsan     # UBSan leg: full suite
+#   tools/check.sh portable  # full suite built for x86-64-v3 (no AVX-512)
 #
 # TSan exercises the parallel/determinism/serving/chaos tests (the code paths
 # with real cross-thread sharing, including the epoch holder's RCU flips and
 # the fault-injection registry); ASan and UBSan run the entire
-# suite.  Build trees live in build-tsan/, build-asan/ and build-ubsan/ so
-# they never pollute the primary build/.
+# suite.  The portable leg builds the full suite for x86-64-v3 (AVX2, no
+# AVX-512), so the int8 lane runs its portable scalar GEMM instead of the
+# VNNI one: the same tests and goldens hold that walk to the same bits.
+# Build trees live in build-tsan/, build-asan/, build-ubsan/ and
+# build-portable/ so they never pollute the primary build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,10 +22,11 @@ LEG="${1:-all}"
 JOBS="${JOBS:-$(nproc)}"
 
 run_leg() {
-  local name="$1" sanitize="$2" filter="$3"
+  local name="$1" filter="$2"
+  shift 2
   local dir="build-${name}"
-  echo "== ${name}: configuring ${dir} (TRAJKIT_SANITIZE=${sanitize}) =="
-  cmake -B "${dir}" -S . -DTRAJKIT_SANITIZE="${sanitize}" >/dev/null
+  echo "== ${name}: configuring ${dir} ($*) =="
+  cmake -B "${dir}" -S . "$@" >/dev/null
   echo "== ${name}: building =="
   cmake --build "${dir}" -j "${JOBS}"
   echo "== ${name}: testing (filter: ${filter:-<all>}) =="
@@ -48,16 +53,15 @@ run_leg() {
 # 4-shard router's concurrent clients over SimNet chaos and real sockets.
 TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net'
 
+tsan() { run_leg tsan "${TSAN_FILTER}" -DTRAJKIT_SANITIZE=thread; }
+asan() { run_leg asan '' -DTRAJKIT_SANITIZE=address; }
+ubsan() { run_leg ubsan '' -DTRAJKIT_SANITIZE=undefined; }
+portable() { run_leg portable '' -DCMAKE_CXX_FLAGS_RELEASE="-O3 -march=x86-64-v3"; }
+
 case "${LEG}" in
-  tsan) run_leg tsan thread "${TSAN_FILTER}" ;;
-  asan) run_leg asan address '' ;;
-  ubsan) run_leg ubsan undefined '' ;;
-  all)
-    run_leg tsan thread "${TSAN_FILTER}"
-    run_leg asan address ''
-    run_leg ubsan undefined ''
-    ;;
-  *) echo "usage: $0 [tsan|asan|ubsan|all]" >&2; exit 2 ;;
+  tsan | asan | ubsan | portable) "${LEG}" ;;
+  all) tsan; asan; ubsan; portable ;;
+  *) echo "usage: $0 [tsan|asan|ubsan|portable|all]" >&2; exit 2 ;;
 esac
 
-echo "== all sanitizer legs passed =="
+echo "== ${LEG}: passed =="
