@@ -24,9 +24,9 @@
 //    eight.  vpdpbusd is unsigned x signed, so activations carry a +128
 //    offset (offset-binary uint8) and the kernel subtracts
 //    128 * rowsum(weights) from each accumulator — the row sums are derived
-//    from the pack at build/load time, never serialized.  Accumulation overflow is impossible by
-//    construction: partials are bounded by 255 * 127 * depth (depth <= 65536
-//    fits int32).
+//    from the pack at build/load time, never serialized.  Accumulation
+//    overflow is impossible by construction: partials are bounded by
+//    255 * 127 * depth (depth <= 65536 fits int32).
 //
 //  - Fast vectorized activations.  The quant forward dequantizes gate
 //    pre-activations into doubles and applies polynomial exp-based

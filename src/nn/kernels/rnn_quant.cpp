@@ -78,17 +78,24 @@ double* lstm_forward_quant(const QuantLstmLayerView& layer,
   const std::size_t IPad = quant_depth_pad(I);
   const std::size_t HPad = quant_depth_pad(H);
 
+  // Scratch is laid out for the n live lanes but reserved for kLanes: with
+  // width-dependent sizes, the arena's doubling growth skips chunks left too
+  // small by a narrower group and opens new ones, so a mix of widths held
+  // ~30% more memory per thread than full groups do.  Only live lanes are
+  // touched.
+  const std::size_t cap = kLanes;
+
   // The whole input history is known up front, so its quantized image is
   // built once (T * n lane rows); only the recurrent state re-quantizes per
   // step.  Activations are offset-binary uint8 (the VNNI dot product is
   // u8 x s8).
-  qu8* qx = take_u8(ws, T * n * IPad);
-  qu8* qh = take_u8(ws, n * HPad);
+  qu8* qx = take_u8(ws, T * cap * IPad);
+  qu8* qh = take_u8(ws, cap * HPad);
   quantize_act_u8(xblocks, T * n, I, IPad, inv_sx, qx);
-  qi64* accx = take_i64(ws, n * G);
-  qi64* acch = take_i64(ws, n * G);
-  double* cells = ws.take(2 * nH);  // ping-pong c_{t-1} / c_t
-  double* hiddens = ws.take(T * nH);
+  qi64* accx = take_i64(ws, cap * G);
+  qi64* acch = take_i64(ws, cap * G);
+  double* cells = ws.take(2 * cap * H);  // ping-pong c_{t-1} / c_t
+  double* hiddens = ws.take(T * cap * H);
 
   for (std::size_t t = 0; t < T; ++t) {
     gemm_q8x8(layer.wx, layer.wx_row_sums, G, IPad, qx + t * n * IPad, n, accx);

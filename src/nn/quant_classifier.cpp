@@ -177,10 +177,11 @@ void QuantizedLstm::predict_logit_group(const FeatureSequence* const* xs,
   spec.steps = steps_buf;
 
   // Lane-major input blocks: step t of sequence b is I contiguous doubles at
-  // (t * batch + b) * I; steps past a sequence's end stay zero.
+  // (t * batch + b) * I; steps past a sequence's end stay zero.  Reserved
+  // for a full group, like the forward's scratch (rnn_quant.cpp says why).
   kernels::Workspace& ws = local_workspace();
   ws.reset();
-  double* xblocks = ws.take_zero(max_steps * batch * I);
+  double* xblocks = ws.take_zero(max_steps * kernels::kLanes * I);
   for (std::size_t b = 0; b < batch; ++b) {
     const double* v = xs[b]->values.data();
     for (std::size_t t = 0; t < steps_buf[b]; ++t) {
