@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark): the hot paths of the library.
-//   * DTW (full and banded) at trajectory sizes used by the attack
+//   * DTW (distance-only, banded, and the normalised gradient the attack
+//     runs) at trajectory sizes used by the attack
 //   * LSTM forward and forward+backward per sequence
 //   * spatial-grid radius queries of the reference index
 //   * point-confidence computation (Eqs. 4-7) on a uniform and a
@@ -55,7 +56,7 @@ void BM_DtwGradient(benchmark::State& state) {
   std::vector<Enu> grad(b.size());
   for (auto _ : state) {
     std::fill(grad.begin(), grad.end(), Enu{});
-    benchmark::DoNotOptimize(dtw_gradient(a, b, grad));
+    benchmark::DoNotOptimize(dtw_normalized_gradient(a, b, grad));
   }
 }
 BENCHMARK(BM_DtwGradient);

@@ -11,14 +11,16 @@
 //   * C&W attack inner loop — batched kernels + pruned DTW (iterations/sec),
 //     digested into attack_checksum.  Its bit-identity to the full-DP attack
 //     is pinned by Golden.CwAttackOutputIsPinned, not re-run here;
-//   * DTW — full DP vs banded-bound pruned DP on attack-shaped pairs
-//     (calls/sec; distance and path must match bitwise);
+//   * DTW — the unpruned DP (tests/reference, reference::dtw) vs the
+//     banded-bound pruned DP on attack-shaped pairs (calls/sec; distance and
+//     path must match bitwise);
 //   * LSTM inference — fp64 batched vs the int8 quant lane (sequences/sec),
 //     held to the QuantGate decision contract instead of bit-identity; plus
 //     the int8 lane alone at the served shape (hidden 384, 29 steps), in µs
 //     per sequence for a lone sequence (width 1) and a full group (width 8),
 //     whose logits must be bit-identical at both widths;
-//   * GBT scoring — pointer-walk oracle vs fused flat scorer (rows/sec,
+//   * GBT scoring — pointer-walk oracle (tests/reference,
+//     gbt::reference::predict_proba) vs the fused flat scorer (rows/sec,
 //     bitwise).
 //
 // Every timed leg runs --reps times.  The report gives the median and the
@@ -60,6 +62,8 @@
 #include "dtw/dtw.hpp"
 #include "gbt/booster.hpp"
 #include "nn/quant_classifier.hpp"
+#include "reference/dtw_reference.hpp"
+#include "reference/gbt_reference.hpp"
 #include "reference/nn_reference.hpp"
 
 #ifndef TRAJKIT_BUILD_TYPE
@@ -244,7 +248,7 @@ double dtw_leg(const Dataset& ds, std::size_t calls, bool pruned, Fnv& digest) {
   const double t0 = now_s();
   for (std::size_t i = 0; i < calls; ++i) {
     const auto r = pruned ? dtw_pruned(ds.attack_route, other, band)
-                          : dtw(ds.attack_route, other);
+                          : reference::dtw(ds.attack_route, other);
     if (i == 0) {
       digest.add(r.distance);
       digest.add(static_cast<double>(r.path.size()));
@@ -437,7 +441,7 @@ int main(int argc, char** argv) {
     const double r = gbt_rate(
         gbt_rows,
         [&](const std::vector<double>& row) {
-          return gbt_model.predict_proba_reference(row);
+          return gbt::reference::predict_proba(gbt_model, row);
         },
         fresh);
     gbt_ref_digest = fresh;

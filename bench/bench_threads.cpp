@@ -53,8 +53,11 @@ RunResult run_once(std::size_t total, std::size_t points) {
 
   const double t1 = now_s();
   wifi::RssiDetector detector(wifi::flatten_history(history), {});
+  std::vector<double> features;
+  std::vector<double> point_scores;
   for (const auto& upload : test) {
-    for (double f : wifi::trajectory_features(detector.confidence(), upload)) {
+    detector.segment_features(upload, features, point_scores);
+    for (double f : features) {
       r.checksum = r.checksum * 1.000000059604644775390625 + f;
     }
   }

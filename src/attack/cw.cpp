@@ -10,25 +10,6 @@
 namespace trajkit::attack {
 namespace {
 
-constexpr double kEpsM = 1e-9;
-
-/// Normalised DTW value and its subgradient w.r.t. `x` in one DP pass.
-/// dtw_pruned is bit-identical to dtw() (distance and path), so pruning
-/// cannot change any attack trajectory or loss.
-double dtw_norm_and_grad(const std::vector<Enu>& ref, const std::vector<Enu>& x,
-                         std::vector<Enu>& dx, std::size_t band) {
-  const auto r = dtw_pruned(ref, x, band);
-  const double inv_len = 1.0 / static_cast<double>(r.path.size());
-  for (const auto& pair : r.path) {
-    const Enu& p = ref[pair.i];
-    const Enu& q = x[pair.j];
-    const double d = std::max(distance(p, q), kEpsM);
-    dx[pair.j].east += inv_len * (q.east - p.east) / d;
-    dx[pair.j].north += inv_len * (q.north - p.north) / d;
-  }
-  return r.distance * inv_len;
-}
-
 /// Minimal Adam state over a flat Enu vector.
 struct EnuAdam {
   explicit EnuAdam(std::size_t n) : m(n, Enu{}), v(n, Enu{}) {}
@@ -115,7 +96,8 @@ CwResult CwAttacker::run(const std::vector<Enu>& reference, LossKind kind,
     encoder_->backprop(x, dfeat, dpts_ce);
 
     std::fill(grad.begin(), grad.end(), Enu{});
-    const double dtw_norm = dtw_norm_and_grad(reference, x, grad, config_.dtw_band);
+    const double dtw_norm =
+        dtw_normalized_gradient(reference, x, grad, config_.dtw_band);
 
     double dist_loss = dtw_norm;
     double dtw_sign = 1.0;

@@ -61,11 +61,9 @@ double estimate_mind_fast(const std::vector<std::vector<Enu>>& runs) {
                                      (1.0 + 1e-12);
       const double raw = dtw_distance(runs[i], runs[j], bound);
       if (raw > bound) continue;  // abandoned or provably above the minimum
-      // Survivors need the path length for normalisation; the pruned DP
-      // returns dtw()'s distance and path bit-for-bit, so the normalised
-      // value matches dtw_normalized exactly at a fraction of the cost.
-      const auto r = dtw_pruned(runs[i], runs[j]);
-      min_d = std::min(min_d, r.distance / static_cast<double>(r.path.size()));
+      // Survivors need the path length for normalisation: the same
+      // dtw_normalized call the reference leg makes.
+      min_d = std::min(min_d, dtw_normalized(runs[i], runs[j]));
     }
   }
   return min_d;

@@ -33,7 +33,6 @@
 #include "core/rssi_pipeline.hpp"
 #include "core/scenario.hpp"
 #include "dtw/dtw.hpp"
-#include "dtw/soft_dtw.hpp"
 #include "gbt/booster.hpp"
 #include "geo/geo.hpp"
 #include "map/city.hpp"
@@ -45,6 +44,5 @@
 #include "sim/dataset.hpp"
 #include "traj/features.hpp"
 #include "traj/io.hpp"
-#include "traj/preprocess.hpp"
 #include "traj/trajectory.hpp"
 #include "wifi/detector.hpp"

@@ -90,7 +90,7 @@ DtwResult dtw_impl(const std::vector<Enu>& a, const std::vector<Enu>& b,
 // within |i - j| <= band.  Because every DP operation is a single IEEE add or
 // a min over already-computed values, restricting the cell set can only raise
 // (never perturb) the result: the return value is a bitwise upper bound on
-// dtw(a, b).distance computed from the same distance() calls.
+// the unpruned DP's distance computed from the same distance() calls.
 double dtw_banded_upper_bound(const std::vector<Enu>& a, const std::vector<Enu>& b,
                               std::size_t band) {
   const std::size_t n = a.size();
@@ -128,10 +128,6 @@ double dtw_banded_upper_bound(const std::vector<Enu>& a, const std::vector<Enu>&
 
 }  // namespace
 
-DtwResult dtw(const std::vector<Enu>& a, const std::vector<Enu>& b) {
-  return dtw_impl(a, b, std::numeric_limits<std::size_t>::max());
-}
-
 DtwResult dtw_pruned(const std::vector<Enu>& a, const std::vector<Enu>& b,
                      std::size_t band_hint) {
   check_nonempty(a, b);
@@ -147,7 +143,8 @@ DtwResult dtw_pruned(const std::vector<Enu>& a, const std::vector<Enu>& b,
   // pruned competitor had value > ub >= this cell's value >= argmin, so it
   // was strictly worse and could not have won the min or shifted the
   // tie-break.  Retained cells therefore carry bit-identical values and
-  // back-pointers, and the backtrack reproduces dtw()'s path exactly.
+  // back-pointers, and the backtrack reproduces the unpruned DP's path
+  // exactly.
   //
   // Storage: the recurrence only reads row i-1 and the current row's left
   // neighbour, so values live in two m-length rows (L1-resident) instead of
@@ -265,10 +262,6 @@ DtwResult dtw_banded(const std::vector<Enu>& a, const std::vector<Enu>& b,
   return dtw_impl(a, b, band);
 }
 
-double dtw_distance(const std::vector<Enu>& a, const std::vector<Enu>& b) {
-  return dtw_distance(a, b, kInf);
-}
-
 double dtw_distance(const std::vector<Enu>& a, const std::vector<Enu>& b,
                     double abandon_above) {
   check_nonempty(a, b);
@@ -313,24 +306,25 @@ double dtw_distance(const std::vector<Enu>& a, const std::vector<Enu>& b,
 }
 
 double dtw_normalized(const std::vector<Enu>& a, const std::vector<Enu>& b) {
-  const auto r = dtw(a, b);
+  const auto r = dtw_pruned(a, b);
   return r.distance / static_cast<double>(r.path.size());
 }
 
-double dtw_gradient(const std::vector<Enu>& a, const std::vector<Enu>& b,
-                    std::vector<Enu>& db) {
+double dtw_normalized_gradient(const std::vector<Enu>& a, const std::vector<Enu>& b,
+                               std::vector<Enu>& db, std::size_t band_hint) {
   if (db.size() != b.size()) {
-    throw std::invalid_argument("dtw_gradient: db size mismatch");
+    throw std::invalid_argument("dtw_normalized_gradient: db size mismatch");
   }
-  const auto r = dtw(a, b);
+  const auto r = dtw_pruned(a, b, band_hint);
+  const double inv_len = 1.0 / static_cast<double>(r.path.size());
   for (const auto& pair : r.path) {
     const Enu& p = a[pair.i];
     const Enu& q = b[pair.j];
     const double d = std::max(distance(p, q), kEpsM);
-    db[pair.j].east += (q.east - p.east) / d;
-    db[pair.j].north += (q.north - p.north) / d;
+    db[pair.j].east += inv_len * (q.east - p.east) / d;
+    db[pair.j].north += inv_len * (q.north - p.north) / d;
   }
-  return r.distance;
+  return r.distance * inv_len;
 }
 
 }  // namespace trajkit

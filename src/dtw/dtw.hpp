@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "geo/geo.hpp"
@@ -31,36 +32,33 @@ struct DtwResult {
   std::vector<DtwPair> path;
 };
 
-/// Full O(n*m) DTW with path recovery.
-DtwResult dtw(const std::vector<Enu>& a, const std::vector<Enu>& b);
-
 /// Exact DTW with path recovery, accelerated by pruning: a cheap banded pass
 /// first yields an upper bound UB on the distance, then the full DP skips
 /// every cell whose running cost already exceeds UB (such a cell can never
 /// lie on the optimal path, and — because the local cost is non-negative and
 /// the DP uses only adds and mins — the retained cells' values and
-/// back-pointers are untouched).  Distance AND path are bit-identical to
-/// dtw(); `band_hint` only tunes how tight the initial bound is.  This is the
-/// attack-inner-loop variant: the iterate stays close to the reference, the
-/// optimal corridor is narrow, and most of the n*m plane prunes away.
+/// back-pointers are untouched).  Distance AND path are bit-identical to the
+/// unpruned DP (dtw_banded with the band disabled, the oracle in
+/// tests/reference); `band_hint` only tunes how tight the initial bound is.
+/// Every path-recovering caller in the library goes through here: the
+/// attack's iterate stays close to its reference, the optimal corridor is
+/// narrow, and most of the n*m plane prunes away.
 DtwResult dtw_pruned(const std::vector<Enu>& a, const std::vector<Enu>& b,
                      std::size_t band_hint = 16);
 
-/// DTW distance only (no path), O(min(n,m)) memory.
-double dtw_distance(const std::vector<Enu>& a, const std::vector<Enu>& b);
-
-/// Early-abandoning variant: exact distance whenever the true distance is
-/// <= abandon_above; otherwise some value > abandon_above (possibly +inf —
-/// the DP prunes cells above the threshold and abandons once a whole row
-/// exceeds it, which is sound because every warping path crosses every row
-/// of the longer sequence and path costs only grow).  O(min(n,m)) memory.
-/// Used by the MinD fast leg to skip pairs that cannot beat the minimum.
+/// DTW distance only (no path), O(min(n,m)) memory.  Early-abandoning:
+/// exact whenever the true distance is <= abandon_above; otherwise some
+/// value > abandon_above (possibly +inf — the DP prunes cells above the
+/// threshold and abandons once a whole row exceeds it, which is sound
+/// because every warping path crosses every row of the longer sequence and
+/// path costs only grow).  The MinD fast leg passes its running minimum;
+/// the default never abandons.
 double dtw_distance(const std::vector<Enu>& a, const std::vector<Enu>& b,
-                    double abandon_above);
+                    double abandon_above = std::numeric_limits<double>::infinity());
 
 /// Sakoe-Chiba banded DTW: alignment constrained to |i - j| <= band.
-/// With band >= max(n, m) this equals full DTW.  Used as a faster variant in
-/// the attack ablation.
+/// With band >= max(n, m) this is the full unpruned DP.  Used by the replay
+/// check and the attack ablation.
 DtwResult dtw_banded(const std::vector<Enu>& a, const std::vector<Enu>& b,
                      std::size_t band);
 
@@ -69,10 +67,13 @@ DtwResult dtw_banded(const std::vector<Enu>& a, const std::vector<Enu>& b,
 /// (1.2 / 1.5 / 1.4) are expressed in.
 double dtw_normalized(const std::vector<Enu>& a, const std::vector<Enu>& b);
 
-/// Subgradient of dtw(a, b).distance w.r.t. b, holding the optimal alignment
-/// fixed.  `db` is accumulated into (+=) and must have b.size() entries.
-/// Returns the DTW distance.
-double dtw_gradient(const std::vector<Enu>& a, const std::vector<Enu>& b,
-                    std::vector<Enu>& db);
+/// Normalised DTW of (a, b) and its subgradient w.r.t. b in one pass,
+/// holding the optimal alignment fixed: each matched pair adds the
+/// derivative of its Euclidean cost, scaled by 1 / path length, into `db`
+/// (+=, must have b.size() entries).  Returns distance / path length as
+/// distance * (1 / path length) — the C&W loss term's exact operation order.
+/// `band_hint` is dtw_pruned's.
+double dtw_normalized_gradient(const std::vector<Enu>& a, const std::vector<Enu>& b,
+                               std::vector<Enu>& db, std::size_t band_hint = 16);
 
 }  // namespace trajkit

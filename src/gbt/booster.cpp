@@ -31,6 +31,7 @@ GbtClassifier::GbtClassifier(GbtConfig config) : config_(config) {
   if (config_.num_trees == 0) {
     throw std::invalid_argument("GbtClassifier: need at least one tree");
   }
+  rebuild_fused();
 }
 
 void GbtClassifier::train(const std::vector<std::vector<double>>& x,
@@ -39,17 +40,16 @@ void GbtClassifier::train(const std::vector<std::vector<double>>& x,
   if (x.size() != y.size() || x.empty()) {
     throw std::invalid_argument("GbtClassifier::train: bad dataset");
   }
-  trees_.clear();
-
   const BinnedMatrix binned = BinnedMatrix::fit_transform(x, config_.max_bins);
   const std::size_t n = x.size();
 
   // Start from the prior log-odds, clamped away from degenerate datasets.
   const double positives = static_cast<double>(std::accumulate(y.begin(), y.end(), 0));
   const double prior = std::clamp(positives / static_cast<double>(n), 1e-6, 1.0 - 1e-6);
-  base_score_ = std::log(prior / (1.0 - prior));
+  const double base_score = std::log(prior / (1.0 - prior));
 
-  std::vector<double> margin(n, base_score_);
+  std::vector<Tree> trees;
+  std::vector<double> margin(n, base_score);
   std::vector<double> grad(n);
   std::vector<double> hess(n);
   Rng rng(config_.seed);
@@ -86,10 +86,15 @@ void GbtClassifier::train(const std::vector<std::vector<double>>& x,
     for (std::size_t i = 0; i < n; ++i) {
       margin[i] += config_.learning_rate * tree.predict(x[i]);
     }
-    trees_.push_back(std::move(tree));
+    trees.push_back(std::move(tree));
     if (progress) progress(round, logloss);
   }
-  rebuild_fused();
+  // Encode before committing: an ensemble the fused scorer cannot hold
+  // leaves the model as it was.
+  fused_ = std::make_shared<const FusedForest>(
+      FusedForest::build(trees, base_score, config_.learning_rate));
+  trees_ = std::move(trees);
+  base_score_ = base_score;
 }
 
 void GbtClassifier::rebuild_fused() {
@@ -98,14 +103,7 @@ void GbtClassifier::rebuild_fused() {
 }
 
 double GbtClassifier::predict_proba(const std::vector<double>& row) const {
-  if (fused_ && fused_->valid()) return sigmoid(fused_->margin(row));
-  return predict_proba_reference(row);
-}
-
-double GbtClassifier::predict_proba_reference(const std::vector<double>& row) const {
-  double margin = base_score_;
-  for (const auto& tree : trees_) margin += config_.learning_rate * tree.predict(row);
-  return sigmoid(margin);
+  return sigmoid(fused_->margin(row));
 }
 
 int GbtClassifier::predict(const std::vector<double>& row, double threshold) const {

@@ -24,6 +24,10 @@
 
 namespace trajkit::gbt {
 
+namespace reference {
+struct BoosterAccess;
+}  // namespace reference
+
 struct GbtConfig {
   std::size_t num_trees = 120;
   std::size_t max_depth = 4;
@@ -43,22 +47,21 @@ class GbtClassifier {
   const GbtConfig& config() const { return config_; }
 
   /// Fit on rows of X with labels y (1 = real, 0 = fake).
-  /// `progress` (optional) receives (round, train_logloss).
+  /// `progress` (optional) receives (round, train_logloss).  Throws
+  /// std::length_error when X is wider than the fused scorer encodes
+  /// (feature index beyond uint16, see gbt/fused.hpp).
   void train(const std::vector<std::vector<double>>& x, const std::vector<int>& y,
              const std::function<void(std::size_t, double)>& progress = {});
 
-  /// P(label == 1) for one raw feature row.  Served by the fused flat-array
-  /// scorer (gbt/fused.hpp) whenever the ensemble fits its encoding —
-  /// bit-identical to the scalar tree walk, so callers never see the switch.
+  /// P(label == 1) for one raw feature row, scored by the fused flat-array
+  /// forest (gbt/fused.hpp).  `row` must have at least num_features()
+  /// entries.
   double predict_proba(const std::vector<double>& row) const;
   int predict(const std::vector<double>& row, double threshold = 0.5) const;
 
-  /// Scalar pointer-chasing walk — the oracle the fused scorer is asserted
-  /// against (tests/benches); always available.
-  double predict_proba_reference(const std::vector<double>& row) const;
-
-  /// The fused scorer, if the ensemble encoded (null/invalid otherwise).
-  const FusedForest* fused() const { return fused_.get(); }
+  /// One past the highest feature index the ensemble splits on: the minimum
+  /// row width predict_proba may be given.
+  std::size_t num_features() const { return fused_->num_features(); }
 
   /// Total split gain per feature, normalised to sum to 1.
   std::vector<double> feature_importance(std::size_t num_features) const;
@@ -68,16 +71,21 @@ class GbtClassifier {
   /// Text stream and durable-file persistence.  save_file commits a
   /// CRC-framed durable container atomically (common/durable), the only file
   /// format try_load_file reads.  Malformed input (bad magic, truncation, CRC
-  /// mismatch, version skew, implausible config, invalid tree topology) comes
-  /// back as a diagnostic string instead of an exception.
+  /// mismatch, version skew, implausible config, invalid tree topology, a
+  /// feature index beyond uint16) comes back as a diagnostic string instead
+  /// of an exception.
   void save(std::ostream& os) const;
   static Expected<GbtClassifier, std::string> try_load(std::istream& is);
   void save_file(const std::string& path) const;
   static Expected<GbtClassifier, std::string> try_load_file(const std::string& path);
 
  private:
+  // The scalar-walk oracle (tests/reference) reads the trees and base score.
+  friend struct reference::BoosterAccess;
+
   /// Rebuild fused_ from trees_; called wherever the ensemble changes
-  /// (train, load) so the serving path can rely on it without checks.
+  /// (construction, train, load) so the serving path can rely on it without
+  /// checks.
   void rebuild_fused();
 
   GbtConfig config_;

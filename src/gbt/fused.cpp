@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "gbt/tree.hpp"
 
@@ -23,7 +25,13 @@ FusedForest FusedForest::build(const std::vector<Tree>& trees,
       }
     }
   }
-  if (num_features > std::numeric_limits<std::uint16_t>::max()) return f;
+  // Feature indices and ranks are stored as uint16: index num_features - 1
+  // and rank (threshold count - 1) must fit.
+  constexpr std::size_t kU16Values = std::size_t{1} << 16;
+  if (num_features > kU16Values) {
+    throw std::length_error("FusedForest: feature index " +
+                            std::to_string(num_features - 1) + " exceeds uint16");
+  }
   f.num_features_ = num_features;
   std::vector<std::vector<double>> per_feature(num_features);
   for (const Tree& tree : trees) {
@@ -38,7 +46,10 @@ FusedForest FusedForest::build(const std::vector<Tree>& trees,
     auto& t = per_feature[c];
     std::sort(t.begin(), t.end());
     t.erase(std::unique(t.begin(), t.end()), t.end());
-    if (t.size() > std::numeric_limits<std::uint16_t>::max()) return f;
+    if (t.size() > kU16Values) {
+      throw std::length_error("FusedForest: feature " + std::to_string(c) +
+                              " has more distinct thresholds than uint16 ranks");
+    }
     f.thr_offset_[c + 1] = f.thr_offset_[c] + static_cast<std::uint32_t>(t.size());
     f.thresholds_.insert(f.thresholds_.end(), t.begin(), t.end());
   }
@@ -47,7 +58,7 @@ FusedForest FusedForest::build(const std::vector<Tree>& trees,
   // leaves into negative child slots.
   for (const Tree& tree : trees) {
     const auto& nodes = tree.nodes();
-    if (nodes.empty()) return f;
+    if (nodes.empty()) throw std::invalid_argument("FusedForest: empty tree");
     // Map source node index -> fused slot (internal) or ~leaf slot.
     std::vector<std::int32_t> slot(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -80,7 +91,6 @@ FusedForest FusedForest::build(const std::vector<Tree>& trees,
     }
     f.roots_.push_back(slot[0]);
   }
-  f.valid_ = true;
   return f;
 }
 

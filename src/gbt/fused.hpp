@@ -18,12 +18,13 @@
 // so  v <= t_j  <=>  rank(v) <= j  — an *exact* reformulation of the raw
 // comparison, not an approximation.  Leaf values add in tree order starting
 // from base_score, reproducing GbtClassifier::predict_proba's margin sum bit
-// for bit.  The scalar walk stays in the booster as the oracle
-// (predict_proba_reference) and the equivalence is asserted in tests.
+// for bit.  The scalar walk is the oracle in tests/reference (gbt_reference),
+// and gbt_test asserts the equivalence on random, on-threshold and NaN/inf
+// rows.
 //
-// build() returns an invalid forest (valid() == false) instead of degrading
-// silently when the ensemble does not fit the compact encoding (feature or
-// rank beyond uint16) — callers keep the scalar path in that case.
+// The encoding is total: build() throws std::length_error when a feature
+// index or a per-feature threshold count does not fit uint16, so every
+// GbtClassifier that exists is served by this scorer and no other.
 #pragma once
 
 #include <cstddef>
@@ -39,16 +40,13 @@ class FusedForest {
   FusedForest() = default;
 
   /// Flatten `trees` (scored in order with `learning_rate`, seeded from
-  /// `base_score`).  Never throws: unencodable ensembles yield valid()==false.
+  /// `base_score`).  Throws std::length_error when a feature index or a
+  /// feature's distinct threshold count exceeds uint16.
   static FusedForest build(const std::vector<Tree>& trees, double base_score,
                            double learning_rate);
 
-  bool valid() const { return valid_; }
-  std::size_t tree_count() const { return roots_.size(); }
-  /// Distinct thresholds kept for feature f (diagnostics / tests).
-  std::size_t threshold_count(std::size_t f) const {
-    return f + 1 < thr_offset_.size() ? thr_offset_[f + 1] - thr_offset_[f] : 0;
-  }
+  /// One past the highest feature index any split reads (0 for stumps).
+  std::size_t num_features() const { return num_features_; }
 
   /// Pre-sigmoid ensemble margin for one raw feature row; bit-identical to
   /// base_score + sum_t lr * tree[t].predict(row).  `row` must cover every
@@ -65,7 +63,6 @@ class FusedForest {
     std::int32_t right = 0;
   };
 
-  bool valid_ = false;
   double base_score_ = 0.0;
   double lr_ = 0.0;
   std::size_t num_features_ = 0;

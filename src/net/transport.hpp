@@ -1,10 +1,10 @@
 // Message transport abstraction for cross-process shards.
 //
-// PR 6 replicated WAL frames and fanned segments out over in-process calls;
-// this interface is the seam that lets the same shard protocol run over a
-// real Unix-domain-socket transport (net/uds) between processes, or over the
-// deterministic simulated network (net/sim) whose drop/delay/reorder/
-// duplicate/partition schedules replay bit-identically across `--threads N`.
+// This interface is the seam that lets the shard protocol run over a real
+// Unix-domain-socket transport (net/uds) between processes, or over the
+// deterministic simulated network the tests carry (tests/support/sim.hpp)
+// whose drop/delay/reorder/duplicate/partition schedules replay
+// bit-identically across `--threads N`.
 //
 // The contract is deliberately minimal — one synchronous request/response
 // exchange per call — because everything the shard plane needs on top

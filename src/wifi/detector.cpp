@@ -66,16 +66,17 @@ void RssiDetector::train(const std::vector<ScannedUpload>& uploads,
   // trains serially on the index-ordered feature matrix.
   std::vector<std::vector<double>> x(uploads.size());
   parallel_for(0, uploads.size(), 1, [&](std::size_t i) {
-    x[i] = trajectory_features(estimator_, uploads[i]);
+    std::vector<double> point_scores;
+    segment_features(uploads[i], x[i], point_scores);
   });
   classifier_.train(x, labels);
 }
 
-void RssiDetector::analyze_points(const ScannedUpload& upload,
-                                  std::vector<double>& features,
-                                  std::vector<double>& point_scores) const {
+void RssiDetector::segment_features(const ScannedUpload& upload,
+                                    std::vector<double>& features,
+                                    std::vector<double>& point_scores) const {
   if (upload.positions.size() != upload.scans.size()) {
-    throw std::invalid_argument("RssiDetector::analyze: positions/scans mismatch");
+    throw std::invalid_argument("RssiDetector: positions/scans mismatch");
   }
   // One point_confidence() walk per point feeds both outputs; per-point Phi
   // evaluation (Eq. 5-7) is the detector's hottest loop, and every point
@@ -110,7 +111,7 @@ VerdictReport RssiDetector::analyze(const ScannedUpload& upload) const {
     throw std::invalid_argument("RssiDetector: upload length differs from training");
   }
   VerdictReport report;
-  analyze_points(upload, report.features, report.point_scores);
+  segment_features(upload, report.features, report.point_scores);
   report.p_real = classifier_.predict_proba(report.features);
   report.threshold = config_.threshold;
   report.verdict = report.p_real >= report.threshold ? 1 : 0;

@@ -85,16 +85,16 @@ class RssiDetector {
   /// loaded model; throws std::logic_error otherwise.
   VerdictReport analyze(const ScannedUpload& upload) const;
 
-  /// The per-point half of analyze(): fills the Eq. 8 feature slots
-  /// (2 * top_k per point) and the per-point suspicion scores without running
-  /// the classifier.  Untrained-safe and length-agnostic — this is the unit
-  /// of work a geo-shard evaluates for its segment of a split trajectory;
-  /// the router concatenates segment features in point order and applies the
-  /// classifier once.
+  /// The per-point half of analyze(), and the detector's one Eq. 8 loop
+  /// (train and analyze call it too): one point_confidence() walk per point
+  /// fills the feature slots (2 * top_k per point, wifi/features.hpp) and
+  /// the per-point suspicion scores, without running the classifier.
+  /// Untrained-safe and length-agnostic — this is the unit of work a
+  /// geo-shard evaluates for its segment of a split trajectory; the router
+  /// concatenates segment features in point order and applies the classifier
+  /// once.
   void segment_features(const ScannedUpload& upload, std::vector<double>& features,
-                        std::vector<double>& point_scores) const {
-    analyze_points(upload, features, point_scores);
-  }
+                        std::vector<double>& point_scores) const;
 
   /// Classifier tail of analyze() over an already-merged feature vector.
   /// `features` must be the concatenation the per-point pass produces for a
@@ -127,7 +127,8 @@ class RssiDetector {
   /// (e.g. recovered from the crowd store's snapshot + journal) plus a
   /// classifier trained elsewhere.  The caller vouches that `classifier` was
   /// trained on uploads of `trained_points` points over features compatible
-  /// with `config`.
+  /// with `config`; a classifier that splits on a feature beyond the Eq. 8
+  /// width (2 * top_k * trained_points) throws std::invalid_argument.
   static std::unique_ptr<RssiDetector> assemble(std::vector<ReferencePoint> points,
                                                 RssiDetectorConfig config,
                                                 gbt::GbtClassifier classifier,
@@ -145,11 +146,6 @@ class RssiDetector {
   std::size_t trained_points() const { return trained_points_; }
 
  private:
-  /// The shared per-point pass: fills the Eq. 8 features and the per-point
-  /// scores from one point_confidence() walk.  Untrained-safe.
-  void analyze_points(const ScannedUpload& upload, std::vector<double>& features,
-                      std::vector<double>& point_scores) const;
-
   ReferenceIndex index_;
   RssiDetectorConfig config_;
   ConfidenceEstimator estimator_;

@@ -12,6 +12,7 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/durable/durable_file.hpp"
 #include "common/fault.hpp"
@@ -29,6 +30,18 @@ constexpr std::uint32_t kDurableVersion = 1;
 constexpr std::size_t kMaxReferencePoints = 5'000'000;
 
 using DetectorOrError = Expected<std::unique_ptr<RssiDetector>, std::string>;
+
+/// Empty when every split of `classifier` reads inside the Eq. 8 vector of a
+/// `trained_points`-long upload; otherwise why not.  A feature index at or
+/// past that width would read beyond the row on the first analyze().
+std::string width_error(const gbt::GbtClassifier& classifier,
+                        const RssiDetectorConfig& config, std::size_t trained_points) {
+  const std::size_t width = 2 * config.confidence.top_k * trained_points;
+  if (classifier.num_features() <= width) return {};
+  return "classifier splits on feature " +
+         std::to_string(classifier.num_features() - 1) +
+         ", beyond the Eq. 8 width " + std::to_string(width);
+}
 
 }  // namespace
 
@@ -120,6 +133,8 @@ DetectorOrError RssiDetector::try_load(std::istream& is) {
     auto detector = std::make_unique<RssiDetector>(std::move(refs), cfg);
     auto classifier = gbt::GbtClassifier::try_load(is);
     if (!classifier) return DetectorOrError::failure("RssiDetector: " + classifier.error());
+    const std::string bad_width = width_error(classifier.value(), cfg, trained_points);
+    if (!bad_width.empty()) return DetectorOrError::failure("RssiDetector: " + bad_width);
     detector->classifier_ = std::move(classifier).value();
     detector->trained_points_ = trained_points;
     return DetectorOrError(std::move(detector));
@@ -165,6 +180,10 @@ std::unique_ptr<RssiDetector> RssiDetector::assemble(
     std::vector<ReferencePoint> points, RssiDetectorConfig config,
     gbt::GbtClassifier classifier, std::size_t trained_points,
     const BoundingBox& index_bounds) {
+  const std::string bad_width = width_error(classifier, config, trained_points);
+  if (!bad_width.empty()) {
+    throw std::invalid_argument("RssiDetector::assemble: " + bad_width);
+  }
   auto detector =
       std::make_unique<RssiDetector>(std::move(points), config, index_bounds);
   detector->classifier_ = std::move(classifier);

@@ -1,11 +1,12 @@
-// Trajectory-level feature vector for the RSSI detector (Eq. 8).
+// The upload the RSSI detector featurises, and its Eq. 8 feature layout.
 //
 // For every point P_j of the uploaded trajectory, the features are the pairs
 // (Num_mac, Phi(rssi)) of its k strongest APs, concatenated over all n
 // points: feature = [feat_1, ..., feat_n], |feature| = 2 * k * n.  Points
 // that hear fewer than k APs are padded with (0, 0) — "no reference evidence"
 // and "no confidence" coincide, which is exactly what the classifier should
-// treat as missing.
+// treat as missing.  RssiDetector::segment_features (wifi/detector.hpp) is
+// the one loop that fills this layout.
 #pragma once
 
 #include <vector>
@@ -24,13 +25,5 @@ struct ScannedUpload {
   /// it; kNoTrajectory for fresh uploads.
   std::uint32_t source_traj_id = kNoTrajectory;
 };
-
-/// Eq. 8 feature vector; length is 2 * top_k * positions.size().
-std::vector<double> trajectory_features(const ConfidenceEstimator& estimator,
-                                        const ScannedUpload& upload);
-
-/// Feature width for a given point count and estimator (for pre-sizing).
-std::size_t trajectory_feature_width(const ConfidenceEstimator& estimator,
-                                     std::size_t points);
 
 }  // namespace trajkit::wifi

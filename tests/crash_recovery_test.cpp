@@ -448,8 +448,9 @@ TEST(CrashRecovery, RecoveredServiceServesGoldenVerdicts) {
     std::string out;
     for (const bool real : {true, false}) {
       const auto upload = draws.upload(real);
-      const auto features = wifi::trajectory_features(
-          service.value()->detector().confidence(), upload);
+      std::vector<double> features;
+      std::vector<double> point_scores;
+      service.value()->detector().segment_features(upload, features, point_scores);
       out += real ? "real" : "fake";
       out += '\n';
       for (const double v : features) {

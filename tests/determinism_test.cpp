@@ -85,7 +85,10 @@ TEST(Determinism, DetectorFeatureVectorsAreThreadCountInvariant) {
 
   auto features_of = [&] {
     wifi::RssiDetector detector(wifi::flatten_history(uploads), {});
-    return wifi::trajectory_features(detector.confidence(), probe);
+    std::vector<double> features;
+    std::vector<double> point_scores;
+    detector.segment_features(probe, features, point_scores);
+    return features;
   };
   const auto reference = features_of();
   ASSERT_FALSE(reference.empty());

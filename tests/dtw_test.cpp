@@ -1,12 +1,12 @@
-// DTW value, path, banded variant and the optimal-alignment subgradient.
+// DTW value, path, banded variant and the optimal-alignment subgradient,
+// checked against the unpruned DP in tests/reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "common/rng.hpp"
 #include "dtw/dtw.hpp"
-#include "dtw/soft_dtw.hpp"
+#include "reference/dtw_reference.hpp"
 
 namespace trajkit {
 namespace {
@@ -23,7 +23,7 @@ std::vector<Enu> random_walk(Rng& rng, std::size_t n, double step = 3.0) {
 TEST(Dtw, IdenticalSequencesHaveZeroDistance) {
   Rng rng(1);
   const auto a = random_walk(rng, 20);
-  const auto r = dtw(a, a);
+  const auto r = reference::dtw(a, a);
   EXPECT_NEAR(r.distance, 0.0, 1e-9);
   // The alignment of identical sequences is the diagonal.
   ASSERT_EQ(r.path.size(), 20u);
@@ -38,18 +38,18 @@ TEST(Dtw, SymmetricValue) {
   for (int k = 0; k < 5; ++k) {
     const auto a = random_walk(rng, 15);
     const auto b = random_walk(rng, 18);
-    EXPECT_NEAR(dtw(a, b).distance, dtw(b, a).distance, 1e-9);
+    EXPECT_NEAR(reference::dtw(a, b).distance, reference::dtw(b, a).distance, 1e-9);
   }
 }
 
 TEST(Dtw, SinglePointSequences) {
-  const auto r = dtw({{0, 0}}, {{3, 4}});
+  const auto r = reference::dtw({{0, 0}}, {{3, 4}});
   EXPECT_DOUBLE_EQ(r.distance, 5.0);
   ASSERT_EQ(r.path.size(), 1u);
 }
 
 TEST(Dtw, RejectsEmptyInput) {
-  EXPECT_THROW(dtw({}, {{0, 0}}), std::invalid_argument);
+  EXPECT_THROW(reference::dtw({}, {{0, 0}}), std::invalid_argument);
   EXPECT_THROW(dtw_distance({{0, 0}}, {}), std::invalid_argument);
 }
 
@@ -57,14 +57,14 @@ TEST(Dtw, KnownSmallCase) {
   // b equals a with one repeated point; DTW should absorb the repeat freely.
   const std::vector<Enu> a = {{0, 0}, {1, 0}, {2, 0}};
   const std::vector<Enu> b = {{0, 0}, {1, 0}, {1, 0}, {2, 0}};
-  EXPECT_NEAR(dtw(a, b).distance, 0.0, 1e-12);
+  EXPECT_NEAR(reference::dtw(a, b).distance, 0.0, 1e-12);
 }
 
 TEST(Dtw, PathIsMonotoneAndContiguous) {
   Rng rng(3);
   const auto a = random_walk(rng, 12);
   const auto b = random_walk(rng, 17);
-  const auto r = dtw(a, b);
+  const auto r = reference::dtw(a, b);
   EXPECT_EQ(r.path.front().i, 0u);
   EXPECT_EQ(r.path.front().j, 0u);
   EXPECT_EQ(r.path.back().i, a.size() - 1);
@@ -82,8 +82,8 @@ TEST(Dtw, StreamingDistanceMatchesFull) {
   for (int k = 0; k < 8; ++k) {
     const auto a = random_walk(rng, 10 + k);
     const auto b = random_walk(rng, 14);
-    EXPECT_NEAR(dtw(a, b).distance, dtw_distance(a, b), 1e-9);
-    EXPECT_NEAR(dtw(b, a).distance, dtw_distance(b, a), 1e-9);
+    EXPECT_NEAR(reference::dtw(a, b).distance, dtw_distance(a, b), 1e-9);
+    EXPECT_NEAR(reference::dtw(b, a).distance, dtw_distance(b, a), 1e-9);
   }
 }
 
@@ -91,7 +91,7 @@ TEST(DtwBanded, WideBandEqualsFull) {
   Rng rng(5);
   const auto a = random_walk(rng, 25);
   const auto b = random_walk(rng, 25);
-  EXPECT_NEAR(dtw_banded(a, b, 25).distance, dtw(a, b).distance, 1e-9);
+  EXPECT_NEAR(dtw_banded(a, b, 25).distance, reference::dtw(a, b).distance, 1e-9);
 }
 
 TEST(DtwBanded, NarrowBandUpperBoundsFull) {
@@ -99,7 +99,7 @@ TEST(DtwBanded, NarrowBandUpperBoundsFull) {
   for (int k = 0; k < 6; ++k) {
     const auto a = random_walk(rng, 30);
     const auto b = random_walk(rng, 30);
-    const double full = dtw(a, b).distance;
+    const double full = reference::dtw(a, b).distance;
     const double banded = dtw_banded(a, b, 3).distance;
     EXPECT_GE(banded, full - 1e-9);  // constraining can only increase cost
   }
@@ -115,8 +115,9 @@ TEST(DtwBanded, BandWidensToCoverLengthDifference) {
 }
 
 TEST(DtwPruned, BitIdenticalToFullOnRandomPairs) {
-  // The pruned DP must reproduce dtw() exactly — distance bitwise AND the
-  // alignment path index-for-index — across shapes, bands and separations.
+  // The pruned DP must reproduce the unpruned oracle exactly — distance
+  // bitwise AND the alignment path index-for-index — across shapes, bands
+  // and separations.
   Rng rng(1234);
   for (int pair = 0; pair < 200; ++pair) {
     const std::size_t na = 2 + static_cast<std::size_t>(rng.uniform_int(0, 30));
@@ -133,7 +134,7 @@ TEST(DtwPruned, BitIdenticalToFullOnRandomPairs) {
       }
     }
     const std::size_t band = static_cast<std::size_t>(rng.uniform_int(0, 8));
-    const auto full = dtw(a, b);
+    const auto full = reference::dtw(a, b);
     const auto pruned = dtw_pruned(a, b, band);
     ASSERT_EQ(full.distance, pruned.distance) << "pair " << pair;  // bitwise
     ASSERT_EQ(full.path.size(), pruned.path.size()) << "pair " << pair;
@@ -147,9 +148,9 @@ TEST(DtwPruned, BitIdenticalToFullOnRandomPairs) {
 TEST(DtwPruned, HandlesDegenerateShapes) {
   const std::vector<Enu> single = {{1.0, 2.0}};
   const auto line = std::vector<Enu>{{0, 0}, {5, 0}, {10, 0}};
-  EXPECT_EQ(dtw_pruned(single, single, 0).distance, dtw(single, single).distance);
-  EXPECT_EQ(dtw_pruned(single, line, 0).distance, dtw(single, line).distance);
-  EXPECT_EQ(dtw_pruned(line, single, 0).distance, dtw(line, single).distance);
+  EXPECT_EQ(dtw_pruned(single, single, 0).distance, reference::dtw(single, single).distance);
+  EXPECT_EQ(dtw_pruned(single, line, 0).distance, reference::dtw(single, line).distance);
+  EXPECT_EQ(dtw_pruned(line, single, 0).distance, reference::dtw(line, single).distance);
   EXPECT_THROW(dtw_pruned({}, line), std::invalid_argument);
 }
 
@@ -193,14 +194,32 @@ TEST(DtwNormalized, PureTranslationEqualsOffset) {
   EXPECT_NEAR(dtw_normalized(a, b), 2.0, 1e-9);
 }
 
+TEST(DtwNormalized, BitIdenticalToUnprunedOnRandomPairs) {
+  // dtw_normalized and the gradient's value both run the pruned DP; each
+  // must equal its formula over the unpruned oracle bitwise.
+  Rng rng(4321);
+  for (int pair = 0; pair < 100; ++pair) {
+    const auto a = random_walk(rng, 2 + static_cast<std::size_t>(rng.uniform_int(0, 30)));
+    const auto b = random_walk(rng, 2 + static_cast<std::size_t>(rng.uniform_int(0, 30)));
+    const auto full = reference::dtw(a, b);
+    const double len = static_cast<double>(full.path.size());
+    ASSERT_EQ(dtw_normalized(a, b), full.distance / len) << "pair " << pair;
+    std::vector<Enu> grad(b.size(), Enu{});
+    ASSERT_EQ(dtw_normalized_gradient(a, b, grad, pair % 5), full.distance * (1.0 / len))
+        << "pair " << pair;
+  }
+}
+
 TEST(DtwGradient, MatchesFiniteDifference) {
   Rng rng(8);
   const auto a = random_walk(rng, 10);
   auto b = random_walk(rng, 10);
 
   std::vector<Enu> grad(b.size(), Enu{});
-  const double value = dtw_gradient(a, b, grad);
-  EXPECT_NEAR(value, dtw(a, b).distance, 1e-9);
+  const double value = dtw_normalized_gradient(a, b, grad);
+  const auto full = reference::dtw(a, b);
+  const double len = static_cast<double>(full.path.size());
+  EXPECT_NEAR(value, full.distance / len, 1e-9);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < b.size(); ++i) {
@@ -210,10 +229,11 @@ TEST(DtwGradient, MatchesFiniteDifference) {
       (axis == 0 ? plus[i].east : plus[i].north) += eps;
       (axis == 0 ? minus[i].east : minus[i].north) -= eps;
       const double numeric =
-          (dtw(a, plus).distance - dtw(a, minus).distance) / (2 * eps);
+          (reference::dtw(a, plus).distance - reference::dtw(a, minus).distance) /
+          (2 * eps * len);
       const double analytic = axis == 0 ? grad[i].east : grad[i].north;
-      // The subgradient holds the alignment fixed; tiny epsilon keeps the
-      // optimal path unchanged so the values must agree.
+      // The subgradient holds the alignment (and so its length) fixed; tiny
+      // epsilon keeps the optimal path unchanged so the values must agree.
       EXPECT_NEAR(analytic, numeric, 1e-4) << "point " << i << " axis " << axis;
     }
   }
@@ -221,21 +241,21 @@ TEST(DtwGradient, MatchesFiniteDifference) {
 
 TEST(DtwGradient, RejectsWrongBufferSize) {
   std::vector<Enu> grad(2);
-  EXPECT_THROW(dtw_gradient({{0, 0}}, {{1, 1}}, grad), std::invalid_argument);
+  EXPECT_THROW(dtw_normalized_gradient({{0, 0}}, {{1, 1}}, grad), std::invalid_argument);
 }
 
 TEST(DtwGradient, DescentStepReducesDistance) {
   Rng rng(9);
   const auto a = random_walk(rng, 15);
   auto b = random_walk(rng, 15);
-  const double before = dtw(a, b).distance;
+  const double before = dtw_normalized(a, b);
   std::vector<Enu> grad(b.size(), Enu{});
-  dtw_gradient(a, b, grad);
+  dtw_normalized_gradient(a, b, grad);
   for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i].east -= 0.05 * grad[i].east;
-    b[i].north -= 0.05 * grad[i].north;
+    b[i].east -= 0.5 * grad[i].east;
+    b[i].north -= 0.5 * grad[i].north;
   }
-  EXPECT_LT(dtw(a, b).distance, before);
+  EXPECT_LT(dtw_normalized(a, b), before);
 }
 
 // Property sweep: triangle-like bound DTW(a,c) <= DTW(a,b) + DTW(b,c) does
@@ -247,8 +267,8 @@ TEST_P(DtwProperty, NonNegativeAndZeroOnlyOnSelf) {
   const auto a = random_walk(rng, 12);
   auto b = a;
   b[5].east += 1.0;
-  EXPECT_GT(dtw(a, b).distance, 0.0);
-  EXPECT_GE(dtw(a, random_walk(rng, 9)).distance, 0.0);
+  EXPECT_GT(reference::dtw(a, b).distance, 0.0);
+  EXPECT_GE(reference::dtw(a, random_walk(rng, 9)).distance, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DtwProperty, ::testing::Range(0, 8));
@@ -263,147 +283,13 @@ TEST(DtwProperties, TwoHundredRandomPairs) {
     const auto a = random_walk(rng, na);
     const auto b = random_walk(rng, nb);
 
-    const double ab = dtw(a, b).distance;
-    const double ba = dtw(b, a).distance;
+    const double ab = reference::dtw(a, b).distance;
+    const double ba = reference::dtw(b, a).distance;
     EXPECT_NEAR(ab, ba, 1e-9) << "pair " << pair;          // symmetry
     EXPECT_GE(ab, 0.0) << "pair " << pair;                 // non-negativity
-    EXPECT_NEAR(dtw(a, a).distance, 0.0, 1e-9) << "pair " << pair;  // identity
+    EXPECT_NEAR(reference::dtw(a, a).distance, 0.0, 1e-9) << "pair " << pair;  // identity
     EXPECT_NEAR(ab, dtw_distance(a, b), 1e-9) << "pair " << pair;
   }
-}
-
-TEST(DtwProperties, SoftDtwConvergesToHardDtwAsGammaShrinks) {
-  // soft_dtw uses squared-Euclidean local costs, so its gamma -> 0 limit is
-  // the squared-cost DTW value, computed here by an exact DP.  Sweep random
-  // pairs and a shrinking gamma ladder; the gap must shrink monotonically (up
-  // to noise) and vanish at the bottom rung.
-  Rng rng(777);
-  for (int pair = 0; pair < 20; ++pair) {
-    const auto a = random_walk(rng, 10);
-    const auto b = random_walk(rng, 11);
-
-    const std::size_t n = a.size();
-    const std::size_t m = b.size();
-    std::vector<double> cost(n * m, std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        const double d = distance_sq(a[i], b[j]);
-        if (i == 0 && j == 0) {
-          cost[0] = d;
-          continue;
-        }
-        double best = std::numeric_limits<double>::infinity();
-        if (i > 0 && j > 0) best = std::min(best, cost[(i - 1) * m + j - 1]);
-        if (i > 0) best = std::min(best, cost[(i - 1) * m + j]);
-        if (j > 0) best = std::min(best, cost[i * m + j - 1]);
-        cost[i * m + j] = best + d;
-      }
-    }
-    const double hard = cost[n * m - 1];
-
-    double prev_gap = std::numeric_limits<double>::infinity();
-    for (const double gamma : {1.0, 0.1, 0.01, 0.001}) {
-      const double soft = soft_dtw(a, b, gamma);
-      EXPECT_LE(soft, hard + 1e-6) << "pair " << pair;  // soft-min <= min
-      const double gap = hard - soft;
-      EXPECT_LE(gap, prev_gap + 1e-9) << "pair " << pair << " gamma " << gamma;
-      prev_gap = gap;
-    }
-    EXPECT_NEAR(soft_dtw(a, b, 0.001), hard, std::max(0.5, 0.01 * hard))
-        << "pair " << pair;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Soft-DTW.
-
-TEST(SoftDtw, ApproachesSquaredDtwAsGammaShrinks) {
-  Rng rng(30);
-  const auto a = random_walk(rng, 12);
-  const auto b = random_walk(rng, 12);
-  // Exact squared-cost DTW via a local DP (the Euclidean-cost optimal path
-  // is not optimal for squared costs, so dtw()'s path cannot be reused).
-  double hard;
-  {
-    const std::size_t n = a.size();
-    const std::size_t m = b.size();
-    std::vector<double> cost(n * m, std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        const double d = distance_sq(a[i], b[j]);
-        if (i == 0 && j == 0) {
-          cost[0] = d;
-          continue;
-        }
-        double best = std::numeric_limits<double>::infinity();
-        if (i > 0 && j > 0) best = std::min(best, cost[(i - 1) * m + j - 1]);
-        if (i > 0) best = std::min(best, cost[(i - 1) * m + j]);
-        if (j > 0) best = std::min(best, cost[i * m + j - 1]);
-        cost[i * m + j] = best + d;
-      }
-    }
-    hard = cost[n * m - 1];
-  }
-  const double s_tight = soft_dtw(a, b, 0.01);
-  const double s_loose = soft_dtw(a, b, 10.0);
-  // Soft-DTW lower-bounds the (squared-cost) DTW and tightens as gamma -> 0.
-  EXPECT_LE(s_tight, hard + 1e-6);
-  EXPECT_LE(s_loose, s_tight + 1e-9);
-  EXPECT_NEAR(s_tight, hard, std::max(1.0, 0.05 * hard));
-}
-
-TEST(SoftDtw, ZeroForIdenticalSequencesAtSmallGamma) {
-  Rng rng(31);
-  const auto a = random_walk(rng, 10);
-  // Identical sequences: value can go slightly negative (softmin < min).
-  EXPECT_LT(std::fabs(soft_dtw(a, a, 0.01)), 1.0);
-}
-
-TEST(SoftDtw, GradientMatchesFiniteDifference) {
-  Rng rng(32);
-  const auto a = random_walk(rng, 8);
-  auto b = random_walk(rng, 9);
-  const double gamma = 1.0;
-
-  std::vector<Enu> grad(b.size(), Enu{});
-  const double value = soft_dtw_gradient(a, b, gamma, grad);
-  EXPECT_NEAR(value, soft_dtw(a, b, gamma), 1e-9);
-
-  const double eps = 1e-5;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    for (int axis = 0; axis < 2; ++axis) {
-      auto plus = b;
-      auto minus = b;
-      (axis == 0 ? plus[i].east : plus[i].north) += eps;
-      (axis == 0 ? minus[i].east : minus[i].north) -= eps;
-      const double numeric =
-          (soft_dtw(a, plus, gamma) - soft_dtw(a, minus, gamma)) / (2 * eps);
-      const double analytic = axis == 0 ? grad[i].east : grad[i].north;
-      EXPECT_NEAR(analytic, numeric, 1e-3 * std::max(1.0, std::fabs(numeric)))
-          << "point " << i << " axis " << axis;
-    }
-  }
-}
-
-TEST(SoftDtw, ValidatesInput) {
-  EXPECT_THROW(soft_dtw({}, {{0, 0}}, 1.0), std::invalid_argument);
-  EXPECT_THROW(soft_dtw({{0, 0}}, {{0, 0}}, 0.0), std::invalid_argument);
-  std::vector<Enu> db(3);
-  EXPECT_THROW(soft_dtw_gradient({{0, 0}}, {{1, 1}}, 1.0, db), std::invalid_argument);
-}
-
-TEST(SoftDtw, DescentStepReducesValue) {
-  Rng rng(33);
-  const auto a = random_walk(rng, 12);
-  auto b = random_walk(rng, 12);
-  const double before = soft_dtw(a, b, 1.0);
-  std::vector<Enu> grad(b.size(), Enu{});
-  soft_dtw_gradient(a, b, 1.0, grad);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i].east -= 1e-3 * grad[i].east;
-    b[i].north -= 1e-3 * grad[i].north;
-  }
-  EXPECT_LT(soft_dtw(a, b, 1.0), before);
 }
 
 }  // namespace

@@ -636,6 +636,53 @@ TEST(DurableModels, DetectorRejectsOversizedScanHeader) {
   ASSERT_FALSE(loaded.has_value());
 }
 
+/// A detector stream with top_k = 1 and 2-point uploads (Eq. 8 width 4) over
+/// one reference point, whose classifier is a stump on `split_feature`.
+std::string detector_stream_splitting_on(int split_feature) {
+  return "trajkit_rssi_detector_v2\n"
+         "2.5 1 1 1 3 0 0.9 0.5\n"
+         "2\n"
+         "1\n"
+         "0 0 0 1 17 -50\n"
+         "trajkit_gbt_v1\n"
+         "1 4 0.1 32 1 0 1 1 42\n"
+         "0 1\n"
+         "3\n" +
+         std::to_string(split_feature) +
+         " 0.5 0 1 2 0 1\n"
+         "-1 0 0 -1 -1 0.25 0\n"
+         "-1 0 0 -1 -1 -0.25 0\n";
+}
+
+TEST(DurableModels, DetectorRejectsSplitBeyondFeatureWidth) {
+  // Feature 5000 of a 4-wide row: served, the first analyze() would read far
+  // past the feature vector.
+  std::istringstream is(detector_stream_splitting_on(5000));
+  auto loaded = wifi::RssiDetector::try_load(is);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_NE(loaded.error().find("width"), std::string::npos) << loaded.error();
+
+  // The last in-width feature loads and serves.
+  std::istringstream ok(detector_stream_splitting_on(3));
+  auto served = wifi::RssiDetector::try_load(ok);
+  ASSERT_TRUE(served.has_value()) << served.error();
+  wifi::ScannedUpload probe;
+  probe.positions = {{0, 0}, {1, 0}};
+  probe.scans = {{{17, -50}}, {{17, -50}}};
+  EXPECT_EQ(served.value()->analyze(probe).features.size(), 4u);
+}
+
+TEST(DurableModels, DetectorAssembleRejectsSplitBeyondFeatureWidth) {
+  std::istringstream is(detector_stream_splitting_on(3));
+  auto base = wifi::RssiDetector::try_load(is);
+  ASSERT_TRUE(base.has_value()) << base.error();
+  const auto& d = *base.value();
+  // Width 2 * top_k * points: 4 at two points fits feature 3, 2 at one does not.
+  EXPECT_NO_THROW(wifi::RssiDetector::assemble({}, d.config(), d.classifier(), 2));
+  EXPECT_THROW(wifi::RssiDetector::assemble({}, d.config(), d.classifier(), 1),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Version skew: each container loads exactly the version it writes
 

@@ -1,14 +1,19 @@
 // Gradient-boosted trees: binning, single-tree fitting, booster learning,
-// feature importance and serialisation.
+// feature importance, serialisation, and the fused scorer against the
+// scalar-walk oracle (tests/reference).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "gbt/binning.hpp"
 #include "gbt/booster.hpp"
 #include "gbt/tree.hpp"
+#include "reference/gbt_reference.hpp"
 
 namespace trajkit::gbt {
 namespace {
@@ -323,6 +328,127 @@ TEST(Booster, ValidatesConfigAndData) {
   GbtClassifier model;
   EXPECT_THROW(model.train({}, {}), std::invalid_argument);
   EXPECT_THROW(model.train({{1.0}}, {1, 0}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Fused scorer vs the scalar tree walk
+
+/// Every (feature, split value) pair of a trained ensemble, read back through
+/// the model's own text format.
+std::vector<std::pair<std::size_t, double>> splits_of(const GbtClassifier& model) {
+  std::stringstream ss;
+  model.save(ss);
+  std::string magic;
+  GbtConfig cfg;
+  double base = 0.0;
+  std::size_t trees = 0;
+  ss >> magic >> cfg.num_trees >> cfg.max_depth >> cfg.learning_rate >> cfg.max_bins >>
+      cfg.lambda >> cfg.gamma >> cfg.min_child_weight >> cfg.subsample >> cfg.seed >>
+      base >> trees;
+  std::vector<std::pair<std::size_t, double>> out;
+  for (std::size_t t = 0; t < trees; ++t) {
+    const Tree tree = Tree::load(ss);
+    for (const TreeNode& n : tree.nodes()) {
+      if (n.feature >= 0) out.emplace_back(static_cast<std::size_t>(n.feature), n.split_value);
+    }
+  }
+  return out;
+}
+
+TEST(FusedForest, MatchesScalarWalkBitwise) {
+  constexpr std::size_t kWidth = 12;
+  Rng rng(2024);
+  std::vector<std::vector<double>> x;
+  std::vector<int> y;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<double> row(kWidth);
+    for (auto& v : row) v = rng.uniform(-3.0, 3.0);
+    y.push_back(row[0] * row[1] + row[2] - 0.5 * row[7] > 0.0 ? 1 : 0);
+    x.push_back(std::move(row));
+  }
+  GbtConfig cfg;
+  cfg.num_trees = 60;
+  cfg.max_depth = 5;
+  cfg.subsample = 0.8;
+  GbtClassifier model(cfg);
+  model.train(x, y);
+  ASSERT_LE(model.num_features(), kWidth);
+
+  auto expect_same = [&](const std::vector<double>& row, const std::string& what) {
+    const double fused = model.predict_proba(row);
+    const double walk = reference::predict_proba(model, row);
+    ASSERT_EQ(fused, walk) << what;  // bitwise: neither is ever NaN
+  };
+  // Random rows, inside and beyond the training range.
+  for (int i = 0; i < 500; ++i) {
+    std::vector<double> row(kWidth);
+    for (auto& v : row) v = rng.uniform(-5.0, 5.0);
+    expect_same(row, "random row " + std::to_string(i));
+  }
+  // Values exactly on a split threshold (v <= t goes left) and one ulp to
+  // either side of it.
+  const auto splits = splits_of(model);
+  ASSERT_FALSE(splits.empty());
+  for (std::size_t s = 0; s < splits.size(); ++s) {
+    const auto [feature, value] = splits[s];
+    for (const double v : {value, std::nextafter(value, -1e300), std::nextafter(value, 1e300)}) {
+      std::vector<double> row = x[s % x.size()];
+      row[feature] = v;
+      expect_same(row, "split " + std::to_string(s));
+    }
+  }
+  // NaN goes right at every split; +-inf land beyond every threshold.
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (std::size_t f = 0; f < kWidth; ++f) {
+    for (const double v : specials) {
+      std::vector<double> row = x[f];
+      row[f] = v;
+      expect_same(row, "special in feature " + std::to_string(f));
+    }
+  }
+  for (const double v : specials) {
+    expect_same(std::vector<double>(kWidth, v), "all-special row");
+  }
+}
+
+/// A one-split stump on `feature` in the booster's text format.
+std::string stump_model(long feature) {
+  return "trajkit_gbt_v1\n"
+         "1 4 0.1 32 1 0 1 1 42\n"
+         "0 1\n"
+         "3\n" +
+         std::to_string(feature) +
+         " 0.5 0 1 2 0 1\n"
+         "-1 0 0 -1 -1 0.25 0\n"
+         "-1 0 0 -1 -1 -0.25 0\n";
+}
+
+TEST(FusedForest, FeatureIndexBeyondUint16IsRefusedAtLoad) {
+  // Index 65535 still fits the fused node's uint16 slot and loads.
+  std::istringstream fits(stump_model(65535));
+  const auto loaded = GbtClassifier::try_load(fits);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  EXPECT_EQ(loaded.value().num_features(), 65536u);
+  std::vector<double> row(65536, 0.0);
+  row[65535] = 1.0;
+  EXPECT_EQ(loaded.value().predict_proba(row), reference::predict_proba(loaded.value(), row));
+
+  // 65536 does not, and there is no second scoring path to fall back on.
+  for (const long feature : {65536L, 5'000'000L}) {
+    std::istringstream wide(stump_model(feature));
+    const auto refused = GbtClassifier::try_load(wide);
+    ASSERT_FALSE(refused.has_value()) << feature;
+    EXPECT_NE(refused.error().find("uint16"), std::string::npos) << refused.error();
+  }
+}
+
+TEST(FusedForest, UntrainedModelScoresEvenOdds) {
+  const GbtClassifier model;
+  EXPECT_EQ(model.num_features(), 0u);
+  EXPECT_EQ(model.predict_proba({}), 0.5);
+  EXPECT_EQ(reference::predict_proba(model, {}), 0.5);
 }
 
 }  // namespace

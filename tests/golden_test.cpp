@@ -54,7 +54,9 @@ TEST(Golden, Eq8FeatureVectorsArePinned) {
   std::string out;
   for (const bool real : {true, false}) {
     const auto upload = w.upload(real);
-    const auto features = wifi::trajectory_features(w.detector().confidence(), upload);
+    std::vector<double> features;
+    std::vector<double> point_scores;
+    w.detector().segment_features(upload, features, point_scores);
     out += real ? "real" : "fake";
     out += '\n';
     for (const double v : features) {

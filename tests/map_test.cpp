@@ -1,13 +1,17 @@
-// Road network, synthetic city, routing (Dijkstra vs A*) and navigation.
+// Road network, synthetic city, routing (Dijkstra vs A*), navigation and HMM
+// map matching.
 #include <gtest/gtest.h>
 
 #include <queue>
 #include <set>
 
+#include "common/rng.hpp"
 #include "map/city.hpp"
+#include "map/matcher.hpp"
 #include "map/nav.hpp"
 #include "map/roadnet.hpp"
 #include "map/route.hpp"
+#include "sim/dataset.hpp"
 
 namespace trajkit::map {
 namespace {
@@ -277,6 +281,88 @@ TEST(Nav, RouteDeviationMeasuresDistance) {
   EXPECT_NEAR(route_deviation_m(on, route), 0.0, 1e-9);
   EXPECT_NEAR(route_deviation_m(off, route), 5.0, 1e-9);
   EXPECT_THROW(route_deviation_m({}, route), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Map matching.
+
+TEST(MapMatcher, SnapsNoisyTraceToItsRoad) {
+  Rng rng(2);
+  const auto net = map::make_city({.blocks_x = 5, .blocks_y = 5}, rng);
+  const sim::TrajectorySimulator simulator(net);
+  const auto traj = simulator.simulate_real(Mode::kWalking, 30, 1.0, rng);
+
+  const map::MapMatcher matcher(net);
+  const auto result = matcher.match(traj.reported.to_enu(sim::sim_projection()));
+  ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->points.size(), 30u);
+  // Genuine on-road traces snap within GPS error.
+  EXPECT_LT(result->mean_offset_m, 2.5);
+  // Every snapped point is on the network.
+  for (const auto& mp : result->points) {
+    EXPECT_LT(net.distance_to_network(mp.snapped), 1e-6);
+  }
+}
+
+TEST(MapMatcher, RejectsOffMapTrajectory) {
+  Rng rng(3);
+  const auto net = map::make_city({.blocks_x = 4, .blocks_y = 4}, rng);
+  const map::MapMatcher matcher(net);
+  // A trace far outside the city bounds.
+  std::vector<Enu> off = {{5000, 5000}, {5010, 5000}, {5020, 5000}};
+  EXPECT_FALSE(matcher.match(off).has_value());
+}
+
+TEST(MapMatcher, ForgedTrajectoryStillMatchesItsRoute) {
+  // Route rationality of the replay forgery: the perturbed trace must still
+  // map-match with small offsets.
+  Rng rng(4);
+  const auto net = map::make_city({.blocks_x = 5, .blocks_y = 5}, rng);
+  const sim::TrajectorySimulator simulator(net);
+  const auto traj = simulator.simulate_real(Mode::kWalking, 30, 1.0, rng);
+  const auto hist = traj.reported.to_enu(sim::sim_projection());
+
+  const map::MapMatcher matcher(net);
+  const auto matched = matcher.match(hist);
+  ASSERT_TRUE(matched.has_value());
+  // 1.4 m/step displacement keeps the trace within matching tolerance.
+  EXPECT_LT(matched->mean_offset_m + 1.4, matcher.config().max_candidate_distance_m);
+}
+
+TEST(MapMatcher, ValidatesInput) {
+  Rng rng(5);
+  const auto net = map::make_city({.blocks_x = 3, .blocks_y = 3}, rng);
+  const map::MapMatcher matcher(net);
+  EXPECT_THROW(matcher.match({{0, 0}}), std::invalid_argument);
+  map::MatchConfig bad;
+  bad.gps_sigma_m = 0.0;
+  EXPECT_THROW(map::MapMatcher(net, bad), std::invalid_argument);
+}
+
+TEST(MapMatcher, PrefersContinuousPathOverNearestEdge) {
+  // Two parallel roads 12 m apart; the trace runs along the north one but one
+  // noisy fix leans toward the south road.  HMM continuity should keep the
+  // match on the north road.
+  map::RoadNetwork net;
+  const auto a0 = net.add_node({0, 0});
+  const auto a1 = net.add_node({100, 0});
+  const auto b0 = net.add_node({0, 12});
+  const auto b1 = net.add_node({100, 12});
+  net.add_edge(a0, a1, map::RoadClass::kLocal);
+  const auto north_edge = net.add_edge(b0, b1, map::RoadClass::kLocal);
+
+  std::vector<Enu> trace;
+  for (int i = 0; i <= 10; ++i) trace.push_back({i * 10.0, 11.0});
+  trace[5].north = 5.4;  // an outlier fix leaning to the south road
+
+  map::MatchConfig cfg;
+  cfg.gps_sigma_m = 4.0;
+  const map::MapMatcher matcher(net, cfg);
+  const auto result = matcher.match(trace);
+  ASSERT_TRUE(result.has_value());
+  std::size_t on_north = 0;
+  for (const auto& mp : result->points) on_north += mp.edge == north_edge;
+  EXPECT_GE(on_north, 10u);  // at most the outlier itself may flip
 }
 
 }  // namespace

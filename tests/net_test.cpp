@@ -5,7 +5,7 @@
 //   net/frame + net/rpc   wire codecs: length-prefixed CRC frames and the
 //                         line-oriented shard protocol (%.17g doubles, so a
 //                         feature vector round-trips bit-exactly).
-//   net/sim               the deterministic chaos transport: every fault
+//   support/sim (SimNet)  the deterministic chaos transport: every fault
 //                         fate is a pure function of (seed, endpoint, leg,
 //                         key, attempt), so a schedule that breaks the
 //                         protocol replays bit-identically from the seed —
@@ -43,7 +43,7 @@
 #include "common/rng.hpp"
 #include "net/frame.hpp"
 #include "net/rpc.hpp"
-#include "net/sim.hpp"
+#include "support/sim.hpp"
 #include "net/uds.hpp"
 #include "serve/net_shard.hpp"
 #include "serve/shard_router.hpp"

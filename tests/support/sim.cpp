@@ -1,4 +1,4 @@
-#include "net/sim.hpp"
+#include "support/sim.hpp"
 
 #include "common/rng.hpp"
 

@@ -3,11 +3,14 @@
 // SimNet is an in-process Transport whose fault decisions — drop, delay,
 // reorder, duplicate, and the fail_first deterministic prefix — are pure
 // functions of (seed, endpoint, leg, key, attempt) through the same
-// counter-based Rng::substream machinery as the PR 3 FaultInjector.  Two
+// counter-based Rng::substream machinery as common/fault's injector.  Two
 // calls with the same logical identity draw the same fate no matter which
 // thread issues them or in what order, so a chaos schedule that breaks a
 // shard protocol under `--threads 4` reproduces under `--threads 1` from the
 // seed alone (tests/net_test.cpp, NetDeterminism).
+//
+// SimNet is test infrastructure: it lives in test_support, not the shipping
+// library.  The Transport interface it implements stays in src/net.
 //
 // Time is virtual and per-call: a delay draw does not sleep, it accrues
 // against the call's deadline_us, and a delivery pushed past the deadline is
@@ -45,7 +48,7 @@ namespace trajkit::net {
 /// Probabilistic fault schedule for one leg (request or response) of one
 /// endpoint.  All probabilities are independent per-call draws from the
 /// call's substream; fail_first unconditionally drops attempts
-/// [0, fail_first) of every key, the deterministic warm-up the PR 3
+/// [0, fail_first) of every key, the deterministic warm-up common/fault's
 /// FaultSpec uses to exercise bounded retry exactly N times.
 struct SimFaultSpec {
   double drop = 0.0;

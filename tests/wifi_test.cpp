@@ -457,26 +457,32 @@ TEST(Confidence, AblationSwitchesChangeWeights) {
 }
 
 TEST(Features, WidthAndPadding) {
-  const ReferenceIndex index({ref(0, 0, {{1, -40}})});
-  const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .top_k = 3});
+  RssiDetectorConfig config;
+  config.confidence.reference_radius_m = 2.5;
+  config.confidence.top_k = 3;
+  const RssiDetector detector({ref(0, 0, {{1, -40}})}, config);
   ScannedUpload upload;
   upload.positions = {{0, 0}, {1, 0}};
   upload.scans = {{{1, -40}}, {}};  // second point heard nothing
-  const auto f = trajectory_features(estimator, upload);
-  EXPECT_EQ(f.size(), trajectory_feature_width(estimator, 2));
+  std::vector<double> f;
+  std::vector<double> scores;
+  detector.segment_features(upload, f, scores);
   EXPECT_EQ(f.size(), 12u);  // 2 points * 3 aps * 2 values
+  EXPECT_EQ(scores.size(), 2u);
   // Padding entries are zero.
   for (std::size_t i = 2; i < 6; ++i) EXPECT_DOUBLE_EQ(f[i], 0.0);
   for (std::size_t i = 6; i < 12; ++i) EXPECT_DOUBLE_EQ(f[i], 0.0);
+  EXPECT_DOUBLE_EQ(scores[1], 0.0);  // no AP, no confidence
 }
 
 TEST(Features, MismatchedUploadRejected) {
-  const ReferenceIndex index({ref(0, 0, {})});
-  const ConfidenceEstimator estimator(index, {});
+  const RssiDetector detector({ref(0, 0, {})});
   ScannedUpload upload;
   upload.positions = {{0, 0}};
   upload.scans = {};
-  EXPECT_THROW(trajectory_features(estimator, upload), std::invalid_argument);
+  std::vector<double> f;
+  std::vector<double> scores;
+  EXPECT_THROW(detector.segment_features(upload, f, scores), std::invalid_argument);
 }
 
 TEST(Detector, SeparatesMatchingFromMismatchedRssi) {

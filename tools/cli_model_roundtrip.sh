@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end model file round trip through trajkit_cli, the shipping reader
-# of LSTM model files:
+# of LSTM model files, plus every other CLI command once:
 #
 #   tools/cli_model_roundtrip.sh <trajkit_cli> <work-dir>
 #
 # simulate (real + navigation) -> train-motion -> classify must succeed, and
 # classify must refuse the same weights saved as a bare-text file (the model
-# payload without its durable container).  Exits non-zero on any failure.
+# payload without its durable container).  forge, mind, match and stats then
+# run at smoke size on a 4-trajectory CSV; each must exit 0 and print its
+# summary line.  Exits non-zero on any failure.
 set -euo pipefail
 cli="$1"
 work="$2"
@@ -29,4 +31,16 @@ if "${cli}" classify --model=bare.model --in=real.csv > /dev/null 2>&1; then
   echo "classify accepted a bare-text model file" >&2
   exit 1
 fi
+# The remaining commands at smoke size.  forge and mind run the normalised
+# DTW (attack loss, report and MinD) through the shipping binary.
+"${cli}" simulate --count=4 --out=small.csv
+out=$("${cli}" forge --model=motion.model --in=small.csv --out=forged.csv --iterations=20)
+grep -q "/4 adversarial; wrote forged.csv" <<< "${out}"
+[[ -s forged.csv ]]
+out=$("${cli}" mind --repetitions=5)
+grep -q "^walking: MinD=.* over 5 repetitions" <<< "${out}"
+out=$("${cli}" match --in=small.csv)
+grep -q "^traj 3: mean offset" <<< "${out}"
+out=$("${cli}" stats --in=small.csv)
+grep -q "^trajectories: 4 (walking, 48 points each)" <<< "${out}"
 echo "cli model round trip ok"
