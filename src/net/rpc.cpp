@@ -88,7 +88,6 @@ constexpr std::uint64_t kMaxVectorElems = 1u << 22;
 Verb peek_verb(std::string_view request) {
   if (request.substr(0, 6) == "apply ") return Verb::kApply;
   if (request.substr(0, 3) == "hb ") return Verb::kHeartbeat;
-  if (request.substr(0, 5) == "tail ") return Verb::kTail;
   if (request.substr(0, 4) == "seg ") return Verb::kSegment;
   return Verb::kUnknown;
 }
@@ -203,80 +202,6 @@ Expected<HeartbeatRequest, std::string> decode_heartbeat(
   c.take(' ');
   out.leader_next_seq = c.take_u64();
   if (!c.done()) return Result::failure("rpc: malformed heartbeat");
-  return out;
-}
-
-// -- tail ---------------------------------------------------------------------
-
-std::string encode_tail(const TailRequest& request) {
-  std::string out = "tail ";
-  append_u64(out, request.from_seq);
-  out.push_back(' ');
-  append_u64(out, request.max_frames);
-  return out;
-}
-
-Expected<TailRequest, std::string> decode_tail(std::string_view request) {
-  using Result = Expected<TailRequest, std::string>;
-  Cursor c{request};
-  c.take_word("tail ");
-  TailRequest out;
-  out.from_seq = c.take_u64();
-  c.take(' ');
-  out.max_frames = c.take_u64();
-  if (!c.done()) return Result::failure("rpc: malformed tail request");
-  return out;
-}
-
-std::string encode_tail_response(const std::vector<TailFrame>& frames) {
-  std::string out = "frames ";
-  append_u64(out, frames.size());
-  for (const TailFrame& f : frames) {
-    out.push_back('\n');
-    append_u64(out, f.seq);
-    out.push_back(' ');
-    append_u64(out, f.uploader);
-    out.push_back(' ');
-    append_u64(out, f.payload.size());
-    out.push_back('\n');
-    out.append(f.payload);
-  }
-  return out;
-}
-
-Expected<std::vector<TailFrame>, std::string> decode_tail_response(
-    std::string_view bytes) {
-  using Result = Expected<std::vector<TailFrame>, std::string>;
-  if (bytes.substr(0, 4) == "err ") {
-    Cursor c{bytes};
-    c.take_word("err ");
-    const std::uint64_t len = c.take_u64();
-    if (!c.bad && len > kMaxField) c.bad = true;
-    c.take('\n');
-    const std::string msg = c.take_bytes(len);
-    if (!c.done()) return Result::failure("rpc: malformed err response");
-    return Result::failure(msg);
-  }
-  Cursor c{bytes};
-  c.take_word("frames ");
-  const std::uint64_t n = c.take_u64();
-  if (!c.bad && n > kMaxVectorElems) c.bad = true;
-  std::vector<TailFrame> out;
-  if (!c.bad) out.reserve(n);
-  for (std::uint64_t i = 0; i < n && !c.bad; ++i) {
-    TailFrame f;
-    c.take('\n');
-    f.seq = c.take_u64();
-    c.take(' ');
-    f.uploader = c.take_u64();
-    c.take(' ');
-    const std::uint64_t len = c.take_u64();
-    if (!c.bad && len > kMaxField) c.bad = true;
-    c.take('\n');
-    f.payload = c.take_bytes(len);
-    out.push_back(std::move(f));
-  }
-  if (!c.done()) return Result::failure("rpc: malformed tail response");
   return out;
 }
 

@@ -12,15 +12,15 @@
 //        | err <len>\n<msg>
 //   hb <term> <leader_next>
 //     -> ok <follower_next> | fenced <term> | err ...
-//   tail <from> <max>
-//     -> frames <n> (\n<seq> <uploader> <len>\n<payload>)*  | err ...
 //   seg <traj_id> <points> <top_k>(\n<east> <north> <aps> (<mac> <rssi>)*)*
 //     -> segok <nf> <ns>\n<f..>\n<s..>                       | err ...
 //
 // Every RPC is idempotent by construction: applies are seq-disciplined
-// (redelivery is "stale", a no-op), heartbeats/tails/segments are reads.
+// (redelivery is "stale", a no-op), heartbeats and segments are reads.
 // That is what licenses the client's retry/hedge policy over a transport
-// whose kTimeout cannot say whether the handler ran.
+// whose kTimeout cannot say whether the handler ran.  Gap repair needs no
+// verb of its own: the leader re-ships the missing frames as ordinary
+// applies under its own term (serve/net_shard).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,7 @@
 
 namespace trajkit::net {
 
-enum class Verb { kApply, kHeartbeat, kTail, kSegment, kUnknown };
+enum class Verb { kApply, kHeartbeat, kSegment, kUnknown };
 
 /// Cheap dispatch on the first token of a request.
 Verb peek_verb(std::string_view request);
@@ -74,25 +74,6 @@ struct HeartbeatRequest {
 
 std::string encode_heartbeat(const HeartbeatRequest& request);
 Expected<HeartbeatRequest, std::string> decode_heartbeat(std::string_view request);
-
-// -- Journal-tail backfill (gap repair) --------------------------------------
-
-struct TailRequest {
-  std::uint64_t from_seq = 0;
-  std::uint64_t max_frames = 0;  ///< 0 = no cap
-};
-
-struct TailFrame {
-  std::uint64_t seq = 0;
-  wifi::UploaderId uploader = wifi::kAnonymousUploader;
-  std::string payload;
-};
-
-std::string encode_tail(const TailRequest& request);
-Expected<TailRequest, std::string> decode_tail(std::string_view request);
-std::string encode_tail_response(const std::vector<TailFrame>& frames);
-Expected<std::vector<TailFrame>, std::string> decode_tail_response(
-    std::string_view bytes);
 
 // -- Segment evaluation -------------------------------------------------------
 

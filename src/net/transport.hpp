@@ -16,7 +16,7 @@
 // says NOTHING about whether the request was delivered — the handler may
 // have run and the response been lost.  Callers must only retry idempotent
 // requests; the shard protocol makes every RPC idempotent (seq-disciplined
-// applies, read-only tails/segments), which tests/net_test.cpp proves by
+// applies, read-only heartbeats/segments), which tests/net_test.cpp proves by
 // injecting duplicates and response-leg drops at every shipping point.
 #pragma once
 

@@ -105,7 +105,8 @@ Expected<std::uint64_t, std::string> VerifierService::publish_epoch(
   }
   // Journal the epoch marker before the flip so WAL followers can never
   // observe a marker the primary did not durably record.
-  auto marker = store.append_epoch_marker(next_epoch);
+  auto marker =
+      store.append_control({wifi::ControlFrame::Kind::kEpoch, next_epoch});
   if (!marker) return Result::failure("publish_epoch: " + marker.error());
   epoched_.install(std::move(next).value(), next_epoch);
   return Result(next_epoch);

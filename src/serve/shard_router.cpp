@@ -199,7 +199,7 @@ ShardRouterCounters ShardRouter::counters() const {
   out.per_shard_net.reserve(remote_.size());
   for (const auto& evaluator : remote_) {
     out.per_shard_net.push_back(evaluator ? evaluator->stats()
-                                          : SegmentEvaluator::Stats{});
+                                          : NetClientStats{});
   }
   out.latency_count = latency_.count();
   out.latency_p50_us = latency_.p50_us();

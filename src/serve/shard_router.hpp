@@ -50,6 +50,17 @@
 
 namespace trajkit::serve {
 
+/// Transport counters a remote shard client accumulates (serve/net_shard):
+/// segment reads fill the first four, follower shipping all but hedges.
+struct NetClientStats {
+  std::uint64_t rpcs = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t hedges = 0;
+  std::uint64_t gap_backfills = 0;  ///< gap repairs a follower link pushed
+  std::uint64_t fenced = 0;         ///< replies that refused this leader's term
+};
+
 /// How the router evaluates one segment on a shard that is not (only) local:
 /// serve/net_shard's RemoteSegmentClient implements this over a transport
 /// with deadlines, bounded retry and hedged fan-out.  evaluate() must either
@@ -59,17 +70,10 @@ namespace trajkit::serve {
 /// same bitwise-correct evaluation, just served locally).
 class SegmentEvaluator {
  public:
-  struct Stats {
-    std::uint64_t rpcs = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t hedges = 0;
-  };
-
   virtual ~SegmentEvaluator() = default;
   virtual void evaluate(const wifi::ScannedUpload& upload, std::size_t begin,
                         std::size_t end, double* features, double* scores) = 0;
-  virtual Stats stats() const { return {}; }
+  virtual NetClientStats stats() const { return {}; }
 };
 
 /// Consistent hashing of tiles onto shards: each shard contributes `vnodes`
@@ -126,7 +130,7 @@ struct ShardRouterCounters {
   std::vector<std::uint64_t> per_shard_segments;
   /// Per-shard transport counters (rpcs/retries/timeouts/hedges) from the
   /// attached SegmentEvaluators; zeros for shards without one.
-  std::vector<SegmentEvaluator::Stats> per_shard_net;
+  std::vector<NetClientStats> per_shard_net;
   /// verify() end-to-end latency (sampled on every request).
   std::uint64_t latency_count = 0;
   double latency_p50_us = 0.0;

@@ -88,9 +88,15 @@ Expected<bool, std::string> ShardReplica::apply_frame(std::uint64_t seq,
                            std::to_string(next));
   }
   // Control frames ride the same WAL as the points: epoch markers and
-  // quarantine reviews re-journal verbatim instead of decoding as a point.
+  // quarantine reviews re-journal (byte for byte: the parse is strict)
+  // instead of decoding as a point.
   if (!payload.empty() && payload[0] == '#') {
-    auto appended = store_->append_control(payload);
+    auto frame = wifi::CrowdStore::parse_control(payload);
+    if (!frame) {
+      return Result::failure("shard replica: seq " + std::to_string(seq) + ": " +
+                             frame.error());
+    }
+    auto appended = store_->append_control(frame.value());
     if (!appended) {
       return Result::failure("shard replica: seq " + std::to_string(seq) + ": " +
                              appended.error());
@@ -248,25 +254,16 @@ Expected<bool, std::string> ShardService::compact() {
   return store_->compact();
 }
 
-Expected<std::uint64_t, std::string> ShardService::ship_epoch_marker(
-    std::uint64_t epoch) {
-  return ship_control(wifi::CrowdStore::encode_epoch_marker(epoch));
-}
-
-Expected<std::uint64_t, std::string> ShardService::ship_motion_marker(
-    std::uint64_t epoch) {
-  return ship_control(wifi::CrowdStore::encode_motion_epoch_marker(epoch));
-}
-
 Expected<std::uint64_t, std::string> ShardService::ship_control(
-    const std::string& payload) {
+    const wifi::ControlFrame& frame) {
   using Result = Expected<std::uint64_t, std::string>;
   if (!store_) return Result::failure("shard: no store attached");
-  auto seq = store_->append_control(payload);
+  auto seq = store_->append_control(frame);
   if (!seq) return seq;
   // Same shipping discipline (and fault points) as point frames: followers
   // hold the marker durably before it is acknowledged.
-  return ship_to_followers(seq.value(), payload, wifi::kAnonymousUploader);
+  return ship_to_followers(seq.value(), wifi::CrowdStore::encode_control(frame),
+                           wifi::kAnonymousUploader);
 }
 
 Expected<bool, std::string> ShardService::arm_verification(

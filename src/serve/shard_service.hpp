@@ -113,10 +113,11 @@ class ShardReplica : public FollowerLink {
   /// appended, false when `seq` is stale (already applied — idempotent
   /// redelivery); a gap (`seq` beyond the next expected) is an error, the
   /// follower must re-bootstrap rather than silently lose frames.  Control
-  /// frames ('#' payloads — epoch markers, quarantine reviews) re-journal
-  /// verbatim through the follower store's append_control, so followers
-  /// learn about published epochs and review actions from the same WAL
-  /// shipping that carries the points.  `uploader` is the frame's provenance
+  /// frames ('#' payloads — epoch markers, quarantine reviews) parse and
+  /// re-journal through the follower store's append_control (the same bytes:
+  /// CrowdStore::parse_control is strict), so followers learn about
+  /// published epochs and review actions from the same WAL shipping that
+  /// carries the points.  `uploader` is the frame's provenance
   /// stamp; the follower re-journals it unchanged, so a
   /// promoted follower scores and quarantines exactly like its leader.
   /// `term` below the highest term seen is refused ("fenced").  Safe to call
@@ -265,23 +266,12 @@ class ShardService {
   /// Frames acknowledged through ingest() so far.
   std::uint64_t acked_frames() const { return acked_; }
 
-  /// Journal + ship an epoch control frame ("#epoch N") exactly like a point
-  /// frame: leader-durable first, then applied on every follower before the
-  /// call returns.  The primary's publish path calls this after committing
-  /// the epoch's artifact.
-  Expected<std::uint64_t, std::string> ship_epoch_marker(std::uint64_t epoch);
-
-  /// Journal + ship a motion-model epoch marker ("#motion_epoch N"): the
-  /// quantized motion classifier was published under ArtifactStore epoch N.
-  /// Followers observe it through the same WAL shipping as point frames and
-  /// load the artifact from their own store at that epoch.
-  Expected<std::uint64_t, std::string> ship_motion_marker(std::uint64_t epoch);
-
-  /// Journal + ship any '#' control frame (epoch markers, "#quarantine U",
-  /// "#clear U" review actions) with the same leader-durable-then-followers
-  /// discipline and fault points as point frames, so quarantine state stays
-  /// converged across the replica set.
-  Expected<std::uint64_t, std::string> ship_control(const std::string& payload);
+  /// Journal + ship a control frame ("#epoch N" after the primary commits
+  /// an epoch's artifact, "#motion_epoch N", "#quarantine U", "#clear U")
+  /// with the same leader-durable-then-followers discipline and fault
+  /// points as point frames: when it returns, the quorum holds the frame
+  /// durably and has applied it.
+  Expected<std::uint64_t, std::string> ship_control(const wifi::ControlFrame& frame);
 
   // -- Epoch hot-swap -------------------------------------------------------
 

@@ -3,9 +3,11 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 
 #include "common/durable/durable_file.hpp"
 #include "common/fault.hpp"
@@ -22,10 +24,12 @@ constexpr std::uint32_t kSnapshotVersion = 4;
 constexpr std::size_t kSnapshotOverhead = 4;  ///< meta + three trailing records
 constexpr const char* kJournalTag = "crowd_journal";
 constexpr std::size_t kMaxSnapshotPoints = 5'000'000;
-constexpr const char* kEpochMarkerPrefix = "#epoch ";
-constexpr const char* kMotionEpochMarkerPrefix = "#motion_epoch ";
-constexpr const char* kQuarantineMarkerPrefix = "#quarantine ";
-constexpr const char* kClearMarkerPrefix = "#clear ";
+/// Control-frame prefixes, indexed by ControlFrame::Kind.
+constexpr std::string_view kControlPrefix[] = {"#epoch ", "#motion_epoch ",
+                                               "#quarantine ", "#clear "};
+static_assert(std::size(kControlPrefix) ==
+                  static_cast<std::size_t>(ControlFrame::Kind::kClear) + 1,
+              "one prefix per control-frame kind");
 
 // Every point the store can hold must fit in one snapshot container (plus
 // its meta, cell-stats, provenance and reputation records), or compact()
@@ -38,22 +42,6 @@ std::string format_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-// Strict "<prefix><decimal u64>" match, no sign, no trailing garbage.
-bool parse_marker_value(const std::string& payload, const char* prefix,
-                        std::uint64_t* value) {
-  const std::size_t prefix_len = std::strlen(prefix);
-  if (payload.compare(0, prefix_len, prefix) != 0) return false;
-  const std::string digits = payload.substr(prefix_len);
-  if (digits.empty() || digits.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *value = v;
-  return true;
 }
 
 }  // namespace
@@ -108,50 +96,28 @@ Expected<ReferencePoint, std::string> CrowdStore::decode_point(
   return Result(std::move(p));
 }
 
-std::string CrowdStore::encode_epoch_marker(std::uint64_t epoch) {
-  return kEpochMarkerPrefix + std::to_string(epoch);
+std::string CrowdStore::encode_control(const ControlFrame& frame) {
+  return std::string(kControlPrefix[static_cast<std::size_t>(frame.kind)]) +
+         std::to_string(frame.value);
 }
 
-std::string CrowdStore::encode_motion_epoch_marker(std::uint64_t epoch) {
-  return kMotionEpochMarkerPrefix + std::to_string(epoch);
-}
-
-std::string CrowdStore::encode_quarantine_marker(UploaderId uploader) {
-  return kQuarantineMarkerPrefix + std::to_string(uploader);
-}
-
-std::string CrowdStore::encode_clear_marker(UploaderId uploader) {
-  return kClearMarkerPrefix + std::to_string(uploader);
-}
-
-Expected<CrowdStore::ControlFrame, std::string> CrowdStore::parse_control(
+Expected<ControlFrame, std::string> CrowdStore::parse_control(
     const std::string& payload) {
   using Result = Expected<ControlFrame, std::string>;
-  ControlFrame frame;
-  if (parse_marker_value(payload, kEpochMarkerPrefix, &frame.value)) {
-    frame.kind = ControlFrame::Kind::kEpoch;
-    return Result(frame);
-  }
-  if (parse_marker_value(payload, kMotionEpochMarkerPrefix, &frame.value)) {
-    frame.kind = ControlFrame::Kind::kMotionEpoch;
-    return Result(frame);
-  }
-  if (parse_marker_value(payload, kQuarantineMarkerPrefix, &frame.value)) {
-    frame.kind = ControlFrame::Kind::kQuarantine;
-    return Result(frame);
-  }
-  if (parse_marker_value(payload, kClearMarkerPrefix, &frame.value)) {
-    frame.kind = ControlFrame::Kind::kClear;
-    return Result(frame);
+  for (std::size_t k = 0; k < std::size(kControlPrefix); ++k) {
+    if (!payload.starts_with(kControlPrefix[k])) continue;
+    ControlFrame frame{static_cast<ControlFrame::Kind>(k), 0};
+    const char* last = payload.data() + payload.size();
+    const auto [end, ec] = std::from_chars(
+        payload.data() + kControlPrefix[k].size(), last, frame.value);
+    // Re-encoding must give the same bytes: this refuses a sign, a leading
+    // zero and overflow alike.
+    if (ec == std::errc() && end == last && encode_control(frame) == payload) {
+      return Result(frame);
+    }
+    break;
   }
   return Result::failure("unknown control frame");
-}
-
-bool CrowdStore::is_epoch_marker(const std::string& payload, std::uint64_t* epoch) {
-  std::uint64_t value = 0;
-  if (!parse_marker_value(payload, kEpochMarkerPrefix, &value)) return false;
-  if (epoch != nullptr) *epoch = value;
-  return true;
 }
 
 Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
@@ -338,35 +304,13 @@ Expected<std::uint64_t, std::string> CrowdStore::append(const ReferencePoint& po
 }
 
 Expected<std::uint64_t, std::string> CrowdStore::append_control(
-    const std::string& payload) {
+    const ControlFrame& frame) {
   using Result = Expected<std::uint64_t, std::string>;
-  auto frame = parse_control(payload);
-  if (!frame) return Result::failure("crowd store: " + frame.error());
-  auto seq = journal_->append(payload);
+  auto seq = journal_->append(encode_control(frame));
   if (!seq) return Result::failure("crowd store: " + seq.error());
-  apply_control(frame.value());
+  apply_control(frame);
   ++journaled_;
   return seq;
-}
-
-Expected<std::uint64_t, std::string> CrowdStore::append_epoch_marker(
-    std::uint64_t epoch) {
-  return append_control(encode_epoch_marker(epoch));
-}
-
-Expected<std::uint64_t, std::string> CrowdStore::append_motion_epoch_marker(
-    std::uint64_t epoch) {
-  return append_control(encode_motion_epoch_marker(epoch));
-}
-
-Expected<std::uint64_t, std::string> CrowdStore::append_quarantine_marker(
-    UploaderId uploader) {
-  return append_control(encode_quarantine_marker(uploader));
-}
-
-Expected<std::uint64_t, std::string> CrowdStore::append_clear_marker(
-    UploaderId uploader) {
-  return append_control(encode_clear_marker(uploader));
 }
 
 std::vector<ReferencePoint> CrowdStore::trusted_points() const {

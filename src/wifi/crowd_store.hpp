@@ -56,6 +56,18 @@
 
 namespace trajkit::wifi {
 
+/// A '#' control frame.  Control frames ride the WAL next to the points —
+/// "#epoch N" (model epoch published), "#motion_epoch N" (motion classifier
+/// published under ArtifactStore epoch N), "#quarantine U" (review forced an
+/// uploader out), "#clear U" (review reinstated it) — so recovery and
+/// follower frame shipping replay operator actions exactly.  The two epoch
+/// kinds are monotone: a lower marker never lowers the observed epoch.
+struct ControlFrame {
+  enum class Kind { kEpoch, kMotionEpoch, kQuarantine, kClear };
+  Kind kind = Kind::kEpoch;
+  std::uint64_t value = 0;  ///< epoch number or uploader id
+};
+
 /// Fault/crash point between compact()'s two stages (snapshot committed,
 /// journal not yet reset), keyed by the snapshot path.  The durable and
 /// journal layers carry their own points inside each stage.
@@ -69,16 +81,6 @@ class CrowdStore {
     std::size_t replayed_records = 0;  ///< journal records applied on top
     std::uint64_t skipped_stale = 0;   ///< journal records older than the snapshot
     std::uint64_t truncated_bytes = 0; ///< torn-tail bytes the journal discarded
-  };
-
-  /// A parsed '#' control frame.  Control frames ride the WAL next to the
-  /// points — "#epoch N" (model epoch published), "#quarantine U" (review
-  /// forced an uploader out), "#clear U" (review reinstated it) — so
-  /// recovery and follower frame shipping replay operator actions exactly.
-  struct ControlFrame {
-    enum class Kind { kEpoch, kMotionEpoch, kQuarantine, kClear };
-    Kind kind = Kind::kEpoch;
-    std::uint64_t value = 0;  ///< epoch number or uploader id
   };
 
   /// Adversarial-layer tuning, applied *before* journal replay so the
@@ -112,29 +114,11 @@ class CrowdStore {
     return append(point, kAnonymousUploader);
   }
 
-  /// Journal an epoch control frame ("#epoch N").  Epoch markers ride the
-  /// same WAL as the points, so followers learn about published model epochs
-  /// through the existing frame-shipping path, and recovery restores the
-  /// highest epoch the store had observed.  Monotone: a marker never lowers
-  /// observed_epoch().  Returns the journal seq of the marker frame.
-  Expected<std::uint64_t, std::string> append_epoch_marker(std::uint64_t epoch);
-
-  /// Journal a motion-model epoch marker ("#motion_epoch N"): the quantized
-  /// motion classifier published under ArtifactStore epoch N.  Same contract
-  /// as append_epoch_marker — rides the WAL, ships to followers verbatim,
-  /// monotone, survives recovery and compaction — but tracks the motion
-  /// sidecar's artifact lineage independently of the RSSI detector's.
-  Expected<std::uint64_t, std::string> append_motion_epoch_marker(std::uint64_t epoch);
-
-  /// Review actions, journaled as control frames then applied: force an
-  /// uploader into quarantine / clear it back to a fresh record.
-  Expected<std::uint64_t, std::string> append_quarantine_marker(UploaderId uploader);
-  Expected<std::uint64_t, std::string> append_clear_marker(UploaderId uploader);
-
-  /// Journal + apply an already-encoded '#' control frame verbatim (the
-  /// replication path: a follower re-journals exactly the payload its leader
-  /// shipped).  Rejects unknown control frames.
-  Expected<std::uint64_t, std::string> append_control(const std::string& payload);
+  /// Journal a control frame, then apply it; returns its journal seq.  The
+  /// primary's publish path journals "#epoch N" here, review tools the
+  /// quarantine/clear actions, and a follower every control frame its
+  /// leader shipped (parse_control, then this: the same bytes again).
+  Expected<std::uint64_t, std::string> append_control(const ControlFrame& frame);
 
   /// Fold the journal into a fresh snapshot, then reset the journal.  Safe to
   /// crash at any point inside; idempotent to re-run after recovery.  The
@@ -216,16 +200,11 @@ class CrowdStore {
   static Expected<ReferencePoint, std::string> decode_point(const std::string& line);
 
   /// Control-frame codec.  Payloads starting with '#' are reserved for
-  /// control frames; parse_control rejects unknown kinds.  is_epoch_marker
-  /// parses the epoch into `epoch` when non-null (kept for the shipping
-  /// layer's fast path).
-  static std::string encode_epoch_marker(std::uint64_t epoch);
-  static std::string encode_motion_epoch_marker(std::uint64_t epoch);
-  static std::string encode_quarantine_marker(UploaderId uploader);
-  static std::string encode_clear_marker(UploaderId uploader);
+  /// control frames.  parse_control is strict — a known prefix, then a
+  /// decimal u64 with no sign, leading zero or trailing byte — so
+  /// encode_control(parse_control(p)) == p for every payload it accepts.
+  static std::string encode_control(const ControlFrame& frame);
   static Expected<ControlFrame, std::string> parse_control(const std::string& payload);
-  static bool is_epoch_marker(const std::string& payload,
-                              std::uint64_t* epoch = nullptr);
 
  private:
   CrowdStore() = default;

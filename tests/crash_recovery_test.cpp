@@ -43,6 +43,7 @@ namespace trajkit {
 namespace {
 
 namespace ts = test_support;
+using Kind = wifi::ControlFrame::Kind;
 
 void remove_store(const std::string& dir) {
   for (const char* name : {"/crowd.snapshot", "/crowd.snapshot.tmp",
@@ -301,9 +302,9 @@ TEST(CrashRecovery, PoisonQuarantineStateSurvivesEveryCompactionCrash) {
                                  static_cast<wifi::UploaderId>(1 + i % 3))
                         .has_value());
       }
-      ASSERT_TRUE(store.value()->append_quarantine_marker(2).has_value());
-      ASSERT_TRUE(store.value()->append_quarantine_marker(9).has_value());
-      ASSERT_TRUE(store.value()->append_clear_marker(9).has_value());
+      ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, 2}).has_value());
+      ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, 9}).has_value());
+      ASSERT_TRUE(store.value()->append_control({Kind::kClear, 9}).has_value());
       reputation = store.value()->reputation().serialize();
       provenance_fnv = store.value()->provenance().checksum();
       trusted = store.value()->trusted_points().size();
@@ -327,7 +328,7 @@ TEST(CrashRecovery, PoisonQuarantineStateSurvivesEveryCompactionCrash) {
     EXPECT_EQ(store.value()->trusted_points().size(), trusted) << point;
     // Still operational: the review can proceed after the crash.
     ASSERT_TRUE(store.value()->compact().has_value()) << point;
-    ASSERT_TRUE(store.value()->append_clear_marker(2).has_value()) << point;
+    ASSERT_TRUE(store.value()->append_control({Kind::kClear, 2}).has_value()) << point;
     EXPECT_EQ(store.value()->trusted_points().size(),
               store.value()->points().size())
         << point;
@@ -366,7 +367,7 @@ TEST(CrashRecovery, PoisonQuarantineMarkerAppendCrashIsAtomic) {
     const auto child = ts::crash_child_at(c.point, [&] {
       auto store = wifi::CrowdStore::open(dir);
       if (!store.has_value()) ::_exit(71);
-      (void)store.value()->append_quarantine_marker(3);
+      (void)store.value()->append_control({Kind::kQuarantine, 3});
     });
     ASSERT_TRUE(child.crashed_at_point())
         << c.point << ": child " << child.describe();
@@ -379,7 +380,8 @@ TEST(CrashRecovery, PoisonQuarantineMarkerAppendCrashIsAtomic) {
     EXPECT_EQ(store.value()->trusted_points().size(), c.expect_applied ? 3u : 4u)
         << c.point;
     // Either way the review path still works from here.
-    ASSERT_TRUE(store.value()->append_quarantine_marker(3).has_value()) << c.point;
+    ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, 3}).has_value())
+        << c.point;
     EXPECT_TRUE(store.value()->reputation().is_quarantined(3)) << c.point;
   }
   remove_store(dir);

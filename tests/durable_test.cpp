@@ -45,6 +45,7 @@ namespace trajkit {
 namespace {
 
 namespace ts = test_support;
+using Kind = wifi::ControlFrame::Kind;
 using durable::DurableWriter;
 
 std::string slurp(const std::string& path) { return ts::snapshot_file(path).bytes; }
@@ -1065,7 +1066,7 @@ TEST(CorruptionFuzz, PoisonedCrowdSnapshotRejectsEveryMutation) {
                                static_cast<wifi::UploaderId>(1 + i % 3))
                       .has_value());
     }
-    ASSERT_TRUE(store.value()->append_quarantine_marker(2).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, 2}).has_value());
     ASSERT_TRUE(store.value()->compact().has_value());
   }
   const std::string snap = wifi::CrowdStore::snapshot_path(dir);

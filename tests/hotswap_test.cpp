@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -51,6 +52,7 @@ namespace trajkit {
 namespace {
 
 namespace ts = test_support;
+using Kind = wifi::ControlFrame::Kind;
 
 void remove_store(const std::string& dir) {
   for (const char* name : {"/crowd.snapshot", "/crowd.snapshot.tmp",
@@ -119,21 +121,42 @@ std::unique_ptr<wifi::RssiDetector> oracle_rebuild(
 // Epoch markers on the WAL
 
 TEST(Hotswap, EpochMarkerCodecRoundTripsAndRejectsMalformed) {
-  EXPECT_EQ(wifi::CrowdStore::encode_epoch_marker(12), "#epoch 12");
-  std::uint64_t epoch = 0;
-  EXPECT_TRUE(wifi::CrowdStore::is_epoch_marker("#epoch 12", &epoch));
-  EXPECT_EQ(epoch, 12u);
-  EXPECT_TRUE(wifi::CrowdStore::is_epoch_marker("#epoch 1"));
+  using wifi::CrowdStore;
+  EXPECT_EQ(CrowdStore::encode_control({Kind::kEpoch, 12}), "#epoch 12");
+  auto parsed = CrowdStore::parse_control("#epoch 12");
+  ASSERT_TRUE(parsed.has_value()) << parsed.error();
+  EXPECT_EQ(parsed.value().kind, Kind::kEpoch);
+  EXPECT_EQ(parsed.value().value, 12u);
+  EXPECT_TRUE(CrowdStore::parse_control("#epoch 1").has_value());
+  // "#epoch" is not a prefix of another kind's frame.
+  EXPECT_EQ(CrowdStore::parse_control("#motion_epoch 1").value().kind,
+            Kind::kMotionEpoch);
 
-  EXPECT_FALSE(wifi::CrowdStore::is_epoch_marker(""));
-  EXPECT_FALSE(wifi::CrowdStore::is_epoch_marker("#epoch "));
-  EXPECT_FALSE(wifi::CrowdStore::is_epoch_marker("#epoch x"));
-  EXPECT_FALSE(wifi::CrowdStore::is_epoch_marker("#epoch 1x"));
-  EXPECT_FALSE(wifi::CrowdStore::is_epoch_marker("#epochs 3"));
-  EXPECT_FALSE(wifi::CrowdStore::is_epoch_marker("1 2 0 1 1 -50"));
-  // Oversized digit strings are rejected rather than overflowed.
-  EXPECT_FALSE(
-      wifi::CrowdStore::is_epoch_marker("#epoch 123456789012345678901"));
+  // Every accepted payload re-encodes to the same bytes — what lets a
+  // follower re-journal exactly what its leader shipped.
+  for (const Kind kind :
+       {Kind::kEpoch, Kind::kMotionEpoch, Kind::kQuarantine, Kind::kClear}) {
+    for (const std::uint64_t value :
+         {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{1} << 40,
+          std::numeric_limits<std::uint64_t>::max()}) {
+      const std::string bytes = CrowdStore::encode_control({kind, value});
+      auto back = CrowdStore::parse_control(bytes);
+      ASSERT_TRUE(back.has_value()) << bytes;
+      EXPECT_EQ(back.value().kind, kind);
+      EXPECT_EQ(back.value().value, value);
+      EXPECT_EQ(CrowdStore::encode_control(back.value()), bytes);
+    }
+  }
+
+  for (const char* bad :
+       {"", "#epoch ", "#epoch x", "#epoch 1x", "#epochs 3", "1 2 0 1 1 -50",
+        "#epoch +1", "#epoch -1", "#epoch  1",
+        // Leading zeros would re-encode to other bytes.
+        "#epoch 01", "#epoch 00", "#clear 007",
+        // Oversized digit strings are rejected rather than overflowed.
+        "#epoch 18446744073709551616", "#epoch 123456789012345678901"}) {
+    EXPECT_FALSE(CrowdStore::parse_control(bad).has_value()) << bad;
+  }
 }
 
 TEST(Hotswap, StoreRecoversObservedEpochFromJournalAndSnapshot) {
@@ -145,9 +168,9 @@ TEST(Hotswap, StoreRecoversObservedEpochFromJournalAndSnapshot) {
     ASSERT_TRUE(store.has_value()) << store.error();
     ASSERT_TRUE(
         store.value()->append({{5.0, 5.0}, {{1, -45}}, 0}).has_value());
-    ASSERT_TRUE(store.value()->append_epoch_marker(3).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kEpoch, 3}).has_value());
     // Markers are monotone: a stale/lower epoch never lowers the observation.
-    ASSERT_TRUE(store.value()->append_epoch_marker(2).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kEpoch, 2}).has_value());
     EXPECT_EQ(store.value()->observed_epoch(), 3u);
   }
   {
@@ -698,8 +721,8 @@ TEST(Hotswap, FollowerAdoptsEpochFromWalShippingAndRefreshes) {
   }
 
   // The marker rides the same acknowledged shipping path as the points: by
-  // the time ship_epoch_marker returns, the follower has durably observed it.
-  auto seq = leader.value()->ship_epoch_marker(3);
+  // the time ship_control returns, the follower has durably observed it.
+  auto seq = leader.value()->ship_control({Kind::kEpoch, 3});
   ASSERT_TRUE(seq.has_value()) << seq.error();
   EXPECT_EQ(leader.value()->store()->observed_epoch(), 3u);
   EXPECT_EQ(follower.value()->store().observed_epoch(), 3u);
@@ -720,7 +743,7 @@ TEST(Hotswap, FollowerAdoptsEpochFromWalShippingAndRefreshes) {
   for (const auto& p : tail_points(small, 12, rng, 500)) {
     ASSERT_TRUE(leader.value()->ingest(p).has_value());
   }
-  ASSERT_TRUE(leader.value()->ship_epoch_marker(4).has_value());
+  ASSERT_TRUE(leader.value()->ship_control({Kind::kEpoch, 4}).has_value());
   EXPECT_EQ(follower.value()->store().observed_epoch(), 4u);
   auto refreshed = leader.value()->refresh_from_store();
   ASSERT_TRUE(refreshed.has_value()) << refreshed.error();

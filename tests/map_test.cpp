@@ -127,7 +127,9 @@ TEST(Route, AStarMatchesDijkstraCost) {
       const auto d = shortest_path(net, a, b, mode);
       const auto s = astar_path(net, a, b, mode);
       ASSERT_EQ(d.has_value(), s.has_value());
-      if (d) EXPECT_NEAR(d->travel_time_s, s->travel_time_s, 1e-6);
+      if (d) {
+        EXPECT_NEAR(d->travel_time_s, s->travel_time_s, 1e-6);
+      }
     }
   }
 }

@@ -13,8 +13,9 @@
 //   serve/net_shard       the shard protocol over a Transport: WAL frame
 //                         shipping with bounded deterministic retry, leader
 //                         lease + fencing, hedged segment fan-out, and gap
-//                         repair in both directions (leader-push backfill,
-//                         follower-pull journal tail).
+//                         repair (the leader pushes the missing WAL range
+//                         under its own term, on a gap reply or a lagging
+//                         heartbeat).
 //
 // The acceptance contract mirrors tests/shard_test.cpp's: under every
 // injected fault schedule no acknowledged append is lost and the follower
@@ -152,31 +153,11 @@ TEST(NetRpc, ApplyAndResponsesRoundTrip) {
   EXPECT_EQ(back.value().error, "follower: on\nfire");
 }
 
-TEST(NetRpc, HeartbeatAndTailRoundTrip) {
+TEST(NetRpc, HeartbeatRoundTrip) {
   auto hb = net::decode_heartbeat(net::encode_heartbeat({5, 1234}));
   ASSERT_TRUE(hb.has_value()) << hb.error();
   EXPECT_EQ(hb.value().term, 5u);
   EXPECT_EQ(hb.value().leader_next_seq, 1234u);
-
-  auto tail_req = net::decode_tail(net::encode_tail({7, 128}));
-  ASSERT_TRUE(tail_req.has_value()) << tail_req.error();
-  EXPECT_EQ(tail_req.value().from_seq, 7u);
-  EXPECT_EQ(tail_req.value().max_frames, 128u);
-
-  std::vector<net::TailFrame> frames = {
-      {7, 1, "first\npayload"}, {8, 0, ""}, {9, 2, std::string("\0\1", 2)}};
-  auto back = net::decode_tail_response(net::encode_tail_response(frames));
-  ASSERT_TRUE(back.has_value()) << back.error();
-  ASSERT_EQ(back.value().size(), 3u);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_EQ(back.value()[i].seq, frames[i].seq);
-    EXPECT_EQ(back.value()[i].uploader, frames[i].uploader);
-    EXPECT_EQ(back.value()[i].payload, frames[i].payload);
-  }
-  // Error responses surface as failures with the message.
-  auto failed = net::decode_tail_response(net::encode_rpc_error("compacted: x"));
-  ASSERT_FALSE(failed.has_value());
-  EXPECT_NE(failed.error().find("compacted"), std::string::npos);
 }
 
 TEST(NetRpc, SegmentRoundTripIsBitExact) {
@@ -445,12 +426,10 @@ struct NetWorld {
   std::string follower_dir;
   std::unique_ptr<serve::ShardService> leader;
   std::unique_ptr<serve::ShardReplica> replica;
-  std::shared_ptr<serve::FollowerNode> node;
   std::unique_ptr<serve::RemoteFollower> remote;
 
   NetWorld(const std::string& tag, serve::NetCallPolicy policy = {},
-           std::size_t required_acks = serve::kAllFollowers,
-           bool self_repair = false) {
+           std::size_t required_acks = serve::kAllFollowers) {
     leader_dir = "net_test_" + tag + "_leader";
     follower_dir = "net_test_" + tag + "_follower";
     remove_store(leader_dir);
@@ -464,16 +443,9 @@ struct NetWorld {
     auto r = serve::ShardReplica::open(follower_dir);
     if (!r.has_value()) throw std::runtime_error(r.error());
     replica = std::move(r.value());
-    if (self_repair) {
-      node = std::make_shared<serve::FollowerNode>(*replica, sim, "leader-tail",
-                                                   policy);
-    } else {
-      node = std::make_shared<serve::FollowerNode>(*replica);
-    }
-    sim.bind("follower", node->handler());
-    sim.bind("leader-tail", serve::make_tail_handler(leader_dir));
-    remote = std::make_unique<serve::RemoteFollower>(sim, "follower", policy);
-    remote->set_backfill_journal(leader_dir);
+    sim.bind("follower", serve::make_follower_handler(*replica));
+    remote = std::make_unique<serve::RemoteFollower>(sim, "follower",
+                                                     leader_dir, policy);
     leader->attach_follower(remote.get());
   }
 
@@ -619,7 +591,7 @@ TEST(NetShipping, PartitionAtEveryShippingStepLosesNoAckedAppend) {
 }
 
 // ---------------------------------------------------------------------------
-// Gap repair: leader push and follower pull
+// Gap repair: the leader pushes its WAL range under its own term
 
 TEST(NetGapRepair, LeaderPushBackfillsPartitionedFollower) {
   NetWorld w("push", {}, /*required_acks=*/0);
@@ -636,11 +608,8 @@ TEST(NetGapRepair, LeaderPushBackfillsPartitionedFollower) {
   EXPECT_GE(w.remote->stats().gap_backfills, 1u);
 }
 
-TEST(NetGapRepair, FollowerPullsJournalTailAfterHeartbeat) {
-  serve::NetCallPolicy policy;
-  policy.tail_chunk = 4;  // force several pull rounds
-  NetWorld w("pull", policy, /*required_acks=*/0, /*self_repair=*/true);
-  w.remote->set_backfill_journal("");  // pull path only: no leader push
+TEST(NetGapRepair, HeartbeatPushesTailToIdleFollower) {
+  NetWorld w("hbpush", {}, /*required_acks=*/0);
 
   w.sim.partition("follower", net::SimNet::Partition::kFull);
   for (int i = 0; i < 11; ++i) {
@@ -649,43 +618,23 @@ TEST(NetGapRepair, FollowerPullsJournalTailAfterHeartbeat) {
   w.sim.heal("follower");
   EXPECT_EQ(w.replica->next_seq(), 0u);
 
-  // The heartbeat tells the follower how far the leader is; the follower
-  // pulls the missing tail itself — convergence with no new writes at all.
+  // The heartbeat reply shows the follower's lag, and the leader pushes the
+  // missing WAL range: convergence with no new writes at all.
   EXPECT_EQ(w.leader->send_heartbeats(), 1u);
   EXPECT_EQ(w.replica->leader_next_seen(), 11u);
-  auto repaired = w.node->repair_if_behind();
-  ASSERT_TRUE(repaired.has_value()) << repaired.error();
-  EXPECT_EQ(repaired.value(), 11u);
+  EXPECT_EQ(w.replica->next_seq(), 11u);
   expect_stores_equal(*w.leader->store(), w.replica->store());
-  EXPECT_GE(w.node->stats().gap_backfills, 1u);
-  // Already converged: repair_if_behind is a no-op now.
-  ASSERT_TRUE(w.node->repair_if_behind().has_value());
+  EXPECT_EQ(w.remote->stats().gap_backfills, 1u);
+  // Already converged: the next heartbeat pushes nothing.
+  const std::uint64_t rpcs = w.remote->stats().rpcs;
+  EXPECT_EQ(w.leader->send_heartbeats(), 1u);
+  EXPECT_EQ(w.remote->stats().rpcs, rpcs + 1);
+  EXPECT_EQ(w.remote->stats().gap_backfills, 1u);
   EXPECT_EQ(w.replica->next_seq(), 11u);
 }
 
-TEST(NetGapRepair, FollowerSelfRepairsWhenFrameArrivesAhead) {
-  NetWorld w("selfrepair", {}, /*required_acks=*/0, /*self_repair=*/true);
-  w.remote->set_backfill_journal("");  // the follower must fix itself
-
-  w.sim.partition("follower", net::SimNet::Partition::kFull);
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(w.leader->ingest(ingest_point(i)).has_value());
-  }
-  w.sim.heal("follower");
-  // The next shipped frame arrives ahead of the follower's next_seq: the
-  // node pulls the gap from the leader's tail endpoint *before* applying,
-  // so the ship succeeds first try — no gap response, no leader backfill.
-  ASSERT_TRUE(w.leader->ingest(ingest_point(7)).has_value());
-  EXPECT_EQ(w.replica->next_seq(), 8u);
-  expect_stores_equal(*w.leader->store(), w.replica->store());
-  EXPECT_GE(w.node->stats().gap_backfills, 1u);
-  EXPECT_EQ(w.remote->stats().gap_backfills, 0u);
-}
-
 TEST(NetGapRepair, CompactedTailDemandsRebootstrap) {
-  serve::NetCallPolicy policy;
-  NetWorld w("compact", policy, /*required_acks=*/0, /*self_repair=*/true);
-  w.remote->set_backfill_journal("");
+  NetWorld w("compact", {}, /*required_acks=*/0);
 
   w.sim.partition("follower", net::SimNet::Partition::kFull);
   for (int i = 0; i < 10; ++i) {
@@ -697,21 +646,12 @@ TEST(NetGapRepair, CompactedTailDemandsRebootstrap) {
     ASSERT_TRUE(w.leader->ingest(ingest_point(i)).has_value());
   }
   w.sim.heal("follower");
-  ASSERT_EQ(w.leader->send_heartbeats(), 1u);
 
-  // ...so repair must refuse loudly instead of inventing them.
-  auto repaired = w.node->repair_if_behind();
-  ASSERT_FALSE(repaired.has_value());
-  EXPECT_NE(repaired.error().find("compacted"), std::string::npos)
-      << repaired.error();
-
-  // The tail handler itself reports the compaction.
-  const auto raw = w.sim.call("leader-tail", net::encode_tail({0, 0}),
-                              {500'000, 0, 0});
-  ASSERT_EQ(raw.status, net::CallStatus::kOk);
-  auto frames = net::decode_tail_response(raw.payload);
-  ASSERT_FALSE(frames.has_value());
-  EXPECT_NE(frames.error().find("compacted"), std::string::npos);
+  // ...so the heartbeat's push must refuse loudly instead of inventing them.
+  EXPECT_EQ(w.leader->send_heartbeats(), 0u);
+  EXPECT_NE(w.leader->follower_errors()[0].find("compacted"), std::string::npos)
+      << w.leader->follower_errors()[0];
+  EXPECT_EQ(w.replica->next_seq(), 0u);
 
   // A real re-bootstrap (snapshot + journal tail) converges.
   const std::string reboot_dir = "net_test_compact_reboot";
@@ -772,6 +712,81 @@ TEST(NetLease, PromotedFollowerFencesTheOldLeader) {
   ASSERT_TRUE(w.leader->ingest(ingest_point(2)).has_value());
   EXPECT_EQ(w.replica->term(), 2u);
   expect_stores_equal(*w.leader->store(), w.replica->store());
+}
+
+TEST(NetLease, DeposedLeaderNeverReachesFollowerAfterTakeover) {
+  const std::string l1_dir = "net_test_takeover_l1";
+  const std::string l2_dir = "net_test_takeover_l2";
+  const std::string f_dir = "net_test_takeover_f";
+  for (const std::string& dir : {l1_dir, l2_dir, f_dir}) remove_store(dir);
+  serve::ShardServiceConfig cfg;
+  cfg.required_follower_acks = 0;  // both leaders keep writing while cut off
+
+  // One follower answers both leaders on two endpoints, so each link can be
+  // cut on its own.
+  net::SimNet sim(0x7a4e0);
+  auto f = serve::ShardReplica::open(f_dir);
+  ASSERT_TRUE(f.has_value()) << f.error();
+  serve::ShardReplica& follower = *f.value();
+  sim.bind("f-from-l1", serve::make_follower_handler(follower));
+  sim.bind("f-from-l2", serve::make_follower_handler(follower));
+
+  // L1 replicates seqs 0..2 at term 1.
+  auto l1 = serve::ShardService::open_leader(0, l1_dir, true, cfg);
+  ASSERT_TRUE(l1.has_value()) << l1.error();
+  l1.value()->set_term(1);
+  serve::RemoteFollower link1(sim, "f-from-l1", l1_dir);
+  l1.value()->attach_follower(&link1);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(l1.value()->ingest(ingest_point(i)).has_value());
+  }
+  ASSERT_EQ(follower.next_seq(), 3u);
+
+  // L2: a second replica of that prefix, taking over at term 2.
+  ASSERT_TRUE(serve::ShardReplica::bootstrap(l1_dir, l2_dir).has_value());
+  auto l2 = serve::ShardService::open_leader(0, l2_dir, true, cfg);
+  ASSERT_TRUE(l2.has_value()) << l2.error();
+  l2.value()->set_term(2);
+  serve::RemoteFollower link2(sim, "f-from-l2", l2_dir);
+  l2.value()->attach_follower(&link2);
+
+  // Split brain: L1 writes seqs 3..5 and L2 different frames at 3..4, both
+  // while partitioned from the follower.
+  sim.partition("f-from-l1", net::SimNet::Partition::kFull);
+  sim.partition("f-from-l2", net::SimNet::Partition::kFull);
+  for (int i = 3; i < 6; ++i) {
+    ASSERT_TRUE(l1.value()->ingest(ingest_point(i)).has_value());
+  }
+  for (int i = 100; i < 102; ++i) {
+    ASSERT_TRUE(l2.value()->ingest(ingest_point(i)).has_value());
+  }
+
+  // L2's heartbeat reaches the follower first: it raises the term to 2 and
+  // pushes seqs 3..4 from L2's WAL.
+  sim.heal("f-from-l2");
+  EXPECT_EQ(l2.value()->send_heartbeats(), 1u);
+  EXPECT_EQ(follower.term(), 2u);
+  EXPECT_EQ(follower.next_seq(), 5u);
+  expect_stores_equal(*l2.value()->store(), follower.store());
+
+  // L1 heals.  Its frame push and its heartbeat, which would backfill seqs
+  // 5..6 from L1's WAL, both come back fenced; not one L1 frame ships.
+  sim.heal("f-from-l1");
+  ASSERT_TRUE(l1.value()->ingest(ingest_point(6)).has_value());  // quorum 0
+  EXPECT_NE(l1.value()->follower_errors()[0].find("fenced"), std::string::npos)
+      << l1.value()->follower_errors()[0];
+  EXPECT_EQ(l1.value()->send_heartbeats(), 0u);
+  EXPECT_NE(l1.value()->follower_errors()[0].find("fenced"), std::string::npos)
+      << l1.value()->follower_errors()[0];
+  EXPECT_EQ(link1.stats().fenced, 2u);
+  EXPECT_EQ(link1.stats().gap_backfills, 0u);
+
+  // The follower holds exactly the new leader's points, bit for bit.
+  EXPECT_EQ(l2.value()->send_heartbeats(), 1u);
+  EXPECT_EQ(follower.next_seq(), 5u);
+  expect_stores_equal(*l2.value()->store(), follower.store());
+
+  for (const std::string& dir : {l1_dir, l2_dir, f_dir}) remove_store(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -1151,8 +1166,8 @@ TEST(NetUds, CrossProcessReplicationConvergesBitwise) {
   if (child == 0) {
     auto replica = serve::ShardReplica::open(follower_dir);
     if (!replica.has_value()) ::_exit(71);
-    serve::FollowerNode node(*replica.value());
-    net::UdsServer server(sock_path, node.handler());
+    net::UdsServer server(sock_path,
+                          serve::make_follower_handler(*replica.value()));
     if (!server.start().has_value()) ::_exit(71);
     for (int i = 0; i < 6000; ++i) {  // ~30s guard
       struct stat st;
@@ -1179,7 +1194,7 @@ TEST(NetUds, CrossProcessReplicationConvergesBitwise) {
   net::UdsTransport transport;
   serve::NetCallPolicy policy;
   policy.rpc_deadline_us = 2'000'000;
-  serve::RemoteFollower remote(transport, sock_path, policy);
+  serve::RemoteFollower remote(transport, sock_path, leader_dir, policy);
   leader.value()->attach_follower(&remote);
 
   for (int i = 0; i < 20; ++i) {

@@ -51,6 +51,7 @@ namespace trajkit {
 namespace {
 
 namespace ts = test_support;
+using Kind = wifi::ControlFrame::Kind;
 using wifi::kAnonymousUploader;
 using wifi::UploaderId;
 
@@ -385,7 +386,7 @@ TEST(Poison, QuarantineAndClearMarkersRoundTripThroughRecovery) {
     ASSERT_TRUE(store.value()->append(field_point({5.0, 5.0}), suspect).has_value());
     ASSERT_TRUE(store.value()->append(field_point({6.0, 5.0})).has_value());
     EXPECT_EQ(store.value()->trusted_points().size(), 2u);
-    ASSERT_TRUE(store.value()->append_quarantine_marker(suspect).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, suspect}).has_value());
     EXPECT_TRUE(store.value()->reputation().is_quarantined(suspect));
     EXPECT_EQ(store.value()->trusted_points().size(), 1u);
     EXPECT_EQ(store.value()->quarantined_point_count(), 1u);
@@ -406,7 +407,7 @@ TEST(Poison, QuarantineAndClearMarkersRoundTripThroughRecovery) {
     EXPECT_TRUE(store.value()->reputation().is_quarantined(suspect));
     EXPECT_EQ(store.value()->trusted_points().size(), 1u);
     // Review clears the uploader: a fresh record, points trusted again.
-    ASSERT_TRUE(store.value()->append_clear_marker(suspect).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kClear, suspect}).has_value());
     EXPECT_FALSE(store.value()->reputation().is_quarantined(suspect));
     EXPECT_TRUE(store.value()->reputation().record(suspect) ==
                 wifi::UploaderRecord{});
@@ -424,17 +425,21 @@ TEST(Poison, QuarantineAndClearMarkersRoundTripThroughRecovery) {
 TEST(Poison, UnknownControlFramesAreRejected) {
   const std::string dir = "poison_test_ctrl";
   remove_store(dir);
-  auto store = wifi::CrowdStore::open(dir);
-  ASSERT_TRUE(store.has_value()) << store.error();
+  // Control bytes reach a store from outside only as a shipped frame: the
+  // follower refuses what does not parse before its WAL sees it.
+  auto replica = serve::ShardReplica::open(dir);
+  ASSERT_TRUE(replica.has_value()) << replica.error();
   for (const char* bogus : {"#demote 3", "#epoch x", "#quarantine", "#clear -1",
-                            "#epoch 184467440737095516160"}) {
-    auto appended = store.value()->append_control(bogus);
-    EXPECT_FALSE(appended.has_value()) << bogus;
-    EXPECT_NE(appended.error().find("unknown control frame"), std::string::npos)
-        << appended.error();
+                            "#epoch 184467440737095516160", "#quarantine 07"}) {
+    EXPECT_FALSE(wifi::CrowdStore::parse_control(bogus).has_value()) << bogus;
+    auto applied = replica.value()->apply_frame(0, bogus);
+    EXPECT_FALSE(applied.has_value()) << bogus;
+    EXPECT_NE(applied.error().find("unknown control frame"), std::string::npos)
+        << applied.error();
   }
+  EXPECT_EQ(replica.value()->next_seq(), 0u);
   // Nothing bogus was journaled: reopen sees a clean, empty store.
-  store.value().reset();
+  replica.value().reset();
   auto reopened = wifi::CrowdStore::open(dir);
   ASSERT_TRUE(reopened.has_value()) << reopened.error();
   EXPECT_EQ(reopened.value()->open_stats().replayed_records, 0u);
@@ -451,7 +456,7 @@ TEST(PoisonDeterminism, ReopenReplaysAdversarialStateBitwise) {
   std::string reputation;
   {
     auto store = build_poisoned_store(dir);
-    ASSERT_TRUE(store->append_quarantine_marker(77).has_value());
+    ASSERT_TRUE(store->append_control({Kind::kQuarantine, 77}).has_value());
     cells_fnv = store->cell_stats().checksum();
     prov_fnv = store->provenance().checksum();
     reputation = store->reputation().serialize();
@@ -644,7 +649,7 @@ TEST(Poison, ReplicationShipsProvenanceAndQuarantineToFollowers) {
     ASSERT_TRUE(leader.value()->ingest(point, uploader).has_value());
   }
   ASSERT_TRUE(leader.value()
-                  ->ship_control(wifi::CrowdStore::encode_quarantine_marker(77))
+                  ->ship_control({Kind::kQuarantine, 77})
                   .has_value());
 
   const wifi::CrowdStore& ls = *leader.value()->store();

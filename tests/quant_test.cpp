@@ -41,6 +41,7 @@ namespace trajkit {
 namespace {
 
 namespace ts = test_support;
+using Kind = wifi::ControlFrame::Kind;
 namespace qk = nn::kernels;
 
 // ---------------------------------------------------------------------------
@@ -479,13 +480,13 @@ TEST(QuantizedLstm, MotionEpochMarkerSurvivesRecoveryAndCompaction) {
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
     EXPECT_EQ(store.value()->observed_motion_epoch(), 0u);
-    ASSERT_TRUE(store.value()->append_motion_epoch_marker(3).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kMotionEpoch, 3}).has_value());
     EXPECT_EQ(store.value()->observed_motion_epoch(), 3u);
     // Monotone: a stale marker never lowers the observed epoch.
-    ASSERT_TRUE(store.value()->append_motion_epoch_marker(2).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kMotionEpoch, 2}).has_value());
     EXPECT_EQ(store.value()->observed_motion_epoch(), 3u);
     // Independent of the RSSI detector's model epoch.
-    ASSERT_TRUE(store.value()->append_epoch_marker(9).has_value());
+    ASSERT_TRUE(store.value()->append_control({Kind::kEpoch, 9}).has_value());
     EXPECT_EQ(store.value()->observed_epoch(), 9u);
     EXPECT_EQ(store.value()->observed_motion_epoch(), 3u);
   }
@@ -518,7 +519,7 @@ TEST(QuantizedLstm, MotionEpochMarkerShipsToFollower) {
   ASSERT_TRUE(follower.has_value()) << follower.error();
   leader.value()->attach_follower(follower.value().get());
 
-  const auto seq = leader.value()->ship_motion_marker(5);
+  const auto seq = leader.value()->ship_control({Kind::kMotionEpoch, 5});
   ASSERT_TRUE(seq.has_value()) << seq.error();
   // The ack contract: by the time shipping returns, the follower holds the
   // marker durably and has applied it.

@@ -185,8 +185,8 @@ CallResult SimNet::call(const std::string& endpoint, std::string_view request,
   // Virtual elapsed time: delay draws accrue against this call's deadline.
   std::int64_t elapsed_us = req_fate.delay_us;
 
-  // Handlers run outside mu_ — a follower's apply handler may legitimately
-  // RPC back through this SimNet (tail pull repair).
+  // Handlers run outside mu_: concurrent callers' handlers overlap as on a
+  // real network, and a handler may itself call through this SimNet.
   delivered_.fetch_add(1, std::memory_order_relaxed);
   std::string response = handler(std::string(request));
   if (req_fate.duplicate) {

@@ -254,9 +254,15 @@ TEST(MotionSummary, ConstantSpeedLineHasZeroAcceleration) {
   const auto names = motion_summary_feature_names();
   const auto f = motion_summary_features(t, kProj);
   for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == "speed_mean") EXPECT_NEAR(f[i], 2.0, 1e-6);
-    if (names[i] == "accel_mean") EXPECT_NEAR(f[i], 0.0, 1e-6);
-    if (names[i] == "speed_std") EXPECT_NEAR(f[i], 0.0, 1e-6);
+    if (names[i] == "speed_mean") {
+      EXPECT_NEAR(f[i], 2.0, 1e-6);
+    }
+    if (names[i] == "accel_mean") {
+      EXPECT_NEAR(f[i], 0.0, 1e-6);
+    }
+    if (names[i] == "speed_std") {
+      EXPECT_NEAR(f[i], 0.0, 1e-6);
+    }
   }
 }
 

@@ -146,7 +146,7 @@ TEST(Confidence, PerfectAgreementGivesHighPhi) {
     pts.push_back(ref(i * 0.3, 0, {{1, -50}}));
   }
   const ReferenceIndex index(pts);
-  const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .top_k = 4});
+  const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .top_k = 4, .rpd = {}});
   const auto good = estimator.point_confidence({1.0, 0.2}, {{1, -50}});
   ASSERT_EQ(good.size(), 1u);
   const auto bad = estimator.point_confidence({1.0, 0.2}, {{1, -60}});
@@ -175,7 +175,7 @@ TEST(Confidence, CloserReferencesWeighMore) {
 
 TEST(Confidence, NoReferencesMeansZeroPhi) {
   const ReferenceIndex index({ref(100, 100, {{1, -40}})});
-  const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5});
+  const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .rpd = {}});
   const auto out = estimator.point_confidence({0, 0}, {{1, -40}});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].phi, 0.0);
@@ -185,7 +185,7 @@ TEST(Confidence, NoReferencesMeansZeroPhi) {
 
 TEST(Confidence, TopKTruncatesScan) {
   const ReferenceIndex index({ref(0, 0, {{1, -40}, {2, -50}, {3, -60}})});
-  const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .top_k = 2});
+  const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .top_k = 2, .rpd = {}});
   const auto out =
       estimator.point_confidence({0.5, 0}, {{1, -40}, {2, -50}, {3, -60}});
   EXPECT_EQ(out.size(), 2u);
