@@ -106,7 +106,8 @@ class RemoteFollower final : public FollowerLink {
                                           std::uint64_t term) override;
   /// Renew the lease; when the reply shows the follower behind
   /// `leader_next_seq`, push [follower_next, leader_next_seq) and return the
-  /// follower's next seq after the push.
+  /// follower's next seq after the push.  A failed push (compacted WAL, a
+  /// refused frame) fails the heartbeat, though the lease was renewed.
   Expected<std::uint64_t, std::string> heartbeat(
       std::uint64_t term, std::uint64_t leader_next_seq) override;
 

@@ -80,7 +80,9 @@ class FollowerLink {
 
   /// Lease renewal: deliver (term, leader_next_seq) so the follower can
   /// refresh its lease clock and spot its own replication lag.  Returns the
-  /// follower's next expected seq.
+  /// follower's next expected seq.  A link may also catch a lagging
+  /// follower up inside this call (RemoteFollower does); if that catch-up
+  /// fails the heartbeat fails, even though the lease was renewed.
   virtual Expected<std::uint64_t, std::string> heartbeat(
       std::uint64_t term, std::uint64_t leader_next_seq) = 0;
 };
@@ -240,8 +242,11 @@ class ShardService {
       wifi::UploaderId uploader = wifi::kAnonymousUploader);
 
   /// Renew every follower's leader lease (term + leader next seq).  Returns
-  /// the number of followers that answered; shipping failures are recorded
-  /// in follower_failures().
+  /// the number of followers whose heartbeat succeeded; a follower that
+  /// renewed its lease but could not be caught up (compacted WAL, a refused
+  /// frame) counts as failed.  Failures are recorded in follower_failures()
+  /// and follower_errors().  Followers are visited one after another, so a
+  /// later follower's renewal waits behind an earlier one's catch-up.
   std::size_t send_heartbeats();
 
   /// The term this leader stamps on frames and heartbeats.  Raise it when a
