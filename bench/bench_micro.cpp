@@ -3,13 +3,15 @@
 //     runs) at trajectory sizes used by the attack
 //   * LSTM forward and forward+backward per sequence
 //   * spatial-grid radius queries of the reference index
-//   * point-confidence computation (Eqs. 4-7) on a uniform and a
-//     trajectory-clustered reference set
+//   * point-confidence computation (Eqs. 4-7) on a uniform reference set
+//     and on trajectory-clustered ones of 300, 1,000 and 3,000 trajectories
 //   * booster training on Eq. 8-sized feature vectors
 //   * A* vs Dijkstra on the synthetic city
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 
 #include "core/trajkit.hpp"
 
@@ -137,15 +139,17 @@ void BM_GridRadiusQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GridRadiusQuery)->Arg(1)->Arg(3)->Arg(10);
 
-/// Serving density: the walking scenario's simulated trajectories, 300 of
-/// 30 points as the reference set (servebench's metro-miss history, 9k
-/// points clustered along the city's roads), probed at the points and scans
-/// of 25 fresh trajectories.
+/// Walking-scenario density: `history` simulated trajectories of 30 points
+/// as the reference set (300 is servebench metro-miss's history, 9k points
+/// clustered along the city's roads), probed at the points and scans of 25
+/// fresh trajectories.
 class TrajectoryFixtureData {
  public:
-  static const TrajectoryFixtureData& get() {
-    static TrajectoryFixtureData data;
-    return data;
+  static const TrajectoryFixtureData& get(std::size_t history) {
+    static std::map<std::size_t, std::unique_ptr<TrajectoryFixtureData>> by_history;
+    auto& data = by_history[history];
+    if (!data) data.reset(new TrajectoryFixtureData(history));
+    return *data;
   }
   std::unique_ptr<wifi::ReferenceIndex> index;
   std::unique_ptr<wifi::ConfidenceEstimator> estimator;
@@ -153,10 +157,10 @@ class TrajectoryFixtureData {
   std::vector<wifi::WifiScan> scans;
 
  private:
-  TrajectoryFixtureData() {
+  explicit TrajectoryFixtureData(std::size_t history_size) {
     core::Scenario scenario(core::ScenarioConfig::for_mode(Mode::kWalking));
     std::vector<wifi::ScannedUpload> history;
-    for (const auto& t : scenario.scanned_real(300, 30, 2.0)) {
+    for (const auto& t : scenario.scanned_real(history_size, 30, 2.0)) {
       history.push_back(core::to_upload(t));
     }
     index = std::make_unique<wifi::ReferenceIndex>(wifi::flatten_history(history));
@@ -196,7 +200,7 @@ void set_density_counters(benchmark::State& state, const wifi::ConfidenceEstimat
 }
 
 /// Arg 0: 30k points scattered uniformly (~9 references per point).
-/// Arg 1: the trajectory fixture at serving density.
+/// Arg N > 0: the trajectory fixture over a history of N trajectories.
 void BM_PointConfidence(benchmark::State& state) {
   if (state.range(0) == 0) {
     const auto& data = WifiFixtureData::get();
@@ -210,7 +214,7 @@ void BM_PointConfidence(benchmark::State& state) {
     for (int i = 0; i < 1000; ++i) probes.push_back({again.uniform(0, 250), again.uniform(0, 250)});
     set_density_counters(state, *data.estimator, *data.index, probes);
   } else {
-    const auto& data = TrajectoryFixtureData::get();
+    const auto& data = TrajectoryFixtureData::get(static_cast<std::size_t>(state.range(0)));
     std::size_t i = 0;
     for (auto _ : state) {
       benchmark::DoNotOptimize(data.estimator->point_confidence(data.probes[i], data.scans[i]));
@@ -219,7 +223,7 @@ void BM_PointConfidence(benchmark::State& state) {
     set_density_counters(state, *data.estimator, *data.index, data.probes);
   }
 }
-BENCHMARK(BM_PointConfidence)->Arg(0)->Arg(1);
+BENCHMARK(BM_PointConfidence)->Arg(0)->Arg(300)->Arg(1000)->Arg(3000);
 
 void BM_BoosterTrain(benchmark::State& state) {
   Rng rng(9);

@@ -1,31 +1,19 @@
 #include "nn/kernels/gemm.hpp"
 
 #include <algorithm>
-#include <cstring>
+
+#include "nn/kernels/lanes.hpp"
 
 namespace trajkit::nn::kernels {
 
 namespace {
 
-// Lane-wise SIMD spelled out with GCC vector extensions.  A v8df operation is
-// eight independent scalar IEEE operations, one per lane, so every accumulator
-// below is still one single-chain reduction per output element in the
-// reference order — the vectors only run *independent* output elements side
-// by side, never the reduction dimension.  (Left to its own devices the
-// compiler vectorised these loops along k, building 8x8 vpermt2pd transposes
-// per block — slower than the naive reference.  Explicit lanes pin the
-// codegen to broadcast-multiply-add.)
-typedef double v8df __attribute__((vector_size(64), may_alias));
-
-inline v8df splat(double x) { return v8df{x, x, x, x, x, x, x, x}; }
-
-inline v8df loadu(const double* p) {
-  v8df v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void storeu(double* p, v8df v) { std::memcpy(p, &v, sizeof(v)); }
+// Every accumulator below is one single-chain reduction per output element
+// in the reference order: the 8-lane vectors (lanes.hpp) only run
+// *independent* output elements side by side, never the reduction dimension.
+// (Left to its own devices the compiler vectorised these loops along k,
+// building 8x8 vpermt2pd transposes per block — slower than the naive
+// reference.  Explicit lanes pin the codegen to broadcast-multiply-add.)
 
 // Shared packing loop: src(r, k) with `rows` x `depth` logical shape, fetched
 // through an indexer so the same code packs both W and W^T.
@@ -46,30 +34,26 @@ void pack_into(std::size_t rows, std::size_t depth, At at, double* out) {
 
 /// Seed one panel's accumulator from the destination (convention 2); padded
 /// tail lanes start at zero and are never written back.
-inline v8df seed_panel(const Packed& p, const double* y, std::size_t pi) {
+inline void seed_panel(v8df& acc, const Packed& p, const double* y, std::size_t pi) {
   const std::size_t r0 = pi * kPanel;
   const std::size_t valid = std::min(p.rows - r0, kPanel);
   double tmp[kPanel] = {};
   for (std::size_t j = 0; j < valid; ++j) tmp[j] = y[r0 + j];
-  return loadu(tmp);
+  acc = lanes_at(tmp);
 }
 
-inline void flush_panel(const Packed& p, double* y, std::size_t pi, v8df acc) {
+inline void flush_panel(const Packed& p, double* y, std::size_t pi, const v8df& acc) {
   const std::size_t r0 = pi * kPanel;
   const std::size_t valid = std::min(p.rows - r0, kPanel);
-  double tmp[kPanel];
-  storeu(tmp, acc);
-  for (std::size_t j = 0; j < valid; ++j) y[r0 + j] = tmp[j];
+  for (std::size_t j = 0; j < valid; ++j) y[r0 + j] = acc[j];
 }
 
 inline void flush_panel_bias(const Packed& p, const double* bias, double* y,
-                             std::size_t pi, v8df acc) {
+                             std::size_t pi, const v8df& acc) {
   const std::size_t r0 = pi * kPanel;
   const std::size_t valid = std::min(p.rows - r0, kPanel);
-  double tmp[kPanel];
-  storeu(tmp, acc);
   for (std::size_t j = 0; j < valid; ++j) {
-    y[r0 + j] = (bias ? bias[r0 + j] : 0.0) + tmp[j];
+    y[r0 + j] = (bias ? bias[r0 + j] : 0.0) + acc[j];
   }
 }
 
@@ -116,12 +100,12 @@ void gemv_wx(const Packed& p, const double* bias, const double* x, double* y) {
     const double* w = p.data + pi * pstride;
     v8df a0 = {}, a1 = {}, a2 = {}, a3 = {};
     for (std::size_t k = 0; k < depth; ++k) {
-      const v8df xv = splat(x[k]);
+      const double xk = x[k];
       const double* wk = w + k * kPanel;
-      a0 += loadu(wk) * xv;
-      a1 += loadu(wk + pstride) * xv;
-      a2 += loadu(wk + 2 * pstride) * xv;
-      a3 += loadu(wk + 3 * pstride) * xv;
+      a0 += lanes_at(wk) * xk;
+      a1 += lanes_at(wk + pstride) * xk;
+      a2 += lanes_at(wk + 2 * pstride) * xk;
+      a3 += lanes_at(wk + 3 * pstride) * xk;
     }
     flush_panel_bias(p, bias, y, pi, a0);
     flush_panel_bias(p, bias, y, pi + 1, a1);
@@ -132,7 +116,7 @@ void gemv_wx(const Packed& p, const double* bias, const double* x, double* y) {
     const double* w = p.data + pi * pstride;
     v8df acc = {};
     for (std::size_t k = 0; k < depth; ++k) {
-      acc += loadu(w + k * kPanel) * splat(x[k]);
+      acc += lanes_at(w + k * kPanel) * x[k];
     }
     flush_panel_bias(p, bias, y, pi, acc);
   }
@@ -150,20 +134,20 @@ void gemm_wx8(const Packed& p, const double* bias, const double* x, double* y) {
     // chains (AVX-512 has the registers; narrower targets just spill a bit).
     v8df acc[kPanel] = {};
     for (std::size_t k = 0; k < depth; ++k) {
-      const v8df xv = loadu(x + k * kLanes);
+      const v8df xv = lanes_at(x + k * kLanes);
       const double* wk = w + k * kPanel;
-      acc[0] += splat(wk[0]) * xv;
-      acc[1] += splat(wk[1]) * xv;
-      acc[2] += splat(wk[2]) * xv;
-      acc[3] += splat(wk[3]) * xv;
-      acc[4] += splat(wk[4]) * xv;
-      acc[5] += splat(wk[5]) * xv;
-      acc[6] += splat(wk[6]) * xv;
-      acc[7] += splat(wk[7]) * xv;
+      acc[0] += wk[0] * xv;
+      acc[1] += wk[1] * xv;
+      acc[2] += wk[2] * xv;
+      acc[3] += wk[3] * xv;
+      acc[4] += wk[4] * xv;
+      acc[5] += wk[5] * xv;
+      acc[6] += wk[6] * xv;
+      acc[7] += wk[7] * xv;
     }
     for (std::size_t j = 0; j < valid; ++j) {
       const std::size_t r = r0 + j;
-      storeu(y + r * kLanes, splat(bias ? bias[r] : 0.0) + acc[j]);
+      lanes_at(y + r * kLanes) = (bias ? bias[r] : 0.0) + acc[j];
     }
   }
 }
@@ -177,17 +161,18 @@ void gemv_accseq(const Packed& p, const double* x, double* y) {
   // as the reference adds one contribution per weight row.
   for (; pi + 4 <= npanels; pi += 4) {
     const double* w = p.data + pi * pstride;
-    v8df a0 = seed_panel(p, y, pi);
-    v8df a1 = seed_panel(p, y, pi + 1);
-    v8df a2 = seed_panel(p, y, pi + 2);
-    v8df a3 = seed_panel(p, y, pi + 3);
+    v8df a0, a1, a2, a3;
+    seed_panel(a0, p, y, pi);
+    seed_panel(a1, p, y, pi + 1);
+    seed_panel(a2, p, y, pi + 2);
+    seed_panel(a3, p, y, pi + 3);
     for (std::size_t k = 0; k < depth; ++k) {
-      const v8df xv = splat(x[k]);
+      const double xk = x[k];
       const double* wk = w + k * kPanel;
-      a0 += loadu(wk) * xv;
-      a1 += loadu(wk + pstride) * xv;
-      a2 += loadu(wk + 2 * pstride) * xv;
-      a3 += loadu(wk + 3 * pstride) * xv;
+      a0 += lanes_at(wk) * xk;
+      a1 += lanes_at(wk + pstride) * xk;
+      a2 += lanes_at(wk + 2 * pstride) * xk;
+      a3 += lanes_at(wk + 3 * pstride) * xk;
     }
     flush_panel(p, y, pi, a0);
     flush_panel(p, y, pi + 1, a1);
@@ -196,9 +181,10 @@ void gemv_accseq(const Packed& p, const double* x, double* y) {
   }
   for (; pi < npanels; ++pi) {
     const double* w = p.data + pi * pstride;
-    v8df acc = seed_panel(p, y, pi);
+    v8df acc;
+    seed_panel(acc, p, y, pi);
     for (std::size_t k = 0; k < depth; ++k) {
-      acc += loadu(w + k * kPanel) * splat(x[k]);
+      acc += lanes_at(w + k * kPanel) * x[k];
     }
     flush_panel(p, y, pi, acc);
   }
@@ -213,20 +199,20 @@ void gemm_accseq8(const Packed& p, const double* x, double* y) {
     const std::size_t valid = std::min(p.rows - r0, kPanel);
     // Destination-seeded full panel, same 8-chain shape as gemm_wx8.
     v8df acc[kPanel] = {};
-    for (std::size_t j = 0; j < valid; ++j) acc[j] = loadu(y + (r0 + j) * kLanes);
+    for (std::size_t j = 0; j < valid; ++j) acc[j] = lanes_at(y + (r0 + j) * kLanes);
     for (std::size_t k = 0; k < depth; ++k) {
-      const v8df xv = loadu(x + k * kLanes);
+      const v8df xv = lanes_at(x + k * kLanes);
       const double* wk = w + k * kPanel;
-      acc[0] += splat(wk[0]) * xv;
-      acc[1] += splat(wk[1]) * xv;
-      acc[2] += splat(wk[2]) * xv;
-      acc[3] += splat(wk[3]) * xv;
-      acc[4] += splat(wk[4]) * xv;
-      acc[5] += splat(wk[5]) * xv;
-      acc[6] += splat(wk[6]) * xv;
-      acc[7] += splat(wk[7]) * xv;
+      acc[0] += wk[0] * xv;
+      acc[1] += wk[1] * xv;
+      acc[2] += wk[2] * xv;
+      acc[3] += wk[3] * xv;
+      acc[4] += wk[4] * xv;
+      acc[5] += wk[5] * xv;
+      acc[6] += wk[6] * xv;
+      acc[7] += wk[7] * xv;
     }
-    for (std::size_t j = 0; j < valid; ++j) storeu(y + (r0 + j) * kLanes, acc[j]);
+    for (std::size_t j = 0; j < valid; ++j) lanes_at(y + (r0 + j) * kLanes) = acc[j];
   }
 }
 
@@ -248,19 +234,19 @@ void gemm_acc_tdesc(const double* a, std::size_t rows, std::size_t tsteps,
     double* dw3 = dw.row(r + 3);
     std::size_t c = 0;
     for (; c + kLanes <= cols; c += kLanes) {
-      v8df a0 = loadu(dw0 + c), a1 = loadu(dw1 + c);
-      v8df a2 = loadu(dw2 + c), a3 = loadu(dw3 + c);
+      v8df a0 = lanes_at(dw0 + c), a1 = lanes_at(dw1 + c);
+      v8df a2 = lanes_at(dw2 + c), a3 = lanes_at(dw3 + c);
       for (std::size_t t = tsteps; t-- > t_stop;) {
-        const v8df bt = loadu(bm + t * cols + c);
-        a0 += splat(ar0[t]) * bt;
-        a1 += splat(ar1[t]) * bt;
-        a2 += splat(ar2[t]) * bt;
-        a3 += splat(ar3[t]) * bt;
+        const v8df bt = lanes_at(bm + t * cols + c);
+        a0 += ar0[t] * bt;
+        a1 += ar1[t] * bt;
+        a2 += ar2[t] * bt;
+        a3 += ar3[t] * bt;
       }
-      storeu(dw0 + c, a0);
-      storeu(dw1 + c, a1);
-      storeu(dw2 + c, a2);
-      storeu(dw3 + c, a3);
+      lanes_at(dw0 + c) = a0;
+      lanes_at(dw1 + c) = a1;
+      lanes_at(dw2 + c) = a2;
+      lanes_at(dw3 + c) = a3;
     }
     for (; c < cols; ++c) {
       double s0 = dw0[c], s1 = dw1[c], s2 = dw2[c], s3 = dw3[c];
@@ -282,11 +268,11 @@ void gemm_acc_tdesc(const double* a, std::size_t rows, std::size_t tsteps,
     double* dwr = dw.row(r);
     std::size_t c = 0;
     for (; c + kLanes <= cols; c += kLanes) {
-      v8df acc = loadu(dwr + c);
+      v8df acc = lanes_at(dwr + c);
       for (std::size_t t = tsteps; t-- > t_stop;) {
-        acc += splat(ar[t]) * loadu(bm + t * cols + c);
+        acc += ar[t] * lanes_at(bm + t * cols + c);
       }
-      storeu(dwr + c, acc);
+      lanes_at(dwr + c) = acc;
     }
     for (; c < cols; ++c) {
       double acc = dwr[c];

@@ -1,7 +1,10 @@
 #include "nn/kernels/quant.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+
+#include "nn/kernels/lanes.hpp"
 
 // The hot GEMM is written twice: an AVX512-VNNI path (vpdpbusd — one weight
 // load + one activation broadcast per 64 MACs, the reason the int8 lane beats
@@ -29,13 +32,11 @@ inline std::size_t pack_index(std::size_t r, std::size_t k,
 
 // One lane-row of the activation quantizer: 8 doubles -> 8 int8, the exact
 // vector body the rounding-contract test pins against quantize_value.
-inline v8qi quantize8(const double* src, v8df inv) {
-  const v8df q = vsplat(127.0), nq = vsplat(-127.0);
-  const v8df half = vsplat(0.5), nhalf = vsplat(-0.5), zero = vsplat(0.0);
-  v8df t = vload(src) * inv;
-  t = t > q ? q : t;
-  t = t < nq ? nq : t;
-  t = t + (t >= zero ? half : nhalf);
+inline v8qi quantize8(const double* src, double inv_scale) {
+  v8df t = lanes_at(src) * inv_scale;
+  t = t > 127.0 ? 127.0 : t;
+  t = t < -127.0 ? -127.0 : t;
+  t = t + (t >= 0.0 ? 0.5 : -0.5);
   const v8si qv = __builtin_convertvector(t, v8si);  // trunc -> half-away
   return __builtin_convertvector(qv, v8qi);
 }
@@ -90,15 +91,32 @@ void quant_row_sums_i8(const qi8* pack, std::size_t rows, std::size_t depth,
 }
 
 void quantize_i8(const double* x, std::size_t n, double inv_scale, qi8* out) {
-  const v8df inv = vsplat(inv_scale);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const v8qi b = quantize8(x + i, inv);
+    const v8qi b = quantize8(x + i, inv_scale);
     std::memcpy(out + i, &b, sizeof(b));
   }
   for (; i < n; ++i) {
     out[i] = static_cast<qi8>(quantize_value(x[i], inv_scale, kQmax));
   }
+}
+
+double fast_sigmoid(double x) {
+  v8df v = {x, x, x, x, x, x, x, x};
+  fast_sigmoid8(v);
+  return v[0];
+}
+
+double fast_tanh(double x) {
+  v8df v = {x, x, x, x, x, x, x, x};
+  fast_tanh8(v);
+  return v[0];
+}
+
+double fast_exp(double x) {
+  v8df v = {x, x, x, x, x, x, x, x};
+  fast_exp8(v);
+  return v[0];
 }
 
 // Each lane's row reuses the vector quantizer, then flips the sign bit:

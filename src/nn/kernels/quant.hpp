@@ -45,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "nn/kernels/align.hpp"
 #include "nn/kernels/gemm.hpp"
@@ -66,30 +65,6 @@ enum class QuantMode : std::uint8_t {
 typedef std::int8_t qi8 __attribute__((may_alias));
 typedef std::uint8_t qu8 __attribute__((may_alias));
 typedef std::int64_t qi64 __attribute__((may_alias));
-
-// Vector lanes, same spelling as the fp64 kernels (gemm.cpp keeps its typedef
-// private; the quant elementwise fusion needs them across TUs).
-typedef double v8df __attribute__((vector_size(64), may_alias));
-typedef std::int64_t v8di __attribute__((vector_size(64), may_alias));
-typedef std::int32_t v8si __attribute__((vector_size(32), may_alias));
-typedef std::int8_t v8qi __attribute__((vector_size(8), may_alias));
-
-inline v8df vsplat(double x) { return v8df{x, x, x, x, x, x, x, x}; }
-
-inline v8df vload(const double* p) {
-  v8df v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void vstore(double* p, v8df v) { std::memcpy(p, &v, sizeof(v)); }
-
-/// int64 accumulator lanes -> doubles (exact: |acc| < 2^53 always).
-inline v8df vcvt_i64(const qi64* p) {
-  v8di v;
-  std::memcpy(&v, p, sizeof(v));
-  return __builtin_convertvector(v, v8df);
-}
 
 /// Quantization maximum of weights and activations (the int8 grid).
 inline constexpr std::int32_t kQmax = 127;
@@ -180,62 +155,14 @@ inline qi64* take_i64(Workspace& ws, std::size_t n) {
 
 // ---------------------------------------------------------------------------
 // Fast vectorized activations (inference lane only — never the fp64 oracle).
+// The 8-lane versions (fast_exp8, fast_sigmoid8, fast_tanh8) live in
+// kernels/lanes.hpp, which only the kernel sources include.
 // ---------------------------------------------------------------------------
-
-/// exp(x) on 8 lanes: range-reduced 2^k * e^r with a degree-7 polynomial on
-/// r in [-ln2/2, ln2/2]; ~5e-9 relative error, monotone clamp at ±708.
-inline v8df fast_exp8(v8df x) {
-  const v8df hi = vsplat(708.0), lo = vsplat(-708.0);
-  x = x > hi ? hi : x;
-  x = x < lo ? lo : x;
-  const v8df t = x * vsplat(1.4426950408889634074);  // x * log2(e)
-  // Round to nearest via the shift trick (|t| < 1022 so the low mantissa
-  // bits of t + 1.5*2^52 hold the rounded integer exactly).
-  const v8df magic = vsplat(6755399441055744.0);
-  const v8df kf = (t + magic) - magic;
-  const v8di ki = __builtin_convertvector(kf, v8di);
-  // r = x - k*ln2, split high/low to keep the reduction exact.
-  const v8df r = (x - kf * vsplat(6.93147180369123816490e-01)) -
-                 kf * vsplat(1.90821492927058770002e-10);
-  // e^r, Horner degree 7 (Taylor; max rel err ~5e-9 on the reduced range).
-  v8df p = vsplat(1.0 / 5040.0);
-  p = p * r + vsplat(1.0 / 720.0);
-  p = p * r + vsplat(1.0 / 120.0);
-  p = p * r + vsplat(1.0 / 24.0);
-  p = p * r + vsplat(1.0 / 6.0);
-  p = p * r + vsplat(0.5);
-  p = p * r + vsplat(1.0);
-  p = p * r + vsplat(1.0);
-  // 2^k by exponent-field construction (k in [-1022, 1022] after the clamp).
-  const v8di bits = (ki + 1023) << 52;
-  v8df two_k;
-  std::memcpy(&two_k, &bits, sizeof(two_k));
-  return p * two_k;
-}
-
-/// Numerically safe sigmoid on 8 lanes (same structure as nn::sigmoid:
-/// exp of a non-positive argument, then one division).
-inline v8df fast_sigmoid8(v8df x) {
-  const v8df zero = vsplat(0.0);
-  const v8df neg = x >= zero ? -x : x;  // -|x|
-  const v8df e = fast_exp8(neg);
-  const v8df num = x >= zero ? vsplat(1.0) : e;
-  return num / (vsplat(1.0) + e);
-}
-
-/// tanh on 8 lanes via e^{-2|x|}.
-inline v8df fast_tanh8(v8df x) {
-  const v8df zero = vsplat(0.0);
-  const v8df ax = x >= zero ? x : -x;
-  const v8df e2 = fast_exp8(vsplat(-2.0) * ax);
-  const v8df t = (vsplat(1.0) - e2) / (vsplat(1.0) + e2);
-  return x >= zero ? t : -t;
-}
 
 /// Scalar views of the fast activations (tests/benches): lane 0 of the
 /// vector op, so scalar and vector answers are identical by construction.
-inline double fast_sigmoid(double x) { return fast_sigmoid8(vsplat(x))[0]; }
-inline double fast_tanh(double x) { return fast_tanh8(vsplat(x))[0]; }
-inline double fast_exp(double x) { return fast_exp8(vsplat(x))[0]; }
+double fast_sigmoid(double x);
+double fast_tanh(double x);
+double fast_exp(double x);
 
 }  // namespace trajkit::nn::kernels

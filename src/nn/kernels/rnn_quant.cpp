@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "nn/kernels/lanes.hpp"
+
 namespace trajkit::nn::kernels {
 
 namespace {
@@ -32,23 +34,28 @@ void check_quant_spec(const QuantLstmLayerView& layer, const BatchSpec& spec) {
 // Up to 8 consecutive rows of one lane: whole vectors in the body, a
 // zero-filled copy for the last partial one.  The spare elements compute on
 // zeros and are never stored.
-inline v8df load_rows(const double* p, std::size_t m) {
-  if (m == 8) return vload(p);
+inline void load_rows(v8df& v, const double* p, std::size_t m) {
+  if (m == 8) {
+    v = lanes_at(p);
+    return;
+  }
   alignas(64) double tmp[8] = {};
   std::memcpy(tmp, p, m * sizeof(double));
-  return vload(tmp);
+  v = lanes_at(tmp);
 }
 
-inline v8df load_acc(const qi64* p, std::size_t m) {
-  if (m == 8) return vcvt_i64(p);
+inline void load_acc(v8df& v, const qi64* p, std::size_t m) {
   alignas(64) std::int64_t tmp[8] = {};
-  std::memcpy(tmp, p, m * sizeof(std::int64_t));
-  return vcvt_i64(tmp);
+  if (m != 8) {
+    std::memcpy(tmp, p, m * sizeof(std::int64_t));
+    p = tmp;
+  }
+  v = __builtin_convertvector(lanes_at(p), v8df);  // exact: |acc| < 2^53 always
 }
 
-inline void store_rows(double* p, v8df v, std::size_t m) {
+inline void store_rows(double* p, const v8df& v, std::size_t m) {
   if (m == 8) {
-    vstore(p, v);
+    lanes_at(p) = v;
   } else {
     std::memcpy(p, &v, m * sizeof(double));
   }
@@ -116,20 +123,26 @@ double* lstm_forward_quant(const QuantLstmLayerView& layer,
       double* h = hiddens + t * nH + l * H;
       // Rows [r, r + m): m is a compile-time 8 in the body loop.
       const auto rows = [&](std::size_t r, auto m) {
+        // z[0..3] become the input, forget, cell and output gates in place.
         v8df z[4];
         for (std::size_t g = 0; g < 4; ++g) {
-          z[g] = load_rows(layer.bias + g * H + r, m) +
-                 load_acc(ax + g * H + r, m) * vsplat(dqx[g]) +
-                 load_acc(ah + g * H + r, m) * vsplat(dqh[g]);
+          v8df bias, acc_x, acc_h;
+          load_rows(bias, layer.bias + g * H + r, m);
+          load_acc(acc_x, ax + g * H + r, m);
+          load_acc(acc_h, ah + g * H + r, m);
+          z[g] = bias + acc_x * dqx[g] + acc_h * dqh[g];
         }
-        const v8df ig = fast_sigmoid8(z[0]);
-        const v8df fg = fast_sigmoid8(z[1]);
-        const v8df gg = fast_tanh8(z[2]);
-        const v8df og = fast_sigmoid8(z[3]);
-        const v8df cp = t > 0 ? load_rows(c_prev + r, m) : vsplat(0.0);
-        const v8df cc = fg * cp + ig * gg;
+        fast_sigmoid8(z[0]);
+        fast_sigmoid8(z[1]);
+        fast_tanh8(z[2]);
+        fast_sigmoid8(z[3]);
+        v8df cp = {};
+        if (t > 0) load_rows(cp, c_prev + r, m);
+        const v8df cc = z[1] * cp + z[0] * z[2];
         store_rows(c + r, cc, m);
-        store_rows(h + r, og * fast_tanh8(cc), m);
+        v8df tanh_cc = cc;
+        fast_tanh8(tanh_cc);
+        store_rows(h + r, z[3] * tanh_cc, m);
       };
       std::size_t r = 0;
       for (; r + 8 <= H; r += 8) rows(r, std::integral_constant<std::size_t, 8>{});

@@ -10,13 +10,14 @@
 // Eq. 7 reads RPD only at O's top-k (mac, rssi) pairs, so point_confidence
 // counts exactly those pairs over each C_H(R) instead of histogramming every
 // AP there.  Per uploaded point it makes one within() query for C_O(r) and
-// one ReferenceIndex::gather_circles() pass: the points within r + R of O
-// are gathered once, each gets its k match counts in a dense per-call
-// array, and every C_H(R) is then partitioned from that compact list with
-// within()'s own tests.  The counts are integers summed over exactly
-// within()'s neighbour set, so phi is bit-identical to the plain Eq. 4
-// definition, and the cost of a point depends only on the reference data
-// around it, never on what earlier requests touched.
+// one ReferenceIndex::count_circles() call, which gathers the points within
+// r + R of O once, keeps their k match counts as columns, and reads every
+// |C_H(R)| and per-AP sum off a mask of within()'s own tests.  theta_2 comes
+// from a table of RpdEstimator::theta2_for built with the estimator.  The
+// counts are integers summed over exactly within()'s neighbour set, so phi is
+// bit-identical to the plain Eq. 4 definition, and the cost of a point
+// depends only on the reference data around it, never on what earlier
+// requests touched.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +66,14 @@ class ConfidenceEstimator {
   /// Number of reference points within r of `pos` (Fig. 5's density driver).
   std::size_t reference_count(const Enu& pos) const;
 
+  /// theta_2 of a counting circle holding `neighbours` points: bitwise
+  /// rpd().theta2_for(neighbours), read from a table built at construction
+  /// for the first kTheta2TableSize counts.
+  double theta2(std::size_t neighbours) const;
+
+  /// Counting-circle sizes whose theta_2 the estimator tabulates.
+  static constexpr std::size_t kTheta2TableSize = 1024;
+
   const ConfidenceParams& params() const { return params_; }
   const RpdEstimator& rpd() const { return rpd_; }
 
@@ -72,6 +81,7 @@ class ConfidenceEstimator {
   const ReferenceIndex* index_;
   ConfidenceParams params_;
   RpdEstimator rpd_;
+  std::vector<double> theta2_table_;
 };
 
 }  // namespace trajkit::wifi

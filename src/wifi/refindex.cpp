@@ -6,14 +6,14 @@
 
 namespace trajkit::wifi {
 
-bool scan_lookup(const WifiScan& scan, std::uint64_t mac, int& out) {
-  for (const auto& obs : scan) {
-    if (obs.mac == mac) {
-      out = obs.rssi_dbm;
-      return true;
-    }
-  }
-  return false;
+ReferenceIndex::Window ReferenceIndex::window(const Enu& center, double radius) const {
+  // The query cell is not clamped: truncation toward zero, then +-reach,
+  // then the clip to the grid.
+  const auto reach = static_cast<long>(std::ceil(radius / cell_size_m_));
+  const long ix = static_cast<long>((center.east - bounds_.min_east) / cell_size_m_);
+  const long iy = static_cast<long>((center.north - bounds_.min_north) / cell_size_m_);
+  return {std::max(ix - reach, 0L), std::min(ix + reach, static_cast<long>(grid_w_) - 1),
+          std::max(iy - reach, 0L), std::min(iy + reach, static_cast<long>(grid_h_) - 1)};
 }
 
 template <typename Visitor>
@@ -56,6 +56,11 @@ ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_s
   grid_h_ = static_cast<std::size_t>(
                 std::max(1.0, std::ceil(bounds_.height() / cell_size_m_))) +
             1;
+  for (const auto& p : points_) {
+    if (p.scan.size() > kMaxScanSize) {
+      throw std::length_error("ReferenceIndex: a scan holds more than 65535 observations");
+    }
+  }
   grid_.assign(grid_w_ * grid_h_, {});
   for (std::size_t i = 0; i < points_.size(); ++i) {
     grid_[cell_of(points_[i].pos)].push_back(static_cast<std::uint32_t>(i));
@@ -87,6 +92,147 @@ std::size_t ReferenceIndex::count_within(const Enu& center, double radius) const
   std::size_t count = 0;
   visit(center, radius, [&count](std::uint32_t) { ++count; });
   return count;
+}
+
+void ReferenceIndex::count_circles(const Enu& origin, const std::vector<std::size_t>& centers,
+                                   double radius, const std::vector<MatchLane>& lanes,
+                                   CircleCounts& out) const {
+  // Each centre's window, the union's bounding box and the gather radius.
+  out.windows_.resize(centers.size());
+  Window box{static_cast<long>(grid_w_), -1, static_cast<long>(grid_h_), -1};
+  double spread_sq = 0.0;
+  for (std::size_t c = 0; c < centers.size(); ++c) {
+    const Enu& center = points_[centers[c]].pos;
+    const Window& win = out.windows_[c] = window(center, radius);
+    if (win.x0 > win.x1 || win.y0 > win.y1) continue;
+    box = {std::min(box.x0, win.x0), std::max(box.x1, win.x1), std::min(box.y0, win.y0),
+           std::max(box.y1, win.y1)};
+    spread_sq = std::max(spread_sq, distance_sq(center, origin));
+  }
+
+  // Gather: every point stored in a cell of some window and within
+  // spread + radius of the origin, with its stored cell.  The 1 um slack
+  // absorbs the rounding of the three distances.
+  out.gathered_.clear();
+  out.east_.clear();
+  out.north_.clear();
+  out.cell_x_.clear();
+  out.cell_y_.clear();
+  if (box.x0 <= box.x1) {
+    const long box_w = box.x1 - box.x0 + 1;
+    const auto box_offset = [&](long x, long y) {
+      return static_cast<std::size_t>((y - box.y0) * box_w + (x - box.x0));
+    };
+    out.in_union_.assign(box_offset(box.x1, box.y1) + 1, 0);
+    for (const Window& win : out.windows_) {
+      for (long y = win.y0; y <= win.y1; ++y) {
+        for (long x = win.x0; x <= win.x1; ++x) out.in_union_[box_offset(x, y)] = 1;
+      }
+    }
+    const double reach = std::sqrt(spread_sq) + radius + 1e-6;
+    const double reach_sq = reach * reach;
+    for (long y = box.y0; y <= box.y1; ++y) {
+      for (long x = box.x0; x <= box.x1; ++x) {
+        if (!out.in_union_[box_offset(x, y)]) continue;
+        for (std::uint32_t idx :
+             grid_[static_cast<std::size_t>(y) * grid_w_ + static_cast<std::size_t>(x)]) {
+          const Enu& p = points_[idx].pos;
+          if (distance_sq(p, origin) > reach_sq) continue;
+          out.gathered_.push_back(idx);
+          out.east_.push_back(p.east);
+          out.north_.push_back(p.north);
+          out.cell_x_.push_back(static_cast<std::int32_t>(x));
+          out.cell_y_.push_back(static_cast<std::int32_t>(y));
+        }
+      }
+    }
+  }
+  // Slots pad to a whole number of 64-byte mask vectors, so the per-centre
+  // loops below run without a scalar tail.  Padding sits in no cell, so
+  // every mask clears it, and its match counts are zero.
+  constexpr std::size_t kSlotBlock = 64;
+  const std::size_t n = out.gathered_.size();
+  const std::size_t slots = (n + kSlotBlock - 1) / kSlotBlock * kSlotBlock;
+  out.east_.resize(slots, 0.0);
+  out.north_.resize(slots, 0.0);
+  out.cell_x_.resize(slots, -1);
+  out.cell_y_.resize(slots, -1);
+
+  // Match counts, lane-major.  Lanes go in blocks of kBlock, the last one
+  // padded with empty windows (lo > hi), so the observation-outer,
+  // lane-inner compare has a fixed trip count and vectorises.  A count is
+  // at most the scan's size, which the constructors hold to uint16.
+  constexpr std::size_t kBlock = 8;
+  const std::size_t k = lanes.size();
+  out.columns_.assign(k * slots, 0);
+  for (std::size_t b = 0; b < k; b += kBlock) {
+    const std::size_t live = std::min(kBlock, k - b);
+    std::uint64_t mac[kBlock] = {};
+    int lo[kBlock];
+    int hi[kBlock];
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      lo[j] = j < live ? lanes[b + j].lo : 1;
+      hi[j] = j < live ? lanes[b + j].hi : 0;
+      if (j < live) mac[j] = lanes[b + j].mac;
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+      std::uint16_t count[kBlock] = {};
+      for (const ApObservation& obs : points_[out.gathered_[s]].scan) {
+        for (std::size_t j = 0; j < kBlock; ++j) {
+          count[j] += static_cast<std::uint16_t>((obs.mac == mac[j]) & (obs.rssi_dbm >= lo[j]) &
+                                                 (obs.rssi_dbm <= hi[j]));
+        }
+      }
+      for (std::size_t j = 0; j < live; ++j) out.columns_[(b + j) * slots + s] = count[j];
+    }
+  }
+
+  // Per centre: visit's own two tests as a byte mask over the gathered
+  // points, then |C_H(R)| and every lane's sum as masked reductions.  The
+  // squared distance is distance_sq's arithmetic, operand for operand, and
+  // the build pins -ffp-contract=off, so the boundary falls where visit puts
+  // it.  An empty window keeps its canonical empty bounds, which no stored
+  // cell satisfies.
+  const double radius_sq = radius * radius;
+  out.lanes_ = k;
+  out.sizes_.resize(centers.size());
+  out.matches_.resize(centers.size() * k);
+  out.mask_.resize(slots);
+  const std::int32_t* cell_x = out.cell_x_.data();
+  const std::int32_t* cell_y = out.cell_y_.data();
+  const double* east = out.east_.data();
+  const double* north = out.north_.data();
+  std::uint8_t* mask = out.mask_.data();
+  for (std::size_t c = 0; c < centers.size(); ++c) {
+    const Window& win = out.windows_[c];
+    std::int32_t x0 = 0, x1 = -1, y0 = 0, y1 = -1;
+    if (win.x0 <= win.x1 && win.y0 <= win.y1) {
+      // Non-empty, so clipped to the grid: the bounds fit the cells' type.
+      x0 = static_cast<std::int32_t>(win.x0);
+      x1 = static_cast<std::int32_t>(win.x1);
+      y0 = static_cast<std::int32_t>(win.y0);
+      y1 = static_cast<std::int32_t>(win.y1);
+    }
+    const Enu& center = points_[centers[c]].pos;
+    std::uint32_t size = 0;
+    for (std::size_t s = 0; s < slots; ++s) {
+      const double de = east[s] - center.east;
+      const double dn = north[s] - center.north;
+      mask[s] = static_cast<std::uint8_t>((cell_x[s] >= x0) & (cell_x[s] <= x1) &
+                                          (cell_y[s] >= y0) & (cell_y[s] <= y1) &
+                                          (de * de + dn * dn <= radius_sq));
+      size += mask[s];
+    }
+    out.sizes_[c] = size;
+    for (std::size_t a = 0; a < k; ++a) {
+      const std::uint16_t* column = out.columns_.data() + a * slots;
+      std::uint32_t sum = 0;
+      for (std::size_t s = 0; s < slots; ++s) {
+        sum += static_cast<std::uint16_t>(column[s] & -static_cast<std::uint16_t>(mask[s]));
+      }
+      out.matches_[c * k + a] = sum;
+    }
+  }
 }
 
 }  // namespace trajkit::wifi

@@ -3,14 +3,12 @@
 // The provider's dataset H = {H_1 ... H_k} (Sec. III-B): every point of every
 // historical trajectory, with its reported GPS position and WiFi scan.  The
 // detector asks two things per verified point: the reference points within r
-// of the uploaded position (one within() query), and the Eq. 4 counting
-// neighbours within R of each of them, which one gather_circles() pass over
-// the points within r + R answers for all references at once.  The store is
-// backed by a uniform hash grid sized to the typical query radius.
+// of the uploaded position (one within() query), and the Eq. 4 match counts
+// over the circle of R around each of them, which one count_circles() call
+// answers for all references at once from the points within r + R.  The
+// store is backed by a uniform hash grid sized to the typical query radius.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -70,23 +68,19 @@ class ReferenceIndex {
   /// Number of points within `radius` of `center` — cheaper than within().
   std::size_t count_within(const Enu& center, double radius) const;
 
-  /// The circles of `radius` around several of this index's points at once
-  /// (the Eq. 4 counting circles C_H(R) of the references H of one C_O(r)),
-  /// without a grid walk per circle.  One pass over the union of the
-  /// centres' cell windows gathers the points within
-  /// max_c |centre_c - origin| + radius (+1 um) of `origin`, a superset of
-  /// every circle by the triangle inequality, and calls `on_point(slot, i)`
-  /// for each: slots are 0, 1, ... in gather order.  Then, for each c in
-  /// order, it calls `on_circle(c, slots, n)` with the slots of exactly the
-  /// points within() would return for (centers[c]'s position, `radius`):
-  /// stored in a cell of that window and within `radius`, so points clamped
-  /// into edge cells count as they do there.  Slots come in no particular
-  /// order, so only order-free reductions (counts) should be taken over
-  /// them.  Meant for centres near `origin`: the pass covers their windows'
-  /// union.
-  template <typename OnPoint, typename OnCircle>
-  void gather_circles(const Enu& origin, const std::vector<std::size_t>& centers,
-                      double radius, OnPoint&& on_point, OnCircle&& on_circle) const;
+  /// Largest scan a stored point may carry: count_circles() keeps each
+  /// gathered point's per-lane match counts as uint16, and a count never
+  /// exceeds the scan's observation count.  The constructors refuse a longer
+  /// scan with std::length_error.
+  static constexpr std::size_t kMaxScanSize = 0xffff;
+
+  /// Eq. 4 match window of one counted lane: observations of `mac` at
+  /// lo..hi dBm inclusive.
+  struct MatchLane {
+    std::uint64_t mac = 0;
+    int lo = 0;
+    int hi = 0;
+  };
 
  private:
   /// Cells a query of `radius` around `center` walks: [x0, x1] x [y0, y1],
@@ -94,6 +88,60 @@ class ReferenceIndex {
   struct Window {
     long x0, x1, y0, y1;
   };
+
+ public:
+  /// What count_circles() returns, plus the buffers it reuses: keep one per
+  /// thread and pass it to every call, so a warm call allocates nothing.
+  class CircleCounts {
+   public:
+    /// |C_H(R)| of centre c.
+    std::uint32_t size(std::size_t c) const { return sizes_[c]; }
+    /// Observations over C_H(R) of centre c that match lane a.
+    std::uint32_t matches(std::size_t c, std::size_t a) const {
+      return matches_[c * lanes_ + a];
+    }
+
+   private:
+    friend class ReferenceIndex;
+    std::size_t lanes_ = 0;
+    std::vector<std::uint32_t> sizes_;
+    std::vector<std::uint32_t> matches_;  // centre-major, lanes_ per centre
+    // Gather scratch: the union of the centres' windows, and per gathered
+    // point its position and stored cell, flat so the per-centre masks run
+    // branch-free.
+    std::vector<Window> windows_;
+    std::vector<char> in_union_;
+    std::vector<std::uint32_t> gathered_;
+    std::vector<double> east_;
+    std::vector<double> north_;
+    std::vector<std::int32_t> cell_x_;  // stored cells lie in the grid, so fit
+    std::vector<std::int32_t> cell_y_;
+    std::vector<std::uint16_t> columns_;  // lane a's counts at [a * slots, (a + 1) * slots)
+    std::vector<std::uint8_t> mask_;      // one centre's C_H(R) over the slots
+  };
+
+  /// Eq. 4 counting over the circles of `radius` around several of this
+  /// index's points at once (the C_H(R) of the references H of one
+  /// C_O(r)), without a grid walk per circle.  One pass over the union of
+  /// the centres' cell windows gathers the points within
+  /// max_c |centre_c - origin| + radius (+1 um) of `origin`, a superset of
+  /// every circle by the triangle inequality, and stores each gathered
+  /// point's match count per lane (its observations inside the lane's
+  /// window; a scan may repeat a MAC) as uint16 columns over the gathered
+  /// points.  Each centre's circle is then a byte mask over the gathered
+  /// points, set by within()'s own two tests for (centers[c]'s position,
+  /// `radius`): stored in a cell of that window and within `radius`, so
+  /// points clamped into edge cells count as they do there.  `out` gets
+  /// |C_H(R)| and the per-lane sums over it for every centre, as masked
+  /// column reductions: integers, so equal to counting within()'s
+  /// neighbours one by one.  Meant for centres near `origin`: the gather
+  /// covers their windows' union.
+  void count_circles(const Enu& origin, const std::vector<std::size_t>& centers,
+                     double radius, const std::vector<MatchLane>& lanes,
+                     CircleCounts& out) const;
+
+ private:
+  /// The window a query of `radius` around `center` walks.
   Window window(const Enu& center, double radius) const;
 
   /// Call `visitor(i)` for every point index within `radius` of `center`,
@@ -110,100 +158,5 @@ class ReferenceIndex {
   std::size_t grid_h_ = 1;
   std::vector<std::vector<std::uint32_t>> grid_;
 };
-
-inline ReferenceIndex::Window ReferenceIndex::window(const Enu& center,
-                                                     double radius) const {
-  // The query cell is not clamped: truncation toward zero, then +-reach,
-  // then the clip to the grid.
-  const auto reach = static_cast<long>(std::ceil(radius / cell_size_m_));
-  const long ix = static_cast<long>((center.east - bounds_.min_east) / cell_size_m_);
-  const long iy = static_cast<long>((center.north - bounds_.min_north) / cell_size_m_);
-  return {std::max(ix - reach, 0L), std::min(ix + reach, static_cast<long>(grid_w_) - 1),
-          std::max(iy - reach, 0L), std::min(iy + reach, static_cast<long>(grid_h_) - 1)};
-}
-
-template <typename OnPoint, typename OnCircle>
-void ReferenceIndex::gather_circles(const Enu& origin, const std::vector<std::size_t>& centers,
-                                    double radius, OnPoint&& on_point,
-                                    OnCircle&& on_circle) const {
-  // Each centre's window, the union's bounding box and the gather radius.
-  std::vector<Window> windows(centers.size());
-  Window box{static_cast<long>(grid_w_), -1, static_cast<long>(grid_h_), -1};
-  double spread_sq = 0.0;
-  for (std::size_t c = 0; c < centers.size(); ++c) {
-    const Enu& center = points_[centers[c]].pos;
-    const Window& win = windows[c] = window(center, radius);
-    if (win.x0 > win.x1 || win.y0 > win.y1) continue;
-    box = {std::min(box.x0, win.x0), std::max(box.x1, win.x1), std::min(box.y0, win.y0),
-           std::max(box.y1, win.y1)};
-    spread_sq = std::max(spread_sq, distance_sq(center, origin));
-  }
-
-  // Gather: every point stored in a cell of some window and within
-  // spread + radius of the origin, with its stored cell, as flat arrays so
-  // the per-centre pass below runs branch-free.  The 1 um slack absorbs the
-  // rounding of the three distances.
-  std::vector<double> east;
-  std::vector<double> north;
-  std::vector<std::int32_t> cell_x;  // stored cells lie in the grid, so fit
-  std::vector<std::int32_t> cell_y;
-  if (box.x0 <= box.x1) {
-    const long box_w = box.x1 - box.x0 + 1;
-    const auto box_offset = [&](long x, long y) {
-      return static_cast<std::size_t>((y - box.y0) * box_w + (x - box.x0));
-    };
-    std::vector<char> in_union(box_offset(box.x1, box.y1) + 1, 0);
-    for (const Window& win : windows) {
-      for (long y = win.y0; y <= win.y1; ++y) {
-        for (long x = win.x0; x <= win.x1; ++x) in_union[box_offset(x, y)] = 1;
-      }
-    }
-    const double reach = std::sqrt(spread_sq) + radius + 1e-6;
-    const double reach_sq = reach * reach;
-    for (long y = box.y0; y <= box.y1; ++y) {
-      for (long x = box.x0; x <= box.x1; ++x) {
-        if (!in_union[box_offset(x, y)]) continue;
-        for (std::uint32_t idx :
-             grid_[static_cast<std::size_t>(y) * grid_w_ + static_cast<std::size_t>(x)]) {
-          const Enu& p = points_[idx].pos;
-          if (distance_sq(p, origin) > reach_sq) continue;
-          on_point(east.size(), idx);
-          east.push_back(p.east);
-          north.push_back(p.north);
-          cell_x.push_back(static_cast<std::int32_t>(x));
-          cell_y.push_back(static_cast<std::int32_t>(y));
-        }
-      }
-    }
-  }
-
-  // Partition: visit's own two tests per centre over the compact list.  The
-  // squared distance is distance_sq's arithmetic, operand for operand, and
-  // the build pins -ffp-contract=off, so the boundary falls where visit puts
-  // it.
-  const double radius_sq = radius * radius;
-  std::vector<std::uint32_t> slots(east.size());
-  for (std::size_t c = 0; c < centers.size(); ++c) {
-    const Window& win = windows[c];
-    std::size_t n = 0;
-    if (win.x0 <= win.x1 && win.y0 <= win.y1) {
-      // Non-empty, so clipped to the grid: the bounds fit the cells' type.
-      const auto x0 = static_cast<std::int32_t>(win.x0);
-      const auto x1 = static_cast<std::int32_t>(win.x1);
-      const auto y0 = static_cast<std::int32_t>(win.y0);
-      const auto y1 = static_cast<std::int32_t>(win.y1);
-      const Enu& center = points_[centers[c]].pos;
-      for (std::size_t s = 0; s < east.size(); ++s) {
-        const double de = east[s] - center.east;
-        const double dn = north[s] - center.north;
-        const bool in = (cell_x[s] >= x0) & (cell_x[s] <= x1) & (cell_y[s] >= y0) &
-                        (cell_y[s] <= y1) & (de * de + dn * dn <= radius_sq);
-        slots[n] = static_cast<std::uint32_t>(s);
-        n += in;
-      }
-    }
-    on_circle(c, slots.data(), n);
-  }
-}
 
 }  // namespace trajkit::wifi

@@ -8,9 +8,9 @@
 // matching RSSI contributes once per repeat.
 //
 // Eq. 7 only ever needs RPD at the uploaded point's top-k (mac, rssi) pairs,
-// so no RPD is materialised: ConfidenceEstimator::point_confidence gathers
-// the points within r + R of the upload once and counts those pairs over
-// each C_H(R) it partitions from them (confidence.hpp).  RpdEstimator holds
+// so no RPD is materialised: ConfidenceEstimator::point_confidence counts
+// those pairs over every C_H(R) of one upload point with one
+// ReferenceIndex::count_circles() call (confidence.hpp).  RpdEstimator holds
 // the parameters and theta_2; the plain per-point definition is a test
 // oracle (tests/reference/wifi_reference.hpp) that the tests hold equal bit
 // for bit.  Nothing is cached.

@@ -22,8 +22,4 @@ struct ApObservation {
 /// A scan: visible APs sorted by descending RSSI (strongest first).
 using WifiScan = std::vector<ApObservation>;
 
-/// RSSI of `mac` within `scan`, or std::nullopt-like sentinel: returns true
-/// and writes `out` when present.
-bool scan_lookup(const WifiScan& scan, std::uint64_t mac, int& out);
-
 }  // namespace trajkit::wifi

@@ -5,6 +5,16 @@
 
 namespace trajkit::wifi::reference {
 
+bool scan_lookup(const WifiScan& scan, std::uint64_t mac, int& out) {
+  for (const auto& obs : scan) {
+    if (obs.mac == mac) {
+      out = obs.rssi_dbm;
+      return true;
+    }
+  }
+  return false;
+}
+
 RpdOracle::RpdOracle(const ReferenceIndex& index, RpdParams params)
     : index_(&index), params_(params) {}
 

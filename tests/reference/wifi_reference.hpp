@@ -15,6 +15,10 @@
 
 namespace trajkit::wifi::reference {
 
+/// RSSI of the first observation of `mac` within `scan`: returns true and
+/// writes `out` when present (the definition of num_refs' "observed there").
+bool scan_lookup(const WifiScan& scan, std::uint64_t mac, int& out);
+
 class RpdOracle {
  public:
   /// `index` must outlive the oracle.  `params` are taken as given (the

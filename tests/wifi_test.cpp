@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.hpp"
+#include "core/rssi_pipeline.hpp"
+#include "core/scenario.hpp"
 #include "reference/wifi_reference.hpp"
 #include "support/fixtures.hpp"
 #include "wifi/confidence.hpp"
@@ -29,9 +33,9 @@ ReferencePoint ref(double east, double north, WifiScan scan,
 TEST(ScanLookup, FindsAndMisses) {
   const WifiScan scan = {{10, -40}, {20, -55}};
   int out = 0;
-  EXPECT_TRUE(scan_lookup(scan, 20, out));
+  EXPECT_TRUE(reference::scan_lookup(scan, 20, out));
   EXPECT_EQ(out, -55);
-  EXPECT_FALSE(scan_lookup(scan, 99, out));
+  EXPECT_FALSE(reference::scan_lookup(scan, 99, out));
 }
 
 TEST(ReferenceIndex, RadiusQueryMatchesBruteForce) {
@@ -72,6 +76,18 @@ TEST(ReferenceIndex, EmptyAndBoundary) {
   const ReferenceIndex one({ref(3, 4, {})});
   EXPECT_EQ(one.within({0, 0}, 5.0).size(), 1u);
   EXPECT_EQ(one.within({0, 0}, 4.999).size(), 0u);
+}
+
+TEST(ReferenceIndex, RefusesScansBeyondMatchCountWidth) {
+  // Eq. 4 match counts are kept as uint16, and a count never exceeds its
+  // scan's observation count: a longer scan is refused, not truncated.
+  WifiScan longest(ReferenceIndex::kMaxScanSize, ApObservation{1, -50});
+  std::vector<ReferencePoint> pts = {ref(0, 0, longest)};
+  EXPECT_NO_THROW(ReferenceIndex{pts});
+  pts.push_back(ref(1, 1, longest));
+  pts.back().scan.push_back({2, -60});
+  EXPECT_THROW(ReferenceIndex{pts}, std::length_error);
+  EXPECT_THROW((ReferenceIndex{pts, 4.0, BoundingBox{0.0, 0.0, 10.0, 10.0}}), std::length_error);
 }
 
 TEST(Rpd, ExactMatchRatio) {
@@ -257,7 +273,7 @@ TEST(Confidence, DirectCountMatchesRpdDefinition) {
               const double theta1 = inv[i] / inv_sum;
               phi += theta1 * rpd.theta2(h) * rpd.rpd(h, scan[a].mac, scan[a].rssi_dbm);
               int observed = 0;
-              if (scan_lookup(index[h].scan, scan[a].mac, observed)) ++num_refs;
+              if (reference::scan_lookup(index[h].scan, scan[a].mac, observed)) ++num_refs;
             }
             EXPECT_EQ(got[a].phi, phi)
                 << "seed " << seed << " tol " << tol << " probe " << probe << " ap " << a;
@@ -293,7 +309,7 @@ std::vector<ApConfidence> confidence_by_definition(const ReferenceIndex& index,
       out[a].phi +=
           inv[i] / inv_sum * rpd.theta2(h) * rpd.rpd(h, scan[a].mac, scan[a].rssi_dbm);
       int observed = 0;
-      if (scan_lookup(index[h].scan, scan[a].mac, observed)) ++out[a].num_refs;
+      if (reference::scan_lookup(index[h].scan, scan[a].mac, observed)) ++out[a].num_refs;
     }
   }
   return out;
@@ -435,6 +451,120 @@ TEST(Confidence, SingleGatherMatchesVisitNeighbourSets) {
     const Enu far{100.0, 100.0};
     ASSERT_TRUE(index.within(far, params.reference_radius_m).empty());
     check(index, params, far, probe_scan(rng), kNoTrajectory, "no references");
+  }
+}
+
+TEST(Confidence, ServingDensityMatchesDefinition) {
+  // The walking scenario's clustered histories at two densities, probed at
+  // sampled points of fresh trajectories and of the history itself (with and
+  // without leaving the probe's own trajectory out).  top_k 13 spans two
+  // 8-lane blocks of the match count and presence passes.
+  core::Scenario scenario(core::ScenarioConfig::for_mode(Mode::kWalking));
+  for (const std::size_t trajectories : {150u, 600u}) {
+    std::vector<ScannedUpload> history;
+    for (const auto& t : scenario.scanned_real(trajectories, 30, 2.0)) {
+      history.push_back(core::to_upload(t));
+    }
+    const ReferenceIndex index(flatten_history(history));
+    struct Probe {
+      Enu pos;
+      WifiScan scan;
+      std::uint32_t own_traj;
+    };
+    std::vector<Probe> probes;
+    for (const auto& t : scenario.scanned_real(3, 30, 2.0)) {
+      const auto upload = core::to_upload(t);
+      for (std::size_t i = 0; i < upload.positions.size(); i += 6) {
+        probes.push_back({upload.positions[i], upload.scans[i], kNoTrajectory});
+      }
+    }
+    for (std::size_t t = 0; t < history.size(); t += trajectories / 5) {
+      for (std::size_t i = 3; i < history[t].positions.size(); i += 9) {
+        probes.push_back({history[t].positions[i], history[t].scans[i],
+                          static_cast<std::uint32_t>(t)});
+      }
+    }
+    std::size_t wide_scans = 0;  // probes whose scan reaches the second lane block
+    std::size_t dense_probes = 0;  // ~10 references at 150 trajectories, ~40 at 600
+    for (const Probe& probe : probes) {
+      wide_scans += probe.scan.size() > 8;
+      dense_probes += index.within(probe.pos, 2.5).size() >= trajectories / 15;
+    }
+    EXPECT_GT(wide_scans, probes.size() / 2) << "most probe scans must reach the second lane block";
+    EXPECT_GT(dense_probes, probes.size() / 2) << "the history must be dense around the probes";
+    for (const int tol : {0, 1}) {
+      ConfidenceParams params;
+      params.top_k = 13;
+      params.rpd.rssi_tolerance_db = tol;
+      const ConfidenceEstimator estimator(index, params);
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        const Probe& probe = probes[p];
+        for (const std::uint32_t exclude : {kNoTrajectory, probe.own_traj}) {
+          const auto got = estimator.point_confidence(probe.pos, probe.scan, exclude);
+          const auto want = confidence_by_definition(index, params, probe.pos, probe.scan, exclude);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t a = 0; a < got.size(); ++a) {
+            EXPECT_EQ(got[a].mac, want[a].mac);
+            EXPECT_EQ(got[a].phi, want[a].phi)
+                << trajectories << " trajectories, tol " << tol << ", probe " << p
+                << ", exclude " << exclude << ", ap " << a;
+            EXPECT_EQ(got[a].num_refs, want[a].num_refs)
+                << trajectories << " trajectories, tol " << tol << ", probe " << p << ", ap "
+                << a;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Confidence, CountsBeyondUint8) {
+  // One reference repeats a (mac, rssi) pair 300 times, more than a uint8
+  // count holds; its neighbours see it once.  Every reference's counting
+  // circle holds that scan, so each RPD reads 301 matches over 3 points.
+  WifiScan repeated(300, ApObservation{7, -50});
+  repeated.push_back({8, -60});
+  const std::vector<ReferencePoint> pts = {
+      ref(0.0, 0.0, repeated),
+      ref(0.5, 0.0, {{7, -50}}),
+      ref(0.0, 0.5, {{8, -60}, {7, -51}}),
+  };
+  const ReferenceIndex index(pts);
+  for (const int tol : {0, 1}) {
+    ConfidenceParams params;
+    params.rpd.rssi_tolerance_db = tol;
+    const ConfidenceEstimator estimator(index, params);
+    const WifiScan probe = {{7, -50}, {8, -60}};
+    const auto got = estimator.point_confidence({0.2, 0.2}, probe);
+    const auto want = confidence_by_definition(index, params, {0.2, 0.2}, probe, kNoTrajectory);
+    ASSERT_EQ(got.size(), 2u);
+    for (std::size_t a = 0; a < got.size(); ++a) {
+      EXPECT_EQ(got[a].phi, want[a].phi) << "tol " << tol << " ap " << a;
+      EXPECT_EQ(got[a].num_refs, want[a].num_refs) << "tol " << tol << " ap " << a;
+    }
+    const reference::RpdOracle oracle(index, params.rpd);
+    EXPECT_EQ(oracle.rpd(1, 7, -50), (tol == 0 ? 301.0 : 302.0) / 3.0);
+    EXPECT_EQ(got[0].num_refs, 3u);
+    EXPECT_EQ(got[1].num_refs, 2u);
+  }
+}
+
+TEST(Confidence, Theta2TableIsTheta2For) {
+  // The table point_confidence reads theta_2 from must be theta2_for's own
+  // doubles, bit for bit, inside the table and past its end.
+  const ReferenceIndex index(std::vector<ReferencePoint>{ref(0, 0, {{1, -50}})});
+  for (const double radius : {3.0, 1.7, 8.0}) {
+    for (const double base : {0.9, 0.5, 0.99}) {
+      ConfidenceParams params;
+      params.rpd.counting_radius_m = radius;
+      params.rpd.theta2_base = base;
+      const ConfidenceEstimator estimator(index, params);
+      for (std::size_t n = 0; n < ConfidenceEstimator::kTheta2TableSize + 64; ++n) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(estimator.theta2(n)),
+                  std::bit_cast<std::uint64_t>(estimator.rpd().theta2_for(n)))
+            << "R " << radius << " base " << base << " n " << n;
+      }
+    }
   }
 }
 
