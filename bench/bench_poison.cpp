@@ -23,8 +23,9 @@
 //     detector assembled from all points, poison included) is reported for
 //     contrast;
 //   * oracle equivalence: with trimming disabled the robust aggregator must
-//     answer bitwise from the pooled per-cell accumulators over the whole
-//     poisoned grid (the trim = 0 exact-mean contract).
+//     answer bitwise the plain pooled mean (reference::pooled_cell_mean)
+//     for every (cell, AP) of the poisoned store (the trim = 0 exact-mean
+//     contract).
 //
 // Exit code 0 iff detection is perfect, the robust regression bound holds
 // and the trim = 0 path is bit-identical at every fraction; the mean path's
@@ -44,6 +45,7 @@
 #include "common/durable/durable_file.hpp"
 #include "common/rng.hpp"
 #include "core/trajkit.hpp"
+#include "reference/wifi_reference.hpp"
 #include "support/fixtures.hpp"
 #include "wifi/crowd_store.hpp"
 #include "wifi/detector.hpp"
@@ -90,20 +92,22 @@ double reputation_auc(const wifi::CrowdStore& store,
   return wins / static_cast<double>(honest.size() * poisoners.size());
 }
 
-/// True iff the trim = 0 robust estimate is bit-identical to the pooled
-/// ApCellStats::mean() for every (cell, AP) of the store.
+/// True iff the trim = 0 robust estimate is bit-identical to the plain
+/// pooled mean for every (cell, AP) of the store.
 bool trim_zero_bitwise_equal(const wifi::CrowdStore& store) {
-  const wifi::RobustCellAggregator agg(store.cell_stats(), store.provenance(),
-                                       {0.0, 2});
-  const auto& pooled = store.cell_stats();
-  for (const auto& [key, cell] : pooled.cells()) {
-    const Enu probe{(static_cast<double>(key.first) + 0.5) * pooled.cell_size_m(),
-                    (static_cast<double>(key.second) + 0.5) * pooled.cell_size_m()};
-    for (const auto& [mac, stats] : cell.aps) {
+  const auto& grid = store.provenance();
+  const wifi::RobustCellAggregator agg(grid, {0.0, 2});
+  for (const auto& [key, cell] : grid.cells()) {
+    const Enu probe{(static_cast<double>(key.first) + 0.5) * grid.cell_size_m(),
+                    (static_cast<double>(key.second) + 0.5) * grid.cell_size_m()};
+    for (const auto& [mac, uploaders] : cell.aps) {
       double estimate = 0.0;
       if (!agg.estimate(probe, mac, &estimate)) return false;
-      const double oracle = stats.mean();
-      if (std::memcmp(&estimate, &oracle, sizeof estimate) != 0) return false;
+      const auto oracle = wifi::reference::pooled_cell_mean(
+          store.points(), grid.cell_size_m(), probe, mac);
+      if (!oracle || std::memcmp(&estimate, &*oracle, sizeof estimate) != 0) {
+        return false;
+      }
     }
   }
   return true;

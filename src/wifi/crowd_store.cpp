@@ -17,11 +17,12 @@ namespace {
 
 constexpr const char* kSnapshotTag = "crowd_snapshot";
 // Layout: meta "next_seq point_count observed_epoch observed_motion_epoch",
-// then one "<uploader> <point>" record per point, then three trailing
-// records — cell statistics, provenance grid, reputation book.  Snapshots
-// stamped with any other version are refused (durable::parse_durable).
-constexpr std::uint32_t kSnapshotVersion = 4;
-constexpr std::size_t kSnapshotOverhead = 4;  ///< meta + three trailing records
+// then one "<uploader> <point>" record per point, then the reputation book.
+// Facts only: the provenance grid is a fold of the point records and is
+// rebuilt on open.  Snapshots stamped with any other version are refused
+// (durable::parse_durable).
+constexpr std::uint32_t kSnapshotVersion = 5;
+constexpr std::size_t kSnapshotOverhead = 2;  ///< meta + reputation book
 constexpr const char* kJournalTag = "crowd_journal";
 constexpr std::size_t kMaxSnapshotPoints = 5'000'000;
 /// Control-frame prefixes, indexed by ControlFrame::Kind.
@@ -32,10 +33,10 @@ static_assert(std::size(kControlPrefix) ==
               "one prefix per control-frame kind");
 
 // Every point the store can hold must fit in one snapshot container (plus
-// its meta, cell-stats, provenance and reputation records), or compact()
-// would commit a snapshot that open() can never read back — a store that
-// bricks itself at its first compaction.
-static_assert(kMaxSnapshotPoints + 4 <= durable::kMaxDurableRecords,
+// its meta and reputation records), or compact() would commit a snapshot
+// that open() can never read back — a store that bricks itself at its first
+// compaction.
+static_assert(kMaxSnapshotPoints + kSnapshotOverhead <= durable::kMaxDurableRecords,
               "crowd snapshot capacity exceeds the durable record cap");
 
 std::string format_double(double v) {
@@ -176,26 +177,17 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
         return Result::failure("crowd store: snapshot record " +
                                std::to_string(i - 1) + ": " + point.error());
       }
+      // The grid refolds in record order, which is ingestion order.  The
+      // snapshot's reputation book already holds these points' scores, so
+      // they are not rescored.
+      store->provenance_.add(point.value(), uploader);
       store->points_.push_back(std::move(point).value());
       store->uploaders_.push_back(uploader);
     }
-    auto grid = CellStatsGrid::deserialize(records[point_count + 1]);
-    if (!grid) return Result::failure("crowd store: " + grid.error());
-    if (grid.value().point_count() != point_count) {
-      return Result::failure("crowd store: snapshot cell stats disagree with point count");
-    }
-    store->cell_stats_ = std::move(grid).value();
-    auto prov = ProvenanceGrid::deserialize(records[point_count + 2]);
-    if (!prov) return Result::failure("crowd store: " + prov.error());
-    if (prov.value().point_count() != point_count) {
-      return Result::failure("crowd store: snapshot provenance disagrees with point count");
-    }
-    store->provenance_ = std::move(prov).value();
-    auto book = ReputationBook::deserialize(records[point_count + 3]);
+    auto book = ReputationBook::deserialize(records[point_count + 1]);
     if (!book) return Result::failure("crowd store: " + book.error());
     store->reputation_ = std::move(book).value();
   }
-  store->snapshot_count_ = store->points_.size();
   store->open_stats_.snapshot_points = store->points_.size();
 
   // 2. The journal: every accepted scan since that snapshot.  open() already
@@ -243,7 +235,7 @@ void CrowdStore::ingest_state(const ReferencePoint& point, UploaderId uploader) 
   double agree_sum = 0.0;
   std::size_t scored = 0;
   if (uploader != kAnonymousUploader) {
-    const RobustCellAggregator agg(cell_stats_, provenance_, agg_params_);
+    const RobustCellAggregator agg(provenance_, agg_params_);
     for (const auto& obs : point.scan) {
       double consensus = 0.0;
       if (!agg.consensus_excluding(point.pos, obs.mac, uploader, &consensus)) {
@@ -253,7 +245,6 @@ void CrowdStore::ingest_state(const ReferencePoint& point, UploaderId uploader) 
       ++scored;
     }
   }
-  cell_stats_.add(point);
   provenance_.add(point, uploader);
   points_.push_back(point);
   uploaders_.push_back(uploader);
@@ -346,30 +337,6 @@ Expected<bool, std::string> CrowdStore::compact() {
   using Result = Expected<bool, std::string>;
   const std::uint64_t next_seq = journal_->next_seq();
 
-  // The cell statistics and the provenance grid were maintained incrementally
-  // on every append, so compaction serialises the live structures instead of
-  // recomputing them.  The debug flag recomputes anyway and demands bitwise
-  // equality — any drift between the incremental and from-scratch paths fails
-  // loudly here rather than silently skewing the online model layer.
-  const std::string cell_stats_text = cell_stats_.serialize();
-  const std::string provenance_text = provenance_.serialize();
-  if (verify_cell_stats_) {
-    CellStatsGrid fresh(cell_stats_.cell_size_m());
-    for (const auto& point : points_) fresh.add(point);
-    if (fresh.serialize() != cell_stats_text) {
-      return Result::failure(
-          "crowd store: incremental cell stats diverged from recompute");
-    }
-    ProvenanceGrid fresh_prov(provenance_.cell_size_m());
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      fresh_prov.add(points_[i], uploaders_[i]);
-    }
-    if (fresh_prov.serialize() != provenance_text) {
-      return Result::failure(
-          "crowd store: incremental provenance diverged from recompute");
-    }
-  }
-
   // Stage 1: commit a fresh snapshot of everything, stamped with the journal
   // seq it covers and the highest observed model epoch.  Atomic replace — a
   // crash leaves the old snapshot.  Quarantined uploaders' points are folded
@@ -382,8 +349,6 @@ Expected<bool, std::string> CrowdStore::compact() {
   for (std::size_t i = 0; i < points_.size(); ++i) {
     writer.add_record(std::to_string(uploaders_[i]) + ' ' + encode_point(points_[i]));
   }
-  writer.add_record(cell_stats_text);
-  writer.add_record(provenance_text);
   writer.add_record(reputation_.serialize());
   auto committed = writer.commit(snapshot_path(dir_));
   if (!committed) return Result::failure("crowd store: " + committed.error());
@@ -399,7 +364,6 @@ Expected<bool, std::string> CrowdStore::compact() {
   // Stage 2: reset the journal to start where the snapshot ends.
   auto reset = journal_->reset(next_seq);
   if (!reset) return Result::failure("crowd store: " + reset.error());
-  snapshot_count_ = points_.size();
   journaled_ = 0;
   return Result(true);
 }

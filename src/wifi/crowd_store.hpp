@@ -5,8 +5,8 @@
 // (wifi/validate), encoded as one text line and appended to a CRC-framed
 // journal (common/durable/journal) *before* it is visible in memory.  An
 // explicit compact() folds the journal into a CRC-framed snapshot (one
-// durable container: a meta record plus one record per reference point) and
-// resets the journal.
+// durable container, v5: a meta record, one "<uploader> <point>" record per
+// reference point and the reputation book) and resets the journal.
 //
 // Crash safety is the point of the split:
 //   - a crash mid-append leaves a torn journal tail, which the next open()
@@ -19,23 +19,24 @@
 //
 // Poisoning resistance (the adversarial-crowdsourcing layer): every append
 // carries the uploader's stable identity in its journal frame
-// (durable/journal), and the store maintains, next to the pooled
-// CellStatsGrid, a per-uploader ProvenanceGrid and a ReputationBook.  Each
-// provenance-stamped append is scored against the robust consensus the
-// other witnesses of its cells form (RobustCellAggregator: trimmed mean /
-// median of per-uploader means); uploaders whose decayed agreement sinks
-// below threshold are quarantined — their points stay durable and replay
-// bitwise, but trusted_points() holds them out of epoch publishes until a
-// "#clear" review clears them.  Review actions ride the WAL as '#' control
-// frames, same discipline as "#epoch", so recovery and follower shipping
-// replay them exactly.
+// (durable/journal), and the store maintains a per-uploader ProvenanceGrid
+// and a ReputationBook next to the points.  Each provenance-stamped append
+// is scored against the robust consensus the other witnesses of its cells
+// form (RobustCellAggregator: trimmed mean / median of per-uploader means);
+// uploaders whose decayed agreement sinks below threshold are quarantined —
+// their points stay durable and replay bitwise, but trusted_points() holds
+// them out of epoch publishes until a "#clear" review clears them.  Review
+// actions ride the WAL as '#' control frames, same discipline as "#epoch",
+// so recovery and follower shipping replay them exactly.
 //
 // Determinism of the adversarial layer: reputation is a pure function of the
 // ingestion sequence (points, uploaders, control frames) under fixed
 // ReputationParams/RobustAggregationParams — configure the same params
 // before replaying a journal that was scored under them, or the recovered
 // scores will differ (the snapshot carries its fold-time scores verbatim, so
-// only the journal tail is rescored on open).
+// only the journal tail is rescored on open).  The provenance grid is never
+// persisted: open() refolds it from the snapshot's points in record order,
+// which is bitwise the grid the writing process held.
 //
 // VerifierService::try_create_from_store cold-starts a serving process from
 // any such crash point and reproduces bit-identical verdicts.
@@ -48,7 +49,6 @@
 
 #include "common/durable/journal.hpp"
 #include "common/expected.hpp"
-#include "wifi/cell_stats.hpp"
 #include "wifi/provenance.hpp"
 #include "wifi/refindex.hpp"
 #include "wifi/reputation.hpp"
@@ -123,8 +123,8 @@ class CrowdStore {
   /// Fold the journal into a fresh snapshot, then reset the journal.  Safe to
   /// crash at any point inside; idempotent to re-run after recovery.  The
   /// snapshot carries the full dataset — quarantined points included, they
-  /// must survive a later "#clear" — plus the provenance grid and the
-  /// reputation book, so recovery never rescored folded history.
+  /// must survive a later "#clear" — plus the reputation book, so recovery
+  /// never rescores folded history.
   Expected<bool, std::string> compact();
 
   /// The full recovered + appended reference set, in ingestion order —
@@ -143,14 +143,9 @@ class CrowdStore {
   /// Points currently held out by quarantine (points() size minus trusted).
   std::size_t quarantined_point_count() const;
 
-  /// Per-cell sufficient statistics (count/sum/sumsq per AP) maintained
-  /// incrementally on every append — always current with points(), so
-  /// compact() serialises them instead of recomputing, and the online model
-  /// layer reads densities without a scan over the dataset.
-  const CellStatsGrid& cell_stats() const { return cell_stats_; }
-
-  /// The same statistics broken down by uploader (the robust-aggregation and
-  /// reputation substrate), and the reputation ledger itself.
+  /// Per-(cell, AP, uploader) RSSI statistics of points() (the
+  /// robust-aggregation and reputation substrate), and the reputation ledger
+  /// itself.
   const ProvenanceGrid& provenance() const { return provenance_; }
   const ReputationBook& reputation() const { return reputation_; }
 
@@ -172,12 +167,6 @@ class CrowdStore {
   /// (0 = none yet) — the epoch followers load the quantized motion
   /// classifier from after adopting shipped frames.
   std::uint64_t observed_motion_epoch() const { return observed_motion_epoch_; }
-
-  /// Debug flag: when set, compact() recomputes the cell statistics and the
-  /// provenance grid from scratch and fails (Expected) unless the
-  /// incremental state is bitwise identical — the cheap-reuse path stays
-  /// honest under test.
-  void set_verify_cell_stats(bool on) { verify_cell_stats_ = on; }
 
   /// Seq the next append will be assigned.
   std::uint64_t next_seq() const { return journal_->next_seq(); }
@@ -219,7 +208,6 @@ class CrowdStore {
   std::unique_ptr<durable::Journal> journal_;
   std::vector<ReferencePoint> points_;
   std::vector<UploaderId> uploaders_;  ///< parallel to points_
-  CellStatsGrid cell_stats_;
   ProvenanceGrid provenance_;
   ReputationBook reputation_;
   ReputationParams rep_params_;
@@ -227,8 +215,6 @@ class CrowdStore {
   UploaderRateLimiter rate_limiter_;
   std::uint64_t observed_epoch_ = 0;
   std::uint64_t observed_motion_epoch_ = 0;
-  bool verify_cell_stats_ = false;
-  std::size_t snapshot_count_ = 0;  ///< prefix of points_ covered by the snapshot
   std::size_t journaled_ = 0;
   OpenStats open_stats_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 namespace trajkit::wifi {
@@ -23,7 +22,7 @@ ProvenanceGrid::ProvenanceGrid(double cell_size_m) : cell_size_m_(cell_size_m) {
   }
 }
 
-ProvenanceGrid::CellKey ProvenanceGrid::cell_of(const Enu& pos) const {
+CellKey ProvenanceGrid::cell_of(const Enu& pos) const {
   return {static_cast<std::int64_t>(std::floor(pos.east / cell_size_m_)),
           static_cast<std::int64_t>(std::floor(pos.north / cell_size_m_))};
 }
@@ -98,73 +97,6 @@ std::string ProvenanceGrid::serialize() const {
   return out;
 }
 
-Expected<ProvenanceGrid, std::string> ProvenanceGrid::deserialize(
-    const std::string& text) {
-  using Result = Expected<ProvenanceGrid, std::string>;
-  std::istringstream is(text);
-  std::string magic;
-  int version = 0;
-  double cell_size = 0.0;
-  std::uint64_t points = 0;
-  std::size_t cell_count = 0;
-  if (!(is >> magic >> version >> cell_size >> points >> cell_count) ||
-      magic != "provgrid" || version != 1) {
-    return Result::failure("provenance grid: bad header");
-  }
-  if (!std::isfinite(cell_size) || cell_size <= 0.0) {
-    return Result::failure("provenance grid: implausible cell size");
-  }
-  if (cell_count > points) {
-    return Result::failure("provenance grid: more cells than points");
-  }
-  ProvenanceGrid grid(cell_size);
-  grid.points_ = points;
-  std::uint64_t total = 0;
-  for (std::size_t c = 0; c < cell_count; ++c) {
-    CellKey key;
-    Cell cell;
-    std::size_t ap_count = 0;
-    if (!(is >> key.first >> key.second >> cell.count >> ap_count)) {
-      return Result::failure("provenance grid: truncated cell record");
-    }
-    for (std::size_t a = 0; a < ap_count; ++a) {
-      std::uint64_t mac = 0;
-      std::size_t uploader_count = 0;
-      if (!(is >> mac >> uploader_count)) {
-        return Result::failure("provenance grid: truncated AP record");
-      }
-      std::map<UploaderId, ApCellStats> uploaders;
-      for (std::size_t u = 0; u < uploader_count; ++u) {
-        UploaderId uploader = 0;
-        ApCellStats ap;
-        if (!(is >> uploader >> ap.count >> ap.sum >> ap.sumsq)) {
-          return Result::failure("provenance grid: truncated uploader record");
-        }
-        if (!std::isfinite(ap.sum) || !std::isfinite(ap.sumsq)) {
-          return Result::failure("provenance grid: non-finite accumulator");
-        }
-        if (!uploaders.emplace(uploader, ap).second) {
-          return Result::failure("provenance grid: duplicate uploader in AP");
-        }
-      }
-      if (uploaders.empty()) {
-        return Result::failure("provenance grid: AP with no uploaders");
-      }
-      if (!cell.aps.emplace(mac, std::move(uploaders)).second) {
-        return Result::failure("provenance grid: duplicate AP in cell");
-      }
-    }
-    total += cell.count;
-    if (!grid.cells_.emplace(key, std::move(cell)).second) {
-      return Result::failure("provenance grid: duplicate cell");
-    }
-  }
-  if (total != points) {
-    return Result::failure("provenance grid: cell counts do not sum to point count");
-  }
-  return Result(std::move(grid));
-}
-
 std::uint64_t ProvenanceGrid::checksum() const {
   const std::string text = serialize();
   std::uint64_t h = 1469598103934665603ull;
@@ -194,30 +126,32 @@ double trimmed_mean(std::vector<double> values, double trim_fraction) {
   return sum / static_cast<double>(n - 2 * trim);
 }
 
-RobustCellAggregator::RobustCellAggregator(const CellStatsGrid& pooled,
-                                           const ProvenanceGrid& provenance,
+RobustCellAggregator::RobustCellAggregator(const ProvenanceGrid& provenance,
                                            RobustAggregationParams params)
-    : pooled_(&pooled), provenance_(&provenance), params_(params) {
+    : provenance_(&provenance), params_(params) {
   if (params_.trim_fraction < 0.0 || params_.trim_fraction > 0.5) {
     throw std::invalid_argument(
         "RobustCellAggregator: trim fraction must be in [0, 0.5]");
-  }
-  if (pooled.cell_size_m() != provenance.cell_size_m()) {
-    throw std::invalid_argument(
-        "RobustCellAggregator: grids disagree on cell size");
   }
 }
 
 bool RobustCellAggregator::estimate(const Enu& pos, std::uint64_t mac,
                                     double* out) const {
   if (params_.trim_fraction <= 0.0) {
-    // The exact-mean oracle path: identical arithmetic (and identical
-    // accumulators) to the pre-provenance pooled estimate.
-    const CellStatsGrid::Cell* cell = pooled_->cell_at(pos);
+    // The exact-mean oracle path: integer RSSIs make every per-uploader sum
+    // an exact integer, so regrouping them by uploader changes no bit of the
+    // ingestion-order pooled sum.
+    const ProvenanceGrid::Cell* cell = provenance_->cell_at(pos);
     if (cell == nullptr) return false;
     const auto it = cell->aps.find(mac);
-    if (it == cell->aps.end() || it->second.count == 0) return false;
-    if (out != nullptr) *out = it->second.mean();
+    if (it == cell->aps.end()) return false;
+    ApCellStats pooled;
+    for (const auto& [uploader, stats] : it->second) {
+      pooled.count += stats.count;
+      pooled.sum += stats.sum;
+    }
+    if (pooled.count == 0) return false;
+    if (out != nullptr) *out = pooled.mean();
     return true;
   }
   const std::vector<double> means = provenance_->uploader_means(pos, mac);

@@ -1,13 +1,13 @@
 // Per-uploader provenance statistics and robust per-cell RSSI aggregation.
 //
-// The crowd store's CellStatsGrid pools every uploader's observations into
-// one sufficient-statistics accumulator per (cell, AP) — exactly the right
-// shape for an honest crowd, and exactly the wrong one under the threat
-// model of "Coordinated Position Falsification Attacks" (PAPERS.md): k
-// colluding uploaders who flood one cell with shifted RSSIs drag the pooled
-// mean wherever they like, because the mean weighs *observations*, not
-// *witnesses*.  This grid keeps the same sufficient statistics broken down
-// by uploader, so aggregation can weigh each distinct witness once:
+// Pooling every uploader's observations into one sufficient-statistics
+// accumulator per (cell, AP) is exactly the right shape for an honest crowd,
+// and exactly the wrong one under the threat model of "Coordinated Position
+// Falsification Attacks" (PAPERS.md): k colluding uploaders who flood one
+// cell with shifted RSSIs drag the pooled mean wherever they like, because
+// the mean weighs *observations*, not *witnesses*.  This grid keeps the
+// sufficient statistics broken down by uploader, so aggregation can weigh
+// each distinct witness once:
 //
 //   * trimmed mean over per-uploader means — discards the top/bottom
 //     trim-fraction of witnesses before averaging;
@@ -15,24 +15,25 @@
 //     minority of distinct uploaders in the cell, no matter how many
 //     observations each of them floods in.
 //
-// RobustCellAggregator front-ends both grids: with trimming disabled
-// (trim = 0) it answers from the pooled CellStatsGrid accumulators, bitwise
-// identical to ApCellStats::mean() — the exact-mean oracle the equivalence
-// tests pin — and with trimming enabled it answers from the per-uploader
-// breakdown here.
+// With trimming disabled (trim = 0) RobustCellAggregator answers the pooled
+// mean by summing the per-uploader counts and sums of the (cell, AP).  RSSIs
+// are integers, so every count and sum is an exact integer in a double and
+// the result is bitwise the ingestion-order pooled mean, whatever the
+// grouping — the exact-mean oracle the equivalence tests pin.
 //
-// Determinism mirrors cell_stats.hpp: ordered containers, ingestion-order
-// accumulation, %.17g round-trip serialisation, so an incrementally
-// maintained grid is bitwise-equal to one rebuilt by replay.
+// The grid is a pure fold of (point, uploader) in ingestion order: ordered
+// containers, ingestion-order accumulation.  CrowdStore never persists it;
+// open() refolds it from the snapshot's points, bitwise-equal to the grid
+// the writing process maintained.  serialize()/checksum() are the
+// fingerprint the tests compare.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/expected.hpp"
-#include "wifi/cell_stats.hpp"
 #include "wifi/refindex.hpp"
 
 namespace trajkit::wifi {
@@ -43,11 +44,25 @@ namespace trajkit::wifi {
 using UploaderId = std::uint64_t;
 inline constexpr UploaderId kAnonymousUploader = 0;
 
-/// CellStatsGrid broken down by uploader: per (cell, AP, uploader), the
-/// count/sum/sumsq of that uploader's RSSI observations there.
+/// Sufficient statistics of one RSSI sample: one uploader's observations of
+/// one AP inside one cell.
+struct ApCellStats {
+  std::uint64_t count = 0;
+  double sum = 0.0;    ///< sum of RSSI dBm, in ingestion order
+  double sumsq = 0.0;  ///< sum of squared RSSI dBm, in ingestion order
+
+  double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
+
+  friend bool operator==(const ApCellStats&, const ApCellStats&) = default;
+};
+
+/// Cell coordinates: floor(east / cell), floor(north / cell).
+using CellKey = std::pair<std::int64_t, std::int64_t>;
+
+/// Per (cell, AP, uploader), the count/sum/sumsq of that uploader's RSSI
+/// observations there.
 class ProvenanceGrid {
  public:
-  using CellKey = CellStatsGrid::CellKey;
 
   struct Cell {
     std::uint64_t count = 0;  ///< reference points in the cell (all uploaders)
@@ -77,10 +92,9 @@ class ProvenanceGrid {
   std::vector<double> uploader_means(const Enu& pos, std::uint64_t mac,
                                      UploaderId exclude = kAnonymousUploader) const;
 
-  /// Deterministic text rendering (%.17g doubles) — the snapshot record
-  /// format and the compaction debug-check equality witness.
+  /// Deterministic text rendering (%.17g doubles): the tests' equality
+  /// witness.
   std::string serialize() const;
-  static Expected<ProvenanceGrid, std::string> deserialize(const std::string& text);
 
   /// FNV-1a of serialize().
   std::uint64_t checksum() const;
@@ -96,9 +110,9 @@ class ProvenanceGrid {
 /// How per-cell RSSI consensus is aggregated across witnesses.
 struct RobustAggregationParams {
   /// Fraction of witnesses trimmed from each end of the sorted per-uploader
-  /// means before averaging.  0 disables trimming (pooled exact mean, the
-  /// bitwise oracle path); >= 0.5 degenerates to the median of uploader
-  /// means.
+  /// means before averaging.  0 disables trimming (pooled exact mean over
+  /// every observation, the bitwise oracle path); >= 0.5 degenerates to the
+  /// median of uploader means.
   double trim_fraction = 0.5;
   /// Minimum distinct witnesses before a robust consensus exists; below it
   /// estimate()/consensus_excluding() report "no consensus" rather than
@@ -112,16 +126,15 @@ struct RobustAggregationParams {
 /// the aggregator and the tests.
 double trimmed_mean(std::vector<double> values, double trim_fraction);
 
-/// Robust per-cell RSSI estimator over the pooled + per-uploader grids.
-/// Both grids must describe the same ingestion stream (same cell size, same
-/// points) and outlive the aggregator.
+/// Robust per-cell RSSI estimator over a provenance grid, which must
+/// outlive the aggregator.
 class RobustCellAggregator {
  public:
-  RobustCellAggregator(const CellStatsGrid& pooled, const ProvenanceGrid& provenance,
-                       RobustAggregationParams params = {});
+  explicit RobustCellAggregator(const ProvenanceGrid& provenance,
+                                RobustAggregationParams params = {});
 
-  /// Consensus RSSI of (cell at `pos`, `mac`).  trim = 0: the pooled
-  /// ApCellStats::mean(), bitwise-equal to the pre-provenance estimate;
+  /// Consensus RSSI of (cell at `pos`, `mac`).  trim = 0: the pooled mean of
+  /// every observation there, Σ sum / Σ count over the per-uploader entries;
   /// trim > 0: trimmed mean / median of per-uploader means.  Returns false
   /// when the cell/AP has no (or too few) witnesses.
   bool estimate(const Enu& pos, std::uint64_t mac, double* out) const;
@@ -136,7 +149,6 @@ class RobustCellAggregator {
   const RobustAggregationParams& params() const { return params_; }
 
  private:
-  const CellStatsGrid* pooled_;
   const ProvenanceGrid* provenance_;
   RobustAggregationParams params_;
 };

@@ -778,8 +778,8 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
       {"detector", detector_path, 0,
        [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },
        [&](std::ostream& os) { w.detector().save(os); }},
-      // v3 is the newest retired snapshot layout: the nearest miss.
-      {"crowd snapshot", wifi::CrowdStore::snapshot_path(store_dir), 3,
+      // v4 is the newest retired snapshot layout: the nearest miss.
+      {"crowd snapshot", wifi::CrowdStore::snapshot_path(store_dir), 4,
        [&] { return load_error(wifi::CrowdStore::open(store_dir)); },
        nullptr},
       {"artifact", artifact_dir + "/motion." + std::to_string(artifact_epoch), 0,
@@ -798,10 +798,12 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
     ASSERT_EQ(c.load(), "");
     std::uint32_t skewed = 0;
     reframe_durable(c.path, c.skewed_version, &skewed);
+    const std::string refused = slurp(c.path);
     std::string error = c.load();
     EXPECT_NE(error.find("unsupported version " + std::to_string(skewed)),
               std::string::npos)
         << error;
+    EXPECT_EQ(slurp(c.path), refused) << "a refused container was rewritten";
     if (c.save_bare) {
       {
         std::ofstream os(c.path);
@@ -1051,10 +1053,10 @@ TEST(CorruptionFuzz, PoisonProvenanceJournalRecoversAPairPrefixOrFailsCleanly) {
 }
 
 TEST(CorruptionFuzz, PoisonedCrowdSnapshotRejectsEveryMutation) {
-  // The snapshot carries three trailing records after its points (cell stats,
-  // provenance grid, reputation book).  Re-run the snapshot corruption fuzz
-  // over a store whose snapshot actually exercises them: provenance-stamped
-  // points and a quarantined uploader.
+  // The snapshot carries a trailing reputation book after its
+  // uploader-stamped points.  Re-run the snapshot corruption fuzz over a
+  // store whose snapshot actually exercises both: provenance-stamped points
+  // and a quarantined uploader.
   const std::string dir = "durable_test_fuzz_poison_store";
   remove_tree(dir);
   {

@@ -205,48 +205,62 @@ TEST(Hotswap, StoreRecoversObservedEpochFromJournalAndSnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental cell statistics
+// Provenance refolded on reopen
 
-TEST(Hotswap, CompactionReusesIncrementalCellStatsVerifiedAgainstRecompute) {
-  const std::string dir = "hotswap_test_cellstats_store";
+TEST(Hotswap, ReopenRefoldsProvenanceAndAppendsExtendIt) {
+  const std::string dir = "hotswap_test_provenance_store";
   remove_store(dir);
   Rng rng(41);
   const ts::LinearWorldConfig cfg;
   const auto points = tail_points(cfg, 60, rng, 100);
+  const auto uploader = [](std::size_t i) {
+    return static_cast<wifi::UploaderId>(1 + i % 5);
+  };
 
+  wifi::ProvenanceGrid live;
+  std::string reputation;
   {
+    // 40 points and a quarantine in the snapshot, 20 points and the clear in
+    // the journal tail.
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
-    store.value()->set_verify_cell_stats(true);  // reuse must match recompute
-    for (const auto& p : points) {
-      ASSERT_TRUE(store.value()->append(p).has_value());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (i == 40) {
+        ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, 2}).has_value());
+        ASSERT_TRUE(store.value()->compact().has_value());
+      }
+      ASSERT_TRUE(store.value()->append(points[i], uploader(i)).has_value());
     }
-    EXPECT_EQ(store.value()->cell_stats().point_count(), points.size());
-
-    // The incremental grid equals a from-scratch pass over the same points.
-    wifi::CellStatsGrid fresh(store.value()->cell_stats().cell_size_m());
-    for (const auto& p : points) fresh.add(p);
-    EXPECT_EQ(store.value()->cell_stats(), fresh);
-    EXPECT_EQ(store.value()->cell_stats().checksum(), fresh.checksum());
-
-    auto compacted = store.value()->compact();
-    ASSERT_TRUE(compacted.has_value()) << compacted.error();
+    ASSERT_TRUE(store.value()->append_control({Kind::kClear, 2}).has_value());
+    live = store.value()->provenance();
+    reputation = store.value()->reputation().serialize();
+    EXPECT_EQ(live.point_count(), points.size());
+    EXPECT_TRUE(ts::fold_provenance(*store.value()) == live);
   }
   {
-    // The snapshot carries the grid: reopen restores it without a rescan, and
+    // Snapshot + tail: the grid is refolded from the snapshot's points, and
     // appends keep extending it incrementally.
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
-    store.value()->set_verify_cell_stats(true);
-    EXPECT_EQ(store.value()->cell_stats().point_count(), points.size());
-    wifi::CellStatsGrid fresh(store.value()->cell_stats().cell_size_m());
-    for (const auto& p : points) fresh.add(p);
-    EXPECT_EQ(store.value()->cell_stats(), fresh);
+    EXPECT_EQ(store.value()->open_stats().snapshot_points, 40u);
+    EXPECT_TRUE(store.value()->provenance() == live);
+    EXPECT_EQ(store.value()->provenance().checksum(), live.checksum());
+    EXPECT_EQ(store.value()->reputation().serialize(), reputation);
 
-    ASSERT_TRUE(store.value()->append(points.front()).has_value());
-    fresh.add(points.front());
-    ASSERT_TRUE(store.value()->compact().has_value()) << "verified recompact";
-    EXPECT_EQ(store.value()->cell_stats(), fresh);
+    ASSERT_TRUE(store.value()->append(points.front(), 3).has_value());
+    live.add(points.front(), 3);
+    EXPECT_TRUE(store.value()->provenance() == live);
+    reputation = store.value()->reputation().serialize();
+    ASSERT_TRUE(store.value()->compact().has_value());
+  }
+  {
+    // Snapshot alone: the same grid, the same book.
+    auto store = wifi::CrowdStore::open(dir);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    EXPECT_EQ(store.value()->open_stats().replayed_records, 0u);
+    EXPECT_TRUE(store.value()->provenance() == live);
+    EXPECT_TRUE(ts::fold_provenance(*store.value()) == live);
+    EXPECT_EQ(store.value()->reputation().serialize(), reputation);
   }
   remove_store(dir);
 }

@@ -13,12 +13,13 @@
 //
 //   * the observation-weighted pooled mean is dragged by the flood while the
 //     witness-weighted robust consensus (median of per-uploader means) holds;
-//   * with trimming disabled the robust path answers bitwise from the pooled
-//     accumulators (the exact-mean oracle contract);
+//   * with trimming disabled the robust path answers bitwise the pooled
+//     mean of reference::pooled_cell_mean (the exact-mean oracle contract);
 //   * every poisoner's reputation decays to auto-quarantine, no honest
 //     uploader's does, and quarantine/clear round-trips through journal
 //     replay, compaction and reopen;
-//   * reopening a store replays the adversarial state bitwise, arrival-order
+//   * reopening a store refolds the provenance grid and replays the
+//     adversarial state bitwise, arrival-order
 //     shuffles of the flood never change the quarantine verdict, and the
 //     global thread count is irrelevant to ingestion state;
 //   * the per-uploader rate cap refuses floods at admission, deterministically.
@@ -38,10 +39,10 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "reference/wifi_reference.hpp"
 #include "serve/shard_service.hpp"
 #include "support/fixtures.hpp"
 #include "support/golden.hpp"
-#include "wifi/cell_stats.hpp"
 #include "wifi/crowd_store.hpp"
 #include "wifi/provenance.hpp"
 #include "wifi/reputation.hpp"
@@ -161,25 +162,6 @@ TEST(Poison, TrimmedMeanMatchesItsSpec) {
 // ---------------------------------------------------------------------------
 // Provenance grid
 
-TEST(Poison, ProvenanceGridRoundTripsSerialisation) {
-  wifi::ProvenanceGrid grid;
-  Rng rng(11);
-  for (int i = 0; i < 64; ++i) {
-    const Enu pos{rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)};
-    const UploaderId u = static_cast<UploaderId>(rng.uniform_int(0, 5));
-    grid.add({pos, {{1, field_rssi(pos)}, {2, -60}}, 1u}, u);
-  }
-  const std::string text = grid.serialize();
-  auto parsed = wifi::ProvenanceGrid::deserialize(text);
-  ASSERT_TRUE(parsed.has_value()) << parsed.error();
-  EXPECT_TRUE(parsed.value() == grid);
-  EXPECT_EQ(parsed.value().checksum(), grid.checksum());
-  EXPECT_EQ(parsed.value().serialize(), text);
-
-  EXPECT_FALSE(wifi::ProvenanceGrid::deserialize("nonsense").has_value());
-  EXPECT_FALSE(wifi::ProvenanceGrid::deserialize("provgrid 9 4 0 0\n").has_value());
-}
-
 TEST(Poison, UploaderMeansExcludeTheScoredWitness) {
   wifi::ProvenanceGrid grid;
   const Enu pos{1.0, 1.0};
@@ -199,14 +181,21 @@ TEST(Poison, UploaderMeansExcludeTheScoredWitness) {
 // ---------------------------------------------------------------------------
 // Robust aggregation vs the Sybil flood
 
+/// True iff `a` and `b` are the same double, bit for bit.
+bool same_bits(double a, double b) {
+  std::uint64_t a_bits = 0, b_bits = 0;
+  std::memcpy(&a_bits, &a, sizeof a_bits);
+  std::memcpy(&b_bits, &b, sizeof b_bits);
+  return a_bits == b_bits;
+}
+
 TEST(Poison, SybilFloodDragsPooledMeanButNotRobustConsensus) {
-  wifi::CellStatsGrid pooled;
+  std::vector<wifi::ReferencePoint> points;
   wifi::ProvenanceGrid prov;
   const Enu pos{1.0, 1.0};
   auto add = [&](int rssi, UploaderId u) {
-    const wifi::ReferencePoint p{pos, {{7, rssi}}, 1u};
-    pooled.add(p);
-    prov.add(p, u);
+    points.push_back({pos, {{7, rssi}}, 1u});
+    prov.add(points.back(), u);
   };
   // Five honest witnesses, one observation each.
   for (UploaderId u = 1; u <= 5; ++u) add(-50, u);
@@ -216,27 +205,30 @@ TEST(Poison, SybilFloodDragsPooledMeanButNotRobustConsensus) {
     add(-90, 600);
     add(-90, 601);
   }
-  const wifi::RobustCellAggregator median(pooled, prov, {0.5, 2});
+  const wifi::RobustCellAggregator median(prov, {0.5, 2});
   double robust = 0.0;
   ASSERT_TRUE(median.estimate(pos, 7, &robust));
   EXPECT_DOUBLE_EQ(robust, -50.0);
 
-  const wifi::RobustCellAggregator exact(pooled, prov, {0.0, 2});
+  const wifi::RobustCellAggregator exact(prov, {0.0, 2});
   double mean = 0.0;
   ASSERT_TRUE(exact.estimate(pos, 7, &mean));
   EXPECT_LT(mean, -80.0);  // 80 of 85 observations are the flood
+  const auto oracle = wifi::reference::pooled_cell_mean(points, kCellM, pos, 7);
+  ASSERT_TRUE(oracle.has_value());
+  EXPECT_TRUE(same_bits(mean, *oracle)) << mean << " vs " << *oracle;
 
   // A trim wide enough to drop both colluding witnesses (floor(0.3 * 7) = 2
   // from each end) also survives this minority without going all the way to
   // the median.
-  const wifi::RobustCellAggregator trimmed(pooled, prov, {0.3, 2});
+  const wifi::RobustCellAggregator trimmed(prov, {0.3, 2});
   double light = 0.0;
   ASSERT_TRUE(trimmed.estimate(pos, 7, &light));
   EXPECT_DOUBLE_EQ(light, -50.0);
 }
 
 TEST(Poison, TrimZeroIsBitwiseThePooledMean) {
-  wifi::CellStatsGrid pooled;
+  std::vector<wifi::ReferencePoint> points;
   wifi::ProvenanceGrid prov;
   Rng rng(23);
   for (int i = 0; i < 400; ++i) {
@@ -244,25 +236,23 @@ TEST(Poison, TrimZeroIsBitwiseThePooledMean) {
     const std::uint64_t mac = static_cast<std::uint64_t>(rng.uniform_int(1, 3));
     const int rssi = static_cast<int>(rng.uniform_int(-90, -40));
     const UploaderId u = static_cast<UploaderId>(rng.uniform_int(0, 7));
-    const wifi::ReferencePoint p{pos, {{mac, rssi}}, 1u};
-    pooled.add(p);
-    prov.add(p, u);
+    points.push_back({pos, {{mac, rssi}}, 1u});
+    prov.add(points.back(), u);
   }
-  const wifi::RobustCellAggregator agg(pooled, prov, {0.0, 2});
+  const wifi::RobustCellAggregator agg(prov, {0.0, 2});
   std::size_t checked = 0;
-  for (const auto& [key, cell] : pooled.cells()) {
-    const Enu probe{(static_cast<double>(key.first) + 0.5) * pooled.cell_size_m(),
-                    (static_cast<double>(key.second) + 0.5) * pooled.cell_size_m()};
-    for (const auto& [mac, stats] : cell.aps) {
+  for (const auto& [key, cell] : prov.cells()) {
+    const Enu probe{(static_cast<double>(key.first) + 0.5) * prov.cell_size_m(),
+                    (static_cast<double>(key.second) + 0.5) * prov.cell_size_m()};
+    for (const auto& [mac, uploaders] : cell.aps) {
       double estimate = 0.0;
       ASSERT_TRUE(agg.estimate(probe, mac, &estimate));
-      const double oracle = stats.mean();
-      // Bitwise, not approximately: the trim = 0 path must answer from the
-      // very same accumulators the pre-provenance estimator used.
-      std::uint64_t est_bits = 0, oracle_bits = 0;
-      std::memcpy(&est_bits, &estimate, sizeof est_bits);
-      std::memcpy(&oracle_bits, &oracle, sizeof oracle_bits);
-      EXPECT_EQ(est_bits, oracle_bits)
+      const auto oracle = wifi::reference::pooled_cell_mean(
+          points, prov.cell_size_m(), probe, mac);
+      ASSERT_TRUE(oracle.has_value());
+      // Bitwise, not approximately: summing the per-uploader accumulators
+      // must give the very bits of one ingestion-order pass.
+      EXPECT_TRUE(same_bits(estimate, *oracle))
           << "cell (" << key.first << ", " << key.second << ") mac " << mac;
       ++checked;
     }
@@ -364,10 +354,9 @@ TEST(Poison, CoordinatedPoisonersAreAutoQuarantinedAndHonestCrowdIsNot) {
 
   // In the flooded patch cell the pooled mean moved by several dB; the
   // witness-weighted median barely noticed.
-  const wifi::RobustCellAggregator robust(store->cell_stats(), store->provenance(),
+  const wifi::RobustCellAggregator robust(store->provenance(),
                                           store->aggregation_params());
-  const wifi::RobustCellAggregator pooled(store->cell_stats(), store->provenance(),
-                                          {0.0, 2});
+  const wifi::RobustCellAggregator pooled(store->provenance(), {0.0, 2});
   const double honest_field = static_cast<double>(field_rssi(kPatchProbe));
   double robust_est = 0.0, pooled_est = 0.0;
   ASSERT_TRUE(robust.estimate(kPatchProbe, 1, &robust_est));
@@ -400,7 +389,7 @@ TEST(Poison, QuarantineAndClearMarkersRoundTripThroughRecovery) {
     ASSERT_TRUE(store.value()->compact().has_value());
   }
   {
-    // So does the v3 snapshot after compaction folded the journal away.
+    // So does the snapshot after compaction folded the journal away.
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
     EXPECT_EQ(store.value()->journaled_since_snapshot(), 0u);
@@ -452,35 +441,49 @@ TEST(Poison, UnknownControlFramesAreRejected) {
 TEST(PoisonDeterminism, ReopenReplaysAdversarialStateBitwise) {
   const std::string dir = "poison_test_replay";
   remove_store(dir);
-  std::uint64_t cells_fnv = 0, prov_fnv = 0;
+  wifi::ProvenanceGrid live;
   std::string reputation;
   {
-    auto store = build_poisoned_store(dir);
-    ASSERT_TRUE(store->append_control({Kind::kQuarantine, 77}).has_value());
-    cells_fnv = store->cell_stats().checksum();
-    prov_fnv = store->provenance().checksum();
-    reputation = store->reputation().serialize();
-  }
-  {
-    // Journal-tail replay rescored every append — bitwise the same state.
+    // The honest survey lands in the snapshot; the flood and the review
+    // frames stay in the journal tail.
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
-    EXPECT_EQ(store.value()->cell_stats().checksum(), cells_fnv);
-    EXPECT_EQ(store.value()->provenance().checksum(), prov_fnv);
-    EXPECT_EQ(store.value()->reputation().serialize(), reputation);
-    // Compaction with the debug recompute check on: the incremental grids
-    // must match a from-scratch rebuild exactly.
-    store.value()->set_verify_cell_stats(true);
+    for (const auto& [point, uploader] : honest_appends()) {
+      ASSERT_TRUE(store.value()->append(point, uploader).has_value());
+    }
     ASSERT_TRUE(store.value()->compact().has_value());
+    for (const auto& [point, uploader] : poison_appends()) {
+      ASSERT_TRUE(store.value()->append(point, uploader).has_value());
+    }
+    ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, 77}).has_value());
+    ASSERT_TRUE(
+        store.value()->append_control({Kind::kClear, kPoisoners[0]}).has_value());
+    live = store.value()->provenance();
+    reputation = store.value()->reputation().serialize();
+    EXPECT_TRUE(ts::fold_provenance(*store.value()) == live);
   }
-  {
-    // Snapshot-only recovery (journal folded away) — still the same state.
+  const std::size_t honest_count = honest_appends().size();
+  const std::size_t tail = poison_appends().size() + 2;
+  // Snapshot plus journal tail (the tail is rescored), then — after a
+  // compaction — the snapshot alone (nothing is rescored): the grid is
+  // refolded from the snapshot's points either way.
+  for (const bool compacted : {false, true}) {
+    SCOPED_TRACE(compacted ? "snapshot only" : "snapshot + journal tail");
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
-    EXPECT_EQ(store.value()->open_stats().replayed_records, 0u);
-    EXPECT_EQ(store.value()->cell_stats().checksum(), cells_fnv);
-    EXPECT_EQ(store.value()->provenance().checksum(), prov_fnv);
+    EXPECT_EQ(store.value()->open_stats().snapshot_points,
+              compacted ? honest_count + tail - 2 : honest_count);
+    EXPECT_EQ(store.value()->open_stats().replayed_records, compacted ? 0u : tail);
+    EXPECT_TRUE(store.value()->provenance() == live);
+    EXPECT_EQ(store.value()->provenance().serialize(), live.serialize());
+    EXPECT_TRUE(ts::fold_provenance(*store.value()) == live);
     EXPECT_EQ(store.value()->reputation().serialize(), reputation);
+    EXPECT_TRUE(store.value()->reputation().is_quarantined(77));
+    EXPECT_FALSE(store.value()->reputation().is_quarantined(kPoisoners[0]));
+    EXPECT_TRUE(store.value()->reputation().is_quarantined(kPoisoners[1]));
+    if (!compacted) {
+      ASSERT_TRUE(store.value()->compact().has_value());
+    }
   }
   remove_store(dir);
 }
@@ -657,7 +660,6 @@ TEST(Poison, ReplicationShipsProvenanceAndQuarantineToFollowers) {
   // The follower rescored the same frames under the same params: bitwise the
   // same adversarial state, including the auto- and review quarantines.
   EXPECT_EQ(fs.provenance().checksum(), ls.provenance().checksum());
-  EXPECT_EQ(fs.cell_stats().checksum(), ls.cell_stats().checksum());
   EXPECT_EQ(fs.reputation().serialize(), ls.reputation().serialize());
   for (const UploaderId u : kPoisoners) {
     EXPECT_TRUE(fs.reputation().is_quarantined(u)) << u;
@@ -690,25 +692,24 @@ TEST(Golden, PoisonedStoreAdversarialStateIsPinned) {
   out += " trusted=" + std::to_string(store->trusted_points().size());
   out += " quarantined_points=" + std::to_string(store->quarantined_point_count());
   out += '\n';
-  const wifi::RobustCellAggregator robust(store->cell_stats(), store->provenance(),
+  const wifi::RobustCellAggregator robust(store->provenance(),
                                           store->aggregation_params());
-  const wifi::RobustCellAggregator pooled(store->cell_stats(), store->provenance(),
-                                          {0.0, 2});
   for (int cx = 2; cx <= 3; ++cx) {
     for (int cy = 2; cy <= 3; ++cy) {
       const Enu probe{(cx + 0.5) * kCellM, (cy + 0.5) * kCellM};
-      double r = 0.0, m = 0.0;
+      double r = 0.0;
       ASSERT_TRUE(robust.estimate(probe, 1, &r));
-      ASSERT_TRUE(pooled.estimate(probe, 1, &m));
+      const auto m =
+          wifi::reference::pooled_cell_mean(store->points(), kCellM, probe, 1);
+      ASSERT_TRUE(m.has_value());
       out += "cell " + std::to_string(cx) + ' ' + std::to_string(cy) +
              " robust=" + ts::canonical_double(r) +
-             " pooled=" + ts::canonical_double(m) + '\n';
+             " pooled=" + ts::canonical_double(*m) + '\n';
     }
   }
   out += "reputation:\n";
   out += store->reputation().serialize();
   out += "provenance_fnv=" + hex64(store->provenance().checksum()) + '\n';
-  out += "cellstats_fnv=" + hex64(store->cell_stats().checksum()) + '\n';
   EXPECT_TRUE(ts::matches_golden("poison_adversarial_state.txt", out));
   remove_store(dir);
 }

@@ -495,7 +495,7 @@ TEST(QuantizedLstm, MotionEpochMarkerSurvivesRecoveryAndCompaction) {
     auto store = wifi::CrowdStore::open(dir);
     ASSERT_TRUE(store.has_value()) << store.error();
     EXPECT_EQ(store.value()->observed_motion_epoch(), 3u);
-    // Compaction folds it into the v4 snapshot meta.
+    // Compaction folds it into the snapshot meta.
     ASSERT_TRUE(store.value()->compact().has_value());
   }
   {

@@ -15,6 +15,28 @@ bool scan_lookup(const WifiScan& scan, std::uint64_t mac, int& out) {
   return false;
 }
 
+std::optional<double> pooled_cell_mean(const std::vector<ReferencePoint>& points,
+                                       double cell_size_m, const Enu& pos,
+                                       std::uint64_t mac) {
+  const double cx = std::floor(pos.east / cell_size_m);
+  const double cy = std::floor(pos.north / cell_size_m);
+  double sum = 0.0;
+  std::uint64_t count = 0;
+  for (const auto& point : points) {
+    if (std::floor(point.pos.east / cell_size_m) != cx ||
+        std::floor(point.pos.north / cell_size_m) != cy) {
+      continue;
+    }
+    for (const auto& obs : point.scan) {
+      if (obs.mac != mac) continue;
+      sum += static_cast<double>(obs.rssi_dbm);
+      ++count;
+    }
+  }
+  if (count == 0) return std::nullopt;
+  return sum / static_cast<double>(count);
+}
+
 RpdOracle::RpdOracle(const ReferenceIndex& index, RpdParams params)
     : index_(&index), params_(params) {}
 

@@ -114,4 +114,12 @@ std::vector<Enu> random_walk_enu(Rng& rng, std::size_t n, double max_step_m,
   return pts;
 }
 
+wifi::ProvenanceGrid fold_provenance(const wifi::CrowdStore& store) {
+  wifi::ProvenanceGrid grid;
+  for (std::size_t i = 0; i < store.points().size(); ++i) {
+    grid.add(store.points()[i], store.uploader_of(i));
+  }
+  return grid;
+}
+
 }  // namespace trajkit::test_support

@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "core/rssi_pipeline.hpp"
 #include "core/scenario.hpp"
+#include "wifi/crowd_store.hpp"
 #include "wifi/detector.hpp"
 
 namespace trajkit::test_support {
@@ -108,5 +109,12 @@ core::ScenarioConfig small_scenario_config();
 /// [0, max_step_m], uniform heading, starting at `start`.
 std::vector<Enu> random_walk_enu(Rng& rng, std::size_t n, double max_step_m,
                                  Enu start = {});
+
+// ---------------------------------------------------------------------------
+// Crowd store
+
+/// The provenance grid `store`'s points() and uploaders() fold to, in
+/// ingestion order: what CrowdStore::open must rebuild from a snapshot.
+wifi::ProvenanceGrid fold_provenance(const wifi::CrowdStore& store);
 
 }  // namespace trajkit::test_support
