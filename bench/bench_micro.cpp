@@ -185,7 +185,7 @@ void set_density_counters(benchmark::State& state, const wifi::ConfidenceEstimat
     const auto found = index.within(p, params.reference_radius_m);
     std::vector<std::size_t> all;
     for (const std::size_t h : found) {
-      const auto circle = index.within(index[h].pos, params.rpd.counting_radius_m);
+      const auto circle = index.within(index.pos(h), params.rpd.counting_radius_m);
       neighbours += static_cast<double>(circle.size());
       all.insert(all.end(), circle.begin(), circle.end());
     }
@@ -224,6 +224,34 @@ void BM_PointConfidence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PointConfidence)->Arg(0)->Arg(300)->Arg(1000)->Arg(3000);
+
+/// count_circles() alone over the trajectory fixture of Arg trajectories:
+/// C_O(r) and the top-k lane windows are found before the timed loop, so
+/// this times the Eq. 4 stages of BM_PointConfidence (gather, match counts,
+/// presence, masks and sums) without the C_O(r) query and Eq. 7.
+void BM_CountCircles(benchmark::State& state) {
+  const auto& data = TrajectoryFixtureData::get(static_cast<std::size_t>(state.range(0)));
+  const auto& params = data.estimator->params();
+  const std::int64_t tol = params.rpd.rssi_tolerance_db;
+  std::vector<std::vector<std::size_t>> refs;
+  std::vector<std::vector<wifi::ReferenceIndex::MatchLane>> lanes(data.probes.size());
+  for (std::size_t p = 0; p < data.probes.size(); ++p) {
+    refs.push_back(data.index->within(data.probes[p], params.reference_radius_m));
+    const auto& scan = data.scans[p];
+    for (std::size_t a = 0; a < std::min(params.top_k, scan.size()); ++a) {
+      lanes[p].push_back({scan[a].mac, scan[a].rssi_dbm - tol, scan[a].rssi_dbm + tol});
+    }
+  }
+  wifi::ReferenceIndex::CircleCounts counts;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    data.index->count_circles(data.probes[i], refs[i], params.rpd.counting_radius_m, lanes[i],
+                              counts);
+    benchmark::ClobberMemory();
+    i = (i + 1) % data.probes.size();
+  }
+}
+BENCHMARK(BM_CountCircles)->Arg(300)->Arg(1000)->Arg(3000);
 
 void BM_BoosterTrain(benchmark::State& state) {
   Rng rng(9);

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
       honest_ids.push_back(static_cast<wifi::UploaderId>(1 + u));
     }
     for (std::size_t i = 0; i < oracle_like.index().size(); ++i) {
-      auto seq = store.value()->append(oracle_like.index()[i],
+      auto seq = store.value()->append(oracle_like.index().point(i),
                                        honest_ids[i % honest_ids.size()]);
       if (!seq) {
         std::fprintf(stderr, "append: %s\n", seq.error().c_str());

@@ -30,7 +30,8 @@ double RssiSimilarityDetector::mean_deviation_db(
     // Local average RSSI per AP over the coarse bucket.
     std::unordered_map<std::uint64_t, std::pair<double, std::size_t>> sums;
     for (std::size_t h : refs) {
-      for (const auto& obs : (*index_)[h].scan) {
+      const wifi::ReferencePoint point = index_->point(h);
+      for (const auto& obs : point.scan) {
         auto& slot = sums[obs.mac];
         slot.first += obs.rssi_dbm;
         ++slot.second;

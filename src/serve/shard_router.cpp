@@ -77,7 +77,7 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
   std::vector<std::vector<wifi::ReferencePoint>> slices(config_.shards);
   std::vector<std::size_t> owners;
   for (std::size_t i = 0; i < index.size(); ++i) {
-    const auto& point = index[i];
+    const auto point = index.point(i);
     const TileId lo = tile_of(
         {point.pos.east - halo_m_, point.pos.north - halo_m_}, config_.tile_m);
     const TileId hi = tile_of(

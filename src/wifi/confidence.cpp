@@ -50,7 +50,7 @@ std::vector<ApConfidence> ConfidenceEstimator::point_confidence(
   inv_dist.resize(refs.size());
   double inv_sum = 0.0;
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    const double d = std::max(distance((*index_)[refs[i]].pos, pos), kMinDistanceM);
+    const double d = std::max(distance(index_->pos(refs[i]), pos), kMinDistanceM);
     inv_dist[i] = 1.0 / d;
     inv_sum += inv_dist[i];
   }
@@ -58,7 +58,7 @@ std::vector<ApConfidence> ConfidenceEstimator::point_confidence(
   // One Eq. 4 match window per top-k AP, counted over every C_H(R) at once.
   const std::size_t k = std::min(params_.top_k, scan.size());
   std::vector<ApConfidence> out(k);
-  const int tol = params_.rpd.rssi_tolerance_db;
+  const std::int64_t tol = params_.rpd.rssi_tolerance_db;
   auto& lanes = scratch.lanes;
   lanes.resize(k);
   for (std::size_t a = 0; a < k; ++a) {
@@ -73,10 +73,7 @@ std::vector<ApConfidence> ConfidenceEstimator::point_confidence(
   // happen in C_O(r) order with the same operands as the Eq. 4 definition
   // (integer match count over |C_H(R)|), so phi is bit-identical to
   // sum_H theta_1 * theta_2 * RPD_H.  num_refs counts the references whose
-  // own scan carries the AP, from one pass over that scan per block of
-  // kBlock MACs: a fixed trip count, so the compares vectorise (the
-  // padding of the last block is never read).
-  constexpr std::size_t kBlock = 8;
+  // own scan carries the AP.
   for (std::size_t i = 0; i < refs.size(); ++i) {
     const std::size_t h = refs[i];
     global_faults().check(kFaultRpdCount, static_cast<std::uint64_t>(h));
@@ -85,18 +82,8 @@ std::vector<ApConfidence> ConfidenceEstimator::point_confidence(
                               ? inv_dist[i] / inv_sum
                               : 1.0 / static_cast<double>(refs.size());
     const double theta2 = params_.use_theta2 ? this->theta2(n) : 1.0;
-    const WifiScan& ref_scan = (*index_)[h].scan;
-    for (std::size_t b = 0; b < k; b += kBlock) {
-      const std::size_t live = std::min(kBlock, k - b);
-      std::uint64_t mac[kBlock] = {};
-      for (std::size_t j = 0; j < live; ++j) mac[j] = lanes[b + j].mac;
-      std::uint8_t present[kBlock] = {};
-      for (const ApObservation& obs : ref_scan) {
-        for (std::size_t j = 0; j < kBlock; ++j) present[j] |= obs.mac == mac[j];
-      }
-      for (std::size_t j = 0; j < live; ++j) out[b + j].num_refs += present[j];
-    }
     for (std::size_t a = 0; a < k; ++a) {
+      out[a].num_refs += circles.carries(i, a);
       const double rpd = n == 0 ? 0.0
                                 : static_cast<double>(circles.matches(i, a)) /
                                       static_cast<double>(n);

@@ -11,8 +11,9 @@
 // counts exactly those pairs over each C_H(R) instead of histogramming every
 // AP there.  Per uploaded point it makes one within() query for C_O(r) and
 // one ReferenceIndex::count_circles() call, which gathers the points within
-// r + R of O once, keeps their k match counts as columns, and reads every
-// |C_H(R)| and per-AP sum off a mask of within()'s own tests.  theta_2 comes
+// r + R of O once, keeps their k match counts as columns, reads every
+// |C_H(R)| and per-AP sum off a mask of within()'s own tests, and says which
+// top-k APs each reference's own scan carries (num_refs).  theta_2 comes
 // from a table of RpdEstimator::theta2_for built with the estimator.  The
 // counts are integers summed over exactly within()'s neighbour set, so phi is
 // bit-identical to the plain Eq. 4 definition, and the cost of a point

@@ -56,7 +56,7 @@ void RssiDetector::save(std::ostream& os) const {
   os << trained_points_ << '\n';
   os << index_.size() << '\n';
   for (std::size_t i = 0; i < index_.size(); ++i) {
-    const ReferencePoint& p = index_[i];
+    const ReferencePoint p = index_.point(i);
     os << p.pos.east << ' ' << p.pos.north << ' ' << p.traj_id << ' '
        << p.scan.size();
     for (const auto& obs : p.scan) os << ' ' << obs.mac << ' ' << obs.rssi_dbm;
@@ -87,7 +87,6 @@ DetectorOrError RssiDetector::try_load(std::istream& is) {
       cfg.confidence.top_k > kMaxScanAps ||
       !std::isfinite(cfg.confidence.rpd.counting_radius_m) ||
       cfg.confidence.rpd.counting_radius_m <= 0.0 ||
-      !std::isfinite(cfg.confidence.rpd.rssi_tolerance_db) ||
       !std::isfinite(cfg.confidence.rpd.theta2_base) ||
       !std::isfinite(cfg.threshold)) {
     return DetectorOrError::failure("RssiDetector: implausible config");

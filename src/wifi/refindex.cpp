@@ -2,9 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace trajkit::wifi {
+namespace {
+
+/// A key holds the RSSI's offset from kMinValidRssiDbm in its low byte and
+/// the AP id above it.
+constexpr unsigned kRssiBits = 8;
+constexpr std::uint32_t kRssiMask = (1u << kRssiBits) - 1;
+static_assert(kMaxValidRssiDbm - kMinValidRssiDbm < static_cast<int>(kRssiMask),
+              "every storable RSSI offset fits below 0xff");
+
+std::uint32_t key_of(std::uint32_t ap, std::int64_t rssi_dbm) {
+  return ap << kRssiBits | static_cast<std::uint32_t>(rssi_dbm - kMinValidRssiDbm);
+}
+
+/// The low key of a lane window that no key hits: stored RSSI offsets stop
+/// below 0xff, and the window spans this one key.
+constexpr std::uint32_t kNoKey = 0xffffffffu;
+
+/// Lanes compared per pass, as one GCC vector of uint32 keys (an AVX2
+/// register, or two SSE ones where AVX is off).  A lane-wise comparison
+/// yields -1 in every true lane.  Values of this type stay inside
+/// count_circles(): passing one by value would change the ABI with the ISA.
+constexpr std::size_t kBlock = 8;
+typedef std::uint32_t KeyLanes __attribute__((vector_size(32)));
+static_assert(sizeof(KeyLanes) == kBlock * sizeof(std::uint32_t));
+
+}  // namespace
 
 ReferenceIndex::Window ReferenceIndex::window(const Enu& center, double radius) const {
   // The query cell is not clamped: truncation toward zero, then +-reach,
@@ -18,14 +45,14 @@ ReferenceIndex::Window ReferenceIndex::window(const Enu& center, double radius) 
 
 template <typename Visitor>
 void ReferenceIndex::visit(const Enu& center, double radius, Visitor&& visitor) const {
-  if (points_.empty()) return;
+  if (pos_.empty()) return;
   const Window win = window(center, radius);
   const double radius_sq = radius * radius;
   for (long y = win.y0; y <= win.y1; ++y) {
     for (long x = win.x0; x <= win.x1; ++x) {
       for (std::uint32_t idx :
            grid_[static_cast<std::size_t>(y) * grid_w_ + static_cast<std::size_t>(x)]) {
-        if (distance_sq(points_[idx].pos, center) <= radius_sq) visitor(idx);
+        if (distance_sq(pos_[idx], center) <= radius_sq) visitor(idx);
       }
     }
   }
@@ -43,12 +70,12 @@ ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_s
 
 ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m,
                                const BoundingBox& bounds)
-    : points_(std::move(points)), cell_size_m_(cell_size_m) {
+    : cell_size_m_(cell_size_m) {
   if (cell_size_m_ <= 0.0) {
     throw std::invalid_argument("ReferenceIndex: cell size must be positive");
   }
   bounds_ = bounds.width() > 0.0 || bounds.height() > 0.0 ? bounds
-                                                          : natural_bounds(points_);
+                                                          : natural_bounds(points);
 
   grid_w_ = static_cast<std::size_t>(
                 std::max(1.0, std::ceil(bounds_.width() / cell_size_m_))) +
@@ -56,15 +83,78 @@ ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_s
   grid_h_ = static_cast<std::size_t>(
                 std::max(1.0, std::ceil(bounds_.height() / cell_size_m_))) +
             1;
-  for (const auto& p : points_) {
+  std::size_t observations = 0;
+  for (const auto& p : points) {
     if (p.scan.size() > kMaxScanSize) {
       throw std::length_error("ReferenceIndex: a scan holds more than 65535 observations");
     }
+    for (const ApObservation& obs : p.scan) {
+      if (obs.rssi_dbm < kMinValidRssiDbm || obs.rssi_dbm > kMaxValidRssiDbm) {
+        throw std::out_of_range("ReferenceIndex: an RSSI lies outside [-120, 30] dBm");
+      }
+    }
+    observations += p.scan.size();
   }
+
+  pos_.reserve(points.size());
+  traj_id_.reserve(points.size());
+  offsets_.reserve(points.size() + 1);
+  keys_.reserve(observations);
+  offsets_.push_back(0);
+  for (const auto& p : points) {
+    pos_.push_back(p.pos);
+    traj_id_.push_back(p.traj_id);
+    for (const ApObservation& obs : p.scan) keys_.push_back(key_of(intern(obs.mac), obs.rssi_dbm));
+    offsets_.push_back(keys_.size());
+  }
+  macs_.shrink_to_fit();
   grid_.assign(grid_w_ * grid_h_, {});
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    grid_[cell_of(points_[i].pos)].push_back(static_cast<std::uint32_t>(i));
+  for (std::size_t i = 0; i < pos_.size(); ++i) {
+    grid_[cell_of(pos_[i])].push_back(static_cast<std::uint32_t>(i));
   }
+}
+
+std::size_t ReferenceIndex::home_slot(std::uint64_t mac) const {
+  return static_cast<std::size_t>((mac * 0x9e3779b97f4a7c15ull) >> 32) & (ap_slots_.size() - 1);
+}
+
+std::uint32_t ReferenceIndex::ap_id(std::uint64_t mac) const {
+  for (std::size_t i = home_slot(mac);; i = (i + 1) & (ap_slots_.size() - 1)) {
+    if (ap_slots_[i].id == kNoAp || ap_slots_[i].mac == mac) return ap_slots_[i].id;
+  }
+}
+
+std::uint32_t ReferenceIndex::intern(std::uint64_t mac) {
+  std::size_t i = home_slot(mac);
+  for (; ap_slots_[i].id != kNoAp; i = (i + 1) & (ap_slots_.size() - 1)) {
+    if (ap_slots_[i].mac == mac) return ap_slots_[i].id;
+  }
+  if (macs_.size() == kMaxAps) {
+    throw std::length_error("ReferenceIndex: more than 2^24 distinct MACs");
+  }
+  const auto id = static_cast<std::uint32_t>(macs_.size());
+  macs_.push_back(mac);
+  ap_slots_[i] = {mac, id};
+  if (2 * macs_.size() > ap_slots_.size()) {
+    // Double the table and re-probe every MAC, in id order.
+    ap_slots_.assign(2 * ap_slots_.size(), ApSlot{});
+    for (std::uint32_t a = 0; a < macs_.size(); ++a) {
+      std::size_t j = home_slot(macs_[a]);
+      while (ap_slots_[j].id != kNoAp) j = (j + 1) & (ap_slots_.size() - 1);
+      ap_slots_[j] = {macs_[a], a};
+    }
+  }
+  return id;
+}
+
+ReferencePoint ReferenceIndex::point(std::size_t h) const {
+  ReferencePoint p{pos_[h], {}, traj_id_[h]};
+  p.scan.reserve(offsets_[h + 1] - offsets_[h]);
+  for (std::size_t o = offsets_[h]; o < offsets_[h + 1]; ++o) {
+    p.scan.push_back({macs_[keys_[o] >> kRssiBits],
+                      static_cast<int>(keys_[o] & kRssiMask) + kMinValidRssiDbm});
+  }
+  return p;
 }
 
 std::size_t ReferenceIndex::cell_of(const Enu& p) const {
@@ -81,7 +171,7 @@ std::vector<std::size_t> ReferenceIndex::within(const Enu& center, double radius
                                                 std::uint32_t exclude_traj) const {
   std::vector<std::size_t> out;
   visit(center, radius, [&](std::uint32_t i) {
-    if (exclude_traj == kNoTrajectory || points_[i].traj_id != exclude_traj) {
+    if (exclude_traj == kNoTrajectory || traj_id_[i] != exclude_traj) {
       out.push_back(i);
     }
   });
@@ -102,7 +192,7 @@ void ReferenceIndex::count_circles(const Enu& origin, const std::vector<std::siz
   Window box{static_cast<long>(grid_w_), -1, static_cast<long>(grid_h_), -1};
   double spread_sq = 0.0;
   for (std::size_t c = 0; c < centers.size(); ++c) {
-    const Enu& center = points_[centers[c]].pos;
+    const Enu& center = pos_[centers[c]];
     const Window& win = out.windows_[c] = window(center, radius);
     if (win.x0 > win.x1 || win.y0 > win.y1) continue;
     box = {std::min(box.x0, win.x0), std::max(box.x1, win.x1), std::min(box.y0, win.y0),
@@ -136,7 +226,7 @@ void ReferenceIndex::count_circles(const Enu& origin, const std::vector<std::siz
         if (!out.in_union_[box_offset(x, y)]) continue;
         for (std::uint32_t idx :
              grid_[static_cast<std::size_t>(y) * grid_w_ + static_cast<std::size_t>(x)]) {
-          const Enu& p = points_[idx].pos;
+          const Enu& p = pos_[idx];
           if (distance_sq(p, origin) > reach_sq) continue;
           out.gathered_.push_back(idx);
           out.east_.push_back(p.east);
@@ -158,32 +248,59 @@ void ReferenceIndex::count_circles(const Enu& origin, const std::vector<std::siz
   out.cell_x_.resize(slots, -1);
   out.cell_y_.resize(slots, -1);
 
-  // Match counts, lane-major.  Lanes go in blocks of kBlock, the last one
-  // padded with empty windows (lo > hi), so the observation-outer,
-  // lane-inner compare has a fixed trip count and vectorises.  A count is
-  // at most the scan's size, which the constructors hold to uint16.
-  constexpr std::size_t kBlock = 8;
+  // Each lane as a key range, in blocks of kBlock lanes, the last one padded
+  // with lanes no key hits.  The RSSI window is clipped to the storable
+  // range in 64-bit arithmetic, so any tolerance is safe.  An unknown MAC
+  // or an empty clipped window matches nothing.
   const std::size_t k = lanes.size();
+  const std::size_t padded = (k + kBlock - 1) / kBlock * kBlock;
+  out.key_lo_.assign(padded, kNoKey);
+  out.key_span_.assign(padded, 0);
+  out.ap_.assign(padded, kNoAp);
+  for (std::size_t a = 0; a < k; ++a) {
+    const std::uint32_t ap = out.ap_[a] = ap_id(lanes[a].mac);
+    const std::int64_t lo = std::max<std::int64_t>(lanes[a].lo, kMinValidRssiDbm);
+    const std::int64_t hi = std::min<std::int64_t>(lanes[a].hi, kMaxValidRssiDbm);
+    if (ap == kNoAp || lo > hi) continue;
+    out.key_lo_[a] = key_of(ap, lo);
+    out.key_span_[a] = static_cast<std::uint32_t>(hi - lo);
+  }
+
+  // Match counts, lane-major: per gathered point, one unsigned compare per
+  // lane and key over its contiguous keys.  A count is at most the scan's
+  // size, which the constructors hold to uint16.
   out.columns_.assign(k * slots, 0);
   for (std::size_t b = 0; b < k; b += kBlock) {
     const std::size_t live = std::min(kBlock, k - b);
-    std::uint64_t mac[kBlock] = {};
-    int lo[kBlock];
-    int hi[kBlock];
-    for (std::size_t j = 0; j < kBlock; ++j) {
-      lo[j] = j < live ? lanes[b + j].lo : 1;
-      hi[j] = j < live ? lanes[b + j].hi : 0;
-      if (j < live) mac[j] = lanes[b + j].mac;
-    }
+    KeyLanes lo;
+    KeyLanes span;
+    std::memcpy(&lo, out.key_lo_.data() + b, sizeof lo);
+    std::memcpy(&span, out.key_span_.data() + b, sizeof span);
     for (std::size_t s = 0; s < n; ++s) {
-      std::uint16_t count[kBlock] = {};
-      for (const ApObservation& obs : points_[out.gathered_[s]].scan) {
-        for (std::size_t j = 0; j < kBlock; ++j) {
-          count[j] += static_cast<std::uint16_t>((obs.mac == mac[j]) & (obs.rssi_dbm >= lo[j]) &
-                                                 (obs.rssi_dbm <= hi[j]));
-        }
+      const std::uint32_t g = out.gathered_[s];
+      KeyLanes count = {};
+      for (std::size_t o = offsets_[g]; o < offsets_[g + 1]; ++o) {
+        count -= (KeyLanes)(keys_[o] - lo <= span);
       }
-      for (std::size_t j = 0; j < live; ++j) out.columns_[(b + j) * slots + s] = count[j];
+      for (std::size_t j = 0; j < live; ++j) {
+        out.columns_[(b + j) * slots + s] = static_cast<std::uint16_t>(count[j]);
+      }
+    }
+  }
+
+  // Which lanes' MACs each centre's own scan carries: its keys' AP ids.
+  out.carries_.assign(centers.size() * k, 0);
+  for (std::size_t c = 0; c < centers.size(); ++c) {
+    const std::size_t h = centers[c];
+    for (std::size_t b = 0; b < k; b += kBlock) {
+      const std::size_t live = std::min(kBlock, k - b);
+      KeyLanes ap;
+      std::memcpy(&ap, out.ap_.data() + b, sizeof ap);
+      KeyLanes seen = {};
+      for (std::size_t o = offsets_[h]; o < offsets_[h + 1]; ++o) {
+        seen |= (KeyLanes)(keys_[o] >> kRssiBits == ap);
+      }
+      for (std::size_t j = 0; j < live; ++j) out.carries_[c * k + b + j] = seen[j] != 0;
     }
   }
 
@@ -213,7 +330,7 @@ void ReferenceIndex::count_circles(const Enu& origin, const std::vector<std::siz
       y0 = static_cast<std::int32_t>(win.y0);
       y1 = static_cast<std::int32_t>(win.y1);
     }
-    const Enu& center = points_[centers[c]].pos;
+    const Enu& center = pos_[centers[c]];
     std::uint32_t size = 0;
     for (std::size_t s = 0; s < slots; ++s) {
       const double de = east[s] - center.east;

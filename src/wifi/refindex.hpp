@@ -7,6 +7,13 @@
 // over the circle of R around each of them, which one count_circles() call
 // answers for all references at once from the points within r + R.  The
 // store is backed by a uniform hash grid sized to the typical query radius.
+//
+// Each stored observation is one uint32 key, (AP id << 8) | (RSSI -
+// kMinValidRssiDbm), where the AP id numbers the store's distinct MACs in
+// order of first appearance.  Keys sit in one flat array in point order; positions and
+// trajectory ids sit in arrays of their own.  An Eq. 4 match window of one
+// MAC over an RSSI range is then one contiguous key range, so a match is one
+// unsigned compare per lane.
 #pragma once
 
 #include <cstddef>
@@ -55,8 +62,14 @@ class ReferenceIndex {
   /// The grid extent this index was built with.
   const BoundingBox& bounds() const { return bounds_; }
 
-  std::size_t size() const { return points_.size(); }
-  const ReferencePoint& operator[](std::size_t i) const { return points_[i]; }
+  std::size_t size() const { return pos_.size(); }
+  /// Reported position of point `h`.
+  const Enu& pos(std::size_t h) const { return pos_[h]; }
+  /// Source trajectory of point `h`.
+  std::uint32_t traj_id(std::size_t h) const { return traj_id_[h]; }
+  /// Point `h` decoded from the store: equal to the point the constructor
+  /// was given, observation for observation.
+  ReferencePoint point(std::size_t h) const;
 
   /// Indices of all points within `radius` of `center` (inclusive).
   /// `exclude_traj` drops points of one source trajectory — used when the
@@ -74,12 +87,19 @@ class ReferenceIndex {
   /// scan with std::length_error.
   static constexpr std::size_t kMaxScanSize = 0xffff;
 
+  /// Most distinct MACs a store may hold: an AP id fills a key's top 24
+  /// bits, so the constructors refuse more with std::length_error.  They
+  /// refuse an RSSI outside [kMinValidRssiDbm, kMaxValidRssiDbm], the
+  /// upload validator's range, with std::out_of_range.
+  static constexpr std::size_t kMaxAps = std::size_t{1} << 24;
+
   /// Eq. 4 match window of one counted lane: observations of `mac` at
-  /// lo..hi dBm inclusive.
+  /// lo..hi dBm inclusive.  Wide, so a reported RSSI plus or minus any
+  /// tolerance fits; count_circles() clips it to the storable range.
   struct MatchLane {
     std::uint64_t mac = 0;
-    int lo = 0;
-    int hi = 0;
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
   };
 
  private:
@@ -100,12 +120,21 @@ class ReferenceIndex {
     std::uint32_t matches(std::size_t c, std::size_t a) const {
       return matches_[c * lanes_ + a];
     }
+    /// Whether centre c's own scan observes lane a's MAC, at any RSSI.
+    bool carries(std::size_t c, std::size_t a) const { return carries_[c * lanes_ + a] != 0; }
 
    private:
     friend class ReferenceIndex;
     std::size_t lanes_ = 0;
     std::vector<std::uint32_t> sizes_;
     std::vector<std::uint32_t> matches_;  // centre-major, lanes_ per centre
+    std::vector<std::uint8_t> carries_;   // centre-major, lanes_ per centre
+    // Lane windows as keys, padded to whole blocks: lane a matches key x
+    // when x - key_lo_[a] <= key_span_[a] (unsigned), and a key of AP
+    // ap_[a] carries it.
+    std::vector<std::uint32_t> key_lo_;
+    std::vector<std::uint32_t> key_span_;
+    std::vector<std::uint32_t> ap_;
     // Gather scratch: the union of the centres' windows, and per gathered
     // point its position and stored cell, flat so the per-centre masks run
     // branch-free.
@@ -126,15 +155,16 @@ class ReferenceIndex {
   /// the centres' cell windows gathers the points within
   /// max_c |centre_c - origin| + radius (+1 um) of `origin`, a superset of
   /// every circle by the triangle inequality, and stores each gathered
-  /// point's match count per lane (its observations inside the lane's
-  /// window; a scan may repeat a MAC) as uint16 columns over the gathered
-  /// points.  Each centre's circle is then a byte mask over the gathered
+  /// point's match count per lane (its keys inside the lane's key range; a
+  /// scan may repeat a MAC) as uint16 columns over the gathered points.
+  /// Each centre's circle is then a byte mask over the gathered
   /// points, set by within()'s own two tests for (centers[c]'s position,
   /// `radius`): stored in a cell of that window and within `radius`, so
   /// points clamped into edge cells count as they do there.  `out` gets
   /// |C_H(R)| and the per-lane sums over it for every centre, as masked
   /// column reductions: integers, so equal to counting within()'s
-  /// neighbours one by one.  Meant for centres near `origin`: the gather
+  /// neighbours one by one.  It also records which lanes' MACs each
+  /// centre's own scan carries.  Meant for centres near `origin`: the gather
   /// covers their windows' union.
   void count_circles(const Enu& origin, const std::vector<std::size_t>& centers,
                      double radius, const std::vector<MatchLane>& lanes,
@@ -151,7 +181,26 @@ class ReferenceIndex {
 
   std::size_t cell_of(const Enu& p) const;
 
-  std::vector<ReferencePoint> points_;
+  /// AP id of `mac`, or kNoAp when the store never observed it.
+  std::uint32_t ap_id(std::uint64_t mac) const;
+  static constexpr std::uint32_t kNoAp = 0xffffffffu;
+  /// AP id of `mac`, numbering it next if it is new.
+  std::uint32_t intern(std::uint64_t mac);
+  /// First slot of `mac`'s probe sequence in ap_slots_.
+  std::size_t home_slot(std::uint64_t mac) const;
+
+  std::vector<Enu> pos_;
+  std::vector<std::uint32_t> traj_id_;
+  std::vector<std::uint32_t> keys_;    // every point's observations, in point order
+  std::vector<std::size_t> offsets_;   // point h's keys: [offsets_[h], offsets_[h + 1])
+  std::vector<std::uint64_t> macs_;    // MAC of each AP id
+  // Open-addressed MAC -> AP id (kNoAp = empty slot), a power of two in
+  // size and at most half full, probed linearly from home_slot().
+  struct ApSlot {
+    std::uint64_t mac = 0;
+    std::uint32_t id = kNoAp;
+  };
+  std::vector<ApSlot> ap_slots_ = std::vector<ApSlot>(16);
   double cell_size_m_;
   BoundingBox bounds_;
   std::size_t grid_w_ = 1;

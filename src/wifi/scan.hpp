@@ -11,6 +11,13 @@
 
 namespace trajkit::wifi {
 
+/// Physical bounds on a believable RSSI.  The simulator's visibility floor is
+/// -85 dBm and real hardware bottoms out near -100; +30 dBm would be a
+/// transmitter pressed against the antenna.  Anything outside is garbage:
+/// validation rejects it, and the reference index cannot store it.
+inline constexpr int kMinValidRssiDbm = -120;
+inline constexpr int kMaxValidRssiDbm = 30;
+
 /// One observed AP in a scan.
 struct ApObservation {
   std::uint64_t mac = 0;

@@ -20,12 +20,6 @@
 
 namespace trajkit::wifi {
 
-/// Physical bounds on a believable RSSI.  The simulator's visibility floor is
-/// -85 dBm and real hardware bottoms out near -100; +30 dBm would be a
-/// transmitter pressed against the antenna.  Anything outside is garbage.
-inline constexpr int kMinValidRssiDbm = -120;
-inline constexpr int kMaxValidRssiDbm = 30;
-
 /// Cap on APs per scan; dense urban scans see dozens, never hundreds.
 inline constexpr std::size_t kMaxScanAps = 512;
 

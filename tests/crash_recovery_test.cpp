@@ -419,7 +419,7 @@ TEST(CrashRecovery, RecoveredServiceServesGoldenVerdicts) {
     ASSERT_TRUE(store.has_value()) << store.error();
     const auto& index = w.detector().index();
     for (std::size_t i = 0; i < index.size(); ++i) {
-      ASSERT_TRUE(store.value()->append(index[i]).has_value()) << i;
+      ASSERT_TRUE(store.value()->append(index.point(i)).has_value()) << i;
     }
   }
 

@@ -78,7 +78,7 @@ void remove_artifacts(const std::string& dir, const std::string& kind) {
 std::vector<wifi::ReferencePoint> index_points(const wifi::RssiDetector& d) {
   std::vector<wifi::ReferencePoint> points;
   points.reserve(d.index().size());
-  for (std::size_t i = 0; i < d.index().size(); ++i) points.push_back(d.index()[i]);
+  for (std::size_t i = 0; i < d.index().size(); ++i) points.push_back(d.index().point(i));
   return points;
 }
 

@@ -41,11 +41,12 @@ RpdOracle::RpdOracle(const ReferenceIndex& index, RpdParams params)
     : index_(&index), params_(params) {}
 
 double RpdOracle::rpd(std::size_t h, std::uint64_t mac, int rssi) const {
-  const auto nbrs = index_->within((*index_)[h].pos, params_.counting_radius_m);
+  const auto nbrs = index_->within(index_->pos(h), params_.counting_radius_m);
   if (nbrs.empty()) return 0.0;
   std::uint64_t matches = 0;
   for (const std::size_t q : nbrs) {
-    for (const auto& obs : (*index_)[q].scan) {
+    const ReferencePoint point = index_->point(q);
+    for (const auto& obs : point.scan) {
       if (obs.mac == mac && std::abs(obs.rssi_dbm - rssi) <= params_.rssi_tolerance_db) {
         ++matches;
       }
@@ -55,7 +56,7 @@ double RpdOracle::rpd(std::size_t h, std::uint64_t mac, int rssi) const {
 }
 
 std::size_t RpdOracle::counting_size(std::size_t h) const {
-  return index_->count_within((*index_)[h].pos, params_.counting_radius_m);
+  return index_->count_within(index_->pos(h), params_.counting_radius_m);
 }
 
 double RpdOracle::density(std::size_t h) const {

@@ -212,8 +212,8 @@ TEST(ShardEquivalence, ShardSlicesCoverHaloAndPreserveGlobalOrder) {
     std::size_t cursor = 0;
     for (std::size_t i = 0; i < slice.size(); ++i) {
       while (cursor < index.size() &&
-             !(index[cursor].pos == slice[i].pos &&
-               index[cursor].scan == slice[i].scan)) {
+             !(index.pos(cursor) == slice.pos(i) &&
+               index.point(cursor).scan == slice.point(i).scan)) {
         ++cursor;
       }
       ASSERT_LT(cursor, index.size())
@@ -225,10 +225,10 @@ TEST(ShardEquivalence, ShardSlicesCoverHaloAndPreserveGlobalOrder) {
     // within halo_m of an owned point's position are in the slice.
     for (std::size_t i = 0; i < slice.size(); ++i) {
       const std::size_t owner = router.ring().owner_of(
-          tile_of(slice[i].pos, router.config().tile_m));
+          tile_of(slice.pos(i), router.config().tile_m));
       if (owner != s) continue;  // halo entry, not owned
-      const auto wanted = index.within(slice[i].pos, router.halo_m());
-      const auto have = slice.within(slice[i].pos, router.halo_m());
+      const auto wanted = index.within(slice.pos(i), router.halo_m());
+      const auto have = slice.within(slice.pos(i), router.halo_m());
       EXPECT_EQ(have.size(), wanted.size())
           << "shard " << s << " misses halo neighbours of owned point " << i;
     }
@@ -595,7 +595,7 @@ TEST(ShardFailover, LeaderKillAtEveryShippingFaultPointLosesNoAckedUpload) {
       // Phase 1 — clean ingestion of the whole reference set; each returned
       // seq is recorded as acknowledged only after ingest() returned it.
       for (std::size_t i = 0; i < index.size(); ++i) {
-        auto seq = leader.value()->ingest(index[i]);
+        auto seq = leader.value()->ingest(index.point(i));
         if (!seq.has_value()) ::_exit(72);
         const std::string line = std::to_string(seq.value()) + "\n";
         if (::write(ack_fd, line.data(), line.size()) !=
@@ -642,7 +642,7 @@ TEST(ShardFailover, LeaderKillAtEveryShippingFaultPointLosesNoAckedUpload) {
         << point;
     for (std::size_t i = 0; i < index.size(); ++i) {
       ASSERT_EQ(wifi::CrowdStore::encode_point(recovered[i]),
-                wifi::CrowdStore::encode_point(index[i]))
+                wifi::CrowdStore::encode_point(index.point(i)))
           << point << ": acknowledged upload " << i << " lost or mutated";
     }
     promoted.value().reset();
@@ -657,7 +657,7 @@ TEST(ShardFailover, LeaderKillAtEveryShippingFaultPointLosesNoAckedUpload) {
     for (std::size_t i = 0; i < index.size(); ++i) {
       ASSERT_EQ(
           wifi::CrowdStore::encode_point(takeover.value()->store().points()[i]),
-          wifi::CrowdStore::encode_point(index[i]))
+          wifi::CrowdStore::encode_point(index.point(i)))
           << point;
     }
 

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/rssi_pipeline.hpp"
@@ -88,6 +91,64 @@ TEST(ReferenceIndex, RefusesScansBeyondMatchCountWidth) {
   pts.back().scan.push_back({2, -60});
   EXPECT_THROW(ReferenceIndex{pts}, std::length_error);
   EXPECT_THROW((ReferenceIndex{pts, 4.0, BoundingBox{0.0, 0.0, 10.0, 10.0}}), std::length_error);
+}
+
+TEST(ReferenceIndex, PointDecodesItsInputBitwise) {
+  // The store keeps each observation as a packed (AP id, RSSI) key and
+  // point(h) decodes it: it must give back the constructor's input exactly,
+  // since the Eq. 4 oracle, the shard slicer and the model file read it.
+  // Scans repeat MACs, some are empty, RSSIs reach both storable limits and
+  // MACs both ends of their range; the explicit-bounds grid clamps the
+  // points outside it into edge cells.
+  Rng rng(21);
+  std::vector<ReferencePoint> pts;
+  for (int i = 0; i < 400; ++i) {
+    WifiScan scan;
+    const auto m = rng.uniform_int(0, 6);
+    for (std::int64_t j = 0; j < m; ++j) {
+      scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 40)) * 0x9e3779b97f4a7c15ull,
+                      static_cast<int>(rng.uniform_int(kMinValidRssiDbm, kMaxValidRssiDbm))});
+      if (rng.chance(0.3)) scan.push_back(scan.back());
+    }
+    pts.push_back(ref(rng.uniform(-12, 52), rng.uniform(-12, 52), std::move(scan),
+                      i % 3 ? static_cast<std::uint32_t>(i / 7) : kNoTrajectory));
+  }
+  pts.push_back(ref(0.1, 0.2,
+                    {{0, kMinValidRssiDbm}, {~std::uint64_t{0}, kMaxValidRssiDbm},
+                     {0, kMaxValidRssiDbm}, {~std::uint64_t{0}, kMinValidRssiDbm}}));
+  pts.push_back(ref(60.0, -30.0, {}));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const ReferenceIndex natural(pts);
+  const ReferenceIndex clamped(pts, 4.0, BoundingBox{0.0, 0.0, 40.0, 40.0});
+  for (const ReferenceIndex* index : {&natural, &clamped}) {
+    ASSERT_EQ(index->size(), pts.size());
+    for (std::size_t h = 0; h < pts.size(); ++h) {
+      const ReferencePoint got = index->point(h);
+      EXPECT_EQ(bits(got.pos.east), bits(pts[h].pos.east)) << h;
+      EXPECT_EQ(bits(got.pos.north), bits(pts[h].pos.north)) << h;
+      EXPECT_EQ(bits(index->pos(h).east), bits(pts[h].pos.east)) << h;
+      EXPECT_EQ(bits(index->pos(h).north), bits(pts[h].pos.north)) << h;
+      EXPECT_EQ(got.traj_id, pts[h].traj_id) << h;
+      EXPECT_EQ(index->traj_id(h), pts[h].traj_id) << h;
+      EXPECT_EQ(got.scan, pts[h].scan) << h;
+    }
+  }
+}
+
+TEST(ReferenceIndex, RefusesRssiOutsideStorableRange) {
+  // A key stores the RSSI's offset from kMinValidRssiDbm in 8 bits, so the
+  // index holds exactly the range validate_scan accepts and refuses the rest.
+  const std::vector<ReferencePoint> limits = {
+      ref(0, 0, {{1, kMinValidRssiDbm}}), ref(1, 1, {{2, kMaxValidRssiDbm}})};
+  EXPECT_NO_THROW(ReferenceIndex{limits});
+  for (const int rssi : {-121, 31}) {
+    std::vector<ReferencePoint> pts = limits;
+    pts.push_back(ref(2, 2, {{2, -60}, {3, rssi}}));
+    EXPECT_THROW(ReferenceIndex{pts}, std::out_of_range) << rssi;
+    EXPECT_THROW((ReferenceIndex{pts, 4.0, BoundingBox{0.0, 0.0, 10.0, 10.0}}),
+                 std::out_of_range)
+        << rssi;
+  }
 }
 
 TEST(Rpd, ExactMatchRatio) {
@@ -262,7 +323,7 @@ TEST(Confidence, DirectCountMatchesRpdDefinition) {
           std::vector<double> inv(refs.size());
           double inv_sum = 0.0;
           for (std::size_t i = 0; i < refs.size(); ++i) {
-            inv[i] = 1.0 / std::max(distance(index[refs[i]].pos, pos), 0.05);
+            inv[i] = 1.0 / std::max(distance(index.pos(refs[i]), pos), 0.05);
             inv_sum += inv[i];
           }
           for (std::size_t a = 0; a < got.size(); ++a) {
@@ -273,7 +334,7 @@ TEST(Confidence, DirectCountMatchesRpdDefinition) {
               const double theta1 = inv[i] / inv_sum;
               phi += theta1 * rpd.theta2(h) * rpd.rpd(h, scan[a].mac, scan[a].rssi_dbm);
               int observed = 0;
-              if (reference::scan_lookup(index[h].scan, scan[a].mac, observed)) ++num_refs;
+              if (reference::scan_lookup(index.point(h).scan, scan[a].mac, observed)) ++num_refs;
             }
             EXPECT_EQ(got[a].phi, phi)
                 << "seed " << seed << " tol " << tol << " probe " << probe << " ap " << a;
@@ -297,7 +358,7 @@ std::vector<ApConfidence> confidence_by_definition(const ReferenceIndex& index,
   std::vector<double> inv(refs.size());
   double inv_sum = 0.0;
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    inv[i] = 1.0 / std::max(distance(index[refs[i]].pos, pos), 0.05);
+    inv[i] = 1.0 / std::max(distance(index.pos(refs[i]), pos), 0.05);
     inv_sum += inv[i];
   }
   std::vector<ApConfidence> out(std::min(params.top_k, scan.size()));
@@ -309,7 +370,7 @@ std::vector<ApConfidence> confidence_by_definition(const ReferenceIndex& index,
       out[a].phi +=
           inv[i] / inv_sum * rpd.theta2(h) * rpd.rpd(h, scan[a].mac, scan[a].rssi_dbm);
       int observed = 0;
-      if (reference::scan_lookup(index[h].scan, scan[a].mac, observed)) ++out[a].num_refs;
+      if (reference::scan_lookup(index.point(h).scan, scan[a].mac, observed)) ++out[a].num_refs;
     }
   }
   return out;
@@ -400,7 +461,7 @@ TEST(Confidence, SingleGatherMatchesVisitNeighbourSets) {
     for (std::size_t h = 0; h < index.size(); ++h) {
       std::size_t true_count = 0;
       for (std::size_t q = 0; q < index.size(); ++q) {
-        true_count += distance(index[q].pos, index[h].pos) <= 3.0;
+        true_count += distance(index.pos(q), index.pos(h)) <= 3.0;
       }
       clipped += oracle.counting_size(h) < true_count;
     }
@@ -451,6 +512,55 @@ TEST(Confidence, SingleGatherMatchesVisitNeighbourSets) {
     const Enu far{100.0, 100.0};
     ASSERT_TRUE(index.within(far, params.reference_radius_m).empty());
     check(index, params, far, probe_scan(rng), kNoTrajectory, "no references");
+  }
+}
+
+TEST(Confidence, UnseenMacsAndClippedWindowsMatchDefinition) {
+  // Stored RSSIs crowd both ends of the storable range.  A lane window
+  // reaching past an end is clipped to it, one wholly outside it is empty,
+  // and a lane whose MAC no point observed matches nothing: phi and
+  // num_refs must still equal the definition bit for bit.
+  Rng rng(22);
+  std::vector<ReferencePoint> pts;
+  for (int i = 0; i < 300; ++i) {
+    WifiScan scan;
+    for (int j = 0; j < 4; ++j) {
+      scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 4)),
+                      static_cast<int>(rng.chance(0.5)
+                                           ? rng.uniform_int(kMinValidRssiDbm, kMinValidRssiDbm + 3)
+                                           : rng.uniform_int(kMaxValidRssiDbm - 3, kMaxValidRssiDbm))});
+    }
+    pts.push_back(ref(rng.uniform(0, 10), rng.uniform(0, 10), std::move(scan)));
+  }
+  const ReferenceIndex index(pts);
+  // MAC 99 is unseen; -122 and 32 lie outside the storable range.  At the
+  // largest tolerances every window spans the whole range, and one that
+  // spilled past it would count other APs' keys.
+  const WifiScan probe = {{99, -119}, {1, -119}, {2, 29}, {3, -122}, {4, 32}, {1, kMaxValidRssiDbm}};
+  for (const int tol : {0, 2, 5, 150, std::numeric_limits<int>::max()}) {
+    ConfidenceParams params;
+    params.top_k = probe.size();
+    params.rpd.rssi_tolerance_db = tol;
+    const ConfidenceEstimator estimator(index, params);
+    for (int p = 0; p < 20; ++p) {
+      const Enu pos{rng.uniform(0, 10), rng.uniform(0, 10)};
+      const auto got = estimator.point_confidence(pos, probe);
+      const auto want = confidence_by_definition(index, params, pos, probe, kNoTrajectory);
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_FALSE(index.within(pos, params.reference_radius_m).empty());
+      EXPECT_EQ(got[0].phi, 0.0);
+      EXPECT_EQ(got[0].num_refs, 0u);
+      for (std::size_t a = 0; a < got.size(); ++a) {
+        EXPECT_EQ(got[a].phi, want[a].phi) << "tol " << tol << " probe " << p << " ap " << a;
+        EXPECT_EQ(got[a].num_refs, want[a].num_refs)
+            << "tol " << tol << " probe " << p << " ap " << a;
+      }
+      // Windows that reach a stored end match; -122 and 32 do once the
+      // tolerance reaches the range.
+      EXPECT_GT(got[1].phi, 0.0) << "tol " << tol << " probe " << p;
+      EXPECT_EQ(got[3].phi > 0.0, tol >= 2) << "tol " << tol << " probe " << p;
+      EXPECT_EQ(got[4].phi > 0.0, tol >= 2) << "tol " << tol << " probe " << p;
+    }
   }
 }
 
@@ -681,6 +791,51 @@ TEST(Detector, ThresholdPersistsThroughSaveLoad) {
   const auto loaded = RssiDetector::try_load(ss);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   EXPECT_DOUBLE_EQ(loaded.value()->config().threshold, 0.65);
+}
+
+TEST(Detector, LoadedHugeToleranceSpansTheStorableRange) {
+  // A model file may carry any non-negative RSSI tolerance.  At 2147483647
+  // the lane window rssi +- tolerance does not fit an int; it is clipped in
+  // 64-bit arithmetic to the storable range, so the verdicts equal those at
+  // 150 dB, whose windows already span it.  The UBSan leg runs this.
+  ts::LinearWorldConfig cfg;
+  cfg.seed = 5;
+  cfg.history_points = 500;
+  cfg.upload_points = 4;
+  cfg.fake_shift_m = 8.0;
+  ts::LinearFieldWorld w(cfg);
+  std::stringstream saved;
+  w.detector().save(saved);
+  const std::string model = saved.str();
+
+  // The config line is the second; the tolerance is its sixth field.
+  const auto load_with_tolerance = [&model](const std::string& tolerance) {
+    std::istringstream in(model);
+    std::string magic;
+    std::string config;
+    std::getline(in, magic);
+    std::getline(in, config);
+    std::istringstream fields(config);
+    std::vector<std::string> tokens;
+    for (std::string t; fields >> t;) tokens.push_back(t);
+    tokens.at(5) = tolerance;
+    std::string text = magic + "\n";
+    for (std::size_t i = 0; i < tokens.size(); ++i) text += (i ? " " : "") + tokens[i];
+    text += "\n" + std::string(std::istreambuf_iterator<char>(in), {});
+    std::istringstream is(text);
+    return RssiDetector::try_load(is);
+  };
+  const auto huge = load_with_tolerance("2147483647");
+  ASSERT_TRUE(huge.has_value()) << huge.error();
+  EXPECT_EQ(huge.value()->config().confidence.rpd.rssi_tolerance_db, 2147483647);
+  const auto full = load_with_tolerance("150");
+  ASSERT_TRUE(full.has_value()) << full.error();
+  for (int i = 0; i < 20; ++i) {
+    const auto upload = w.upload(i % 2 == 0);
+    EXPECT_EQ(huge.value()->analyze(upload).canonical_string(),
+              full.value()->analyze(upload).canonical_string())
+        << i;
+  }
 }
 
 TEST(Detector, RejectsOutOfRangeThreshold) {
