@@ -9,6 +9,16 @@ namespace {
 
 constexpr double kDegToRad = M_PI / 180.0;
 
+/// floor(v) as an int64, saturated: converting a double outside the int64
+/// range is undefined behaviour.  2^63 is exact in a double; NaN maps low.
+std::int64_t saturating_floor(double v) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const double f = std::floor(v);
+  if (!(f >= -kTwo63)) return std::numeric_limits<std::int64_t>::min();
+  if (f >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(f);
+}
+
 }  // namespace
 
 double distance(const Enu& a, const Enu& b) {
@@ -99,8 +109,7 @@ TileId tile_of(const Enu& p, double tile_m) {
   if (!(tile_m > 0.0)) {
     throw std::invalid_argument("tile_of: tile size must be positive");
   }
-  return {static_cast<std::int64_t>(std::floor(p.east / tile_m)),
-          static_cast<std::int64_t>(std::floor(p.north / tile_m))};
+  return {saturating_floor(p.east / tile_m), saturating_floor(p.north / tile_m)};
 }
 
 double point_segment_distance(const Enu& p, const Enu& a, const Enu& b) {

@@ -97,24 +97,19 @@ struct BoundingBox {
 /// Square map tile in the ENU plane, used as the unit of geo-sharding: the
 /// serving layer partitions the crowdsourced reference world by tile, not by
 /// point, so that ownership is a pure function of position (no global point
-/// directory) and consistent hashing can move whole tiles between shards.
+/// directory).
 struct TileId {
   std::int64_t tx = 0;  ///< floor(east / tile_m)
   std::int64_t ty = 0;  ///< floor(north / tile_m)
 
   friend bool operator==(const TileId&, const TileId&) = default;
-
-  /// Stable 64-bit key of the tile (bit-packed coordinates), suitable as a
-  /// hash-ring input.  Two tiles collide only if they are equal.
-  std::uint64_t key() const {
-    return (static_cast<std::uint64_t>(tx) << 32) ^
-           (static_cast<std::uint64_t>(ty) & 0xffffffffull);
-  }
 };
 
 /// The tile containing `p` for a given tile edge length (metres).  Points
 /// exactly on a tile edge belong to the tile on their east/north side
 /// (floor), so ownership is unambiguous for boundary-pinned trajectories.
+/// A quotient outside the int64 range (a tiny tile far from the origin)
+/// saturates to the nearest representable tile instead of overflowing.
 TileId tile_of(const Enu& p, double tile_m);
 
 /// Distance from point p to the segment [a, b], metres.

@@ -10,59 +10,47 @@
 namespace trajkit::serve {
 namespace {
 
-/// SplitMix64 finalizer: the ring's stationary 64-bit mix.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+/// Grid tiles per axis are capped so that cols * rows fits in 64 bits; only
+/// sub-centimetre tiles over an Earth-wide index reach the cap, and the tiles
+/// past it fold into the last column or row.  Ownership decides balance,
+/// never correctness (the halo makes any owner bitwise-safe).
+constexpr std::uint64_t kMaxGridAxis = 0xffffffffull;
+
+/// Tiles from `lo` to `hi` inclusive along one axis, capped.  The unsigned
+/// difference is exact for any lo <= hi, even across the whole int64 range.
+std::uint64_t grid_extent(std::int64_t lo, std::int64_t hi) {
+  if (hi <= lo) return 1;
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  return std::min(span, kMaxGridAxis - 1) + 1;
+}
+
+/// Offset of `t` from `origin` clamped into [0, extent).  Comparing before
+/// subtracting keeps a far-away tile's offset from overflowing.
+std::uint64_t clamp_offset(std::int64_t t, std::int64_t origin,
+                           std::uint64_t extent) {
+  if (t <= origin) return 0;
+  return std::min(static_cast<std::uint64_t>(t) -
+                      static_cast<std::uint64_t>(origin),
+                  extent - 1);
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// ConsistentHashRing
-
-ConsistentHashRing::ConsistentHashRing(std::size_t shards, std::size_t vnodes,
-                                       std::uint64_t seed)
-    : shards_(shards), seed_(seed) {
-  if (shards == 0) {
-    throw std::invalid_argument("ConsistentHashRing: need at least one shard");
-  }
-  if (vnodes == 0) {
-    throw std::invalid_argument("ConsistentHashRing: need at least one vnode");
-  }
-  ring_.reserve(shards * vnodes);
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t v = 0; v < vnodes; ++v) {
-      // Position depends only on (seed, s, v): adding shard N+1 later leaves
-      // every existing vnode in place — the stability property.
-      const std::uint64_t position =
-          mix64(mix64(seed ^ (0x5ca1ab1eull + s)) ^ v);
-      ring_.emplace_back(position, static_cast<std::uint32_t>(s));
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-}
-
-std::size_t ConsistentHashRing::owner_of(const TileId& tile) const {
-  const std::uint64_t h = mix64(seed_ ^ mix64(tile.key()));
-  auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                             std::make_pair(h, std::uint32_t{0}));
-  if (it == ring_.end()) it = ring_.begin();  // wrap around
-  return it->second;
-}
-
-// ---------------------------------------------------------------------------
-// ShardRouter
-
 ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig config)
-    : config_(config),
-      ring_(config.shards, config.vnodes, config.ring_seed),
-      top_k_(oracle.config().confidence.top_k) {
+    : config_(config), top_k_(oracle.config().confidence.top_k) {
+  if (config_.shards == 0) {
+    throw std::invalid_argument("ShardRouter: need at least one shard");
+  }
   if (!(config_.tile_m > 0.0)) {
     throw std::invalid_argument("ShardRouter: tile size must be positive");
   }
+  const auto& index = oracle.index();
+  const BoundingBox& bounds = index.bounds();
+  grid_origin_ = tile_of({bounds.min_east, bounds.min_north}, config_.tile_m);
+  const TileId far = tile_of({bounds.max_east, bounds.max_north}, config_.tile_m);
+  grid_cols_ = grid_extent(grid_origin_.tx, far.tx);
+  grid_rows_ = grid_extent(grid_origin_.ty, far.ty);
   const auto& params = oracle.config().confidence;
   halo_m_ = params.reference_radius_m + params.rpd.counting_radius_m;
 
@@ -73,7 +61,6 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
   // is answered entirely from its own slice.  Ascending index iteration
   // keeps each slice a stable-order subsequence of the global set, which the
   // bitwise-equivalence contract requires (see the header).
-  const auto& index = oracle.index();
   std::vector<std::vector<wifi::ReferencePoint>> slices(config_.shards);
   std::vector<std::size_t> owners;
   for (std::size_t i = 0; i < index.size(); ++i) {
@@ -85,7 +72,7 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
     owners.clear();
     for (std::int64_t ty = lo.ty; ty <= hi.ty; ++ty) {
       for (std::int64_t tx = lo.tx; tx <= hi.tx; ++tx) {
-        const std::size_t owner = ring_.owner_of({tx, ty});
+        const std::size_t owner = owner_of({tx, ty});
         if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
           owners.push_back(owner);
         }
@@ -103,12 +90,21 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
   }
 }
 
+std::size_t ShardRouter::owner_of(const TileId& tile) const {
+  const std::uint64_t col = clamp_offset(tile.tx, grid_origin_.tx, grid_cols_);
+  const std::uint64_t row = clamp_offset(tile.ty, grid_origin_.ty, grid_rows_);
+  // key < cols * rows < 2^64, so key * shards fits in 128 bits.
+  const unsigned __int128 key = row * grid_cols_ + col;
+  return static_cast<std::size_t>(key * config_.shards /
+                                  (grid_cols_ * grid_rows_));
+}
+
 std::vector<TrajectorySegment> ShardRouter::split(
     const wifi::ScannedUpload& upload) const {
   std::vector<TrajectorySegment> segments;
   for (std::size_t i = 0; i < upload.positions.size(); ++i) {
     const std::size_t owner =
-        ring_.owner_of(tile_of(upload.positions[i], config_.tile_m));
+        owner_of(tile_of(upload.positions[i], config_.tile_m));
     if (segments.empty() || segments.back().shard != owner) {
       segments.push_back({i, i + 1, owner});
     } else {
@@ -137,9 +133,6 @@ VerdictResponse ShardRouter::verify(const wifi::ScannedUpload& upload,
     }
     const auto segments = split(upload);
     segments_.fetch_add(segments.size(), std::memory_order_relaxed);
-    if (!segments.empty()) {
-      crossings_.fetch_add(segments.size() - 1, std::memory_order_relaxed);
-    }
 
     const std::size_t n = upload.positions.size();
     std::vector<double> features(2 * top_k_ * n, 0.0);
@@ -188,14 +181,9 @@ ShardRouterCounters ShardRouter::counters() const {
   ShardRouterCounters out;
   out.requests = requests_.load();
   out.segments = segments_.load();
-  out.boundary_crossings = crossings_.load();
   out.errors = errors_.load();
   out.degraded_shard_verdicts = degraded_.load();
   out.remote_segments = remote_segments_.load();
-  out.per_shard_segments.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    out.per_shard_segments.push_back(shard->segments_evaluated());
-  }
   out.per_shard_net.reserve(remote_.size());
   for (const auto& evaluator : remote_) {
     out.per_shard_net.push_back(evaluator ? evaluator->stats()

@@ -1,15 +1,16 @@
-// Geo-sharded trajectory verification: consistent hashing over map tiles,
+// Geo-sharded trajectory verification: contiguous tile-range ownership,
 // segment fan-out, bitwise-oracle merge.
 //
 // The single-process serving layer (serve/service) tops out at one machine's
 // reference index; the ROADMAP north-star is city scale.  This router
-// partitions the crowdsourced reference world by map tile (geo/TileId):
-// every tile hashes onto a vnode ring (ConsistentHashRing), each shard owns
-// the reference points of its tiles *plus a halo*, and an incoming
-// trajectory is split at shard boundaries into contiguous segments that fan
-// out to the owning ShardServices on the calling thread (concurrency comes
-// from caller threads and the deterministic pool underneath), or over the
-// wire to a remote shard (set_remote_evaluator).  Uploads are validated
+// partitions the crowdsourced reference world by map tile (geo/TileId): the
+// tiles covering the oracle's index bounds are numbered row-major and cut
+// into `shards` contiguous bands (ShardRouter::owner_of), each shard owns the
+// reference points of its band *plus a halo*, and an incoming trajectory is
+// split at shard boundaries into contiguous segments that fan out to the
+// owning ShardServices on the calling thread (concurrency comes from caller
+// threads and the deterministic pool underneath), or over the wire to a
+// remote shard (set_remote_evaluator).  Uploads are validated
 // (wifi::validate_upload) before any tile arithmetic sees a coordinate.
 //
 // The equivalence contract — the whole point of the design — is that the
@@ -76,36 +77,11 @@ class SegmentEvaluator {
   virtual NetClientStats stats() const { return {}; }
 };
 
-/// Consistent hashing of tiles onto shards: each shard contributes `vnodes`
-/// points to a ring keyed by a 64-bit mix, and a tile belongs to the first
-/// ring point at or after its own hash.  Vnode positions depend only on
-/// (seed, shard, vnode) — growing the fleet from N to N+1 shards adds the
-/// new shard's points without moving any existing ones, so only the tiles
-/// captured by the new points change owner (~1/(N+1) of the world), which
-/// tests/shard_test.cpp asserts.
-class ConsistentHashRing {
- public:
-  ConsistentHashRing(std::size_t shards, std::size_t vnodes = 64,
-                     std::uint64_t seed = 0x7a11d5u);
-
-  std::size_t shards() const { return shards_; }
-  std::size_t owner_of(const TileId& tile) const;
-
- private:
-  std::size_t shards_;
-  std::uint64_t seed_;
-  /// (ring position, shard), sorted; ties broken by shard id.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
-};
-
 struct ShardRouterConfig {
   std::size_t shards = 4;
-  /// Geo-cell edge in metres — the granularity ownership moves at.  City
-  /// deployments want tiles big enough that a pedestrian stays put for a few
-  /// points and small enough to spread hot areas over shards.
+  /// Geo-cell edge in metres — the granularity ownership moves at: band
+  /// edges follow tile edges, so a band is never narrower than one tile.
   double tile_m = 8.0;
-  std::size_t vnodes = 64;
-  std::uint64_t ring_seed = 0x7a11d5u;
   ShardedRpdLruCache::Config cache;  ///< inert seam kept for servebench
 };
 
@@ -119,7 +95,6 @@ struct TrajectorySegment {
 struct ShardRouterCounters {
   std::uint64_t requests = 0;
   std::uint64_t segments = 0;
-  std::uint64_t boundary_crossings = 0;  ///< segments - requests, summed
   std::uint64_t errors = 0;
   /// Verdicts that completed only because a remote segment evaluation failed
   /// (after retries/hedging) and the router fell back to its resident slice.
@@ -127,7 +102,6 @@ struct ShardRouterCounters {
   /// degradation, the chaos-run observability satellite.
   std::uint64_t degraded_shard_verdicts = 0;
   std::uint64_t remote_segments = 0;  ///< segments answered by a remote shard
-  std::vector<std::uint64_t> per_shard_segments;
   /// Per-shard transport counters (rpcs/retries/timeouts/hedges) from the
   /// attached SegmentEvaluators; zeros for shards without one.
   std::vector<NetClientStats> per_shard_net;
@@ -170,7 +144,13 @@ class ShardRouter {
 
   std::size_t shards() const { return shards_.size(); }
   const ShardService& shard(std::size_t i) const { return *shards_[i]; }
-  const ConsistentHashRing& ring() const { return ring_; }
+  /// The shard that owns `tile`.  The tiles covering the oracle's index
+  /// bounds form a cols x rows grid fixed at construction; a tile outside it
+  /// is clamped to the nearest edge tile, and grid tile (col, row) belongs to
+  /// shard `(row * cols + col) * shards / (cols * rows)`.  So each shard owns
+  /// one contiguous row-major band, and every shard owns at least one tile
+  /// once the grid has `shards` tiles.  Defined for every TileId.
+  std::size_t owner_of(const TileId& tile) const;
   const ShardRouterConfig& config() const { return config_; }
   /// Halo width the slices were built with (r + R in metres).
   double halo_m() const { return halo_m_; }
@@ -179,7 +159,9 @@ class ShardRouter {
 
  private:
   ShardRouterConfig config_;
-  ConsistentHashRing ring_;
+  TileId grid_origin_;        ///< south-west tile of the ownership grid
+  std::uint64_t grid_cols_ = 1;
+  std::uint64_t grid_rows_ = 1;
   double halo_m_ = 0.0;
   std::size_t top_k_ = 0;
   std::vector<std::unique_ptr<ShardService>> shards_;
@@ -187,7 +169,6 @@ class ShardRouter {
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> segments_{0};
-  std::atomic<std::uint64_t> crossings_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> degraded_{0};
   std::atomic<std::uint64_t> remote_segments_{0};

@@ -315,7 +315,6 @@ void ShardService::evaluate_segment(const wifi::ScannedUpload& upload,
   detector->segment_features(segment, seg_features, seg_scores);
   std::copy(seg_features.begin(), seg_features.end(), features);
   std::copy(seg_scores.begin(), seg_scores.end(), scores);
-  segments_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace trajkit::serve

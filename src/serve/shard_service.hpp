@@ -1,13 +1,13 @@
 // One geo-shard of the city-scale verification plane.
 //
 // The ShardRouter (serve/shard_router) partitions the crowdsourced reference
-// world by map tile; each ShardService owns the slice of reference points
-// whose tiles (plus a halo) hash to it, and optionally a durable CrowdStore
-// for the shard's ingestion stream.  The slice detector is built under the
-// *global* reference grid geometry (ReferenceIndex::natural_bounds of the
-// unsharded set), which is what makes per-segment Eq. 8 features
-// bitwise-equal to the single-shard oracle — see shard_router.hpp for the
-// full equivalence argument.
+// world into contiguous bands of map tiles; each ShardService owns the slice
+// of reference points in its band plus a halo around it, and optionally a
+// durable CrowdStore for the shard's ingestion stream.  The slice detector
+// is built under the *global* reference grid geometry
+// (ReferenceIndex::natural_bounds of the unsharded set), which is what makes
+// per-segment Eq. 8 features bitwise-equal to the single-shard oracle — see
+// shard_router.hpp for the full equivalence argument.
 //
 // Replication: a leader shard ships every accepted write-ahead frame
 // (seq + CrowdStore point encoding) to its attached ShardReplica followers
@@ -304,9 +304,6 @@ class ShardService {
   void evaluate_segment(const wifi::ScannedUpload& upload, std::size_t begin,
                         std::size_t end, double* features, double* scores) const;
 
-  /// Segments this shard evaluated.
-  std::uint64_t segments_evaluated() const { return segments_.load(); }
-
  private:
   ShardService(std::size_t shard_id, std::unique_ptr<wifi::CrowdStore> store,
                ShardServiceConfig cfg);
@@ -327,8 +324,6 @@ class ShardService {
   std::size_t required_follower_acks_ = kAllFollowers;
   std::uint64_t term_ = 0;
   std::uint64_t acked_ = 0;
-
-  mutable std::atomic<std::uint64_t> segments_{0};
 };
 
 }  // namespace trajkit::serve

@@ -1,5 +1,5 @@
 // Geo-sharded verification: shard-vs-oracle bitwise equivalence, router
-// split/merge properties, consistent-hash stability, replication and
+// split/merge properties, contiguous tile-range ownership, replication and
 // leader-kill failover.
 //
 // The contract under test (serve/shard_router.hpp): a trajectory split at
@@ -19,10 +19,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/durable/journal.hpp"
@@ -36,6 +39,7 @@
 #include "support/fixtures.hpp"
 #include "support/golden.hpp"
 #include "wifi/crowd_store.hpp"
+#include "wifi/validate.hpp"
 
 namespace trajkit {
 namespace {
@@ -78,7 +82,7 @@ wifi::ScannedUpload crossing_upload(const serve::ShardRouter& router,
   std::vector<Enu> positions;
   positions.push_back(random_area_pos(rng, cfg));
   auto owner = [&](const Enu& p) {
-    return router.ring().owner_of(tile_of(p, tile));
+    return router.owner_of(tile_of(p, tile));
   };
   while (positions.size() < cfg.upload_points) {
     const Enu prev = positions.back();
@@ -224,8 +228,8 @@ TEST(ShardEquivalence, ShardSlicesCoverHaloAndPreserveGlobalOrder) {
     // Every point a shard owns carries its full halo: all global points
     // within halo_m of an owned point's position are in the slice.
     for (std::size_t i = 0; i < slice.size(); ++i) {
-      const std::size_t owner = router.ring().owner_of(
-          tile_of(slice.pos(i), router.config().tile_m));
+      const std::size_t owner =
+          router.owner_of(tile_of(slice.pos(i), router.config().tile_m));
       if (owner != s) continue;  // halo entry, not owned
       const auto wanted = index.within(slice.pos(i), router.halo_m());
       const auto have = slice.within(slice.pos(i), router.halo_m());
@@ -250,7 +254,7 @@ TEST(ShardRouterSplit, TrajectoryInsideOneTileIsOneSegment) {
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0].begin, 0u);
   EXPECT_EQ(segments[0].end, u.positions.size());
-  EXPECT_EQ(segments[0].shard, router.ring().owner_of(tile_of({3.0, 3.0}, 8.0)));
+  EXPECT_EQ(segments[0].shard, router.owner_of(tile_of({3.0, 3.0}, 8.0)));
 }
 
 TEST(ShardRouterSplit, BoundaryPinnedPointBelongsToItsFloorTile) {
@@ -265,19 +269,24 @@ TEST(ShardRouterSplit, BoundaryPinnedPointBelongsToItsFloorTile) {
   serve::ShardRouterConfig rc;
   rc.shards = 4;
   serve::ShardRouter router(w.detector(), rc);
-  const auto u = upload_at({{7.9, 5.0}, {8.0, 5.0}, {8.1, 5.0}});
-  const auto segments = router.split(u);
-  const std::size_t west = router.ring().owner_of({0, 0});
-  const std::size_t east = router.ring().owner_of({1, 0});
-  if (west == east) {
-    ASSERT_EQ(segments.size(), 1u);
-  } else {
-    ASSERT_EQ(segments.size(), 2u);
-    EXPECT_EQ(segments[0].end, 1u) << "the pinned point belongs east";
-    EXPECT_EQ(segments[0].shard, west);
-    EXPECT_EQ(segments[1].begin, 1u);
-    EXPECT_EQ(segments[1].shard, east);
+  // Pin the points on the first tile edge inside the world whose west and
+  // east tiles have different owners, so the split must cut there.
+  TileId west{0, 0};
+  while (router.owner_of(west) == router.owner_of({west.tx + 1, west.ty}) &&
+         west.ty < 3) {
+    if (++west.tx == 3) west = {0, west.ty + 1};
   }
+  const TileId east{west.tx + 1, west.ty};
+  ASSERT_NE(router.owner_of(west), router.owner_of(east));
+  const double edge = 8.0 * double(east.tx);
+  const double north = 8.0 * double(west.ty) + 5.0;
+  const auto u = upload_at({{edge - 0.1, north}, {edge, north}, {edge + 0.1, north}});
+  const auto segments = router.split(u);
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].end, 1u) << "the pinned point belongs east";
+  EXPECT_EQ(segments[0].shard, router.owner_of(west));
+  EXPECT_EQ(segments[1].begin, 1u);
+  EXPECT_EQ(segments[1].shard, router.owner_of(east));
 }
 
 TEST(ShardRouterSplit, AlternatingOwnersYieldSinglePointSegments) {
@@ -369,51 +378,146 @@ TEST(ShardRouterValidation, MalformedUploadsAnswerErrorBeforeSplit) {
 }
 
 // ---------------------------------------------------------------------------
-// Consistent-hash ring
+// Contiguous tile-range ownership
 
-TEST(ConsistentHashRing, DeterministicAndBalanced) {
-  const serve::ConsistentHashRing a(8, 64, 42);
-  const serve::ConsistentHashRing b(8, 64, 42);
-  std::vector<std::size_t> owned(8, 0);
-  for (std::int64_t ty = 0; ty < 40; ++ty) {
-    for (std::int64_t tx = 0; tx < 40; ++tx) {
-      const std::size_t o = a.owner_of({tx, ty});
-      EXPECT_EQ(o, b.owner_of({tx, ty}));
-      ASSERT_LT(o, 8u);
-      ++owned[o];
-    }
-  }
-  // 1600 tiles over 8 shards: perfectly even would be 200 each; vnode
-  // placement is hash-random, so only assert no shard is starved or hogging.
-  for (std::size_t s = 0; s < owned.size(); ++s) {
-    EXPECT_GT(owned[s], 40u) << "shard " << s << " starved";
-    EXPECT_LT(owned[s], 800u) << "shard " << s << " owns half the world";
-  }
+/// The tile grid a router over `w` fixes: the tiles covering the oracle's
+/// index bounds, south-west and north-east corners.
+std::pair<TileId, TileId> ownership_grid(ts::LinearFieldWorld& w, double tile_m) {
+  const BoundingBox& b = w.detector().index().bounds();
+  return {tile_of({b.min_east, b.min_north}, tile_m),
+          tile_of({b.max_east, b.max_north}, tile_m)};
 }
 
-TEST(ConsistentHashRing, GrowingTheFleetOnlyMovesTilesToTheNewShard) {
-  for (const std::size_t n : {1u, 2u, 4u, 7u}) {
-    const serve::ConsistentHashRing before(n, 64, 7);
-    const serve::ConsistentHashRing after(n + 1, 64, 7);
-    std::size_t moved = 0;
-    std::size_t tiles = 0;
-    for (std::int64_t ty = -20; ty < 20; ++ty) {
-      for (std::int64_t tx = -20; tx < 20; ++tx) {
-        const std::size_t o1 = before.owner_of({tx, ty});
-        const std::size_t o2 = after.owner_of({tx, ty});
-        ++tiles;
-        if (o1 != o2) {
-          ++moved;
-          EXPECT_EQ(o2, n) << "a tile may only move to the new shard";
+TEST(ShardOwnership, EveryTileInsideOnTheEdgeAndFarOutsideHasAnOwner) {
+  ts::LinearFieldWorld w;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::size_t shards : {1u, 3u, 4u, 8u}) {
+    serve::ShardRouterConfig rc;
+    rc.shards = shards;
+    serve::ShardRouter router(w.detector(), rc);
+    const auto [lo, hi] = ownership_grid(w, rc.tile_m);
+    for (std::int64_t ty = lo.ty - 3; ty <= hi.ty + 3; ++ty) {
+      for (std::int64_t tx = lo.tx - 3; tx <= hi.tx + 3; ++tx) {
+        EXPECT_LT(router.owner_of({tx, ty}), shards) << tx << "," << ty;
+      }
+    }
+    // Far-away tiles clamp to the grid's edge tiles, with no overflow.
+    for (std::int64_t ty = lo.ty; ty <= hi.ty; ++ty) {
+      EXPECT_EQ(router.owner_of({kMin, ty}), router.owner_of({lo.tx, ty}));
+      EXPECT_EQ(router.owner_of({kMax, ty}), router.owner_of({hi.tx, ty}));
+    }
+    for (std::int64_t tx = lo.tx; tx <= hi.tx; ++tx) {
+      EXPECT_EQ(router.owner_of({tx, kMin}), router.owner_of({tx, lo.ty}));
+      EXPECT_EQ(router.owner_of({tx, kMax}), router.owner_of({tx, hi.ty}));
+    }
+    EXPECT_EQ(router.owner_of({kMin, kMin}), 0u);
+    EXPECT_EQ(router.owner_of({kMax, kMax}), shards - 1);
+    EXPECT_LT(router.owner_of({kMin, kMax}), shards);
+    EXPECT_LT(router.owner_of({kMax, kMin}), shards);
+  }
+  // A tiny tile saturates instead of overflowing the tile index.
+  EXPECT_EQ(tile_of({wifi::kMaxEnuAbsM, -wifi::kMaxEnuAbsM}, 1e-300),
+            (TileId{kMax, kMin}));
+}
+
+TEST(ShardOwnership, EachShardOwnsOneContiguousRowMajorBand) {
+  ts::LinearFieldWorld w;
+  for (const double tile_m : {4.0, 8.0, 16.0, 100.0}) {
+    const auto [lo, hi] = ownership_grid(w, tile_m);
+    const std::size_t tiles =
+        std::size_t(hi.tx - lo.tx + 1) * std::size_t(hi.ty - lo.ty + 1);
+    for (const std::size_t shards : {1u, 2u, 3u, 4u, 8u}) {
+      serve::ShardRouterConfig rc;
+      rc.shards = shards;
+      rc.tile_m = tile_m;
+      serve::ShardRouter router(w.detector(), rc);
+      // Row-major order over the grid: owners never decrease, so each
+      // shard's tiles are one contiguous range.
+      std::vector<std::size_t> owned(shards, 0);
+      std::size_t previous = 0;
+      for (std::int64_t ty = lo.ty; ty <= hi.ty; ++ty) {
+        for (std::int64_t tx = lo.tx; tx <= hi.tx; ++tx) {
+          const std::size_t owner = router.owner_of({tx, ty});
+          ASSERT_LT(owner, shards);
+          EXPECT_GE(owner, previous)
+              << "tile_m=" << tile_m << " shards=" << shards << " tile " << tx
+              << "," << ty << " breaks its shard's band";
+          previous = owner;
+          ++owned[owner];
+        }
+      }
+      if (tiles >= shards) {
+        for (std::size_t s = 0; s < shards; ++s) {
+          EXPECT_GT(owned[s], 0u) << "tile_m=" << tile_m << " shards=" << shards
+                                  << ": shard " << s << " owns no tile";
         }
       }
     }
-    // Expected churn is ~tiles/(n+1); allow a generous factor for vnode
-    // placement variance but reject full reshuffles.
-    EXPECT_LT(moved, tiles * 2 / (n + 1) + tiles / 10)
-        << "n=" << n << ": consistent hashing must not reshuffle the world";
-    EXPECT_GT(moved, 0u) << "n=" << n << ": the new shard must own something";
   }
+}
+
+TEST(ShardOwnership, RefusesZeroShardsAndNonPositiveTiles) {
+  ts::LinearFieldWorld w;
+  serve::ShardRouterConfig rc;
+  rc.shards = 0;
+  EXPECT_THROW(serve::ShardRouter(w.detector(), rc), std::invalid_argument);
+  for (const double tile_m :
+       {0.0, -8.0, std::numeric_limits<double>::quiet_NaN()}) {
+    rc.shards = 4;
+    rc.tile_m = tile_m;
+    EXPECT_THROW(serve::ShardRouter(w.detector(), rc), std::invalid_argument)
+        << "tile_m=" << tile_m;
+  }
+}
+
+TEST(ShardOwnership, SlicesDuplicateAtMostAHaloStripPerBoundary) {
+  // A point lands in one extra slice per band boundary its halo square
+  // straddles.  Band b starts at grid tile (col c, row r); its boundary is
+  // the row edge y_r (east of c), the step at x_c, and the row edge y_{r+1}
+  // (west of c).  A square straddles it only if the point lies within the
+  // halo of one of those edges, so the summed slice size is at most the
+  // index plus, per interior boundary, the points in that 2 * halo strip.
+  ts::LinearFieldWorld w;
+  serve::ShardRouterConfig rc;
+  rc.shards = 4;
+  serve::ShardRouter router(w.detector(), rc);
+  const auto& index = w.detector().index();
+  const double tile = rc.tile_m;
+  const double halo = router.halo_m() + 1e-9;
+  const auto [lo, hi] = ownership_grid(w, tile);
+
+  // Band b starts at row-major key ceil(b * tiles / shards).
+  const std::int64_t cols = hi.tx - lo.tx + 1;
+  const std::int64_t tiles = cols * (hi.ty - lo.ty + 1);
+  const std::int64_t shards = std::int64_t(rc.shards);
+  std::size_t bound = index.size();
+  for (std::int64_t b = 1; b < shards; ++b) {
+    const std::int64_t key = (b * tiles + shards - 1) / shards;
+    const std::int64_t tx = lo.tx + key % cols;
+    const std::int64_t ty = lo.ty + key / cols;
+    ASSERT_EQ(router.owner_of({tx, ty}), std::size_t(b));
+    const double y_r = tile * double(ty);
+    const double y_next = y_r + tile;
+    const double x_c = tile * double(tx);
+    const bool step = tx > lo.tx;
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      const Enu& p = index.pos(i);
+      const bool on_edge =
+          std::abs(p.north - y_r) <= halo ||
+          (step && std::abs(p.north - y_next) <= halo) ||
+          (step && std::abs(p.east - x_c) <= halo && p.north >= y_r - halo &&
+           p.north <= y_next + halo);
+      bound += on_edge;
+    }
+  }
+
+  std::size_t held = 0;
+  for (std::size_t s = 0; s < router.shards(); ++s) {
+    held += router.shard(s).detector().index().size();
+  }
+  EXPECT_GE(held, index.size());
+  EXPECT_LE(held, bound) << "index " << index.size() << " points";
 }
 
 // ---------------------------------------------------------------------------

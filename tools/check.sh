@@ -51,7 +51,7 @@ run_leg() {
 # both from client thread pools (the forked cross-process test self-skips
 # under TSan: threads after fork are unsupported).  Net also covers the
 # 4-shard router's concurrent clients over SimNet chaos and real sockets.
-TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|ConsistentHash|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net'
+TSAN_FILTER='Parallel|ThreadPool|Determinism|GlobalThreads|RngSubstream|VerifierService|Chaos|Fault|Kernels|Crc32|AtomicWrite|Durable|Journal|CorruptionFuzz|TrajCsv|Validate|CrowdStore|CrashRecovery|Shard|Hotswap|EpochedDetector|Artifact|Poison|Quant|Net'
 
 tsan() { run_leg tsan "${TSAN_FILTER}" -DTRAJKIT_SANITIZE=thread; }
 asan() { run_leg asan '' -DTRAJKIT_SANITIZE=address; }
