@@ -6,13 +6,18 @@
 //   * point-confidence computation (Eqs. 4-7) on a uniform reference set
 //     and on trajectory-clustered ones of 300, 1,000 and 3,000 trajectories
 //   * booster training on Eq. 8-sized feature vectors
+//   * detector model save and load (save_file / try_load_file) at 9,000
+//     and 135,000 reference points
 //   * A* vs Dijkstra on the synthetic city
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
 
+#include "common/durable/durable_file.hpp"
 #include "core/trajkit.hpp"
 
 using namespace trajkit;
@@ -271,6 +276,74 @@ void BM_BoosterTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoosterTrain)->Arg(500)->Unit(benchmark::kMillisecond);
+
+/// A trained detector over Arg uniformly scattered reference points of 30
+/// observations each, drawn from 2,000 MACs, at ~10 m^2 per point: the store
+/// the model file's cold start reads.  The classifier is a 20-tree GBT on
+/// two features.
+class DetectorFixture {
+ public:
+  static const wifi::RssiDetector& get(std::size_t points) {
+    static std::map<std::size_t, std::unique_ptr<wifi::RssiDetector>> by_points;
+    auto& detector = by_points[points];
+    if (!detector) detector = build(points);
+    return *detector;
+  }
+
+ private:
+  static std::unique_ptr<wifi::RssiDetector> build(std::size_t points) {
+    Rng rng(13);
+    const double side = std::sqrt(10.0 * static_cast<double>(points));
+    std::vector<wifi::ReferencePoint> refs(points);
+    for (std::size_t i = 0; i < points; ++i) {
+      refs[i].pos = {rng.uniform(0, side), rng.uniform(0, side)};
+      refs[i].traj_id = static_cast<std::uint32_t>(i / 30);
+      for (int a = 0; a < 30; ++a) {
+        refs[i].scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(0, 1999)),
+                                static_cast<int>(rng.uniform_int(-95, -30))});
+      }
+    }
+    std::vector<std::vector<double>> x;
+    std::vector<int> y;
+    for (int r = 0; r < 200; ++r) {
+      x.push_back({rng.uniform(0, 1), rng.uniform(0, 1)});
+      y.push_back(x.back()[0] > 0.5 ? 1 : 0);
+    }
+    gbt::GbtConfig cfg;
+    cfg.num_trees = 20;
+    gbt::GbtClassifier classifier(cfg);
+    classifier.train(x, y);
+    return wifi::RssiDetector::assemble(std::move(refs), {}, std::move(classifier), 1);
+  }
+};
+
+constexpr const char* kDetectorBenchPath = "bench_micro_detector.model";
+
+/// save_file (durable container, fsync and rename included) of the fixture.
+void BM_DetectorSave(benchmark::State& state) {
+  const auto& detector = DetectorFixture::get(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) detector.save_file(kDetectorBenchPath);
+  state.counters["file_MB"] =
+      static_cast<double>(durable::read_file(kDetectorBenchPath).value().size()) / 1e6;
+  std::remove(kDetectorBenchPath);
+}
+BENCHMARK(BM_DetectorSave)->Arg(9000)->Arg(135000)->Unit(benchmark::kMillisecond);
+
+/// try_load_file of the fixture's saved model: the serving cold start's
+/// model read.
+void BM_DetectorLoad(benchmark::State& state) {
+  DetectorFixture::get(static_cast<std::size_t>(state.range(0))).save_file(kDetectorBenchPath);
+  for (auto _ : state) {
+    auto loaded = wifi::RssiDetector::try_load_file(kDetectorBenchPath);
+    if (!loaded) {
+      state.SkipWithError(loaded.error().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(loaded.value()->index().size());
+  }
+  std::remove(kDetectorBenchPath);
+}
+BENCHMARK(BM_DetectorLoad)->Arg(9000)->Arg(135000)->Unit(benchmark::kMillisecond);
 
 class CityFixture {
  public:

@@ -3,9 +3,10 @@
 // Every durable artifact in trajkit — framed model files, the crowdsource
 // write-ahead journal, snapshots — carries one CRC per record plus one per
 // file, so a torn write or a flipped byte is detected at load time instead of
-// silently feeding garbage into the detector.  The implementation is the
-// classic 256-entry table variant: deterministic, allocation-free, and fast
-// enough that framing overhead never shows up next to disk I/O.
+// silently feeding garbage into the detector.  The implementation is
+// slicing-by-8: eight constexpr 256-entry tables fold one 8-byte word per
+// step (~5x the classic byte-at-a-time table), then a byte-wise tail.  It is
+// deterministic, allocation-free and gives the classic table's values.
 #pragma once
 
 #include <cstddef>

@@ -6,9 +6,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "common/durable/bytes.hpp"
 #include "common/durable/crc32.hpp"
 #include "common/fault.hpp"
 
@@ -22,42 +21,6 @@ constexpr std::size_t kMaxTagLen = 256;
 /// with an empty payload.  Bounds how many records a file of a given size
 /// can plausibly claim.
 constexpr std::size_t kMinRecordBytes = 12;
-
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-/// Bounds-checked cursor over an immutable byte image; every read_* returns
-/// false on exhaustion instead of walking past the end.
-struct Cursor {
-  std::string_view data;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const { return data.size() - pos; }
-
-  bool read_bytes(void* out, std::size_t n) {
-    if (remaining() < n) return false;
-    std::memcpy(out, data.data() + pos, n);
-    pos += n;
-    return true;
-  }
-  bool read_u32(std::uint32_t& out) { return read_bytes(&out, sizeof out); }
-  bool read_u64(std::uint64_t& out) { return read_bytes(&out, sizeof out); }
-  bool read_view(std::string_view& out, std::size_t n) {
-    if (remaining() < n) return false;
-    out = data.substr(pos, n);
-    pos += n;
-    return true;
-  }
-};
 
 std::string errno_string() { return std::strerror(errno); }
 
@@ -168,12 +131,32 @@ void remove_stale_tmp(const std::string& path) {
 
 Expected<std::string, std::string> read_file(const std::string& path) {
   using Result = Expected<std::string, std::string>;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Result::failure("cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) return Result::failure("read error on " + path);
-  return Result(std::move(buf).str());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Result::failure("cannot open " + path);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Result::failure("read error on " + path);
+  }
+  // One buffer sized from fstat, plus a byte so a file that is exactly that
+  // long reaches end of file without growing it.  A file that grew since
+  // fstat doubles the buffer.
+  std::string out(static_cast<std::size_t>(st.st_size > 0 ? st.st_size : 0) + 1, '\0');
+  std::size_t got = 0;
+  for (;;) {
+    if (got == out.size()) out.resize(2 * out.size());
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Result::failure("read error on " + path);
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  out.resize(got);
+  return Result(std::move(out));
 }
 
 DurableWriter::DurableWriter(std::string tag, std::uint32_t version)
@@ -220,7 +203,7 @@ Expected<bool, std::string> DurableWriter::commit(const std::string& path) const
 Expected<std::vector<std::string>, std::string> parse_durable(
     std::string_view bytes, std::string_view tag, std::uint32_t version) {
   using Result = Expected<std::vector<std::string>, std::string>;
-  Cursor cur{bytes};
+  ByteCursor cur{bytes};
   char magic[sizeof kMagic];
   if (!cur.read_bytes(magic, sizeof magic) ||
       std::memcmp(magic, kMagic, sizeof kMagic) != 0) {

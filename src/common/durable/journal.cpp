@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/durable/bytes.hpp"
 #include "common/durable/crc32.hpp"
 #include "common/durable/durable_file.hpp"
 #include "common/fault.hpp"
@@ -20,18 +21,6 @@ constexpr std::size_t kVersionAt = 6;
 constexpr char kRecordMagic[4] = {'T', 'K', 'J', '2'};
 constexpr std::size_t kMaxTagLen = 256;
 constexpr std::size_t kMaxPayload = 1u << 26;  ///< 64 MiB per record
-
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
 
 std::string header_bytes(std::string_view tag, std::uint64_t base_seq) {
   std::string out;
@@ -64,27 +53,6 @@ std::uint32_t frame_crc(std::uint64_t uploader, std::string_view payload) {
   return crc32(payload.data(), payload.size(), crc32(stamp, sizeof stamp));
 }
 
-struct Cursor {
-  std::string_view data;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const { return data.size() - pos; }
-  bool read_bytes(void* out, std::size_t n) {
-    if (remaining() < n) return false;
-    std::memcpy(out, data.data() + pos, n);
-    pos += n;
-    return true;
-  }
-  bool read_u32(std::uint32_t& out) { return read_bytes(&out, sizeof out); }
-  bool read_u64(std::uint64_t& out) { return read_bytes(&out, sizeof out); }
-  bool read_view(std::string_view& out, std::size_t n) {
-    if (remaining() < n) return false;
-    out = data.substr(pos, n);
-    pos += n;
-    return true;
-  }
-};
-
 /// Parsed body of a journal file: header seq plus the intact record prefix.
 struct ParsedJournal {
   std::uint64_t base_seq = 0;
@@ -96,7 +64,7 @@ Expected<ParsedJournal, std::string> parse_journal(const std::string& bytes,
                                                    std::string_view tag,
                                                    const std::string& path) {
   using Result = Expected<ParsedJournal, std::string>;
-  Cursor cur{bytes};
+  ByteCursor cur{bytes};
   char magic[sizeof kMagic];
   if (!cur.read_bytes(magic, sizeof magic) ||
       std::memcmp(magic, kMagic, kVersionAt) != 0 ||

@@ -8,10 +8,20 @@
 namespace trajkit::wifi {
 namespace {
 
+/// Reference-index grid cell, suited to r = 2.5 m and R = 3 m.
+constexpr double kCellSizeM = 4.0;
+
 void append_num(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
+}
+
+const RssiDetectorConfig& checked(const RssiDetectorConfig& config) {
+  if (config.threshold < 0.0 || config.threshold > 1.0) {
+    throw std::invalid_argument("RssiDetector: threshold must be in [0, 1]");
+  }
+  return config;
 }
 
 }  // namespace
@@ -41,14 +51,16 @@ RssiDetector::RssiDetector(std::vector<ReferencePoint> history,
 
 RssiDetector::RssiDetector(std::vector<ReferencePoint> history,
                            RssiDetectorConfig config, const BoundingBox& index_bounds)
-    : index_(std::move(history), 4.0, index_bounds),
-      config_(config),
+    : index_(std::move(history), kCellSizeM, index_bounds),
+      config_(checked(config)),
       estimator_(index_, config.confidence),
-      classifier_(config.classifier) {
-  if (config_.threshold < 0.0 || config_.threshold > 1.0) {
-    throw std::invalid_argument("RssiDetector: threshold must be in [0, 1]");
-  }
-}
+      classifier_(config.classifier) {}
+
+RssiDetector::RssiDetector(std::string_view& image, const RssiDetectorConfig& config)
+    : index_(image, kCellSizeM),
+      config_(checked(config)),
+      estimator_(index_, config.confidence),
+      classifier_(config.classifier) {}
 
 void RssiDetector::train(const std::vector<ScannedUpload>& uploads,
                          const std::vector<int>& labels) {

@@ -16,6 +16,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable/artifact_store.hpp"
@@ -112,12 +113,19 @@ class RssiDetector {
 
   /// Persist the full detector — configuration, crowdsourced reference store
   /// and the trained classifier — so a provider can train once and deploy.
+  /// The payload is a binary image (DESIGN.md, "Detector model image"): the
+  /// config values and trained_points, the reference index's own arrays
+  /// (ReferenceIndex::append_image), then the classifier's text, length
+  /// prefixed.  save writes it bare; save_file commits it as the one record
+  /// of a version-2 durable container.
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
 
   /// The loaders: a serving process gets either a detector or a diagnostic
-  /// string.  try_load reads the v2 stream format save writes; try_load_file
-  /// reads only the durable container save_file commits.
+  /// string.  try_load reads the bare image save writes, to the end of the
+  /// stream; try_load_file reads only the durable container save_file
+  /// commits.  Both decode the image straight into the index and refuse
+  /// anything validate_reference_point or the constructors would refuse.
   static Expected<std::unique_ptr<RssiDetector>, std::string> try_load(
       std::istream& is);
   static Expected<std::unique_ptr<RssiDetector>, std::string> try_load_file(
@@ -146,6 +154,16 @@ class RssiDetector {
   std::size_t trained_points() const { return trained_points_; }
 
  private:
+  /// The loaders' constructor: decodes the index from the front of `image`
+  /// and advances past it (ReferenceIndex's image constructor).
+  RssiDetector(std::string_view& image, const RssiDetectorConfig& config);
+
+  /// The model image save writes.
+  std::string image() const;
+  /// Decode a whole model image.
+  static Expected<std::unique_ptr<RssiDetector>, std::string> decode(
+      std::string_view image);
+
   ReferenceIndex index_;
   RssiDetectorConfig config_;
   ConfidenceEstimator estimator_;
@@ -162,7 +180,7 @@ std::vector<ReferencePoint> flatten_history(
 namespace trajkit::durable {
 
 /// Detector artifacts for ArtifactStore::open<RssiDetector>/publish: the
-/// payload is the detector's own stream format (save/try_load), the same
+/// payload is the detector's binary model image (save/try_load), the same
 /// bytes save_file frames.  Value is a unique_ptr because a live detector
 /// pins internal pointers and cannot move.
 template <>

@@ -1,19 +1,28 @@
-// RssiDetector persistence: a text header (config + reference store) followed
-// by the serialised GBT classifier.  The store dominates the file size; RSSIs
-// are written as compact integer pairs.
+// RssiDetector persistence: one binary model image, the reference index's
+// own arrays between a fixed header and the serialised GBT classifier.
 //
-// The config line is radius top_k theta1 theta2 R tolerance base threshold.
+//   "TKRDET2\n"                 8-byte magic
+//   f64 reference_radius_m, u64 top_k, u8 use_theta1, u8 use_theta2,
+//   f64 counting_radius_m, i32 rssi_tolerance_db, f64 theta2_base,
+//   f64 threshold                the config
+//   u64 trained_points
+//   index image                  ReferenceIndex::append_image
+//   u64 text_len, GBT text       GbtClassifier::save, length prefixed
 //
-// On disk the text payload is wrapped in a CRC-framed durable container and
-// committed atomically (common/durable).  Loaded reference points pass the
-// same validation as live crowdsourced scans (wifi/validate) — a corrupt or
-// hostile store is a clean error, never a poisoned index.
+// Integers and doubles are native little-endian, as in every durable format.
+// On disk the image is the one record of a CRC-framed durable container
+// (version 2), committed atomically (common/durable).  Loading copies the
+// arrays into the index and checks, in one pass, everything
+// validate_reference_point and the index constructors check (see the image
+// constructor in wifi/refindex.hpp), so a corrupt or hostile store is a
+// clean error, never a poisoned index.  Nothing may follow the classifier.
 #include <cmath>
-#include <iomanip>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "common/durable/bytes.hpp"
 #include "common/durable/durable_file.hpp"
 #include "common/fault.hpp"
 #include "wifi/detector.hpp"
@@ -22,12 +31,9 @@
 namespace trajkit::wifi {
 namespace {
 
-constexpr const char* kMagic = "trajkit_rssi_detector_v2";
+constexpr char kMagic[8] = {'T', 'K', 'R', 'D', 'E', 'T', '2', '\n'};
 constexpr const char* kDurableTag = "rssi_detector";
-constexpr std::uint32_t kDurableVersion = 1;
-
-/// Cap on deserialised reference points; the real stores are ~10^4-10^5.
-constexpr std::size_t kMaxReferencePoints = 5'000'000;
+constexpr std::uint32_t kDurableVersion = 2;
 
 using DetectorOrError = Expected<std::unique_ptr<RssiDetector>, std::string>;
 
@@ -45,24 +51,90 @@ std::string width_error(const gbt::GbtClassifier& classifier,
 
 }  // namespace
 
-void RssiDetector::save(std::ostream& os) const {
-  os << kMagic << '\n';
+std::string RssiDetector::image() const {
+  std::ostringstream classifier_text;
+  classifier_.save(classifier_text);
+  const std::string text = std::move(classifier_text).str();
+
+  std::string out(kMagic, sizeof kMagic);
   const auto& conf = config_.confidence;
-  os << std::setprecision(17);
-  os << conf.reference_radius_m << ' ' << conf.top_k << ' ' << conf.use_theta1 << ' '
-     << conf.use_theta2 << ' ' << conf.rpd.counting_radius_m << ' '
-     << conf.rpd.rssi_tolerance_db << ' ' << conf.rpd.theta2_base << ' '
-     << config_.threshold << '\n';
-  os << trained_points_ << '\n';
-  os << index_.size() << '\n';
-  for (std::size_t i = 0; i < index_.size(); ++i) {
-    const ReferencePoint p = index_.point(i);
-    os << p.pos.east << ' ' << p.pos.north << ' ' << p.traj_id << ' '
-       << p.scan.size();
-    for (const auto& obs : p.scan) os << ' ' << obs.mac << ' ' << obs.rssi_dbm;
-    os << '\n';
+  durable::append_pod(out, conf.reference_radius_m);
+  durable::append_u64(out, conf.top_k);
+  durable::append_pod(out, static_cast<std::uint8_t>(conf.use_theta1));
+  durable::append_pod(out, static_cast<std::uint8_t>(conf.use_theta2));
+  durable::append_pod(out, conf.rpd.counting_radius_m);
+  durable::append_pod(out, static_cast<std::int32_t>(conf.rpd.rssi_tolerance_db));
+  durable::append_pod(out, conf.rpd.theta2_base);
+  durable::append_pod(out, config_.threshold);
+  durable::append_u64(out, trained_points_);
+  index_.append_image(out);
+  durable::append_u64(out, text.size());
+  out += text;
+  return out;
+}
+
+void RssiDetector::save(std::ostream& os) const {
+  const std::string bytes = image();
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+DetectorOrError RssiDetector::decode(std::string_view image) {
+  durable::ByteCursor cur{image};
+  char magic[sizeof kMagic];
+  if (!cur.read_bytes(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof magic) != 0) {
+    return DetectorOrError::failure("RssiDetector: bad magic (not a detector model)");
   }
-  classifier_.save(os);
+  RssiDetectorConfig cfg;
+  auto& conf = cfg.confidence;
+  std::uint64_t top_k = 0;
+  std::uint8_t theta1 = 0;
+  std::uint8_t theta2 = 0;
+  std::int32_t tolerance = 0;
+  std::uint64_t trained_points = 0;
+  if (!(cur.read(conf.reference_radius_m) && cur.read(top_k) && cur.read(theta1) &&
+        cur.read(theta2) && cur.read(conf.rpd.counting_radius_m) && cur.read(tolerance) &&
+        cur.read(conf.rpd.theta2_base) && cur.read(cfg.threshold) &&
+        cur.read(trained_points))) {
+    return DetectorOrError::failure("RssiDetector: truncated config header");
+  }
+  if (!std::isfinite(conf.reference_radius_m) || conf.reference_radius_m <= 0.0 ||
+      top_k == 0 || top_k > kMaxScanAps || theta1 > 1 || theta2 > 1 ||
+      !std::isfinite(conf.rpd.counting_radius_m) || conf.rpd.counting_radius_m <= 0.0 ||
+      !std::isfinite(conf.rpd.theta2_base) || !std::isfinite(cfg.threshold)) {
+    return DetectorOrError::failure("RssiDetector: implausible config");
+  }
+  if (trained_points > kMaxUploadPoints) {
+    return DetectorOrError::failure("RssiDetector: implausible store header");
+  }
+  conf.top_k = static_cast<std::size_t>(top_k);
+  conf.use_theta1 = theta1 != 0;
+  conf.use_theta2 = theta2 != 0;
+  conf.rpd.rssi_tolerance_db = tolerance;
+  std::string_view rest = image.substr(cur.pos);
+  // Construction and the classifier's own loader validate by throwing; fold
+  // those into the non-throwing contract here.
+  try {
+    std::unique_ptr<RssiDetector> detector(new RssiDetector(rest, cfg));
+    durable::ByteCursor tail{rest};
+    std::uint64_t text_len = 0;
+    std::string_view text;
+    if (!tail.read(text_len) || !tail.read_view(text, text_len)) {
+      return DetectorOrError::failure("RssiDetector: truncated classifier");
+    }
+    if (tail.remaining() != 0) {
+      return DetectorOrError::failure("RssiDetector: trailing bytes after the classifier");
+    }
+    std::istringstream is{std::string(text)};
+    auto classifier = gbt::GbtClassifier::try_load(is);
+    if (!classifier) return DetectorOrError::failure("RssiDetector: " + classifier.error());
+    const std::string bad_width = width_error(classifier.value(), cfg, trained_points);
+    if (!bad_width.empty()) return DetectorOrError::failure("RssiDetector: " + bad_width);
+    detector->classifier_ = std::move(classifier).value();
+    detector->trained_points_ = static_cast<std::size_t>(trained_points);
+    return DetectorOrError(std::move(detector));
+  } catch (const std::exception& e) {
+    return DetectorOrError::failure(std::string("RssiDetector: ") + e.what());
+  }
 }
 
 DetectorOrError RssiDetector::try_load(std::istream& is) {
@@ -71,75 +143,12 @@ DetectorOrError RssiDetector::try_load(std::istream& is) {
   if (global_faults().should_fail_seq(kFaultDetectorLoad, 0)) {
     return DetectorOrError::failure("RssiDetector: injected load fault");
   }
-  std::string magic;
-  if (!(is >> magic) || magic != kMagic) {
-    return DetectorOrError::failure("RssiDetector: bad magic (not a detector model)");
+  std::string bytes;
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(is.gcount()));
   }
-  RssiDetectorConfig cfg;
-  if (!(is >> cfg.confidence.reference_radius_m >> cfg.confidence.top_k >>
-        cfg.confidence.use_theta1 >> cfg.confidence.use_theta2 >>
-        cfg.confidence.rpd.counting_radius_m >> cfg.confidence.rpd.rssi_tolerance_db >>
-        cfg.confidence.rpd.theta2_base >> cfg.threshold)) {
-    return DetectorOrError::failure("RssiDetector: bad config header");
-  }
-  if (!std::isfinite(cfg.confidence.reference_radius_m) ||
-      cfg.confidence.reference_radius_m <= 0.0 || cfg.confidence.top_k == 0 ||
-      cfg.confidence.top_k > kMaxScanAps ||
-      !std::isfinite(cfg.confidence.rpd.counting_radius_m) ||
-      cfg.confidence.rpd.counting_radius_m <= 0.0 ||
-      !std::isfinite(cfg.confidence.rpd.theta2_base) ||
-      !std::isfinite(cfg.threshold)) {
-    return DetectorOrError::failure("RssiDetector: implausible config");
-  }
-  std::size_t trained_points = 0;
-  std::size_t ref_count = 0;
-  if (!(is >> trained_points >> ref_count)) {
-    return DetectorOrError::failure("RssiDetector: bad header");
-  }
-  if (trained_points > kMaxUploadPoints || ref_count > kMaxReferencePoints) {
-    return DetectorOrError::failure("RssiDetector: implausible store header");
-  }
-  std::vector<ReferencePoint> refs;
-  refs.reserve(ref_count);
-  for (std::size_t i = 0; i < ref_count; ++i) {
-    ReferencePoint p;
-    std::size_t scan_size = 0;
-    if (!(is >> p.pos.east >> p.pos.north >> p.traj_id >> scan_size)) {
-      return DetectorOrError::failure("RssiDetector: truncated reference point " +
-                                      std::to_string(i));
-    }
-    if (scan_size > kMaxScanAps) {
-      return DetectorOrError::failure("RssiDetector: oversized scan at point " +
-                                      std::to_string(i));
-    }
-    p.scan.resize(scan_size);
-    for (auto& obs : p.scan) {
-      if (!(is >> obs.mac >> obs.rssi_dbm)) {
-        return DetectorOrError::failure("RssiDetector: truncated scan at point " +
-                                        std::to_string(i));
-      }
-    }
-    auto valid = validate_reference_point(p);
-    if (!valid) {
-      return DetectorOrError::failure("RssiDetector: point " + std::to_string(i) +
-                                      ": " + valid.error());
-    }
-    refs.push_back(std::move(p));
-  }
-  // Construction and the classifier's own loader validate by throwing; fold
-  // those into the non-throwing contract here.
-  try {
-    auto detector = std::make_unique<RssiDetector>(std::move(refs), cfg);
-    auto classifier = gbt::GbtClassifier::try_load(is);
-    if (!classifier) return DetectorOrError::failure("RssiDetector: " + classifier.error());
-    const std::string bad_width = width_error(classifier.value(), cfg, trained_points);
-    if (!bad_width.empty()) return DetectorOrError::failure("RssiDetector: " + bad_width);
-    detector->classifier_ = std::move(classifier).value();
-    detector->trained_points_ = trained_points;
-    return DetectorOrError(std::move(detector));
-  } catch (const std::exception& e) {
-    return DetectorOrError::failure(std::string("RssiDetector: ") + e.what());
-  }
+  return decode(bytes);
 }
 
 DetectorOrError RssiDetector::try_load_file(const std::string& path) {
@@ -152,16 +161,13 @@ DetectorOrError RssiDetector::try_load_file(const std::string& path) {
   if (records.value().size() != 1) {
     return DetectorOrError::failure("RssiDetector: unexpected record count");
   }
-  std::istringstream is(records.value()[0]);
-  return try_load(is);
+  return decode(records.value()[0]);
 }
 
 void RssiDetector::save_file(const std::string& path) const {
   global_faults().check_seq(kFaultDetectorSave, durable::path_fault_key(path));
-  std::ostringstream payload;
-  save(payload);
   durable::DurableWriter writer(kDurableTag, kDurableVersion);
-  writer.add_record(payload.str());
+  writer.add_record(image());
   auto committed = writer.commit(path);
   if (!committed) {
     throw std::runtime_error("RssiDetector::save_file: " + committed.error());

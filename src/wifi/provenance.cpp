@@ -23,8 +23,10 @@ ProvenanceGrid::ProvenanceGrid(double cell_size_m) : cell_size_m_(cell_size_m) {
 }
 
 CellKey ProvenanceGrid::cell_of(const Enu& pos) const {
-  return {static_cast<std::int64_t>(std::floor(pos.east / cell_size_m_)),
-          static_cast<std::int64_t>(std::floor(pos.north / cell_size_m_))};
+  // tile_of saturates a quotient past the int64 range (a tiny cell far from
+  // the origin) instead of converting it.
+  const TileId tile = tile_of(pos, cell_size_m_);
+  return {tile.tx, tile.ty};
 }
 
 const ProvenanceGrid::Cell* ProvenanceGrid::cell_at(const Enu& pos) const {

@@ -77,6 +77,8 @@ class ProvenanceGrid {
   /// Fold one ingested reference point into its cell under `uploader`.
   void add(const ReferencePoint& point, UploaderId uploader);
 
+  /// floor(pos / cell size) per axis (geo's tile_of), saturated to the
+  /// int64 range.
   CellKey cell_of(const Enu& pos) const;
   const Cell* cell_at(const Enu& pos) const;
 

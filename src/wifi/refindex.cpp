@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+
+#include "common/durable/bytes.hpp"
+#include "wifi/validate.hpp"
 
 namespace trajkit::wifi {
 namespace {
@@ -74,15 +79,6 @@ ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_s
   if (cell_size_m_ <= 0.0) {
     throw std::invalid_argument("ReferenceIndex: cell size must be positive");
   }
-  bounds_ = bounds.width() > 0.0 || bounds.height() > 0.0 ? bounds
-                                                          : natural_bounds(points);
-
-  grid_w_ = static_cast<std::size_t>(
-                std::max(1.0, std::ceil(bounds_.width() / cell_size_m_))) +
-            1;
-  grid_h_ = static_cast<std::size_t>(
-                std::max(1.0, std::ceil(bounds_.height() / cell_size_m_))) +
-            1;
   std::size_t observations = 0;
   for (const auto& p : points) {
     if (p.scan.size() > kMaxScanSize) {
@@ -108,6 +104,121 @@ ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_s
     offsets_.push_back(keys_.size());
   }
   macs_.shrink_to_fit();
+  build_grid(bounds);
+}
+
+ReferenceIndex::ReferenceIndex(std::string_view& image, double cell_size_m)
+    : cell_size_m_(cell_size_m) {
+  const auto refuse = [](const std::string& why) {
+    throw std::invalid_argument("ReferenceIndex image: " + why);
+  };
+  if (cell_size_m_ <= 0.0) refuse("cell size must be positive");
+  durable::ByteCursor cur{image};
+  std::uint64_t points = 0;
+  std::uint64_t aps = 0;
+  std::uint64_t keys = 0;
+  if (!cur.read(points) || !cur.read(aps) || !cur.read(keys)) refuse("truncated header");
+  // A point costs a count, a position and a trajectory id.  Each term is
+  // bounded before the sum, so the sum cannot wrap.
+  constexpr std::size_t kPointBytes =
+      sizeof(std::uint16_t) + sizeof(Enu) + sizeof(std::uint32_t);
+  const std::size_t left = cur.remaining();
+  if (points > left / kPointBytes || aps > left / sizeof(std::uint64_t) ||
+      keys > left / sizeof(std::uint32_t) ||
+      points * kPointBytes + aps * sizeof(std::uint64_t) + keys * sizeof(std::uint32_t) >
+          left) {
+    refuse("header claims " + std::to_string(points) + " points, " + std::to_string(aps) +
+           " MACs and " + std::to_string(keys) + " keys, more than the " +
+           std::to_string(left) + " bytes that follow hold");
+  }
+  if (aps > kMaxAps) refuse("more than 2^24 distinct MACs");
+
+  cur.read_array(macs_, aps);
+  std::size_t slots = ap_slots_.size();
+  while (slots < 2 * macs_.size()) slots *= 2;
+  ap_slots_.assign(slots, ApSlot{});
+  for (std::uint32_t a = 0; a < macs_.size(); ++a) {
+    std::size_t j = home_slot(macs_[a]);
+    for (; ap_slots_[j].id != kNoAp; j = (j + 1) & (slots - 1)) {
+      if (ap_slots_[j].mac == macs_[a]) refuse("MAC " + std::to_string(macs_[a]) + " listed twice");
+    }
+    ap_slots_[j] = {macs_[a], a};
+  }
+
+  std::vector<std::uint16_t> counts;
+  cur.read_array(counts, points);
+  offsets_.resize(points + 1);
+  offsets_[0] = 0;
+  for (std::size_t h = 0; h < points; ++h) {
+    if (counts[h] > kMaxScanAps) {
+      refuse("point " + std::to_string(h) + " holds " + std::to_string(counts[h]) +
+             " observations, above " + std::to_string(kMaxScanAps));
+    }
+    offsets_[h + 1] = offsets_[h] + counts[h];
+  }
+  if (offsets_.back() != keys) {
+    refuse("counts sum to " + std::to_string(offsets_.back()) + ", not the " +
+           std::to_string(keys) + " keys");
+  }
+
+  cur.read_array(keys_, keys);
+  std::uint32_t seen = 0;  // AP ids first seen so far
+  for (std::size_t o = 0; o < keys_.size(); ++o) {
+    const std::uint32_t ap = keys_[o] >> kRssiBits;
+    if ((keys_[o] & kRssiMask) > kMaxValidRssiDbm - kMinValidRssiDbm) {
+      refuse("key " + std::to_string(o) + " holds RSSI byte " +
+             std::to_string(keys_[o] & kRssiMask) + ", above 150");
+    }
+    if (ap >= macs_.size()) {
+      refuse("key " + std::to_string(o) + " names AP " + std::to_string(ap) +
+             " past the " + std::to_string(macs_.size()) + "-entry MAC table");
+    }
+    if (ap > seen) {
+      refuse("key " + std::to_string(o) + " names AP " + std::to_string(ap) +
+             " before AP " + std::to_string(seen));
+    }
+    seen += ap == seen;
+  }
+  if (seen != macs_.size()) refuse("the MAC table lists MACs no key observes");
+
+  cur.read_array(pos_, points);
+  for (std::size_t h = 0; h < pos_.size(); ++h) {
+    if (!position_ok(pos_[h])) {
+      refuse("point " + std::to_string(h) + ": non-finite or out-of-envelope position");
+    }
+  }
+  cur.read_array(traj_id_, points);
+  image.remove_prefix(cur.pos);
+  build_grid(BoundingBox{});
+}
+
+void ReferenceIndex::append_image(std::string& out) const {
+  const std::uint64_t header[] = {pos_.size(), macs_.size(), keys_.size()};
+  std::vector<std::uint16_t> counts(pos_.size());
+  for (std::size_t h = 0; h < counts.size(); ++h) {
+    counts[h] = static_cast<std::uint16_t>(offsets_[h + 1] - offsets_[h]);
+  }
+  out.reserve(out.size() + sizeof header + macs_.size() * sizeof(std::uint64_t) +
+              counts.size() * sizeof(std::uint16_t) + keys_.size() * sizeof(std::uint32_t) +
+              pos_.size() * sizeof(Enu) + traj_id_.size() * sizeof(std::uint32_t));
+  durable::append_array(out, header, std::size(header));
+  durable::append_array(out, macs_.data(), macs_.size());
+  durable::append_array(out, counts.data(), counts.size());
+  durable::append_array(out, keys_.data(), keys_.size());
+  durable::append_array(out, pos_.data(), pos_.size());
+  durable::append_array(out, traj_id_.data(), traj_id_.size());
+}
+
+void ReferenceIndex::build_grid(const BoundingBox& bounds) {
+  bounds_ = bounds.width() > 0.0 || bounds.height() > 0.0
+                ? bounds
+                : BoundingBox::of(pos_).expanded(1.0);
+  grid_w_ = static_cast<std::size_t>(
+                std::max(1.0, std::ceil(bounds_.width() / cell_size_m_))) +
+            1;
+  grid_h_ = static_cast<std::size_t>(
+                std::max(1.0, std::ceil(bounds_.height() / cell_size_m_))) +
+            1;
   grid_.assign(grid_w_ * grid_h_, {});
   for (std::size_t i = 0; i < pos_.size(); ++i) {
     grid_[cell_of(pos_[i])].push_back(static_cast<std::uint32_t>(i));

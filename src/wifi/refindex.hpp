@@ -14,10 +14,16 @@
 // trajectory ids sit in arrays of their own.  An Eq. 4 match window of one
 // MAC over an RSSI range is then one contiguous key range, so a match is one
 // unsigned compare per lane.
+//
+// The detector's model file stores these arrays as they are (append_image
+// and the image-taking constructor; DESIGN.md, "Detector model image"), so
+// a cold start copies them instead of re-encoding every observation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "geo/geo.hpp"
@@ -53,6 +59,26 @@ class ReferenceIndex {
   /// expansion margin.
   ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m,
                  const BoundingBox& bounds);
+
+  /// Decode an index from the front of `image`, laid out as append_image()
+  /// writes it, and advance `image` past it.  Grid bounds are the points'
+  /// natural_bounds.  Every count is checked against the bytes that remain
+  /// before anything is allocated, and the image is refused
+  /// (std::invalid_argument naming the rule) unless it is what
+  /// append_image() writes for an index that validate_reference_point
+  /// would accept point by point: each position passes position_ok, each
+  /// point holds at most kMaxScanAps observations and the counts sum to
+  /// the key count, each key's RSSI byte is at most 150, AP ids lie inside
+  /// the MAC table and appear in first-seen order, and no MAC is listed
+  /// twice or never observed.  So the result equals the index built from
+  /// its own point(h)s.
+  ReferenceIndex(std::string_view& image, double cell_size_m);
+
+  /// Append the store's arrays to `out`: u64 point, MAC and key counts, the
+  /// MACs in AP-id order (u64 each), per-point observation counts (u16),
+  /// the keys (u32), positions (two raw doubles each) and trajectory ids
+  /// (u32), native little-endian.
+  void append_image(std::string& out) const;
 
   /// The grid extent the single-argument constructor would derive for
   /// `points`: their bounding box expanded by 1 m.  Exposed so sharded
@@ -180,6 +206,10 @@ class ReferenceIndex {
   void visit(const Enu& center, double radius, Visitor&& visitor) const;
 
   std::size_t cell_of(const Enu& p) const;
+
+  /// Size the grid over `bounds` (natural bounds of pos_ when empty) and
+  /// file every stored point in its cell.
+  void build_grid(const BoundingBox& bounds);
 
   /// AP id of `mac`, or kNoAp when the store never observed it.
   std::uint32_t ap_id(std::uint64_t mac) const;

@@ -7,12 +7,12 @@ namespace {
 
 using Valid = Expected<bool, std::string>;
 
+}  // namespace
+
 bool position_ok(const Enu& pos) {
   return std::isfinite(pos.east) && std::isfinite(pos.north) &&
          std::fabs(pos.east) <= kMaxEnuAbsM && std::fabs(pos.north) <= kMaxEnuAbsM;
 }
-
-}  // namespace
 
 Valid validate_scan(const WifiScan& scan) {
   if (scan.size() > kMaxScanAps) {

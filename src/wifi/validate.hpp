@@ -31,6 +31,9 @@ inline constexpr std::size_t kMaxUploadPoints = 100'000;
 /// coordinates that are clearly not metres.
 inline constexpr double kMaxEnuAbsM = 2.1e7;
 
+/// Whether `pos` is finite and inside the kMaxEnuAbsM envelope.
+bool position_ok(const Enu& pos);
+
 /// Checks one scan: AP count within bounds and every RSSI physical.
 Expected<bool, std::string> validate_scan(const WifiScan& scan);
 

@@ -21,6 +21,8 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,6 +83,40 @@ TEST(Crc32, ChainsAcrossSplits) {
         durable::crc32(data.data() + split, data.size() - split, head);
     EXPECT_EQ(chained, whole) << "split at " << split;
   }
+}
+
+/// CRC-32 one bit at a time, straight from the polynomial: the reference the
+/// table-driven implementation must reproduce.
+std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t size,
+                            std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..64 at each of the 8 alignments cover every split of the
+  // 8-byte steps and the byte-wise tail.
+  Rng rng(0xC3C);
+  std::vector<unsigned char> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(durable::crc32(buf.data() + align, len),
+                crc32_bitwise(buf.data() + align, len))
+          << "alignment " << align << ", length " << len;
+    }
+  }
+  // One random 1 MB buffer, whole and chained at an odd split.
+  std::vector<unsigned char> big(std::size_t{1} << 20);
+  for (auto& b : big) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  const std::uint32_t expect = crc32_bitwise(big.data(), big.size());
+  EXPECT_EQ(durable::crc32(big.data(), big.size()), expect);
+  const std::uint32_t head = durable::crc32(big.data(), 333'333);
+  EXPECT_EQ(durable::crc32(big.data() + 333'333, big.size() - 333'333, head), expect);
 }
 
 // ---------------------------------------------------------------------------
@@ -613,46 +649,349 @@ TEST(DurableModels, DetectorSaveFileIsDurableAndServesIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(DurableModels, DetectorRejectsOversizedScanHeader) {
-  ts::LinearFieldWorld w;
-  std::ostringstream os;
-  w.detector().save(os);
-  std::string text = os.str();
-  // Rewrite the first reference point's scan length to an absurd value.
-  std::istringstream scan_for(text);
-  std::string line;
-  std::getline(scan_for, line);  // magic
-  std::getline(scan_for, line);  // config
-  std::getline(scan_for, line);  // trained points
-  std::getline(scan_for, line);  // ref count
-  const auto point_start = static_cast<std::size_t>(scan_for.tellg());
-  std::getline(scan_for, line);  // first reference point
-  std::istringstream fields(line);
-  std::string east, north, traj;
-  fields >> east >> north >> traj;
-  const std::string prefix = east + ' ' + north + ' ' + traj + ' ';
-  text.replace(point_start, line.size(), prefix + "999999");
-  std::istringstream is(text);
-  auto loaded = wifi::RssiDetector::try_load(is);
-  ASSERT_FALSE(loaded.has_value());
+// ---------------------------------------------------------------------------
+// Detector model image (DESIGN.md, "Detector model image")
+
+constexpr std::uint32_t kDetectorVersion = 2;
+constexpr const char* kDetectorTag = "rssi_detector";
+
+/// A detector model image built field by field from the documented layout,
+/// independently of RssiDetector::save, so a test can hand-build what the
+/// writer never produces.  `points` overrides the point count in the index
+/// header (default: positions.size()).  The default is a top_k = 1 model
+/// for 2-point uploads (Eq. 8 width 4) over one reference point.
+struct DetectorImage {
+  /// (AP id << 8) | (RSSI + 120).
+  static std::uint32_t key(std::uint32_t ap, int rssi_dbm) {
+    return ap << 8 | static_cast<std::uint32_t>(rssi_dbm + 120);
+  }
+
+  /// A one-split GBT whose root reads feature `split_feature`.
+  static std::string stump_on(int split_feature) {
+    return "trajkit_gbt_v1\n"
+           "1 4 0.1 32 1 0 1 1 42\n"
+           "0 1\n"
+           "3\n" +
+           std::to_string(split_feature) +
+           " 0.5 0 1 2 0 1\n"
+           "-1 0 0 -1 -1 0.25 0\n"
+           "-1 0 0 -1 -1 -0.25 0\n";
+  }
+
+  double reference_radius_m = 2.5;
+  std::uint64_t top_k = 1;
+  std::uint8_t use_theta1 = 1;
+  std::uint8_t use_theta2 = 1;
+  double counting_radius_m = 3.0;
+  std::int32_t rssi_tolerance_db = 0;
+  double theta2_base = 0.9;
+  double threshold = 0.5;
+  std::uint64_t trained_points = 2;
+  std::vector<std::uint64_t> macs = {17};
+  std::vector<std::uint16_t> counts = {1};
+  std::vector<std::uint32_t> keys = {key(0, -50)};
+  std::vector<Enu> positions = {{0.0, 0.0}};
+  std::vector<std::uint32_t> traj_ids = {0};
+  std::optional<std::uint64_t> points;
+  std::string classifier = stump_on(3);
+
+  std::string bytes() const {
+    std::string out = "TKRDET2\n";
+    const auto put = [&out](const auto& v) {
+      char buf[sizeof v];
+      std::memcpy(buf, &v, sizeof v);
+      out.append(buf, sizeof v);
+    };
+    const auto put_all = [&put](const auto& values) {
+      for (const auto& v : values) put(v);
+    };
+    put(reference_radius_m);
+    put(top_k);
+    put(use_theta1);
+    put(use_theta2);
+    put(counting_radius_m);
+    put(rssi_tolerance_db);
+    put(theta2_base);
+    put(threshold);
+    put(trained_points);
+    put(points.value_or(positions.size()));
+    put(std::uint64_t{macs.size()});
+    put(std::uint64_t{keys.size()});
+    put_all(macs);
+    put_all(counts);
+    put_all(keys);
+    for (const Enu& p : positions) {
+      put(p.east);
+      put(p.north);
+    }
+    put_all(traj_ids);
+    put(std::uint64_t{classifier.size()});
+    out += classifier;
+    return out;
+  }
+};
+
+/// Offset of the index image inside a model image: the magic, the config
+/// and trained_points.
+constexpr std::size_t kIndexImageAt = 8 + 8 + 8 + 1 + 1 + 8 + 4 + 8 + 8 + 8;
+
+std::string detector_stream_splitting_on(int split_feature) {
+  DetectorImage image;
+  image.classifier = DetectorImage::stump_on(split_feature);
+  return image.bytes();
 }
 
-/// A detector stream with top_k = 1 and 2-point uploads (Eq. 8 width 4) over
-/// one reference point, whose classifier is a stump on `split_feature`.
-std::string detector_stream_splitting_on(int split_feature) {
-  return "trajkit_rssi_detector_v2\n"
-         "2.5 1 1 1 3 0 0.9 0.5\n"
-         "2\n"
-         "1\n"
-         "0 0 0 1 17 -50\n"
-         "trajkit_gbt_v1\n"
-         "1 4 0.1 32 1 0 1 1 42\n"
-         "0 1\n"
-         "3\n" +
-         std::to_string(split_feature) +
-         " 0.5 0 1 2 0 1\n"
-         "-1 0 0 -1 -1 0.25 0\n"
-         "-1 0 0 -1 -1 -0.25 0\n";
+/// The bare-stream loader's verdict on `bytes`: "" when it loads.
+std::string bare_load_error(const std::string& bytes) {
+  std::istringstream is(bytes);
+  const auto loaded = wifi::RssiDetector::try_load(is);
+  return loaded.has_value() ? std::string() : loaded.error();
+}
+
+/// The file loader's verdict on `bytes` framed as the one record of a
+/// version-2 detector container, CRCs valid.
+std::string framed_load_error(const std::string& bytes) {
+  const std::string path = "durable_test_framed_image.tmp";
+  DurableWriter writer(kDetectorTag, kDetectorVersion);
+  writer.add_record(bytes);
+  write_raw(path, writer.bytes());
+  const auto loaded = wifi::RssiDetector::try_load_file(path);
+  std::remove(path.c_str());
+  return loaded.has_value() ? std::string() : loaded.error();
+}
+
+std::string saved_image(const wifi::RssiDetector& detector) {
+  std::ostringstream os;
+  detector.save(os);
+  return os.str();
+}
+
+bool same_bits(const Enu& a, const Enu& b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(DurableModels, DetectorRejectsOversizedScanHeader) {
+  ts::LinearFieldWorld w;
+  std::string bytes = saved_image(w.detector());
+  // Rewrite the first reference point's observation count to an absurd
+  // value: it follows the index header (points, MACs, keys) and the MAC
+  // table.
+  std::uint64_t macs = 0;
+  std::memcpy(&macs, bytes.data() + kIndexImageAt + 8, sizeof macs);
+  const std::size_t first_count = kIndexImageAt + 24 + 8 * macs;
+  ASSERT_LT(first_count + 2, bytes.size());
+  const std::uint16_t absurd = 0xffff;
+  std::memcpy(bytes.data() + first_count, &absurd, sizeof absurd);
+  std::istringstream is(bytes);
+  auto loaded = wifi::RssiDetector::try_load(is);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_NE(loaded.error().find("point 0 holds 65535 observations"), std::string::npos)
+      << loaded.error();
+}
+
+TEST(DurableModels, DetectorImageRoundTripsBitwise) {
+  ts::LinearFieldWorld w;
+  const wifi::RssiDetector& original = w.detector();
+  const std::string bytes = saved_image(original);
+  std::istringstream is(bytes);
+  auto loaded = wifi::RssiDetector::try_load(is);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  const wifi::ReferenceIndex& a = original.index();
+  const wifi::ReferenceIndex& b = loaded.value()->index();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t h = 0; h < a.size(); ++h) {
+    ASSERT_TRUE(same_bits(a.pos(h), b.pos(h))) << h;
+    ASSERT_EQ(a.traj_id(h), b.traj_id(h)) << h;
+    const wifi::ReferencePoint pa = a.point(h);
+    const wifi::ReferencePoint pb = b.point(h);
+    ASSERT_TRUE(same_bits(pa.pos, pb.pos)) << h;
+    ASSERT_EQ(pa.traj_id, pb.traj_id) << h;
+    ASSERT_EQ(pa.scan.size(), pb.scan.size()) << h;
+    for (std::size_t o = 0; o < pa.scan.size(); ++o) {
+      ASSERT_EQ(pa.scan[o].mac, pb.scan[o].mac) << h << "/" << o;
+      ASSERT_EQ(pa.scan[o].rssi_dbm, pb.scan[o].rssi_dbm) << h << "/" << o;
+    }
+  }
+  EXPECT_EQ(a.bounds().min_east, b.bounds().min_east);
+  EXPECT_EQ(a.bounds().min_north, b.bounds().min_north);
+  EXPECT_EQ(a.bounds().max_east, b.bounds().max_east);
+  EXPECT_EQ(a.bounds().max_north, b.bounds().max_north);
+  EXPECT_EQ(loaded.value()->trained_points(), original.trained_points());
+  // phi and the verdict, through the whole report.
+  for (const auto& probe : w.probe_mix(6)) {
+    EXPECT_EQ(original.analyze(probe).canonical_string(),
+              loaded.value()->analyze(probe).canonical_string());
+  }
+  // save -> load -> save gives the same bytes, bare and framed.
+  EXPECT_EQ(saved_image(*loaded.value()), bytes);
+  const std::string path = "durable_test_detector_roundtrip.tmp";
+  original.save_file(path);
+  const std::string framed = slurp(path);
+  auto from_file = wifi::RssiDetector::try_load_file(path);
+  ASSERT_TRUE(from_file.has_value()) << from_file.error();
+  from_file.value()->save_file(path);
+  EXPECT_EQ(slurp(path), framed);
+  std::remove(path.c_str());
+}
+
+TEST(DurableModels, HandBuiltDetectorImagesAreRefusedOneRuleEach) {
+  // The base image loads both ways.  Each case breaks one rule the loader
+  // holds and keeps every length consistent, so the refusal comes from that
+  // rule and not from a truncation.  Framed, the CRCs are valid.
+  ASSERT_EQ(bare_load_error(DetectorImage{}.bytes()), "");
+  ASSERT_EQ(framed_load_error(DetectorImage{}.bytes()), "");
+  struct Case {
+    const char* label;
+    std::function<void(DetectorImage&)> edit;
+    const char* error;  ///< a substring of the refusal
+  };
+  const std::vector<Case> cases = {
+      {"key past the MAC table",
+       [](DetectorImage& d) { d.keys = {DetectorImage::key(1, -50)}; },
+       "past the 1-entry MAC table"},
+      {"AP id out of first-seen order",
+       [](DetectorImage& d) {
+         d.macs = {17, 18};
+         d.counts = {2};
+         d.keys = {DetectorImage::key(1, -50), DetectorImage::key(0, -50)};
+       },
+       "names AP 1 before AP 0"},
+      {"duplicate MAC",
+       [](DetectorImage& d) {
+         d.macs = {17, 17};
+         d.counts = {2};
+         d.keys = {DetectorImage::key(0, -50), DetectorImage::key(1, -50)};
+       },
+       "MAC 17 listed twice"},
+      {"MAC no key observes",
+       [](DetectorImage& d) { d.macs = {17, 18}; },
+       "MACs no key observes"},
+      {"count above 512",
+       [](DetectorImage& d) {
+         d.counts = {513};
+         d.keys.assign(513, DetectorImage::key(0, -50));
+       },
+       "holds 513 observations, above 512"},
+      {"counts not the key count",
+       [](DetectorImage& d) { d.keys.push_back(DetectorImage::key(0, -60)); },
+       "counts sum to 1, not the 2 keys"},
+      {"RSSI byte 151",
+       [](DetectorImage& d) { d.keys = {151}; },
+       "RSSI byte 151, above 150"},
+      {"NaN position",
+       [](DetectorImage& d) { d.positions = {{std::nan(""), 0.0}}; },
+       "non-finite or out-of-envelope position"},
+      {"out-of-envelope position",
+       [](DetectorImage& d) { d.positions = {{0.0, 2.2e7}}; },
+       "non-finite or out-of-envelope position"},
+      {"point count the bytes cannot hold",
+       [](DetectorImage& d) { d.points = 1'000'000; },
+       "header claims 1000000 points"},
+      {"non-boolean theta switch",
+       [](DetectorImage& d) { d.use_theta2 = 2; },
+       "implausible config"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    DetectorImage image;
+    c.edit(image);
+    const std::string bytes = image.bytes();
+    const std::string bare = bare_load_error(bytes);
+    EXPECT_NE(bare.find(c.error), std::string::npos) << bare;
+    const std::string framed = framed_load_error(bytes);
+    EXPECT_NE(framed.find(c.error), std::string::npos) << framed;
+  }
+  // Nothing may follow the classifier.
+  const std::string trailing = DetectorImage{}.bytes() + "x";
+  EXPECT_NE(bare_load_error(trailing).find("trailing bytes"), std::string::npos);
+  EXPECT_NE(framed_load_error(trailing).find("trailing bytes"), std::string::npos);
+}
+
+/// A small trained detector: 40 reference points, 3 trees.
+std::unique_ptr<ts::LinearFieldWorld> small_detector_world() {
+  ts::LinearWorldConfig cfg;
+  cfg.history_points = 40;
+  cfg.trees = 3;
+  cfg.train_pairs = 8;
+  return std::make_unique<ts::LinearFieldWorld>(cfg);
+}
+
+TEST(DurableModels, DetectorImageRefusesEveryTruncation) {
+  const auto w = small_detector_world();
+  const std::string bytes = saved_image(w->detector());
+  const std::string path = "durable_test_detector_truncated.tmp";
+  w->detector().save_file(path);
+  const std::string framed = slurp(path);
+  ASSERT_EQ(bare_load_error(bytes), "");
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    ASSERT_NE(bare_load_error(bytes.substr(0, len)), "") << "bare prefix of " << len;
+  }
+  for (std::size_t len = 0; len < framed.size(); ++len) {
+    write_raw(path, framed.substr(0, len));
+    ASSERT_FALSE(wifi::RssiDetector::try_load_file(path).has_value())
+        << "framed prefix of " << len;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DurableModels, DetectorImageFramedBitFlipsAreRefused) {
+  // The container's CRCs refuse every single-bit flip of the file.
+  const auto w = small_detector_world();
+  const std::string path = "durable_test_detector_flipped.tmp";
+  w->detector().save_file(path);
+  const std::string framed = slurp(path);
+  for (std::size_t bit = 0; bit < 8 * framed.size(); ++bit) {
+    std::string flipped = framed;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    write_raw(path, flipped);
+    ASSERT_FALSE(wifi::RssiDetector::try_load_file(path).has_value()) << "bit " << bit;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DurableModels, DetectorImageBareBitFlipsLoadOnlyWhatTheWriterWrites) {
+  // A bare stream has no CRC, and a flip in a double can land on another
+  // valid value.  The contract there: a flip anywhere in the binary part
+  // (all but the classifier text) is refused, or loads a detector whose own
+  // image is the flipped bytes, so nothing loads that the writer would not
+  // write.
+  const auto w = small_detector_world();
+  const std::string bytes = saved_image(w->detector());
+  std::ostringstream classifier_text;
+  w->detector().classifier().save(classifier_text);
+  const std::size_t binary = bytes.size() - classifier_text.str().size();
+  ASSERT_EQ(bytes.substr(binary), classifier_text.str());
+  std::size_t accepted = 0;
+  for (std::size_t bit = 0; bit < 8 * binary; ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    std::istringstream is(flipped);
+    const auto loaded = wifi::RssiDetector::try_load(is);
+    if (!loaded.has_value()) continue;
+    ++accepted;
+    ASSERT_EQ(saved_image(*loaded.value()), flipped) << "bit " << bit;
+  }
+  EXPECT_LT(accepted, 8 * binary);
+}
+
+TEST(DurableModels, DetectorV1TextFileIsRefusedAndLeftUntouched) {
+  // A v1 container: the retired text payload (magic line, config line,
+  // trained points, point count, one "east north traj n mac rssi" line per
+  // point, then the classifier), framed at version 1.
+  const std::string path = "durable_test_detector_v1.tmp";
+  DurableWriter writer(kDetectorTag, 1);
+  writer.add_record("trajkit_rssi_detector_v2\n"
+                    "2.5 1 1 1 3 0 0.9 0.5\n"
+                    "2\n"
+                    "1\n"
+                    "0 0 0 1 17 -50\n" +
+                    DetectorImage::stump_on(3));
+  const std::string v1 = writer.bytes();
+  write_raw(path, v1);
+  const auto loaded = wifi::RssiDetector::try_load_file(path);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_NE(loaded.error().find("unsupported version 1 (expected 2)"), std::string::npos)
+      << loaded.error();
+  EXPECT_EQ(slurp(path), v1);
+  std::remove(path.c_str());
 }
 
 TEST(DurableModels, DetectorRejectsSplitBeyondFeatureWidth) {
@@ -778,6 +1117,10 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
       {"detector", detector_path, 0,
        [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },
        [&](std::ostream& os) { w.detector().save(os); }},
+      // v1 (the text payload) is the retired detector layout: the nearest miss.
+      {"detector v1", detector_path, 1,
+       [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },
+       nullptr},
       // v4 is the newest retired snapshot layout: the nearest miss.
       {"crowd snapshot", wifi::CrowdStore::snapshot_path(store_dir), 4,
        [&] { return load_error(wifi::CrowdStore::open(store_dir)); },

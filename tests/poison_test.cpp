@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -176,6 +177,22 @@ TEST(Poison, UploaderMeansExcludeTheScoredWitness) {
   // Excluding the anonymous uploader excludes nobody (anonymous is the
   // "no identity" sentinel, not an identity).
   EXPECT_EQ(grid.uploader_means(pos, 7, kAnonymousUploader).size(), 3u);
+}
+
+TEST(Poison, ProvenanceTinyCellFarFromOriginSaturatesItsKey) {
+  // 2.1e7 m over a 1e-300 m cell is ~2e307 cells: the floor does not fit an
+  // int64, so the key saturates to the nearest representable cell on each
+  // side instead of overflowing the conversion.
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  wifi::ProvenanceGrid grid(1e-300);
+  EXPECT_EQ(grid.cell_of({2.1e7, -2.1e7}), wifi::CellKey(kMax, kMin));
+  EXPECT_EQ(grid.cell_of({-2.1e7, 2.1e7}), wifi::CellKey(kMin, kMax));
+  EXPECT_EQ(grid.cell_of({0.0, 0.0}), wifi::CellKey(0, 0));
+  grid.add({{2.1e7, 2.1e7}, {{7, -50}}, 1u}, 1);
+  ASSERT_NE(grid.cell_at({2.1e7, 2.1e7}), nullptr);
+  EXPECT_EQ(grid.cells().begin()->first, wifi::CellKey(kMax, kMax));
+  EXPECT_EQ(grid.uploader_means({2.1e7, 2.1e7}, 7).size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

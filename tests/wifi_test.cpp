@@ -804,31 +804,25 @@ TEST(Detector, LoadedHugeToleranceSpansTheStorableRange) {
   cfg.upload_points = 4;
   cfg.fake_shift_m = 8.0;
   ts::LinearFieldWorld w(cfg);
-  std::stringstream saved;
-  w.detector().save(saved);
-  const std::string model = saved.str();
 
-  // The config line is the second; the tolerance is its sixth field.
-  const auto load_with_tolerance = [&model](const std::string& tolerance) {
-    std::istringstream in(model);
-    std::string magic;
-    std::string config;
-    std::getline(in, magic);
-    std::getline(in, config);
-    std::istringstream fields(config);
-    std::vector<std::string> tokens;
-    for (std::string t; fields >> t;) tokens.push_back(t);
-    tokens.at(5) = tolerance;
-    std::string text = magic + "\n";
-    for (std::size_t i = 0; i < tokens.size(); ++i) text += (i ? " " : "") + tokens[i];
-    text += "\n" + std::string(std::istreambuf_iterator<char>(in), {});
-    std::istringstream is(text);
-    return RssiDetector::try_load(is);
+  // The same store, classifier and config but for the tolerance, through a
+  // saved model image.
+  const auto load_with_tolerance = [&w](int tolerance) {
+    const RssiDetector& base = w.detector();
+    RssiDetectorConfig config = base.config();
+    config.confidence.rpd.rssi_tolerance_db = tolerance;
+    std::vector<ReferencePoint> points;
+    for (std::size_t h = 0; h < base.index().size(); ++h) points.push_back(base.index().point(h));
+    const auto detector =
+        RssiDetector::assemble(points, config, base.classifier(), base.trained_points());
+    std::stringstream saved;
+    detector->save(saved);
+    return RssiDetector::try_load(saved);
   };
-  const auto huge = load_with_tolerance("2147483647");
+  const auto huge = load_with_tolerance(2147483647);
   ASSERT_TRUE(huge.has_value()) << huge.error();
   EXPECT_EQ(huge.value()->config().confidence.rpd.rssi_tolerance_db, 2147483647);
-  const auto full = load_with_tolerance("150");
+  const auto full = load_with_tolerance(150);
   ASSERT_TRUE(full.has_value()) << full.error();
   for (int i = 0; i < 20; ++i) {
     const auto upload = w.upload(i % 2 == 0);
