@@ -8,6 +8,8 @@
 //   * booster training on Eq. 8-sized feature vectors
 //   * detector model save and load (save_file / try_load_file) at 9,000
 //     and 135,000 reference points
+//   * motion-model load and arming the int8 motion lane (calibration pass,
+//     quantize, gate) at servebench's hidden-384 shape
 //   * A* vs Dijkstra on the synthetic city
 #include <benchmark/benchmark.h>
 
@@ -344,6 +346,65 @@ void BM_DetectorLoad(benchmark::State& state) {
   std::remove(kDetectorBenchPath);
 }
 BENCHMARK(BM_DetectorLoad)->Arg(9000)->Arg(135000)->Unit(benchmark::kMillisecond);
+
+/// servebench's motion-lane shape: an input-2, hidden-384 classifier and 48
+/// calibration sequences of 30 steps.
+class MotionFixture {
+ public:
+  static const MotionFixture& get() {
+    static MotionFixture f;
+    return f;
+  }
+  std::shared_ptr<const nn::LstmClassifier> model;
+  std::vector<FeatureSequence> calibration;
+
+ private:
+  MotionFixture() {
+    nn::LstmClassifierConfig cfg;
+    cfg.input_dim = 2;
+    cfg.hidden_dim = 384;
+    model = std::make_shared<nn::LstmClassifier>(cfg, 5);
+    Rng rng(12);
+    for (int i = 0; i < 48; ++i) {
+      FeatureSequence x;
+      x.dim = 2;
+      x.steps = 30;
+      x.values.resize(x.steps * x.dim);
+      for (auto& v : x.values) v = rng.uniform(-1, 1);
+      calibration.push_back(std::move(x));
+    }
+  }
+};
+
+constexpr const char* kLstmBenchPath = "bench_micro_lstm.model";
+
+/// try_load_file of the motion model: the motion lane's cold-start read.
+void BM_LstmLoad(benchmark::State& state) {
+  MotionFixture::get().model->save_file(kLstmBenchPath);
+  for (auto _ : state) {
+    auto loaded = nn::LstmClassifier::try_load_file(kLstmBenchPath);
+    if (!loaded) {
+      state.SkipWithError(loaded.error().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(loaded.value().layer_count());
+  }
+  std::remove(kLstmBenchPath);
+}
+BENCHMARK(BM_LstmLoad)->Unit(benchmark::kMillisecond);
+
+/// MotionPolicy::arm_quantized on the calibration set: the fp64 calibration
+/// pass, the int8 image and the gate, as a cold start arms the lane.
+void BM_ArmQuantized(benchmark::State& state) {
+  const auto& fixture = MotionFixture::get();
+  for (auto _ : state) {
+    serve::MotionPolicy policy;
+    policy.model = fixture.model;
+    benchmark::DoNotOptimize(
+        policy.arm_quantized(fixture.calibration, nn::QuantMode::kInt8, 0.1).checked);
+  }
+}
+BENCHMARK(BM_ArmQuantized)->Unit(benchmark::kMillisecond);
 
 class CityFixture {
  public:

@@ -1,5 +1,6 @@
 #include "nn/classifier.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -11,6 +12,13 @@ namespace trajkit::nn {
 namespace {
 
 Rng make_rng(std::uint64_t seed) { return Rng(seed); }
+
+const LstmClassifierConfig& checked(const LstmClassifierConfig& config) {
+  if (config.num_layers == 0 || config.num_layers > 4) {
+    throw std::invalid_argument("LstmClassifier: num_layers must be in [1, 4]");
+  }
+  return config;
+}
 
 /// Samples per gradient-accumulation chunk.  Fixed (never derived from the
 /// thread count) so the minibatch decomposition — and therefore the
@@ -49,19 +57,18 @@ struct GradSet {
 
 }  // namespace
 
-LstmClassifier::LstmClassifier(LstmClassifierConfig config, std::uint64_t seed)
-    : config_(config),
-      head_([&] {
-        // DenseLayer has no default ctor; build it with a throwaway rng first
-        // and re-init everything consistently below.
-        Rng tmp = make_rng(seed);
-        return DenseLayer(config.hidden_dim, 1, tmp);
-      }()) {
-  if (config_.num_layers == 0 || config_.num_layers > 4) {
-    throw std::invalid_argument("LstmClassifier: num_layers must be in [1, 4]");
+LstmClassifier::LstmClassifier(LstmClassifierConfig config)
+    : config_(checked(config)), head_(config.hidden_dim, 1) {
+  layers_.reserve(config_.num_layers);
+  for (std::size_t l = 0; l < config_.num_layers; ++l) {
+    layers_.emplace_back(l == 0 ? config_.input_dim : config_.hidden_dim,
+                         config_.hidden_dim);
   }
+}
+
+LstmClassifier::LstmClassifier(LstmClassifierConfig config, std::uint64_t seed)
+    : config_(checked(config)), head_(config.hidden_dim, 1) {
   Rng rng = make_rng(seed);
-  layers_.clear();
   layers_.reserve(config_.num_layers);
   layers_.emplace_back(config_.input_dim, config_.hidden_dim, rng);
   for (std::size_t l = 1; l < config_.num_layers; ++l) {
@@ -360,6 +367,69 @@ std::vector<double> LstmClassifier::predict_logit_batch(
     i += bsz;
   }
   return out;
+}
+
+CalibrationPass LstmClassifier::calibration_pass(
+    const std::vector<FeatureSequence>& xs) const {
+  if (xs.empty()) {
+    throw std::invalid_argument("LstmClassifier::calibration_pass: empty set");
+  }
+  for (const auto& x : xs) {
+    if (x.dim != config_.input_dim || x.steps == 0 ||
+        x.values.size() != x.steps * x.dim) {
+      throw std::invalid_argument(
+          "LstmClassifier::calibration_pass: sequence shape mismatch");
+    }
+  }
+  const std::size_t nl = layers_.size();
+  const std::size_t H = config_.hidden_dim;
+  CalibrationPass pass;
+  pass.logits.assign(xs.size(), 0.0);
+  // One slot per group and layer, folded after the pass.  The groups are
+  // fixed by the set and kLanes alone, so the fold sees the same values on
+  // any thread count.
+  const std::size_t groups = (xs.size() + kernels::kLanes - 1) / kernels::kLanes;
+  std::vector<double> group_in(groups * nl, 0.0), group_h(groups * nl, 0.0);
+  parallel_chunks(0, xs.size(), kernels::kLanes, [&](std::size_t lo, std::size_t hi) {
+    kernels::Workspace& ws = local_workspace();
+    ws.reset();
+    const std::size_t bsz = hi - lo;
+    const FeatureSequence* ptrs[kernels::kLanes];
+    std::size_t steps_buf[kernels::kLanes];
+    for (std::size_t k = 0; k < bsz; ++k) ptrs[k] = &xs[lo + k];
+    std::vector<kernels::LstmBatchTrace> traces;
+    kernels::BatchSpec spec;
+    double* h_last = ws.take(bsz * H);
+    forward_batched(ptrs, bsz, ws, traces, spec, steps_buf, h_last,
+                    pass.logits.data() + lo);
+    const std::size_t L = spec.lanes;
+    const std::size_t g = lo / kernels::kLanes;
+    for (std::size_t l = 0; l < nl; ++l) {
+      const kernels::LstmBatchTrace& tr = traces[l];
+      const std::size_t I = tr.input;
+      double in_max = 0.0, h_max = 0.0;
+      for (std::size_t b = 0; b < bsz; ++b) {
+        for (std::size_t t = 0; t < steps_buf[b]; ++t) {
+          // The first I rows of xin's block t are the layer's input x_t.
+          const double* x = tr.xin + t * (I + H) * L + b;
+          for (std::size_t c = 0; c < I; ++c) in_max = std::max(in_max, std::abs(x[c * L]));
+          const double* h = tr.hiddens + t * H * L + b;
+          for (std::size_t k = 0; k < H; ++k) h_max = std::max(h_max, std::abs(h[k * L]));
+        }
+      }
+      group_in[g * nl + l] = in_max;
+      group_h[g * nl + l] = h_max;
+    }
+  });
+  pass.max_input.assign(nl, 0.0);
+  pass.max_hidden.assign(nl, 0.0);
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t l = 0; l < nl; ++l) {
+      pass.max_input[l] = std::max(pass.max_input[l], group_in[g * nl + l]);
+      pass.max_hidden[l] = std::max(pass.max_hidden[l], group_h[g * nl + l]);
+    }
+  }
+  return pass;
 }
 
 double LstmClassifier::predict_proba(const FeatureSequence& x) const {

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable/artifact_store.hpp"
@@ -51,6 +52,14 @@ struct TrainReport {
   std::vector<double> epoch_accuracy;
 };
 
+/// One fp64 pass over a calibration set: what the int8 quantizer needs
+/// (nn/quant_classifier.hpp) and what its gate compares against.
+struct CalibrationPass {
+  std::vector<double> logits;      ///< per sequence, as predict_logit_batch
+  std::vector<double> max_input;   ///< per layer: max |input| over live steps
+  std::vector<double> max_hidden;  ///< per layer: max |h_t| over live steps
+};
+
 class LstmClassifier {
  public:
   LstmClassifier(LstmClassifierConfig config, std::uint64_t seed);
@@ -76,9 +85,18 @@ class LstmClassifier {
   double predict_logit(const FeatureSequence& x) const;
   std::vector<double> predict_logit_batch(const std::vector<FeatureSequence>& xs) const;
 
+  /// Logits and per-layer activation maxima of `xs` in one batched pass,
+  /// kernels::kLanes sequences per group, the groups spread over the global
+  /// pool.  The maxima cover live lanes and live steps only (a group's dead
+  /// lanes and a short sequence's padded steps hold bounded garbage), and
+  /// max-abs is order-free, so the result is bit-identical to the per-sample
+  /// pass at any thread count.  Throws std::invalid_argument on an empty set
+  /// or a sequence whose shape does not match the model.
+  CalibrationPass calibration_pass(const std::vector<FeatureSequence>& xs) const;
+
   /// Read-only parameter access for derived inference artifacts (the int8
-  /// quantizer reads weights and runs its calibration pass through
-  /// LstmLayer::forward).
+  /// quantizer reads the weights; its activation scales come from
+  /// calibration_pass).
   std::size_t layer_count() const { return layers_.size(); }
   const LstmLayer& layer(std::size_t l) const { return layers_[l]; }
   const DenseLayer& head_layer() const { return head_; }
@@ -92,11 +110,15 @@ class LstmClassifier {
   double loss_and_input_gradient(const FeatureSequence& x, int target_label,
                                  FeatureSequence* dx) const;
 
-  /// Text stream (architecture + weights) and durable-file persistence.
-  /// save_file commits a CRC-framed durable container atomically
-  /// (common/durable), the only file format try_load_file reads.  Every
-  /// malformed input — bad magic, truncation, CRC mismatch, version skew,
-  /// implausible architecture — comes back as a diagnostic string.
+  /// Binary image (architecture + raw weights, layout in nn/serialize.cpp)
+  /// and durable-file persistence.  save_file commits the image as the one
+  /// record of a CRC-framed durable container, version 2, atomically
+  /// (common/durable); that is the only file format try_load_file reads.
+  /// Every malformed input — bad magic, truncation, CRC mismatch, version
+  /// skew, implausible architecture, a shape the config does not imply, a
+  /// non-finite weight, trailing bytes — comes back as a diagnostic string.
+  std::string image() const;
+  static Expected<LstmClassifier, std::string> decode(std::string_view image);
   void save(std::ostream& os) const;
   static Expected<LstmClassifier, std::string> try_load(std::istream& is);
   void save_file(const std::string& path) const;
@@ -106,6 +128,10 @@ class LstmClassifier {
   // The per-sample oracle's train() (tests/reference) drives the same
   // parameters, clip and pack cache through these private members.
   friend struct reference::ClassifierAccess;
+
+  /// All-zero parameters and no packs: decode() fills every parameter and
+  /// then builds the packs once.
+  explicit LstmClassifier(LstmClassifierConfig config);
 
   /// Batched-kernel forward over a group of batch <= kernels::kLanes
   /// sequences.  Fills the per-layer traces, the batch spec (backed by
@@ -155,7 +181,7 @@ class LstmClassifier {
 namespace trajkit::durable {
 
 /// LSTM artifacts for ArtifactStore::open<LstmClassifier>/publish: the
-/// payload is the classifier's own stream format (save/try_load).
+/// payload is the classifier's binary image (save/try_load).
 template <>
 struct ArtifactCodec<nn::LstmClassifier> {
   using Value = nn::LstmClassifier;

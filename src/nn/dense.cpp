@@ -6,6 +6,11 @@
 namespace trajkit::nn {
 
 DenseLayer::DenseLayer(std::size_t input_dim, std::size_t output_dim, Rng& rng)
+    : DenseLayer(input_dim, output_dim) {
+  w_.init_glorot(rng);
+}
+
+DenseLayer::DenseLayer(std::size_t input_dim, std::size_t output_dim)
     : input_dim_(input_dim),
       output_dim_(output_dim),
       w_(output_dim, input_dim),
@@ -15,7 +20,6 @@ DenseLayer::DenseLayer(std::size_t input_dim, std::size_t output_dim, Rng& rng)
   if (input_dim == 0 || output_dim == 0) {
     throw std::invalid_argument("DenseLayer: dims must be positive");
   }
-  w_.init_glorot(rng);
 }
 
 void DenseLayer::zero_grad() {

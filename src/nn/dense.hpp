@@ -14,7 +14,10 @@ namespace trajkit::nn {
 
 class DenseLayer {
  public:
+  /// Glorot weights drawn from `rng`, zero bias.
   DenseLayer(std::size_t input_dim, std::size_t output_dim, Rng& rng);
+  /// All-zero parameters, for a loader that overwrites every one of them.
+  DenseLayer(std::size_t input_dim, std::size_t output_dim);
 
   std::size_t input_dim() const { return input_dim_; }
   std::size_t output_dim() const { return output_dim_; }

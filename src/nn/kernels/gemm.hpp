@@ -1,8 +1,8 @@
 // Packed, register-tiled GEMM kernels for the batched nn stack.
 //
 // Every kernel here reproduces one of the three accumulation conventions of
-// the naive matvecs *bit for bit*: gemv_acc (nn/matrix.cpp) and the
-// per-sample oracle's gemv_t_acc / rank1_acc (tests/reference).  The repo
+// the naive matvecs of the per-sample oracle (tests/reference) *bit for
+// bit*: gemv_acc, gemv_t_acc and rank1_acc.  The repo
 // builds without -ffast-math, so the compiler preserves floating-point
 // association;
 // as long as each output element is produced by a single accumulator walking

@@ -3,7 +3,7 @@
 // The runners pack up to kLanes trajectories per timestep into one GEMM per
 // gate matrix, with fused gate activations, and run the backward pass the
 // same way.  Live lanes are **bit-identical** to the per-sample oracle
-// (LstmLayer::forward and the BPTT in tests/reference): every output element
+// (reference::lstm_forward and the BPTT in tests/reference): every output element
 // keeps the reference's single-accumulator reduction order (see
 // kernels/gemm.hpp), the elementwise gate math is the exact same scalar
 // expression per lane, and parameter

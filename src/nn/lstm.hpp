@@ -7,40 +7,29 @@
 //   c_t = f * c_{t-1} + i * g
 //   h_t = o * tanh(c_t)
 //
-// forward() caches all activations in a trace.  The layer runs forward only
-// on its own (the quantizer's calibration pass); training and the C&W input
-// gradient run through the batched kernels (nn/kernels/rnn_batched.hpp), and
-// the per-sample BPTT they reproduce lives beside the tests (tests/reference).
-// The layer still owns its gradient buffers, which the optimizer reads.
+// The layer holds parameters and gradient buffers only: every pass —
+// training, inference, the C&W input gradient and the quantizer's
+// calibration — runs through the batched kernels (nn/kernels/rnn_batched.hpp),
+// and the per-sample forward and BPTT they reproduce live beside the tests
+// (tests/reference).  The optimizer reads the gradient buffers.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/matrix.hpp"
 
 namespace trajkit::nn {
 
-/// Cached activations of one LSTM forward pass (one sequence).
-struct LstmTrace {
-  std::size_t steps = 0;
-  std::vector<double> inputs;   ///< steps x input_dim
-  std::vector<double> gates;    ///< steps x 4*hidden, post-activation [i,f,g,o]
-  std::vector<double> cells;    ///< steps x hidden (c_t)
-  std::vector<double> hiddens;  ///< steps x hidden (h_t)
-};
-
 class LstmLayer {
  public:
+  /// Glorot weights and a forget-gate bias of 1, drawn from `rng`.
   LstmLayer(std::size_t input_dim, std::size_t hidden_dim, Rng& rng);
+  /// All-zero parameters, for a loader that overwrites every one of them.
+  LstmLayer(std::size_t input_dim, std::size_t hidden_dim);
 
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
-
-  /// Run the layer over a sequence (row-major steps x input_dim), producing
-  /// its activation trace.  Initial h and c are zero.
-  LstmTrace forward(const std::vector<double>& xs, std::size_t steps) const;
 
   void zero_grad();
   /// Squared L2 norm of all gradients (for global-norm clipping).

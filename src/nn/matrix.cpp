@@ -29,15 +29,4 @@ double Matrix::norm_sq() const {
   return s;
 }
 
-void gemv_acc(const Matrix& m, const double* x, double* y) {
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* mr = m.row(r);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += mr[c] * x[c];
-    y[r] += acc;
-  }
-}
-
 }  // namespace trajkit::nn

@@ -54,9 +54,6 @@ class Matrix {
   kernels::AlignedVector data_;
 };
 
-/// y += M * x  (y has M.rows() entries, x has M.cols()).
-void gemv_acc(const Matrix& m, const double* x, double* y);
-
 /// Numerically safe sigmoid.  Inline so the RNN elementwise loops (thousands
 /// of calls per forward pass) do not pay a cross-TU call per element; the
 /// expression is exactly the old out-of-line body, so results are

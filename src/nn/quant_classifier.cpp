@@ -26,15 +26,6 @@ kernels::Workspace& local_workspace() {
   return ws;
 }
 
-double max_abs(const std::vector<double>& v) {
-  double best = 0.0;
-  for (double x : v) {
-    const double a = x < 0.0 ? -x : x;
-    if (a > best) best = a;
-  }
-  return best;
-}
-
 /// A max-abs over a weight block maps to the symmetric scale that places the
 /// largest magnitude exactly on the integer grid edge; an all-zero block
 /// scales by 1 (every value quantizes to 0 either way).
@@ -59,32 +50,18 @@ std::uint64_t fnv1a_byte(std::uint64_t h, std::uint8_t b) {
 
 QuantizedLstm QuantizedLstm::quantize(
     const LstmClassifier& model, const std::vector<FeatureSequence>& calibration) {
-  if (calibration.empty()) {
-    throw std::invalid_argument("quantize: empty calibration set");
+  return quantize(model, model.calibration_pass(calibration));
+}
+
+QuantizedLstm QuantizedLstm::quantize(const LstmClassifier& model,
+                                      const CalibrationPass& pass) {
+  const std::size_t nl = model.layer_count();
+  if (pass.max_input.size() != nl || pass.max_hidden.size() != nl) {
+    throw std::invalid_argument("quantize: calibration pass of another model");
   }
   QuantizedLstm q;
   q.input_dim_ = model.config().input_dim;
   q.hidden_dim_ = model.config().hidden_dim;
-  const std::size_t nl = model.layer_count();
-
-  // Calibration pass through the fp64 per-sample layers, per sample in set
-  // order: per-layer max-abs of the input stream and of the layer's own
-  // hidden outputs.  Max-abs is an order-free reduction, so this is
-  // bit-identical on every thread count by construction.
-  std::vector<double> max_in(nl, 0.0), max_h(nl, 0.0);
-  for (const auto& x : calibration) {
-    if (x.dim != q.input_dim_ || x.steps == 0) {
-      throw std::invalid_argument("quantize: calibration sequence shape mismatch");
-    }
-    std::vector<double> cur = x.values;
-    for (std::size_t l = 0; l < nl; ++l) {
-      max_in[l] = std::max(max_in[l], max_abs(cur));
-      LstmTrace tr = model.layer(l).forward(cur, x.steps);
-      cur = std::move(tr.hiddens);
-      max_h[l] = std::max(max_h[l], max_abs(cur));
-    }
-  }
-
   q.layers_.resize(nl);
   for (std::size_t l = 0; l < nl; ++l) {
     const LstmLayer& ref = model.layer(l);
@@ -110,8 +87,8 @@ QuantizedLstm QuantizedLstm::quantize(
     // Static activation scales from the calibration maxima.  The first
     // layer's input half sees raw features; stacked layers and every
     // recurrent half see tanh-bounded hidden state.
-    out.sx = scale_for(max_in[l], kernels::kQmax);
-    out.sh = scale_for(max_h[l], kernels::kQmax);
+    out.sx = scale_for(pass.max_input[l], kernels::kQmax);
+    out.sh = scale_for(pass.max_hidden[l], kernels::kQmax);
 
     out.bias.assign(ref.bias().data(), ref.bias().data() + 4 * H);
     out.wx.resize(kernels::quant_packed_elems(4 * H, I));
@@ -375,13 +352,23 @@ QuantGateReport quant_gate_check(const LstmClassifier& ref,
                                  const QuantizedLstm& quant,
                                  const std::vector<FeatureSequence>& calibration,
                                  double logit_delta_bound, double threshold) {
+  return quant_gate_check(ref.predict_logit_batch(calibration), quant, calibration,
+                          logit_delta_bound, threshold);
+}
+
+QuantGateReport quant_gate_check(const std::vector<double>& ref_logits,
+                                 const QuantizedLstm& quant,
+                                 const std::vector<FeatureSequence>& calibration,
+                                 double logit_delta_bound, double threshold) {
+  if (ref_logits.size() != calibration.size()) {
+    throw std::invalid_argument("quant_gate_check: one fp64 logit per sequence");
+  }
   QuantGateReport rep;
   rep.logit_delta_bound = logit_delta_bound;
   rep.threshold = threshold;
   rep.checked = calibration.size();
   if (calibration.empty()) return rep;  // an empty gate never passes
 
-  const std::vector<double> ref_logits = ref.predict_logit_batch(calibration);
   const std::vector<double> q_logits = quant.predict_logit_batch(calibration);
   std::uint64_t h = 14695981039346656037ULL;
   for (std::size_t i = 0; i < calibration.size(); ++i) {

@@ -7,11 +7,13 @@
 //  1. quantizes each layer's weight matrix per gate, symmetric, int8, with
 //     the input and recurrent column halves scaled separately
 //     (kernels/rnn_quant.hpp explains why), and
-//  2. runs a calibration pass over held-out trajectories through the fp64
-//     per-sample layers (LstmLayer::forward) to fix the static int8
-//     activation scales: sx for each layer's input stream, sh for its
-//     recurrent state.  Max-abs reduction is order-free, so calibration is
-//     bit-identical for any thread count.
+//  2. fixes the static int8 activation scales — sx for each layer's input
+//     stream, sh for its recurrent state — from the max-abs activations of
+//     one fp64 pass over held-out trajectories
+//     (LstmClassifier::calibration_pass: the batched kernels, spread over
+//     the pool, live lanes and steps only).  The batched forward is
+//     bit-identical to the per-sample one and max-abs is order-free, so the
+//     image is byte-identical for any thread count.
 //
 // The dense head stays in fp64 (one dot product per sequence — nothing to
 // win) and runs over the quant lane's final hidden state.
@@ -20,8 +22,10 @@
 // the polynomial activations both perturb the logit.  quant_gate_check()
 // therefore asserts the *decision contract* on a calibration set: thresholded
 // verdicts must agree exactly and the worst logit delta must stay under a
-// bound.  Serving (serve/service.hpp MotionPolicy) arms the quantized model
-// only when the gate passes and falls back to fp64 per model otherwise.
+// bound.  The same calibration pass yields the fp64 logits the gate compares
+// against, so arming (serve/service.hpp MotionPolicy) costs one fp64 pass;
+// it installs the quantized model only when the gate passes and falls back
+// to fp64 per model otherwise.
 //
 // Persistence: the packed integer image (not the fp64 weights) rides the
 // usual CRC-framed durable container ("quant_lstm") and the ArtifactStore
@@ -51,10 +55,13 @@ class QuantizedLstm {
 
   /// Quantize `model` with a calibration pass over `calibration` (held-out
   /// feature sequences; must be non-empty so the activation scales are
-  /// data-backed).  Deterministic: same model + same calibration set give a
-  /// byte-identical artifact on any thread count.
+  /// data-backed, else std::invalid_argument).  Deterministic: same model +
+  /// same calibration set give a byte-identical artifact on any thread count.
   static QuantizedLstm quantize(const LstmClassifier& model,
                                 const std::vector<FeatureSequence>& calibration);
+  /// The same from an already-run calibration pass of `model`: the image
+  /// depends on the weights and the pass's per-layer maxima alone.
+  static QuantizedLstm quantize(const LstmClassifier& model, const CalibrationPass& pass);
 
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
@@ -130,6 +137,14 @@ struct QuantGateReport {
 /// disagreements at `threshold` AND max logit delta <= `logit_delta_bound`
 /// over a non-empty set.
 QuantGateReport quant_gate_check(const LstmClassifier& ref,
+                                 const QuantizedLstm& quant,
+                                 const std::vector<FeatureSequence>& calibration,
+                                 double logit_delta_bound,
+                                 double threshold = 0.5);
+/// The same against fp64 logits already computed for `calibration` (one per
+/// sequence, e.g. CalibrationPass::logits); the form above computes them and
+/// calls this one.
+QuantGateReport quant_gate_check(const std::vector<double>& ref_logits,
                                  const QuantizedLstm& quant,
                                  const std::vector<FeatureSequence>& calibration,
                                  double logit_delta_bound,

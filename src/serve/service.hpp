@@ -194,11 +194,13 @@ struct MotionPolicy {
                                     double threshold = 0.5) {
     nn::QuantGateReport report;
     // No model or no calibration data: nothing to gate against — report a
-    // (default) failing gate instead of letting quantize() throw.
+    // (default) failing gate instead of letting the calibration pass throw.
     if (!model || calibration.empty()) return report;
-    auto q = std::make_shared<nn::QuantizedLstm>(
-        nn::QuantizedLstm::quantize(*model, calibration));
-    report = nn::quant_gate_check(*model, *q, calibration, logit_delta_bound, threshold);
+    // One fp64 pass serves both the activation scales and the gate's oracle
+    // logits.
+    const nn::CalibrationPass pass = model->calibration_pass(calibration);
+    auto q = std::make_shared<nn::QuantizedLstm>(nn::QuantizedLstm::quantize(*model, pass));
+    report = nn::quant_gate_check(pass.logits, *q, calibration, logit_delta_bound, threshold);
     if (report.pass) {
       quant = std::move(q);
       quant_gate = report;

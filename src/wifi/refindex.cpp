@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <stdexcept>
@@ -213,12 +214,20 @@ void ReferenceIndex::build_grid(const BoundingBox& bounds) {
   bounds_ = bounds.width() > 0.0 || bounds.height() > 0.0
                 ? bounds
                 : BoundingBox::of(pos_).expanded(1.0);
-  grid_w_ = static_cast<std::size_t>(
-                std::max(1.0, std::ceil(bounds_.width() / cell_size_m_))) +
-            1;
-  grid_h_ = static_cast<std::size_t>(
-                std::max(1.0, std::ceil(bounds_.height() / cell_size_m_))) +
-            1;
+  // Sized in doubles and checked against the cap before any cast or
+  // allocation.
+  const double w = std::max(1.0, std::ceil(bounds_.width() / cell_size_m_)) + 1.0;
+  const double h = std::max(1.0, std::ceil(bounds_.height() / cell_size_m_)) + 1.0;
+  const std::size_t cap = std::max(kMinGridCellCap, kMaxGridCellsPerPoint * pos_.size());
+  if (!(w * h <= static_cast<double>(cap))) {
+    char why[160];
+    std::snprintf(why, sizeof why,
+                  "a %.0f x %.0f-cell grid for %zu points exceeds the cap of %zu cells", w,
+                  h, pos_.size(), cap);
+    throw std::invalid_argument(std::string("ReferenceIndex: ") + why);
+  }
+  grid_w_ = static_cast<std::size_t>(w);
+  grid_h_ = static_cast<std::size_t>(h);
   grid_.assign(grid_w_ * grid_h_, {});
   for (std::size_t i = 0; i < pos_.size(); ++i) {
     grid_[cell_of(pos_[i])].push_back(static_cast<std::uint32_t>(i));

@@ -113,6 +113,17 @@ class ReferenceIndex {
   /// scan with std::length_error.
   static constexpr std::size_t kMaxScanSize = 0xffff;
 
+  /// Grid cap: the grid spans the points' bounding box (or the explicit
+  /// bounds), so a few far-apart points would otherwise ask for an unbounded
+  /// number of cells.  Every constructor, the image decoder included, refuses
+  /// with std::invalid_argument a grid of more than
+  /// max(kMinGridCellCap, kMaxGridCellsPerPoint * size()) cells.  It refuses
+  /// rather than coarsening the grid, because the grid order fixes the
+  /// confidence sums' order.  The floor (a 4 km square at 4 m cells) covers
+  /// small and empty sets, such as a shard slice under global bounds.
+  static constexpr std::size_t kMaxGridCellsPerPoint = 4096;
+  static constexpr std::size_t kMinGridCellCap = std::size_t{1} << 20;
+
   /// Most distinct MACs a store may hold: an AP id fills a key's top 24
   /// bits, so the constructors refuse more with std::length_error.  They
   /// refuse an RSSI outside [kMinValidRssiDbm, kMaxValidRssiDbm], the
@@ -207,8 +218,8 @@ class ReferenceIndex {
 
   std::size_t cell_of(const Enu& p) const;
 
-  /// Size the grid over `bounds` (natural bounds of pos_ when empty) and
-  /// file every stored point in its cell.
+  /// Size the grid over `bounds` (natural bounds of pos_ when empty), refuse
+  /// it past the cell cap, and file every stored point in its cell.
   void build_grid(const BoundingBox& bounds);
 
   /// AP id of `mac`, or kNoAp when the store never observed it.

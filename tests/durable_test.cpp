@@ -13,7 +13,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -25,9 +24,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable/artifact_store.hpp"
+#include "common/durable/bytes.hpp"
 #include "common/durable/crc32.hpp"
 #include "common/durable/durable_file.hpp"
 #include "common/durable/journal.hpp"
@@ -530,31 +531,123 @@ TEST(DurableModels, LstmSaveFileIsDurableAndRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(DurableModels, LstmRejectsImplausibleArchitecture) {
-  std::istringstream is(
-      "trajkit_lstm_classifier_v1\n2 999999999 1 0.001 5 16\n");
-  auto loaded = nn::LstmClassifier::try_load(is);
+/// Image offsets (nn/serialize.cpp): an 8-byte magic and six 8-byte config
+/// fields, then each matrix's u64 rows and cols before its values.
+constexpr std::size_t kLstmConfigEnd = 8 + 6 * 8;
+
+template <typename T>
+void patch_pod(std::string& bytes, std::size_t at, const T& v) {
+  ASSERT_LE(at + sizeof v, bytes.size());
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+}
+
+nn::LstmClassifier small_lstm(std::size_t layers) {
+  nn::LstmClassifierConfig cfg;
+  cfg.hidden_dim = 3;
+  cfg.num_layers = layers;
+  cfg.batch_size = 4;
+  return nn::LstmClassifier(cfg, 17);
+}
+
+TEST(DurableModels, LstmImageRoundTripsByteForByte) {
+  for (const std::size_t layers : {1u, 2u}) {
+    const std::string bytes = small_lstm(layers).image();
+    auto loaded = nn::LstmClassifier::decode(bytes);
+    ASSERT_TRUE(loaded.has_value()) << loaded.error();
+    EXPECT_EQ(loaded.value().image(), bytes) << layers << " layers";
+    // The stream form is the same image.
+    std::ostringstream os;
+    loaded.value().save(os);
+    EXPECT_EQ(os.str(), bytes);
+    std::istringstream is(os.str());
+    auto streamed = nn::LstmClassifier::try_load(is);
+    ASSERT_TRUE(streamed.has_value()) << streamed.error();
+    EXPECT_EQ(streamed.value().image(), bytes);
+  }
+}
+
+TEST(DurableModels, LstmImageRefusesEveryTruncation) {
+  const std::string bytes = small_lstm(2).image();
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    auto loaded = nn::LstmClassifier::decode(std::string_view(bytes).substr(0, len));
+    ASSERT_FALSE(loaded.has_value()) << "prefix of " << len << " bytes loaded";
+    EXPECT_EQ(loaded.error().rfind("model load: ", 0), 0u) << loaded.error();
+    if (len >= 8) {  // past the magic
+      EXPECT_NE(loaded.error().find("truncated"), std::string::npos)
+          << len << ": " << loaded.error();
+    }
+  }
+}
+
+TEST(DurableModels, LstmImageRefusesShapeTheConfigDoesNotImply) {
+  const std::string intact = small_lstm(2).image();
+  // Layer 0's weights are 12 x 5 (4H x (input + H)); claim 13 rows, then
+  // 6 columns.
+  for (const std::size_t at : {kLstmConfigEnd, kLstmConfigEnd + 8}) {
+    std::string bytes = intact;
+    std::uint64_t dim = 0;
+    std::memcpy(&dim, bytes.data() + at, sizeof dim);
+    patch_pod<std::uint64_t>(bytes, at, dim + 1);
+    auto loaded = nn::LstmClassifier::decode(bytes);
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_NE(loaded.error().find("shape mismatch in layer 0 weights"), std::string::npos)
+        << loaded.error();
+  }
+  // The head bias, the last header: 1 x 1 claimed as 1 x 2.
+  std::string bytes = intact;
+  patch_pod<std::uint64_t>(bytes, bytes.size() - 16, 2);
+  auto loaded = nn::LstmClassifier::decode(bytes);
   ASSERT_FALSE(loaded.has_value());
-  EXPECT_NE(loaded.error().find("implausible"), std::string::npos);
+  EXPECT_NE(loaded.error().find("shape mismatch in head bias"), std::string::npos)
+      << loaded.error();
+}
+
+TEST(DurableModels, LstmImageRefusesTrailingByte) {
+  const std::string bytes = small_lstm(1).image() + '\0';
+  auto loaded = nn::LstmClassifier::decode(bytes);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_NE(loaded.error().find("1 trailing bytes"), std::string::npos) << loaded.error();
+}
+
+TEST(DurableModels, LstmRejectsImplausibleArchitecture) {
+  const std::string magic = small_lstm(1).image().substr(0, 8);
+  const auto header = [&](std::uint64_t input, std::uint64_t hidden, std::uint64_t layers,
+                          double lr, double clip, std::uint64_t batch) {
+    std::string out = magic;
+    for (const std::uint64_t v : {input, hidden, layers}) durable::append_u64(out, v);
+    durable::append_pod(out, lr);
+    durable::append_pod(out, clip);
+    durable::append_u64(out, batch);
+    return out;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::string& bytes :
+       {header(2, 999999999, 1, 0.001, 5, 16), header(0, 8, 1, 0.001, 5, 16),
+        header(2, 8, 0, 0.001, 5, 16), header(2, 8, 1000, 0.001, 5, 16),
+        header(2, 8, 1, 0.001, 5, 0), header(2, 8, 1, nan, 5, 16)}) {
+    std::istringstream is(bytes);
+    auto loaded = nn::LstmClassifier::try_load(is);
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_NE(loaded.error().find("implausible"), std::string::npos) << loaded.error();
+  }
 }
 
 TEST(DurableModels, LstmRejectsNonFiniteWeights) {
-  nn::LstmClassifierConfig cfg;
-  cfg.hidden_dim = 4;
-  const nn::LstmClassifier model(cfg, 1);
-  std::ostringstream os;
-  model.save(os);
-  std::string text = os.str();
-  // Replace the final weight token with "nan".
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) {
-    text.pop_back();
+  const std::string intact = small_lstm(2).image();
+  // The first weight of layer 0 and the head bias, the last value.
+  for (const std::size_t at : {kLstmConfigEnd + 16, intact.size() - 8}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      std::string bytes = intact;
+      patch_pod(bytes, at, bad);
+      std::istringstream is(bytes);
+      auto loaded = nn::LstmClassifier::try_load(is);
+      ASSERT_FALSE(loaded.has_value()) << "offset " << at;
+      EXPECT_NE(loaded.error().find("non-finite weight in"), std::string::npos)
+          << loaded.error();
+    }
   }
-  text = text.substr(0, text.find_last_of(" \n") + 1) + "nan\n";
-  std::istringstream is(text);
-  auto loaded = nn::LstmClassifier::try_load(is);
-  // libstdc++ streams refuse to extract "nan" at all, so this trips either
-  // the parse failure or the explicit finiteness check — both clean errors.
-  ASSERT_FALSE(loaded.has_value());
 }
 
 gbt::GbtClassifier small_trained_gbt() {
@@ -905,6 +998,22 @@ TEST(DurableModels, HandBuiltDetectorImagesAreRefusedOneRuleEach) {
   EXPECT_NE(framed_load_error(trailing).find("trailing bytes"), std::string::npos);
 }
 
+TEST(DurableModels, DetectorImageRefusesGridBeyondCellCap) {
+  // Two valid reference points 4e6 m apart: the grid over their bounding box
+  // would hold 1e6 x 2 cells, past the cap for two points.
+  DetectorImage image;
+  image.counts = {1, 1};
+  image.keys = {DetectorImage::key(0, -50), DetectorImage::key(0, -52)};
+  image.positions = {{0.0, 0.0}, {4e3, 0.0}};
+  image.traj_ids = {0, 1};
+  ASSERT_EQ(bare_load_error(image.bytes()), "");
+  image.positions[1].east = 4e6;
+  const std::string bytes = image.bytes();
+  for (const std::string& error : {bare_load_error(bytes), framed_load_error(bytes)}) {
+    EXPECT_NE(error.find("exceeds the cap"), std::string::npos) << error;
+  }
+}
+
 /// A small trained detector: 40 reference points, 3 trees.
 std::unique_ptr<ts::LinearFieldWorld> small_detector_world() {
   ts::LinearWorldConfig cfg;
@@ -1117,6 +1226,10 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
       {"detector", detector_path, 0,
        [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },
        [&](std::ostream& os) { w.detector().save(os); }},
+      // v1 (the text payload) is the retired LSTM layout: the nearest miss.
+      {"lstm v1", lstm_path, 1,
+       [&] { return load_error(nn::LstmClassifier::try_load_file(lstm_path)); },
+       nullptr},
       // v1 (the text payload) is the retired detector layout: the nearest miss.
       {"detector v1", detector_path, 1,
        [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },

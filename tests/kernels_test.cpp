@@ -87,7 +87,7 @@ TEST(Kernels, GemvWxMatchesGemvAcc) {
     const std::vector<double> x = random_vec(depth, rng);
 
     std::vector<double> ref(bias);
-    gemv_acc(w, x.data(), ref.data());
+    reference::gemv_acc(w, x.data(), ref.data());
 
     Workspace ws;
     const Packed p = kernels::pack_rows(w, ws);
@@ -97,7 +97,7 @@ TEST(Kernels, GemvWxMatchesGemvAcc) {
 
     // Null bias == zero seed.
     std::vector<double> ref0(rows, 0.0);
-    gemv_acc(w, x.data(), ref0.data());
+    reference::gemv_acc(w, x.data(), ref0.data());
     std::vector<double> got0(rows, -99.0);
     kernels::gemv_wx(p, nullptr, x.data(), got0.data());
     expect_bits_equal(ref0, got0, "gemv_wx null bias");
@@ -121,7 +121,7 @@ TEST(Kernels, GemmWx8MatchesPerLane) {
       std::vector<double> x(depth);
       for (std::size_t k = 0; k < depth; ++k) x[k] = xb[k * kLanes + l];
       std::vector<double> ref(bias);
-      gemv_acc(w, x.data(), ref.data());
+      reference::gemv_acc(w, x.data(), ref.data());
       for (std::size_t r = 0; r < rows; ++r) {
         ASSERT_EQ(ref[r], got[r * kLanes + l]) << "lane " << l << " row " << r;
       }
@@ -262,7 +262,8 @@ TEST(Kernels, LstmBatchedForwardMatchesReference) {
       const auto tr = kernels::lstm_forward_batched(
           layer, make_xblocks(c.xs, 9, c.spec.lanes).data(), c.spec, ws);
       for (std::size_t b = 0; b < batch; ++b) {
-        const LstmTrace ref = layer.forward(c.xs[b].values, c.steps[b]);
+        const reference::LstmTrace ref =
+            reference::lstm_forward(layer, c.xs[b].values, c.steps[b]);
         expect_bits_equal(ref.hiddens,
                           extract_lane(tr.hiddens, hidden, c.spec.lanes,
                                        c.steps[b], b),
@@ -300,7 +301,8 @@ TEST(Kernels, LstmBatchedBackwardMatchesReference) {
       layer.zero_grad();
       std::vector<std::vector<double>> ref_dx(batch);
       for (std::size_t b = 0; b < batch; ++b) {
-        const LstmTrace tr = layer.forward(c.xs[b].values, c.steps[b]);
+        const reference::LstmTrace tr =
+            reference::lstm_forward(layer, c.xs[b].values, c.steps[b]);
         reference::lstm_backward(layer, tr, dh_last[b], &ref_dx[b]);
       }
       const Matrix ref_dw = layer.weight_grad();
@@ -349,7 +351,8 @@ TEST(Kernels, LstmBatchedBackwardSeqMatchesReference) {
   layer.zero_grad();
   std::vector<std::vector<double>> ref_dx(c.xs.size());
   for (std::size_t b = 0; b < c.xs.size(); ++b) {
-    const LstmTrace tr = layer.forward(c.xs[b].values, c.steps[b]);
+    const reference::LstmTrace tr =
+        reference::lstm_forward(layer, c.xs[b].values, c.steps[b]);
     reference::lstm_backward_seq(layer, tr, inj[b], &ref_dx[b]);
   }
 

@@ -36,7 +36,7 @@ TEST(Matrix, GemvAccumulates) {
   m(1, 1) = 4;
   const double x[2] = {1.0, -1.0};
   double y[2] = {10.0, 10.0};
-  gemv_acc(m, x, y);
+  reference::gemv_acc(m, x, y);
   EXPECT_DOUBLE_EQ(y[0], 10 - 1);
   EXPECT_DOUBLE_EQ(y[1], 10 - 1);
 }
@@ -140,7 +140,7 @@ std::vector<double> random_sequence(Rng& rng, std::size_t steps, std::size_t dim
 /// Scalar loss: dot(final hidden state, w).
 double lstm_loss(const LstmLayer& layer, const std::vector<double>& xs,
                  std::size_t steps, const std::vector<double>& w) {
-  const auto trace = layer.forward(xs, steps);
+  const auto trace = reference::lstm_forward(layer, xs, steps);
   const std::size_t h = layer.hidden_dim();
   double total = 0.0;
   for (std::size_t k = 0; k < h; ++k) {
@@ -158,7 +158,7 @@ TEST(Lstm, ParameterGradientMatchesFiniteDifference) {
   for (auto& v : w) v = rng.uniform(-1, 1);
 
   layer.zero_grad();
-  const auto trace = layer.forward(xs, steps);
+  const auto trace = reference::lstm_forward(layer, xs, steps);
   reference::lstm_backward(layer, trace, w, nullptr);
 
   const double eps = 1e-6;
@@ -195,7 +195,7 @@ TEST(Lstm, InputGradientMatchesFiniteDifference) {
   for (auto& v : w) v = rng.uniform(-1, 1);
 
   layer.zero_grad();
-  const auto trace = layer.forward(xs, steps);
+  const auto trace = reference::lstm_forward(layer, xs, steps);
   std::vector<double> dx;
   reference::lstm_backward(layer, trace, w, &dx);
   ASSERT_EQ(dx.size(), xs.size());
@@ -223,14 +223,14 @@ TEST(Lstm, SequenceInjectionGradientMatchesFiniteDifference) {
   for (auto& v : w) v = rng.uniform(-1, 1);
 
   auto loss = [&](const std::vector<double>& input) {
-    const auto trace = layer.forward(input, steps);
+    const auto trace = reference::lstm_forward(layer, input, steps);
     double total = 0.0;
     for (std::size_t i = 0; i < w.size(); ++i) total += w[i] * trace.hiddens[i];
     return total;
   };
 
   layer.zero_grad();
-  const auto trace = layer.forward(xs, steps);
+  const auto trace = reference::lstm_forward(layer, xs, steps);
   std::vector<double> dx;
   reference::lstm_backward_seq(layer, trace, w, &dx);
 
@@ -249,9 +249,10 @@ TEST(Lstm, SequenceInjectionGradientMatchesFiniteDifference) {
 TEST(Lstm, RejectsBadShapes) {
   Rng rng(5);
   LstmLayer layer(2, 3, rng);
-  EXPECT_THROW(layer.forward({1.0, 2.0, 3.0}, 2), std::invalid_argument);
-  EXPECT_THROW(layer.forward({}, 0), std::invalid_argument);
-  const auto trace = layer.forward({1, 2, 3, 4}, 2);
+  EXPECT_THROW(reference::lstm_forward(layer, {1.0, 2.0, 3.0}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(reference::lstm_forward(layer, {}, 0), std::invalid_argument);
+  const auto trace = reference::lstm_forward(layer, {1, 2, 3, 4}, 2);
   EXPECT_THROW(reference::lstm_backward(layer, trace, {1.0}, nullptr),
                std::invalid_argument);
 }

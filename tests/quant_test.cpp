@@ -30,6 +30,7 @@
 #include "nn/kernels/quant.hpp"
 #include "nn/matrix.hpp"
 #include "nn/quant_classifier.hpp"
+#include "reference/nn_reference.hpp"
 #include "serve/service.hpp"
 #include "serve/shard_service.hpp"
 #include "support/fixtures.hpp"
@@ -389,6 +390,77 @@ TEST(QuantizedLstm, BatchMatchesSingleBitwise) {
 }
 
 // ---------------------------------------------------------------------------
+// Calibration through the batched kernels vs the per-sample oracle.
+
+/// Rewire every layer so that zero input drives h toward 1 while inputs near
+/// 1 on feature 0 keep it near 0: all weights zero except -1 from input 0
+/// into each candidate gate, whose bias is +1, and biases of +5 on the
+/// input, forget and output gates.  A group's dead lanes and the padded
+/// steps past a short sequence's end see zero input, so on this model a max
+/// that counted them would differ from the live one.  (A Glorot model keeps
+/// h at exactly 0 from zero state and zero input, which would hide that.)
+void excite_on_zero_input(nn::LstmClassifier& model) {
+  for (auto& layer : nn::reference::ClassifierAccess::layers(model)) {
+    const std::size_t H = layer.hidden_dim();
+    layer.weights().zero();
+    layer.bias().zero();
+    for (std::size_t k = 0; k < H; ++k) {
+      layer.bias()(k, 0) = 5.0;
+      layer.bias()(H + k, 0) = 5.0;
+      layer.bias()(2 * H + k, 0) = 1.0;
+      layer.bias()(3 * H + k, 0) = 5.0;
+      layer.weights()(2 * H + k, 0) = -1.0;
+    }
+  }
+  nn::reference::ClassifierAccess::rebuild_packs(model);
+}
+
+TEST(QuantCalibration, MatchesPerSampleOracle) {
+  // 13 sequences of 3..12 steps: a full group and a group of 5 with three
+  // dead lanes, both ragged.
+  for (const std::size_t hidden : {5u, 64u}) {
+    for (const std::size_t layers : {1u, 2u}) {
+      for (const bool excited : {false, true}) {
+        SCOPED_TRACE("hidden " + std::to_string(hidden) + " layers " +
+                     std::to_string(layers) + (excited ? " excited" : " glorot"));
+        nn::LstmClassifierConfig cfg;
+        cfg.hidden_dim = hidden;
+        cfg.num_layers = layers;
+        nn::LstmClassifier model(cfg, 40 + hidden + layers);
+        std::vector<FeatureSequence> xs = ragged_set(303, 13);
+        if (excited) {
+          excite_on_zero_input(model);
+          Rng rng(hidden + layers);
+          for (auto& x : xs) {
+            for (std::size_t t = 0; t < x.steps; ++t) {
+              x.values[t * x.dim] = 1.0 + rng.uniform(-0.02, 0.02);
+            }
+          }
+        }
+        const nn::CalibrationPass want = nn::reference::calibration_pass(model, xs);
+        const nn::CalibrationPass got = model.calibration_pass(xs);
+        EXPECT_EQ(got.logits, want.logits);
+        EXPECT_EQ(got.max_input, want.max_input);
+        EXPECT_EQ(got.max_hidden, want.max_hidden);
+        EXPECT_EQ(serialized(nn::QuantizedLstm::quantize(model, xs)),
+                  serialized(nn::QuantizedLstm::quantize(model, want)));
+        if (excited) {
+          // The same sequences zero-padded to 12 steps: the padded steps
+          // raise the maxima, so the live-only rule is what keeps them equal.
+          std::vector<FeatureSequence> padded = xs;
+          for (auto& x : padded) {
+            x.steps = 12;
+            x.values.resize(x.steps * x.dim, 0.0);
+          }
+          const nn::CalibrationPass dead = nn::reference::calibration_pass(model, padded);
+          EXPECT_GT(dead.max_hidden[0], want.max_hidden[0]);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Persistence: stream round-trip, ArtifactStore epochs, follower adoption.
 
 TEST(QuantizedLstm, StreamRoundTripIsBitIdentical) {
@@ -554,6 +626,40 @@ TEST(ServeQuant, ArmQuantizedInstallsOnlyOnGatePass) {
   EXPECT_TRUE(policy.quant_armed());
   ASSERT_NE(policy.quant, nullptr);
   EXPECT_EQ(policy.quant_gate.verdict_checksum, report.verdict_checksum);
+}
+
+TEST(ServeQuant, ArmQuantizedReportEqualsGateCheck) {
+  // Arming runs one fp64 pass for both the scales and the gate; its image
+  // and report must equal quantize + quant_gate_check run separately, on a
+  // passing bound and on a failing one.
+  const auto model = std::make_shared<nn::LstmClassifier>(trained_trend_model());
+  const auto calibration = calibration_set(77, 24);
+  const auto q = nn::QuantizedLstm::quantize(*model, calibration);
+  for (const double bound : {0.15, 1e-9}) {
+    SCOPED_TRACE("bound " + std::to_string(bound));
+    serve::MotionPolicy policy;
+    policy.model = model;
+    policy.encoder = std::make_shared<DistAngleEncoder>();
+    const auto armed = policy.arm_quantized(calibration, nn::QuantMode::kInt8, bound);
+    const auto gate = nn::quant_gate_check(*model, q, calibration, bound);
+    EXPECT_EQ(armed.pass, gate.pass);
+    EXPECT_EQ(armed.checked, gate.checked);
+    EXPECT_EQ(armed.disagreements, gate.disagreements);
+    EXPECT_EQ(armed.max_abs_logit_delta, gate.max_abs_logit_delta);
+    EXPECT_EQ(armed.logit_delta_bound, gate.logit_delta_bound);
+    EXPECT_EQ(armed.threshold, gate.threshold);
+    EXPECT_EQ(armed.verdict_checksum, gate.verdict_checksum);
+    EXPECT_EQ(policy.quant_armed(), gate.pass);
+    if (gate.pass) {
+      ASSERT_NE(policy.quant, nullptr);
+      EXPECT_EQ(serialized(*policy.quant), serialized(q));
+    } else {
+      EXPECT_EQ(policy.quant, nullptr);
+    }
+  }
+  // The logits-taking form wants one fp64 logit per sequence.
+  EXPECT_THROW(nn::quant_gate_check(std::vector<double>(3), q, calibration, 0.15),
+               std::invalid_argument);
 }
 
 TEST(ServeQuant, QuantLaneServesMotionVerdictsInService) {

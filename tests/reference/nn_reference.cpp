@@ -12,15 +12,6 @@
 
 namespace trajkit::nn::reference {
 
-/// The classifier's private parameters, clip and pack cache, which train()
-/// drives exactly as LstmClassifier::train does.
-struct ClassifierAccess {
-  static std::vector<LstmLayer>& layers(LstmClassifier& m) { return m.layers_; }
-  static DenseLayer& head(LstmClassifier& m) { return m.head_; }
-  static void clip_gradients(LstmClassifier& m) { m.clip_gradients(); }
-  static void rebuild_packs(LstmClassifier& m) { m.rebuild_packs(); }
-};
-
 namespace {
 
 double forward_logit(const std::vector<LstmLayer>& layers, const DenseLayer& head,
@@ -34,7 +25,7 @@ double forward_logit(const std::vector<LstmLayer>& layers, const DenseLayer& hea
   traces.clear();
   traces.reserve(layers.size());
   for (const auto& layer : layers) {
-    traces.push_back(layer.forward(*input, x.steps));
+    traces.push_back(lstm_forward(layer, *input, x.steps));
     input = &traces.back().hiddens;
   }
   const std::size_t H = layers.back().hidden_dim();
@@ -77,6 +68,67 @@ std::vector<LstmLayer> copy_layers(const LstmClassifier& model) {
 }
 
 }  // namespace
+
+LstmTrace lstm_forward(const LstmLayer& layer, const std::vector<double>& xs,
+                       std::size_t steps) {
+  const std::size_t H = layer.hidden_dim();
+  const std::size_t I = layer.input_dim();
+  if (xs.size() != steps * I) {
+    throw std::invalid_argument("reference::lstm_forward: input size mismatch");
+  }
+  if (steps == 0) throw std::invalid_argument("reference::lstm_forward: empty sequence");
+
+  LstmTrace tr;
+  tr.steps = steps;
+  tr.inputs = xs;
+  tr.gates.assign(steps * 4 * H, 0.0);
+  tr.cells.assign(steps * H, 0.0);
+  tr.hiddens.assign(steps * H, 0.0);
+
+  std::vector<double> zin(I + H, 0.0);  // [x_t ; h_{t-1}]
+  std::vector<double> z(4 * H, 0.0);
+
+  for (std::size_t t = 0; t < steps; ++t) {
+    std::memcpy(zin.data(), xs.data() + t * I, I * sizeof(double));
+    if (t > 0) {
+      std::memcpy(zin.data() + I, tr.hiddens.data() + (t - 1) * H, H * sizeof(double));
+    } else {
+      std::memset(zin.data() + I, 0, H * sizeof(double));
+    }
+    for (std::size_t k = 0; k < 4 * H; ++k) z[k] = layer.bias()(k, 0);
+    gemv_acc(layer.weights(), zin.data(), z.data());
+
+    double* gate = tr.gates.data() + t * 4 * H;
+    double* c = tr.cells.data() + t * H;
+    double* h = tr.hiddens.data() + t * H;
+    const double* c_prev = t > 0 ? tr.cells.data() + (t - 1) * H : nullptr;
+    for (std::size_t k = 0; k < H; ++k) {
+      const double i_g = sigmoid(z[k]);
+      const double f_g = sigmoid(z[H + k]);
+      const double g_g = std::tanh(z[2 * H + k]);
+      const double o_g = sigmoid(z[3 * H + k]);
+      gate[k] = i_g;
+      gate[H + k] = f_g;
+      gate[2 * H + k] = g_g;
+      gate[3 * H + k] = o_g;
+      const double cp = c_prev ? c_prev[k] : 0.0;
+      c[k] = f_g * cp + i_g * g_g;
+      h[k] = o_g * std::tanh(c[k]);
+    }
+  }
+  return tr;
+}
+
+void gemv_acc(const Matrix& m, const double* x, double* y) {
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* mr = m.row(r);
+    double acc = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) acc += mr[c] * x[c];
+    y[r] += acc;
+  }
+}
 
 void gemv_t_acc(const Matrix& m, const double* x, double* y) {
   const std::size_t rows = m.rows();
@@ -201,6 +253,26 @@ void lstm_backward_seq(LstmLayer& layer, const LstmTrace& trace,
 double logit(const LstmClassifier& model, const FeatureSequence& x) {
   std::vector<LstmTrace> traces;
   return forward_logit(copy_layers(model), model.head_layer(), x, traces);
+}
+
+CalibrationPass calibration_pass(const LstmClassifier& model,
+                                 const std::vector<FeatureSequence>& xs) {
+  const std::vector<LstmLayer> layers = copy_layers(model);
+  CalibrationPass pass;
+  pass.max_input.assign(layers.size(), 0.0);
+  pass.max_hidden.assign(layers.size(), 0.0);
+  const auto fold = [](double& best, const std::vector<double>& v) {
+    for (double x : v) best = std::max(best, std::abs(x));
+  };
+  for (const auto& x : xs) {
+    std::vector<LstmTrace> traces;
+    pass.logits.push_back(forward_logit(layers, model.head_layer(), x, traces));
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      fold(pass.max_input[l], traces[l].inputs);
+      fold(pass.max_hidden[l], traces[l].hiddens);
+    }
+  }
+  return pass;
 }
 
 double loss_and_input_gradient(const LstmClassifier& model, const FeatureSequence& x,

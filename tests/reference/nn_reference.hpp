@@ -1,8 +1,8 @@
 // Per-sample oracle of the nn stack, kept beside the tests.
 //
-// These are the naive matvec kernels, the per-sequence LSTM BPTT and the
-// dense head exactly as the library ran them before the packed-GEMM batched
-// kernels (src/nn/kernels) replaced them.  The kernels promise to reproduce
+// These are the naive matvec kernels, the per-sequence LSTM forward and
+// BPTT and the dense head exactly as the library ran them before the
+// packed-GEMM batched kernels (src/nn/kernels) replaced them.  The kernels promise to reproduce
 // them bit for bit, so kernels_test, golden_test, nn_test and bench_nn
 // compare against this code.  It is not part of traj_core: no serving,
 // training or attack path can reach it.
@@ -22,6 +22,34 @@
 #include "traj/features.hpp"
 
 namespace trajkit::nn::reference {
+
+/// The classifier's private parameters, clip and pack cache, which train()
+/// drives exactly as LstmClassifier::train does and tests may set by hand.
+struct ClassifierAccess {
+  static std::vector<LstmLayer>& layers(LstmClassifier& m) { return m.layers_; }
+  static DenseLayer& head(LstmClassifier& m) { return m.head_; }
+  static void clip_gradients(LstmClassifier& m) { m.clip_gradients(); }
+  static void rebuild_packs(LstmClassifier& m) { m.rebuild_packs(); }
+};
+
+/// Cached activations of one LSTM forward pass (one sequence).
+struct LstmTrace {
+  std::size_t steps = 0;
+  std::vector<double> inputs;   ///< steps x input_dim
+  std::vector<double> gates;    ///< steps x 4*hidden, post-activation [i,f,g,o]
+  std::vector<double> cells;    ///< steps x hidden (c_t)
+  std::vector<double> hiddens;  ///< steps x hidden (h_t)
+};
+
+/// Run one layer over a sequence (row-major steps x input_dim) with zero
+/// initial h and c, caching every activation.  One GEMV per step: the
+/// per-sample forward the batched kernels reproduce bit for bit.
+LstmTrace lstm_forward(const LstmLayer& layer, const std::vector<double>& xs,
+                       std::size_t steps);
+
+/// y += M * x (y has M.rows() entries, x has M.cols()): one accumulator per
+/// row, added to y once.
+void gemv_acc(const Matrix& m, const double* x, double* y);
 
 /// y += M^T * x (y has M.cols() entries, x has M.rows()).
 void gemv_t_acc(const Matrix& m, const double* x, double* y);
@@ -53,6 +81,12 @@ void lstm_backward_seq(LstmLayer& layer, const LstmTrace& trace,
 /// Pre-sigmoid classifier output, one sequence through the per-sample
 /// layers (LstmClassifier::predict_logit must match it bitwise).
 double logit(const LstmClassifier& model, const FeatureSequence& x);
+
+/// LstmClassifier::calibration_pass one sequence at a time through
+/// lstm_forward: logits, and per-layer max |input| and max |h_t| over each
+/// sequence's own steps.
+CalibrationPass calibration_pass(const LstmClassifier& model,
+                                 const std::vector<FeatureSequence>& xs);
 
 /// Cross-entropy toward `target_label` and its input gradient (overwritten
 /// into `dx` if non-null), per-sample.  `model` is not modified: the

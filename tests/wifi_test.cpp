@@ -151,6 +151,29 @@ TEST(ReferenceIndex, RefusesRssiOutsideStorableRange) {
   }
 }
 
+TEST(ReferenceIndex, RefusesGridBeyondCellCap) {
+  // The grid spans the bounding box: two points 4e6 m apart on one axis ask
+  // for 1e6 x 2 cells at 4 m, 1e5 m apart on both for 25,001^2.  Both are
+  // refused before anything is allocated, as is an explicit extent too large
+  // for the points it holds.
+  const auto pair = [](double east, double north) {
+    return std::vector<ReferencePoint>{ref(0, 0, {{1, -50}}), ref(east, north, {{1, -52}})};
+  };
+  EXPECT_NO_THROW(ReferenceIndex{pair(4e3, 4e3)});
+  for (const auto& [east, north] : {std::pair{4e6, 0.0}, std::pair{1e5, 1e5}}) {
+    try {
+      ReferenceIndex index(pair(east, north));
+      ADD_FAILURE() << east << ", " << north << ": " << index.size() << " points indexed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds the cap"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW((ReferenceIndex{pair(1, 1), 4.0, BoundingBox{0.0, 0.0, 1e5, 1e5}}),
+               std::invalid_argument);
+  // The floor: an empty slice under a 4 km square still indexes.
+  EXPECT_NO_THROW((ReferenceIndex{{}, 4.0, BoundingBox{0.0, 0.0, 4e3, 4e3}}));
+}
+
 TEST(Rpd, ExactMatchRatio) {
   // Counting circle of H contains 4 points; mac 1 reads -50 twice, -52 once,
   // absent once => RPD(-50) = 2/4, RPD(-52) = 1/4, RPD(-60) = 0.

@@ -5,8 +5,8 @@
 #   tools/cli_model_roundtrip.sh <trajkit_cli> <work-dir>
 #
 # simulate (real + navigation) -> train-motion -> classify must succeed, and
-# classify must refuse the same weights saved as a bare-text file (the model
-# payload without its durable container).  forge, mind, match and stats then
+# classify must refuse the same weights saved as a bare file (the binary model
+# image without its durable container).  forge, mind, match and stats then
 # run at smoke size on a 4-trajectory CSV; each must exit 0 and print its
 # summary line.  Exits non-zero on any failure.
 set -euo pipefail
@@ -25,10 +25,11 @@ cd "${work}"
 # Container layout (common/durable/durable_file.hpp): 8-byte magic, u32 tag
 # length, "lstm_classifier", u32 version, u32 record count, u64 record length,
 # u32 record CRC — 47 bytes — then the payload, then an 8-byte footer.
+# The image opens with the 8-byte magic "TKLSTM2\n" (nn/serialize.cpp).
 tail -c +48 motion.model | head -c -8 > bare.model
-[[ "$(head -n 1 bare.model)" == "trajkit_lstm_classifier_v1" ]]
+[[ "$(head -c 7 bare.model)" == "TKLSTM2" ]]
 if "${cli}" classify --model=bare.model --in=real.csv > /dev/null 2>&1; then
-  echo "classify accepted a bare-text model file" >&2
+  echo "classify accepted a bare model file" >&2
   exit 1
 fi
 # The remaining commands at smoke size.  forge and mind run the normalised
