@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 #include <vector>
 
 #include "common/durable/durable_file.hpp"
@@ -160,7 +161,7 @@ Expected<std::uint64_t, std::string> ArtifactStore::publish_payload(
   // nothing or a complete file that CURRENT does not name yet.
   DurableWriter writer(kArtifactTag, kArtifactVersion);
   writer.add_record(kind + ' ' + std::to_string(epoch));
-  writer.add_record(std::string(payload));
+  writer.add_record(payload);
   auto committed = writer.commit(artifact_path(kind, epoch));
   if (!committed) return Result::failure("artifact store: " + committed.error());
 

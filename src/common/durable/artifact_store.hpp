@@ -1,40 +1,34 @@
 // Versioned artifact store: epoch-numbered model/data snapshots behind one
 // Expected-based load/publish API.
 //
-// Before this layer existed, every persisted model had its own ad-hoc file
-// surface — RssiDetector::try_load_file, LstmClassifier::try_load_file, the
-// gbt::GbtClassifier readers — each dispatching on its own magic, and every
-// deployment overwrote the single live file in place.  A serving process that
-// wants to republish a retrained model without dropping requests needs more:
-// old epochs must stay readable while in-flight work finishes on them, and
-// the "which epoch is live" decision must itself be crash-safe.
+// A serving process that wants to republish a retrained model without
+// dropping requests needs more than one live file overwritten in place: old
+// epochs must stay readable while in-flight work finishes on them, and the
+// "which epoch is live" decision must itself be crash-safe.
 //
 // The store keeps every published artifact under
 //
 //   dir/<kind>.<epoch>       one CRC-framed durable container per publish
 //   dir/CURRENT              durable pointer: one "kind epoch" line per kind
 //
-// publish() commits the artifact file first (atomic temp+fsync+rename via
-// common/durable), then flips CURRENT — also atomically.  A crash between
-// the two stages leaves a fully-written orphan artifact and a CURRENT that
-// still names the previous epoch: reopening serves the old epoch, exactly as
-// if the publish never happened, and the next publish picks a strictly
-// larger epoch than any file on disk (orphans included), so epochs are
-// monotone across crashes.  The gap is an explicit fault/crash point
-// (kFaultPublishCurrent) that tests/hotswap_test.cpp walks with the fork
-// harness.
+// publish_payload() commits the artifact file first (atomic
+// temp+fsync+rename via common/durable), then flips CURRENT — also
+// atomically.  A crash between the two stages leaves a fully-written orphan
+// artifact and a CURRENT that still names the previous epoch: reopening
+// serves the old epoch, exactly as if the publish never happened, and the
+// next publish picks a strictly larger epoch than any file on disk (orphans
+// included), so epochs are monotone across crashes.  The gap is an explicit
+// fault/crash point (kFaultPublishCurrent) that tests/hotswap_test.cpp walks
+// with the fork harness.
 //
-// Typed access goes through ArtifactCodec<T>: each persistable type
-// specialises the codec next to its own declaration (wifi/detector.hpp,
-// gbt/booster.hpp, nn/classifier.hpp), and ArtifactStore::open<T>(kind,
-// epoch) / publish<T>(kind, value) do the framing, epoch resolution and
-// error plumbing once, for every model family.
+// Payloads are opaque bytes.  A model rides the store as its own in-memory
+// image: the serving layer publishes RssiDetector::image() and decodes what
+// read_payload returns with RssiDetector::decode (serve/service.cpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,19 +42,9 @@ namespace trajkit::durable {
 /// "published but not yet live" state the recovery tests aim at.
 inline constexpr const char* kFaultPublishCurrent = "artifact.publish_current";
 
-/// Typed (de)serialisation hooks for ArtifactStore::open<T>/publish<T>.
-/// Specialise next to T's declaration with:
-///
-///   using Value = ...;   // what open<T> yields (T, or unique_ptr<T> for
-///                        // non-movable types)
-///   static void encode(const T& value, std::ostream& os);
-///   static Expected<Value, std::string> decode(std::istream& is);
-template <typename T>
-struct ArtifactCodec;
-
 class ArtifactStore {
  public:
-  /// Resolve "the epoch CURRENT names" in open<T>/read_payload.
+  /// Resolve "the epoch CURRENT names" in read_payload.
   static constexpr std::uint64_t kCurrentEpoch = 0;
 
   /// Open (creating if needed) the store rooted at directory `dir` and load
@@ -87,28 +71,6 @@ class ArtifactStore {
 
   /// Every kind CURRENT names, with its live epoch (deterministic order).
   const std::map<std::string, std::uint64_t>& current() const { return current_; }
-
-  /// Typed publish: encode through ArtifactCodec<T>, then publish_payload.
-  template <typename T>
-  Expected<std::uint64_t, std::string> publish(const std::string& kind,
-                                               const T& value) {
-    std::ostringstream os;
-    ArtifactCodec<T>::encode(value, os);
-    return publish_payload(kind, os.str());
-  }
-
-  /// Typed load: the one Expected-based read surface for every persisted
-  /// model family.  `epoch` = kCurrentEpoch follows the durable CURRENT
-  /// pointer; an explicit epoch pins an older (still readable) publish.
-  template <typename T>
-  Expected<typename ArtifactCodec<T>::Value, std::string> open(
-      const std::string& kind, std::uint64_t epoch = kCurrentEpoch) const {
-    using Result = Expected<typename ArtifactCodec<T>::Value, std::string>;
-    auto payload = read_payload(kind, epoch);
-    if (!payload) return Result::failure(payload.error());
-    std::istringstream is(payload.value());
-    return ArtifactCodec<T>::decode(is);
-  }
 
   /// On-disk path of one epoch's artifact file.
   std::string artifact_path(const std::string& kind, std::uint64_t epoch) const;

@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <istream>
 #include <numeric>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
-#include "common/durable/durable_file.hpp"
 #include "common/rng.hpp"
 
 namespace trajkit::gbt {
 namespace {
 
-constexpr const char* kDurableTag = "gbt_classifier";
-constexpr std::uint32_t kDurableVersion = 1;
 constexpr std::size_t kMaxTrees = std::size_t{1} << 20;
 
 double sigmoid(double x) {
@@ -167,29 +165,6 @@ Expected<GbtClassifier, std::string> GbtClassifier::try_load(std::istream& is) {
   } catch (const std::exception& e) {
     return Result::failure(std::string("gbt load: ") + e.what());
   }
-}
-
-void GbtClassifier::save_file(const std::string& path) const {
-  std::ostringstream payload;
-  save(payload);
-  durable::DurableWriter writer(kDurableTag, kDurableVersion);
-  writer.add_record(payload.str());
-  auto committed = writer.commit(path);
-  if (!committed) {
-    throw std::runtime_error("GbtClassifier::save_file: " + committed.error());
-  }
-}
-
-Expected<GbtClassifier, std::string> GbtClassifier::try_load_file(
-    const std::string& path) {
-  using Result = Expected<GbtClassifier, std::string>;
-  auto records = durable::read_durable_file(path, kDurableTag, kDurableVersion);
-  if (!records) return Result::failure("gbt load: " + records.error());
-  if (records.value().size() != 1) {
-    return Result::failure("gbt load: unexpected record count");
-  }
-  std::istringstream is(records.value()[0]);
-  return try_load(is);
 }
 
 }  // namespace trajkit::gbt

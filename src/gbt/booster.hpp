@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/durable/artifact_store.hpp"
 #include "common/expected.hpp"
 #include "gbt/fused.hpp"
 #include "gbt/tree.hpp"
@@ -68,16 +67,13 @@ class GbtClassifier {
 
   std::size_t tree_count() const { return trees_.size(); }
 
-  /// Text stream and durable-file persistence.  save_file commits a
-  /// CRC-framed durable container atomically (common/durable), the only file
-  /// format try_load_file reads.  Malformed input (bad magic, truncation, CRC
-  /// mismatch, version skew, implausible config, invalid tree topology, a
-  /// feature index beyond uint16) comes back as a diagnostic string instead
-  /// of an exception.
+  /// Text persistence.  The classifier is stored only as the length-prefixed
+  /// text tail of the detector's model image (wifi/detector_io.cpp), so these
+  /// two are its whole codec.  Malformed input (bad magic, truncation,
+  /// implausible config, invalid tree topology, a feature index beyond
+  /// uint16) comes back as a diagnostic string instead of an exception.
   void save(std::ostream& os) const;
   static Expected<GbtClassifier, std::string> try_load(std::istream& is);
-  void save_file(const std::string& path) const;
-  static Expected<GbtClassifier, std::string> try_load_file(const std::string& path);
 
  private:
   // The scalar-walk oracle (tests/reference) reads the trees and base score.
@@ -96,20 +92,3 @@ class GbtClassifier {
 };
 
 }  // namespace trajkit::gbt
-
-namespace trajkit::durable {
-
-/// Booster artifacts for ArtifactStore::open<GbtClassifier>/publish: the
-/// payload is the classifier's own stream format (save/try_load).
-template <>
-struct ArtifactCodec<gbt::GbtClassifier> {
-  using Value = gbt::GbtClassifier;
-  static void encode(const gbt::GbtClassifier& value, std::ostream& os) {
-    value.save(os);
-  }
-  static Expected<Value, std::string> decode(std::istream& is) {
-    return gbt::GbtClassifier::try_load(is);
-  }
-};
-
-}  // namespace trajkit::durable

@@ -1,7 +1,7 @@
 // Adam optimizer over a set of (parameter, gradient) matrix pairs.
 //
-// Layers register their tensors once; step() applies one Adam update using
-// whatever gradients the layers have accumulated since the last zero_grad.
+// The trainer registers each parameter tensor with its gradient tensor once;
+// step() applies one Adam update using whatever the gradient tensors hold.
 #pragma once
 
 #include <cstddef>

@@ -36,14 +36,22 @@ kernels::Workspace& local_workspace() {
   return ws;
 }
 
-/// Chunk-private gradient accumulators for one training chunk — the moral
-/// equivalent of the per-sample oracle's model clone, without copying the
-/// weights.
+/// Parameter gradients shaped like the model's parameters: one per training
+/// chunk (the moral equivalent of the per-sample oracle's per-chunk partials)
+/// and one the chunks fold into, which the optimizer reads.
 struct GradSet {
   std::vector<Matrix> dw, db;  // per LSTM layer
   Matrix head_dw, head_db;
   double loss = 0.0;
   std::size_t correct = 0;
+
+  GradSet(const std::vector<LstmLayer>& layers, const DenseLayer& head)
+      : head_dw(head.output_dim(), head.input_dim()), head_db(head.output_dim(), 1) {
+    for (const auto& layer : layers) {
+      dw.emplace_back(layer.weights().rows(), layer.weights().cols());
+      db.emplace_back(layer.bias().rows(), 1);
+    }
+  }
 
   void zero() {
     for (auto& m : dw) m.zero();
@@ -54,6 +62,28 @@ struct GradSet {
     correct = 0;
   }
 };
+
+void scale(Matrix& m, double s) {
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] *= s;
+}
+
+/// Global-norm clip.  The squared norm sums the head's dw + db first, then
+/// each layer's dw + db in order — the association the per-sample oracle's
+/// train() uses, so the two stay bit-identical.
+void clip_gradients(GradSet& g, double max_norm) {
+  double norm_sq = g.head_dw.norm_sq() + g.head_db.norm_sq();
+  for (std::size_t l = 0; l < g.dw.size(); ++l) {
+    norm_sq += g.dw[l].norm_sq() + g.db[l].norm_sq();
+  }
+  const double norm = std::sqrt(norm_sq);
+  if (max_norm > 0.0 && norm > max_norm) {
+    const double s = max_norm / norm;
+    scale(g.head_dw, s);
+    scale(g.head_db, s);
+    for (auto& m : g.dw) scale(m, s);
+    for (auto& m : g.db) scale(m, s);
+  }
+}
 
 }  // namespace
 
@@ -215,18 +245,6 @@ void LstmClassifier::backward_batched(
   }
 }
 
-double LstmClassifier::clip_gradients() {
-  double norm_sq = head_.grad_norm_sq();
-  for (const auto& layer : layers_) norm_sq += layer.grad_norm_sq();
-  const double norm = std::sqrt(norm_sq);
-  if (config_.grad_clip > 0.0 && norm > config_.grad_clip) {
-    const double s = config_.grad_clip / norm;
-    head_.scale_grad(s);
-    for (auto& layer : layers_) layer.scale_grad(s);
-  }
-  return norm;
-}
-
 TrainReport LstmClassifier::train(
     const std::vector<FeatureSequence>& xs, const std::vector<int>& ys,
     std::size_t epochs,
@@ -237,31 +255,24 @@ TrainReport LstmClassifier::train(
   TrainReport report;
   Rng shuffle_rng = make_rng(0xc1a551f1e5ULL);
 
+  // The minibatch gradient the chunks fold into; the optimizer reads it.
+  GradSet grads(layers_, head_);
   Adam optimizer(AdamConfig{config_.learning_rate});
-  for (auto& layer : layers_) {
-    optimizer.attach(&layer.weights(), &layer.weight_grad());
-    optimizer.attach(&layer.bias(), &layer.bias_grad());
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    optimizer.attach(&layers_[l].weights(), &grads.dw[l]);
+    optimizer.attach(&layers_[l].bias(), &grads.db[l]);
   }
-  optimizer.attach(&head_.weights(), &head_.weight_grad());
-  optimizer.attach(&head_.bias(), &head_.bias_grad());
+  optimizer.attach(&head_.weights(), &grads.head_dw);
+  optimizer.attach(&head_.bias(), &grads.head_db);
 
   std::vector<std::size_t> order(xs.size());
   std::iota(order.begin(), order.end(), 0);
 
   // Chunk-private gradient buffers, allocated once per train() and re-zeroed
-  // per batch.
+  // per chunk.
   const std::size_t max_chunks =
       (std::min(config_.batch_size, xs.size()) + kGradGrain - 1) / kGradGrain;
-  std::vector<GradSet> pool(std::max<std::size_t>(max_chunks, 1));
-  for (auto& gs : pool) {
-    for (const auto& layer : layers_) {
-      gs.dw.emplace_back(4 * config_.hidden_dim,
-                         layer.input_dim() + config_.hidden_dim);
-      gs.db.emplace_back(4 * config_.hidden_dim, 1);
-    }
-    gs.head_dw = Matrix(1, config_.hidden_dim);
-    gs.head_db = Matrix(1, 1);
-  }
+  std::vector<GradSet> pool(std::max<std::size_t>(max_chunks, 1), grads);
 
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     shuffle_rng.shuffle(order);
@@ -271,8 +282,7 @@ TrainReport LstmClassifier::train(
     for (std::size_t start = 0; start < order.size(); start += config_.batch_size) {
       const std::size_t end = std::min(order.size(), start + config_.batch_size);
       const double inv_batch = 1.0 / static_cast<double>(end - start);
-      for (auto& layer : layers_) layer.zero_grad();
-      head_.zero_grad();
+      grads.zero();
 
       // Per-sample gradient accumulation fans out over fixed-size chunks of
       // the minibatch; the chunk-private partials are folded back into the
@@ -315,13 +325,13 @@ TrainReport LstmClassifier::train(
         total_loss += gs.loss;
         correct += gs.correct;
         for (std::size_t l = 0; l < layers_.size(); ++l) {
-          layers_[l].weight_grad().axpy(1.0, gs.dw[l]);
-          layers_[l].bias_grad().axpy(1.0, gs.db[l]);
+          grads.dw[l].axpy(1.0, gs.dw[l]);
+          grads.db[l].axpy(1.0, gs.db[l]);
         }
-        head_.weight_grad().axpy(1.0, gs.head_dw);
-        head_.bias_grad().axpy(1.0, gs.head_db);
+        grads.head_dw.axpy(1.0, gs.head_dw);
+        grads.head_db.axpy(1.0, gs.head_db);
       }
-      clip_gradients();
+      clip_gradients(grads, config_.grad_clip);
       optimizer.step();
       rebuild_packs();  // parameters moved; refresh before the next pass
     }

@@ -22,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/durable/artifact_store.hpp"
 #include "common/expected.hpp"
 #include "common/rng.hpp"
 #include "nn/adam.hpp"
@@ -119,14 +118,12 @@ class LstmClassifier {
   /// non-finite weight, trailing bytes — comes back as a diagnostic string.
   std::string image() const;
   static Expected<LstmClassifier, std::string> decode(std::string_view image);
-  void save(std::ostream& os) const;
-  static Expected<LstmClassifier, std::string> try_load(std::istream& is);
   void save_file(const std::string& path) const;
   static Expected<LstmClassifier, std::string> try_load_file(const std::string& path);
 
  private:
   // The per-sample oracle's train() (tests/reference) drives the same
-  // parameters, clip and pack cache through these private members.
+  // parameters and pack cache through these private members.
   friend struct reference::ClassifierAccess;
 
   /// All-zero parameters and no packs: decode() fills every parameter and
@@ -150,7 +147,6 @@ class LstmClassifier {
                         const double* dlogits, Matrix* head_dw, Matrix* head_db,
                         const std::vector<kernels::LstmGrads>& layer_grads,
                         double* dx_blocks, kernels::Workspace& ws) const;
-  double clip_gradients();
 
   /// Re-pack every layer's weights into pack_store_ (both orientations).
   /// Called at every point that mutates parameters — construction, each
@@ -177,20 +173,3 @@ class LstmClassifier {
 };
 
 }  // namespace trajkit::nn
-
-namespace trajkit::durable {
-
-/// LSTM artifacts for ArtifactStore::open<LstmClassifier>/publish: the
-/// payload is the classifier's binary image (save/try_load).
-template <>
-struct ArtifactCodec<nn::LstmClassifier> {
-  using Value = nn::LstmClassifier;
-  static void encode(const nn::LstmClassifier& value, std::ostream& os) {
-    value.save(os);
-  }
-  static Expected<Value, std::string> decode(std::istream& is) {
-    return nn::LstmClassifier::try_load(is);
-  }
-};
-
-}  // namespace trajkit::durable

@@ -14,24 +14,10 @@ DenseLayer::DenseLayer(std::size_t input_dim, std::size_t output_dim)
     : input_dim_(input_dim),
       output_dim_(output_dim),
       w_(output_dim, input_dim),
-      b_(output_dim, 1),
-      dw_(output_dim, input_dim),
-      db_(output_dim, 1) {
+      b_(output_dim, 1) {
   if (input_dim == 0 || output_dim == 0) {
     throw std::invalid_argument("DenseLayer: dims must be positive");
   }
-}
-
-void DenseLayer::zero_grad() {
-  dw_.zero();
-  db_.zero();
-}
-
-double DenseLayer::grad_norm_sq() const { return dw_.norm_sq() + db_.norm_sq(); }
-
-void DenseLayer::scale_grad(double s) {
-  for (std::size_t i = 0; i < dw_.size(); ++i) dw_.data()[i] *= s;
-  for (std::size_t i = 0; i < db_.size(); ++i) db_.data()[i] *= s;
 }
 
 double sigmoid_bce_loss(double logit, int label, double* dlogit) {

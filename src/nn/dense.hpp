@@ -1,7 +1,7 @@
 // Fully-connected layer used as the classification head on top of the final
-// LSTM hidden state: parameters and gradient buffers.  The classifier runs
-// the head inside its batched passes (nn/classifier.cpp); the per-sample
-// forward/backward it reproduces lives beside the tests (tests/reference).
+// LSTM hidden state: parameters only.  The classifier runs the head inside
+// its batched passes (nn/classifier.cpp); the per-sample forward/backward it
+// reproduces lives beside the tests (tests/reference).
 #pragma once
 
 #include <cstddef>
@@ -22,24 +22,16 @@ class DenseLayer {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t output_dim() const { return output_dim_; }
 
-  void zero_grad();
-  double grad_norm_sq() const;
-  void scale_grad(double s);
-
   Matrix& weights() { return w_; }
   const Matrix& weights() const { return w_; }
   Matrix& bias() { return b_; }
   const Matrix& bias() const { return b_; }
-  Matrix& weight_grad() { return dw_; }
-  Matrix& bias_grad() { return db_; }
 
  private:
   std::size_t input_dim_;
   std::size_t output_dim_;
   Matrix w_;
   Matrix b_;
-  Matrix dw_;
-  Matrix db_;
 };
 
 /// Fused sigmoid + binary cross-entropy on a single logit.

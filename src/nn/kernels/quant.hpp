@@ -24,7 +24,7 @@
 //    eight.  vpdpbusd is unsigned x signed, so activations carry a +128
 //    offset (offset-binary uint8) and the kernel subtracts
 //    128 * rowsum(weights) from each accumulator — the row sums are derived
-//    from the pack at build/load time, never serialized.  Accumulation
+//    from the pack when it is built.  Accumulation
 //    overflow is impossible by construction: partials are bounded by
 //    255 * 127 * depth (depth <= 65536 fits int32).
 //
@@ -112,7 +112,7 @@ void pack_quant_rows_i8(const Matrix& m, std::size_t c0, std::size_t c1,
 
 /// Per-row coefficient sums of an int8 pack (rows int64s, tail rows of the
 /// last group excluded).  Derived data for the offset-binary activation
-/// correction — computed after pack/load, never serialized.
+/// correction, computed after packing.
 void quant_row_sums_i8(const qi8* pack, std::size_t rows, std::size_t depth,
                        qi64* out);
 

@@ -15,24 +15,10 @@ LstmLayer::LstmLayer(std::size_t input_dim, std::size_t hidden_dim)
     : input_dim_(input_dim),
       hidden_dim_(hidden_dim),
       w_(4 * hidden_dim, input_dim + hidden_dim),
-      b_(4 * hidden_dim, 1),
-      dw_(4 * hidden_dim, input_dim + hidden_dim),
-      db_(4 * hidden_dim, 1) {
+      b_(4 * hidden_dim, 1) {
   if (input_dim == 0 || hidden_dim == 0) {
     throw std::invalid_argument("LstmLayer: dims must be positive");
   }
-}
-
-void LstmLayer::zero_grad() {
-  dw_.zero();
-  db_.zero();
-}
-
-double LstmLayer::grad_norm_sq() const { return dw_.norm_sq() + db_.norm_sq(); }
-
-void LstmLayer::scale_grad(double s) {
-  for (std::size_t i = 0; i < dw_.size(); ++i) dw_.data()[i] *= s;
-  for (std::size_t i = 0; i < db_.size(); ++i) db_.data()[i] *= s;
 }
 
 }  // namespace trajkit::nn

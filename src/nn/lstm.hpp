@@ -7,11 +7,12 @@
 //   c_t = f * c_{t-1} + i * g
 //   h_t = o * tanh(c_t)
 //
-// The layer holds parameters and gradient buffers only: every pass —
-// training, inference, the C&W input gradient and the quantizer's
-// calibration — runs through the batched kernels (nn/kernels/rnn_batched.hpp),
-// and the per-sample forward and BPTT they reproduce live beside the tests
-// (tests/reference).  The optimizer reads the gradient buffers.
+// The layer holds parameters only: every pass — training, inference, the
+// C&W input gradient and the quantizer's calibration — runs through the
+// batched kernels (nn/kernels/rnn_batched.hpp), and the per-sample forward
+// and BPTT they reproduce live beside the tests (tests/reference).  Gradients
+// live with whoever accumulates them (LstmClassifier::train), so a loaded or
+// served model allocates none.
 #pragma once
 
 #include <cstddef>
@@ -31,26 +32,16 @@ class LstmLayer {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
 
-  void zero_grad();
-  /// Squared L2 norm of all gradients (for global-norm clipping).
-  double grad_norm_sq() const;
-  /// Scale all gradients by `s`.
-  void scale_grad(double s);
-
   Matrix& weights() { return w_; }
   const Matrix& weights() const { return w_; }
   Matrix& bias() { return b_; }
   const Matrix& bias() const { return b_; }
-  Matrix& weight_grad() { return dw_; }
-  Matrix& bias_grad() { return db_; }
 
  private:
   std::size_t input_dim_;
   std::size_t hidden_dim_;
   Matrix w_;   ///< (4*hidden) x (input + hidden)
   Matrix b_;   ///< (4*hidden) x 1
-  Matrix dw_;
-  Matrix db_;
 };
 
 }  // namespace trajkit::nn

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
-
-#include "common/durable/durable_file.hpp"
 
 namespace trajkit::nn {
 
 namespace {
-
-constexpr const char* kMagic = "trajkit_quant_lstm_v1";
-constexpr const char* kDurableTag = "quant_lstm";
-constexpr std::uint32_t kDurableVersion = 1;
-
-// Same plausibility bounds as the fp64 model loader (serialize.cpp): a
-// corrupt header must fail before it can demand a huge allocation.
-constexpr std::size_t kMaxDim = 65536;
-constexpr std::size_t kMaxLayers = 64;
 
 kernels::Workspace& local_workspace() {
   thread_local kernels::Workspace ws;
@@ -31,14 +18,6 @@ kernels::Workspace& local_workspace() {
 /// scales by 1 (every value quantizes to 0 either way).
 double scale_for(double maxabs, std::int32_t qmax) {
   return maxabs > 0.0 ? maxabs / static_cast<double>(qmax) : 1.0;
-}
-
-void write_doubles(std::ostream& os, const double* p, std::size_t n) {
-  os << std::setprecision(17);
-  for (std::size_t i = 0; i < n; ++i) {
-    os << p[i] << (((i + 1) % 8 == 0) ? '\n' : ' ');
-  }
-  os << '\n';
 }
 
 std::uint64_t fnv1a_byte(std::uint64_t h, std::uint8_t b) {
@@ -212,140 +191,6 @@ std::vector<double> QuantizedLstm::predict_proba_batch(
   std::vector<double> out = predict_logit_batch(xs);
   for (double& v : out) v = sigmoid(v);
   return out;
-}
-
-void QuantizedLstm::save(std::ostream& os) const {
-  os << kMagic << '\n';
-  // Weight width in bits: 8 is the only value try_load accepts.
-  os << 8 << ' ' << input_dim_ << ' ' << hidden_dim_ << ' ' << layers_.size()
-     << '\n';
-  for (const Layer& l : layers_) {
-    os << l.input << ' ' << l.hidden << '\n';
-    const double scales[10] = {l.sw_x[0], l.sw_x[1], l.sw_x[2], l.sw_x[3],
-                               l.sw_h[0], l.sw_h[1], l.sw_h[2], l.sw_h[3],
-                               l.sx,      l.sh};
-    write_doubles(os, scales, 10);
-    write_doubles(os, l.bias.data(), l.bias.size());
-    // The packed integer images serialize verbatim (the VNNI dot-product
-    // layout is part of the format): loaders drop them straight into aligned
-    // buffers and re-derive the row sums.
-    const std::size_t nx = kernels::quant_packed_elems(4 * l.hidden, l.input);
-    const std::size_t nh = kernels::quant_packed_elems(4 * l.hidden, l.hidden);
-    for (const auto& [buf, n] : {std::pair{&l.wx, nx}, std::pair{&l.wh, nh}}) {
-      os << n << '\n';
-      for (std::size_t i = 0; i < n; ++i) {
-        os << static_cast<std::int32_t>((*buf)[i])
-           << (((i + 1) % 16 == 0) ? '\n' : ' ');
-      }
-      os << '\n';
-    }
-  }
-  write_doubles(os, head_w_.data(), head_w_.size());
-  os << std::setprecision(17) << head_b_ << '\n';
-}
-
-Expected<QuantizedLstm, std::string> QuantizedLstm::try_load(std::istream& is) {
-  using Result = Expected<QuantizedLstm, std::string>;
-  std::string magic;
-  if (!(is >> magic) || magic != kMagic) {
-    return Result::failure("quant model load: bad magic");
-  }
-  int mode_bits = 0;
-  std::size_t input = 0, hidden = 0, nl = 0;
-  if (!(is >> mode_bits >> input >> hidden >> nl)) {
-    return Result::failure("quant model load: bad header");
-  }
-  if (mode_bits != 8) {
-    return Result::failure("quant model load: unsupported mode " +
-                           std::to_string(mode_bits));
-  }
-  if (input == 0 || input > kMaxDim || hidden == 0 || hidden > kMaxDim ||
-      nl == 0 || nl > kMaxLayers) {
-    return Result::failure("quant model load: implausible architecture");
-  }
-  QuantizedLstm q;
-  q.input_dim_ = input;
-  q.hidden_dim_ = hidden;
-  q.layers_.resize(nl);
-  for (std::size_t li = 0; li < nl; ++li) {
-    Layer& l = q.layers_[li];
-    if (!(is >> l.input >> l.hidden)) {
-      return Result::failure("quant model load: bad layer header");
-    }
-    const std::size_t want_in = li == 0 ? input : hidden;
-    if (l.input != want_in || l.hidden != hidden) {
-      return Result::failure("quant model load: layer shape mismatch");
-    }
-    double scales[10];
-    for (double& s : scales) {
-      if (!(is >> s) || !std::isfinite(s) || s <= 0.0) {
-        return Result::failure("quant model load: bad scale");
-      }
-    }
-    for (std::size_t g = 0; g < 4; ++g) {
-      l.sw_x[g] = scales[g];
-      l.sw_h[g] = scales[4 + g];
-    }
-    l.sx = scales[8];
-    l.sh = scales[9];
-    l.bias.resize(4 * l.hidden);
-    for (double& b : l.bias) {
-      if (!(is >> b) || !std::isfinite(b)) {
-        return Result::failure("quant model load: bad bias");
-      }
-    }
-    const std::size_t nx = kernels::quant_packed_elems(4 * l.hidden, l.input);
-    const std::size_t nh = kernels::quant_packed_elems(4 * l.hidden, l.hidden);
-    l.wx.resize(nx);
-    l.wh.resize(nh);
-    for (const auto& [buf, n] : {std::pair{&l.wx, nx}, std::pair{&l.wh, nh}}) {
-      std::size_t count = 0;
-      if (!(is >> count) || count != n) {
-        return Result::failure("quant model load: bad pack size");
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        std::int32_t v = 0;
-        if (!(is >> v) || v < -kernels::kQmax || v > kernels::kQmax) {
-          return Result::failure("quant model load: weight out of range");
-        }
-        (*buf)[i] = static_cast<std::int8_t>(v);
-      }
-    }
-    derive_row_sums(l);
-  }
-  q.head_w_.resize(hidden);
-  for (double& w : q.head_w_) {
-    if (!(is >> w) || !std::isfinite(w)) {
-      return Result::failure("quant model load: bad head weight");
-    }
-  }
-  if (!(is >> q.head_b_) || !std::isfinite(q.head_b_)) {
-    return Result::failure("quant model load: bad head bias");
-  }
-  return Result(std::move(q));
-}
-
-void QuantizedLstm::save_file(const std::string& path) const {
-  std::ostringstream payload;
-  save(payload);
-  durable::DurableWriter writer(kDurableTag, kDurableVersion);
-  writer.add_record(payload.str());
-  auto committed = writer.commit(path);
-  if (!committed) {
-    throw std::runtime_error("quant model save: " + committed.error());
-  }
-}
-
-Expected<QuantizedLstm, std::string> QuantizedLstm::try_load_file(
-    const std::string& path) {
-  using Result = Expected<QuantizedLstm, std::string>;
-  auto records = durable::read_durable_file(path, kDurableTag, kDurableVersion);
-  if (!records) return Result::failure("quant model load: " + records.error());
-  if (records.value().size() != 1) {
-    return Result::failure("quant model load: unexpected record count");
-  }
-  std::istringstream is(records.value()[0]);
-  return try_load(is);
 }
 
 QuantGateReport quant_gate_check(const LstmClassifier& ref,

@@ -27,25 +27,24 @@
 // it installs the quantized model only when the gate passes and falls back
 // to fp64 per model otherwise.
 //
-// Persistence: the packed integer image (not the fp64 weights) rides the
-// usual CRC-framed durable container ("quant_lstm") and the ArtifactStore
-// epoch path via ArtifactCodec<QuantizedLstm>, so followers adopt quantized
-// artifacts exactly like any other epoch-published model.
+// The int8 image is never persisted: every process rebuilds it from the fp64
+// model it loaded and gates it before serving, so no quantized lane serves
+// without a gate report behind it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
-#include "common/durable/artifact_store.hpp"
-#include "common/expected.hpp"
 #include "nn/classifier.hpp"
 #include "nn/kernels/quant.hpp"
 #include "nn/kernels/rnn_quant.hpp"
 
 namespace trajkit::nn {
+
+namespace reference {
+struct QuantAccess;
+}  // namespace reference
 
 using QuantMode = kernels::QuantMode;
 
@@ -79,14 +78,11 @@ class QuantizedLstm {
   std::vector<double> predict_logit_batch(const std::vector<FeatureSequence>& xs) const;
   std::vector<double> predict_proba_batch(const std::vector<FeatureSequence>& xs) const;
 
-  /// Text stream / durable-file persistence of the packed integer image
-  /// (same container pattern as the fp64 models; tag "quant_lstm").
-  void save(std::ostream& os) const;
-  static Expected<QuantizedLstm, std::string> try_load(std::istream& is);
-  void save_file(const std::string& path) const;
-  static Expected<QuantizedLstm, std::string> try_load_file(const std::string& path);
-
  private:
+  // Tests compare two images byte for byte through a raw dump
+  // (tests/reference).
+  friend struct reference::QuantAccess;
+
   using AlignedBytes =
       std::vector<std::int8_t, kernels::AlignedAllocator<std::int8_t>>;
 
@@ -95,9 +91,8 @@ class QuantizedLstm {
     std::size_t hidden = 0;
     AlignedBytes wx;  ///< packed quant image of W[:, :input]
     AlignedBytes wh;  ///< packed quant image of W[:, input:]
-    /// Per-row coefficient sums of each pack: derived from the packed image
-    /// after quantize/load — never serialized — for the GEMM's offset-binary
-    /// activation correction.
+    /// Per-row coefficient sums of each pack, derived from the packed image
+    /// by quantize, for the GEMM's offset-binary activation correction.
     std::vector<std::int64_t> wx_row_sums;
     std::vector<std::int64_t> wh_row_sums;
     std::vector<double> bias;
@@ -151,21 +146,3 @@ QuantGateReport quant_gate_check(const std::vector<double>& ref_logits,
                                  double threshold = 0.5);
 
 }  // namespace trajkit::nn
-
-namespace trajkit::durable {
-
-/// Quantized-LSTM artifacts for ArtifactStore::open/publish: the payload is
-/// the model's own stream format (save/try_load), so quantized serving
-/// images ride the same epoch files + durable CURRENT as every other model.
-template <>
-struct ArtifactCodec<nn::QuantizedLstm> {
-  using Value = nn::QuantizedLstm;
-  static void encode(const nn::QuantizedLstm& value, std::ostream& os) {
-    value.save(os);
-  }
-  static Expected<Value, std::string> decode(std::istream& is) {
-    return nn::QuantizedLstm::try_load(is);
-  }
-};
-
-}  // namespace trajkit::durable

@@ -21,7 +21,6 @@
 // weights once.
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -88,11 +87,6 @@ std::string LstmClassifier::image() const {
   append_matrix(out, head_.weights());
   append_matrix(out, head_.bias());
   return out;
-}
-
-void LstmClassifier::save(std::ostream& os) const {
-  const std::string bytes = image();
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 Result LstmClassifier::decode(std::string_view image) {
@@ -166,12 +160,6 @@ Result LstmClassifier::decode(std::string_view image) {
   } catch (const std::exception& e) {
     return Result::failure(std::string("model load: ") + e.what());
   }
-}
-
-Result LstmClassifier::try_load(std::istream& is) {
-  std::ostringstream bytes;
-  bytes << is.rdbuf();
-  return decode(std::move(bytes).str());
 }
 
 void LstmClassifier::save_file(const std::string& path) const {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/durable/durable_file.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -99,7 +100,7 @@ Expected<std::uint64_t, std::string> VerifierService::publish_epoch(
     // injected fault) before the CURRENT flip leaves this epoch an orphan and
     // a restart serves the old one.
     auto published =
-        artifacts->publish<wifi::RssiDetector>("detector", *next.value().detector);
+        artifacts->publish_payload("detector", next.value().detector->image());
     if (!published) return Result::failure("publish_epoch: " + published.error());
     next_epoch = published.value();
   }
@@ -168,8 +169,17 @@ VerifierService::try_create_from_artifacts(const std::string& artifact_dir,
         DetectorOrError::failure("artifact store has no published '" + kind + "'"),
         config);
   }
-  return create_or_degrade(artifacts.value()->open<wifi::RssiDetector>(kind),
-                           config, live);
+  // The same fault point try_load_file consults, keyed by the artifact file.
+  const std::string path = artifacts.value()->artifact_path(kind, live);
+  if (global_faults().should_fail_seq(wifi::kFaultDetectorLoad,
+                                      durable::path_fault_key(path))) {
+    return create_or_degrade(
+        DetectorOrError::failure("RssiDetector: injected load fault for " + path),
+        config);
+  }
+  auto payload = artifacts.value()->read_payload(kind, live);
+  if (!payload) return create_or_degrade(DetectorOrError::failure(payload.error()), config);
+  return create_or_degrade(wifi::RssiDetector::decode(payload.value()), config, live);
 }
 
 VerifierService::~VerifierService() {

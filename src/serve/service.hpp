@@ -276,7 +276,8 @@ class VerifierService {
   /// store's durable CURRENT pointer names for `kind` and serves it.  The
   /// epoch-aware counterpart of try_create_from_file — restart after a crash
   /// mid-publish comes back on the last fully-published epoch.  Degraded-start
-  /// semantics match try_create_from_file.
+  /// semantics match try_create_from_file, and wifi::kFaultDetectorLoad is
+  /// consulted under the artifact file's path key.
   static Expected<std::unique_ptr<VerifierService>, std::string>
   try_create_from_artifacts(const std::string& artifact_dir,
                             VerifierServiceConfig config = {},

@@ -13,21 +13,20 @@
 // re-walked the index once each and are gone.)
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/durable/artifact_store.hpp"
 #include "common/expected.hpp"
 #include "gbt/booster.hpp"
 #include "wifi/features.hpp"
 
 namespace trajkit::wifi {
 
-/// Fault points (common/fault) on the persistence path, keyed by a hash of
-/// the stream/path identity.  Armed with fail_first = N, the first N load
+/// Fault points (common/fault) on the persistence path, keyed by
+/// durable::path_fault_key of the model file (or, for a detector served from
+/// an ArtifactStore, of the artifact file).  Armed with fail_first = N, the first N load
 /// attempts fail — the "model store briefly unreachable" shape; a large N
 /// makes the model permanently unloadable (degraded-start serving).
 inline constexpr const char* kFaultDetectorLoad = "wifi.detector_load";
@@ -37,7 +36,7 @@ struct RssiDetectorConfig {
   ConfidenceParams confidence;
   gbt::GbtConfig classifier;
   /// Operating threshold of J: verdict = 1 iff p_real >= threshold.  Carried
-  /// through save/load so a deployed detector keeps the threshold it was
+  /// in the model image so a deployed detector keeps the threshold it was
   /// tuned with instead of every call site hard-coding 0.5.
   double threshold = 0.5;
 };
@@ -72,7 +71,7 @@ class RssiDetector {
 
   /// The reference index pins internal pointers; moving or copying a live
   /// detector would leave its estimators dangling, so both are disabled.
-  /// Heap-allocate (as try_load() does) when ownership must move.
+  /// Heap-allocate (as decode() does) when ownership must move.
   RssiDetector(const RssiDetector&) = delete;
   RssiDetector& operator=(const RssiDetector&) = delete;
 
@@ -113,21 +112,21 @@ class RssiDetector {
 
   /// Persist the full detector — configuration, crowdsourced reference store
   /// and the trained classifier — so a provider can train once and deploy.
-  /// The payload is a binary image (DESIGN.md, "Detector model image"): the
+  /// image() is the one payload (DESIGN.md, "Detector model image"): the
   /// config values and trained_points, the reference index's own arrays
   /// (ReferenceIndex::append_image), then the classifier's text, length
-  /// prefixed.  save writes it bare; save_file commits it as the one record
-  /// of a version-2 durable container.
-  void save(std::ostream& os) const;
+  /// prefixed.  save_file commits it as the one record of a version-2
+  /// durable container; an ArtifactStore publishes it bare.
+  std::string image() const;
   void save_file(const std::string& path) const;
 
   /// The loaders: a serving process gets either a detector or a diagnostic
-  /// string.  try_load reads the bare image save writes, to the end of the
-  /// stream; try_load_file reads only the durable container save_file
-  /// commits.  Both decode the image straight into the index and refuse
-  /// anything validate_reference_point or the constructors would refuse.
-  static Expected<std::unique_ptr<RssiDetector>, std::string> try_load(
-      std::istream& is);
+  /// string.  decode reads one whole image; try_load_file reads only the
+  /// durable container save_file commits.  Both decode the image straight
+  /// into the index and refuse anything validate_reference_point or the
+  /// constructors would refuse.
+  static Expected<std::unique_ptr<RssiDetector>, std::string> decode(
+      std::string_view image);
   static Expected<std::unique_ptr<RssiDetector>, std::string> try_load_file(
       const std::string& path);
 
@@ -158,12 +157,6 @@ class RssiDetector {
   /// and advances past it (ReferenceIndex's image constructor).
   RssiDetector(std::string_view& image, const RssiDetectorConfig& config);
 
-  /// The model image save writes.
-  std::string image() const;
-  /// Decode a whole model image.
-  static Expected<std::unique_ptr<RssiDetector>, std::string> decode(
-      std::string_view image);
-
   ReferenceIndex index_;
   RssiDetectorConfig config_;
   ConfidenceEstimator estimator_;
@@ -176,22 +169,3 @@ std::vector<ReferencePoint> flatten_history(
     const std::vector<ScannedUpload>& historical);
 
 }  // namespace trajkit::wifi
-
-namespace trajkit::durable {
-
-/// Detector artifacts for ArtifactStore::open<RssiDetector>/publish: the
-/// payload is the detector's binary model image (save/try_load), the same
-/// bytes save_file frames.  Value is a unique_ptr because a live detector
-/// pins internal pointers and cannot move.
-template <>
-struct ArtifactCodec<wifi::RssiDetector> {
-  using Value = std::unique_ptr<wifi::RssiDetector>;
-  static void encode(const wifi::RssiDetector& value, std::ostream& os) {
-    value.save(os);
-  }
-  static Expected<Value, std::string> decode(std::istream& is) {
-    return wifi::RssiDetector::try_load(is);
-  }
-};
-
-}  // namespace trajkit::durable

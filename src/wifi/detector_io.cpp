@@ -73,11 +73,6 @@ std::string RssiDetector::image() const {
   return out;
 }
 
-void RssiDetector::save(std::ostream& os) const {
-  const std::string bytes = image();
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 DetectorOrError RssiDetector::decode(std::string_view image) {
   durable::ByteCursor cur{image};
   char magic[sizeof kMagic];
@@ -135,20 +130,6 @@ DetectorOrError RssiDetector::decode(std::string_view image) {
   } catch (const std::exception& e) {
     return DetectorOrError::failure(std::string("RssiDetector: ") + e.what());
   }
-}
-
-DetectorOrError RssiDetector::try_load(std::istream& is) {
-  // Streams carry no path identity; every stream load shares key 0.  The
-  // sequential attempt counter still lets fail_first model transient outages.
-  if (global_faults().should_fail_seq(kFaultDetectorLoad, 0)) {
-    return DetectorOrError::failure("RssiDetector: injected load fault");
-  }
-  std::string bytes;
-  char chunk[1 << 16];
-  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
-    bytes.append(chunk, static_cast<std::size_t>(is.gcount()));
-  }
-  return decode(bytes);
 }
 
 DetectorOrError RssiDetector::try_load_file(const std::string& path) {

@@ -29,7 +29,6 @@
 
 #include "common/durable/durable_file.hpp"
 #include "common/durable/journal.hpp"
-#include "gbt/booster.hpp"
 #include "nn/classifier.hpp"
 #include "serve/service.hpp"
 #include "support/crash.hpp"
@@ -120,36 +119,6 @@ TEST(CrashRecovery, LstmSaveCrashLeavesPreOrPostImage) {
       [&] { old_model.save_file(path); },
       [&] { new_model.save_file(path); },
       [&] { return nn::LstmClassifier::try_load_file(path).has_value(); },
-  });
-}
-
-gbt::GbtClassifier tiny_gbt(std::uint64_t seed) {
-  gbt::GbtConfig cfg;
-  cfg.num_trees = 4;
-  cfg.max_depth = 3;
-  cfg.seed = seed;
-  gbt::GbtClassifier model(cfg);
-  Rng rng(seed);
-  std::vector<std::vector<double>> x;
-  std::vector<int> y;
-  for (int i = 0; i < 40; ++i) {
-    const double a = rng.uniform(-1.0, 1.0);
-    x.push_back({a, rng.uniform(-1.0, 1.0)});
-    y.push_back(a > 0.0 ? 1 : 0);
-  }
-  model.train(x, y);
-  return model;
-}
-
-TEST(CrashRecovery, GbtSaveCrashLeavesPreOrPostImage) {
-  const auto old_model = tiny_gbt(3);
-  const auto new_model = tiny_gbt(4);
-  const std::string path = "crash_test_gbt.tmp";
-  run_save_crash_matrix({
-      path,
-      [&] { old_model.save_file(path); },
-      [&] { new_model.save_file(path); },
-      [&] { return gbt::GbtClassifier::try_load_file(path).has_value(); },
   });
 }
 

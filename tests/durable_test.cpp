@@ -5,9 +5,11 @@
 // The corruption contract under test: *any* single-byte corruption or
 // truncation of a committed artifact is a clean Expected error (or, for the
 // journal's append region, a deterministic torn-tail truncation back to an
-// exact record prefix) — never garbage accepted, never UB.  The fuzz offsets
-// come from counter-based RNG substreams, so a failure names a reproducible
-// byte.
+// exact record prefix) — never garbage accepted, never UB.  The GBT text has
+// no container of its own (it rides inside the detector image), so its leg
+// fuzzes the bare text: refused, or loaded and re-saved stably.  The fuzz
+// offsets come from counter-based RNG substreams, so a failure names a
+// reproducible byte.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -36,7 +38,6 @@
 #include "common/rng.hpp"
 #include "gbt/booster.hpp"
 #include "nn/classifier.hpp"
-#include "nn/quant_classifier.hpp"
 #include "support/crash.hpp"
 #include "support/fixtures.hpp"
 #include "traj/io.hpp"
@@ -524,10 +525,7 @@ TEST(DurableModels, LstmSaveFileIsDurableAndRoundTrips) {
 
   auto loaded = nn::LstmClassifier::try_load_file(path);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  std::ostringstream a, b;
-  model.save(a);
-  loaded.value().save(b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(model.image(), loaded.value().image());
   std::remove(path.c_str());
 }
 
@@ -555,14 +553,6 @@ TEST(DurableModels, LstmImageRoundTripsByteForByte) {
     auto loaded = nn::LstmClassifier::decode(bytes);
     ASSERT_TRUE(loaded.has_value()) << loaded.error();
     EXPECT_EQ(loaded.value().image(), bytes) << layers << " layers";
-    // The stream form is the same image.
-    std::ostringstream os;
-    loaded.value().save(os);
-    EXPECT_EQ(os.str(), bytes);
-    std::istringstream is(os.str());
-    auto streamed = nn::LstmClassifier::try_load(is);
-    ASSERT_TRUE(streamed.has_value()) << streamed.error();
-    EXPECT_EQ(streamed.value().image(), bytes);
   }
 }
 
@@ -625,8 +615,7 @@ TEST(DurableModels, LstmRejectsImplausibleArchitecture) {
        {header(2, 999999999, 1, 0.001, 5, 16), header(0, 8, 1, 0.001, 5, 16),
         header(2, 8, 0, 0.001, 5, 16), header(2, 8, 1000, 0.001, 5, 16),
         header(2, 8, 1, 0.001, 5, 0), header(2, 8, 1, nan, 5, 16)}) {
-    std::istringstream is(bytes);
-    auto loaded = nn::LstmClassifier::try_load(is);
+    auto loaded = nn::LstmClassifier::decode(bytes);
     ASSERT_FALSE(loaded.has_value());
     EXPECT_NE(loaded.error().find("implausible"), std::string::npos) << loaded.error();
   }
@@ -641,8 +630,7 @@ TEST(DurableModels, LstmRejectsNonFiniteWeights) {
                              -std::numeric_limits<double>::infinity()}) {
       std::string bytes = intact;
       patch_pod(bytes, at, bad);
-      std::istringstream is(bytes);
-      auto loaded = nn::LstmClassifier::try_load(is);
+      auto loaded = nn::LstmClassifier::decode(bytes);
       ASSERT_FALSE(loaded.has_value()) << "offset " << at;
       EXPECT_NE(loaded.error().find("non-finite weight in"), std::string::npos)
           << loaded.error();
@@ -666,38 +654,6 @@ gbt::GbtClassifier small_trained_gbt() {
   }
   model.train(x, y);
   return model;
-}
-
-nn::QuantizedLstm small_quant_lstm() {
-  nn::LstmClassifierConfig cfg;
-  cfg.hidden_dim = 5;
-  const nn::LstmClassifier model(cfg, 2);
-  Rng rng(91);
-  std::vector<FeatureSequence> calibration;
-  for (int i = 0; i < 4; ++i) {
-    FeatureSequence x;
-    x.dim = 2;
-    x.steps = 6;
-    for (std::size_t k = 0; k < x.steps * x.dim; ++k) {
-      x.values.push_back(rng.uniform(-1.0, 1.0));
-    }
-    calibration.push_back(std::move(x));
-  }
-  return nn::QuantizedLstm::quantize(model, calibration);
-}
-
-TEST(DurableModels, GbtSaveFileIsDurableAndRoundTrips) {
-  const auto model = small_trained_gbt();
-  const std::string path = "durable_test_gbt.tmp";
-  model.save_file(path);
-  auto loaded = gbt::GbtClassifier::try_load_file(path);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  std::ostringstream a, b;
-  model.save(a);
-  loaded.value().save(b);
-  EXPECT_EQ(a.str(), b.str());
-  EXPECT_EQ(model.predict_proba({0.4, -0.2}), loaded.value().predict_proba({0.4, -0.2}));
-  std::remove(path.c_str());
 }
 
 TEST(DurableModels, GbtRejectsCyclicTreeTopology) {
@@ -828,16 +784,15 @@ struct DetectorImage {
 /// and trained_points.
 constexpr std::size_t kIndexImageAt = 8 + 8 + 8 + 1 + 1 + 8 + 4 + 8 + 8 + 8;
 
-std::string detector_stream_splitting_on(int split_feature) {
+std::string detector_image_splitting_on(int split_feature) {
   DetectorImage image;
   image.classifier = DetectorImage::stump_on(split_feature);
   return image.bytes();
 }
 
-/// The bare-stream loader's verdict on `bytes`: "" when it loads.
+/// The bare-image decoder's verdict on `bytes`: "" when it loads.
 std::string bare_load_error(const std::string& bytes) {
-  std::istringstream is(bytes);
-  const auto loaded = wifi::RssiDetector::try_load(is);
+  const auto loaded = wifi::RssiDetector::decode(bytes);
   return loaded.has_value() ? std::string() : loaded.error();
 }
 
@@ -853,17 +808,11 @@ std::string framed_load_error(const std::string& bytes) {
   return loaded.has_value() ? std::string() : loaded.error();
 }
 
-std::string saved_image(const wifi::RssiDetector& detector) {
-  std::ostringstream os;
-  detector.save(os);
-  return os.str();
-}
-
 bool same_bits(const Enu& a, const Enu& b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 TEST(DurableModels, DetectorRejectsOversizedScanHeader) {
   ts::LinearFieldWorld w;
-  std::string bytes = saved_image(w.detector());
+  std::string bytes = w.detector().image();
   // Rewrite the first reference point's observation count to an absurd
   // value: it follows the index header (points, MACs, keys) and the MAC
   // table.
@@ -873,8 +822,7 @@ TEST(DurableModels, DetectorRejectsOversizedScanHeader) {
   ASSERT_LT(first_count + 2, bytes.size());
   const std::uint16_t absurd = 0xffff;
   std::memcpy(bytes.data() + first_count, &absurd, sizeof absurd);
-  std::istringstream is(bytes);
-  auto loaded = wifi::RssiDetector::try_load(is);
+  auto loaded = wifi::RssiDetector::decode(bytes);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_NE(loaded.error().find("point 0 holds 65535 observations"), std::string::npos)
       << loaded.error();
@@ -883,9 +831,8 @@ TEST(DurableModels, DetectorRejectsOversizedScanHeader) {
 TEST(DurableModels, DetectorImageRoundTripsBitwise) {
   ts::LinearFieldWorld w;
   const wifi::RssiDetector& original = w.detector();
-  const std::string bytes = saved_image(original);
-  std::istringstream is(bytes);
-  auto loaded = wifi::RssiDetector::try_load(is);
+  const std::string bytes = original.image();
+  auto loaded = wifi::RssiDetector::decode(bytes);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   const wifi::ReferenceIndex& a = original.index();
   const wifi::ReferenceIndex& b = loaded.value()->index();
@@ -914,7 +861,7 @@ TEST(DurableModels, DetectorImageRoundTripsBitwise) {
               loaded.value()->analyze(probe).canonical_string());
   }
   // save -> load -> save gives the same bytes, bare and framed.
-  EXPECT_EQ(saved_image(*loaded.value()), bytes);
+  EXPECT_EQ(loaded.value()->image(), bytes);
   const std::string path = "durable_test_detector_roundtrip.tmp";
   original.save_file(path);
   const std::string framed = slurp(path);
@@ -1025,7 +972,7 @@ std::unique_ptr<ts::LinearFieldWorld> small_detector_world() {
 
 TEST(DurableModels, DetectorImageRefusesEveryTruncation) {
   const auto w = small_detector_world();
-  const std::string bytes = saved_image(w->detector());
+  const std::string bytes = w->detector().image();
   const std::string path = "durable_test_detector_truncated.tmp";
   w->detector().save_file(path);
   const std::string framed = slurp(path);
@@ -1063,7 +1010,7 @@ TEST(DurableModels, DetectorImageBareBitFlipsLoadOnlyWhatTheWriterWrites) {
   // image is the flipped bytes, so nothing loads that the writer would not
   // write.
   const auto w = small_detector_world();
-  const std::string bytes = saved_image(w->detector());
+  const std::string bytes = w->detector().image();
   std::ostringstream classifier_text;
   w->detector().classifier().save(classifier_text);
   const std::size_t binary = bytes.size() - classifier_text.str().size();
@@ -1072,11 +1019,10 @@ TEST(DurableModels, DetectorImageBareBitFlipsLoadOnlyWhatTheWriterWrites) {
   for (std::size_t bit = 0; bit < 8 * binary; ++bit) {
     std::string flipped = bytes;
     flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
-    std::istringstream is(flipped);
-    const auto loaded = wifi::RssiDetector::try_load(is);
+    const auto loaded = wifi::RssiDetector::decode(flipped);
     if (!loaded.has_value()) continue;
     ++accepted;
-    ASSERT_EQ(saved_image(*loaded.value()), flipped) << "bit " << bit;
+    ASSERT_EQ(loaded.value()->image(), flipped) << "bit " << bit;
   }
   EXPECT_LT(accepted, 8 * binary);
 }
@@ -1106,14 +1052,12 @@ TEST(DurableModels, DetectorV1TextFileIsRefusedAndLeftUntouched) {
 TEST(DurableModels, DetectorRejectsSplitBeyondFeatureWidth) {
   // Feature 5000 of a 4-wide row: served, the first analyze() would read far
   // past the feature vector.
-  std::istringstream is(detector_stream_splitting_on(5000));
-  auto loaded = wifi::RssiDetector::try_load(is);
+  auto loaded = wifi::RssiDetector::decode(detector_image_splitting_on(5000));
   ASSERT_FALSE(loaded.has_value());
   EXPECT_NE(loaded.error().find("width"), std::string::npos) << loaded.error();
 
   // The last in-width feature loads and serves.
-  std::istringstream ok(detector_stream_splitting_on(3));
-  auto served = wifi::RssiDetector::try_load(ok);
+  auto served = wifi::RssiDetector::decode(detector_image_splitting_on(3));
   ASSERT_TRUE(served.has_value()) << served.error();
   wifi::ScannedUpload probe;
   probe.positions = {{0, 0}, {1, 0}};
@@ -1122,8 +1066,7 @@ TEST(DurableModels, DetectorRejectsSplitBeyondFeatureWidth) {
 }
 
 TEST(DurableModels, DetectorAssembleRejectsSplitBeyondFeatureWidth) {
-  std::istringstream is(detector_stream_splitting_on(3));
-  auto base = wifi::RssiDetector::try_load(is);
+  auto base = wifi::RssiDetector::decode(detector_image_splitting_on(3));
   ASSERT_TRUE(base.has_value()) << base.error();
   const auto& d = *base.value();
   // Width 2 * top_k * points: 4 at two points fits feature 3, 2 at one does not.
@@ -1189,16 +1132,10 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
   nn::LstmClassifierConfig lstm_cfg;
   lstm_cfg.hidden_dim = 4;
   const nn::LstmClassifier lstm(lstm_cfg, 5);
-  const auto quant = small_quant_lstm();
-  const auto gbt_model = small_trained_gbt();
   ts::LinearFieldWorld w;
   const std::string lstm_path = "durable_test_skew_lstm.tmp";
-  const std::string quant_path = "durable_test_skew_quant.tmp";
-  const std::string gbt_path = "durable_test_skew_gbt.tmp";
   const std::string detector_path = "durable_test_skew_detector.tmp";
   lstm.save_file(lstm_path);
-  quant.save_file(quant_path);
-  gbt_model.save_file(gbt_path);
   w.detector().save_file(detector_path);
 
   struct SkewCase {
@@ -1206,9 +1143,9 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
     std::string path;               ///< the committed container
     std::uint32_t skewed_version;   ///< 0: one past the written version
     std::function<std::string()> load;  ///< "" on success, else the error
-    /// Model files only: the bare stream payload, which must not load
-    /// from a path either.
-    std::function<void(std::ostream&)> save_bare;
+    /// Model files only: the bare model image, which must not load from a
+    /// path either.
+    std::function<std::string()> bare_image;
   };
   const auto open_artifacts = [&] {
     return durable::ArtifactStore::open_dir(artifact_dir);
@@ -1216,16 +1153,10 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
   const std::vector<SkewCase> cases = {
       {"lstm", lstm_path, 0,
        [&] { return load_error(nn::LstmClassifier::try_load_file(lstm_path)); },
-       [&](std::ostream& os) { lstm.save(os); }},
-      {"quant lstm", quant_path, 0,
-       [&] { return load_error(nn::QuantizedLstm::try_load_file(quant_path)); },
-       [&](std::ostream& os) { quant.save(os); }},
-      {"gbt", gbt_path, 0,
-       [&] { return load_error(gbt::GbtClassifier::try_load_file(gbt_path)); },
-       [&](std::ostream& os) { gbt_model.save(os); }},
+       [&] { return lstm.image(); }},
       {"detector", detector_path, 0,
        [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },
-       [&](std::ostream& os) { w.detector().save(os); }},
+       [&] { return w.detector().image(); }},
       // v1 (the text payload) is the retired LSTM layout: the nearest miss.
       {"lstm v1", lstm_path, 1,
        [&] { return load_error(nn::LstmClassifier::try_load_file(lstm_path)); },
@@ -1260,11 +1191,8 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
               std::string::npos)
         << error;
     EXPECT_EQ(slurp(c.path), refused) << "a refused container was rewritten";
-    if (c.save_bare) {
-      {
-        std::ofstream os(c.path);
-        c.save_bare(os);
-      }
+    if (c.bare_image) {
+      write_raw(c.path, c.bare_image());
       error = c.load();
       EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
     }
@@ -1356,36 +1284,48 @@ TEST(CorruptionFuzz, LstmModelFileRejectsEveryMutation) {
   std::remove(path.c_str());
 }
 
-TEST(CorruptionFuzz, QuantLstmFileRejectsEveryMutation) {
-  // The quantized serving image ("quant_lstm" container): packed int8
-  // weights, per-gate scales, activation scales.  Any flipped or missing
-  // byte must fail the load — a silently-perturbed quant model would serve
-  // wrong verdicts while claiming to have passed its gate.
-  const auto quant = small_quant_lstm();
-  const std::string path = "durable_test_fuzz_quant.tmp";
-  quant.save_file(path);
-  const std::string intact = slurp(path);
-  fuzz_reject_all("quant lstm", intact,
-                  [&](const std::string& bytes) {
-                    write_raw(path, bytes);
-                    return nn::QuantizedLstm::try_load_file(path).has_value();
-                  },
-                  0x9A47, 48);
-  std::remove(path.c_str());
-}
-
-TEST(CorruptionFuzz, GbtModelFileRejectsEveryMutation) {
-  const auto model = small_trained_gbt();
-  const std::string path = "durable_test_fuzz_gbt.tmp";
-  model.save_file(path);
-  const std::string intact = slurp(path);
-  fuzz_reject_all("gbt", intact,
-                  [&](const std::string& bytes) {
-                    write_raw(path, bytes);
-                    return gbt::GbtClassifier::try_load_file(path).has_value();
-                  },
-                  0xF17B, 48);
-  std::remove(path.c_str());
+TEST(CorruptionFuzz, GbtModelTextRefusesOrReloadsEveryMutation) {
+  // The classifier is stored only as the text tail of the detector image,
+  // which has no CRC of its own when bare, so a flip inside a number can land
+  // on another valid model.  The contract for the text decoder: every
+  // mutation is refused, or loads a model whose re-saved text loads back to
+  // the same text — never a crash, a hang or a model it cannot re-save.
+  const auto text_of = [](const gbt::GbtClassifier& model) {
+    std::ostringstream os;
+    model.save(os);
+    return os.str();
+  };
+  const std::string intact = text_of(small_trained_gbt());
+  std::size_t refused = 0;
+  const auto check = [&](const std::string& bytes, const std::string& what) {
+    std::istringstream is(bytes);
+    const auto loaded = gbt::GbtClassifier::try_load(is);
+    if (!loaded.has_value()) {
+      ++refused;
+      return;
+    }
+    const std::string once = text_of(loaded.value());
+    std::istringstream again(once);
+    const auto reloaded = gbt::GbtClassifier::try_load(again);
+    ASSERT_TRUE(reloaded.has_value()) << what << ": " << reloaded.error();
+    EXPECT_EQ(text_of(reloaded.value()), once) << what;
+  };
+  check(intact, "intact");
+  ASSERT_EQ(refused, 0u) << "intact text must load";
+  for (int t = 0; t < 48; ++t) {
+    Rng rng = Rng::substream(0xF17B, static_cast<std::uint64_t>(t));
+    std::string mutated = intact;
+    const auto offset = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(intact.size()) - 1));
+    const auto mask = static_cast<unsigned char>(rng.uniform_int(1, 255));
+    mutated[offset] =
+        static_cast<char>(static_cast<unsigned char>(mutated[offset]) ^ mask);
+    check(mutated, "flip at byte " + std::to_string(offset));
+    const auto cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(intact.size()) - 1));
+    check(intact.substr(0, cut), "truncation to " + std::to_string(cut));
+  }
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(CorruptionFuzz, DetectorModelFileRejectsEveryMutation) {

@@ -30,6 +30,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -369,9 +370,12 @@ TEST(Artifact, TypedCodecRoundTripsDetectorAndClassifier) {
   auto store = durable::ArtifactStore::open_dir(dir);
   ASSERT_TRUE(store.has_value()) << store.error();
 
-  auto epoch = store.value()->publish<wifi::RssiDetector>("detector", w.detector());
+  // Payloads are the models' own images: the detector's binary image ...
+  auto epoch = store.value()->publish_payload("detector", w.detector().image());
   ASSERT_TRUE(epoch.has_value()) << epoch.error();
-  auto loaded = store.value()->open<wifi::RssiDetector>("detector");
+  auto payload = store.value()->read_payload("detector", durable::ArtifactStore::kCurrentEpoch);
+  ASSERT_TRUE(payload.has_value()) << payload.error();
+  auto loaded = wifi::RssiDetector::decode(payload.value());
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
 
   Rng rng(7001);
@@ -384,16 +388,33 @@ TEST(Artifact, TypedCodecRoundTripsDetectorAndClassifier) {
     EXPECT_EQ(got.point_scores, expect.point_scores) << "trial " << trial;
   }
 
-  // The classifier family goes through the same one surface.
-  auto gbt_epoch = store.value()->publish<gbt::GbtClassifier>(
-      "gbt", w.detector().classifier());
+  // ... and the classifier's text, a second kind under the same CURRENT.
+  std::ostringstream text;
+  w.detector().classifier().save(text);
+  auto gbt_epoch = store.value()->publish_payload("gbt", text.str());
   ASSERT_TRUE(gbt_epoch.has_value()) << gbt_epoch.error();
-  auto gbt = store.value()->open<gbt::GbtClassifier>("gbt");
+  auto reopened = durable::ArtifactStore::open_dir(dir);
+  ASSERT_TRUE(reopened.has_value()) << reopened.error();
+  EXPECT_EQ(reopened.value()->current(),
+            (std::map<std::string, std::uint64_t>{{"detector", epoch.value()},
+                                                  {"gbt", gbt_epoch.value()}}));
+  auto gbt_text = reopened.value()->read_payload("gbt", gbt_epoch.value());
+  ASSERT_TRUE(gbt_text.has_value()) << gbt_text.error();
+  std::istringstream is(gbt_text.value());
+  auto gbt = gbt::GbtClassifier::try_load(is);
   ASSERT_TRUE(gbt.has_value()) << gbt.error();
+  std::ostringstream again;
+  gbt.value().save(again);
+  EXPECT_EQ(again.str(), text.str());
+  auto detector_again = reopened.value()->read_payload("detector", epoch.value());
+  ASSERT_TRUE(detector_again.has_value()) << detector_again.error();
+  EXPECT_EQ(detector_again.value(), payload.value());
 
   // Missing kinds and epochs fail through Expected, never throw.
-  EXPECT_FALSE(store.value()->open<wifi::RssiDetector>("missing").has_value());
-  EXPECT_FALSE(store.value()->open<wifi::RssiDetector>("detector", 99).has_value());
+  EXPECT_FALSE(store.value()
+                   ->read_payload("missing", durable::ArtifactStore::kCurrentEpoch)
+                   .has_value());
+  EXPECT_FALSE(store.value()->read_payload("detector", 99).has_value());
   remove_artifacts(dir, "detector");
   remove_artifacts(dir, "gbt");
 }

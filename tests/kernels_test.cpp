@@ -298,15 +298,13 @@ TEST(Kernels, LstmBatchedBackwardMatchesReference) {
         dh_flat.insert(dh_flat.end(), dh_last[b].begin(), dh_last[b].end());
       }
 
-      layer.zero_grad();
+      reference::Grads ref(layer);
       std::vector<std::vector<double>> ref_dx(batch);
       for (std::size_t b = 0; b < batch; ++b) {
         const reference::LstmTrace tr =
             reference::lstm_forward(layer, c.xs[b].values, c.steps[b]);
-        reference::lstm_backward(layer, tr, dh_last[b], &ref_dx[b]);
+        reference::lstm_backward(layer, ref, tr, dh_last[b], &ref_dx[b]);
       }
-      const Matrix ref_dw = layer.weight_grad();
-      const Matrix ref_db = layer.bias_grad();
 
       Workspace ws;
       const auto btr = kernels::lstm_forward_batched(
@@ -316,8 +314,8 @@ TEST(Kernels, LstmBatchedBackwardMatchesReference) {
       kernels::lstm_backward_batched(layer, btr, c.spec, dh_flat.data(), nullptr,
                                      dx_blocks.data(),
                                      kernels::LstmGrads{&dw, &db}, ws);
-      expect_matrix_equal(ref_dw, dw, "lstm dw");
-      expect_matrix_equal(ref_db, db, "lstm db");
+      expect_matrix_equal(ref.dw, dw, "lstm dw");
+      expect_matrix_equal(ref.db, db, "lstm db");
       for (std::size_t b = 0; b < batch; ++b) {
         expect_bits_equal(ref_dx[b],
                           extract_lane(dx_blocks.data(), 4, L, c.steps[b], b),
@@ -348,12 +346,12 @@ TEST(Kernels, LstmBatchedBackwardSeqMatchesReference) {
     }
   }
 
-  layer.zero_grad();
+  reference::Grads ref(layer);
   std::vector<std::vector<double>> ref_dx(c.xs.size());
   for (std::size_t b = 0; b < c.xs.size(); ++b) {
     const reference::LstmTrace tr =
         reference::lstm_forward(layer, c.xs[b].values, c.steps[b]);
-    reference::lstm_backward_seq(layer, tr, inj[b], &ref_dx[b]);
+    reference::lstm_backward_seq(layer, ref, tr, inj[b], &ref_dx[b]);
   }
 
   Workspace ws;
@@ -364,8 +362,8 @@ TEST(Kernels, LstmBatchedBackwardSeqMatchesReference) {
   kernels::lstm_backward_batched(layer, btr, c.spec, nullptr, inj_blocks.data(),
                                  dx_blocks.data(), kernels::LstmGrads{&dw, &db},
                                  ws);
-  expect_matrix_equal(layer.weight_grad(), dw, "lstm seq dw");
-  expect_matrix_equal(layer.bias_grad(), db, "lstm seq db");
+  expect_matrix_equal(ref.dw, dw, "lstm seq dw");
+  expect_matrix_equal(ref.db, db, "lstm seq db");
   for (std::size_t b = 0; b < c.xs.size(); ++b) {
     expect_bits_equal(ref_dx[b],
                       extract_lane(dx_blocks.data(), dim, L, c.steps[b], b),
@@ -441,11 +439,8 @@ TEST(Kernels, ClassifierTrainingMatchesReference) {
       expect_bits_equal(rr.epoch_accuracy, rb.epoch_accuracy, "epoch accuracy");
 
       // The trained weights themselves must agree bit for bit.
-      std::ostringstream sr, sb;
-      ref.save(sr);
-      bat.save(sb);
-      ASSERT_EQ(sr.str(), sb.str())
-          << "trained model text, layers=" << layers << " batch=" << batch;
+      ASSERT_EQ(ref.image(), bat.image())
+          << "trained model image, layers=" << layers << " batch=" << batch;
     }
   }
 }

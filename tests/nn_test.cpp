@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "nn/adam.hpp"
 #include "nn/classifier.hpp"
@@ -98,9 +97,9 @@ TEST(Dense, ForwardBackwardGradientCheck) {
   const std::vector<double> x = {0.5, -1.0, 2.0};
   const std::vector<double> dy = {1.0, -0.5};
 
-  layer.zero_grad();
+  reference::Grads grads(layer);
   const auto y0 = reference::dense_forward(layer, x);
-  const auto dx = reference::dense_backward(layer, x, dy);
+  const auto dx = reference::dense_backward(layer, grads, x, dy);
 
   // Loss L = dy . y; finite-difference the weights.
   auto loss = [&] {
@@ -116,7 +115,7 @@ TEST(Dense, ForwardBackwardGradientCheck) {
       layer.weights()(r, c) = save - eps;
       const double down = loss();
       layer.weights()(r, c) = save;
-      EXPECT_NEAR(layer.weight_grad()(r, c), (up - down) / (2 * eps), 1e-6);
+      EXPECT_NEAR(grads.dw(r, c), (up - down) / (2 * eps), 1e-6);
     }
   }
   // Input gradient: dL/dx = W^T dy.
@@ -157,9 +156,9 @@ TEST(Lstm, ParameterGradientMatchesFiniteDifference) {
   std::vector<double> w(4);
   for (auto& v : w) v = rng.uniform(-1, 1);
 
-  layer.zero_grad();
+  reference::Grads grads(layer);
   const auto trace = reference::lstm_forward(layer, xs, steps);
-  reference::lstm_backward(layer, trace, w, nullptr);
+  reference::lstm_backward(layer, grads, trace, w, nullptr);
 
   const double eps = 1e-6;
   // Sample a spread of weight entries (full sweep is slow and redundant).
@@ -172,7 +171,7 @@ TEST(Lstm, ParameterGradientMatchesFiniteDifference) {
     layer.weights()(r, c) = save - eps;
     const double down = lstm_loss(layer, xs, steps, w);
     layer.weights()(r, c) = save;
-    EXPECT_NEAR(layer.weight_grad()(r, c), (up - down) / (2 * eps), 1e-5)
+    EXPECT_NEAR(grads.dw(r, c), (up - down) / (2 * eps), 1e-5)
         << "weight (" << r << "," << c << ")";
   }
   for (std::size_t r = 0; r < layer.bias().rows(); r += 3) {
@@ -182,7 +181,7 @@ TEST(Lstm, ParameterGradientMatchesFiniteDifference) {
     layer.bias()(r, 0) = save - eps;
     const double down = lstm_loss(layer, xs, steps, w);
     layer.bias()(r, 0) = save;
-    EXPECT_NEAR(layer.bias_grad()(r, 0), (up - down) / (2 * eps), 1e-5);
+    EXPECT_NEAR(grads.db(r, 0), (up - down) / (2 * eps), 1e-5);
   }
 }
 
@@ -194,10 +193,10 @@ TEST(Lstm, InputGradientMatchesFiniteDifference) {
   std::vector<double> w(5);
   for (auto& v : w) v = rng.uniform(-1, 1);
 
-  layer.zero_grad();
+  reference::Grads grads(layer);
   const auto trace = reference::lstm_forward(layer, xs, steps);
   std::vector<double> dx;
-  reference::lstm_backward(layer, trace, w, &dx);
+  reference::lstm_backward(layer, grads, trace, w, &dx);
   ASSERT_EQ(dx.size(), xs.size());
 
   const double eps = 1e-6;
@@ -229,10 +228,10 @@ TEST(Lstm, SequenceInjectionGradientMatchesFiniteDifference) {
     return total;
   };
 
-  layer.zero_grad();
+  reference::Grads grads(layer);
   const auto trace = reference::lstm_forward(layer, xs, steps);
   std::vector<double> dx;
-  reference::lstm_backward_seq(layer, trace, w, &dx);
+  reference::lstm_backward_seq(layer, grads, trace, w, &dx);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -253,7 +252,8 @@ TEST(Lstm, RejectsBadShapes) {
                std::invalid_argument);
   EXPECT_THROW(reference::lstm_forward(layer, {}, 0), std::invalid_argument);
   const auto trace = reference::lstm_forward(layer, {1, 2, 3, 4}, 2);
-  EXPECT_THROW(reference::lstm_backward(layer, trace, {1.0}, nullptr),
+  reference::Grads grads(layer);
+  EXPECT_THROW(reference::lstm_backward(layer, grads, trace, {1.0}, nullptr),
                std::invalid_argument);
 }
 
@@ -394,9 +394,7 @@ TEST(LstmClassifier, SaveLoadRoundTrip) {
   cfg.num_layers = 2;
   LstmClassifier model(cfg, 5);
 
-  std::stringstream ss;
-  model.save(ss);
-  const auto loaded = LstmClassifier::try_load(ss);
+  const auto loaded = LstmClassifier::decode(model.image());
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
 
   for (int k = 0; k < 10; ++k) {
@@ -406,8 +404,7 @@ TEST(LstmClassifier, SaveLoadRoundTrip) {
 }
 
 TEST(LstmClassifier, LoadRejectsGarbage) {
-  std::stringstream ss("not_a_model 1 2 3");
-  EXPECT_FALSE(LstmClassifier::try_load(ss).has_value());
+  EXPECT_FALSE(LstmClassifier::decode("not_a_model 1 2 3").has_value());
 }
 
 TEST(LstmClassifier, ValidatesConfigAndInputs) {

@@ -1,5 +1,5 @@
 // Quantized verification hot path: kernel contracts, calibration
-// determinism, the QuantGate decision contract, artifact round-trips and the
+// determinism, the QuantGate decision contract, motion epoch markers and the
 // serving integration.
 //
 // The quant lane is explicitly NOT bit-identical to the fp64 oracle, so this
@@ -15,14 +15,12 @@
 #include <cstdio>
 #include <future>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <unistd.h>
 
-#include "common/durable/artifact_store.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "nn/classifier.hpp"
@@ -98,10 +96,9 @@ std::vector<FeatureSequence> calibration_set(std::uint64_t seed, std::size_t n) 
   return xs;
 }
 
-std::string serialized(const nn::QuantizedLstm& q) {
-  std::ostringstream os;
-  q.save(os);
-  return os.str();
+/// Raw dump of the packed serving image, for byte comparisons.
+std::string packed_image(const nn::QuantizedLstm& q) {
+  return nn::reference::QuantAccess::image(q);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,10 +296,10 @@ TEST(QuantizedLstm, CalibrationDeterministicAcrossThreads) {
   const auto q4 = nn::QuantizedLstm::quantize(model, calibration);
   set_global_threads(0);
 
-  // Byte-identical artifacts, not merely equivalent predictions: the scales
+  // Byte-identical images, not merely equivalent predictions: the scales
   // come from order-free max-abs reductions, so thread count cannot move
-  // a single bit of the serialized image.
-  EXPECT_EQ(serialized(q1), serialized(q4));
+  // a single bit of the packed image.
+  EXPECT_EQ(packed_image(q1), packed_image(q4));
 }
 
 TEST(QuantizedLstm, GatePassesOnHeldOutTrajectories) {
@@ -442,8 +439,8 @@ TEST(QuantCalibration, MatchesPerSampleOracle) {
         EXPECT_EQ(got.logits, want.logits);
         EXPECT_EQ(got.max_input, want.max_input);
         EXPECT_EQ(got.max_hidden, want.max_hidden);
-        EXPECT_EQ(serialized(nn::QuantizedLstm::quantize(model, xs)),
-                  serialized(nn::QuantizedLstm::quantize(model, want)));
+        EXPECT_EQ(packed_image(nn::QuantizedLstm::quantize(model, xs)),
+                  packed_image(nn::QuantizedLstm::quantize(model, want)));
         if (excited) {
           // The same sequences zero-padded to 12 steps: the padded steps
           // raise the maxima, so the live-only rule is what keeps them equal.
@@ -461,81 +458,7 @@ TEST(QuantCalibration, MatchesPerSampleOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence: stream round-trip, ArtifactStore epochs, follower adoption.
-
-TEST(QuantizedLstm, StreamRoundTripIsBitIdentical) {
-  const auto model = trained_trend_model();
-  const auto calibration = calibration_set(77, 16);
-  const auto q = nn::QuantizedLstm::quantize(model, calibration);
-  std::stringstream ss;
-  q.save(ss);
-  const auto loaded = nn::QuantizedLstm::try_load(ss);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  for (const auto& x : calibration) {
-    EXPECT_EQ(loaded.value().predict_logit(x), q.predict_logit(x));
-  }
-  EXPECT_EQ(serialized(loaded.value()), serialized(q));
-}
-
-TEST(QuantizedLstm, TryLoadRejectsGarbage) {
-  std::istringstream ss("not a quant model");
-  const auto r = nn::QuantizedLstm::try_load(ss);
-  EXPECT_FALSE(r.has_value());
-}
-
-TEST(QuantizedLstm, TryLoadRefusesInt16Payload) {
-  // The int16 lane is gone: a payload whose header names mode 16 is refused
-  // by name, not misread as int8 or reported as a bad architecture.
-  const auto q = nn::QuantizedLstm::quantize(trained_trend_model(),
-                                             calibration_set(77, 8));
-  std::string payload = serialized(q);
-  const std::size_t header = payload.find('\n') + 1;  // past the magic line
-  ASSERT_EQ(payload.compare(header, 2, "8 "), 0) << payload.substr(0, 64);
-  payload.replace(header, 1, "16");
-  std::istringstream ss(payload);
-  const auto r = nn::QuantizedLstm::try_load(ss);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error(), "quant model load: unsupported mode 16");
-}
-
-TEST(QuantizedLstm, ArtifactStoreEpochRoundTrip) {
-  const std::string dir = "quant_artifact_store";
-  const auto model = trained_trend_model();
-  const auto calibration = calibration_set(77, 16);
-  const auto q = nn::QuantizedLstm::quantize(model, calibration);
-
-  auto store = durable::ArtifactStore::open_dir(dir);
-  ASSERT_TRUE(store.has_value()) << store.error();
-  const auto epoch = store.value()->publish("motion_quant", q);
-  ASSERT_TRUE(epoch.has_value()) << epoch.error();
-  EXPECT_EQ(store.value()->current_epoch("motion_quant"), epoch.value());
-
-  // A second publish bumps the epoch; the first stays readable (in-flight
-  // work may still be pinned to it).
-  const auto epoch2 = store.value()->publish("motion_quant", q);
-  ASSERT_TRUE(epoch2.has_value()) << epoch2.error();
-  EXPECT_GT(epoch2.value(), epoch.value());
-
-  // Reopen cold (follower adoption shape: a fresh process resolving the
-  // durable CURRENT pointer) and compare the serving image byte for byte.
-  auto reopened = durable::ArtifactStore::open_dir(dir);
-  ASSERT_TRUE(reopened.has_value()) << reopened.error();
-  const auto adopted =
-      reopened.value()->open<nn::QuantizedLstm>("motion_quant", epoch.value());
-  ASSERT_TRUE(adopted.has_value()) << adopted.error();
-  EXPECT_EQ(serialized(adopted.value()), serialized(q));
-  const auto current = reopened.value()->open<nn::QuantizedLstm>("motion_quant");
-  ASSERT_TRUE(current.has_value()) << current.error();
-  for (const auto& x : calibration) {
-    EXPECT_EQ(current.value().predict_logit(x), q.predict_logit(x));
-  }
-
-  for (const std::uint64_t e : {epoch.value(), epoch2.value()}) {
-    std::remove(store.value()->artifact_path("motion_quant", e).c_str());
-  }
-  std::remove(durable::ArtifactStore::current_path(dir).c_str());
-  ::rmdir(dir.c_str());
-}
+// Motion epoch markers: recovery, compaction, follower shipping.
 
 void remove_crowd_store(const std::string& dir) {
   for (const char* name : {"/crowd.snapshot", "/crowd.snapshot.tmp",
@@ -652,7 +575,7 @@ TEST(ServeQuant, ArmQuantizedReportEqualsGateCheck) {
     EXPECT_EQ(policy.quant_armed(), gate.pass);
     if (gate.pass) {
       ASSERT_NE(policy.quant, nullptr);
-      EXPECT_EQ(serialized(*policy.quant), serialized(q));
+      EXPECT_EQ(packed_image(*policy.quant), packed_image(q));
     } else {
       EXPECT_EQ(policy.quant, nullptr);
     }

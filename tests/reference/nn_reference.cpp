@@ -36,15 +36,17 @@ double forward_logit(const std::vector<LstmLayer>& layers, const DenseLayer& hea
 }
 
 /// Full backward from a logit gradient: accumulates parameter gradients into
-/// `layers` / `head` and optionally writes the input gradient.
-void backward_from_logit(std::vector<LstmLayer>& layers, DenseLayer& head,
+/// `grads` (one per layer) and `head_grads` and optionally writes the input
+/// gradient.
+void backward_from_logit(const std::vector<LstmLayer>& layers, const DenseLayer& head,
+                         std::vector<Grads>& grads, Grads& head_grads,
                          const std::vector<LstmTrace>& traces, double dlogit,
                          std::vector<double>* dx_flat) {
   const std::size_t H = layers.back().hidden_dim();
   const std::vector<double>& top_hiddens = traces.back().hiddens;
   const std::vector<double> h_last(
       top_hiddens.end() - static_cast<std::ptrdiff_t>(H), top_hiddens.end());
-  const std::vector<double> dh_last = dense_backward(head, h_last, {dlogit});
+  const std::vector<double> dh_last = dense_backward(head, head_grads, h_last, {dlogit});
 
   // Walk the stack top-down; each layer's input gradient is the per-step
   // hidden-state injection for the layer below.
@@ -53,9 +55,9 @@ void backward_from_logit(std::vector<LstmLayer>& layers, DenseLayer& head,
     std::vector<double> dx_local;
     std::vector<double>* out = (l == 0) ? dx_flat : &dx_local;
     if (l + 1 == layers.size()) {
-      lstm_backward(layers[l], traces[l], dh_last, out);
+      lstm_backward(layers[l], grads[l], traces[l], dh_last, out);
     } else {
-      lstm_backward_seq(layers[l], traces[l], inject, out);
+      lstm_backward_seq(layers[l], grads[l], traces[l], inject, out);
     }
     if (l > 0) inject = std::move(dx_local);
   }
@@ -67,7 +69,49 @@ std::vector<LstmLayer> copy_layers(const LstmClassifier& model) {
   return out;
 }
 
+std::vector<Grads> grads_of(const std::vector<LstmLayer>& layers) {
+  std::vector<Grads> out;
+  for (const auto& layer : layers) out.emplace_back(layer);
+  return out;
+}
+
+void scale(Matrix& m, double s) {
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] *= s;
+}
+
+template <typename T>
+void append_raw(std::string& out, const T* p, std::size_t n) {
+  out.append(reinterpret_cast<const char*>(p), n * sizeof(T));
+}
+
 }  // namespace
+
+std::string QuantAccess::image(const QuantizedLstm& q) {
+  std::string out;
+  const std::size_t dims[3] = {q.input_dim_, q.hidden_dim_, q.layers_.size()};
+  append_raw(out, dims, 3);
+  for (const auto& l : q.layers_) {
+    const std::size_t shape[2] = {l.input, l.hidden};
+    append_raw(out, shape, 2);
+    append_raw(out, l.sw_x, 4);
+    append_raw(out, l.sw_h, 4);
+    append_raw(out, &l.sx, 1);
+    append_raw(out, &l.sh, 1);
+    append_raw(out, l.bias.data(), l.bias.size());
+    for (const auto* v : {&l.wx, &l.wh}) append_raw(out, v->data(), v->size());
+    for (const auto* v : {&l.wx_row_sums, &l.wh_row_sums}) {
+      append_raw(out, v->data(), v->size());
+    }
+  }
+  append_raw(out, q.head_w_.data(), q.head_w_.size());
+  append_raw(out, &q.head_b_, 1);
+  return out;
+}
+
+void Grads::zero() {
+  dw.zero();
+  db.zero();
+}
 
 LstmTrace lstm_forward(const LstmLayer& layer, const std::vector<double>& xs,
                        std::size_t steps) {
@@ -161,19 +205,20 @@ std::vector<double> dense_forward(const DenseLayer& layer,
   return y;
 }
 
-std::vector<double> dense_backward(DenseLayer& layer, const std::vector<double>& x,
+std::vector<double> dense_backward(const DenseLayer& layer, Grads& grads,
+                                   const std::vector<double>& x,
                                    const std::vector<double>& dy) {
   if (x.size() != layer.input_dim() || dy.size() != layer.output_dim()) {
     throw std::invalid_argument("reference::dense_backward: size mismatch");
   }
-  rank1_acc(layer.weight_grad(), 1.0, dy.data(), x.data());
-  for (std::size_t r = 0; r < dy.size(); ++r) layer.bias_grad()(r, 0) += dy[r];
+  rank1_acc(grads.dw, 1.0, dy.data(), x.data());
+  for (std::size_t r = 0; r < dy.size(); ++r) grads.db(r, 0) += dy[r];
   std::vector<double> dx(layer.input_dim(), 0.0);
   gemv_t_acc(layer.weights(), dy.data(), dx.data());
   return dx;
 }
 
-void lstm_backward(LstmLayer& layer, const LstmTrace& trace,
+void lstm_backward(const LstmLayer& layer, Grads& grads, const LstmTrace& trace,
                    const std::vector<double>& dh_last, std::vector<double>* dx) {
   const std::size_t H = layer.hidden_dim();
   if (dh_last.size() != H) {
@@ -182,10 +227,10 @@ void lstm_backward(LstmLayer& layer, const LstmTrace& trace,
   std::vector<double> dh_seq(trace.steps * H, 0.0);
   std::copy(dh_last.begin(), dh_last.end(),
             dh_seq.end() - static_cast<std::ptrdiff_t>(H));
-  lstm_backward_seq(layer, trace, dh_seq, dx);
+  lstm_backward_seq(layer, grads, trace, dh_seq, dx);
 }
 
-void lstm_backward_seq(LstmLayer& layer, const LstmTrace& trace,
+void lstm_backward_seq(const LstmLayer& layer, Grads& grads, const LstmTrace& trace,
                        const std::vector<double>& dh_seq, std::vector<double>* dx) {
   const std::size_t H = layer.hidden_dim();
   const std::size_t I = layer.input_dim();
@@ -231,8 +276,8 @@ void lstm_backward_seq(LstmLayer& layer, const LstmTrace& trace,
     } else {
       std::memset(zin.data() + I, 0, H * sizeof(double));
     }
-    rank1_acc(layer.weight_grad(), 1.0, dz.data(), zin.data());
-    for (std::size_t k = 0; k < 4 * H; ++k) layer.bias_grad()(k, 0) += dz[k];
+    rank1_acc(grads.dw, 1.0, dz.data(), zin.data());
+    for (std::size_t k = 0; k < 4 * H; ++k) grads.db(k, 0) += dz[k];
 
     // Input-side gradients: dzin = W^T dz.
     std::fill(dzin.begin(), dzin.end(), 0.0);
@@ -277,15 +322,17 @@ CalibrationPass calibration_pass(const LstmClassifier& model,
 
 double loss_and_input_gradient(const LstmClassifier& model, const FeatureSequence& x,
                                int target_label, FeatureSequence* dx) {
-  std::vector<LstmLayer> layers = copy_layers(model);
-  DenseLayer head = model.head_layer();
+  const std::vector<LstmLayer> layers = copy_layers(model);
+  const DenseLayer& head = model.head_layer();
   std::vector<LstmTrace> traces;
   const double z = forward_logit(layers, head, x, traces);
   double dlogit = 0.0;
   const double loss = sigmoid_bce_loss(z, target_label, &dlogit);
   if (dx) {
+    std::vector<Grads> grads = grads_of(layers);
+    Grads head_grads(head);
     std::vector<double> dx_flat;
-    backward_from_logit(layers, head, traces, dlogit, &dx_flat);
+    backward_from_logit(layers, head, grads, head_grads, traces, dlogit, &dx_flat);
     dx->steps = x.steps;
     dx->dim = x.dim;
     dx->values = std::move(dx_flat);
@@ -304,13 +351,15 @@ TrainReport train(LstmClassifier& model, const std::vector<FeatureSequence>& xs,
   TrainReport report;
   Rng shuffle_rng(0xc1a551f1e5ULL);  // LstmClassifier::train's shuffle seed
 
+  std::vector<Grads> grads = grads_of(layers);
+  Grads head_grads(head);
   Adam optimizer(AdamConfig{cfg.learning_rate});
-  for (auto& layer : layers) {
-    optimizer.attach(&layer.weights(), &layer.weight_grad());
-    optimizer.attach(&layer.bias(), &layer.bias_grad());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    optimizer.attach(&layers[l].weights(), &grads[l].dw);
+    optimizer.attach(&layers[l].bias(), &grads[l].db);
   }
-  optimizer.attach(&head.weights(), &head.weight_grad());
-  optimizer.attach(&head.bias(), &head.bias_grad());
+  optimizer.attach(&head.weights(), &head_grads.dw);
+  optimizer.attach(&head.bias(), &head_grads.db);
 
   std::vector<std::size_t> order(xs.size());
   std::iota(order.begin(), order.end(), 0);
@@ -323,38 +372,48 @@ TrainReport train(LstmClassifier& model, const std::vector<FeatureSequence>& xs,
     for (std::size_t start = 0; start < order.size(); start += cfg.batch_size) {
       const std::size_t end = std::min(order.size(), start + cfg.batch_size);
       const double inv_batch = 1.0 / static_cast<double>(end - start);
-      for (auto& layer : layers) layer.zero_grad();
-      head.zero_grad();
+      for (auto& g : grads) g.zero();
+      head_grads.zero();
 
-      // Each chunk accumulates loss and gradients into fresh partials (a copy
-      // of the parameters with zeroed gradients); the partials fold back in
-      // chunk order, as LstmClassifier::train folds its chunk buffers.
+      // Each chunk accumulates loss and gradients into fresh zeroed partials;
+      // the partials fold back in chunk order, as LstmClassifier::train folds
+      // its chunk buffers.
       for (std::size_t lo = start; lo < end; lo += kernels::kLanes) {
         const std::size_t hi = std::min(end, lo + kernels::kLanes);
-        std::vector<LstmLayer> chunk_layers = layers;
-        DenseLayer chunk_head = head;
-        for (auto& layer : chunk_layers) layer.zero_grad();
-        chunk_head.zero_grad();
+        std::vector<Grads> chunk_grads = grads_of(layers);
+        Grads chunk_head(head);
         double chunk_loss = 0.0;
         for (std::size_t k = lo; k < hi; ++k) {
           const int y = ys[order[k]];
           std::vector<LstmTrace> traces;
-          const double z = forward_logit(chunk_layers, chunk_head, xs[order[k]], traces);
+          const double z = forward_logit(layers, head, xs[order[k]], traces);
           double dlogit = 0.0;
           chunk_loss += sigmoid_bce_loss(z, y, &dlogit);
           if ((z >= 0.0) == (y == 1)) ++correct;
-          backward_from_logit(chunk_layers, chunk_head, traces, dlogit * inv_batch,
-                              nullptr);
+          backward_from_logit(layers, head, chunk_grads, chunk_head, traces,
+                              dlogit * inv_batch, nullptr);
         }
         total_loss += chunk_loss;
         for (std::size_t l = 0; l < layers.size(); ++l) {
-          layers[l].weight_grad().axpy(1.0, chunk_layers[l].weight_grad());
-          layers[l].bias_grad().axpy(1.0, chunk_layers[l].bias_grad());
+          grads[l].dw.axpy(1.0, chunk_grads[l].dw);
+          grads[l].db.axpy(1.0, chunk_grads[l].db);
         }
-        head.weight_grad().axpy(1.0, chunk_head.weight_grad());
-        head.bias_grad().axpy(1.0, chunk_head.bias_grad());
+        head_grads.dw.axpy(1.0, chunk_head.dw);
+        head_grads.db.axpy(1.0, chunk_head.db);
       }
-      ClassifierAccess::clip_gradients(model);
+      // Global-norm clip: head dw + db first, then each layer's dw + db.
+      double norm_sq = head_grads.dw.norm_sq() + head_grads.db.norm_sq();
+      for (const auto& g : grads) norm_sq += g.dw.norm_sq() + g.db.norm_sq();
+      const double norm = std::sqrt(norm_sq);
+      if (cfg.grad_clip > 0.0 && norm > cfg.grad_clip) {
+        const double s = cfg.grad_clip / norm;
+        scale(head_grads.dw, s);
+        scale(head_grads.db, s);
+        for (auto& g : grads) {
+          scale(g.dw, s);
+          scale(g.db, s);
+        }
+      }
       optimizer.step();
     }
 

@@ -13,23 +13,45 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "nn/classifier.hpp"
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
+#include "nn/quant_classifier.hpp"
 #include "traj/features.hpp"
 
 namespace trajkit::nn::reference {
 
-/// The classifier's private parameters, clip and pack cache, which train()
-/// drives exactly as LstmClassifier::train does and tests may set by hand.
+/// The classifier's private parameters and pack cache, which train() drives
+/// exactly as LstmClassifier::train does and tests may set by hand.
 struct ClassifierAccess {
   static std::vector<LstmLayer>& layers(LstmClassifier& m) { return m.layers_; }
   static DenseLayer& head(LstmClassifier& m) { return m.head_; }
-  static void clip_gradients(LstmClassifier& m) { m.clip_gradients(); }
   static void rebuild_packs(LstmClassifier& m) { m.rebuild_packs(); }
+};
+
+/// Raw dump of a quantized model's serving image — dimensions, each layer's
+/// scales, bias, packed int8 weights and derived row sums, the fp64 head —
+/// so tests can compare two models byte for byte.  Not a file format:
+/// nothing loads it.
+struct QuantAccess {
+  static std::string image(const QuantizedLstm& q);
+};
+
+/// Gradient buffers shaped like one layer's parameters.  The layers hold
+/// parameters only, so the per-sample backward passes accumulate here.
+struct Grads {
+  /// Zeroed, for an LstmLayer or a DenseLayer.
+  template <typename Layer>
+  explicit Grads(const Layer& layer)
+      : dw(layer.weights().rows(), layer.weights().cols()), db(layer.bias().rows(), 1) {}
+  void zero();
+
+  Matrix dw;
+  Matrix db;
 };
 
 /// Cached activations of one LSTM forward pass (one sequence).
@@ -61,21 +83,22 @@ void rank1_acc(Matrix& m, double alpha, const double* x, const double* y);
 std::vector<double> dense_forward(const DenseLayer& layer,
                                   const std::vector<double>& x);
 
-/// Dense head backward for the pair (x, dy): accumulates into the layer's
-/// gradient buffers and returns dx.
-std::vector<double> dense_backward(DenseLayer& layer, const std::vector<double>& x,
+/// Dense head backward for the pair (x, dy): accumulates into `grads` and
+/// returns dx.
+std::vector<double> dense_backward(const DenseLayer& layer, Grads& grads,
+                                   const std::vector<double>& x,
                                    const std::vector<double>& dy);
 
 /// BPTT with the loss gradient injected only at the final hidden state.
-/// `dh_last` is d(loss)/d(h_T) (hidden_dim entries); gradients accumulate
-/// into the layer's gradient buffers (zero them between batches).  If `dx`
-/// is non-null it receives d(loss)/d(inputs) (steps x input_dim, overwritten).
-void lstm_backward(LstmLayer& layer, const LstmTrace& trace,
+/// `dh_last` is d(loss)/d(h_T) (hidden_dim entries); parameter gradients
+/// accumulate into `grads` (zero them between batches).  If `dx` is non-null
+/// it receives d(loss)/d(inputs) (steps x input_dim, overwritten).
+void lstm_backward(const LstmLayer& layer, Grads& grads, const LstmTrace& trace,
                    const std::vector<double>& dh_last, std::vector<double>* dx);
 
 /// BPTT with the loss gradient injected at every step's hidden output — the
 /// stacked-layer path.  `dh_seq` has steps x hidden_dim entries.
-void lstm_backward_seq(LstmLayer& layer, const LstmTrace& trace,
+void lstm_backward_seq(const LstmLayer& layer, Grads& grads, const LstmTrace& trace,
                        const std::vector<double>& dh_seq, std::vector<double>* dx);
 
 /// Pre-sigmoid classifier output, one sequence through the per-sample
@@ -90,15 +113,16 @@ CalibrationPass calibration_pass(const LstmClassifier& model,
 
 /// Cross-entropy toward `target_label` and its input gradient (overwritten
 /// into `dx` if non-null), per-sample.  `model` is not modified: the
-/// backward pass scratches through copies of its layers.
+/// backward pass scratches its parameter gradients into local buffers.
 double loss_and_input_gradient(const LstmClassifier& model, const FeatureSequence& x,
                                int target_label, FeatureSequence* dx);
 
 /// Mini-batch Adam training through the per-sample layers, in the exact
 /// order LstmClassifier::train uses: same shuffle seed, minibatches split
 /// into kernels::kLanes-sample chunks whose gradients fold in chunk order,
-/// global-norm clip, Adam step.  Leaves `model` trained (pack cache rebuilt)
-/// and returns the same per-epoch telemetry.
+/// global-norm clip (head dw + db first, then each layer's dw + db), Adam
+/// step.  Leaves `model` trained (pack cache rebuilt) and returns the same
+/// per-epoch telemetry.
 TrainReport train(LstmClassifier& model, const std::vector<FeatureSequence>& xs,
                   const std::vector<int>& ys, std::size_t epochs);
 

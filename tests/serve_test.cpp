@@ -9,6 +9,8 @@
 // per-feature semantics with hand-picked schedules.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -19,6 +21,7 @@
 
 #include "baseline/rule_based.hpp"
 #include "common/clock.hpp"
+#include "common/durable/artifact_store.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "serve/service.hpp"
@@ -453,6 +456,60 @@ TEST(VerifierService, DegradedStartStillRefusedWhenDisallowed) {
     EXPECT_FALSE(service_or.has_value());
   }
   std::remove(path);
+}
+
+TEST(VerifierService, ArtifactLoadFaultDegradesOrRefuses) {
+  // A detector served from an artifact store can be failed on purpose too:
+  // try_create_from_artifacts consults the detector load fault under the
+  // artifact file's path key, as try_load_file does for a model file.
+  ts::LinearFieldWorld w;
+  const std::string dir = "serve_test_artifact_fault";
+  std::string artifact;
+  {
+    auto store = durable::ArtifactStore::open_dir(dir);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    const auto epoch = store.value()->publish_payload("detector", w.detector().image());
+    ASSERT_TRUE(epoch.has_value()) << epoch.error();
+    artifact = store.value()->artifact_path("detector", epoch.value());
+  }
+  {
+    // Unarmed, the same store loads.
+    auto healthy = VerifierService::try_create_from_artifacts(dir);
+    ASSERT_TRUE(healthy.has_value()) << healthy.error();
+    EXPECT_TRUE(healthy.value()->has_detector());
+  }
+
+  VerifierServiceConfig cfg;
+  cfg.fallback.allow_degraded_start = true;
+  std::unique_ptr<VerifierService> service;
+  {
+    FaultScope faults(1);
+    faults.arm(wifi::kFaultDetectorLoad, {.probability = 1.0});
+    const auto refused = VerifierService::try_create_from_artifacts(dir);
+    ASSERT_FALSE(refused.has_value());
+    EXPECT_NE(refused.error().find("injected load fault for " + artifact),
+              std::string::npos)
+        << refused.error();
+    auto service_or = VerifierService::try_create_from_artifacts(dir, cfg);
+    ASSERT_TRUE(service_or.has_value()) << service_or.error();
+    service = std::move(service_or).value();
+  }
+  std::remove(artifact.c_str());
+  std::remove(durable::ArtifactStore::current_path(dir).c_str());
+  ::rmdir(dir.c_str());
+  EXPECT_FALSE(service->has_detector());
+
+  const auto probes = w.probe_mix(4);
+  std::vector<std::future<VerdictResponse>> futures;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    futures.push_back(service->submit({i, probes[i], 0}));
+  }
+  for (auto& future : futures) {
+    const auto response = future.get();
+    EXPECT_EQ(response.outcome, Outcome::kDegraded);
+    EXPECT_EQ(response.degraded_reason, "detector_unavailable");
+  }
+  EXPECT_EQ(service->counters().degraded, probes.size());
 }
 
 TEST(DetectorIo, SaveFaultSurfacesAsFaultError) {

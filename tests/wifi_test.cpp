@@ -7,7 +7,6 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -781,9 +780,7 @@ TEST(Detector, SaveLoadRoundTrip) {
   cfg.fake_shift_m = 8.0;
   ts::LinearFieldWorld w(cfg);
 
-  std::stringstream ss;
-  w.detector().save(ss);
-  const auto loaded = RssiDetector::try_load(ss);
+  const auto loaded = RssiDetector::decode(w.detector().image());
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   ASSERT_EQ(loaded.value()->index().size(), w.detector().index().size());
   for (int i = 0; i < 20; ++i) {
@@ -794,13 +791,11 @@ TEST(Detector, SaveLoadRoundTrip) {
 }
 
 TEST(Detector, LoadRejectsGarbage) {
-  std::stringstream ss("definitely_not_a_detector");
-  EXPECT_FALSE(RssiDetector::try_load(ss).has_value());
+  EXPECT_FALSE(RssiDetector::decode("definitely_not_a_detector").has_value());
 }
 
 TEST(Detector, TryLoadReportsGarbageAsError) {
-  std::stringstream ss("definitely_not_a_detector");
-  const auto result = RssiDetector::try_load(ss);
+  const auto result = RssiDetector::decode("definitely_not_a_detector");
   ASSERT_FALSE(result.has_value());
   EXPECT_NE(result.error().find("bad magic"), std::string::npos) << result.error();
 }
@@ -809,9 +804,7 @@ TEST(Detector, ThresholdPersistsThroughSaveLoad) {
   RssiDetectorConfig cfg;
   cfg.threshold = 0.65;
   RssiDetector detector({ref(0, 0, {{1, -50}})}, cfg);
-  std::stringstream ss;
-  detector.save(ss);
-  const auto loaded = RssiDetector::try_load(ss);
+  const auto loaded = RssiDetector::decode(detector.image());
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   EXPECT_DOUBLE_EQ(loaded.value()->config().threshold, 0.65);
 }
@@ -838,9 +831,7 @@ TEST(Detector, LoadedHugeToleranceSpansTheStorableRange) {
     for (std::size_t h = 0; h < base.index().size(); ++h) points.push_back(base.index().point(h));
     const auto detector =
         RssiDetector::assemble(points, config, base.classifier(), base.trained_points());
-    std::stringstream saved;
-    detector->save(saved);
-    return RssiDetector::try_load(saved);
+    return RssiDetector::decode(detector->image());
   };
   const auto huge = load_with_tolerance(2147483647);
   ASSERT_TRUE(huge.has_value()) << huge.error();
