@@ -8,6 +8,8 @@
 //   * booster training on Eq. 8-sized feature vectors
 //   * detector model save and load (save_file / try_load_file) at 9,000
 //     and 135,000 reference points
+//   * crowd store open (snapshot read, decode, provenance refold) at 4,500
+//     and 45,000 points
 //   * motion-model load and arming the int8 motion lane (calibration pass,
 //     quantize, gate) at servebench's hidden-384 shape
 //   * A* vs Dijkstra on the synthetic city
@@ -16,11 +18,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 
 #include "common/durable/durable_file.hpp"
 #include "core/trajkit.hpp"
+#include "wifi/crowd_store.hpp"
 
 using namespace trajkit;
 
@@ -346,6 +350,55 @@ void BM_DetectorLoad(benchmark::State& state) {
   std::remove(kDetectorBenchPath);
 }
 BENCHMARK(BM_DetectorLoad)->Arg(9000)->Arg(135000)->Unit(benchmark::kMillisecond);
+
+constexpr const char* kCrowdBenchDir = "bench_micro_crowd_store";
+
+/// CrowdStore::open of a store compacted once over a walking-scenario
+/// history of Arg points (Arg / 30 trajectories of 30 points), appended
+/// anonymously as servebench's ingest-publish world is (4,500 points
+/// there): the snapshot read, its decode and the provenance refold that a
+/// serving process's cold start pays per open.
+void BM_CrowdStoreOpen(benchmark::State& state) {
+  std::filesystem::remove_all(kCrowdBenchDir);
+  {
+    core::Scenario scenario(core::ScenarioConfig::for_mode(Mode::kWalking));
+    std::vector<wifi::ScannedUpload> history;
+    for (const auto& t :
+         scenario.scanned_real(static_cast<std::size_t>(state.range(0)) / 30, 30, 2.0)) {
+      history.push_back(core::to_upload(t));
+    }
+    auto store = wifi::CrowdStore::open(kCrowdBenchDir, /*sync_each_append=*/false);
+    if (!store) {
+      state.SkipWithError(store.error().c_str());
+      return;
+    }
+    for (const auto& p : wifi::flatten_history(history)) {
+      auto seq = store.value()->append(p);
+      if (!seq) {
+        state.SkipWithError(seq.error().c_str());
+        return;
+      }
+    }
+    auto compacted = store.value()->compact();
+    if (!compacted) {
+      state.SkipWithError(compacted.error().c_str());
+      return;
+    }
+  }
+  for (auto _ : state) {
+    auto store = wifi::CrowdStore::open(kCrowdBenchDir, /*sync_each_append=*/false);
+    if (!store) {
+      state.SkipWithError(store.error().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(store.value()->points().size());
+  }
+  state.counters["file_MB"] =
+      static_cast<double>(std::filesystem::file_size(
+          wifi::CrowdStore::snapshot_path(kCrowdBenchDir))) / 1e6;
+  std::filesystem::remove_all(kCrowdBenchDir);
+}
+BENCHMARK(BM_CrowdStoreOpen)->Arg(4500)->Arg(45000)->Unit(benchmark::kMillisecond);
 
 /// servebench's motion-lane shape: an input-2, hidden-384 classifier and 48
 /// calibration sequences of 30 steps.

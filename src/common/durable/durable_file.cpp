@@ -21,6 +21,8 @@ constexpr std::size_t kMaxTagLen = 256;
 /// with an empty payload.  Bounds how many records a file of a given size
 /// can plausibly claim.
 constexpr std::size_t kMinRecordBytes = 12;
+/// Footer magic plus the u32 whole-file CRC.
+constexpr std::size_t kFooterBytes = sizeof kFooterMagic + 4;
 
 std::string errno_string() { return std::strerror(errno); }
 
@@ -159,45 +161,53 @@ Expected<std::string, std::string> read_file(const std::string& path) {
   return Result(std::move(out));
 }
 
-DurableWriter::DurableWriter(std::string tag, std::uint32_t version)
-    : tag_(std::move(tag)), version_(version) {}
+DurableWriter::DurableWriter(std::string_view tag, std::uint32_t version) {
+  frame_.append(kMagic, sizeof kMagic);
+  append_u32(frame_, static_cast<std::uint32_t>(tag.size()));
+  frame_ += tag;
+  append_u32(frame_, version);
+  count_at_ = frame_.size();
+  append_u32(frame_, 0);
+}
 
 void DurableWriter::add_record(std::string_view payload) {
-  records_.emplace_back(payload);
+  // Room for this frame and the footer up front: reserve grows
+  // geometrically, and commit's footer never moves a large image.
+  frame_.reserve(frame_.size() + kMinRecordBytes + payload.size() + kFooterBytes);
+  append_u64(frame_, payload.size());
+  append_u32(frame_, crc32(payload));
+  frame_ += payload;
+  ++records_;
+  const auto count = static_cast<std::uint32_t>(records_);
+  std::memcpy(frame_.data() + count_at_, &count, sizeof count);
 }
 
 std::string DurableWriter::bytes() const {
   std::string out;
-  std::size_t payload_total = 0;
-  for (const auto& r : records_) payload_total += r.size();
-  out.reserve(payload_total + 64 + tag_.size() + records_.size() * 12);
-  out.append(kMagic, sizeof kMagic);
-  append_u32(out, static_cast<std::uint32_t>(tag_.size()));
-  out += tag_;
-  append_u32(out, version_);
-  append_u32(out, static_cast<std::uint32_t>(records_.size()));
-  for (const auto& r : records_) {
-    append_u64(out, r.size());
-    append_u32(out, crc32(r));
-    out += r;
-  }
-  const std::uint32_t file_crc = crc32(out);
+  out.reserve(frame_.size() + kFooterBytes);
+  out += frame_;
   out.append(kFooterMagic, sizeof kFooterMagic);
-  append_u32(out, file_crc);
+  append_u32(out, crc32(frame_));
   return out;
 }
 
-Expected<bool, std::string> DurableWriter::commit(const std::string& path) const {
+Expected<bool, std::string> DurableWriter::commit(const std::string& path) {
   // Refuse to commit what parse_durable would refuse to read: past the record
-  // cap the file would be unloadable, which for a store snapshot means a
-  // store that compacts once and can never be reopened.
-  if (records_.size() > kMaxDurableRecords) {
+  // cap the file would be unloadable, which for a store's files means a
+  // store that writes once and can never be reopened.
+  if (records_ > kMaxDurableRecords) {
     return WriteResult::failure(
-        "durable: record count " + std::to_string(records_.size()) +
+        "durable: record count " + std::to_string(records_) +
         " exceeds the cap of " + std::to_string(kMaxDurableRecords) +
         " for " + path);
   }
-  return write_file_atomic(path, bytes());
+  const std::size_t body = frame_.size();
+  const std::uint32_t file_crc = crc32(frame_);
+  frame_.append(kFooterMagic, sizeof kFooterMagic);
+  append_u32(frame_, file_crc);
+  auto written = write_file_atomic(path, frame_);
+  frame_.resize(body);
+  return written;
 }
 
 Expected<std::vector<std::string>, std::string> parse_durable(

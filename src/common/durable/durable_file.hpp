@@ -66,10 +66,12 @@ inline constexpr const char* kAtomicWritePoints[] = {
 /// Upper bound on records in one framed container.  Enforced at write time
 /// by DurableWriter::commit and re-checked on parse (together with a
 /// bytes-based plausibility bound), so a writer can never commit a file the
-/// reader would refuse.  Sized to cover the largest producer — the crowd
-/// store snapshot (kMaxSnapshotPoints reference points plus a meta record),
-/// which static_asserts against this constant.
-inline constexpr std::size_t kMaxDurableRecords = std::size_t{1} << 23;
+/// reader would refuse.  Model files hold one record, an artifact two and a
+/// crowd snapshot three; the largest producer is the artifact store's
+/// CURRENT file, one record per published kind, which nothing else bounds.
+/// The cap stays past 16 bits: a 65,536 cap once refused files a writer
+/// had committed.
+inline constexpr std::size_t kMaxDurableRecords = std::size_t{1} << 17;
 
 /// Atomically replace `path` with `content` (temp file + fsync + rename +
 /// directory fsync).  On failure the previous file is untouched and the temp
@@ -87,23 +89,27 @@ void remove_stale_tmp(const std::string& path);
 /// Slurp a whole file; error on open/read failure (never on content).
 Expected<std::string, std::string> read_file(const std::string& path);
 
-/// Accumulates records, then commits them as one framed file, atomically.
+/// Frames records into one buffer as they are added, then commits it as one
+/// file, atomically.  The buffer is the file minus its footer, so a payload
+/// is held once by the caller and once framed, never copied again.
 class DurableWriter {
  public:
-  DurableWriter(std::string tag, std::uint32_t version);
+  DurableWriter(std::string_view tag, std::uint32_t version);
 
   void add_record(std::string_view payload);
 
   /// The framed byte image (magic..footer) — what commit() writes.
   std::string bytes() const;
 
-  /// Atomic write of bytes() to `path` via write_file_atomic.
-  Expected<bool, std::string> commit(const std::string& path) const;
+  /// Atomic write of bytes() to `path` via write_file_atomic.  The footer is
+  /// appended to the buffer for the write and taken off again, so the writer
+  /// may take more records afterwards.
+  Expected<bool, std::string> commit(const std::string& path);
 
  private:
-  std::string tag_;
-  std::uint32_t version_;
-  std::vector<std::string> records_;
+  std::string frame_;          ///< header and framed records, no footer
+  std::size_t count_at_ = 0;   ///< offset of the u32 record count in frame_
+  std::size_t records_ = 0;
 };
 
 /// Parse and fully validate a framed image into its records; `tag` and

@@ -160,6 +160,11 @@ Expected<GbtClassifier, std::string> GbtClassifier::try_load(std::istream& is) {
     for (std::size_t i = 0; i < tree_count; ++i) {
       model.trees_.push_back(Tree::load(is));
     }
+    // Anything past the last tree's newline would load and then re-save
+    // shorter.
+    if (is.get() != '\n' || is.peek() != std::istream::traits_type::eof()) {
+      return Result::failure("gbt load: bytes after the last tree");
+    }
     model.rebuild_fused();
     return Result(std::move(model));
   } catch (const std::exception& e) {

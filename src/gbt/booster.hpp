@@ -72,6 +72,8 @@ class GbtClassifier {
   /// two are its whole codec.  Malformed input (bad magic, truncation,
   /// implausible config, invalid tree topology, a feature index beyond
   /// uint16) comes back as a diagnostic string instead of an exception.
+  /// try_load reads the stream to its end, which must be where save() ends
+  /// the text: the newline after the last tree.
   void save(std::ostream& os) const;
   static Expected<GbtClassifier, std::string> try_load(std::istream& is);
 

@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 
+#include "common/durable/bytes.hpp"
 #include "common/durable/durable_file.hpp"
 #include "common/fault.hpp"
 
@@ -16,13 +18,14 @@ namespace trajkit::wifi {
 namespace {
 
 constexpr const char* kSnapshotTag = "crowd_snapshot";
-// Layout: meta "next_seq point_count observed_epoch observed_motion_epoch",
-// then one "<uploader> <point>" record per point, then the reputation book.
-// Facts only: the provenance grid is a fold of the point records and is
-// rebuilt on open.  Snapshots stamped with any other version are refused
-// (durable::parse_durable).
-constexpr std::uint32_t kSnapshotVersion = 5;
-constexpr std::size_t kSnapshotOverhead = 2;  ///< meta + reputation book
+// Layout (DESIGN.md, "Crowd snapshot image"): a binary meta record (u64
+// next_seq, observed_epoch, observed_motion_epoch), one point record (the
+// points' PointArrays image, then a u64 uploader per point) and the
+// reputation book's text.  Facts only: the provenance grid is a fold of the
+// points and is rebuilt on open.  Snapshots stamped with any other version
+// are refused (durable::parse_durable).
+constexpr std::uint32_t kSnapshotVersion = 6;
+constexpr std::size_t kSnapshotRecords = 3;
 constexpr const char* kJournalTag = "crowd_journal";
 constexpr std::size_t kMaxSnapshotPoints = 5'000'000;
 /// Control-frame prefixes, indexed by ControlFrame::Kind.
@@ -31,13 +34,6 @@ constexpr std::string_view kControlPrefix[] = {"#epoch ", "#motion_epoch ",
 static_assert(std::size(kControlPrefix) ==
                   static_cast<std::size_t>(ControlFrame::Kind::kClear) + 1,
               "one prefix per control-frame kind");
-
-// Every point the store can hold must fit in one snapshot container (plus
-// its meta and reputation records), or compact() would commit a snapshot
-// that open() can never read back — a store that bricks itself at its first
-// compaction.
-static_assert(kMaxSnapshotPoints + kSnapshotOverhead <= durable::kMaxDurableRecords,
-              "crowd snapshot capacity exceeds the durable record cap");
 
 std::string format_double(double v) {
   char buf[40];
@@ -151,40 +147,20 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
     auto contents = durable::read_durable_file(snap, kSnapshotTag, kSnapshotVersion);
     if (!contents) return Result::failure("crowd store: " + contents.error());
     const auto& records = contents.value();
-    if (records.size() < kSnapshotOverhead) {
-      return Result::failure("crowd store: snapshot missing records");
+    if (records.size() != kSnapshotRecords) {
+      return Result::failure("crowd store: snapshot holds " +
+                             std::to_string(records.size()) + " records, not " +
+                             std::to_string(kSnapshotRecords));
     }
-    std::istringstream meta(records[0]);
-    std::size_t point_count = 0;
-    if (!(meta >> snapshot_next_seq >> point_count >> store->observed_epoch_ >>
-          store->observed_motion_epoch_) ||
-        point_count != records.size() - kSnapshotOverhead ||
-        point_count > kMaxSnapshotPoints) {
+    durable::ByteCursor meta{records[0]};
+    if (!(meta.read(snapshot_next_seq) && meta.read(store->observed_epoch_) &&
+          meta.read(store->observed_motion_epoch_)) ||
+        meta.remaining() != 0) {
       return Result::failure("crowd store: bad snapshot meta record");
     }
-    store->points_.reserve(point_count);
-    store->uploaders_.reserve(point_count);
-    for (std::size_t i = 1; i <= point_count; ++i) {
-      UploaderId uploader = kAnonymousUploader;
-      std::string body;
-      std::istringstream rec(records[i]);
-      if (!(rec >> uploader) || !std::getline(rec, body)) {
-        return Result::failure("crowd store: snapshot record " +
-                               std::to_string(i - 1) + ": bad uploader prefix");
-      }
-      auto point = decode_point(body);
-      if (!point) {
-        return Result::failure("crowd store: snapshot record " +
-                               std::to_string(i - 1) + ": " + point.error());
-      }
-      // The grid refolds in record order, which is ingestion order.  The
-      // snapshot's reputation book already holds these points' scores, so
-      // they are not rescored.
-      store->provenance_.add(point.value(), uploader);
-      store->points_.push_back(std::move(point).value());
-      store->uploaders_.push_back(uploader);
-    }
-    auto book = ReputationBook::deserialize(records[point_count + 1]);
+    auto points = store->load_point_record(records[1]);
+    if (!points) return Result::failure("crowd store: snapshot " + points.error());
+    auto book = ReputationBook::deserialize(records[2]);
     if (!book) return Result::failure("crowd store: " + book.error());
     store->reputation_ = std::move(book).value();
   }
@@ -226,6 +202,36 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
   }
   store->journaled_ = store->open_stats_.replayed_records;
   return Result(std::move(store));
+}
+
+Expected<bool, std::string> CrowdStore::load_point_record(std::string_view record) {
+  using Result = Expected<bool, std::string>;
+  try {
+    const PointArrays arrays(record);
+    if (arrays.size() > kMaxSnapshotPoints) {
+      return Result::failure("holds " + std::to_string(arrays.size()) +
+                             " points, above the store's capacity of " +
+                             std::to_string(kMaxSnapshotPoints));
+    }
+    durable::ByteCursor cur{record};
+    if (!cur.read_array(uploaders_, arrays.size())) {
+      return Result::failure("point record: truncated uploader array");
+    }
+    if (cur.remaining() != 0) {
+      return Result::failure("point record: trailing bytes after the uploaders");
+    }
+    points_.reserve(arrays.size());
+    for (std::size_t h = 0; h < arrays.size(); ++h) {
+      // The grid refolds in record order, which is ingestion order.  The
+      // snapshot's reputation book already holds these points' scores, so
+      // they are not rescored.
+      points_.push_back(arrays.point(h));
+      provenance_.add(points_.back(), uploaders_[h]);
+    }
+  } catch (const std::invalid_argument& e) {
+    return Result::failure(std::string("point record: ") + e.what());
+  }
+  return Result(true);
 }
 
 void CrowdStore::ingest_state(const ReferencePoint& point, UploaderId uploader) {
@@ -342,13 +348,22 @@ Expected<bool, std::string> CrowdStore::compact() {
   // crash leaves the old snapshot.  Quarantined uploaders' points are folded
   // like any others: storage is not judgement, and a later "#clear" must
   // find them intact.
-  durable::DurableWriter writer(kSnapshotTag, kSnapshotVersion);
-  writer.add_record(std::to_string(next_seq) + ' ' + std::to_string(points_.size()) +
-                    ' ' + std::to_string(observed_epoch_) + ' ' +
-                    std::to_string(observed_motion_epoch_));
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    writer.add_record(std::to_string(uploaders_[i]) + ' ' + encode_point(points_[i]));
+  std::string meta;
+  durable::append_u64(meta, next_seq);
+  durable::append_u64(meta, observed_epoch_);
+  durable::append_u64(meta, observed_motion_epoch_);
+  std::string points;
+  try {
+    PointArrays(points_).append_image(points);
+  } catch (const std::length_error& e) {
+    // Past 2^24 distinct MACs the key layout has no room; the journal still
+    // holds every point, so nothing is lost.
+    return Result::failure(std::string("crowd store: cannot compact: ") + e.what());
   }
+  durable::append_array(points, uploaders_.data(), uploaders_.size());
+  durable::DurableWriter writer(kSnapshotTag, kSnapshotVersion);
+  writer.add_record(meta);
+  writer.add_record(points);
   writer.add_record(reputation_.serialize());
   auto committed = writer.commit(snapshot_path(dir_));
   if (!committed) return Result::failure("crowd store: " + committed.error());

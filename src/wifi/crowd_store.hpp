@@ -5,8 +5,10 @@
 // (wifi/validate), encoded as one text line and appended to a CRC-framed
 // journal (common/durable/journal) *before* it is visible in memory.  An
 // explicit compact() folds the journal into a CRC-framed snapshot (one
-// durable container, v5: a meta record, one "<uploader> <point>" record per
-// reference point and the reputation book) and resets the journal.
+// durable container, v6: a binary meta record, one point record holding
+// every point as PointArrays' binary image plus a u64 uploader per point,
+// and the reputation book; DESIGN.md, "Crowd snapshot image") and resets the
+// journal.
 //
 // Crash safety is the point of the split:
 //   - a crash mid-append leaves a torn journal tail, which the next open()
@@ -45,6 +47,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable/journal.hpp"
@@ -124,7 +127,9 @@ class CrowdStore {
   /// crash at any point inside; idempotent to re-run after recovery.  The
   /// snapshot carries the full dataset — quarantined points included, they
   /// must survive a later "#clear" — plus the reputation book, so recovery
-  /// never rescores folded history.
+  /// never rescores folded history.  A store whose points name more than
+  /// PointArrays::kMaxAps distinct MACs cannot be keyed and is refused; the
+  /// journal keeps every point.
   Expected<bool, std::string> compact();
 
   /// The full recovered + appended reference set, in ingestion order —
@@ -181,10 +186,10 @@ class CrowdStore {
   /// shipping (durable::Journal::read_records) by the replication layer.
   static const char* journal_tag();
 
-  /// Text codec for one reference point, shared by the journal payloads and
-  /// the snapshot records ("east north traj_id n mac rssi ...", %.17g).
-  /// Provenance never rides the payload: the journal frame (v2) and the
-  /// snapshot record prefix carry it, so payload bytes match v1 exactly.
+  /// Text codec for one journal payload ("east north traj_id n mac rssi
+  /// ...", %.17g), which replication ships as is.  Provenance never rides
+  /// the payload: the journal frame (v2) carries it, so payload bytes match
+  /// v1 exactly.
   static std::string encode_point(const ReferencePoint& point);
   static Expected<ReferencePoint, std::string> decode_point(const std::string& line);
 
@@ -203,6 +208,11 @@ class CrowdStore {
   /// append path and journal replay.
   void ingest_state(const ReferencePoint& point, UploaderId uploader);
   void apply_control(const ControlFrame& frame);
+  /// Fill points_ and uploaders_ from the snapshot's point record and refold
+  /// the provenance grid over them in record order.  Refuses what
+  /// PointArrays' image constructor refuses, a short uploader array and
+  /// trailing bytes.
+  Expected<bool, std::string> load_point_record(std::string_view record);
 
   std::string dir_;
   std::unique_ptr<durable::Journal> journal_;

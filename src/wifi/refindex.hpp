@@ -8,16 +8,14 @@
 // answers for all references at once from the points within r + R.  The
 // store is backed by a uniform hash grid sized to the typical query radius.
 //
-// Each stored observation is one uint32 key, (AP id << 8) | (RSSI -
-// kMinValidRssiDbm), where the AP id numbers the store's distinct MACs in
-// order of first appearance.  Keys sit in one flat array in point order; positions and
-// trajectory ids sit in arrays of their own.  An Eq. 4 match window of one
-// MAC over an RSSI range is then one contiguous key range, so a match is one
-// unsigned compare per lane.
-//
-// The detector's model file stores these arrays as they are (append_image
-// and the image-taking constructor; DESIGN.md, "Detector model image"), so
-// a cold start copies them instead of re-encoding every observation.
+// The points themselves are PointArrays (wifi/point_arrays.hpp): one uint32
+// key per observation, (AP id << 8) | (RSSI - kMinValidRssiDbm), in one flat
+// array in point order, so an Eq. 4 match window of one MAC over an RSSI
+// range is one contiguous key range and a match is one unsigned compare per
+// lane.  The index adds the grid.  The detector's model file stores the
+// arrays as they are (PointArrays::append_image and the image-taking
+// constructor; DESIGN.md, "Detector model image"), so a cold start copies
+// them instead of re-encoding every observation.
 #pragma once
 
 #include <cstddef>
@@ -27,25 +25,17 @@
 #include <vector>
 
 #include "geo/geo.hpp"
-#include "wifi/scan.hpp"
+#include "wifi/point_arrays.hpp"
 
 namespace trajkit::wifi {
 
-/// Sentinel trajectory id: "not part of any tracked trajectory".
-inline constexpr std::uint32_t kNoTrajectory = 0xffffffffu;
-
-/// One crowdsourced historical point.
-struct ReferencePoint {
-  Enu pos;        ///< reported (GPS-noisy) position
-  WifiScan scan;  ///< RSSIs/MACs observed there
-  std::uint32_t traj_id = kNoTrajectory;  ///< source trajectory (for
-                                          ///< leave-own-trajectory-out queries)
-};
-
-class ReferenceIndex {
+class ReferenceIndex : public PointArrays {
  public:
   /// Build over a fixed set of points; `cell_size_m` should be close to the
   /// largest common query radius (default suits r = 2.5 m, R = 3 m).
+  /// Refuses what PointArrays' constructor refuses: a scan longer than
+  /// kMaxScanSize, more than kMaxAps distinct MACs, an RSSI outside the
+  /// upload validator's range.
   explicit ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m = 4.0);
 
   /// Build with an explicit grid extent instead of the points' own bounding
@@ -60,25 +50,12 @@ class ReferenceIndex {
   ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m,
                  const BoundingBox& bounds);
 
-  /// Decode an index from the front of `image`, laid out as append_image()
-  /// writes it, and advance `image` past it.  Grid bounds are the points'
-  /// natural_bounds.  Every count is checked against the bytes that remain
-  /// before anything is allocated, and the image is refused
-  /// (std::invalid_argument naming the rule) unless it is what
-  /// append_image() writes for an index that validate_reference_point
-  /// would accept point by point: each position passes position_ok, each
-  /// point holds at most kMaxScanAps observations and the counts sum to
-  /// the key count, each key's RSSI byte is at most 150, AP ids lie inside
-  /// the MAC table and appear in first-seen order, and no MAC is listed
-  /// twice or never observed.  So the result equals the index built from
-  /// its own point(h)s.
+  /// Decode the arrays from the front of `image` (PointArrays' image
+  /// constructor, which refuses what validate_reference_point would refuse
+  /// and whatever would not re-encode to the same bytes), advance `image`
+  /// past them, and grid them over their natural_bounds.  Refusals are
+  /// std::invalid_argument, the grid cap's included.
   ReferenceIndex(std::string_view& image, double cell_size_m);
-
-  /// Append the store's arrays to `out`: u64 point, MAC and key counts, the
-  /// MACs in AP-id order (u64 each), per-point observation counts (u16),
-  /// the keys (u32), positions (two raw doubles each) and trajectory ids
-  /// (u32), native little-endian.
-  void append_image(std::string& out) const;
 
   /// The grid extent the single-argument constructor would derive for
   /// `points`: their bounding box expanded by 1 m.  Exposed so sharded
@@ -87,15 +64,6 @@ class ReferenceIndex {
 
   /// The grid extent this index was built with.
   const BoundingBox& bounds() const { return bounds_; }
-
-  std::size_t size() const { return pos_.size(); }
-  /// Reported position of point `h`.
-  const Enu& pos(std::size_t h) const { return pos_[h]; }
-  /// Source trajectory of point `h`.
-  std::uint32_t traj_id(std::size_t h) const { return traj_id_[h]; }
-  /// Point `h` decoded from the store: equal to the point the constructor
-  /// was given, observation for observation.
-  ReferencePoint point(std::size_t h) const;
 
   /// Indices of all points within `radius` of `center` (inclusive).
   /// `exclude_traj` drops points of one source trajectory — used when the
@@ -107,12 +75,6 @@ class ReferenceIndex {
   /// Number of points within `radius` of `center` — cheaper than within().
   std::size_t count_within(const Enu& center, double radius) const;
 
-  /// Largest scan a stored point may carry: count_circles() keeps each
-  /// gathered point's per-lane match counts as uint16, and a count never
-  /// exceeds the scan's observation count.  The constructors refuse a longer
-  /// scan with std::length_error.
-  static constexpr std::size_t kMaxScanSize = 0xffff;
-
   /// Grid cap: the grid spans the points' bounding box (or the explicit
   /// bounds), so a few far-apart points would otherwise ask for an unbounded
   /// number of cells.  Every constructor, the image decoder included, refuses
@@ -123,12 +85,6 @@ class ReferenceIndex {
   /// small and empty sets, such as a shard slice under global bounds.
   static constexpr std::size_t kMaxGridCellsPerPoint = 4096;
   static constexpr std::size_t kMinGridCellCap = std::size_t{1} << 20;
-
-  /// Most distinct MACs a store may hold: an AP id fills a key's top 24
-  /// bits, so the constructors refuse more with std::length_error.  They
-  /// refuse an RSSI outside [kMinValidRssiDbm, kMaxValidRssiDbm], the
-  /// upload validator's range, with std::out_of_range.
-  static constexpr std::size_t kMaxAps = std::size_t{1} << 24;
 
   /// Eq. 4 match window of one counted lane: observations of `mac` at
   /// lo..hi dBm inclusive.  Wide, so a reported RSSI plus or minus any
@@ -222,26 +178,6 @@ class ReferenceIndex {
   /// it past the cell cap, and file every stored point in its cell.
   void build_grid(const BoundingBox& bounds);
 
-  /// AP id of `mac`, or kNoAp when the store never observed it.
-  std::uint32_t ap_id(std::uint64_t mac) const;
-  static constexpr std::uint32_t kNoAp = 0xffffffffu;
-  /// AP id of `mac`, numbering it next if it is new.
-  std::uint32_t intern(std::uint64_t mac);
-  /// First slot of `mac`'s probe sequence in ap_slots_.
-  std::size_t home_slot(std::uint64_t mac) const;
-
-  std::vector<Enu> pos_;
-  std::vector<std::uint32_t> traj_id_;
-  std::vector<std::uint32_t> keys_;    // every point's observations, in point order
-  std::vector<std::size_t> offsets_;   // point h's keys: [offsets_[h], offsets_[h + 1])
-  std::vector<std::uint64_t> macs_;    // MAC of each AP id
-  // Open-addressed MAC -> AP id (kNoAp = empty slot), a power of two in
-  // size and at most half full, probed linearly from home_slot().
-  struct ApSlot {
-    std::uint64_t mac = 0;
-    std::uint32_t id = kNoAp;
-  };
-  std::vector<ApSlot> ap_slots_ = std::vector<ApSlot>(16);
   double cell_size_m_;
   BoundingBox bounds_;
   std::size_t grid_w_ = 1;

@@ -230,8 +230,8 @@ TEST(DurableContainer, TrailingGarbageIsRejected) {
 
 TEST(DurableContainer, RoundTripsBeyond16BitRecordCount) {
   // Regression: the parse-side record cap used to be 65,536 while writers
-  // (the crowd snapshot holds up to 5M points) could legally commit far more
-  // — the file wrote fine and could never be read back.
+  // (then the crowd snapshot, one record per point) could legally commit
+  // far more — the file wrote fine and could never be read back.
   constexpr std::size_t kCount = 70'000;
   DurableWriter writer("big_tag", 1);
   for (std::size_t i = 0; i < kCount; ++i) {
@@ -1027,6 +1027,27 @@ TEST(DurableModels, DetectorImageBareBitFlipsLoadOnlyWhatTheWriterWrites) {
   EXPECT_LT(accepted, 8 * binary);
 }
 
+TEST(DurableModels, DetectorImageRefusesBytesAfterTheClassifierText) {
+  // The classifier text is length-prefixed, so bytes appended inside it
+  // with the prefix raised reach the GBT loader, which must stop where the
+  // writer's text stops.
+  const auto w = small_detector_world();
+  const std::string bytes = w->detector().image();
+  std::ostringstream classifier_text;
+  w->detector().classifier().save(classifier_text);
+  const std::string text = classifier_text.str();
+  const std::size_t prefix_at = bytes.size() - text.size() - sizeof(std::uint64_t);
+  ASSERT_EQ(bare_load_error(bytes), "");
+  for (const std::string tail : {"junk", " "}) {
+    SCOPED_TRACE("'" + tail + "'");
+    std::string padded = bytes + tail;
+    patch_pod(padded, prefix_at, std::uint64_t{text.size() + tail.size()});
+    for (const std::string& error : {bare_load_error(padded), framed_load_error(padded)}) {
+      EXPECT_NE(error.find("bytes after the last tree"), std::string::npos) << error;
+    }
+  }
+}
+
 TEST(DurableModels, DetectorV1TextFileIsRefusedAndLeftUntouched) {
   // A v1 container: the retired text payload (magic line, config line,
   // trained points, point count, one "east north traj n mac rssi" line per
@@ -1165,8 +1186,9 @@ TEST(DurableVersionSkew, EveryContainerRefusesAnotherVersion) {
       {"detector v1", detector_path, 1,
        [&] { return load_error(wifi::RssiDetector::try_load_file(detector_path)); },
        nullptr},
-      // v4 is the newest retired snapshot layout: the nearest miss.
-      {"crowd snapshot", wifi::CrowdStore::snapshot_path(store_dir), 4,
+      // v5 (a text record per point) is the newest retired snapshot layout:
+      // the nearest miss.
+      {"crowd snapshot", wifi::CrowdStore::snapshot_path(store_dir), 5,
        [&] { return load_error(wifi::CrowdStore::open(store_dir)); },
        nullptr},
       {"artifact", artifact_dir + "/motion." + std::to_string(artifact_epoch), 0,
@@ -1666,6 +1688,28 @@ TEST(CrowdStore, CompactionFoldsJournalIntoSnapshot) {
   remove_tree(dir);
 }
 
+/// What a reopened store must reproduce of the one that wrote it: every
+/// point (as its journal text, %.17g exact), every uploader, the refolded
+/// provenance grid and the reputation book.
+struct StoreState {
+  std::vector<std::string> points;
+  std::vector<wifi::UploaderId> uploaders;
+  std::uint64_t provenance = 0;
+  std::string reputation;
+
+  static StoreState of(const wifi::CrowdStore& store) {
+    StoreState state;
+    for (const auto& p : store.points()) {
+      state.points.push_back(wifi::CrowdStore::encode_point(p));
+    }
+    state.uploaders = store.uploaders();
+    state.provenance = store.provenance().checksum();
+    state.reputation = store.reputation().serialize();
+    return state;
+  }
+  friend bool operator==(const StoreState&, const StoreState&) = default;
+};
+
 TEST(CrowdStore, CompactionBeyond16BitPointCountSurvivesReopen) {
   // Regression for the bricked-store bug: with >65,535 points the snapshot
   // used to commit fine (and reset the journal, discarding the WAL copy)
@@ -1673,6 +1717,7 @@ TEST(CrowdStore, CompactionBeyond16BitPointCountSurvivesReopen) {
   const std::string dir = "durable_test_store_big";
   remove_tree(dir);
   constexpr std::size_t kPoints = 66'000;  // past the old 65,536 cap
+  StoreState written;
   {
     auto store = wifi::CrowdStore::open(dir, /*sync_each_append=*/false);
     ASSERT_TRUE(store.has_value()) << store.error();
@@ -1682,9 +1727,11 @@ TEST(CrowdStore, CompactionBeyond16BitPointCountSurvivesReopen) {
       ASSERT_TRUE(store.value()->append(p).has_value()) << "point " << i;
     }
     ASSERT_TRUE(store.value()->compact().has_value());
+    written = StoreState::of(*store.value());
   }
   auto store = wifi::CrowdStore::open(dir, /*sync_each_append=*/false);
   ASSERT_TRUE(store.has_value()) << store.error();
+  EXPECT_TRUE(StoreState::of(*store.value()) == written);
   EXPECT_EQ(store.value()->open_stats().snapshot_points, kPoints);
   ASSERT_EQ(store.value()->points().size(), kPoints);
   EXPECT_EQ(store.value()->points().back().pos.east, double((kPoints - 1) % 1000));
@@ -1751,6 +1798,89 @@ TEST(CrowdStore, RejectsInvalidPoints) {
   EXPECT_FALSE(store.value()->append(bad).has_value());
   EXPECT_TRUE(store.value()->points().empty());
   EXPECT_EQ(store.value()->next_seq(), 0u);
+  remove_tree(dir);
+}
+
+TEST(CrowdStore, FarApartPointsCompactAndReopen) {
+  // Two valid points 1e5 m apart on both axes.  A grid over them at 4 m
+  // cells would exceed ReferenceIndex's cell cap, so the snapshot must not go
+  // through an index, or the store would compact once and never reopen.
+  const std::string dir = "durable_test_store_far";
+  remove_tree(dir);
+  StoreState written;
+  {
+    auto store = wifi::CrowdStore::open(dir);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    ASSERT_TRUE(store.value()->append({{0.0, 0.0}, {{5, -50}}, 1u}, 9).has_value());
+    ASSERT_TRUE(store.value()->append({{1e5, 1e5}, {{6, -60}}, 2u}, 10).has_value());
+    ASSERT_TRUE(store.value()->compact().has_value());
+    written = StoreState::of(*store.value());
+  }
+  auto store = wifi::CrowdStore::open(dir);
+  ASSERT_TRUE(store.has_value()) << store.error();
+  EXPECT_EQ(store.value()->open_stats().snapshot_points, 2u);
+  EXPECT_TRUE(StoreState::of(*store.value()) == written);
+  remove_tree(dir);
+}
+
+constexpr const char* kSnapshotTag = "crowd_snapshot";
+constexpr std::uint32_t kSnapshotVersion = 6;
+
+TEST(CrowdStore, SnapshotPointRecordMutationsReopenOnlyWhatCompactWrites) {
+  // The point record is binary, and a flip in a double or an id can land on
+  // another valid value.  Every single-bit flip and every truncation of it,
+  // re-framed with valid CRCs, is refused, or opens a store whose compact()
+  // writes exactly the mutated file: nothing opens that the writer would
+  // not write.
+  const std::string dir = "durable_test_store_point_flips";
+  remove_tree(dir);
+  {
+    auto store = wifi::CrowdStore::open(dir);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    ASSERT_TRUE(store.value()->append({{1.0, 2.0}, {{5, -50}, {6, -61}}, 1u}, 7).has_value());
+    ASSERT_TRUE(store.value()->append({{3.5, -2.0}, {{6, -55}}, 2u}, 8).has_value());
+    ASSERT_TRUE(store.value()->append({{-4.0, 0.25}, {{7, -70}, {5, -40}}, 2u}).has_value());
+    ASSERT_TRUE(store.value()->compact().has_value());
+  }
+  const std::string snap = wifi::CrowdStore::snapshot_path(dir);
+  const auto records = durable::parse_durable(slurp(snap), kSnapshotTag, kSnapshotVersion);
+  ASSERT_TRUE(records.has_value()) << records.error();
+  ASSERT_EQ(records.value().size(), 3u);
+  const std::string& intact = records.value()[1];
+  const auto framed = [&](const std::string& point_record) {
+    DurableWriter writer(kSnapshotTag, kSnapshotVersion);
+    writer.add_record(records.value()[0]);
+    writer.add_record(point_record);
+    writer.add_record(records.value()[2]);
+    return writer.bytes();
+  };
+  std::size_t accepted = 0;
+  std::size_t mutations = 0;
+  const auto check = [&](const std::string& point_record, const std::string& what) {
+    ++mutations;
+    const std::string file = framed(point_record);
+    write_raw(snap, file);
+    auto store = wifi::CrowdStore::open(dir);
+    if (!store.has_value()) return;
+    ++accepted;
+    ASSERT_TRUE(store.value()->compact().has_value()) << what;
+    EXPECT_EQ(slurp(snap), file) << what;
+  };
+  check(intact, "intact");
+  ASSERT_EQ(accepted, 1u) << "the intact record must open";
+  for (std::size_t bit = 0; bit < 8 * intact.size(); ++bit) {
+    std::string flipped = intact;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    check(flipped, "bit " + std::to_string(bit));
+  }
+  for (std::size_t len = 0; len < intact.size(); ++len) {
+    check(intact.substr(0, len), "prefix of " + std::to_string(len));
+  }
+  const std::size_t before_tail = accepted;
+  check(intact + '\0', "a trailing byte");
+  EXPECT_EQ(accepted, before_tail) << "a trailing byte must be refused";
+  EXPECT_GT(accepted, 1u);
+  EXPECT_LT(accepted, mutations);
   remove_tree(dir);
 }
 

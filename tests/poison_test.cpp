@@ -505,6 +505,42 @@ TEST(PoisonDeterminism, ReopenReplaysAdversarialStateBitwise) {
   remove_store(dir);
 }
 
+TEST(PoisonDeterminism, CompactedSnapshotReopensToTheWritersState) {
+  // The snapshot alone (no journal tail) must give back every fact the
+  // writer held: the points, their uploaders, the refolded provenance grid
+  // and the reputation book, quarantines included.
+  const std::string dir = "poison_test_snapshot_state";
+  remove_store(dir);
+  std::vector<std::string> points;
+  std::vector<UploaderId> uploaders;
+  std::uint64_t provenance = 0;
+  std::string reputation;
+  {
+    auto store = build_poisoned_store(dir);
+    ASSERT_TRUE(store->append_control({Kind::kQuarantine, kHonest[0]}).has_value());
+    ASSERT_TRUE(store->compact().has_value());
+    for (const auto& p : store->points()) {
+      points.push_back(wifi::CrowdStore::encode_point(p));
+    }
+    uploaders = store->uploaders();
+    provenance = store->provenance().checksum();
+    reputation = store->reputation().serialize();
+  }
+  auto store = wifi::CrowdStore::open(dir);
+  ASSERT_TRUE(store.has_value()) << store.error();
+  EXPECT_EQ(store.value()->open_stats().replayed_records, 0u);
+  ASSERT_EQ(store.value()->points().size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(wifi::CrowdStore::encode_point(store.value()->points()[i]), points[i]) << i;
+  }
+  EXPECT_EQ(store.value()->uploaders(), uploaders);
+  EXPECT_EQ(store.value()->provenance().checksum(), provenance);
+  EXPECT_EQ(store.value()->reputation().serialize(), reputation);
+  EXPECT_TRUE(store.value()->reputation().is_quarantined(kHonest[0]));
+  EXPECT_TRUE(store.value()->reputation().is_quarantined(kPoisoners[0]));
+  remove_store(dir);
+}
+
 TEST(PoisonDeterminism, FloodOrderAndThreadCountNeverChangeTheVerdict) {
   // The quarantine verdict must be a property of *what* was uploaded, not of
   // arrival interleaving or of the global thread count: shuffle the flood
