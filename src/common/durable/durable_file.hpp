@@ -91,7 +91,7 @@ Expected<std::string, std::string> read_file(const std::string& path);
 
 /// Frames records into one buffer as they are added, then commits it as one
 /// file, atomically.  The buffer is the file minus its footer, so a payload
-/// is held once by the caller and once framed, never copied again.
+/// is held once by the caller and once framed; commit() adds no copy.
 class DurableWriter {
  public:
   DurableWriter(std::string_view tag, std::uint32_t version);

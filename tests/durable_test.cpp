@@ -797,9 +797,13 @@ std::string bare_load_error(const std::string& bytes) {
 }
 
 /// The file loader's verdict on `bytes` framed as the one record of a
-/// version-2 detector container, CRCs valid.
+/// version-2 detector container, CRCs valid.  The file is named after the
+/// running test: ctest runs the tests that call this in parallel, in one
+/// directory.
 std::string framed_load_error(const std::string& bytes) {
-  const std::string path = "durable_test_framed_image.tmp";
+  const std::string path =
+      std::string("durable_test_framed_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".tmp";
   DurableWriter writer(kDetectorTag, kDetectorVersion);
   writer.add_record(bytes);
   write_raw(path, writer.bytes());
