@@ -12,6 +12,8 @@
 //     and 45,000 points
 //   * motion-model load and arming the int8 motion lane (calibration pass,
 //     quantize, gate) at servebench's hidden-384 shape
+//   * the shard segment RPC codec: a 16-point request and its top_k = 8
+//     response, encoded and decoded
 //   * A* vs Dijkstra on the synthetic city
 #include <benchmark/benchmark.h>
 
@@ -24,6 +26,7 @@
 
 #include "common/durable/durable_file.hpp"
 #include "core/trajkit.hpp"
+#include "net/rpc.hpp"
 #include "wifi/crowd_store.hpp"
 
 using namespace trajkit;
@@ -458,6 +461,49 @@ void BM_ArmQuantized(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArmQuantized)->Unit(benchmark::kMillisecond);
+
+/// One segment RPC through the codec: encode and decode a 16-point request
+/// (20 APs per scan) and its top_k = 8 response (256 features, 16 scores).
+void BM_SegmentRpc(benchmark::State& state) {
+  constexpr std::size_t kPoints = 16;
+  constexpr std::size_t kTopK = 8;
+  Rng rng(14);
+  net::SegmentRequest request;
+  request.top_k = kTopK;
+  request.upload.source_traj_id = 77;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    request.upload.positions.push_back(
+        {rng.uniform(-2000.0, 2000.0), rng.uniform(-2000.0, 2000.0)});
+    wifi::WifiScan scan;
+    for (int a = 0; a < 20; ++a) {
+      scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30)),
+                      -static_cast<int>(rng.uniform_int(30, 95))});
+    }
+    request.upload.scans.push_back(std::move(scan));
+  }
+  net::SegmentResponse response;
+  for (std::size_t i = 0; i < 2 * kTopK * kPoints; ++i) {
+    response.features.push_back(rng.uniform(-1.0, 1.0));
+  }
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    response.scores.push_back(rng.uniform(0.0, 1.0));
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string wire_request = net::encode_segment(request);
+    auto decoded = net::decode_segment(wire_request);
+    const std::string wire_response = net::encode_segment_response(response);
+    auto answer = net::decode_segment_response(wire_response);
+    if (!decoded || !answer) {
+      state.SkipWithError("segment rpc decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(answer.value().scores.data());
+    bytes = wire_request.size() + wire_response.size();
+  }
+  state.counters["wire_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SegmentRpc)->Unit(benchmark::kMicrosecond);
 
 class CityFixture {
  public:

@@ -1,57 +1,32 @@
 #include "net/frame.hpp"
 
-#include <cstring>
-
+#include "common/durable/bytes.hpp"
 #include "common/durable/crc32.hpp"
 
 namespace trajkit::net {
-namespace {
 
-constexpr char kMagic[4] = {'T', 'K', 'N', 'F'};
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-}  // namespace
+constexpr std::string_view kMagic = "TKNF";
 
 std::string encode_frame(std::uint64_t msg_id, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(out, msg_id);
-  put_u32(out, durable::crc32(payload));
+  out.append(kMagic);
+  durable::append_u32(out, static_cast<std::uint32_t>(payload.size()));
+  durable::append_u64(out, msg_id);
+  durable::append_u32(out, durable::crc32(payload));
   out.append(payload);
   return out;
 }
 
 Expected<FrameHeader, std::string> decode_frame_header(std::string_view bytes) {
   using Result = Expected<FrameHeader, std::string>;
-  if (bytes.size() < kFrameHeaderBytes)
-    return Result::failure("net frame: short header");
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    return Result::failure("net frame: bad magic");
+  durable::ByteCursor c{bytes};
+  std::string_view magic;
   FrameHeader h;
-  h.payload_len = get_u32(bytes.data() + 4);
-  h.msg_id = get_u64(bytes.data() + 8);
-  h.payload_crc = get_u32(bytes.data() + 16);
+  if (!c.read_view(magic, kMagic.size()) || !c.read_u32(h.payload_len) ||
+      !c.read_u64(h.msg_id) || !c.read_u32(h.payload_crc))
+    return Result::failure("net frame: short header");
+  if (magic != kMagic) return Result::failure("net frame: bad magic");
   if (h.payload_len > kMaxFramePayload)
     return Result::failure("net frame: implausible payload length " +
                            std::to_string(h.payload_len));

@@ -1,149 +1,100 @@
 #include "net/rpc.hpp"
 
-#include <charconv>
-#include <cstdio>
+#include "common/durable/bytes.hpp"
 
 namespace trajkit::net {
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, p);
+using durable::append_pod;
+using durable::append_u64;
+using durable::ByteCursor;
+using Status = FrameResponse::Status;
+
+/// Response tags: a frame response's tag is its Status; the error tag is
+/// shared by every verb's response.
+constexpr auto kErrorTag = static_cast<std::uint8_t>(Status::kError);
+constexpr std::uint8_t kSegmentOkTag = kErrorTag + 1;
+
+/// Smallest encoded point (east, north, AP count) and an AP (mac, rssi): a
+/// count the remaining bytes cannot hold is refused before it allocates.
+constexpr std::size_t kMinPointBytes = 8 + 8 + 8;
+constexpr std::size_t kApBytes = 8 + 4;
+
+void append_tag(std::string& out, std::uint8_t tag) { append_pod(out, tag); }
+void append_tag(std::string& out, Verb verb) {
+  append_tag(out, static_cast<std::uint8_t>(verb));
 }
 
-void append_double(std::string& out, double v) {
-  // %.17g: exact IEEE-754 double round-trip, the repo's durable-text idiom.
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out.append(buf, static_cast<std::size_t>(n));
+void append_bytes(std::string& out, std::string_view bytes) {
+  append_u64(out, bytes.size());
+  out.append(bytes);
 }
 
-/// Tiny cursor over the wire text; every take_* fails soft (sets bad).
-struct Cursor {
-  std::string_view rest;
-  bool bad = false;
+bool read_bytes_field(ByteCursor& c, std::string_view& out) {
+  std::uint64_t len = 0;
+  return c.read_u64(len) && c.read_view(out, len);
+}
 
-  bool take(char c) {
-    if (bad || rest.empty() || rest.front() != c) return (bad = true, false);
-    rest.remove_prefix(1);
-    return true;
-  }
+void append_doubles(std::string& out, const std::vector<double>& v) {
+  append_u64(out, v.size());
+  durable::append_array(out, v.data(), v.size());
+}
 
-  std::uint64_t take_u64() {
-    if (bad) return 0;
-    std::uint64_t v = 0;
-    const auto [p, ec] =
-        std::from_chars(rest.data(), rest.data() + rest.size(), v);
-    if (ec != std::errc() || p == rest.data()) return (bad = true, 0);
-    rest.remove_prefix(static_cast<std::size_t>(p - rest.data()));
-    return v;
-  }
+bool read_doubles(ByteCursor& c, std::vector<double>& out) {
+  std::uint64_t n = 0;
+  return c.read_u64(n) && c.read_array(out, n);
+}
 
-  double take_double() {
-    if (bad) return 0.0;
-    double v = 0.0;
-    const auto [p, ec] =
-        std::from_chars(rest.data(), rest.data() + rest.size(), v);
-    if (ec != std::errc() || p == rest.data()) return (bad = true, 0.0);
-    rest.remove_prefix(static_cast<std::size_t>(p - rest.data()));
-    return v;
-  }
-
-  std::int64_t take_i64() {
-    if (bad) return 0;
-    std::int64_t v = 0;
-    const auto [p, ec] =
-        std::from_chars(rest.data(), rest.data() + rest.size(), v);
-    if (ec != std::errc() || p == rest.data()) return (bad = true, 0);
-    rest.remove_prefix(static_cast<std::size_t>(p - rest.data()));
-    return v;
-  }
-
-  /// `len` raw bytes (length-prefixed field bodies).
-  std::string take_bytes(std::uint64_t len) {
-    if (bad) return {};
-    if (rest.size() < len) return (bad = true, std::string());
-    std::string v(rest.substr(0, len));
-    rest.remove_prefix(len);
-    return v;
-  }
-
-  bool take_word(std::string_view word) {
-    if (bad || rest.substr(0, word.size()) != word) return (bad = true, false);
-    rest.remove_prefix(word.size());
-    return true;
-  }
-
-  bool done() const { return !bad && rest.empty(); }
-};
-
-/// Payload bodies are capped by the frame layer; re-assert here so a decoder
-/// fed a corrupt length never allocates unboundedly.
-constexpr std::uint64_t kMaxField = 16u << 20;
-constexpr std::uint64_t kMaxVectorElems = 1u << 22;
+bool read_verb(ByteCursor& c, Verb verb) {
+  std::uint8_t tag = 0;
+  return c.read(tag) && tag == static_cast<std::uint8_t>(verb);
+}
 
 }  // namespace
 
 Verb peek_verb(std::string_view request) {
-  if (request.substr(0, 6) == "apply ") return Verb::kApply;
-  if (request.substr(0, 3) == "hb ") return Verb::kHeartbeat;
-  if (request.substr(0, 4) == "seg ") return Verb::kSegment;
-  return Verb::kUnknown;
+  if (request.empty()) return Verb::kUnknown;
+  const auto tag = static_cast<std::uint8_t>(request.front());
+  return tag <= static_cast<std::uint8_t>(Verb::kSegment) ? static_cast<Verb>(tag)
+                                                          : Verb::kUnknown;
 }
 
 std::string encode_rpc_error(std::string_view message) {
-  std::string out = "err ";
-  append_u64(out, message.size());
-  out.push_back('\n');
-  out.append(message);
+  std::string out;
+  append_tag(out, kErrorTag);
+  append_bytes(out, message);
   return out;
 }
 
 // -- apply --------------------------------------------------------------------
 
 std::string encode_apply(const ApplyRequest& request) {
-  std::string out = "apply ";
+  std::string out;
+  append_tag(out, Verb::kApply);
   append_u64(out, request.term);
-  out.push_back(' ');
   append_u64(out, request.seq);
-  out.push_back(' ');
   append_u64(out, request.uploader);
-  out.push_back(' ');
-  append_u64(out, request.payload.size());
-  out.push_back('\n');
-  out.append(request.payload);
+  append_bytes(out, request.payload);
   return out;
 }
 
 Expected<ApplyRequest, std::string> decode_apply(std::string_view request) {
-  using Result = Expected<ApplyRequest, std::string>;
-  Cursor c{request};
-  c.take_word("apply ");
+  ByteCursor c{request};
   ApplyRequest out;
-  out.term = c.take_u64();
-  c.take(' ');
-  out.seq = c.take_u64();
-  c.take(' ');
-  out.uploader = c.take_u64();
-  c.take(' ');
-  const std::uint64_t len = c.take_u64();
-  if (!c.bad && len > kMaxField) c.bad = true;
-  c.take('\n');
-  out.payload = c.take_bytes(len);
-  if (!c.done()) return Result::failure("rpc: malformed apply");
+  std::string_view payload;
+  if (!read_verb(c, Verb::kApply) || !c.read_u64(out.term) ||
+      !c.read_u64(out.seq) || !c.read_u64(out.uploader) ||
+      !read_bytes_field(c, payload) || c.remaining() != 0) {
+    return Expected<ApplyRequest, std::string>::failure("rpc: malformed apply");
+  }
+  out.payload = payload;
   return out;
 }
 
 std::string encode_frame_response(const FrameResponse& response) {
+  if (response.status == Status::kError) return encode_rpc_error(response.error);
   std::string out;
-  switch (response.status) {
-    case FrameResponse::Status::kApplied: out = "ok "; break;
-    case FrameResponse::Status::kStale: out = "stale "; break;
-    case FrameResponse::Status::kGap: out = "gap "; break;
-    case FrameResponse::Status::kFenced: out = "fenced "; break;
-    case FrameResponse::Status::kError: return encode_rpc_error(response.error);
-  }
+  append_tag(out, static_cast<std::uint8_t>(response.status));
   append_u64(out, response.value);
   return out;
 }
@@ -151,85 +102,61 @@ std::string encode_frame_response(const FrameResponse& response) {
 Expected<FrameResponse, std::string> decode_frame_response(
     std::string_view bytes) {
   using Result = Expected<FrameResponse, std::string>;
-  FrameResponse out;
-  Cursor c{bytes};
-  if (bytes.substr(0, 3) == "ok ") {
-    c.take_word("ok ");
-    out.status = FrameResponse::Status::kApplied;
-  } else if (bytes.substr(0, 6) == "stale ") {
-    c.take_word("stale ");
-    out.status = FrameResponse::Status::kStale;
-  } else if (bytes.substr(0, 4) == "gap ") {
-    c.take_word("gap ");
-    out.status = FrameResponse::Status::kGap;
-  } else if (bytes.substr(0, 7) == "fenced ") {
-    c.take_word("fenced ");
-    out.status = FrameResponse::Status::kFenced;
-  } else if (bytes.substr(0, 4) == "err ") {
-    c.take_word("err ");
-    const std::uint64_t len = c.take_u64();
-    if (!c.bad && len > kMaxField) c.bad = true;
-    c.take('\n');
-    out.status = FrameResponse::Status::kError;
-    out.error = c.take_bytes(len);
-    if (!c.done()) return Result::failure("rpc: malformed err response");
-    return out;
-  } else {
+  ByteCursor c{bytes};
+  std::uint8_t tag = 0;
+  if (!c.read(tag) || tag > kErrorTag) {
     return Result::failure("rpc: unknown frame response");
   }
-  out.value = c.take_u64();
-  if (!c.done()) return Result::failure("rpc: malformed frame response");
+  FrameResponse out;
+  out.status = static_cast<Status>(tag);
+  std::string_view error;
+  const bool ok = out.status == Status::kError ? read_bytes_field(c, error)
+                                               : c.read_u64(out.value);
+  if (!ok || c.remaining() != 0) {
+    return Result::failure("rpc: malformed frame response");
+  }
+  out.error = error;
   return out;
 }
 
 // -- heartbeat ----------------------------------------------------------------
 
 std::string encode_heartbeat(const HeartbeatRequest& request) {
-  std::string out = "hb ";
+  std::string out;
+  append_tag(out, Verb::kHeartbeat);
   append_u64(out, request.term);
-  out.push_back(' ');
   append_u64(out, request.leader_next_seq);
   return out;
 }
 
 Expected<HeartbeatRequest, std::string> decode_heartbeat(
     std::string_view request) {
-  using Result = Expected<HeartbeatRequest, std::string>;
-  Cursor c{request};
-  c.take_word("hb ");
+  ByteCursor c{request};
   HeartbeatRequest out;
-  out.term = c.take_u64();
-  c.take(' ');
-  out.leader_next_seq = c.take_u64();
-  if (!c.done()) return Result::failure("rpc: malformed heartbeat");
+  if (!read_verb(c, Verb::kHeartbeat) || !c.read_u64(out.term) ||
+      !c.read_u64(out.leader_next_seq) || c.remaining() != 0) {
+    return Expected<HeartbeatRequest, std::string>::failure(
+        "rpc: malformed heartbeat");
+  }
   return out;
 }
 
 // -- segment ------------------------------------------------------------------
 
-std::string encode_segment(const SegmentRequest& request) {
-  const wifi::ScannedUpload& u = request.upload;
-  std::string out = "seg ";
-  append_u64(out, u.source_traj_id);
-  out.push_back(' ');
-  append_u64(out, u.positions.size());
-  out.push_back(' ');
-  append_u64(out, request.top_k);
-  for (std::size_t i = 0; i < u.positions.size(); ++i) {
-    out.push_back('\n');
-    append_double(out, u.positions[i].east);
-    out.push_back(' ');
-    append_double(out, u.positions[i].north);
-    out.push_back(' ');
-    const wifi::WifiScan& scan = i < u.scans.size() ? u.scans[i] : wifi::WifiScan{};
-    append_u64(out, scan.size());
-    for (const wifi::ApObservation& ap : scan) {
-      out.push_back(' ');
+std::string encode_segment(const wifi::ScannedUpload& upload, std::size_t begin,
+                           std::size_t end, std::size_t top_k) {
+  std::string out;
+  append_tag(out, Verb::kSegment);
+  durable::append_u32(out, upload.source_traj_id);
+  append_u64(out, top_k);
+  append_u64(out, end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    append_pod(out, upload.positions[i].east);
+    append_pod(out, upload.positions[i].north);
+    append_u64(out, upload.scans[i].size());
+    for (const wifi::ApObservation& ap : upload.scans[i]) {
       append_u64(out, ap.mac);
-      out.push_back(' ');
-      char buf[16];
-      const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), ap.rssi_dbm);
-      out.append(buf, p);
+      append_pod(out, std::int32_t{ap.rssi_dbm});
     }
   }
   return out;
@@ -237,98 +164,64 @@ std::string encode_segment(const SegmentRequest& request) {
 
 Expected<SegmentRequest, std::string> decode_segment(std::string_view request) {
   using Result = Expected<SegmentRequest, std::string>;
-  Cursor c{request};
-  c.take_word("seg ");
+  const auto malformed = [] {
+    return Result::failure("rpc: malformed segment request");
+  };
+  ByteCursor c{request};
   SegmentRequest out;
-  out.upload.source_traj_id = static_cast<std::uint32_t>(c.take_u64());
-  c.take(' ');
-  const std::uint64_t n = c.take_u64();
-  c.take(' ');
-  out.top_k = static_cast<std::size_t>(c.take_u64());
-  if (!c.bad && n > kMaxVectorElems) c.bad = true;
-  if (!c.bad) {
-    out.upload.positions.reserve(n);
-    out.upload.scans.reserve(n);
+  std::uint64_t n = 0;
+  if (!read_verb(c, Verb::kSegment) ||
+      !c.read_u32(out.upload.source_traj_id) || !c.read_u64(out.top_k) ||
+      !c.read_u64(n) || n > c.remaining() / kMinPointBytes) {
+    return malformed();
   }
-  for (std::uint64_t i = 0; i < n && !c.bad; ++i) {
-    c.take('\n');
-    Enu pos;
-    pos.east = c.take_double();
-    c.take(' ');
-    pos.north = c.take_double();
-    c.take(' ');
-    const std::uint64_t aps = c.take_u64();
-    if (!c.bad && aps > kMaxVectorElems) c.bad = true;
-    wifi::WifiScan scan;
-    if (!c.bad) scan.reserve(aps);
-    for (std::uint64_t a = 0; a < aps && !c.bad; ++a) {
-      c.take(' ');
-      wifi::ApObservation ap;
-      ap.mac = c.take_u64();
-      c.take(' ');
-      ap.rssi_dbm = static_cast<int>(c.take_i64());
-      scan.push_back(ap);
+  out.upload.positions.resize(n);
+  out.upload.scans.resize(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Enu& pos = out.upload.positions[i];
+    std::uint64_t aps = 0;
+    if (!c.read(pos.east) || !c.read(pos.north) || !c.read_u64(aps) ||
+        aps > c.remaining() / kApBytes) {
+      return malformed();
     }
-    out.upload.positions.push_back(pos);
-    out.upload.scans.push_back(std::move(scan));
+    wifi::WifiScan& scan = out.upload.scans[i];
+    scan.resize(aps);
+    for (wifi::ApObservation& ap : scan) {
+      std::int32_t rssi = 0;
+      if (!c.read_u64(ap.mac) || !c.read(rssi)) return malformed();
+      ap.rssi_dbm = rssi;
+    }
   }
-  if (!c.done()) return Result::failure("rpc: malformed segment request");
+  if (c.remaining() != 0) return malformed();
   return out;
 }
 
 std::string encode_segment_response(const SegmentResponse& response) {
-  std::string out = "segok ";
-  append_u64(out, response.features.size());
-  out.push_back(' ');
-  append_u64(out, response.scores.size());
-  out.push_back('\n');
-  for (std::size_t i = 0; i < response.features.size(); ++i) {
-    if (i != 0) out.push_back(' ');
-    append_double(out, response.features[i]);
-  }
-  out.push_back('\n');
-  for (std::size_t i = 0; i < response.scores.size(); ++i) {
-    if (i != 0) out.push_back(' ');
-    append_double(out, response.scores[i]);
-  }
+  std::string out;
+  append_tag(out, kSegmentOkTag);
+  append_doubles(out, response.features);
+  append_doubles(out, response.scores);
   return out;
 }
 
 Expected<SegmentResponse, std::string> decode_segment_response(
     std::string_view bytes) {
   using Result = Expected<SegmentResponse, std::string>;
-  if (bytes.substr(0, 4) == "err ") {
-    Cursor c{bytes};
-    c.take_word("err ");
-    const std::uint64_t len = c.take_u64();
-    if (!c.bad && len > kMaxField) c.bad = true;
-    c.take('\n');
-    const std::string msg = c.take_bytes(len);
-    if (!c.done()) return Result::failure("rpc: malformed err response");
-    return Result::failure(msg);
+  ByteCursor c{bytes};
+  std::uint8_t tag = 0;
+  if (!c.read(tag)) return Result::failure("rpc: malformed segment response");
+  if (tag == kErrorTag) {
+    std::string_view message;
+    if (!read_bytes_field(c, message) || c.remaining() != 0) {
+      return Result::failure("rpc: malformed err response");
+    }
+    return Result::failure(std::string(message));
   }
-  Cursor c{bytes};
-  c.take_word("segok ");
-  const std::uint64_t nf = c.take_u64();
-  c.take(' ');
-  const std::uint64_t ns = c.take_u64();
-  c.take('\n');
-  if (!c.bad && (nf > kMaxVectorElems || ns > kMaxVectorElems)) c.bad = true;
   SegmentResponse out;
-  if (!c.bad) {
-    out.features.reserve(nf);
-    out.scores.reserve(ns);
+  if (tag != kSegmentOkTag || !read_doubles(c, out.features) ||
+      !read_doubles(c, out.scores) || c.remaining() != 0) {
+    return Result::failure("rpc: malformed segment response");
   }
-  for (std::uint64_t i = 0; i < nf && !c.bad; ++i) {
-    if (i != 0) c.take(' ');
-    out.features.push_back(c.take_double());
-  }
-  c.take('\n');
-  for (std::uint64_t i = 0; i < ns && !c.bad; ++i) {
-    if (i != 0) c.take(' ');
-    out.scores.push_back(c.take_double());
-  }
-  if (!c.done()) return Result::failure("rpc: malformed segment response");
   return out;
 }
 

@@ -1,19 +1,22 @@
 // Shard protocol codec: the messages ShardService replication and segment
 // fan-out exchange over a Transport.
 //
-// Wire form is line-oriented text — the repo's durable formats are text with
-// %.17g doubles (exact IEEE-754 round-trip), and the RPC layer keeps that
-// idiom so a captured frame is eyeballable in a test failure.  Free-form
-// byte fields (WAL payloads, error messages) are length-prefixed, never
-// delimiter-escaped.  The verbs:
+// Wire form is fixed-width binary fields in the durable layer's byte codec
+// (common/durable/bytes: native little-endian, read back through a
+// bounds-checked ByteCursor), so a double crosses the wire as its own eight
+// bytes — exact by construction.  Byte fields (WAL payloads, error messages)
+// and arrays are prefixed by a u64 count, and a decoder refuses a count the
+// remaining bytes cannot hold before it allocates.  Every message starts with
+// a u8 tag; a decoder refuses an unknown tag, truncation and trailing bytes.
 //
-//   apply <term> <seq> <uploader> <len>\n<payload>
-//     -> ok <next> | stale <next> | gap <expected> | fenced <term>
-//        | err <len>\n<msg>
-//   hb <term> <leader_next>
-//     -> ok <follower_next> | fenced <term> | err ...
-//   seg <traj_id> <points> <top_k>(\n<east> <north> <aps> (<mac> <rssi>)*)*
-//     -> segok <nf> <ns>\n<f..>\n<s..>                       | err ...
+//   apply    u8 1, u64 term, u64 seq, u64 uploader, u64 len, payload
+//   hb       u8 2, u64 term, u64 leader_next
+//   seg      u8 3, u32 traj_id, u64 top_k, u64 points,
+//            points x (f64 east, f64 north, u64 aps, aps x (u64 mac, i32 rssi))
+//
+//   frame response (apply, hb)   u8 status (FrameResponse::Status), u64 value
+//   segment response             u8 5, u64 nf, f64[nf], u64 ns, f64[ns]
+//   error (any verb)             u8 4, u64 len, message
 //
 // Every RPC is idempotent by construction: applies are seq-disciplined
 // (redelivery is "stale", a no-op), heartbeats and segments are reads.
@@ -23,6 +26,7 @@
 // applies under its own term (serve/net_shard).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,9 +38,9 @@
 
 namespace trajkit::net {
 
-enum class Verb { kApply, kHeartbeat, kSegment, kUnknown };
+enum class Verb : std::uint8_t { kUnknown = 0, kApply = 1, kHeartbeat = 2, kSegment = 3 };
 
-/// Cheap dispatch on the first token of a request.
+/// Cheap dispatch on a request's tag byte.
 Verb peek_verb(std::string_view request);
 
 /// Application-level failure response, shared by every verb.
@@ -51,13 +55,19 @@ struct ApplyRequest {
   std::string payload;  ///< CrowdStore point / '#' control encoding
 };
 
+/// A follower's one typed answer to a frame or a heartbeat, end to end:
+/// ShardReplica returns it, the follower handler encodes it, RemoteFollower
+/// decodes and passes it on, and ShardService renders a refusal as text.
 struct FrameResponse {
-  enum class Status { kApplied, kStale, kGap, kFenced, kError };
+  enum class Status : std::uint8_t { kApplied, kStale, kGap, kFenced, kError };
   Status status = Status::kError;
   /// next expected seq (kApplied/kStale), expected seq (kGap), or the
   /// follower's fencing term (kFenced).
   std::uint64_t value = 0;
   std::string error;  ///< kError only
+
+  /// The follower holds the frame durably (kStale: it already did).
+  bool acked() const { return status == Status::kApplied || status == Status::kStale; }
 };
 
 std::string encode_apply(const ApplyRequest& request);
@@ -86,11 +96,18 @@ struct SegmentRequest {
 };
 
 struct SegmentResponse {
-  std::vector<double> features;  ///< 2 * top_k * n, %.17g round-tripped
+  std::vector<double> features;  ///< 2 * top_k * n
   std::vector<double> scores;    ///< n
 };
 
-std::string encode_segment(const SegmentRequest& request);
+/// Encode points [begin, end) of `upload` as a segment request, straight
+/// from the caller's upload.  Requires positions and scans of equal length.
+std::string encode_segment(const wifi::ScannedUpload& upload, std::size_t begin,
+                           std::size_t end, std::size_t top_k);
+inline std::string encode_segment(const SegmentRequest& request) {
+  return encode_segment(request.upload, 0, request.upload.positions.size(),
+                        request.top_k);
+}
 Expected<SegmentRequest, std::string> decode_segment(std::string_view request);
 std::string encode_segment_response(const SegmentResponse& response);
 Expected<SegmentResponse, std::string> decode_segment_response(

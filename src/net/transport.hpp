@@ -62,7 +62,7 @@ struct CallResult {
 
 /// Server side of an endpoint: request payload in, response payload out.
 /// Application-level failures travel inside the response payload (the RPC
-/// codec's "err ..." responses); a throwing handler is a transport error.
+/// codec's error responses); a throwing handler is a transport error.
 using Handler = std::function<std::string(const std::string& request)>;
 
 class Transport {

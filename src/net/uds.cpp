@@ -123,27 +123,35 @@ void UdsServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
+  for (auto& conn : conn_threads_) conn->thread.join();
+  conn_threads_.clear();
   ::unlink(path_.c_str());
 }
 
 void UdsServer::accept_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
+    reap_connections();
     pollfd p{listen_fd_, POLLIN, 0};
     const int rc = ::poll(&p, 1, kPollSliceMs);
     if (rc < 0 && errno != EINTR) break;
     if (rc <= 0) continue;
-    const int conn = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (conn < 0) continue;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back([this, conn] { serve_connection(conn); });
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) continue;
+    auto conn = std::make_unique<ConnThread>();
+    conn->thread = std::thread([this, fd, done = &conn->done] {
+      serve_connection(fd);
+      done->store(true, std::memory_order_release);
+    });
+    conn_threads_.push_back(std::move(conn));
   }
+}
+
+void UdsServer::reap_connections() {
+  std::erase_if(conn_threads_, [](const std::unique_ptr<ConnThread>& conn) {
+    if (!conn->done.load(std::memory_order_acquire)) return false;
+    conn->thread.join();
+    return true;
+  });
 }
 
 void UdsServer::serve_connection(int fd) {

@@ -2,10 +2,12 @@
 //
 // UdsServer listens on a filesystem socket path and serves length-prefixed
 // frames (net/frame) through a Handler — one accept-loop thread plus one
-// thread per live connection, all joined by stop(), so sanitizer legs see
-// clean shutdowns.  UdsTransport is the client: it caches one connection per
-// endpoint (socket path), allows one in-flight call per connection, and
-// enforces the per-call deadline with poll().  A timed-out call closes its
+// thread per live connection.  The accept loop joins each connection thread
+// once it has exited (a client that reconnects after every timeout would
+// otherwise strand one thread per connection), and stop() joins the rest, so
+// sanitizer legs see clean shutdowns.  UdsTransport is the client: it
+// caches one connection per endpoint (socket path), allows one in-flight
+// call per connection, and enforces the per-call deadline with poll().  A timed-out call closes its
 // connection, which is what keeps request/response matching trivial: a late
 // response can never be mistaken for the answer to a newer call, because the
 // stream it would arrive on is gone.  Frames also carry a msg id that the
@@ -50,8 +52,16 @@ class UdsServer {
   std::uint64_t served() const { return served_.load(); }
 
  private:
+  /// One connection's thread; `done` is set as the thread exits.
+  struct ConnThread {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
   void serve_connection(int fd);
+  /// Join the connection threads that have exited.
+  void reap_connections();
 
   std::string path_;
   Handler handler_;
@@ -60,8 +70,8 @@ class UdsServer {
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};
   std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  /// Owned by the accept thread while it runs, then by stop().
+  std::vector<std::unique_ptr<ConnThread>> conn_threads_;
 };
 
 class UdsTransport final : public Transport {

@@ -11,6 +11,8 @@
 namespace trajkit::serve {
 namespace {
 
+using Status = net::FrameResponse::Status;
+
 /// Heartbeat keys live in a substream range disjoint from apply keys (frame
 /// seqs), so an apply retried at seq K and a heartbeat carrying leader_next
 /// K never share a SimNet fault fate.
@@ -88,116 +90,81 @@ RemoteFollower::RemoteFollower(net::Transport& transport, std::string endpoint,
     : channel_(transport, {std::move(endpoint)}, policy, clock),
       leader_dir_(std::move(leader_dir)) {}
 
-Expected<net::FrameResponse, std::string> RemoteFollower::apply_roundtrip(
-    const net::ApplyRequest& request) {
-  using Result = Expected<net::FrameResponse, std::string>;
-  const net::CallResult result =
-      channel_.call(net::encode_apply(request), request.seq);
+net::FrameResponse RemoteFollower::roundtrip(const std::string& request,
+                                             std::uint64_t key,
+                                             const std::string& what) {
+  const net::CallResult result = channel_.call(request, key);
   if (!result.ok()) {
-    return Result::failure("shard net: apply seq " +
-                           std::to_string(request.seq) + " to " + endpoint() +
-                           ": " + result.payload);
+    return {Status::kError, 0,
+            "net " + what + " to " + endpoint() + ": " + result.payload};
   }
   auto response = net::decode_frame_response(result.payload);
-  if (!response) return Result::failure("shard net: " + response.error());
-  return response;
-}
-
-std::string RemoteFollower::refused(const net::FrameResponse& response,
-                                    const std::string& what) {
-  switch (response.status) {
-    case net::FrameResponse::Status::kFenced:
-      fenced_.fetch_add(1, std::memory_order_relaxed);
-      return "shard net: " + what + " fenced by follower " + endpoint() +
-             " (term " + std::to_string(response.value) + ")";
-    case net::FrameResponse::Status::kGap:
-      return "shard net: " + what + ": follower " + endpoint() +
-             " still expects seq " + std::to_string(response.value);
-    default:
-      return "shard net: " + what + ": " + response.error;
+  if (!response) return {Status::kError, 0, "net " + what + ": " + response.error()};
+  if (response.value().status == Status::kFenced) {
+    fenced_.fetch_add(1, std::memory_order_relaxed);
   }
+  return std::move(response).value();
 }
 
-Expected<std::uint64_t, std::string> RemoteFollower::push_backfill(
-    std::uint64_t from, std::uint64_t upto, std::uint64_t term) {
-  using Result = Expected<std::uint64_t, std::string>;
+net::FrameResponse RemoteFollower::ship(const net::ApplyRequest& request) {
+  return roundtrip(net::encode_apply(request), request.seq,
+                   "apply seq " + std::to_string(request.seq));
+}
+
+net::FrameResponse RemoteFollower::push_backfill(std::uint64_t from,
+                                                 std::uint64_t upto,
+                                                 std::uint64_t term) {
   gap_backfills_.fetch_add(1, std::memory_order_relaxed);
   auto tail = durable::Journal::read_records(
       wifi::CrowdStore::journal_path(leader_dir_),
       wifi::CrowdStore::journal_tag());
-  if (!tail) return Result::failure("shard net: backfill: " + tail.error());
+  if (!tail) return {Status::kError, 0, "net backfill: " + tail.error()};
   std::uint64_t expected = from;
-  std::uint64_t follower_next = from;
+  net::FrameResponse answer{Status::kApplied, from, {}};
   for (const auto& record : tail.value().records) {
     if (record.seq < from) continue;
     if (record.seq >= upto || record.seq != expected) break;
-    auto response =
-        apply_roundtrip({term, record.seq, record.uploader, record.payload});
-    if (!response) return Result::failure(response.error());
-    const auto status = response.value().status;
-    if (status != net::FrameResponse::Status::kApplied &&
-        status != net::FrameResponse::Status::kStale) {
-      // Never recurse: a gap inside the backfill means the WAL itself cannot
-      // cover the follower's hole.
-      return Result::failure(refused(
-          response.value(), "backfill seq " + std::to_string(record.seq)));
-    }
-    follower_next = response.value().value;
+    answer = ship({term, record.seq, record.uploader, record.payload});
+    // Never recurse: a gap inside the backfill means the WAL itself cannot
+    // cover the follower's hole.
+    if (!answer.acked()) return answer;
     ++expected;
   }
   if (expected < upto) {
-    return Result::failure("shard net: backfill: leader journal lacks seq " +
-                           std::to_string(expected) + " (compacted) — follower " +
-                           endpoint() + " must re-bootstrap");
+    return {Status::kError, 0,
+            "net backfill: leader journal lacks seq " + std::to_string(expected) +
+                " (compacted) — follower " + endpoint() + " must re-bootstrap"};
   }
-  return Result(follower_next);
+  return answer;
 }
 
-Expected<bool, std::string> RemoteFollower::apply_frame(
-    std::uint64_t seq, const std::string& payload, wifi::UploaderId uploader,
-    std::uint64_t term) {
-  using Result = Expected<bool, std::string>;
+net::FrameResponse RemoteFollower::apply_frame(std::uint64_t seq,
+                                               const std::string& payload,
+                                               wifi::UploaderId uploader,
+                                               std::uint64_t term) {
   const net::ApplyRequest request{term, seq, uploader, payload};
-  auto response = apply_roundtrip(request);
-  if (response && response.value().status == net::FrameResponse::Status::kGap) {
-    // The follower is missing [its next, seq): ship that WAL range, then the
-    // original frame again.
-    auto filled = push_backfill(response.value().value, seq, term);
-    if (!filled) return Result::failure(filled.error());
-    response = apply_roundtrip(request);
-  }
-  if (!response) return Result::failure(response.error());
-  switch (response.value().status) {
-    case net::FrameResponse::Status::kApplied:
-      return true;
-    case net::FrameResponse::Status::kStale:
-      return false;
-    default:
-      return Result::failure(
-          refused(response.value(), "apply seq " + std::to_string(seq)));
-  }
+  const net::FrameResponse answer = ship(request);
+  if (answer.status != Status::kGap) return answer;
+  // The follower is missing [its next, seq): ship that WAL range, then the
+  // original frame again.
+  const net::FrameResponse filled = push_backfill(answer.value, seq, term);
+  return filled.acked() ? ship(request) : filled;
 }
 
-Expected<std::uint64_t, std::string> RemoteFollower::heartbeat(
-    std::uint64_t term, std::uint64_t leader_next_seq) {
-  using Result = Expected<std::uint64_t, std::string>;
-  const net::CallResult result =
-      channel_.call(net::encode_heartbeat({term, leader_next_seq}),
-                    kHeartbeatKeySalt ^ leader_next_seq);
-  if (!result.ok()) {
-    return Result::failure("shard net: heartbeat to " + endpoint() + ": " +
-                           result.payload);
-  }
-  auto response = net::decode_frame_response(result.payload);
-  if (!response) return Result::failure("shard net: " + response.error());
-  if (response.value().status != net::FrameResponse::Status::kApplied) {
-    return Result::failure(refused(response.value(), "heartbeat"));
-  }
+net::FrameResponse RemoteFollower::heartbeat(std::uint64_t term,
+                                             std::uint64_t leader_next_seq) {
+  const net::FrameResponse answer =
+      roundtrip(net::encode_heartbeat({term, leader_next_seq}),
+                kHeartbeatKeySalt ^ leader_next_seq, "heartbeat");
   // An idle follower converges here: the reply shows its lag, and the leader
   // pushes the missing range under the term it just renewed.
-  const std::uint64_t follower_next = response.value().value;
-  if (follower_next >= leader_next_seq) return Result(follower_next);
-  return push_backfill(follower_next, leader_next_seq, term);
+  if (answer.status != Status::kApplied || answer.value >= leader_next_seq) {
+    return answer;
+  }
+  const net::FrameResponse filled =
+      push_backfill(answer.value, leader_next_seq, term);
+  return filled.acked() ? net::FrameResponse{Status::kApplied, filled.value, {}}
+                        : filled;
 }
 
 NetClientStats RemoteFollower::stats() const {
@@ -225,16 +192,7 @@ void RemoteSegmentClient::evaluate(const wifi::ScannedUpload& upload,
     throw std::invalid_argument("RemoteSegmentClient: bad segment bounds");
   }
   const std::size_t n = end - begin;
-  net::SegmentRequest request;
-  request.top_k = top_k_;
-  request.upload.source_traj_id = upload.source_traj_id;
-  const auto b = static_cast<std::ptrdiff_t>(begin);
-  const auto e = static_cast<std::ptrdiff_t>(end);
-  request.upload.positions.assign(upload.positions.begin() + b,
-                                  upload.positions.begin() + e);
-  request.upload.scans.assign(upload.scans.begin() + b,
-                              upload.scans.begin() + e);
-  const std::string encoded = net::encode_segment(request);
+  const std::string encoded = net::encode_segment(upload, begin, end, top_k_);
   // The fault-determinism key is the request's own bytes: stable across
   // thread schedules, distinct across segments.
   const net::CallResult result = channel_.call(encoded, fnv1a(encoded));
@@ -262,57 +220,23 @@ void RemoteSegmentClient::evaluate(const wifi::ScannedUpload& upload,
 
 net::Handler make_follower_handler(ShardReplica& replica) {
   return [&replica](const std::string& request) -> std::string {
-    net::FrameResponse response;
-    std::string error;
-    std::uint64_t frame_seq = 0;  // gap detection (applies only)
     switch (net::peek_verb(request)) {
       case net::Verb::kApply: {
         auto req = net::decode_apply(request);
         if (!req) return net::encode_rpc_error(req.error());
-        auto applied = replica.apply_frame(req.value().seq, req.value().payload,
-                                           req.value().uploader,
-                                           req.value().term);
-        if (applied) {
-          response.status = applied.value()
-                                ? net::FrameResponse::Status::kApplied
-                                : net::FrameResponse::Status::kStale;
-          response.value = replica.next_seq();
-          return net::encode_frame_response(response);
-        }
-        error = applied.error();
-        frame_seq = req.value().seq;
-        break;
+        return net::encode_frame_response(
+            replica.apply_frame(req.value().seq, req.value().payload,
+                                req.value().uploader, req.value().term));
       }
       case net::Verb::kHeartbeat: {
         auto req = net::decode_heartbeat(request);
         if (!req) return net::encode_rpc_error(req.error());
-        auto acked =
-            replica.heartbeat(req.value().term, req.value().leader_next_seq);
-        if (acked) {
-          response.status = net::FrameResponse::Status::kApplied;
-          response.value = acked.value();
-          return net::encode_frame_response(response);
-        }
-        error = acked.error();
-        break;
+        return net::encode_frame_response(
+            replica.heartbeat(req.value().term, req.value().leader_next_seq));
       }
       default:
         return net::encode_rpc_error("follower: unhandled verb");
     }
-    // Fencing is checked first, as ShardReplica does: a deposed leader's
-    // frame is "fenced" even when it is also ahead, so it never triggers a
-    // backfill.
-    if (error.find("fenced") != std::string::npos) {
-      response.status = net::FrameResponse::Status::kFenced;
-      response.value = replica.term();
-    } else if (frame_seq > replica.next_seq()) {
-      response.status = net::FrameResponse::Status::kGap;
-      response.value = replica.next_seq();
-    } else {
-      response.status = net::FrameResponse::Status::kError;
-      response.error = error;
-    }
-    return net::encode_frame_response(response);
   };
 }
 

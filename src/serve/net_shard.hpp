@@ -8,7 +8,7 @@
 //
 // Client side (both run every RPC through one NetChannel loop):
 //   RemoteFollower       FollowerLink over the wire, and the only gap-repair
-//                        path: when an apply comes back "gap", or a
+//                        path: when an apply comes back kGap, or a
 //                        heartbeat reply shows the follower behind, it
 //                        re-ships the missing frames from the leader's own
 //                        WAL under the leader's term.  Every repaired frame
@@ -98,33 +98,32 @@ class RemoteFollower final : public FollowerLink {
                  std::string leader_dir, NetCallPolicy policy = {},
                  const Clock* clock = nullptr);
 
-  /// Ship one frame; on a "gap" reply, push the missing frames first and
-  /// ship it again.
-  Expected<bool, std::string> apply_frame(std::uint64_t seq,
-                                          const std::string& payload,
-                                          wifi::UploaderId uploader,
-                                          std::uint64_t term) override;
+  /// Ship one frame; on a kGap reply, push the missing frames first and
+  /// ship it again.  Transport and decode failures come back as kError;
+  /// every other answer is the follower's own.
+  net::FrameResponse apply_frame(std::uint64_t seq, const std::string& payload,
+                                 wifi::UploaderId uploader,
+                                 std::uint64_t term) override;
   /// Renew the lease; when the reply shows the follower behind
-  /// `leader_next_seq`, push [follower_next, leader_next_seq) and return the
-  /// follower's next seq after the push.  A failed push (compacted WAL, a
-  /// refused frame) fails the heartbeat, though the lease was renewed.
-  Expected<std::uint64_t, std::string> heartbeat(
-      std::uint64_t term, std::uint64_t leader_next_seq) override;
+  /// `leader_next_seq`, push [follower_next, leader_next_seq) and answer
+  /// kApplied with the follower's next seq after the push.  A failed push
+  /// (compacted WAL, a refused frame) fails the heartbeat, though the lease
+  /// was renewed.
+  net::FrameResponse heartbeat(std::uint64_t term,
+                               std::uint64_t leader_next_seq) override;
 
   NetClientStats stats() const;
   const std::string& endpoint() const { return channel_.primary(); }
 
  private:
-  Expected<net::FrameResponse, std::string> apply_roundtrip(
-      const net::ApplyRequest& request);
-  /// The error a refused reply reports ("fenced" replies are counted).
-  std::string refused(const net::FrameResponse& response,
-                      const std::string& what);
-  /// Push frames [from, upto) from the leader WAL; returns the follower's
-  /// next seq afterwards.
-  Expected<std::uint64_t, std::string> push_backfill(std::uint64_t from,
-                                                     std::uint64_t upto,
-                                                     std::uint64_t term);
+  /// One RPC through the channel, decoded; counts kFenced answers.
+  net::FrameResponse roundtrip(const std::string& request, std::uint64_t key,
+                               const std::string& what);
+  net::FrameResponse ship(const net::ApplyRequest& request);
+  /// Push frames [from, upto) from the leader WAL; kApplied/kStale carry
+  /// the follower's next seq afterwards.
+  net::FrameResponse push_backfill(std::uint64_t from, std::uint64_t upto,
+                                   std::uint64_t term);
 
   NetChannel channel_;
   std::string leader_dir_;
@@ -151,17 +150,18 @@ class RemoteSegmentClient final : public SegmentEvaluator {
   std::size_t top_k_;
 };
 
-/// Serve "apply"/"hb" onto a follower replica: a frame or heartbeat from a
-/// term below the replica's is answered "fenced", a frame ahead of its next
-/// seq "gap" (the leader repairs it).  Other verbs answer "err ...".
-/// `replica` must outlive the handler.
+/// Serve "apply"/"hb" onto a follower replica: decode the request, call the
+/// replica, encode its typed answer (a fenced frame or heartbeat answers
+/// kFenced, a frame ahead of the replica's next seq kGap, which the leader
+/// repairs).  Other verbs answer an RPC error.  `replica` must outlive the
+/// handler.
 net::Handler make_follower_handler(ShardReplica& replica);
 
 /// Serve "seg" requests from a shard's detector (RCU snapshot per request).
 /// A decoded upload that fails wifi::validate_upload is answered with an RPC
-/// error.  Features/scores round-trip through %.17g text — bit-exact, so a
-/// remote segment is indistinguishable from a local one in the merged
-/// verdict.
+/// error.  Features/scores cross the wire as their own eight bytes — bit-
+/// exact, so a remote segment is indistinguishable from a local one in the
+/// merged verdict.
 net::Handler make_segment_handler(const ShardService& shard);
 
 }  // namespace trajkit::serve

@@ -13,6 +13,26 @@
 #include "common/fault.hpp"
 
 namespace trajkit::serve {
+namespace {
+
+using Status = net::FrameResponse::Status;
+
+/// The one place a follower's refusal becomes text.
+std::string refusal_text(const net::FrameResponse& answer,
+                         const std::string& what) {
+  switch (answer.status) {
+    case Status::kFenced:
+      return "shard: " + what + " fenced by follower term " +
+             std::to_string(answer.value);
+    case Status::kGap:
+      return "shard: " + what + ": replication gap, follower expects seq " +
+             std::to_string(answer.value);
+    default:
+      return "shard: " + what + ": " + answer.error;
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ShardReplica
@@ -57,74 +77,62 @@ Expected<std::unique_ptr<ShardReplica>, std::string> ShardReplica::bootstrap(
       wifi::CrowdStore::journal_path(leader_dir), wifi::CrowdStore::journal_tag());
   if (!tail) return Result::failure("shard replica: " + tail.error());
   for (const auto& record : tail.value().records) {
-    auto applied =
+    const net::FrameResponse answer =
         replica.value()->apply_frame(record.seq, record.payload, record.uploader);
-    if (!applied) return Result::failure(applied.error());
+    if (!answer.acked()) {
+      return Result::failure(
+          refusal_text(answer, "bootstrap seq " + std::to_string(record.seq)));
+    }
   }
   return replica;
 }
 
-Expected<bool, std::string> ShardReplica::apply_frame(std::uint64_t seq,
-                                                      const std::string& payload,
-                                                      wifi::UploaderId uploader,
-                                                      std::uint64_t term) {
-  using Result = Expected<bool, std::string>;
+net::FrameResponse ShardReplica::apply_frame(std::uint64_t seq,
+                                             const std::string& payload,
+                                             wifi::UploaderId uploader,
+                                             std::uint64_t term) {
   std::lock_guard<std::mutex> lock(apply_mu_);
   // Fencing: a frame from a term below the highest seen is a deposed
-  // leader's — refuse it before touching the WAL.  Equal terms are fine
-  // (the common single-leader case); a higher term adopts.
-  std::uint64_t seen = term_seen_.load(std::memory_order_relaxed);
-  if (term < seen) {
-    return Result::failure("shard replica: fenced: frame term " +
-                           std::to_string(term) + " < seen term " +
-                           std::to_string(seen));
-  }
+  // leader's — refuse it before touching the WAL, even when it is also
+  // ahead, so it never starts a backfill.  Equal terms are fine (the common
+  // single-leader case); a higher term adopts.
+  const std::uint64_t seen = term_seen_.load(std::memory_order_relaxed);
+  if (term < seen) return {Status::kFenced, seen, {}};
   if (term > seen) term_seen_.store(term, std::memory_order_relaxed);
   const std::uint64_t next = store_->next_seq();
-  if (seq < next) return Result(false);  // already applied; redelivery is a no-op
-  if (seq > next) {
-    return Result::failure("shard replica: replication gap in " + dir_ +
-                           ": got seq " + std::to_string(seq) + ", expected " +
-                           std::to_string(next));
-  }
+  if (seq < next) return {Status::kStale, next, {}};  // redelivery is a no-op
+  if (seq > next) return {Status::kGap, next, {}};
   // Control frames ride the same WAL as the points: epoch markers and
   // quarantine reviews re-journal (byte for byte: the parse is strict)
   // instead of decoding as a point.
+  const auto refuse = [seq](const std::string& why) {
+    return net::FrameResponse{
+        Status::kError, 0, "shard replica: seq " + std::to_string(seq) + ": " + why};
+  };
   if (!payload.empty() && payload[0] == '#') {
     auto frame = wifi::CrowdStore::parse_control(payload);
-    if (!frame) {
-      return Result::failure("shard replica: seq " + std::to_string(seq) + ": " +
-                             frame.error());
-    }
+    if (!frame) return refuse(frame.error());
     auto appended = store_->append_control(frame.value());
-    if (!appended) {
-      return Result::failure("shard replica: seq " + std::to_string(seq) + ": " +
-                             appended.error());
-    }
-    return Result(true);
+    if (!appended) return refuse(appended.error());
+  } else {
+    auto point = wifi::CrowdStore::decode_point(payload);
+    if (!point) return refuse(point.error());
+    auto appended = store_->append(point.value(), uploader);
+    if (!appended) return refuse(appended.error());
   }
-  auto point = wifi::CrowdStore::decode_point(payload);
-  if (!point) return Result::failure("shard replica: " + point.error());
-  auto appended = store_->append(point.value(), uploader);
-  if (!appended) return Result::failure("shard replica: " + appended.error());
-  return Result(true);
+  return {Status::kApplied, store_->next_seq(), {}};
 }
 
-Expected<std::uint64_t, std::string> ShardReplica::heartbeat(
-    std::uint64_t term, std::uint64_t leader_next_seq) {
-  using Result = Expected<std::uint64_t, std::string>;
+net::FrameResponse ShardReplica::heartbeat(std::uint64_t term,
+                                           std::uint64_t leader_next_seq) {
   std::uint64_t seen = term_seen_.load(std::memory_order_relaxed);
   while (term > seen &&
          !term_seen_.compare_exchange_weak(seen, term, std::memory_order_relaxed)) {
   }
-  if (term < seen) {
-    return Result::failure("shard replica: fenced: heartbeat term " +
-                           std::to_string(term) + " < seen term " +
-                           std::to_string(seen));
-  }
+  if (term < seen) return {Status::kFenced, seen, {}};
   leader_next_seen_.store(leader_next_seq, std::memory_order_relaxed);
   last_heartbeat_us_.store(clock_->now_us(), std::memory_order_relaxed);
-  return store_->next_seq();
+  return {Status::kApplied, store_->next_seq(), {}};
 }
 
 bool ShardReplica::leader_alive(std::int64_t lease_us) const {
@@ -198,9 +206,11 @@ Expected<std::uint64_t, std::string> ShardService::ship_to_followers(
     if (faults.should_fail_seq(kFaultShipFrame, seq)) {
       error = "shard: injected fault shipping frame " + std::to_string(seq);
     } else {
-      auto applied = followers_[i]->apply_frame(seq, payload, uploader, term_);
-      if (!applied) {
-        error = applied.error();
+      const net::FrameResponse answer =
+          followers_[i]->apply_frame(seq, payload, uploader, term_);
+      if (!answer.acked()) {
+        error = refusal_text(answer, "follower " + std::to_string(i) +
+                                         " frame " + std::to_string(seq));
       } else if (faults.should_fail_seq(kFaultShipApplied, seq)) {
         error = "shard: injected fault acknowledging frame " + std::to_string(seq);
       }
@@ -237,12 +247,13 @@ std::size_t ShardService::send_heartbeats() {
   const std::uint64_t leader_next = store_ ? store_->next_seq() : 0;
   std::size_t answered = 0;
   for (std::size_t i = 0; i < followers_.size(); ++i) {
-    auto ack = followers_[i]->heartbeat(term_, leader_next);
-    if (ack) {
+    const net::FrameResponse answer = followers_[i]->heartbeat(term_, leader_next);
+    if (answer.status == Status::kApplied) {
       ++answered;
     } else {
       ++follower_failures_[i];
-      follower_errors_[i] = ack.error();
+      follower_errors_[i] =
+          refusal_text(answer, "follower " + std::to_string(i) + " heartbeat");
     }
   }
   return answered;

@@ -40,6 +40,7 @@
 #include "common/clock.hpp"
 #include "common/expected.hpp"
 #include "gbt/booster.hpp"
+#include "net/rpc.hpp"
 #include "serve/epoched_detector.hpp"
 #include "serve/rpd_lru_cache.hpp"
 #include "wifi/crowd_store.hpp"
@@ -61,30 +62,39 @@ inline constexpr const char* kFaultShipApplied = "shard.ship_applied";
 inline constexpr const char* kShipFaultPoints[] = {kFaultShipFrame,
                                                    kFaultShipApplied};
 
-/// How a leader reaches one follower.  ShardReplica implements it in-process
-/// (the PR 6 shape); serve/net_shard's RemoteFollower implements it over a
+/// How a leader reaches one follower.  ShardReplica implements it
+/// in-process; serve/net_shard's RemoteFollower implements it over a
 /// net::Transport with deadlines, bounded retry and gap backfill.  Either
-/// way the contract is the same: apply_frame returns only after the frame is
-/// durable on the follower (or describes why it is not), and both calls are
-/// fenced by `term` — a deposed leader's traffic is refused, never applied.
+/// way both calls answer with the follower's one typed answer
+/// (net::FrameResponse) and never throw:
+///   kApplied{next seq}   the frame is durable on the follower (heartbeat:
+///                        the lease was renewed)
+///   kStale{next seq}     the frame was already applied (idempotent
+///                        redelivery) — also an acknowledgement
+///   kGap{expected seq}   the frame is ahead of the follower's next seq
+///   kFenced{term}        `term` is below the highest the follower has seen:
+///                        a deposed leader's traffic is refused, never
+///                        applied (checked before the gap)
+///   kError{message}      anything else: a bad frame, a transport failure, a
+///                        backfill the leader's WAL cannot cover
+/// ShardService is the one place that renders a refusal as text.
 class FollowerLink {
  public:
   virtual ~FollowerLink() = default;
 
-  /// Durably apply one seq-stamped frame under the leader's term.  True =
-  /// appended, false = stale seq (idempotent redelivery).
-  virtual Expected<bool, std::string> apply_frame(std::uint64_t seq,
-                                                  const std::string& payload,
-                                                  wifi::UploaderId uploader,
-                                                  std::uint64_t term) = 0;
+  /// Durably apply one seq-stamped frame under the leader's term.
+  virtual net::FrameResponse apply_frame(std::uint64_t seq,
+                                         const std::string& payload,
+                                         wifi::UploaderId uploader,
+                                         std::uint64_t term) = 0;
 
   /// Lease renewal: deliver (term, leader_next_seq) so the follower can
-  /// refresh its lease clock and spot its own replication lag.  Returns the
-  /// follower's next expected seq.  A link may also catch a lagging
-  /// follower up inside this call (RemoteFollower does); if that catch-up
-  /// fails the heartbeat fails, even though the lease was renewed.
-  virtual Expected<std::uint64_t, std::string> heartbeat(
-      std::uint64_t term, std::uint64_t leader_next_seq) = 0;
+  /// refresh its lease clock and spot its own replication lag.  kApplied
+  /// carries the follower's next expected seq.  A link may also catch a
+  /// lagging follower up inside this call (RemoteFollower does); if that
+  /// catch-up fails the heartbeat fails, even though the lease was renewed.
+  virtual net::FrameResponse heartbeat(std::uint64_t term,
+                                       std::uint64_t leader_next_seq) = 0;
 };
 
 /// Follower end of shard replication: a durable CrowdStore that only accepts
@@ -111,10 +121,10 @@ class ShardReplica : public FollowerLink {
       const std::string& leader_dir, const std::string& dir,
       bool sync_each_append = true);
 
-  /// Durably apply one shipped frame.  Returns true when the frame was
-  /// appended, false when `seq` is stale (already applied — idempotent
-  /// redelivery); a gap (`seq` beyond the next expected) is an error, the
-  /// follower must re-bootstrap rather than silently lose frames.  Control
+  /// Durably apply one shipped frame: kApplied when the frame was appended,
+  /// kStale when `seq` was already applied (idempotent redelivery), kGap
+  /// when `seq` is beyond the next expected — the follower never silently
+  /// loses frames, the leader must fill the gap first.  Control
   /// frames ('#' payloads — epoch markers, quarantine reviews) parse and
   /// re-journal through the follower store's append_control (the same bytes:
   /// CrowdStore::parse_control is strict), so followers learn about
@@ -122,17 +132,17 @@ class ShardReplica : public FollowerLink {
   /// carries the points.  `uploader` is the frame's provenance
   /// stamp; the follower re-journals it unchanged, so a
   /// promoted follower scores and quarantines exactly like its leader.
-  /// `term` below the highest term seen is refused ("fenced").  Safe to call
+  /// `term` below the highest term seen is refused (kFenced).  Safe to call
   /// from concurrent transport threads (one frame applies at a time).
-  Expected<bool, std::string> apply_frame(
+  net::FrameResponse apply_frame(
       std::uint64_t seq, const std::string& payload,
       wifi::UploaderId uploader = wifi::kAnonymousUploader,
       std::uint64_t term = 0) override;
 
   /// Record a leader heartbeat: fences stale terms, refreshes the lease
   /// clock, remembers the leader's next seq (the follower's gap detector).
-  Expected<std::uint64_t, std::string> heartbeat(
-      std::uint64_t term, std::uint64_t leader_next_seq) override;
+  net::FrameResponse heartbeat(std::uint64_t term,
+                               std::uint64_t leader_next_seq) override;
 
   /// Lease check: a heartbeat arrived within the last `lease_us`.  False
   /// before the first heartbeat.

@@ -3,8 +3,9 @@
 // Three layers under test, bottom up:
 //
 //   net/frame + net/rpc   wire codecs: length-prefixed CRC frames and the
-//                         line-oriented shard protocol (%.17g doubles, so a
-//                         feature vector round-trips bit-exactly).
+//                         binary shard protocol (a double travels as its
+//                         own eight bytes, so a feature vector round-trips
+//                         bit-exactly).
 //   support/sim (SimNet)  the deterministic chaos transport: every fault
 //                         fate is a pure function of (seed, endpoint, leg,
 //                         key, attempt), so a schedule that breaks the
@@ -24,6 +25,7 @@
 // server in a genuinely separate forked process.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -34,6 +36,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -179,7 +182,7 @@ TEST(NetRpc, SegmentRoundTripIsBitExact) {
   EXPECT_EQ(decoded.value().upload.source_traj_id, 77u);
   ASSERT_EQ(decoded.value().upload.positions.size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    // Bitwise: %.17g round-trips IEEE-754 doubles exactly.
+    // Bitwise: the wire carries each double's own eight bytes.
     EXPECT_EQ(std::memcmp(&decoded.value().upload.positions[i],
                           &request.upload.positions[i], sizeof(Enu)),
               0);
@@ -200,6 +203,60 @@ TEST(NetRpc, SegmentRoundTripIsBitExact) {
   EXPECT_EQ(std::memcmp(back.value().scores.data(), response.scores.data(),
                         response.scores.size() * sizeof(double)),
             0);
+}
+
+TEST(NetRpc, DecodersRefuseTruncationTrailingBytesAndHugeCounts) {
+  using Status = net::FrameResponse::Status;
+  net::SegmentRequest segment;
+  segment.top_k = 2;
+  segment.upload.positions = {{1.5, -2.25}, {3.0, 4.0}};
+  segment.upload.scans = {{{0xa1, -40}, {0xb2, -71}}, {}};
+  net::SegmentResponse answer{{0.25, -0.5, 1e-9, 7.0}, {0.5, 0.75}};
+
+  // Every message kind, with the decoder that must accept it whole.
+  const auto accepts = [](auto decode) {
+    return [decode](std::string_view bytes) { return decode(bytes).has_value(); };
+  };
+  const std::vector<std::pair<std::string, std::function<bool(std::string_view)>>>
+      messages = {
+          {net::encode_apply({3, 17, 9, "p 1 2"}), accepts(net::decode_apply)},
+          {net::encode_heartbeat({5, 1234}), accepts(net::decode_heartbeat)},
+          {net::encode_segment(segment), accepts(net::decode_segment)},
+          {net::encode_frame_response({Status::kGap, 7, ""}),
+           accepts(net::decode_frame_response)},
+          {net::encode_rpc_error("on fire"), accepts(net::decode_frame_response)},
+          {net::encode_segment_response(answer),
+           accepts(net::decode_segment_response)},
+      };
+  for (std::size_t m = 0; m < messages.size(); ++m) {
+    const auto& [bytes, decodes] = messages[m];
+    ASSERT_TRUE(decodes(bytes)) << "message " << m;
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(decodes(std::string_view(bytes).substr(0, len)))
+          << "message " << m << " cut to " << len << " bytes";
+    }
+    EXPECT_FALSE(decodes(bytes + '\0')) << "message " << m << " + 1 byte";
+    std::string unknown = bytes;
+    unknown[0] = '\x7f';
+    EXPECT_FALSE(decodes(unknown)) << "message " << m << " with an unknown tag";
+  }
+  EXPECT_EQ(net::peek_verb(std::string(1, '\x7f')), net::Verb::kUnknown);
+  EXPECT_EQ(net::peek_verb(""), net::Verb::kUnknown);
+
+  // A count field raised to 2^63 is refused against the bytes that remain,
+  // before the decoder allocates for it.
+  const auto huge_at = [](std::string bytes, std::size_t offset) {
+    const std::uint64_t huge = std::uint64_t{1} << 63;
+    std::memcpy(bytes.data() + offset, &huge, sizeof huge);
+    return bytes;
+  };
+  EXPECT_FALSE(net::decode_apply(huge_at(net::encode_apply({3, 17, 9, "p"}), 25)));
+  EXPECT_FALSE(net::decode_segment(huge_at(net::encode_segment(segment), 13)));
+  EXPECT_FALSE(net::decode_segment(huge_at(net::encode_segment(segment), 37)));
+  EXPECT_FALSE(net::decode_frame_response(huge_at(net::encode_rpc_error("x"), 1)));
+  const std::string response = net::encode_segment_response(answer);
+  EXPECT_FALSE(net::decode_segment_response(huge_at(response, 1)));
+  EXPECT_FALSE(net::decode_segment_response(huge_at(response, 1 + 8 + 4 * 8)));
 }
 
 // ---------------------------------------------------------------------------
@@ -674,14 +731,14 @@ TEST(NetLease, HeartbeatRenewsLeaseUnderManualClock) {
   replica.value()->set_clock(&clock);
 
   EXPECT_FALSE(replica.value()->leader_alive(500));  // no heartbeat yet
-  auto acked = replica.value()->heartbeat(0, 0);
-  ASSERT_TRUE(acked.has_value()) << acked.error();
+  using Status = net::FrameResponse::Status;
+  ASSERT_EQ(replica.value()->heartbeat(0, 0).status, Status::kApplied);
   EXPECT_TRUE(replica.value()->leader_alive(500));
   clock.advance_us(400);
   EXPECT_TRUE(replica.value()->leader_alive(500));
   clock.advance_us(200);
   EXPECT_FALSE(replica.value()->leader_alive(500));  // lease lapsed
-  ASSERT_TRUE(replica.value()->heartbeat(0, 0).has_value());
+  ASSERT_EQ(replica.value()->heartbeat(0, 0).status, Status::kApplied);
   EXPECT_TRUE(replica.value()->leader_alive(500));  // renewed
 
   remove_store(dir);
@@ -977,6 +1034,52 @@ TEST(NetUds, SlowHandlerHitsDeadlineThenRecovers) {
   const auto retry = transport.call(path, "y", {2'000'000, 0, 1});
   ASSERT_EQ(retry.status, net::CallStatus::kOk) << retry.payload;
   EXPECT_EQ(retry.payload, "y");
+  server.stop();
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+std::int64_t vm_size_kib() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return -1;
+  char line[256];
+  long kib = -1;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::sscanf(line, "VmSize: %ld", &kib) == 1) break;
+  }
+  std::fclose(status);
+  return kib;
+}
+
+TEST(NetUds, ReconnectingClientStrandsNoServerThread) {
+  // glibc maps a 64 MiB malloc arena for each thread that allocates while
+  // the others hold theirs, so two briefly overlapping connection threads
+  // would move VmSize by a whole arena: one arena leaves only thread stacks
+  // in the measure.
+  ::mallopt(M_ARENA_MAX, 1);
+  const std::string path = "net_test_uds_reconnect.sock";
+  ::unlink(path.c_str());
+  net::UdsServer server(path, [](const std::string& r) { return r; });
+  ASSERT_TRUE(server.start().has_value());
+
+  // Every reset() closes the client's connection, as a timed-out call does;
+  // the server thread that served it exits.  One warm-up cycle maps the
+  // first connection thread's stack before the baseline.
+  net::UdsTransport transport;
+  ASSERT_EQ(transport.call(path, "x", {2'000'000, 0, 0}).status,
+            net::CallStatus::kOk);
+  transport.reset();
+  const std::int64_t before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    ASSERT_EQ(transport.call(path, "x", {2'000'000, 0, i}).status,
+              net::CallStatus::kOk);
+    transport.reset();
+  }
+  // An exited thread that nobody joins keeps its stack (8 MiB by default)
+  // mapped until stop(): 64 of them would add ~512 MiB.
+  const std::int64_t grown_kib = vm_size_kib() - before;
+  EXPECT_LT(grown_kib, 4 * 8 * 1024) << "VmSize grew by " << grown_kib << " KiB";
+  EXPECT_EQ(server.served(), 65u);
   server.stop();
 }
 

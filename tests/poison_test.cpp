@@ -438,10 +438,10 @@ TEST(Poison, UnknownControlFramesAreRejected) {
   for (const char* bogus : {"#demote 3", "#epoch x", "#quarantine", "#clear -1",
                             "#epoch 184467440737095516160", "#quarantine 07"}) {
     EXPECT_FALSE(wifi::CrowdStore::parse_control(bogus).has_value()) << bogus;
-    auto applied = replica.value()->apply_frame(0, bogus);
-    EXPECT_FALSE(applied.has_value()) << bogus;
-    EXPECT_NE(applied.error().find("unknown control frame"), std::string::npos)
-        << applied.error();
+    const net::FrameResponse applied = replica.value()->apply_frame(0, bogus);
+    EXPECT_EQ(applied.status, net::FrameResponse::Status::kError) << bogus;
+    EXPECT_NE(applied.error.find("unknown control frame"), std::string::npos)
+        << applied.error;
   }
   EXPECT_EQ(replica.value()->next_seq(), 0u);
   // Nothing bogus was journaled: reopen sees a clean, empty store.

@@ -571,15 +571,16 @@ TEST(ShardReplication, ApplyFrameSkipsStaleAndRefusesGaps) {
   const std::string frame0 = wifi::CrowdStore::encode_point(ingest_point(0));
   const std::string frame1 = wifi::CrowdStore::encode_point(ingest_point(1));
 
-  EXPECT_TRUE(replica.value()->apply_frame(0, frame0).value());
+  using Status = net::FrameResponse::Status;
+  EXPECT_EQ(replica.value()->apply_frame(0, frame0).status, Status::kApplied);
   // Redelivery of an applied frame is an idempotent no-op, not an error.
-  EXPECT_FALSE(replica.value()->apply_frame(0, frame0).value());
+  EXPECT_EQ(replica.value()->apply_frame(0, frame0).status, Status::kStale);
   EXPECT_EQ(replica.value()->store().points().size(), 1u);
   // A gap means lost frames: refuse loudly instead of diverging.
-  auto gap = replica.value()->apply_frame(5, frame1);
-  ASSERT_FALSE(gap.has_value());
-  EXPECT_NE(gap.error().find("gap"), std::string::npos);
-  EXPECT_TRUE(replica.value()->apply_frame(1, frame1).value());
+  const net::FrameResponse gap = replica.value()->apply_frame(5, frame1);
+  EXPECT_EQ(gap.status, Status::kGap);
+  EXPECT_EQ(gap.value, 1u);
+  EXPECT_EQ(replica.value()->apply_frame(1, frame1).status, Status::kApplied);
   EXPECT_EQ(replica.value()->next_seq(), 2u);
 
   remove_store(dir);
