@@ -9,7 +9,8 @@
 //   * detector model save and load (save_file / try_load_file) at 9,000
 //     and 135,000 reference points
 //   * crowd store open (snapshot read, decode, provenance refold) at 4,500
-//     and 45,000 points
+//     and 45,000 points, the provenance fold alone on the same histories,
+//     and stamped crowd appends (journal, reputation scoring, fold)
 //   * motion-model load and arming the int8 motion lane (calibration pass,
 //     quantize, gate) at servebench's hidden-384 shape
 //   * the shard segment RPC codec: a 16-point request and its top_k = 8
@@ -356,38 +357,54 @@ BENCHMARK(BM_DetectorLoad)->Arg(9000)->Arg(135000)->Unit(benchmark::kMillisecond
 
 constexpr const char* kCrowdBenchDir = "bench_micro_crowd_store";
 
-/// CrowdStore::open of a store compacted once over a walking-scenario
-/// history of Arg points (Arg / 30 trajectories of 30 points), appended
-/// anonymously as servebench's ingest-publish world is (4,500 points
-/// there): the snapshot read, its decode and the provenance refold that a
-/// serving process's cold start pays per open.
-void BM_CrowdStoreOpen(benchmark::State& state) {
-  std::filesystem::remove_all(kCrowdBenchDir);
-  {
+/// A walking-scenario history of `points` reference points (points / 30
+/// trajectories of 30 points), built once per size.
+const std::vector<wifi::ReferencePoint>& walking_history(std::size_t points) {
+  static std::map<std::size_t, std::vector<wifi::ReferencePoint>> by_points;
+  auto& history = by_points[points];
+  if (history.empty()) {
     core::Scenario scenario(core::ScenarioConfig::for_mode(Mode::kWalking));
-    std::vector<wifi::ScannedUpload> history;
-    for (const auto& t :
-         scenario.scanned_real(static_cast<std::size_t>(state.range(0)) / 30, 30, 2.0)) {
-      history.push_back(core::to_upload(t));
+    std::vector<wifi::ScannedUpload> uploads;
+    for (const auto& t : scenario.scanned_real(points / 30, 30, 2.0)) {
+      uploads.push_back(core::to_upload(t));
     }
-    auto store = wifi::CrowdStore::open(kCrowdBenchDir, /*sync_each_append=*/false);
-    if (!store) {
-      state.SkipWithError(store.error().c_str());
-      return;
-    }
-    for (const auto& p : wifi::flatten_history(history)) {
-      auto seq = store.value()->append(p);
-      if (!seq) {
-        state.SkipWithError(seq.error().c_str());
-        return;
-      }
-    }
-    auto compacted = store.value()->compact();
-    if (!compacted) {
-      state.SkipWithError(compacted.error().c_str());
-      return;
+    history = wifi::flatten_history(uploads);
+  }
+  return history;
+}
+
+/// A fresh store at kCrowdBenchDir (sync off) holding walking_history(points)
+/// appended anonymously, as servebench's ingest-publish world is, and
+/// compacted once.  Null after SkipWithError.
+std::unique_ptr<wifi::CrowdStore> compacted_store(benchmark::State& state,
+                                                  std::size_t points) {
+  std::filesystem::remove_all(kCrowdBenchDir);
+  auto store = wifi::CrowdStore::open(kCrowdBenchDir, /*sync_each_append=*/false);
+  if (!store) {
+    state.SkipWithError(store.error().c_str());
+    return nullptr;
+  }
+  for (const auto& p : walking_history(points)) {
+    auto seq = store.value()->append(p);
+    if (!seq) {
+      state.SkipWithError(seq.error().c_str());
+      return nullptr;
     }
   }
+  auto compacted = store.value()->compact();
+  if (!compacted) {
+    state.SkipWithError(compacted.error().c_str());
+    return nullptr;
+  }
+  return std::move(store).value();
+}
+
+/// CrowdStore::open of a store compacted once over walking_history(Arg)
+/// (4,500 points in servebench's ingest-publish world): the snapshot read,
+/// its decode and the provenance refold that a serving process's cold start
+/// pays per open.
+void BM_CrowdStoreOpen(benchmark::State& state) {
+  if (!compacted_store(state, static_cast<std::size_t>(state.range(0)))) return;
   for (auto _ : state) {
     auto store = wifi::CrowdStore::open(kCrowdBenchDir, /*sync_each_append=*/false);
     if (!store) {
@@ -402,6 +419,56 @@ void BM_CrowdStoreOpen(benchmark::State& state) {
   std::filesystem::remove_all(kCrowdBenchDir);
 }
 BENCHMARK(BM_CrowdStoreOpen)->Arg(4500)->Arg(45000)->Unit(benchmark::kMillisecond);
+
+/// The provenance fold alone over walking_history(Arg), anonymously: the
+/// refold stage of BM_CrowdStoreOpen.
+void BM_ProvenanceFold(benchmark::State& state) {
+  const auto& history = walking_history(static_cast<std::size_t>(state.range(0)));
+  auto fold = [&] {
+    wifi::ProvenanceGrid grid;
+    for (const auto& p : history) grid.add(p, wifi::kAnonymousUploader);
+    return grid;
+  };
+  for (auto _ : state) benchmark::DoNotOptimize(fold().point_count());
+  state.counters["keys"] = static_cast<double>(fold().keys().size());
+}
+BENCHMARK(BM_ProvenanceFold)->Arg(4500)->Arg(45000)->Unit(benchmark::kMillisecond);
+
+/// CrowdStore::append with sync off onto the 4,500-point store of
+/// BM_CrowdStoreOpen: 64 fresh walks (1,920 points, one iteration each),
+/// walk t stamped by uploader 1000 + t % 8, so every append is journaled,
+/// scored against the other witnesses' consensus and folded.  `scored`
+/// counts the appends that found a consensus to score against.
+void BM_CrowdStoreAppend(benchmark::State& state) {
+  static const std::vector<wifi::ReferencePoint> fresh = [] {
+    core::Scenario scenario(core::ScenarioConfig::for_mode(Mode::kWalking));
+    scenario.rng() = Rng(77);
+    std::vector<wifi::ScannedUpload> uploads;
+    for (const auto& t : scenario.scanned_real(64, 30, 2.0)) {
+      uploads.push_back(core::to_upload(t));
+    }
+    return wifi::flatten_history(uploads);
+  }();
+  auto store = compacted_store(state, 4500);
+  if (!store) return;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto seq = store->append(fresh[i], 1000 + (i / 30) % 8);
+    if (!seq) {
+      state.SkipWithError(seq.error().c_str());
+      break;
+    }
+    ++i;
+  }
+  std::uint64_t scored = 0;
+  for (wifi::UploaderId u = 1000; u < 1008; ++u) {
+    scored += store->reputation().record(u).observations;
+  }
+  state.counters["scored"] = static_cast<double>(scored);
+  store.reset();
+  std::filesystem::remove_all(kCrowdBenchDir);
+}
+BENCHMARK(BM_CrowdStoreAppend)->Iterations(1920)->Unit(benchmark::kMicrosecond);
 
 /// servebench's motion-lane shape: an input-2, hidden-384 classifier and 48
 /// calibration sequences of 30 steps.

@@ -97,17 +97,15 @@ double reputation_auc(const wifi::CrowdStore& store,
 bool trim_zero_bitwise_equal(const wifi::CrowdStore& store) {
   const auto& grid = store.provenance();
   const wifi::RobustCellAggregator agg(grid, {0.0, 2});
-  for (const auto& [key, cell] : grid.cells()) {
-    const Enu probe{(static_cast<double>(key.first) + 0.5) * grid.cell_size_m(),
-                    (static_cast<double>(key.second) + 0.5) * grid.cell_size_m()};
-    for (const auto& [mac, uploaders] : cell.aps) {
-      double estimate = 0.0;
-      if (!agg.estimate(probe, mac, &estimate)) return false;
-      const auto oracle = wifi::reference::pooled_cell_mean(
-          store.points(), grid.cell_size_m(), probe, mac);
-      if (!oracle || std::memcmp(&estimate, &*oracle, sizeof estimate) != 0) {
-        return false;
-      }
+  for (const auto& [cell, mac] : grid.keys()) {
+    const Enu probe{(static_cast<double>(cell.first) + 0.5) * grid.cell_size_m(),
+                    (static_cast<double>(cell.second) + 0.5) * grid.cell_size_m()};
+    double estimate = 0.0;
+    if (!agg.estimate(probe, mac, &estimate)) return false;
+    const auto oracle = wifi::reference::pooled_cell_mean(
+        store.points(), grid.cell_size_m(), probe, mac);
+    if (!oracle || std::memcmp(&estimate, &*oracle, sizeof estimate) != 0) {
+      return false;
     }
   }
   return true;

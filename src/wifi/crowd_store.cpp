@@ -221,6 +221,7 @@ Expected<bool, std::string> CrowdStore::load_point_record(std::string_view recor
       return Result::failure("point record: trailing bytes after the uploaders");
     }
     points_.reserve(arrays.size());
+    provenance_.reserve(arrays.observation_count());
     for (std::size_t h = 0; h < arrays.size(); ++h) {
       // The grid refolds in record order, which is ingestion order.  The
       // snapshot's reputation book already holds these points' scores, so

@@ -67,6 +67,8 @@ class PointArrays {
   void append_image(std::string& out) const;
 
   std::size_t size() const { return pos_.size(); }
+  /// Observations over every point.
+  std::size_t observation_count() const { return keys_.size(); }
   /// Reported position of point `h`.
   const Enu& pos(std::size_t h) const { return pos_[h]; }
   /// Source trajectory of point `h`.

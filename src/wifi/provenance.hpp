@@ -21,15 +21,20 @@
 // the result is bitwise the ingestion-order pooled mean, whatever the
 // grouping — the exact-mean oracle the equivalence tests pin.
 //
-// The grid is a pure fold of (point, uploader) in ingestion order: ordered
-// containers, ingestion-order accumulation.  CrowdStore never persists it;
+// The grid is a pure fold of (point, uploader) in ingestion order into one
+// flat, open-addressed table keyed by (cell, MAC), each key holding its
+// uploaders' statistics in uploader-id order, beside a table of per-cell
+// point counts.  One hash probe answers a lookup, and an add costs one probe
+// per observation.  The tables keep first-seen order: serialize() and
+// checksum() sort on demand into the canonical order (cells, then MACs, then
+// uploaders, each ascending), and operator== compares key by key, so two
+// grids of the same facts are equal whatever order they were folded in.  CrowdStore never persists the grid;
 // open() refolds it from the snapshot's points, bitwise-equal to the grid
 // the writing process maintained.  serialize()/checksum() are the
 // fingerprint the tests compare.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,29 +68,34 @@ using CellKey = std::pair<std::int64_t, std::int64_t>;
 /// observations there.
 class ProvenanceGrid {
  public:
-
-  struct Cell {
-    std::uint64_t count = 0;  ///< reference points in the cell (all uploaders)
-    /// mac -> uploader -> that uploader's RSSI sufficient statistics.
-    std::map<std::uint64_t, std::map<UploaderId, ApCellStats>> aps;
-
-    friend bool operator==(const Cell&, const Cell&) = default;
+  /// One (cell, AP) key of the grid.
+  struct Key {
+    CellKey cell;
+    std::uint64_t mac = 0;
+    friend auto operator<=>(const Key&, const Key&) = default;
   };
 
   explicit ProvenanceGrid(double cell_size_m = 4.0);
 
   /// Fold one ingested reference point into its cell under `uploader`.
   void add(const ReferencePoint& point, UploaderId uploader);
+  /// Make room for `observations` more observations, each of which adds at
+  /// most one key and one witness, so folding them reallocates nothing.
+  void reserve(std::size_t observations);
 
   /// floor(pos / cell size) per axis (geo's tile_of), saturated to the
   /// int64 range.
   CellKey cell_of(const Enu& pos) const;
-  const Cell* cell_at(const Enu& pos) const;
+  /// Reference points folded into the cell at `pos` (all uploaders); 0 when
+  /// none landed there.
+  std::uint64_t cell_points(const Enu& pos) const;
 
   std::uint64_t point_count() const { return points_; }
   std::size_t cell_count() const { return cells_.size(); }
   double cell_size_m() const { return cell_size_m_; }
-  const std::map<CellKey, Cell>& cells() const { return cells_; }
+
+  /// Every (cell, AP) key, in canonical order.
+  std::vector<Key> keys() const;
 
   /// Per-uploader mean RSSIs of (cell at `pos`, `mac`), in uploader-id order,
   /// optionally excluding one uploader (self-exclusion for reputation
@@ -93,20 +103,62 @@ class ProvenanceGrid {
   /// landed there.
   std::vector<double> uploader_means(const Enu& pos, std::uint64_t mac,
                                      UploaderId exclude = kAnonymousUploader) const;
+  /// The same means written into `out` (cleared first), so a caller that
+  /// reuses `out` allocates nothing once it has grown.
+  void uploader_means(const Enu& pos, std::uint64_t mac, UploaderId exclude,
+                      std::vector<double>& out) const;
+  /// Every uploader's statistics of (cell at `pos`, `mac`) summed (exact:
+  /// integer RSSIs); count 0 when nothing landed there.
+  ApCellStats pooled(const Enu& pos, std::uint64_t mac) const;
 
-  /// Deterministic text rendering (%.17g doubles): the tests' equality
-  /// witness.
+  /// Deterministic text rendering (%.17g doubles) in canonical order: the
+  /// tests' equality witness.
   std::string serialize() const;
 
   /// FNV-1a of serialize().
   std::uint64_t checksum() const;
 
-  friend bool operator==(const ProvenanceGrid&, const ProvenanceGrid&) = default;
+  friend bool operator==(const ProvenanceGrid& a, const ProvenanceGrid& b);
 
  private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  struct CellRow {
+    CellKey key;
+    std::uint64_t points = 0;
+  };
+  /// One uploader's statistics under one key; `next` links the key's
+  /// further witnesses in ascending uploader id.
+  struct Witness {
+    UploaderId uploader = kAnonymousUploader;
+    ApCellStats stats;
+    std::uint32_t next = kNone;
+  };
+  /// A key and its lowest-id witness inline (count 0 until the first
+  /// observation lands), so a key with one uploader is one row.
+  struct KeyRow {
+    Key key;
+    Witness head;
+  };
+
+  /// Row of `key` in key_rows_, or kNone.
+  std::uint32_t find(const Key& key) const;
+  /// `uploader`'s statistics under key row `row`, linked in if new.
+  ApCellStats& witness(std::uint32_t row, UploaderId uploader);
+  /// The witness after `w` in its key's list, or null.
+  const Witness* after(const Witness& w) const {
+    return w.next == kNone ? nullptr : &witnesses_[w.next];
+  }
+
   double cell_size_m_;
   std::uint64_t points_ = 0;
-  std::map<CellKey, Cell> cells_;
+  // Rows in first-seen order; each slot table is open-addressed over row
+  // ids (kNone = empty), a power of two in size, at most half full and
+  // probed linearly (the PointArrays MAC-table idiom).
+  std::vector<CellRow> cells_;
+  std::vector<std::uint32_t> cell_slots_ = std::vector<std::uint32_t>(16, kNone);
+  std::vector<KeyRow> key_rows_;
+  std::vector<std::uint32_t> key_slots_ = std::vector<std::uint32_t>(16, kNone);
+  std::vector<Witness> witnesses_;  ///< every witness after a key's head
 };
 
 /// How per-cell RSSI consensus is aggregated across witnesses.

@@ -35,11 +35,13 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "reference/provenance_reference.hpp"
 #include "reference/wifi_reference.hpp"
 #include "serve/shard_service.hpp"
 #include "support/fixtures.hpp"
@@ -190,8 +192,9 @@ TEST(Poison, ProvenanceTinyCellFarFromOriginSaturatesItsKey) {
   EXPECT_EQ(grid.cell_of({-2.1e7, 2.1e7}), wifi::CellKey(kMin, kMax));
   EXPECT_EQ(grid.cell_of({0.0, 0.0}), wifi::CellKey(0, 0));
   grid.add({{2.1e7, 2.1e7}, {{7, -50}}, 1u}, 1);
-  ASSERT_NE(grid.cell_at({2.1e7, 2.1e7}), nullptr);
-  EXPECT_EQ(grid.cells().begin()->first, wifi::CellKey(kMax, kMax));
+  EXPECT_EQ(grid.cell_points({2.1e7, 2.1e7}), 1u);
+  ASSERT_EQ(grid.keys().size(), 1u);
+  EXPECT_EQ(grid.keys().front().cell, wifi::CellKey(kMax, kMax));
   EXPECT_EQ(grid.uploader_means({2.1e7, 2.1e7}, 7).size(), 1u);
 }
 
@@ -258,23 +261,154 @@ TEST(Poison, TrimZeroIsBitwiseThePooledMean) {
   }
   const wifi::RobustCellAggregator agg(prov, {0.0, 2});
   std::size_t checked = 0;
-  for (const auto& [key, cell] : prov.cells()) {
-    const Enu probe{(static_cast<double>(key.first) + 0.5) * prov.cell_size_m(),
-                    (static_cast<double>(key.second) + 0.5) * prov.cell_size_m()};
-    for (const auto& [mac, uploaders] : cell.aps) {
-      double estimate = 0.0;
-      ASSERT_TRUE(agg.estimate(probe, mac, &estimate));
-      const auto oracle = wifi::reference::pooled_cell_mean(
-          points, prov.cell_size_m(), probe, mac);
-      ASSERT_TRUE(oracle.has_value());
-      // Bitwise, not approximately: summing the per-uploader accumulators
-      // must give the very bits of one ingestion-order pass.
-      EXPECT_TRUE(same_bits(estimate, *oracle))
-          << "cell (" << key.first << ", " << key.second << ") mac " << mac;
-      ++checked;
-    }
+  for (const auto& [cell, mac] : prov.keys()) {
+    const Enu probe{(static_cast<double>(cell.first) + 0.5) * prov.cell_size_m(),
+                    (static_cast<double>(cell.second) + 0.5) * prov.cell_size_m()};
+    double estimate = 0.0;
+    ASSERT_TRUE(agg.estimate(probe, mac, &estimate));
+    const auto oracle = wifi::reference::pooled_cell_mean(
+        points, prov.cell_size_m(), probe, mac);
+    ASSERT_TRUE(oracle.has_value());
+    // Bitwise, not approximately: summing the per-uploader accumulators
+    // must give the very bits of one ingestion-order pass.
+    EXPECT_TRUE(same_bits(estimate, *oracle))
+        << "cell (" << cell.first << ", " << cell.second << ") mac " << mac;
+    ++checked;
   }
   EXPECT_GT(checked, 50u);
+}
+
+struct StampedPoint {
+  wifi::ReferencePoint point;
+  UploaderId uploader = kAnonymousUploader;
+};
+
+/// The anonymous uploader and 8 named ones, ids spread over the u64 range.
+constexpr UploaderId kStreamUploaders[] = {
+    kAnonymousUploader, 1, 2, 7, 64, 1000, 1001, UploaderId{1} << 40,
+    std::numeric_limits<UploaderId>::max()};
+
+/// 2,000 uploads over [-40, 40)^2 m (one coordinate in ten exactly 0, so a
+/// 1e-300 m grid sees the zero cell beside its two saturated ones), 1-5
+/// observations of 12 MACs plus one at the top of the 48-bit range, every
+/// eighth scan repeating a MAC, each from one of kStreamUploaders.
+std::vector<StampedPoint> provenance_stream(std::uint64_t seed) {
+  Rng rng(seed);
+  auto coord = [&] { return rng.uniform_int(0, 9) == 0 ? 0.0 : rng.uniform(-40.0, 40.0); };
+  std::vector<StampedPoint> stream;
+  for (int i = 0; i < 2000; ++i) {
+    StampedPoint s;
+    s.point.pos = {coord(), coord()};
+    s.point.traj_id = static_cast<std::uint32_t>(i / 30);
+    const auto n = rng.uniform_int(1, 5);
+    for (std::int64_t k = 0; k < n; ++k) {
+      const auto mac = rng.uniform_int(0, 12);
+      s.point.scan.push_back({mac == 0 ? 0xffffffffffffull : static_cast<std::uint64_t>(mac),
+                              static_cast<int>(rng.uniform_int(-95, -30))});
+    }
+    if (i % 8 == 0) {
+      s.point.scan.push_back({s.point.scan.front().mac,
+                              static_cast<int>(rng.uniform_int(-95, -30))});
+    }
+    s.uploader = kStreamUploaders[rng.uniform_int(0, std::size(kStreamUploaders) - 1)];
+    stream.push_back(std::move(s));
+  }
+  return stream;
+}
+
+/// Every lookup of `grid` against the nested-map oracle at each of
+/// `stream`'s points and MACs, plus an absent MAC and an absent cell:
+/// uploader means with and without each exclusion, estimate at trim 0 / 0.3
+/// / 0.5 and consensus_excluding, all bit for bit.  Returns the first
+/// mismatch, or "" when there is none.
+std::string first_lookup_mismatch(const wifi::ProvenanceGrid& grid,
+                                  const wifi::reference::ProvenanceOracle& oracle,
+                                  const std::vector<StampedPoint>& stream) {
+  const wifi::RobustAggregationParams trims[] = {{0.0, 2}, {0.3, 2}, {0.5, 2}, {0.5, 1}};
+  auto probe = [&](const Enu& pos, std::uint64_t mac) -> std::string {
+    std::ostringstream miss;
+    miss << "at (" << pos.east << ", " << pos.north << ") mac " << mac << ": ";
+    if (grid.uploader_means(pos, mac) != oracle.uploader_means(pos, mac)) {
+      return miss.str() + "uploader_means";
+    }
+    for (const UploaderId u : kStreamUploaders) {
+      if (grid.uploader_means(pos, mac, u) != oracle.uploader_means(pos, mac, u)) {
+        miss << "uploader_means excluding " << u;
+        return miss.str();
+      }
+    }
+    for (const auto& params : trims) {
+      const wifi::RobustCellAggregator agg(grid, params);
+      double got = 0.0, want = 0.0;
+      if (agg.estimate(pos, mac, &got) != oracle.estimate(pos, mac, params, &want) ||
+          !same_bits(got, want)) {
+        miss << "estimate at trim " << params.trim_fraction;
+        return miss.str();
+      }
+      for (const UploaderId u : kStreamUploaders) {
+        got = want = 0.0;
+        if (agg.consensus_excluding(pos, mac, u, &got) !=
+                oracle.consensus_excluding(pos, mac, u, params, &want) ||
+            !same_bits(got, want)) {
+          miss << "consensus_excluding " << u << " at trim " << params.trim_fraction;
+          return miss.str();
+        }
+      }
+    }
+    return "";
+  };
+  for (const auto& s : stream) {
+    for (const auto& obs : s.point.scan) {
+      if (auto miss = probe(s.point.pos, obs.mac); !miss.empty()) return miss;
+    }
+    if (auto miss = probe(s.point.pos, 5000); !miss.empty()) return miss;
+  }
+  return probe({-1e6, 1e6}, 1);
+}
+
+TEST(Poison, ProvenanceGridMatchesNestedMapOracle) {
+  const std::vector<StampedPoint> stream = provenance_stream(41);
+  for (const double cell_m : {4.0, 1e-300}) {
+    SCOPED_TRACE(cell_m);
+    wifi::ProvenanceGrid grid(cell_m);
+    wifi::reference::ProvenanceOracle oracle(cell_m);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      grid.add(stream[i].point, stream[i].uploader);
+      oracle.add(stream[i].point, stream[i].uploader);
+      if (i == 499) {
+        const std::vector<StampedPoint> prefix(stream.begin(), stream.begin() + 500);
+        EXPECT_EQ(first_lookup_mismatch(grid, oracle, prefix), "");
+      }
+    }
+    EXPECT_EQ(grid.point_count(), stream.size());
+    EXPECT_EQ(grid.serialize(), oracle.serialize());
+    EXPECT_EQ(grid.checksum(), oracle.checksum());
+    EXPECT_TRUE(grid.keys() == oracle.keys());
+    EXPECT_EQ(first_lookup_mismatch(grid, oracle, stream), "");
+
+    // Equality is over the facts, not the fold order.
+    const wifi::ProvenanceGrid copy = grid;
+    EXPECT_TRUE(copy == grid);
+    std::vector<StampedPoint> shuffled = stream;
+    Rng(42).shuffle(shuffled);
+    wifi::ProvenanceGrid reordered(cell_m);
+    for (const auto& s : shuffled) reordered.add(s.point, s.uploader);
+    EXPECT_TRUE(reordered == grid);
+    EXPECT_EQ(reordered.serialize(), grid.serialize());
+    // The same points with one observation credited to another uploader are
+    // a different grid.
+    std::vector<StampedPoint> restamped = stream;
+    restamped[1234].uploader = restamped[1234].uploader == 7 ? 64 : 7;
+    wifi::ProvenanceGrid other(cell_m);
+    for (const auto& s : restamped) other.add(s.point, s.uploader);
+    EXPECT_FALSE(other == grid);
+    EXPECT_NE(other.checksum(), grid.checksum());
+  }
+  // The 1e-300 m grid folds everything into the zero cell and its
+  // saturated neighbours.
+  wifi::ProvenanceGrid tiny(1e-300);
+  for (const auto& s : stream) tiny.add(s.point, s.uploader);
+  EXPECT_EQ(tiny.cell_count(), 9u);
 }
 
 // ---------------------------------------------------------------------------
