@@ -10,7 +10,8 @@
 //     and 135,000 reference points
 //   * crowd store open (snapshot read, decode, provenance refold) at 4,500
 //     and 45,000 points, the provenance fold alone on the same histories,
-//     and stamped crowd appends (journal, reputation scoring, fold)
+//     stamped crowd appends (journal, reputation scoring, fold) and an
+//     unfiltered epoch publish over the whole store
 //   * motion-model load and arming the int8 motion lane (calibration pass,
 //     quantize, gate) at servebench's hidden-384 shape
 //   * the shard segment RPC codec: a 16-point request and its top_k = 8
@@ -411,7 +412,7 @@ void BM_CrowdStoreOpen(benchmark::State& state) {
       state.SkipWithError(store.error().c_str());
       break;
     }
-    benchmark::DoNotOptimize(store.value()->points().size());
+    benchmark::DoNotOptimize(store.value()->arrays().size());
   }
   state.counters["file_MB"] =
       static_cast<double>(std::filesystem::file_size(
@@ -419,6 +420,42 @@ void BM_CrowdStoreOpen(benchmark::State& state) {
   std::filesystem::remove_all(kCrowdBenchDir);
 }
 BENCHMARK(BM_CrowdStoreOpen)->Arg(4500)->Arg(45000)->Unit(benchmark::kMillisecond);
+
+/// VerifierService::publish_epoch of the store compacted once over
+/// walking_history(Arg), with no artifact store and sync off: the epoch build
+/// over the whole store (its points, keyed, plus the grid under the serving
+/// bounds), the "#epoch N" marker and the flip.  The service starts from a
+/// detector over the same points with a stub classifier.
+void BM_EpochPublish(benchmark::State& state) {
+  auto store = compacted_store(state, static_cast<std::size_t>(state.range(0)));
+  if (!store) return;
+  std::vector<std::vector<double>> x;
+  std::vector<int> y;
+  for (int r = 0; r < 40; ++r) {
+    x.push_back({r % 2 ? 1.0 : 0.0, 0.5});
+    y.push_back(r % 2);
+  }
+  gbt::GbtConfig cfg;
+  cfg.num_trees = 2;
+  gbt::GbtClassifier classifier(cfg);
+  classifier.train(x, y);
+  serve::VerifierServiceConfig config;
+  config.auto_start = false;
+  serve::VerifierService service(
+      wifi::RssiDetector::assemble(store->points(), {}, std::move(classifier), 1), config);
+  for (auto _ : state) {
+    auto epoch = service.publish_epoch(*store);
+    if (!epoch) {
+      state.SkipWithError(epoch.error().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(epoch.value());
+  }
+  state.counters["points"] = static_cast<double>(service.published_points());
+  store.reset();
+  std::filesystem::remove_all(kCrowdBenchDir);
+}
+BENCHMARK(BM_EpochPublish)->Arg(4500)->Arg(45000)->Unit(benchmark::kMillisecond);
 
 /// The provenance fold alone over walking_history(Arg), anonymously: the
 /// refold stage of BM_CrowdStoreOpen.

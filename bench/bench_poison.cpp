@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
 
     // Undefended mean path: the detector simply believes every point.
     const auto mean_detector = wifi::RssiDetector::assemble(
-        store.value()->points(), oracle_like.config(), oracle_like.classifier(),
+        store.value()->arrays(), oracle_like.config(), oracle_like.classifier(),
         oracle_like.trained_points());
     r.acc_mean = accuracy(*mean_detector, probes);
 

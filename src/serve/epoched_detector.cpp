@@ -15,8 +15,8 @@ std::size_t EpochedDetector::published_points() const {
   return serving ? serving->index().size() : 0;
 }
 
-Expected<EpochBuild, std::string> EpochedDetector::build_next(
-    std::vector<wifi::ReferencePoint> points, bool filtered) const {
+Expected<EpochBuild, std::string> EpochedDetector::build_next(wifi::PointArrays points,
+                                                              bool filtered) const {
   using Result = Expected<EpochBuild, std::string>;
   const State cur = state();
   if (!cur.detector) return Result::failure("no serving detector");

@@ -15,7 +15,8 @@
 //               index's pinned grid bounds — within() iteration order (and
 //               every float accumulation downstream) is unchanged, so
 //               verdicts the appended points do not reach stay bit-identical.
-//               No derived RPD state is carried between epochs: Eq. 4 is
+//               The set arrives keyed, so the build adds only the grid.  No
+//               derived RPD state is carried between epochs: Eq. 4 is
 //               counted per request from the index itself.
 //   install     swap it in as the serving epoch.
 //
@@ -27,7 +28,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "wifi/detector.hpp"
@@ -74,8 +74,8 @@ class EpochedDetector {
   /// the serving point set — a shorter set is refused, epochs are
   /// append-only.  A `filtered` build, or any build on top of a filtered
   /// epoch, skips that check.
-  Expected<EpochBuild, std::string> build_next(
-      std::vector<wifi::ReferencePoint> points, bool filtered = false) const;
+  Expected<EpochBuild, std::string> build_next(wifi::PointArrays points,
+                                               bool filtered = false) const;
 
   /// Make `next` the serving epoch (RCU flip).  Readers holding an older
   /// snapshot keep it; new snapshots see `next`.

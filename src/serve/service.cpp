@@ -89,10 +89,7 @@ Expected<std::uint64_t, std::string> VerifierService::publish_epoch(
   using Result = Expected<std::uint64_t, std::string>;
   const std::uint64_t cur_epoch = epoched_.epoch();
   auto next = epoched_.build_next(
-      exclude_quarantined ? store.trusted_points()
-                          : std::vector<wifi::ReferencePoint>(store.points().begin(),
-                                                              store.points().end()),
-      exclude_quarantined);
+      exclude_quarantined ? store.trusted_points() : store.arrays(), exclude_quarantined);
   if (!next) return Result::failure("publish_epoch: " + next.error());
   std::uint64_t next_epoch = cur_epoch + 1;
   if (artifacts != nullptr) {
@@ -149,7 +146,7 @@ VerifierService::try_create_from_store(const std::string& store_dir,
   // resume after the highest "#epoch N" marker the journal replayed.
   return create_or_degrade(
       DetectorOrError(wifi::RssiDetector::assemble(
-          store.value()->points(), model.value()->config(),
+          store.value()->arrays(), model.value()->config(),
           model.value()->classifier(), model.value()->trained_points())),
       config, store.value()->observed_epoch());
 }

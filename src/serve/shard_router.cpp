@@ -61,14 +61,12 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
   // is answered entirely from its own slice.  Ascending index iteration
   // keeps each slice a stable-order subsequence of the global set, which the
   // bitwise-equivalence contract requires (see the header).
-  std::vector<std::vector<wifi::ReferencePoint>> slices(config_.shards);
+  std::vector<wifi::PointArrays> slices(config_.shards);
   std::vector<std::size_t> owners;
   for (std::size_t i = 0; i < index.size(); ++i) {
-    const auto point = index.point(i);
-    const TileId lo = tile_of(
-        {point.pos.east - halo_m_, point.pos.north - halo_m_}, config_.tile_m);
-    const TileId hi = tile_of(
-        {point.pos.east + halo_m_, point.pos.north + halo_m_}, config_.tile_m);
+    const Enu& pos = index.pos(i);
+    const TileId lo = tile_of({pos.east - halo_m_, pos.north - halo_m_}, config_.tile_m);
+    const TileId hi = tile_of({pos.east + halo_m_, pos.north + halo_m_}, config_.tile_m);
     owners.clear();
     for (std::int64_t ty = lo.ty; ty <= hi.ty; ++ty) {
       for (std::int64_t tx = lo.tx; tx <= hi.tx; ++tx) {
@@ -78,7 +76,8 @@ ShardRouter::ShardRouter(const wifi::RssiDetector& oracle, ShardRouterConfig con
         }
       }
     }
-    for (const std::size_t owner : owners) slices[owner].push_back(point);
+    const wifi::ReferencePoint point = index.point(i);
+    for (const std::size_t owner : owners) slices[owner].append(point);
   }
 
   shards_.reserve(config_.shards);

@@ -150,8 +150,7 @@ std::uint64_t ShardReplica::promote() {
 // ---------------------------------------------------------------------------
 // ShardService
 
-ShardService::ShardService(std::size_t shard_id,
-                           std::vector<wifi::ReferencePoint> slice,
+ShardService::ShardService(std::size_t shard_id, wifi::PointArrays slice,
                            const wifi::RssiDetectorConfig& config,
                            gbt::GbtClassifier classifier, std::size_t trained_points,
                            const BoundingBox& index_bounds, ShardServiceConfig cfg)
@@ -285,7 +284,7 @@ Expected<bool, std::string> ShardService::arm_verification(
   if (detector_snapshot()) {
     return Result::failure("shard: verification already armed");
   }
-  epoched_.install({wifi::RssiDetector::assemble(store_->points(), config,
+  epoched_.install({wifi::RssiDetector::assemble(store_->arrays(), config,
                                                  std::move(classifier),
                                                  trained_points, index_bounds)},
                    store_->observed_epoch());
@@ -296,7 +295,7 @@ Expected<std::uint64_t, std::string> ShardService::refresh_from_store(
     std::uint64_t epoch) {
   using Result = Expected<std::uint64_t, std::string>;
   if (!store_) return Result::failure("shard: refresh_from_store needs a store");
-  auto next = epoched_.build_next(store_->points());
+  auto next = epoched_.build_next(store_->arrays());
   if (!next) return Result::failure("shard: " + next.error());
   if (epoch == 0) epoch = store_->observed_epoch();
   epoched_.install(std::move(next).value(), epoch);

@@ -197,7 +197,7 @@ class ShardService {
   /// Verification shard over a pre-sliced reference set.  `index_bounds`
   /// must be the global set's grid extent (oracle index().bounds()) for the
   /// bitwise-equivalence contract to hold.  Never spawns threads.
-  ShardService(std::size_t shard_id, std::vector<wifi::ReferencePoint> slice,
+  ShardService(std::size_t shard_id, wifi::PointArrays slice,
                const wifi::RssiDetectorConfig& config,
                gbt::GbtClassifier classifier, std::size_t trained_points,
                const BoundingBox& index_bounds, ShardServiceConfig cfg = {});

@@ -2,11 +2,11 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -41,6 +41,16 @@ std::string format_double(double v) {
   return buf;
 }
 
+/// Why `arrays` cannot key `point` (PointArrays::check), or "" when they can.
+std::string keying_refusal(const PointArrays& arrays, const ReferencePoint& point) {
+  try {
+    arrays.check(point);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
 }  // namespace
 
 std::string CrowdStore::snapshot_path(const std::string& dir) {
@@ -73,20 +83,25 @@ std::string CrowdStore::encode_point(const ReferencePoint& point) {
 Expected<ReferencePoint, std::string> CrowdStore::decode_point(
     const std::string& line) {
   using Result = Expected<ReferencePoint, std::string>;
-  std::istringstream is(line);
+  const char* at = line.data();
+  const char* const last = at + line.size();
+  // One field: every byte up to the next space or the end, parsed whole.
+  const auto field = [&](auto& value) {
+    const char* const end = std::find(at, last, ' ');
+    const auto [ptr, ec] = std::from_chars(at, end, value);
+    at = end == last ? last : end + 1;
+    return ec == std::errc() && ptr == end;
+  };
   ReferencePoint p;
   std::size_t scan_size = 0;
-  if (!(is >> p.pos.east >> p.pos.north >> p.traj_id >> scan_size)) {
-    return Result::failure("crowd point: bad record head");
-  }
-  if (scan_size > kMaxScanAps) {
-    return Result::failure("crowd point: oversized scan");
-  }
-  p.scan.resize(scan_size);
-  for (auto& obs : p.scan) {
-    if (!(is >> obs.mac >> obs.rssi_dbm)) {
-      return Result::failure("crowd point: truncated scan");
-    }
+  bool parsed = field(p.pos.east) && field(p.pos.north) && field(p.traj_id) &&
+                field(scan_size) && scan_size <= kMaxScanAps;
+  if (parsed) p.scan.resize(scan_size);
+  for (auto& obs : p.scan) parsed = parsed && field(obs.mac) && field(obs.rssi_dbm);
+  // Re-encoding must give the same bytes: this refuses trailing bytes, a
+  // sign, a doubled space and a double not in its %.17g form alike.
+  if (!parsed || encode_point(p) != line) {
+    return Result::failure("crowd point: not a record encode_point writes");
   }
   auto valid = validate_reference_point(p);
   if (!valid) return Result::failure(valid.error());
@@ -164,7 +179,7 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
     if (!book) return Result::failure("crowd store: " + book.error());
     store->reputation_ = std::move(book).value();
   }
-  store->open_stats_.snapshot_points = store->points_.size();
+  store->open_stats_.snapshot_points = store->arrays_.size();
 
   // 2. The journal: every accepted scan since that snapshot.  open() already
   // truncated any torn tail; replay skips records the snapshot has folded in
@@ -193,9 +208,11 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
       continue;
     }
     auto point = decode_point(record.payload);
-    if (!point) {
+    const std::string refusal =
+        point ? keying_refusal(store->arrays_, point.value()) : point.error();
+    if (!refusal.empty()) {
       return Result::failure("crowd store: journal seq " +
-                             std::to_string(record.seq) + ": " + point.error());
+                             std::to_string(record.seq) + ": " + refusal);
     }
     store->ingest_state(point.value(), record.uploader);
     ++store->open_stats_.replayed_records;
@@ -207,7 +224,7 @@ Expected<std::unique_ptr<CrowdStore>, std::string> CrowdStore::open(
 Expected<bool, std::string> CrowdStore::load_point_record(std::string_view record) {
   using Result = Expected<bool, std::string>;
   try {
-    const PointArrays arrays(record);
+    PointArrays arrays(record);
     if (arrays.size() > kMaxSnapshotPoints) {
       return Result::failure("holds " + std::to_string(arrays.size()) +
                              " points, above the store's capacity of " +
@@ -220,17 +237,16 @@ Expected<bool, std::string> CrowdStore::load_point_record(std::string_view recor
     if (cur.remaining() != 0) {
       return Result::failure("point record: trailing bytes after the uploaders");
     }
-    points_.reserve(arrays.size());
-    provenance_.reserve(arrays.observation_count());
-    for (std::size_t h = 0; h < arrays.size(); ++h) {
-      // The grid refolds in record order, which is ingestion order.  The
-      // snapshot's reputation book already holds these points' scores, so
-      // they are not rescored.
-      points_.push_back(arrays.point(h));
-      provenance_.add(points_.back(), uploaders_[h]);
-    }
+    arrays_ = std::move(arrays);
   } catch (const std::invalid_argument& e) {
     return Result::failure(std::string("point record: ") + e.what());
+  }
+  // The grid refolds in record order, which is ingestion order.  The
+  // snapshot's reputation book already holds these points' scores, so they
+  // are not rescored.
+  provenance_.reserve(arrays_.observation_count());
+  for (std::size_t h = 0; h < arrays_.size(); ++h) {
+    provenance_.add(arrays_.point(h), uploaders_[h]);
   }
   return Result(true);
 }
@@ -253,7 +269,7 @@ void CrowdStore::ingest_state(const ReferencePoint& point, UploaderId uploader) 
     }
   }
   provenance_.add(point, uploader);
-  points_.push_back(point);
+  arrays_.append(point);
   uploaders_.push_back(uploader);
   if (scored > 0) {
     reputation_.observe(uploader, agree_sum / static_cast<double>(scored),
@@ -281,7 +297,8 @@ void CrowdStore::apply_control(const ControlFrame& frame) {
 Expected<std::uint64_t, std::string> CrowdStore::append(const ReferencePoint& point,
                                                         UploaderId uploader) {
   using Result = Expected<std::uint64_t, std::string>;
-  if (points_.size() >= kMaxSnapshotPoints) {
+  const std::size_t tick = arrays_.size();
+  if (tick >= kMaxSnapshotPoints) {
     return Result::failure("crowd store: at capacity (" +
                            std::to_string(kMaxSnapshotPoints) + " points)");
   }
@@ -290,12 +307,18 @@ Expected<std::uint64_t, std::string> CrowdStore::append(const ReferencePoint& po
   // Rate admission runs only here, never at replay — a journaled record was
   // already admitted once, and re-litigating it on recovery could refuse to
   // replay history the store durably accepted.
-  auto admitted = rate_limiter_.admit(uploader, points_.size());
+  auto admitted = rate_limiter_.check(uploader, tick);
   if (!admitted) return Result::failure("crowd store: " + admitted.error());
+  // The arrays refuse past 2^24 distinct MACs; refusing here keeps such a
+  // point out of the journal too.
+  const std::string refusal = keying_refusal(arrays_, point);
+  if (!refusal.empty()) return Result::failure("crowd store: " + refusal);
   auto seq = journal_->append(encode_point(point), uploader);
   if (!seq) return Result::failure("crowd store: " + seq.error());
   // Only after the journal accepted (and fsynced) the record does it become
-  // visible — what callers can query is always recoverable.
+  // visible — what callers can query is always recoverable — and does it
+  // use up the uploader's rate budget: a failed write charges nothing.
+  rate_limiter_.charge(uploader, tick);
   ingest_state(point, uploader);
   ++journaled_;
   return seq;
@@ -311,11 +334,17 @@ Expected<std::uint64_t, std::string> CrowdStore::append_control(
   return seq;
 }
 
-std::vector<ReferencePoint> CrowdStore::trusted_points() const {
+std::vector<ReferencePoint> CrowdStore::points() const {
   std::vector<ReferencePoint> out;
-  out.reserve(points_.size());
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (!reputation_.is_quarantined(uploaders_[i])) out.push_back(points_[i]);
+  out.reserve(arrays_.size());
+  for (std::size_t h = 0; h < arrays_.size(); ++h) out.push_back(arrays_.point(h));
+  return out;
+}
+
+PointArrays CrowdStore::trusted_points() const {
+  PointArrays out;
+  for (std::size_t h = 0; h < arrays_.size(); ++h) {
+    if (!reputation_.is_quarantined(uploaders_[h])) out.append(arrays_.point(h));
   }
   return out;
 }
@@ -354,13 +383,7 @@ Expected<bool, std::string> CrowdStore::compact() {
   durable::append_u64(meta, observed_epoch_);
   durable::append_u64(meta, observed_motion_epoch_);
   std::string points;
-  try {
-    PointArrays(points_).append_image(points);
-  } catch (const std::length_error& e) {
-    // Past 2^24 distinct MACs the key layout has no room; the journal still
-    // holds every point, so nothing is lost.
-    return Result::failure(std::string("crowd store: cannot compact: ") + e.what());
-  }
+  arrays_.append_image(points);
   durable::append_array(points, uploaders_.data(), uploaders_.size());
   durable::DurableWriter writer(kSnapshotTag, kSnapshotVersion);
   writer.add_record(meta);

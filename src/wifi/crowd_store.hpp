@@ -1,14 +1,17 @@
 // Durable store for the crowdsourced RSSI reference dataset (the paper's
 // historical scan store H that the whole defense leans on).
 //
+// The points live in one layout, PointArrays (wifi/point_arrays): appends
+// key onto the store's arrays, open() keeps the snapshot's decoded arrays,
+// and every served epoch copies them and adds only its grid.
+//
 // Streaming ingestion is write-ahead: every accepted scan is validated
 // (wifi/validate), encoded as one text line and appended to a CRC-framed
 // journal (common/durable/journal) *before* it is visible in memory.  An
 // explicit compact() folds the journal into a CRC-framed snapshot (one
 // durable container, v6: a binary meta record, one point record holding
-// every point as PointArrays' binary image plus a u64 uploader per point,
-// and the reputation book; DESIGN.md, "Crowd snapshot image") and resets the
-// journal.
+// the arrays' binary image plus a u64 uploader per point, and the reputation
+// book; DESIGN.md, "Crowd snapshot image") and resets the journal.
 //
 // Crash safety is the point of the split:
 //   - a crash mid-append leaves a torn journal tail, which the next open()
@@ -107,10 +110,11 @@ class CrowdStore {
 
   /// Validate and durably append one crowdsourced reference point under
   /// `uploader`'s identity; it is journaled (and fsynced, in a provenance
-  /// frame) before points() shows it, then scored against the robust
-  /// consensus of its cells.  kAnonymousUploader is stamped as 0 and skips
-  /// reputation/rate accounting.  Returns the journal seq it was accepted
-  /// under.
+  /// frame) before arrays() shows it, then scored against the robust
+  /// consensus of its cells.  Validation, the rate cap and the arrays' MAC
+  /// cap all refuse before the journal write; the rate budget is charged
+  /// after it.  kAnonymousUploader is stamped as 0 and skips reputation/rate
+  /// accounting.  Returns the journal seq it was accepted under.
   Expected<std::uint64_t, std::string> append(const ReferencePoint& point,
                                               UploaderId uploader);
   Expected<std::uint64_t, std::string> append(const ReferencePoint& point) {
@@ -127,28 +131,29 @@ class CrowdStore {
   /// crash at any point inside; idempotent to re-run after recovery.  The
   /// snapshot carries the full dataset — quarantined points included, they
   /// must survive a later "#clear" — plus the reputation book, so recovery
-  /// never rescores folded history.  A store whose points name more than
-  /// PointArrays::kMaxAps distinct MACs cannot be keyed and is refused; the
-  /// journal keeps every point.
+  /// never rescores folded history.
   Expected<bool, std::string> compact();
 
   /// The full recovered + appended reference set, in ingestion order —
-  /// quarantined uploaders included (storage is not judgement).
-  const std::vector<ReferencePoint>& points() const { return points_; }
+  /// quarantined uploaders included (storage is not judgement).  Byte-equal
+  /// to PointArrays built from the same points at once.
+  const PointArrays& arrays() const { return arrays_; }
+  ReferencePoint point(std::size_t h) const { return arrays_.point(h); }
+  /// Every point decoded into a fresh vector: a copy of the whole store.
+  std::vector<ReferencePoint> points() const;
 
-  /// Uploader of each point, parallel to points().
+  /// Uploader of each point, parallel to arrays().
   const std::vector<UploaderId>& uploaders() const { return uploaders_; }
-  UploaderId uploader_of(std::size_t i) const { return uploaders_[i]; }
 
   /// The serving view: every point whose uploader is not quarantined, in
-  /// ingestion order.  This is what epoch publishes fold into artifacts —
-  /// the quarantine stage that keeps suspected poison out of the model while
-  /// review is pending.
-  std::vector<ReferencePoint> trusted_points() const;
-  /// Points currently held out by quarantine (points() size minus trusted).
+  /// ingestion order.  This is what filtered epoch publishes fold into
+  /// artifacts — the quarantine stage that keeps suspected poison out of the
+  /// model while review is pending.
+  PointArrays trusted_points() const;
+  /// Points currently held out by quarantine (arrays() size minus trusted).
   std::size_t quarantined_point_count() const;
 
-  /// Per-(cell, AP, uploader) RSSI statistics of points() (the
+  /// Per-(cell, AP, uploader) RSSI statistics of arrays() (the
   /// robust-aggregation and reputation substrate), and the reputation ledger
   /// itself.
   const ProvenanceGrid& provenance() const { return provenance_; }
@@ -189,7 +194,8 @@ class CrowdStore {
   /// Text codec for one journal payload ("east north traj_id n mac rssi
   /// ...", %.17g), which replication ships as is.  Provenance never rides
   /// the payload: the journal frame (v2) carries it, so payload bytes match
-  /// v1 exactly.
+  /// v1 exactly.  decode_point is strict like parse_control:
+  /// encode_point(decode_point(p)) == p for every payload it accepts.
   static std::string encode_point(const ReferencePoint& point);
   static Expected<ReferencePoint, std::string> decode_point(const std::string& line);
 
@@ -208,7 +214,7 @@ class CrowdStore {
   /// append path and journal replay.
   void ingest_state(const ReferencePoint& point, UploaderId uploader);
   void apply_control(const ControlFrame& frame);
-  /// Fill points_ and uploaders_ from the snapshot's point record and refold
+  /// Fill arrays_ and uploaders_ from the snapshot's point record and refold
   /// the provenance grid over them in record order.  Refuses what
   /// PointArrays' image constructor refuses, a short uploader array and
   /// trailing bytes.
@@ -216,8 +222,8 @@ class CrowdStore {
 
   std::string dir_;
   std::unique_ptr<durable::Journal> journal_;
-  std::vector<ReferencePoint> points_;
-  std::vector<UploaderId> uploaders_;  ///< parallel to points_
+  PointArrays arrays_;
+  std::vector<UploaderId> uploaders_;  ///< parallel to arrays_
   ProvenanceGrid provenance_;
   ReputationBook reputation_;
   ReputationParams rep_params_;

@@ -45,19 +45,9 @@ std::string VerdictReport::canonical_string() const {
   return out;
 }
 
-RssiDetector::RssiDetector(std::vector<ReferencePoint> history,
-                           RssiDetectorConfig config)
-    : RssiDetector(std::move(history), config, BoundingBox{}) {}
-
-RssiDetector::RssiDetector(std::vector<ReferencePoint> history,
-                           RssiDetectorConfig config, const BoundingBox& index_bounds)
+RssiDetector::RssiDetector(PointArrays history, RssiDetectorConfig config,
+                           const BoundingBox& index_bounds)
     : index_(std::move(history), kCellSizeM, index_bounds),
-      config_(checked(config)),
-      estimator_(index_, config.confidence),
-      classifier_(config.classifier) {}
-
-RssiDetector::RssiDetector(std::string_view& image, const RssiDetectorConfig& config)
-    : index_(image, kCellSizeM),
       config_(checked(config)),
       estimator_(index_, config.confidence),
       classifier_(config.classifier) {}

@@ -59,15 +59,12 @@ struct VerdictReport {
 
 class RssiDetector {
  public:
-  /// Take ownership of the provider's historical dataset.
-  RssiDetector(std::vector<ReferencePoint> history, RssiDetectorConfig config = {});
-
-  /// Same, with an explicit reference-index grid extent.  A geo-shard built
-  /// over a slice of a global reference set passes the full set's
-  /// ReferenceIndex::natural_bounds here so its per-point confidence sums
+  /// Take ownership of the provider's historical dataset.  A non-empty
+  /// `index_bounds` is the reference-index grid extent: a geo-shard over a
+  /// slice of a global set passes the full set's natural_bounds so its sums
   /// accumulate in the unsharded grid order (bitwise-equal features).
-  RssiDetector(std::vector<ReferencePoint> history, RssiDetectorConfig config,
-               const BoundingBox& index_bounds);
+  explicit RssiDetector(PointArrays history, RssiDetectorConfig config = {},
+                        const BoundingBox& index_bounds = {});
 
   /// The reference index pins internal pointers; moving or copying a live
   /// detector would leave its estimators dangling, so both are disabled.
@@ -132,31 +129,21 @@ class RssiDetector {
 
   /// Build a detector from separately-persisted parts: a reference store
   /// (e.g. recovered from the crowd store's snapshot + journal) plus a
-  /// classifier trained elsewhere.  The caller vouches that `classifier` was
-  /// trained on uploads of `trained_points` points over features compatible
-  /// with `config`; a classifier that splits on a feature beyond the Eq. 8
-  /// width (2 * top_k * trained_points) throws std::invalid_argument.
-  static std::unique_ptr<RssiDetector> assemble(std::vector<ReferencePoint> points,
-                                                RssiDetectorConfig config,
-                                                gbt::GbtClassifier classifier,
-                                                std::size_t trained_points);
-
-  /// assemble() with an explicit reference-index extent (see the
-  /// bounds-taking constructor): the shard-slice deployment shape.
-  static std::unique_ptr<RssiDetector> assemble(std::vector<ReferencePoint> points,
+  /// classifier trained elsewhere, indexed under `index_bounds` as the
+  /// constructor is.  The caller vouches that `classifier` was trained on
+  /// uploads of `trained_points` points over features compatible with
+  /// `config`; a classifier that splits on a feature beyond the Eq. 8 width
+  /// (2 * top_k * trained_points) throws std::invalid_argument.
+  static std::unique_ptr<RssiDetector> assemble(PointArrays points,
                                                 RssiDetectorConfig config,
                                                 gbt::GbtClassifier classifier,
                                                 std::size_t trained_points,
-                                                const BoundingBox& index_bounds);
+                                                const BoundingBox& index_bounds = {});
 
   /// Upload length the trained classifier expects (0 = untrained).
   std::size_t trained_points() const { return trained_points_; }
 
  private:
-  /// The loaders' constructor: decodes the index from the front of `image`
-  /// and advances past it (ReferenceIndex's image constructor).
-  RssiDetector(std::string_view& image, const RssiDetectorConfig& config);
-
   ReferenceIndex index_;
   RssiDetectorConfig config_;
   ConfidenceEstimator estimator_;

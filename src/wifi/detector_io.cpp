@@ -13,8 +13,8 @@
 // On disk the image is the one record of a CRC-framed durable container
 // (version 2), committed atomically (common/durable).  Loading copies the
 // arrays into the index and checks, in one pass, everything
-// validate_reference_point and the index constructors check (see the image
-// constructor in wifi/refindex.hpp), so a corrupt or hostile store is a
+// validate_reference_point and the index constructor check (see the image
+// constructor in wifi/point_arrays.hpp), so a corrupt or hostile store is a
 // clean error, never a poisoned index.  Nothing may follow the classifier.
 #include <cmath>
 #include <cstring>
@@ -109,7 +109,8 @@ DetectorOrError RssiDetector::decode(std::string_view image) {
   // Construction and the classifier's own loader validate by throwing; fold
   // those into the non-throwing contract here.
   try {
-    std::unique_ptr<RssiDetector> detector(new RssiDetector(rest, cfg));
+    // PointArrays' image constructor decodes the index and advances `rest`.
+    auto detector = std::make_unique<RssiDetector>(PointArrays(rest), cfg);
     durable::ByteCursor tail{rest};
     std::uint64_t text_len = 0;
     std::string_view text;
@@ -156,16 +157,8 @@ void RssiDetector::save_file(const std::string& path) const {
 }
 
 std::unique_ptr<RssiDetector> RssiDetector::assemble(
-    std::vector<ReferencePoint> points, RssiDetectorConfig config,
-    gbt::GbtClassifier classifier, std::size_t trained_points) {
-  return assemble(std::move(points), config, std::move(classifier), trained_points,
-                  BoundingBox{});
-}
-
-std::unique_ptr<RssiDetector> RssiDetector::assemble(
-    std::vector<ReferencePoint> points, RssiDetectorConfig config,
-    gbt::GbtClassifier classifier, std::size_t trained_points,
-    const BoundingBox& index_bounds) {
+    PointArrays points, RssiDetectorConfig config, gbt::GbtClassifier classifier,
+    std::size_t trained_points, const BoundingBox& index_bounds) {
   const std::string bad_width = width_error(classifier, config, trained_points);
   if (!bad_width.empty()) {
     throw std::invalid_argument("RssiDetector::assemble: " + bad_width);

@@ -1,5 +1,6 @@
 #include "wifi/point_arrays.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 
@@ -9,31 +10,37 @@
 namespace trajkit::wifi {
 
 PointArrays::PointArrays(const std::vector<ReferencePoint>& points) {
-  std::size_t observations = 0;
-  for (const auto& p : points) {
-    if (p.scan.size() > kMaxScanSize) {
-      throw std::length_error("point arrays: a scan holds more than 65535 observations");
-    }
-    for (const ApObservation& obs : p.scan) {
-      if (obs.rssi_dbm < kMinValidRssiDbm || obs.rssi_dbm > kMaxValidRssiDbm) {
-        throw std::out_of_range("point arrays: an RSSI lies outside [-120, 30] dBm");
-      }
-    }
-    observations += p.scan.size();
-  }
+  for (const auto& p : points) append(p);
+}
 
-  pos_.reserve(points.size());
-  traj_id_.reserve(points.size());
-  offsets_.reserve(points.size() + 1);
-  keys_.reserve(observations);
-  offsets_.push_back(0);
-  for (const auto& p : points) {
-    pos_.push_back(p.pos);
-    traj_id_.push_back(p.traj_id);
-    for (const ApObservation& obs : p.scan) keys_.push_back(key_of(intern(obs.mac), obs.rssi_dbm));
-    offsets_.push_back(keys_.size());
+void PointArrays::check(const ReferencePoint& point) const {
+  if (point.scan.size() > kMaxScanSize) {
+    throw std::length_error("point arrays: a scan holds more than 65535 observations");
   }
-  macs_.shrink_to_fit();
+  for (const ApObservation& obs : point.scan) {
+    if (obs.rssi_dbm < kMinValidRssiDbm || obs.rssi_dbm > kMaxValidRssiDbm) {
+      throw std::out_of_range("point arrays: an RSSI lies outside [-120, 30] dBm");
+    }
+  }
+  if (macs_.size() + point.scan.size() <= kMaxAps) return;
+  // Near the cap, count the scan's distinct MACs the set has not seen.
+  std::vector<std::uint64_t> fresh;
+  for (const ApObservation& obs : point.scan) {
+    if (ap_id(obs.mac) == kNoAp) fresh.push_back(obs.mac);
+  }
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+  if (macs_.size() + fresh.size() > kMaxAps) {
+    throw std::length_error("point arrays: more than 2^24 distinct MACs");
+  }
+}
+
+void PointArrays::append(const ReferencePoint& point) {
+  check(point);
+  pos_.push_back(point.pos);
+  traj_id_.push_back(point.traj_id);
+  for (const ApObservation& obs : point.scan) keys_.push_back(key_of(intern(obs.mac), obs.rssi_dbm));
+  offsets_.push_back(keys_.size());
 }
 
 PointArrays::PointArrays(std::string_view& image) {
@@ -60,16 +67,10 @@ PointArrays::PointArrays(std::string_view& image) {
   }
   if (aps > kMaxAps) refuse("more than 2^24 distinct MACs");
 
-  cur.read_array(macs_, aps);
-  std::size_t slots = ap_slots_.size();
-  while (slots < 2 * macs_.size()) slots *= 2;
-  ap_slots_.assign(slots, ApSlot{});
-  for (std::uint32_t a = 0; a < macs_.size(); ++a) {
-    std::size_t j = home_slot(macs_[a]);
-    for (; ap_slots_[j].id != kNoAp; j = (j + 1) & (slots - 1)) {
-      if (ap_slots_[j].mac == macs_[a]) refuse("MAC " + std::to_string(macs_[a]) + " listed twice");
-    }
-    ap_slots_[j] = {macs_[a], a};
+  std::vector<std::uint64_t> macs;
+  cur.read_array(macs, aps);
+  for (std::size_t a = 0; a < macs.size(); ++a) {
+    if (intern(macs[a]) != a) refuse("MAC " + std::to_string(macs[a]) + " listed twice");
   }
 
   std::vector<std::uint16_t> counts;
@@ -159,9 +160,6 @@ std::uint32_t PointArrays::intern(std::uint64_t mac) {
   std::size_t i = home_slot(mac);
   for (; ap_slots_[i].id != kNoAp; i = (i + 1) & (ap_slots_.size() - 1)) {
     if (ap_slots_[i].mac == mac) return ap_slots_[i].id;
-  }
-  if (macs_.size() == kMaxAps) {
-    throw std::length_error("point arrays: more than 2^24 distinct MACs");
   }
   const auto id = static_cast<std::uint32_t>(macs_.size());
   macs_.push_back(mac);

@@ -41,11 +41,10 @@ struct ReferencePoint {
 
 class PointArrays {
  public:
-  /// Key every observation of `points`, numbering MACs in first-seen order.
-  /// Refuses a scan of more than kMaxScanSize observations and more than
-  /// kMaxAps distinct MACs (std::length_error), and an RSSI outside
-  /// [kMinValidRssiDbm, kMaxValidRssiDbm] (std::out_of_range).
-  explicit PointArrays(const std::vector<ReferencePoint>& points);
+  PointArrays() = default;
+  /// append() every point of `points`.  Implicit: a vector of points is
+  /// accepted wherever arrays are.
+  PointArrays(const std::vector<ReferencePoint>& points);
 
   /// Decode arrays from the front of `image`, laid out as append_image()
   /// writes them, and advance `image` past them.  Every count is checked
@@ -66,11 +65,21 @@ class PointArrays {
   /// native little-endian.
   void append_image(std::string& out) const;
 
+  /// Throw what append(point) would, changing nothing: a scan of more than
+  /// kMaxScanSize observations or new MACs past kMaxAps (std::length_error),
+  /// an RSSI outside [kMinValidRssiDbm, kMaxValidRssiDbm] (std::out_of_range).
+  void check(const ReferencePoint& point) const;
+  /// Key `point` as point size(), numbering its unseen MACs next in scan
+  /// order: the one keying path.  Refuses what check() refuses, before it
+  /// changes anything.
+  void append(const ReferencePoint& point);
+
   std::size_t size() const { return pos_.size(); }
   /// Observations over every point.
   std::size_t observation_count() const { return keys_.size(); }
-  /// Reported position of point `h`.
+  /// Reported position of point `h`, and of every point.
   const Enu& pos(std::size_t h) const { return pos_[h]; }
+  const std::vector<Enu>& positions() const { return pos_; }
   /// Source trajectory of point `h`.
   std::uint32_t traj_id(std::size_t h) const { return traj_id_[h]; }
   /// Point `h` decoded from the arrays: equal to the point they were built
@@ -103,7 +112,7 @@ class PointArrays {
   std::vector<Enu> pos_;
   std::vector<std::uint32_t> traj_id_;
   std::vector<std::uint32_t> keys_;    // every point's observations, in point order
-  std::vector<std::size_t> offsets_;   // point h's keys: [offsets_[h], offsets_[h + 1])
+  std::vector<std::size_t> offsets_ = {0};  // point h's keys: [offsets_[h], offsets_[h + 1])
   std::vector<std::uint64_t> macs_;    // MAC of each AP id
 
  private:

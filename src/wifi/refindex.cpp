@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 
 namespace trajkit::wifi {
@@ -50,37 +51,21 @@ void ReferenceIndex::visit(const Enu& center, double radius, Visitor&& visitor) 
   }
 }
 
-BoundingBox ReferenceIndex::natural_bounds(const std::vector<ReferencePoint>& points) {
-  std::vector<Enu> positions;
-  positions.reserve(points.size());
-  for (const auto& p : points) positions.push_back(p.pos);
-  return BoundingBox::of(positions).expanded(1.0);
+BoundingBox ReferenceIndex::natural_bounds(const PointArrays& points) {
+  return BoundingBox::of(points.positions()).expanded(1.0);
 }
 
-ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m)
-    : ReferenceIndex(std::move(points), cell_size_m, BoundingBox{}) {}
-
-ReferenceIndex::ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m,
+ReferenceIndex::ReferenceIndex(PointArrays points, double cell_size_m,
                                const BoundingBox& bounds)
-    : PointArrays(points), cell_size_m_(cell_size_m) {
+    : PointArrays(std::move(points)), cell_size_m_(cell_size_m) {
   if (cell_size_m_ <= 0.0) {
     throw std::invalid_argument("ReferenceIndex: cell size must be positive");
   }
   build_grid(bounds);
 }
 
-ReferenceIndex::ReferenceIndex(std::string_view& image, double cell_size_m)
-    : PointArrays(image), cell_size_m_(cell_size_m) {
-  if (cell_size_m_ <= 0.0) {
-    throw std::invalid_argument("ReferenceIndex image: cell size must be positive");
-  }
-  build_grid(BoundingBox{});
-}
-
 void ReferenceIndex::build_grid(const BoundingBox& bounds) {
-  bounds_ = bounds.width() > 0.0 || bounds.height() > 0.0
-                ? bounds
-                : BoundingBox::of(pos_).expanded(1.0);
+  bounds_ = bounds.width() > 0.0 || bounds.height() > 0.0 ? bounds : natural_bounds(*this);
   // Sized in doubles and checked against the cap before any cast or
   // allocation.
   const double w = std::max(1.0, std::ceil(bounds_.width() / cell_size_m_)) + 1.0;

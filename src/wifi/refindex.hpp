@@ -8,14 +8,9 @@
 // answers for all references at once from the points within r + R.  The
 // store is backed by a uniform hash grid sized to the typical query radius.
 //
-// The points themselves are PointArrays (wifi/point_arrays.hpp): one uint32
-// key per observation, (AP id << 8) | (RSSI - kMinValidRssiDbm), in one flat
-// array in point order, so an Eq. 4 match window of one MAC over an RSSI
-// range is one contiguous key range and a match is one unsigned compare per
-// lane.  The index adds the grid.  The detector's model file stores the
-// arrays as they are (PointArrays::append_image and the image-taking
-// constructor; DESIGN.md, "Detector model image"), so a cold start copies
-// them instead of re-encoding every observation.
+// The points themselves are PointArrays (wifi/point_arrays.hpp), whose keys
+// make an Eq. 4 match window of one MAC one contiguous key range and a match
+// one unsigned compare per lane.  The index adds the grid.
 #pragma once
 
 #include <cstddef>
@@ -31,36 +26,24 @@ namespace trajkit::wifi {
 
 class ReferenceIndex : public PointArrays {
  public:
-  /// Build over a fixed set of points; `cell_size_m` should be close to the
-  /// largest common query radius (default suits r = 2.5 m, R = 3 m).
-  /// Refuses what PointArrays' constructor refuses: a scan longer than
-  /// kMaxScanSize, more than kMaxAps distinct MACs, an RSSI outside the
-  /// upload validator's range.
-  explicit ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m = 4.0);
+  /// Grid `points` (a vector converts: PointArrays' refusals apply);
+  /// `cell_size_m` should be close to the largest common query radius
+  /// (default suits r = 2.5 m, R = 3 m).  `bounds` replaces the points' natural_bounds as the grid extent when it
+  /// is non-empty.  within() returns candidates in grid order (cells
+  /// row-major, then insertion order within a cell), and downstream
+  /// confidence sums accumulate in that order — so a geo-shard holding a
+  /// *slice* of a global reference set must index it under the global grid
+  /// geometry (natural_bounds of the full set) to reproduce the unsharded
+  /// float results bit for bit.  `bounds` need not contain every point;
+  /// outliers clamp to edge cells exactly as the natural-bounds grid clamps
+  /// its expansion margin.
+  explicit ReferenceIndex(PointArrays points, double cell_size_m = 4.0,
+                          const BoundingBox& bounds = {});
 
-  /// Build with an explicit grid extent instead of the points' own bounding
-  /// box.  within() returns candidates in grid order (cells row-major, then
-  /// insertion order within a cell), and downstream confidence sums
-  /// accumulate in that order — so a geo-shard holding a *slice* of a global
-  /// reference set must index it under the global grid geometry
-  /// (natural_bounds of the full set) to reproduce the unsharded float
-  /// results bit for bit.  `bounds` need not contain every point; outliers
-  /// clamp to edge cells exactly as the natural-bounds grid clamps its
-  /// expansion margin.
-  ReferenceIndex(std::vector<ReferencePoint> points, double cell_size_m,
-                 const BoundingBox& bounds);
-
-  /// Decode the arrays from the front of `image` (PointArrays' image
-  /// constructor, which refuses what validate_reference_point would refuse
-  /// and whatever would not re-encode to the same bytes), advance `image`
-  /// past them, and grid them over their natural_bounds.  Refusals are
-  /// std::invalid_argument, the grid cap's included.
-  ReferenceIndex(std::string_view& image, double cell_size_m);
-
-  /// The grid extent the single-argument constructor would derive for
-  /// `points`: their bounding box expanded by 1 m.  Exposed so sharded
-  /// slices can be indexed under the full set's geometry (see above).
-  static BoundingBox natural_bounds(const std::vector<ReferencePoint>& points);
+  /// The grid extent an index of `points` gets without explicit bounds:
+  /// their bounding box expanded by 1 m.  Exposed so sharded slices can be
+  /// indexed under the full set's geometry (see above).
+  static BoundingBox natural_bounds(const PointArrays& points);
 
   /// The grid extent this index was built with.
   const BoundingBox& bounds() const { return bounds_; }
@@ -174,7 +157,7 @@ class ReferenceIndex : public PointArrays {
 
   std::size_t cell_of(const Enu& p) const;
 
-  /// Size the grid over `bounds` (natural bounds of pos_ when empty), refuse
+  /// Size the grid over `bounds` (natural_bounds when empty), refuse
   /// it past the cell cap, and file every stored point in its cell.
   void build_grid(const BoundingBox& bounds);
 

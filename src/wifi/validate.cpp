@@ -60,7 +60,7 @@ Valid validate_upload(const ScannedUpload& upload) {
   return Valid(true);
 }
 
-Expected<bool, std::string> UploaderRateLimiter::admit(UploaderId uploader,
+Expected<bool, std::string> UploaderRateLimiter::check(UploaderId uploader,
                                                        std::uint64_t tick) {
   if (!policy_.enabled() || uploader == kAnonymousUploader) return Valid(true);
   std::deque<std::uint64_t>& ticks = admitted_[uploader];
@@ -74,8 +74,19 @@ Expected<bool, std::string> UploaderRateLimiter::admit(UploaderId uploader,
                           std::to_string(policy_.max_per_uploader) + " per " +
                           std::to_string(policy_.window_appends) + " appends)");
   }
-  ticks.push_back(tick);
   return Valid(true);
+}
+
+void UploaderRateLimiter::charge(UploaderId uploader, std::uint64_t tick) {
+  if (!policy_.enabled() || uploader == kAnonymousUploader) return;
+  admitted_[uploader].push_back(tick);
+}
+
+Expected<bool, std::string> UploaderRateLimiter::admit(UploaderId uploader,
+                                                       std::uint64_t tick) {
+  auto admitted = check(uploader, tick);
+  if (admitted) charge(uploader, tick);
+  return admitted;
 }
 
 }  // namespace trajkit::wifi

@@ -64,10 +64,14 @@ class UploaderRateLimiter {
  public:
   explicit UploaderRateLimiter(UploaderRatePolicy policy = {}) : policy_(policy) {}
 
-  /// Admit one upload by `uploader` at append ordinal `tick` (monotone
-  /// non-decreasing across calls).  Expected-based rejection names the
-  /// uploader and the cap.  An admitted upload consumes window budget;
-  /// a rejected one does not.
+  /// Whether `uploader` may land one more upload at append ordinal `tick`
+  /// (monotone non-decreasing across calls).  Expected-based rejection names
+  /// the uploader and the cap.  Consumes no budget.
+  Expected<bool, std::string> check(UploaderId uploader, std::uint64_t tick);
+  /// Charge one upload by `uploader` at `tick` against its window.
+  void charge(UploaderId uploader, std::uint64_t tick);
+  /// check(), then charge() what it admits: a rejected upload consumes no
+  /// window budget.
   Expected<bool, std::string> admit(UploaderId uploader, std::uint64_t tick);
 
   const UploaderRatePolicy& policy() const { return policy_; }

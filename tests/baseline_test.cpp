@@ -215,14 +215,14 @@ TEST(RssiSimilarity, SlightNoiseReplayEscapes) {
 }
 
 TEST(RssiSimilarity, MissingHistoryIsSuspicious) {
-  const wifi::ReferenceIndex index({{{1000, 1000}, {{1, -50}}, 0}});
+  const wifi::ReferenceIndex index(std::vector<wifi::ReferencePoint>{{{1000, 1000}, {{1, -50}}, 0}});
   const RssiSimilarityDetector detector(index, {});
   // Upload far from any history: no matchable APs -> flagged.
   EXPECT_EQ(detector.verify({{0, 0}}, {{{2, -60}}}), 0);
 }
 
 TEST(RssiSimilarity, ValidatesInput) {
-  const wifi::ReferenceIndex index({{{0, 0}, {}, 0}});
+  const wifi::ReferenceIndex index(std::vector<wifi::ReferencePoint>{{{0, 0}, {}, 0}});
   EXPECT_THROW(RssiSimilarityDetector(index, {.reference_radius_m = 0.0}),
                std::invalid_argument);
   const RssiSimilarityDetector detector(index, {});

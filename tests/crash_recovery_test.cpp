@@ -228,10 +228,11 @@ TEST(CrashRecovery, CompactionCrashLosesAndDuplicatesNothing) {
     ASSERT_TRUE(store.has_value()) << point << ": " << store.error();
     ASSERT_EQ(store.value()->points().size(), expected.size()) << point;
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(store.value()->points()[i].pos.east, expected[i].pos.east) << point;
-      EXPECT_EQ(store.value()->points()[i].pos.north, expected[i].pos.north) << point;
-      EXPECT_EQ(store.value()->points()[i].scan, expected[i].scan) << point;
-      EXPECT_EQ(store.value()->points()[i].traj_id, expected[i].traj_id) << point;
+      const wifi::ReferencePoint got = store.value()->point(i);
+      EXPECT_EQ(got.pos.east, expected[i].pos.east) << point;
+      EXPECT_EQ(got.pos.north, expected[i].pos.north) << point;
+      EXPECT_EQ(got.scan, expected[i].scan) << point;
+      EXPECT_EQ(got.traj_id, expected[i].traj_id) << point;
     }
     // The store stays fully operational: re-compaction and appends succeed.
     ASSERT_TRUE(store.value()->compact().has_value()) << point;

@@ -1660,7 +1660,7 @@ TEST(CrowdStore, AppendsPersistAcrossReopen) {
     EXPECT_EQ(store.value()->open_stats().replayed_records, 5u);
     EXPECT_EQ(store.value()->open_stats().snapshot_points, 0u);
     for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(wifi::CrowdStore::encode_point(store.value()->points()[i]),
+      EXPECT_EQ(wifi::CrowdStore::encode_point(store.value()->point(i)),
                 wifi::CrowdStore::encode_point(sample_point(i)))
           << "point " << i;
     }
@@ -1687,7 +1687,7 @@ TEST(CrowdStore, CompactionFoldsJournalIntoSnapshot) {
   EXPECT_EQ(store.value()->open_stats().replayed_records, 1u);
   ASSERT_EQ(store.value()->points().size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(store.value()->points()[i].pos.east, double(i));
+    EXPECT_EQ(store.value()->point(i).pos.east, double(i));
   }
   remove_tree(dir);
 }
@@ -1885,6 +1885,58 @@ TEST(CrowdStore, SnapshotPointRecordMutationsReopenOnlyWhatCompactWrites) {
   EXPECT_EQ(accepted, before_tail) << "a trailing byte must be refused";
   EXPECT_GT(accepted, 1u);
   EXPECT_LT(accepted, mutations);
+  remove_tree(dir);
+}
+
+TEST(CrowdStore, ArraysAreByteEqualToAFromScratchBuild) {
+  // The store keys every append onto its own arrays, and served epochs copy
+  // them as they are.  After appends, after a journal replay and after a
+  // compact-then-reopen with a journal tail, they must be the bytes
+  // PointArrays builds from the same points at once.
+  const std::string dir = "durable_test_store_arrays";
+  remove_tree(dir);
+  const auto image = [](const wifi::PointArrays& arrays) {
+    std::string out;
+    arrays.append_image(out);
+    return out;
+  };
+  Rng rng(31);
+  std::vector<wifi::ReferencePoint> points;
+  const auto append_some = [&](wifi::CrowdStore& store, int n) {
+    for (int i = 0; i < n; ++i) {
+      wifi::WifiScan scan;
+      for (std::int64_t j = rng.uniform_int(0, 6); j > 0; --j) {
+        scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 80)),
+                        static_cast<int>(rng.uniform_int(-100, -30))});
+      }
+      points.push_back({{rng.uniform(0, 50), rng.uniform(0, 50)},
+                        std::move(scan),
+                        static_cast<std::uint32_t>(points.size() / 10)});
+      ASSERT_TRUE(store.append(points.back(), 1 + points.size() % 4).has_value());
+    }
+  };
+  {
+    auto store = wifi::CrowdStore::open(dir, /*sync_each_append=*/false);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    append_some(*store.value(), 120);
+    EXPECT_EQ(image(store.value()->arrays()), image(wifi::PointArrays(points)))
+        << "after appends";
+  }
+  {
+    auto store = wifi::CrowdStore::open(dir, /*sync_each_append=*/false);
+    ASSERT_TRUE(store.has_value()) << store.error();
+    EXPECT_EQ(store.value()->open_stats().replayed_records, 120u);
+    EXPECT_EQ(image(store.value()->arrays()), image(wifi::PointArrays(points)))
+        << "after a journal replay";
+    ASSERT_TRUE(store.value()->compact().has_value());
+    append_some(*store.value(), 40);
+  }
+  auto store = wifi::CrowdStore::open(dir);
+  ASSERT_TRUE(store.has_value()) << store.error();
+  EXPECT_EQ(store.value()->open_stats().snapshot_points, 120u);
+  EXPECT_EQ(store.value()->open_stats().replayed_records, 40u);
+  EXPECT_EQ(image(store.value()->arrays()), image(wifi::PointArrays(points)))
+      << "after compact, a journal tail and a reopen";
   remove_tree(dir);
 }
 

@@ -497,6 +497,58 @@ TEST(Hotswap, PublishEpochMatchesOracleRebuildBitForBit) {
   remove_artifacts(artifact_dir, "detector");
 }
 
+TEST(Hotswap, EpochImagesEqualFromScratchAssemblyAcrossFilteredPublishes) {
+  // An unfiltered publish copies the store's arrays and adds only the grid;
+  // a quarantine-filtered one keys the trusted points afresh.  Through an
+  // unfiltered, a filtered and another unfiltered publish, each epoch's
+  // detector image must equal an assembly over the same points built from
+  // scratch as a vector.
+  const std::string store_dir = "hotswap_test_filtered_images";
+  remove_store(store_dir);
+  ts::LinearFieldWorld w;
+  const auto initial = index_points(w.detector());
+  auto store = wifi::CrowdStore::open(store_dir, /*sync_each_append=*/false);
+  ASSERT_TRUE(store.has_value()) << store.error();
+  for (const auto& p : initial) ASSERT_TRUE(store.value()->append(p).has_value());
+  serve::VerifierServiceConfig config;
+  config.auto_start = false;
+  serve::VerifierService service(
+      wifi::RssiDetector::assemble(initial, w.detector().config(),
+                                   w.detector().classifier(),
+                                   w.detector().trained_points()),
+      config);
+  const BoundingBox bounds = service.detector().index().bounds();
+  const auto from_scratch = [&](const std::vector<wifi::ReferencePoint>& points) {
+    return wifi::RssiDetector::assemble(points, w.detector().config(),
+                                        w.detector().classifier(),
+                                        w.detector().trained_points(), bounds)
+        ->image();
+  };
+  constexpr wifi::UploaderId kSuspect = 5;
+  Rng rng(17);
+  for (const bool filtered : {false, true, false}) {
+    SCOPED_TRACE(filtered ? "filtered" : "unfiltered");
+    std::size_t k = 0;
+    for (const auto& p : tail_points(w.config(), 20, rng, 2000)) {
+      ASSERT_TRUE(store.value()->append(p, k++ % 2 ? kSuspect : 6).has_value());
+    }
+    if (filtered) {
+      ASSERT_TRUE(store.value()->append_control({Kind::kQuarantine, kSuspect}).has_value());
+    }
+    auto epoch = service.publish_epoch(*store.value(), nullptr, filtered);
+    ASSERT_TRUE(epoch.has_value()) << epoch.error();
+    std::vector<wifi::ReferencePoint> points;
+    for (std::size_t h = 0; h < store.value()->arrays().size(); ++h) {
+      if (!filtered || store.value()->uploaders()[h] != kSuspect) {
+        points.push_back(store.value()->point(h));
+      }
+    }
+    EXPECT_EQ(service.published_points(), points.size());
+    EXPECT_EQ(service.detector().image(), from_scratch(points));
+  }
+  remove_store(store_dir);
+}
+
 TEST(Hotswap, IncrementalRefreshMatchesRebuildAcrossOrdersAndThreads) {
   // Property: for random append orders of the same tail and thread counts
   // {1, 4}, N appends + an invalidation-scoped publish produce verdicts

@@ -77,10 +77,10 @@ wifi::ReferencePoint ingest_point(int i) {
 /// Leader and follower stores hold byte-identical point sequences.
 void expect_stores_equal(const wifi::CrowdStore& leader,
                          const wifi::CrowdStore& follower) {
-  ASSERT_EQ(leader.points().size(), follower.points().size());
-  for (std::size_t i = 0; i < leader.points().size(); ++i) {
-    EXPECT_EQ(wifi::CrowdStore::encode_point(leader.points()[i]),
-              wifi::CrowdStore::encode_point(follower.points()[i]))
+  ASSERT_EQ(leader.arrays().size(), follower.arrays().size());
+  for (std::size_t i = 0; i < leader.arrays().size(); ++i) {
+    EXPECT_EQ(wifi::CrowdStore::encode_point(leader.point(i)),
+              wifi::CrowdStore::encode_point(follower.point(i)))
         << "point " << i;
   }
 }

@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "common/durable/journal.hpp"
+#include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "reference/provenance_reference.hpp"
@@ -665,7 +667,7 @@ TEST(PoisonDeterminism, CompactedSnapshotReopensToTheWritersState) {
   EXPECT_EQ(store.value()->open_stats().replayed_records, 0u);
   ASSERT_EQ(store.value()->points().size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_EQ(wifi::CrowdStore::encode_point(store.value()->points()[i]), points[i]) << i;
+    ASSERT_EQ(wifi::CrowdStore::encode_point(store.value()->point(i)), points[i]) << i;
   }
   EXPECT_EQ(store.value()->uploaders(), uploaders);
   EXPECT_EQ(store.value()->provenance().checksum(), provenance);
@@ -812,6 +814,34 @@ TEST(PoisonRateLimit, StoreRefusesFloodsAtAdmissionDeterministically) {
   // Anonymous and differently-identified uploads still land.
   EXPECT_TRUE(store.value()->append(field_point({6.0, 1.0})).has_value());
   EXPECT_TRUE(store.value()->append(field_point({7.0, 1.0}), 8).has_value());
+  remove_store(dir);
+}
+
+TEST(PoisonRateLimit, FailedJournalWriteChargesNoBudget) {
+  // The budget is charged only once the journal has accepted the record: an
+  // append the journal refused was never admitted, so the retry after the
+  // fault clears lands within the same one-per-window cap.
+  const std::string dir = "poison_test_rate_fault";
+  remove_store(dir);
+  wifi::CrowdStore::Tuning tuning;
+  tuning.rate_policy = {.window_appends = 100, .max_per_uploader = 1};
+  auto store = wifi::CrowdStore::open(dir, true, tuning);
+  ASSERT_TRUE(store.has_value()) << store.error();
+  {
+    FaultScope faults(3);
+    faults.arm(durable::kFaultAppendPartial, {.fail_first = 1});
+    auto failed = store.value()->append(field_point({1.0, 1.0}), 7);
+    ASSERT_FALSE(failed.has_value());
+    EXPECT_NE(failed.error().find("injected fault"), std::string::npos) << failed.error();
+  }
+  EXPECT_EQ(store.value()->arrays().size(), 0u);
+  auto retried = store.value()->append(field_point({1.0, 1.0}), 7);
+  ASSERT_TRUE(retried.has_value()) << retried.error();
+  EXPECT_EQ(store.value()->arrays().size(), 1u);
+  // The successful append did use the budget.
+  auto refused = store.value()->append(field_point({2.0, 1.0}), 7);
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_NE(refused.error().find("rate cap exceeded"), std::string::npos) << refused.error();
   remove_store(dir);
 }
 

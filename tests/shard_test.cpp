@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/durable/crc32.hpp"
 #include "common/durable/journal.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
@@ -237,6 +238,50 @@ TEST(ShardEquivalence, ShardSlicesCoverHaloAndPreserveGlobalOrder) {
           << "shard " << s << " misses halo neighbours of owned point " << i;
     }
   }
+}
+
+TEST(ShardEquivalence, SliceImagesEqualVectorSlicesAndArePinned) {
+  // The router appends each point straight into its owners' arrays.  Every
+  // slice detector's image must equal an assembly over the same slice cut
+  // as a vector of points (the owner rule restated: a point goes to every
+  // shard owning a tile within the halo of it), and the golden pins those
+  // bytes to the ones the vector-sliced router built.
+  ts::LinearFieldWorld w;
+  const auto& oracle = w.detector();
+  const auto& index = oracle.index();
+  std::string pinned;
+  for (const std::size_t shards : {2u, 4u}) {
+    serve::ShardRouterConfig rc;
+    rc.shards = shards;
+    serve::ShardRouter router(oracle, rc);
+    const double tile = router.config().tile_m;
+    const double halo = router.halo_m();
+    std::vector<std::vector<wifi::ReferencePoint>> slices(shards);
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      const Enu& p = index.pos(i);
+      const TileId lo = tile_of({p.east - halo, p.north - halo}, tile);
+      const TileId hi = tile_of({p.east + halo, p.north + halo}, tile);
+      std::vector<bool> owns(shards, false);
+      for (std::int64_t ty = lo.ty; ty <= hi.ty; ++ty) {
+        for (std::int64_t tx = lo.tx; tx <= hi.tx; ++tx) owns[router.owner_of({tx, ty})] = true;
+      }
+      for (std::size_t s = 0; s < shards; ++s) {
+        if (owns[s]) slices[s].push_back(index.point(i));
+      }
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::string image = router.shard(s).detector().image();
+      const auto sliced =
+          wifi::RssiDetector::assemble(slices[s], oracle.config(), oracle.classifier(),
+                                       oracle.trained_points(), index.bounds());
+      EXPECT_EQ(image, sliced->image()) << shards << " shards, shard " << s;
+      char line[64];
+      std::snprintf(line, sizeof line, "shards=%zu shard=%zu points=%zu crc32=%08x\n",
+                    shards, s, slices[s].size(), durable::crc32(image));
+      pinned += line;
+    }
+  }
+  EXPECT_TRUE(ts::matches_golden("shard_slice_images.txt", pinned));
 }
 
 // ---------------------------------------------------------------------------
@@ -586,6 +631,56 @@ TEST(ShardReplication, ApplyFrameSkipsStaleAndRefusesGaps) {
   remove_store(dir);
 }
 
+TEST(ShardReplication, PointPayloadsEncodePointNeverWritesAreRefused) {
+  // decode_point accepts only the bytes encode_point writes.  Each payload
+  // below parses under a lenient reader but re-encodes to other bytes, so a
+  // follower that took it would journal what its leader never wrote.  Both
+  // doors refuse it: apply_frame answers kError and journals nothing, and a
+  // journal that holds it does not replay.
+  const std::string good =
+      wifi::CrowdStore::encode_point({{1.5, 2.0}, {{3, -60}, {9, -71}}, 4u});
+  ASSERT_EQ(good, "1.5 2 4 2 3 -60 9 -71");
+  const std::string dir = "shard_test_strict_decode";
+  using Status = net::FrameResponse::Status;
+  const auto journal_holding = [&](const std::string& payload) {
+    remove_store(dir);
+    ASSERT_TRUE(wifi::CrowdStore::open(dir).has_value());
+    auto journal = durable::Journal::open(wifi::CrowdStore::journal_path(dir),
+                                          wifi::CrowdStore::journal_tag());
+    ASSERT_TRUE(journal.has_value()) << journal.error();
+    ASSERT_TRUE(journal.value()->append(payload, 7).has_value());
+  };
+  for (const std::string& lax :
+       {good + " junk", good + " 7 8", std::string("1.5 2 4 2 -5 -60 9 -71"),
+        std::string("1.5 2 4 2 +3 -60 9 -71"), "  " + good,
+        std::string("1.0 2 4 2 3 -60 9 -71")}) {
+    SCOPED_TRACE(lax);
+    EXPECT_FALSE(wifi::CrowdStore::decode_point(lax).has_value());
+    remove_store(dir);
+    {
+      auto replica = serve::ShardReplica::open(dir);
+      ASSERT_TRUE(replica.has_value()) << replica.error();
+      EXPECT_EQ(replica.value()->apply_frame(0, lax, 7).status, Status::kError);
+      EXPECT_EQ(replica.value()->next_seq(), 0u);
+      EXPECT_EQ(replica.value()->store().arrays().size(), 0u);
+    }
+    journal_holding(lax);
+    EXPECT_FALSE(wifi::CrowdStore::open(dir).has_value());
+  }
+  // The canonical bytes pass both doors.
+  remove_store(dir);
+  {
+    auto replica = serve::ShardReplica::open(dir);
+    ASSERT_TRUE(replica.has_value()) << replica.error();
+    EXPECT_EQ(replica.value()->apply_frame(0, good, 7).status, Status::kApplied);
+  }
+  journal_holding(good);
+  auto store = wifi::CrowdStore::open(dir);
+  ASSERT_TRUE(store.has_value()) << store.error();
+  EXPECT_EQ(wifi::CrowdStore::encode_point(store.value()->point(0)), good);
+  remove_store(dir);
+}
+
 TEST(ShardReplication, FollowerColdStartsFromSnapshotPlusJournalTail) {
   const std::string leader_dir = "shard_test_cold_leader";
   const std::string follower_dir = "shard_test_cold_follower";
@@ -610,8 +705,8 @@ TEST(ShardReplication, FollowerColdStartsFromSnapshotPlusJournalTail) {
   ASSERT_EQ(follower.value()->store().points().size(), 40u);
   EXPECT_EQ(follower.value()->next_seq(), 40u);
   for (std::size_t i = 0; i < 40; ++i) {
-    EXPECT_EQ(wifi::CrowdStore::encode_point(follower.value()->store().points()[i]),
-              wifi::CrowdStore::encode_point(leader.value()->store()->points()[i]));
+    EXPECT_EQ(wifi::CrowdStore::encode_point(follower.value()->store().point(i)),
+              wifi::CrowdStore::encode_point(leader.value()->store()->point(i)));
   }
 
   // The bootstrapped follower joins live replication seamlessly.
@@ -761,7 +856,7 @@ TEST(ShardFailover, LeaderKillAtEveryShippingFaultPointLosesNoAckedUpload) {
     ASSERT_GE(takeover.value()->store().points().size(), index.size()) << point;
     for (std::size_t i = 0; i < index.size(); ++i) {
       ASSERT_EQ(
-          wifi::CrowdStore::encode_point(takeover.value()->store().points()[i]),
+          wifi::CrowdStore::encode_point(takeover.value()->store().point(i)),
           wifi::CrowdStore::encode_point(index.point(i)))
           << point;
     }

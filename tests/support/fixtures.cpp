@@ -116,8 +116,8 @@ std::vector<Enu> random_walk_enu(Rng& rng, std::size_t n, double max_step_m,
 
 wifi::ProvenanceGrid fold_provenance(const wifi::CrowdStore& store) {
   wifi::ProvenanceGrid grid;
-  for (std::size_t i = 0; i < store.points().size(); ++i) {
-    grid.add(store.points()[i], store.uploader_of(i));
+  for (std::size_t h = 0; h < store.arrays().size(); ++h) {
+    grid.add(store.point(h), store.uploaders()[h]);
   }
   return grid;
 }

@@ -113,7 +113,7 @@ std::vector<Enu> random_walk_enu(Rng& rng, std::size_t n, double max_step_m,
 // ---------------------------------------------------------------------------
 // Crowd store
 
-/// The provenance grid `store`'s points() and uploaders() fold to, in
+/// The provenance grid `store`'s arrays() and uploaders() fold to, in
 /// ingestion order: what CrowdStore::open must rebuild from a snapshot.
 wifi::ProvenanceGrid fold_provenance(const wifi::CrowdStore& store);
 

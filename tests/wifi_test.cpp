@@ -75,7 +75,7 @@ TEST(ReferenceIndex, EmptyAndBoundary) {
   EXPECT_TRUE(empty.within({0, 0}, 100.0).empty());
 
   // Inclusive radius boundary.
-  const ReferenceIndex one({ref(3, 4, {})});
+  const ReferenceIndex one(std::vector<ReferencePoint>{ref(3, 4, {})});
   EXPECT_EQ(one.within({0, 0}, 5.0).size(), 1u);
   EXPECT_EQ(one.within({0, 0}, 4.999).size(), 0u);
 }
@@ -132,6 +132,42 @@ TEST(ReferenceIndex, PointDecodesItsInputBitwise) {
       EXPECT_EQ(got.scan, pts[h].scan) << h;
     }
   }
+}
+
+TEST(PointArrays, AppendEqualsBuildAtOnceAndARefusalChangesNothing) {
+  // append() is the one keying path: arrays appended point by point are the
+  // bytes built from the same points at once, and a refused point leaves
+  // them as they were, its new MACs unnumbered.
+  const auto image = [](const PointArrays& arrays) {
+    std::string out;
+    arrays.append_image(out);
+    return out;
+  };
+  Rng rng(5);
+  std::vector<ReferencePoint> pts;
+  PointArrays appended;
+  for (int i = 0; i < 200; ++i) {
+    WifiScan scan;
+    for (std::int64_t j = rng.uniform_int(0, 5); j > 0; --j) {
+      scan.push_back({static_cast<std::uint64_t>(rng.uniform_int(1, 60)),
+                      static_cast<int>(rng.uniform_int(kMinValidRssiDbm, kMaxValidRssiDbm))});
+    }
+    pts.push_back(ref(rng.uniform(0, 40), rng.uniform(0, 40), std::move(scan), i / 10));
+    appended.append(pts.back());
+  }
+  EXPECT_EQ(image(appended), image(PointArrays(pts)));
+
+  const std::string before = image(appended);
+  const WifiScan too_long(PointArrays::kMaxScanSize + 1, ApObservation{1000, -50});
+  EXPECT_THROW(appended.check(ref(1, 1, too_long)), std::length_error);
+  EXPECT_THROW(appended.append(ref(1, 1, too_long)), std::length_error);
+  const ReferencePoint bad_rssi = ref(1, 1, {{1001, -50}, {1002, kMaxValidRssiDbm + 1}});
+  EXPECT_THROW(appended.append(bad_rssi), std::out_of_range);
+  EXPECT_EQ(image(appended), before);
+  // The next accepted point numbers MAC 1001 as if the refusals never were.
+  pts.push_back(ref(2, 2, {{1001, -60}}));
+  appended.append(pts.back());
+  EXPECT_EQ(image(appended), image(PointArrays(pts)));
 }
 
 TEST(ReferenceIndex, RefusesRssiOutsideStorableRange) {
@@ -206,7 +242,8 @@ TEST(Rpd, ToleranceSmoothsMatches) {
 TEST(Rpd, CountsRepeatedObservationsOfOneMac) {
   // validate_scan accepts a scan that repeats a MAC; Eq. 4 counts each
   // matching observation, so point 0's two -50 readings both count.
-  const ReferenceIndex index({ref(0, 0, {{1, -50}, {1, -50}}), ref(1, 0, {{1, -51}})});
+  const ReferenceIndex index(
+      std::vector<ReferencePoint>{ref(0, 0, {{1, -50}, {1, -50}}), ref(1, 0, {{1, -51}})});
   const reference::RpdOracle exact(index, {.counting_radius_m = 3.0});
   const reference::RpdOracle smooth(index, {.counting_radius_m = 3.0, .rssi_tolerance_db = 1});
   EXPECT_DOUBLE_EQ(exact.rpd(0, 1, -50), 1.0);
@@ -273,7 +310,7 @@ TEST(Confidence, CloserReferencesWeighMore) {
 }
 
 TEST(Confidence, NoReferencesMeansZeroPhi) {
-  const ReferenceIndex index({ref(100, 100, {{1, -40}})});
+  const ReferenceIndex index(std::vector<ReferencePoint>{ref(100, 100, {{1, -40}})});
   const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .rpd = {}});
   const auto out = estimator.point_confidence({0, 0}, {{1, -40}});
   ASSERT_EQ(out.size(), 1u);
@@ -283,7 +320,7 @@ TEST(Confidence, NoReferencesMeansZeroPhi) {
 }
 
 TEST(Confidence, TopKTruncatesScan) {
-  const ReferenceIndex index({ref(0, 0, {{1, -40}, {2, -50}, {3, -60}})});
+  const ReferenceIndex index(std::vector<ReferencePoint>{ref(0, 0, {{1, -40}, {2, -50}, {3, -60}})});
   const ConfidenceEstimator estimator(index, {.reference_radius_m = 2.5, .top_k = 2, .rpd = {}});
   const auto out =
       estimator.point_confidence({0.5, 0}, {{1, -40}, {2, -50}, {3, -60}});
@@ -722,7 +759,7 @@ TEST(Features, WidthAndPadding) {
   RssiDetectorConfig config;
   config.confidence.reference_radius_m = 2.5;
   config.confidence.top_k = 3;
-  const RssiDetector detector({ref(0, 0, {{1, -40}})}, config);
+  const RssiDetector detector(std::vector<ReferencePoint>{ref(0, 0, {{1, -40}})}, config);
   ScannedUpload upload;
   upload.positions = {{0, 0}, {1, 0}};
   upload.scans = {{{1, -40}}, {}};  // second point heard nothing
@@ -738,7 +775,7 @@ TEST(Features, WidthAndPadding) {
 }
 
 TEST(Features, MismatchedUploadRejected) {
-  const RssiDetector detector({ref(0, 0, {})});
+  const RssiDetector detector(std::vector<ReferencePoint>{ref(0, 0, {})});
   ScannedUpload upload;
   upload.positions = {{0, 0}};
   upload.scans = {};
@@ -803,7 +840,7 @@ TEST(Detector, TryLoadReportsGarbageAsError) {
 TEST(Detector, ThresholdPersistsThroughSaveLoad) {
   RssiDetectorConfig cfg;
   cfg.threshold = 0.65;
-  RssiDetector detector({ref(0, 0, {{1, -50}})}, cfg);
+  RssiDetector detector(std::vector<ReferencePoint>{ref(0, 0, {{1, -50}})}, cfg);
   const auto loaded = RssiDetector::decode(detector.image());
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   EXPECT_DOUBLE_EQ(loaded.value()->config().threshold, 0.65);
@@ -849,7 +886,8 @@ TEST(Detector, LoadedHugeToleranceSpansTheStorableRange) {
 TEST(Detector, RejectsOutOfRangeThreshold) {
   RssiDetectorConfig cfg;
   cfg.threshold = 1.5;
-  EXPECT_THROW(RssiDetector({ref(0, 0, {})}, cfg), std::invalid_argument);
+  EXPECT_THROW(RssiDetector(std::vector<ReferencePoint>{ref(0, 0, {})}, cfg),
+               std::invalid_argument);
 }
 
 // Split-pipeline/analyze agreement lives in tests/equivalence_test.cpp
@@ -890,7 +928,7 @@ TEST(Detector, PointScoresLocaliseMismatchedStretch) {
 }
 
 TEST(Detector, RequiresTrainingBeforeVerify) {
-  RssiDetector detector({ref(0, 0, {})}, {});
+  RssiDetector detector(std::vector<ReferencePoint>{ref(0, 0, {})}, {});
   ScannedUpload upload;
   upload.positions = {{0, 0}};
   upload.scans = {{}};
@@ -898,7 +936,7 @@ TEST(Detector, RequiresTrainingBeforeVerify) {
 }
 
 TEST(Detector, RejectsUnevenUploadLengths) {
-  RssiDetector detector({ref(0, 0, {})}, {});
+  RssiDetector detector(std::vector<ReferencePoint>{ref(0, 0, {})}, {});
   ScannedUpload a;
   a.positions = {{0, 0}};
   a.scans = {{}};
